@@ -208,6 +208,8 @@ def cmd_verify_lemma2(args) -> tuple[dict, list[dict], list[dict]]:
 
 def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
     u, L, J = args.u, args.L, args.J
+    if not L > 1.0:
+        raise ValueError(f"verify-vertical needs L > 1, got {L}")
     K = args.K if args.K is not None else (L + u) / (L - 1.0)
     delta = args.delta if args.delta is not None else cx.default_delta(K, L, J)
     eps = args.eps if args.eps is not None else cx.select_epsilon(K, L, delta, J)
@@ -289,6 +291,8 @@ def _parse_coeffs(text: str) -> dict[int, float]:
 
 def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
     u, L = args.u, args.L
+    if not L > 1.0:
+        raise ValueError(f"hessian needs L > 1 for the stationary K = (L+u)/(L-1), got {L}")
     K = (L + u) / (L - 1.0)
     A = hs.HermiteCoeffVector(_parse_coeffs(args.A), K)
     B = hs.HermiteCoeffVector(_parse_coeffs(args.B), L)
@@ -778,7 +782,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config, results, checks = args.handler(args)
     except (ValueError, cx.RecipeRejectedError, hk.NotApplicableError,
-            hk.WitnessUnavailableError, en.NegativeDensityError) as exc:
+            hk.WitnessUnavailableError, hk.GridTooSmallError,
+            en.NegativeDensityError, en.FitRejectedError) as exc:
         print(f"ziclab: {exc}", file=sys.stderr)
         return 2
     # the output path is environment, not experiment configuration; embedding

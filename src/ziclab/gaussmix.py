@@ -15,6 +15,7 @@ Everything is immutable and pure; results never depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -32,11 +33,15 @@ class DerivTerm(NamedTuple):
     variance: float
 
 
+@functools.lru_cache(maxsize=1024)
 def gauss_deriv_poly(order: int, variance: float) -> np.ndarray:
     """Coefficients (ascending) of P with D^order gamma_v = P * gamma_v.
 
     Built by the recursion P_{k+1} = P_k' - (x/v) P_k, so the leading
-    coefficient is (-1/v)^order.
+    coefficient is (-1/v)^order.  Memoized per (order, variance), since
+    pointwise callers such as adaptive quadrature ask for the same
+    polynomial many times; the returned array is read-only because it is
+    shared.
     """
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
@@ -51,6 +56,7 @@ def gauss_deriv_poly(order: int, variance: float) -> np.ndarray:
         q[: len(dp)] += dp
         q[: len(xp)] -= xp
         p = q
+    p.setflags(write=False)
     return p
 
 

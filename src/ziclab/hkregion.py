@@ -5,12 +5,13 @@ The scalar building block is
     psi(K, L) = u ln(K+N1+u+L) + ln(K+N1) - (u+1) ln(K+N1+u),
 its capped supremum over K <= J, the fixed-power value
     f1(q1, q2) = sup_{J<=q1, L<=q2} { ln(J+N1+u+L) + phi(J, L) },
-and the power-control value g1 = upper concave envelope of f1 in (q1, q2),
-realized by randomizing the transmit powers (by Caratheodory at most three
-support points).  Envelopes are extracted as the upper hull of the lifted
-f1 graph.  Dimension-2 quantities go through the alignment reduction:
-aligned diagonal inputs split coordinatewise, so f2 is a max-plus split of
-f1 and g2 is the envelope of the max-plus table.
+attained at the corner (J, L) = (q1, q2), and the power-control value
+g1 = upper concave envelope of f1 in (q1, q2), realized by randomizing the
+transmit powers (by Caratheodory at most three support points).
+Envelopes are extracted as the upper hull of the lifted f1 graph.
+Dimension-2 quantities go through the alignment reduction: aligned
+diagonal inputs split coordinatewise, so f2 is a max-plus split of f1 and
+g2 is the envelope of the max-plus table.
 """
 
 from __future__ import annotations
@@ -322,83 +323,17 @@ def capped_gauss_objective_matrix(
 # ----------------------------------------------------------------------
 
 
-def _corner_value(q1, L, u: float, N1: float):
-    """ln(q1+N1+u+L) + phi(q1, L): the J-supremum sits at J=q1 because both
-    summands are nondecreasing in J and the first is strict."""
-    val, _ = capped_gauss_objective(q1, L, u, N1)
-    return np.log(np.asarray(q1, dtype=float) + N1 + u + np.asarray(L, dtype=float)) + val
+def _corner_value(q1, q2, u: float, N1: float):
+    """f1(q1, q2) = ln(q1+N1+u+q2) + phi(q1, q2), elementwise.
 
-
-def _corner_scalar(J: float, L: float, u: float, N1: float) -> float:
-    """Scalar fast path of _corner_value (pure math, no array overhead)."""
-    if L > 1.0:
-        k = (u + L) / (L - 1.0) - N1
-        k = 0.0 if k < 0.0 else (J if k > J else k)
-    else:
-        k = J
-    x = k + N1
-    if x <= 0.0:
-        return -math.inf
-    return (
-        math.log(J + N1 + u + L)
-        + u * math.log(x + u + L)
-        + math.log(x)
-        - (u + 1.0) * math.log(x + u)
-    )
-
-
-def _inner_max_scalar(
-    J: float, q2: float, u: float, N1: float, iters: int = 80
-) -> tuple[float, float]:
-    """(max value, argmax L) over L in [0, q2] of the corner value."""
-    best_v, best_l = -math.inf, 0.0
-    for lo, hi in _brackets(q2):
-        a, b = lo, hi
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        fc = _corner_scalar(J, c, u, N1)
-        fd = _corner_scalar(J, d, u, N1)
-        for _ in range(iters):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - GOLDEN * (b - a)
-                fc = _corner_scalar(J, c, u, N1)
-            else:
-                a, c, fc = c, d, fd
-                d = a + GOLDEN * (b - a)
-                fd = _corner_scalar(J, d, u, N1)
-        for cand_l, cand_v in ((c, fc), (d, fd), (lo, _corner_scalar(J, lo, u, N1)), (hi, _corner_scalar(J, hi, u, N1))):
-            if cand_v > best_v + 1e-13:
-                best_v, best_l = cand_v, cand_l
-    return best_v, best_l
-
-
-def _inner_max_vec(q1, q2, u: float, N1: float, iters: int = 80):
-    """Vectorized max over L in [0, q2] of the corner value, by golden
-    section on three sub-brackets plus the L=0, L=1, L=q2 checks."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    best = _corner_value(q1, np.zeros_like(q2), u, N1)
-    best = np.maximum(best, _corner_value(q1, q2, u, N1))
-    kink = np.clip(np.ones_like(q2), 0.0, q2)
-    best = np.maximum(best, _corner_value(q1, kink, u, N1))
-    for part in range(3):
-        a = q2 * (part / 3.0)
-        b = q2 * ((part + 1) / 3.0)
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        fc = _corner_value(q1, c, u, N1)
-        fd = _corner_value(q1, d, u, N1)
-        for _ in range(iters):
-            right = fc < fd
-            a = np.where(right, c, a)
-            b = np.where(right, b, d)
-            c = b - GOLDEN * (b - a)
-            d = a + GOLDEN * (b - a)
-            fc = _corner_value(q1, c, u, N1)
-            fd = _corner_value(q1, d, u, N1)
-        best = np.maximum(best, np.maximum(fc, fd))
-    return best
+    The supremum over J <= q1, L <= q2 sits at the corner: psi(K, L)
+    increases in L for every K, so phi(J, L) = sup_{K<=J} psi(K, L) is
+    nondecreasing in J and in L, and the log term strictly increases in
+    both.  Every f1 value in this module comes from this one expression,
+    so scalar results agree bit for bit with the tabulated nodes.
+    """
+    val, _ = capped_gauss_objective(q1, q2, u, N1)
+    return np.log(np.asarray(q1, dtype=float) + N1 + u + np.asarray(q2, dtype=float)) + val
 
 
 def golden_max(f, a: float, b: float, iters: int = 90) -> tuple[float, float]:
@@ -429,45 +364,24 @@ class FixedPowerResult:
     K: float
 
 
-def fixed_power_value(
-    q1: float, q2: float, params: HKParams, iters: int = 90
-) -> FixedPowerResult:
+def fixed_power_value(q1: float, q2: float, params: HKParams) -> FixedPowerResult:
     """sup over J in [0, q1], L in [0, q2] of ln(J+N1+u+L) + phi(J, L).
 
-    Nested golden-section with a 3x3 multi-start (the objective can be
-    bimodal across the L=1 case boundary); absolute objective tolerance
-    ~1e-8.  Ties break toward smaller J.
+    Closed form: the supremum is attained at (J, L) = (q1, q2) with K the
+    capped argmax; the value equals the f1_table node at (q1, q2) exactly.
     """
     u, N1 = params.u, params.N1
-
-    def inner(J: float) -> tuple[float, float]:
-        return _inner_max_scalar(J, q2, u, N1, iters)
-
-    best = (-math.inf, 0.0, 0.0)
-    for lo, hi in _brackets(q1):
-        x, v = golden_max(lambda J: inner(J)[0], lo, hi, iters)
-        for cand_j in (x, lo, hi):
-            v2, l2 = inner(cand_j)
-            if v2 > best[0] + 1e-12 or (abs(v2 - best[0]) <= 1e-12 and cand_j < best[1]):
-                best = (v2, cand_j, l2)
-    value, jstar, lstar = best
-    _, kstar = capped_gauss_objective(jstar, lstar, u, N1)
-    return FixedPowerResult(value=value, J=jstar, L=lstar, K=kstar)
-
-
-def _brackets(hi: float, parts: int = 3):
-    edges = np.linspace(0.0, hi, parts + 1)
-    # always probe the L=1 kink boundary when inside
-    cuts = sorted(set([float(e) for e in edges] + ([1.0] if 0.0 < 1.0 < hi else [])))
-    return list(zip(cuts[:-1], cuts[1:]))
+    _, k = capped_gauss_objective(q1, q2, u, N1)
+    value = float(_corner_value(q1, q2, u, N1))
+    return FixedPowerResult(value=value, J=float(q1), L=float(q2), K=k)
 
 
 def f1_table(q1_nodes: np.ndarray, q2_nodes: np.ndarray, params: HKParams) -> np.ndarray:
-    """f1 on the product grid (vectorized).  Cross-checked in the tests
-    against the nested golden-section and a brute-force grid."""
+    """f1 on the product grid, as the corner value broadcast over the nodes.
+    Checked in the tests against a brute-force grid over (J, L, K)."""
     q1 = np.asarray(q1_nodes, dtype=float)[:, None]
     q2 = np.asarray(q2_nodes, dtype=float)[None, :]
-    return _inner_max_vec(q1 + np.zeros_like(q2), q2 + np.zeros_like(q1), params.u, params.N1)
+    return _corner_value(q1, q2, params.u, params.N1)
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +577,7 @@ def maximizer_bound_check(
     case 2: cap binds (L <= 1 or J below it); case 3: exactly at it.
     """
     u, N1 = params.u, params.N1
-    f1v = _inner_max_scalar(Jv, Lv, u, N1)[0]
+    f1v = float(_corner_value(Jv, Lv, u, N1))
     if envelope is not None:
         g1v = envelope.value(Jv, Lv).value
     else:
@@ -713,9 +627,8 @@ def fixed_power_value_2d(
     a_nodes = np.linspace(0.0, q1, coarse)
     b_nodes = np.linspace(0.0, q2, coarse)
     A, B = np.meshgrid(a_nodes, b_nodes, indexing="ij")
-    left = _inner_max_vec(A, B, params.u, params.N1)
-    right = _inner_max_vec(q1 - A, q2 - B, params.u, params.N1)
-    tot = left + right
+    u, N1 = params.u, params.N1
+    tot = _corner_value(A, B, u, N1) + _corner_value(q1 - A, q2 - B, u, N1)
     i, j = np.unravel_index(int(np.argmax(tot)), tot.shape)
     a0, b0 = float(a_nodes[i]), float(b_nodes[j])
     ha = q1 / (coarse - 1)
@@ -724,25 +637,14 @@ def fixed_power_value_2d(
     def val(a: float, b: float) -> float:
         a = min(max(a, 0.0), q1)
         b = min(max(b, 0.0), q2)
-        return (
-            _inner_max_scalar(a, b, params.u, params.N1)[0]
-            + _inner_max_scalar(q1 - a, q2 - b, params.u, params.N1)[0]
-        )
+        return float(_corner_value(a, b, u, N1) + _corner_value(q1 - a, q2 - b, u, N1))
 
     a, b = a0, b0
     for _ in range(3):
         a, _ = golden_max(lambda x: val(x, b), max(0.0, a - ha), min(q1, a + ha), 60)
         b, _ = golden_max(lambda y: val(a, y), max(0.0, b - hb), min(q2, b + hb), 60)
-    cells = (_cell_summary(a, b, params), _cell_summary(q1 - a, q2 - b, params))
+    cells = (fixed_power_value(a, b, params), fixed_power_value(q1 - a, q2 - b, params))
     return FixedPower2DResult(value=cells[0].value + cells[1].value, split=(a, b), cells=cells)
-
-
-def _cell_summary(a: float, b: float, params: HKParams) -> FixedPowerResult:
-    """Fast per-cell summary using the J-monotonicity reduction (J* = a)."""
-    u, N1 = params.u, params.N1
-    v, lstar = _inner_max_scalar(a, b, u, N1)
-    _, k = capped_gauss_objective(a, lstar, u, N1)
-    return FixedPowerResult(value=v, J=a, L=lstar, K=float(k))
 
 
 def maxplus_self_convolution(table: np.ndarray) -> np.ndarray:
@@ -1027,7 +929,8 @@ def power_control_map(
     """Per-cell comparison of the fixed-power and power-control values.
 
     Reports the capped argmax K at the f1-optimal matrices of each cell.
-    Degenerate q2 = 0 columns use the one-variable envelope along q1.
+    Degenerate q2 <= 0 columns take the interferer budget as 0 and use the
+    one-variable envelope along q1.
     """
     cells = []
     qs = sorted(float(q) for q in q_grid)
@@ -1037,18 +940,15 @@ def power_control_map(
             for q2 in qs:
                 if q1 <= 0:
                     continue
+                res = fixed_power_value(q1, max(q2, 0.0), p)
+                f1v = res.value
                 if q2 <= 0:
                     xs = np.linspace(0.0, margin * q1, grid_n)
                     xs[(grid_n - 1) // margin] = q1
                     fs = _corner_value(xs, np.zeros_like(xs), u, p.N1)
-                    f1v = float(_corner_value(np.asarray(q1), np.asarray(0.0), u, p.N1))
                     g1v = max(concave_envelope_1d(xs, fs, q1), f1v)
-                    _, k = capped_gauss_objective(q1, 0.0, u, p.N1)
-                    res = FixedPowerResult(value=f1v, J=q1, L=0.0, K=float(k))
                 else:
-                    res = fixed_power_value(q1, q2, p)
                     g1v = power_control_value(q1, q2, p, grid_n=grid_n, margin=margin)
-                    f1v = res.value
                 cells.append(
                     PowerControlCell(
                         u=u,

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from ziclab import entropy as en
+from ziclab import hkregion as hk
 from ziclab.cli import main, parse_values
 
 
@@ -131,6 +133,30 @@ def test_validation_error_exit_2(capsys):
     assert "ziclab" in err
 
 
+@pytest.mark.parametrize("argv", [["hessian", "--L", "1"], ["verify-vertical", "--L", "1"]])
+def test_L_at_most_one_exit_2(argv, capsys):
+    # the stationary K = (L+u)/(L-1) has no value at L = 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "L > 1" in err
+
+
+@pytest.mark.parametrize(
+    "owner, name, exc, argv",
+    [
+        (hk, "power_control_value", hk.GridTooSmallError, ["hk-region", "--q1", "1", "--q2", "1"]),
+        (en, "smoothing_curve", en.FitRejectedError, ["verify-lemma1"]),
+    ],
+)
+def test_numerical_rejection_exit_2(owner, name, exc, argv, monkeypatch, capsys):
+    def reject(*args, **kwargs):
+        raise exc("rejected")
+
+    monkeypatch.setattr(owner, name, reject)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "ziclab: rejected\n"
+
+
 def test_oracle_mismatch_exit_3(capsys):
     # absurdly tight tolerance forces a failed check -> exit 3
     code, out = run_cli(
@@ -159,6 +185,18 @@ def test_hk_region_table(capsys):
     rows = payload["results"]
     assert len(rows) == 4
     assert all(r["g1"] >= r["f1"] - 1e-9 for r in rows)
+
+
+def test_hk_region_readme_cells_g1_majorizes_f1_exactly(capsys):
+    # f1 and the envelope's table node at q come from one kernel, so the
+    # envelope majorizes f1 with no tolerance
+    code, out = run_cli(
+        ["hk-region", "--u", "1", "--N1", "1", "--q1", "1:10:3", "--q2", "1:10:3"], capsys
+    )
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 16
+    assert all(r["g1"] >= r["f1"] for r in rows)
 
 
 def test_limit_functional_cli(capsys):

@@ -195,14 +195,34 @@ def test_capped_matrix_gradient_ascent_noncommuting(rng):
 # ----------------------------------------------------------------------
 
 
+def brute_f1(q1, q2, u, N1, n=41, nk=2001):
+    """Independent f1 oracle: the maximum over a grid of J <= q1, L <= q2
+    and K <= J of ln(J+N1+u+L) + psi(K, L), with psi written out here.
+
+    Returns the maximum and the K step h.  The corner (q1, q2) and K = 0,
+    K = q1 are grid nodes, and an interior maximizer has K+N1 > 1, where
+    |psi''| < 1.3 for h < 0.02, so the grid maximum is within h^2 of the
+    supremum.
+    """
+    L = np.linspace(0.0, q2, n)[:, None]
+    K = np.linspace(0.0, q1, nk)[None, :]
+    x = K + N1
+    with np.errstate(divide="ignore"):
+        psi = u * np.log(x + u + L) + np.log(x) - (u + 1.0) * np.log(x + u)
+    best = -math.inf
+    for J in np.linspace(0.0, q1, n):
+        val = np.log(J + N1 + u + L) + np.where(K <= J, psi, -np.inf)
+        best = max(best, float(val.max()))
+    return best, q1 / (nk - 1)
+
+
 def test_f1_matches_brute_force_grid():
     params = hk.HKParams(u=1.0, N1=0.5)
     res = hk.fixed_power_value(7.0, 3.0, params)
-    js = np.linspace(0, 7.0, 400)
-    ls = np.linspace(0, 3.0, 400)
-    brute = hk.f1_table(js, ls, params).max()
-    assert res.value >= brute - 1e-10
+    brute, _ = brute_f1(7.0, 3.0, params.u, params.N1)
+    assert res.value >= brute - 1e-12
     assert res.value == pytest.approx(brute, abs=1e-4)
+    assert (res.J, res.L) == (7.0, 3.0)
 
 
 def test_f1_monotone_in_powers():
@@ -223,14 +243,32 @@ def test_f1_degenerate_interferer_budget():
     assert res.value == pytest.approx(expected, abs=1e-6)
 
 
-def test_f1_vectorized_matches_nested(rng):
-    params = hk.HKParams(u=1.3, N1=0.7)
-    for _ in range(10):
-        q1 = float(rng.uniform(0.2, 20))
-        q2 = float(rng.uniform(0.2, 20))
-        a = hk.fixed_power_value(q1, q2, params).value
-        b = float(hk.f1_table(np.array([q1]), np.array([q2]), params)[0, 0])
-        assert a == pytest.approx(b, abs=1e-8)
+def test_f1_matches_brute_force_random_cells(rng):
+    for u, N1 in ((1.3, 0.7), (0.3, 0.0), (5.0, 2.0)):
+        params = hk.HKParams(u=u, N1=N1)
+        for _ in range(4):
+            q1 = float(rng.uniform(0.2, 20))
+            q2 = float(rng.uniform(0.2, 20))
+            f1 = hk.fixed_power_value(q1, q2, params).value
+            brute, h = brute_f1(q1, q2, u, N1)
+            assert f1 >= brute - 1e-12
+            assert f1 - brute <= h * h
+
+
+def test_f1_scalar_equals_table_node_bitwise(rng):
+    # the envelope reads f1 at q from its table, the reports from
+    # fixed_power_value; equal bits make g1 >= f1 hold with no tolerance
+    for u, N1 in ((1.0, 1.0), (2.0, 0.5), (0.3, 0.0)):
+        params = hk.HKParams(u=u, N1=N1)
+        for _ in range(20):
+            q1 = float(np.exp(rng.uniform(-3.0, 3.5)))
+            q2 = float(np.exp(rng.uniform(-3.0, 3.5)))
+            value = hk.fixed_power_value(q1, q2, params).value
+            assert value == hk.f1_table([q1], [q2], params)[0, 0]
+            xs = np.sort(np.append(rng.uniform(0.0, 4.0 * q1, 40), q1))
+            ys = np.sort(np.append(rng.uniform(0.0, 4.0 * q2, 40), q2))
+            table = hk.f1_table(xs, ys, params)
+            assert value == table[np.searchsorted(xs, q1), np.searchsorted(ys, q2)]
 
 
 def test_envelope_majorizes_and_reconstructs():
