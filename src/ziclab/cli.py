@@ -3,7 +3,8 @@
 Every subcommand writes a report with the full resolved configuration, the
 result rows, and pass/fail oracle checks.  Identical configuration and seed
 produce byte-identical reports: results are assembled in parameter order
-(never completion order) and no timestamps are embedded.
+(never completion order) and no timestamps are embedded.  JSON reports are
+strict: non-finite values are written as null.
 
 Sweep syntax: ``lo:hi:step`` for ranges, comma lists for discrete sets.
 Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
@@ -31,35 +32,55 @@ from ._util import parallel_map, rng_for
 
 
 def parse_values(text: str) -> list[float]:
-    """Parse 'lo:hi:step' sweeps, comma lists, or a single number."""
+    """Parse 'lo:hi:step' sweeps, comma lists, or a single number; every
+    value must be finite."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad range '{text}', want lo:hi:step")
         lo, hi, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
         if step <= 0 or hi < lo:
             raise argparse.ArgumentTypeError(f"bad range '{text}'")
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + i * step for i in range(n)]
     if "," in text:
-        return [float(p) for p in text.split(",") if p.strip()]
-    return [float(text)]
+        values = [float(p) for p in text.split(",") if p.strip()]
+    else:
+        values = [float(text)]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
+    return values
+
+
+def parse_envelope_grid(text: str) -> int:
+    """Nodes per axis of an envelope lattice, checked as the hull builders do."""
+    n = int(text)
+    try:
+        hk.check_envelope_grid(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+def _report_values(obj):
+    """Plain Python copy of a report value: numpy scalars become Python
+    numbers and non-finite floats become None, so that JSON reports are
+    strict (null, never NaN or Infinity) and CSV cells are empty."""
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _report_values(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_report_values(v) for v in obj]
     return obj
 
 
@@ -67,12 +88,10 @@ def write_report(
     config: dict, results: list[dict], checks: list[dict], output: str, fmt: str
 ) -> None:
     if fmt == "json":
-        payload = {
-            "config": _round_floats(config),
-            "results": _round_floats(results),
-            "checks": _round_floats(checks),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = _report_values(
+            {"config": config, "results": results, "checks": checks}
+        )
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         if results:
@@ -86,7 +105,7 @@ def write_report(
             )
             writer.writeheader()
             for row in results:
-                writer.writerow(_round_floats(row))
+                writer.writerow(_report_values(row))
         text = buf.getvalue()
     if output == "-":
         sys.stdout.write(text)
@@ -723,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--q1", type=parse_values, required=True)
     p.add_argument("--q2", type=parse_values, required=True)
-    p.add_argument("--envelope-grid", type=int, default=129)
+    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     common(p)
     p.set_defaults(handler=cmd_hk_region)
 
@@ -731,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--envelope-grid", type=int, default=129)
+    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     common(p)
     p.set_defaults(handler=cmd_lemma5_audit)
 
@@ -740,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--envelope-grid", type=int, default=129)
+    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     common(p)
     p.set_defaults(handler=cmd_theorem4_audit)
 
@@ -757,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=parse_values, default=[1.0])
     p.add_argument("--q", type=parse_values, required=True)
     p.add_argument("--N1", type=float, default=0.0)
-    p.add_argument("--envelope-grid", type=int, default=129)
+    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     common(p)
     p.set_defaults(handler=cmd_conjecture2_map)
 
@@ -778,7 +797,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad input, 0 after --help
+        return exc.code
     try:
         config, results, checks = args.handler(args)
     except (ValueError, cx.RecipeRejectedError, hk.NotApplicableError,

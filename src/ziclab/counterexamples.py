@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gaussmix import (
     GaussDerivMixture,
     GaussMixture,
     DerivTerm,
-    gauss_deriv_pdf,
+    gauss_deriv_poly,
+    gauss_raw_moment,
     gaussian,
 )
 from .entropy import (
@@ -73,6 +73,10 @@ class ChannelParams:
     d: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u, self.N1, self.N2, self.Sigma1))):
+            raise ValueError("u, N1, N2, Sigma1 must be finite")
+        if math.isnan(self.A2):
+            raise ValueError("A2 must be a number (inf for no power constraint)")
         if min(self.u, self.N1, self.N2, self.Sigma1) < 0:
             raise ValueError("u, N1, N2, Sigma1 must be nonnegative")
         if self.A2 < 0:
@@ -340,8 +344,10 @@ class VerticalPerturbation:
     J: int = 2
 
     def __post_init__(self):
-        if min(self.K, self.L, self.u) <= 0 or self.delta <= 0:
-            raise ValueError("K, L, u, delta must be positive")
+        if not all(map(math.isfinite, (self.K, self.L, self.u, self.delta, self.eps))):
+            raise ValueError("K, L, u, delta, eps must be finite")
+        if min(self.K, self.L, self.u, self.delta, self.eps) <= 0:
+            raise ValueError("K, L, u, delta, eps must be positive")
         if self.J < 1:
             raise ValueError("J must be >= 1")
         if not self.K - self.delta > 0:
@@ -446,8 +452,11 @@ def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) ->
 
 def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
     """-int (D^3 gamma_{K-delta})^2/gamma_K
-    + (1+u) int (D^3 gamma_{K+u-delta})^2/gamma_{K+u}, by adaptive quadrature.
+    + (1+u) int (D^3 gamma_{K+u-delta})^2/gamma_{K+u}, as exact Gaussian moments.
 
+    With v = base - delta, (D^3 gamma_v)^2/gamma_base = P^2 gamma_v^2/gamma_base
+    for the polynomial P of D^3 gamma_v, and gamma_v^2/gamma_base is
+    sqrt(base s2)/v times the N(0, s2) density, s2 = v base/(2 base - v).
     At delta = 0 the exact value is -6/K^3 + 6(1+u)/(K+u)^3; positivity is
     the second-order gain condition of the vertical perturbation.
     """
@@ -456,14 +465,11 @@ def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
 
     def sq_norm(base: float) -> float:
         v = base - delta
-
-        def f(x):
-            d3 = gauss_deriv_pdf(x, v, 3)
-            return d3 * d3 / gauss_deriv_pdf(x, base)
-
-        r = 14.0 * math.sqrt(base)
-        val, _ = quad(f, -r, r, epsabs=1e-13, epsrel=1e-13, limit=300)
-        return val
+        s2 = v * base / (2.0 * base - v)
+        p = gauss_deriv_poly(3, v)
+        p2 = np.polynomial.polynomial.polymul(p, p)
+        moments = sum(c * gauss_raw_moment(j, s2) for j, c in enumerate(p2))
+        return math.sqrt(base * s2) / v * float(moments)
 
     return -sq_norm(K) + (1.0 + u) * sq_norm(K + u)
 

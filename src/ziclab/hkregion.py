@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import counterexamples as cx
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# fewest lattice nodes per axis an envelope can be built from
+MIN_ENVELOPE_GRID = 2
 
 
 class DimensionMismatchError(ValueError):
@@ -178,6 +179,8 @@ class HKParams:
     q2: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u, self.N1, self.N2, self.q1, self.q2))):
+            raise ValueError("u, N1, N2, q1, q2 must be finite")
         if self.u <= 0:
             raise ValueError("u must be positive")
         if self.N1 < 0:
@@ -408,6 +411,10 @@ class Envelope2D:
     """Upper concave envelope of a tabulated function via the 3-D upper hull."""
 
     def __init__(self, xg: np.ndarray, yg: np.ndarray, table: np.ndarray):
+        # scipy.spatial pulls in hundreds of modules; only the two hull
+        # builders need it, so it loads on first use
+        from scipy.spatial import ConvexHull, QhullError
+
         self.xg = np.asarray(xg, dtype=float)
         self.yg = np.asarray(yg, dtype=float)
         self.table = np.asarray(table, dtype=float)
@@ -475,6 +482,14 @@ def _barycentric(tri: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None) / max(np.clip(w, 0.0, None).sum(), 1e-300)
 
 
+def check_envelope_grid(grid_n: int) -> None:
+    """Reject lattices too small to span a hull (ValueError)."""
+    if grid_n < MIN_ENVELOPE_GRID:
+        raise ValueError(
+            f"envelope grid must have at least {MIN_ENVELOPE_GRID} nodes per axis, got {grid_n}"
+        )
+
+
 def _lattice_with_node(width: float, q: float, n: int) -> np.ndarray:
     """Grid over [0, width] containing q as an exact node."""
     xs = np.linspace(0.0, width, n)
@@ -499,6 +514,7 @@ def envelope_for(
     envelope support points sit at O(1)-scale powers."""
     if q1 <= 0 or q2 <= 0:
         raise ValueError("envelope queries need positive powers")
+    check_envelope_grid(grid_n)
     xg = _lattice_with_node(margin * max(q1, scale_floor), q1, grid_n)
     yg = _lattice_with_node(margin * max(q2, scale_floor), q2, grid_n)
     return Envelope2D(xg, yg, f1_table(xg, yg, params))
@@ -534,6 +550,8 @@ def power_control_value(
 
 def concave_envelope_1d(xs: np.ndarray, fs: np.ndarray, q: float) -> float:
     """Upper concave envelope of a sampled one-variable function."""
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = np.column_stack([xs, fs])
     pts = pts[np.isfinite(pts[:, 1])]
     try:
@@ -679,6 +697,7 @@ def power_control_value_2d(
     tensorization identity, which the tests verify against 2 g1)."""
     if q1 <= 0 or q2 <= 0:
         raise ValueError("envelope queries need positive powers")
+    check_envelope_grid(grid_n)
     xg = _uniform_lattice_with_node(margin * max(q1, 1.0), q1, grid_n)
     yg = _uniform_lattice_with_node(margin * max(q2, 1.0), q2, grid_n)
     f1tab = f1_table(xg, yg, params)

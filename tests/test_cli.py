@@ -1,14 +1,37 @@
 """CLI dispatch, report schema, determinism, and exit codes."""
 
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ziclab import entropy as en
 from ziclab import hkregion as hk
 from ziclab.cli import main, parse_values
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(args, **env):
+    """Run `python <args>` in a new interpreter with only this checkout's
+    sources on the path."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": SRC, **env},
+        capture_output=True,
+        check=True,
+        text=True,
+    ).stdout
+
+
+def reject_non_finite(text):
+    raise ValueError(f"non-finite JSON constant {text}")
 
 
 def run_cli(args, capsys):
@@ -22,6 +45,14 @@ def test_parse_values():
     assert parse_values("0.5,1,2") == [0.5, 1.0, 2.0]
     vals = parse_values("1.1:1.5:0.1")
     assert vals == pytest.approx([1.1, 1.2, 1.3, 1.4, 1.5])
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1,nan", "1:inf:1", "0:1:inf"])
+def test_parse_values_rejects_non_finite(text, capsys):
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_values(text)
+    assert main(["phase-diagram", "--u", "1", f"--L={text}"]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_phase_diagram_csv_columns(tmp_path, capsys):
@@ -155,6 +186,85 @@ def test_numerical_rejection_exit_2(owner, name, exc, argv, monkeypatch, capsys)
     monkeypatch.setattr(owner, name, reject)
     assert main(argv) == 2
     assert capsys.readouterr().err == "ziclab: rejected\n"
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hk-region", "--q1", "1", "--q2", "1"],
+        ["lemma5-audit", "--samples", "2"],
+        ["theorem4-audit", "--d", "2", "--samples", "2"],
+        ["conjecture2-map", "--q", "1"],
+    ],
+)
+def test_envelope_grid_below_two_exit_2(argv, grid, capsys):
+    assert main(argv + ["--envelope-grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert f"at least 2 nodes per axis, got {grid}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hk-region", "--u", "nan", "--q1", "1", "--q2", "1"],
+        ["hk-region", "--N1", "inf", "--q1", "1", "--q2", "1"],
+        ["constant-power-gap", "--N2", "nan"],
+        ["verify-vertical", "--eps", "nan"],
+        ["verify-vertical", "--K", "inf", "--eps", "1e-3"],
+    ],
+)
+def test_non_finite_parameter_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-vertical", "--eps", "0"],
+        ["theorem5-epsilon", "--u", "nan"],
+        ["theorem5-epsilon", "--u", "0"],
+        ["theorem5-epsilon", "--u=-1"],
+    ],
+)
+def test_non_positive_parameter_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be positive" in err
+
+
+def test_non_applicable_audit_rows_are_strict_json_null(capsys):
+    code, out = run_cli(
+        ["lemma5-audit", "--u", "2", "--N1", "0.5", "--samples", "6", "--seed", "2",
+         "--envelope-grid", "33"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out, parse_constant=reject_non_finite)["results"]
+    skipped = [r for r in rows if not r["applicable"]]
+    assert skipped and all(r["K"] is None for r in skipped)
+    assert all(isinstance(r["K"], float) for r in rows if r["applicable"])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs most of a light command's run; only the hull builders import it
+    out = run_fresh(
+        ["-c", "import ziclab.cli, sys; "
+               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+    )
+    assert out == "[]\n"
+
+
+def test_hull_import_from_pool_threads_same_report():
+    # fresh processes, so the pool threads of the second run import scipy.spatial
+    argv = ["-m", "ziclab.cli", "hk-region", "--q1", "1,2", "--q2", "1,3",
+            "--envelope-grid", "33"]
+    one = run_fresh(argv, ZIC_THREADS="1")
+    two = run_fresh(argv, ZIC_THREADS="2")
+    assert one == two
+    assert len(json.loads(one)["results"]) == 4
 
 
 def test_oracle_mismatch_exit_3(capsys):

@@ -57,6 +57,19 @@ def test_power_violation():
         cx.interference_objective(params, gaussian(1.0), gaussian(1.0))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"u": math.nan}, {"u": 1.0, "N1": math.inf}, {"u": 1.0, "Sigma1": math.nan},
+     {"u": 1.0, "A2": math.nan}],
+)
+def test_channel_params_reject_non_finite(kwargs):
+    # no CLI input reaches ChannelParams unvalidated: constant-power-gap
+    # builds it from HKParams, which rejects the same values first
+    with pytest.raises(ValueError):
+        cx.ChannelParams(**kwargs)
+    assert cx.ChannelParams(u=1.0).A2 == math.inf  # inf means no power constraint
+
+
 def test_recipe_objective_positive_at_small_t(recipe):
     # the skew witness beats all Gaussian pairs (whose supremum is 0):
     # X2 ~ mirrored q unscaled, sqrt(t) X1 ~ p, N2 = m2(q)
@@ -239,6 +252,27 @@ def test_balance_matches_closed_form_at_positive_delta():
         assert cx.deriv_norm_balance(K, u, d) == pytest.approx(
             balance_closed_form(K, u, d), rel=1e-9
         )
+
+
+def test_balance_matches_adaptive_quadrature():
+    from scipy.integrate import quad
+
+    def gauss(x, v):
+        return math.exp(-x * x / (2 * v)) / math.sqrt(2 * math.pi * v)
+
+    def sq_norm(base, delta):
+        v = base - delta
+
+        def f(x):
+            d3 = -(x**3 / v**3 - 3 * x / v**2) * gauss(x, v)
+            return d3 * d3 / gauss(x, base)
+
+        r = 14 * math.sqrt(base)
+        return quad(f, -r, r, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
+
+    for (K, u, d) in ((4.0, 1.0, 0.0), (2.0, 0.5, 0.0), (4.0, 1.0, 0.4), (6.0, 2.0, 0.6)):
+        expected = -sq_norm(K, d) + (1 + u) * sq_norm(K + u, d)
+        assert cx.deriv_norm_balance(K, u, d) == pytest.approx(expected, rel=1e-10)
 
 
 def test_stability_root_matches_threshold():

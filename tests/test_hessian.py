@@ -183,6 +183,27 @@ def test_certificate_monotone_in_max_eigenvalue():
     assert all(a >= b - 1e-12 for a, b in zip(eps_values, eps_values[1:]))
 
 
+def test_rayleigh_min_matches_generalized_eigh(rng):
+    from scipy.linalg import eigh
+
+    for d in (1, 2, 3, 4):
+        for _ in range(5):
+            u = rng.uniform(0.2, 3.0)
+            L = rng.uniform(3.0, 20.0, d)
+            k = gaussian_maximizer(L, u)
+            m = 1.0 / (k + L)
+            num, den = [], []
+            for i in range(d):
+                for j in range(i, d):
+                    scale = 2.0 if i == j else 1.0
+                    num.append(scale * (1.0 / (k[i] * k[j]) + m[i] * m[j]))
+                    den.append(scale * (1.0 + u) / ((k[i] + u) * (k[j] + u)))
+            expected = eigh(np.diag(num), np.diag(den), eigvals_only=True).min()
+            cert = local_optimality_radius(k, L, u)
+            assert cert is not None
+            assert cert.rayleigh_min == pytest.approx(expected, rel=1e-13)
+
+
 def test_rayleigh_certificate_rejects_unstable():
     u = 1.0
     L = 1.4  # K = 6 above threshold

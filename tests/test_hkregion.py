@@ -298,6 +298,24 @@ def test_envelope_grid_too_small():
         env.value(39.0, 1.2)
 
 
+def test_envelope_grid_below_two_rejected():
+    params = hk.HKParams(u=1.0)
+    for grid_n in (1, 0, -5):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            hk.envelope_for(1.0, 1.0, params, grid_n=grid_n)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            hk.power_control_value_2d(1.0, 1.0, params, grid_n=grid_n)
+    assert hk.power_control_value(1.0, 1.0, params, grid_n=2) >= hk.fixed_power_value(
+        1.0, 1.0, params
+    ).value
+
+
+def test_params_reject_non_finite():
+    for kwargs in ({"u": math.nan}, {"u": 1.0, "N1": math.inf}, {"u": 1.0, "q2": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            hk.HKParams(**kwargs)
+
+
 def test_tensorization_spot_checks():
     params = hk.HKParams(u=1.0, N1=1.0)
     pts = [(5.0, 2.0), (10.0, 4.0), (3.0, 1.0), (8.0, 8.0), (2.0, 6.0)]
