@@ -65,6 +65,16 @@ def parse_envelope_grid(text: str) -> int:
     return n
 
 
+def parse_mixing_variance(text: str) -> float:
+    """Mixing variance of constant-power-gap, checked as hkregion does."""
+    a = float(text)
+    try:
+        hk.check_mixing_variance(a)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return a
+
+
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
@@ -229,8 +239,13 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
     u, L, J = args.u, args.L, args.J
     if not L > 1.0:
         raise ValueError(f"verify-vertical needs L > 1, got {L}")
+    if J < 1:
+        raise ValueError("J must be >= 1")
     K = args.K if args.K is not None else (L + u) / (L - 1.0)
     delta = args.delta if args.delta is not None else cx.default_delta(K, L, J)
+    # checked before the eps scan, which would warn on non-finite values
+    if not all(map(math.isfinite, (K, L, u, delta))):
+        raise ValueError("K, L, u, delta must be finite")
     eps = args.eps if args.eps is not None else cx.select_epsilon(K, L, delta, J)
     vp = cx.VerticalPerturbation(K=K, L=L, u=u, delta=delta, eps=eps, J=J)
     res = cx.vertical_gap(vp, n=args.n)
@@ -667,8 +682,16 @@ def cmd_limit_functional(args) -> tuple[dict, list[dict], list[dict]]:
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors exit 2 with one line, no usage block
+    (subparsers inherit the class)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ziclab",
         description="Numerical experiments on Gaussian optimality for the "
         "scalar Z-interference channel.",
@@ -767,7 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=1.0)
     p.add_argument("--N2", type=float, default=0.05)
-    p.add_argument("--A", type=float, default=None, help="mixing variance (default: auto)")
+    p.add_argument("--A", type=parse_mixing_variance, default=None,
+                   help="mixing variance (default: auto)")
     p.add_argument("--n", type=int, default=8192)
     common(p)
     p.set_defaults(handler=cmd_constant_power_gap)

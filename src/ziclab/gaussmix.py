@@ -223,6 +223,8 @@ class GaussMixture:
         v = tuple(float(x) for x in self.variances)
         if not (len(w) == len(m) == len(v)) or not w:
             raise ValueError("weights, means, variances must be equal-length, nonempty")
+        if not all(map(math.isfinite, w + m + v)):
+            raise ValueError("weights, means, variances must be finite")
         if any(x <= 0 for x in w):
             raise ValueError("weights must be positive")
         if any(x <= 0 for x in v):

@@ -23,6 +23,8 @@ def _clean_vertices(vertices: np.ndarray) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
         raise NonConvexInputError("polygon needs an (n, 2) vertex array, n >= 3")
+    if not np.isfinite(v).all():
+        raise ValueError("polygon vertices must be finite")
     scale = max(1.0, float(np.abs(v).max()))
     # drop consecutive duplicates
     keep = [0]
@@ -68,6 +70,8 @@ class ConvexBody2D:
         if self.kind == "polygon":
             object.__setattr__(self, "vertices", _clean_vertices(self.vertices))
         elif self.kind == "disc":
+            if not math.isfinite(self.radius):
+                raise ValueError("disc radius must be finite")
             if self.radius <= 0:
                 raise ValueError("disc radius must be positive")
         else:

@@ -8,7 +8,8 @@ its capped supremum over K <= J, the fixed-power value
 attained at the corner (J, L) = (q1, q2), and the power-control value
 g1 = upper concave envelope of f1 in (q1, q2), realized by randomizing the
 transmit powers (by Caratheodory at most three support points).
-Envelopes are extracted as the upper hull of the lifted f1 graph.
+Envelope values are linear programs over the f1 lattice, solved by a
+three-row simplex.
 Dimension-2 quantities go through the alignment reduction: aligned
 diagonal inputs split coordinatewise, so f2 is a max-plus split of f1 and
 g2 is the envelope of the max-plus table.
@@ -27,6 +28,12 @@ from . import counterexamples as cx
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # fewest lattice nodes per axis an envelope can be built from
 MIN_ENVELOPE_GRID = 2
+# simplex pivots per envelope query before it gives up (RuntimeError);
+# queries on lattices up to 1025^2 take at most a few dozen
+MAX_PIVOTS = 1000
+# consecutive degenerate pivots after which the entering point follows
+# Bland's rule until a pivot makes progress, so the simplex cannot cycle
+BLAND_AFTER = 8
 
 
 class DimensionMismatchError(ValueError):
@@ -408,36 +415,60 @@ class EnvelopeValue:
 
 
 class Envelope2D:
-    """Upper concave envelope of a tabulated function via the 3-D upper hull."""
+    """Upper concave envelope of a tabulated function, one linear program
+    per query.
+
+    By Caratheodory the envelope at q is
+        max sum_i w_i f(p_i)  s.t.  sum_i w_i (p_i, 1) = (q, 1),  w >= 0
+    over the finite lattice points p_i, a program with three equality rows.
+    ``value`` solves it by a primal simplex whose basis is a triangle of
+    lattice points holding q.  The plane through the lifted basis prices
+    every point in one vectorized pass; the query ends when that plane
+    majorizes every lifted point, which certifies the value.
+    """
 
     def __init__(self, xg: np.ndarray, yg: np.ndarray, table: np.ndarray):
-        # scipy.spatial pulls in hundreds of modules; only the two hull
-        # builders need it, so it loads on first use
-        from scipy.spatial import ConvexHull, QhullError
-
         self.xg = np.asarray(xg, dtype=float)
         self.yg = np.asarray(yg, dtype=float)
         self.table = np.asarray(table, dtype=float)
+        finite = np.isfinite(self.table)
         X, Y = np.meshgrid(self.xg, self.yg, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel(), self.table.ravel()])
-        pts = pts[np.isfinite(pts[:, 2])]
-        self._pts = pts
-        try:
-            hull = ConvexHull(pts)
-        except QhullError:
-            hull = ConvexHull(pts, qhull_options="QJ")
-        eqs = hull.equations
-        keep = eqs[:, 2] > 1e-12
-        self._eqs = eqs[keep]
-        self._simplices = hull.simplices[keep]
-        self._hull_pts = pts
+        self._x, self._y, self._f = X[finite], Y[finite], self.table[finite]
+        # flat index of each finite node, -1 elsewhere
+        self._index = np.full(self.table.shape, -1)
+        self._index[finite] = np.arange(self._f.size)
+        scale = float(np.abs(self._f).max()) if self._f.size else 0.0
+        self._tol = 1e-12 * max(1.0, scale)
 
     def value(self, qx: float, qy: float) -> EnvelopeValue:
-        z = -(self._eqs[:, 3] + self._eqs[:, 0] * qx + self._eqs[:, 1] * qy) / self._eqs[:, 2]
-        i = int(np.argmin(z))
-        val = float(z[i])
-        tri = self._hull_pts[self._simplices[i]]
+        x, y, f = self._x, self._y, self._f
+        basis, w = self._start(qx, qy)
+        degenerate_run = 0
+        for _ in range(MAX_PIVOTS):
+            # columns (x, y, 1) of the basis points; plane = f_B^T B^-1 (p, 1)
+            binv = np.linalg.inv(np.array([x[basis], y[basis], np.ones(3)]))
+            a, b, c = f[basis] @ binv
+            r = f - (a * x + b * y + c)
+            j = int(np.argmax(r))
+            if r[j] <= self._tol:
+                break
+            if degenerate_run >= BLAND_AFTER:
+                # Bland's rule: lowest-index entering point, so degenerate
+                # pivots cannot cycle
+                j = int(np.flatnonzero(r > self._tol)[0])
+            d = binv @ np.array([x[j], y[j], 1.0])
+            leave, theta = _ratio_test(w, d, basis)
+            degenerate_run = degenerate_run + 1 if theta == 0.0 else 0
+            w = np.maximum(w - theta * d, 0.0)
+            w[leave] = theta
+            basis[leave] = j
+        else:
+            raise RuntimeError(
+                f"envelope simplex at ({qx}, {qy}) did not converge in {MAX_PIVOTS} pivots"
+            )
+        tri = np.column_stack([x[basis], y[basis], f[basis]])
         w = _barycentric(tri[:, :2], np.array([qx, qy]))
+        val = float(w @ tri[:, 2])
         support = tuple(
             SupportPoint(q1=float(p[0]), q2=float(p[1]), value=float(p[2]), weight=float(wi))
             for p, wi in zip(tri, w)
@@ -448,6 +479,22 @@ class Envelope2D:
         if fq is not None and val < fq:
             val = fq  # envelope majorizes the function; guard fp dust
         return EnvelopeValue(value=val, f_value=fq if fq is not None else math.nan, support=support)
+
+    def _start(self, qx: float, qy: float) -> tuple[np.ndarray, np.ndarray]:
+        """Feasible basis: a triangle of finite corners of q's lattice cell
+        that holds q; when q is a node it is a corner of weight 1."""
+        idx = self._index
+        i = int(np.clip(np.searchsorted(self.xg, qx, side="right") - 1, 0, len(self.xg) - 2))
+        j = int(np.clip(np.searchsorted(self.yg, qy, side="right") - 1, 0, len(self.yg) - 2))
+        corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+        for k in range(4):
+            basis = np.array([idx[c] for c in corners[k:] + corners[:k]][:3])
+            if (basis >= 0).all():
+                t = np.column_stack([self._x[basis], self._y[basis]])
+                q = np.array([qx, qy])
+                if (_barycentric_raw(t, q) >= -1e-12).all():
+                    return basis, _barycentric(t, q)
+        raise ValueError(f"envelope query ({qx}, {qy}) lies outside the finite lattice points")
 
     def _table_value(self, qx: float, qy: float) -> Optional[float]:
         ix = np.argmin(np.abs(self.xg - qx))
@@ -471,13 +518,29 @@ class Envelope2D:
                 )
 
 
-def _barycentric(tri: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _ratio_test(w: np.ndarray, d: np.ndarray, basis: np.ndarray) -> tuple[int, float]:
+    """Leaving slot and step of a pivot whose entering point has barycentric
+    coordinates d in the basis: the first weight w - theta d to reach zero,
+    ties to the lowest point index."""
+    pos = d > 1e-12 * np.abs(d).max()
+    ratios = np.full(3, np.inf)
+    ratios[pos] = w[pos] / d[pos]
+    theta = ratios.min()
+    ties = np.flatnonzero(ratios == theta)
+    return int(ties[np.argmin(basis[ties])]), float(theta)
+
+
+def _barycentric_raw(tri: np.ndarray, q: np.ndarray) -> np.ndarray:
     t = np.column_stack([tri[0] - tri[2], tri[1] - tri[2]])
     try:
         w12 = np.linalg.solve(t, q - tri[2])
     except np.linalg.LinAlgError:
         w12, *_ = np.linalg.lstsq(t, q - tri[2], rcond=None)
-    w = np.array([w12[0], w12[1], 1.0 - w12[0] - w12[1]])
+    return np.array([w12[0], w12[1], 1.0 - w12[0] - w12[1]])
+
+
+def _barycentric(tri: np.ndarray, q: np.ndarray) -> np.ndarray:
+    w = _barycentric_raw(tri, q)
     w[np.abs(w) < 1e-12] = 0.0
     return np.clip(w, 0.0, None) / max(np.clip(w, 0.0, None).sum(), 1e-300)
 
@@ -549,19 +612,20 @@ def power_control_value(
 
 
 def concave_envelope_1d(xs: np.ndarray, fs: np.ndarray, q: float) -> float:
-    """Upper concave envelope of a sampled one-variable function."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = np.column_stack([xs, fs])
-    pts = pts[np.isfinite(pts[:, 1])]
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        return float(np.interp(q, pts[:, 0], pts[:, 1]))
-    eqs = hull.equations
-    keep = eqs[:, 1] > 1e-12
-    z = -(eqs[keep, 2] + eqs[keep, 0] * q) / eqs[keep, 1]
-    return float(z.min())
+    """Upper concave envelope at q of a sampled one-variable function: the
+    best chord over pairs of finite samples x_i <= q <= x_j."""
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    keep = np.isfinite(fs)
+    xs, fs = xs[keep], fs[keep]
+    lo, hi = xs <= q, xs >= q
+    if not lo.any() or not hi.any():
+        raise ValueError(f"envelope query {q} lies outside the finite samples")
+    xl, fl = xs[lo][:, None], fs[lo][:, None]
+    xr, fr = xs[hi][None, :], fs[hi][None, :]
+    dx = xr - xl
+    t = np.where(dx > 0, (q - xl) / np.where(dx > 0, dx, 1.0), 0.0)
+    return float((fl + t * (fr - fl)).max())
 
 
 # ----------------------------------------------------------------------
@@ -837,6 +901,12 @@ class ConstantPowerGapResult:
     q2: float
 
 
+def check_mixing_variance(A: float) -> None:
+    """Reject a mixing variance that is not finite and nonnegative (ValueError)."""
+    if not (math.isfinite(A) and A >= 0):
+        raise ValueError(f"mixing variance A must be finite and nonnegative, got {A}")
+
+
 def constant_power_gap(
     params: HKParams,
     A: Optional[float] = None,
@@ -856,6 +926,8 @@ def constant_power_gap(
     """
     if params.N1 <= 0:
         raise ValueError("constant-power comparison needs N1 > 0")
+    if A is not None:
+        check_mixing_variance(A)
     recipe = recipe or cx.default_recipe()
     info = recipe.validate()
     u, N1, N2 = params.u, params.N1, params.N2

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,32 @@ def test_non_positive_parameter_exit_2(argv, capsys):
     assert err.count("\n") == 1 and "must be positive" in err
 
 
+@pytest.mark.parametrize("A", ["nan", "inf", "-1"])
+def test_constant_power_gap_bad_A_exit_2(A, capsys):
+    assert main(["constant-power-gap", f"--A={A}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mixing variance A must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--K", "inf"], ["--K", "nan"], ["--u", "inf"], ["--L", "inf"], ["--delta", "nan"]],
+)
+def test_verify_vertical_non_finite_exit_2_before_eps_scan(argv, capsys):
+    # no --eps: the positivity scan must not run (and warn) on a non-finite K
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify-vertical", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "ziclab: K, L, u, delta must be finite\n"
+
+
+def test_verify_vertical_J_below_one_exit_2(capsys):
+    # the default delta divides by J
+    assert main(["verify-vertical", "--J", "0"]) == 2
+    assert capsys.readouterr().err == "ziclab: J must be >= 1\n"
+
+
 def test_non_applicable_audit_rows_are_strict_json_null(capsys):
     code, out = run_cli(
         ["lemma5-audit", "--u", "2", "--N1", "0.5", "--samples", "6", "--seed", "2",
@@ -249,7 +276,7 @@ def test_non_applicable_audit_rows_are_strict_json_null(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy costs most of a light command's run; only the hull builders import it
+    # scipy costs most of a light command's run; no ziclab module imports it
     out = run_fresh(
         ["-c", "import ziclab.cli, sys; "
                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
@@ -257,8 +284,20 @@ def test_cli_import_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_hull_commands_load_no_scipy(tmp_path):
+    # the envelope is a linear program per query: no command needs Qhull
+    out = run_fresh(
+        ["-c", "import sys; from ziclab.cli import main; "
+               f"code = main(['hk-region', '--q1', '1,39', '--q2', '1.2', '--envelope-grid', '33', "
+               f"'--output', {str(tmp_path / 'r.json')!r}]); "
+               "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+    )
+    assert out == "0 []\n"
+
+
 def test_hull_import_from_pool_threads_same_report():
-    # fresh processes, so the pool threads of the second run import scipy.spatial
+    # fresh processes, so the envelope queries of the second run go through
+    # the parallel_map pool threads from a cold start
     argv = ["-m", "ziclab.cli", "hk-region", "--q1", "1,2", "--q2", "1,3",
             "--envelope-grid", "33"]
     one = run_fresh(argv, ZIC_THREADS="1")

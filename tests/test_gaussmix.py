@@ -286,3 +286,14 @@ def test_location_mixture_derivatives_match_fd():
     for x0 in (-1.0, 0.4):
         fd2 = (q.pdf(x0 + h) - 2 * q.pdf(x0) + q.pdf(x0 - h)) / h**2
         assert q.pdf_deriv(np.array(x0), 2) == pytest.approx(fd2, abs=1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_location_mixture_rejects_non_finite(bad):
+    for args in (
+        ((0.5, bad), (0.0, 1.0), (1.0, 1.0)),
+        ((0.5, 0.5), (0.0, bad), (1.0, 1.0)),
+        ((0.5, 0.5), (0.0, 1.0), (bad, 1.0)),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussMixture(*args)

@@ -42,6 +42,16 @@ def test_polygon_validation():
     assert p.area() == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bodies_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        polygon([[0, 0], [1, 0], [1, bad], [0, 1]])
+    with pytest.raises(ValueError, match="radius must be finite"):
+        disc(bad)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        ConvexBody2D("disc", radius=bad)
+
+
 def test_square_metrics():
     s = square(2.0)
     assert s.area() == pytest.approx(4.0, abs=1e-12)

@@ -284,6 +284,164 @@ def test_envelope_majorizes_and_reconstructs():
     assert weights == pytest.approx(1.0, abs=1e-9)
 
 
+# Qhull oracle for the envelope simplex: the upper hull of the lifted
+# lattice, read at q from the facet above it (Barber, Dobkin & Huhdanpaa
+# 1996).  scipy is imported here only, never by the package.
+
+
+def qhull_envelope(xg, yg, table, qx, qy):
+    """(value, support, tie) at q from the 3-D upper hull of the finite
+    lattice points: support maps (q1, q2) to weight > 1e-9, and tie says
+    that more than three lattice points lie on the facet's plane, where
+    another support of equal value may be chosen."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    X, Y = np.meshgrid(xg, yg, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel(), np.asarray(table).ravel()])
+    pts = pts[np.isfinite(pts[:, 2])]
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        hull = ConvexHull(pts, qhull_options="QJ")
+    upper = hull.equations[:, 2] > 1e-12
+    eqs, simplices = hull.equations[upper], hull.simplices[upper]
+    z = -(eqs[:, 3] + eqs[:, 0] * qx + eqs[:, 1] * qy) / eqs[:, 2]
+    i = int(np.argmin(z))
+    tri = pts[simplices[i]]
+    t = np.column_stack([tri[0, :2] - tri[2, :2], tri[1, :2] - tri[2, :2]])
+    w12 = np.linalg.solve(t, np.array([qx, qy]) - tri[2, :2])
+    w = np.array([w12[0], w12[1], 1.0 - w12.sum()])
+    support = {(p[0], p[1]): wi for p, wi in zip(tri, w) if wi > 1e-9}
+    scale = max(1.0, float(np.abs(pts[:, 2]).max()))
+    on_plane = np.abs(pts @ eqs[i, :3] + eqs[i, 3]) <= 1e-11 * scale
+    return float(z[i]), support, int(on_plane.sum()) > 3
+
+
+def qhull_envelope_1d(xs, fs, q):
+    from scipy.spatial import ConvexHull
+
+    pts = np.column_stack([xs, fs])
+    pts = pts[np.isfinite(pts[:, 1])]
+    eqs = ConvexHull(pts).equations
+    eqs = eqs[eqs[:, 1] > 1e-12]
+    return float((-(eqs[:, 2] + eqs[:, 0] * q) / eqs[:, 1]).min())
+
+
+def assert_matches_qhull(env, qx, qy):
+    """The simplex value equals the Qhull value within 1e-10; off exact
+    coplanar ties the supports agree, and a GridTooSmallError means the
+    hull's support also reaches the outer boundary."""
+    ref, ref_support, tie = qhull_envelope(env.xg, env.yg, env.table, qx, qy)
+    fq = env._table_value(qx, qy)
+    if fq is not None:
+        ref = max(ref, fq)
+    try:
+        res = env.value(qx, qy)
+    except hk.GridTooSmallError:
+        x_hi, y_hi = env.xg[-1], env.yg[-1]
+        assert tie or any(
+            a >= x_hi * (1 - 1e-9) or b >= y_hi * (1 - 1e-9) for a, b in ref_support
+        )
+        return None
+    assert res.value == pytest.approx(ref, rel=0, abs=1e-10)
+    # the support is an explicit randomization: lattice points, weights
+    # summing to 1, mean q, mean value the envelope value
+    w = np.array([s.weight for s in res.support])
+    pts = np.array([[s.q1, s.q2, s.value] for s in res.support])
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert w @ pts[:, :2] == pytest.approx([qx, qy], rel=1e-12, abs=1e-12)
+    assert w @ pts[:, 2] == pytest.approx(res.value, abs=1e-10)
+    if not tie:
+        assert {(s.q1, s.q2) for s in res.support} == set(ref_support)
+    return res
+
+
+def test_envelope_matches_qhull_random_cases(rng):
+    supports = 0
+    for trial in range(40):
+        u = float(rng.uniform(0.3, 3.0))
+        N1 = 0.0 if trial % 3 == 0 else float(rng.uniform(0.1, 2.0))
+        params = hk.HKParams(u=u, N1=N1)
+        grid_n = int(rng.choice([2, 3, 9, 33, 65]))
+        q1, q2 = (float(np.exp(rng.uniform(math.log(0.05), math.log(30.0)))) for _ in range(2))
+        env = hk.envelope_for(q1, q2, params, grid_n=grid_n, margin=8)
+        res = assert_matches_qhull(env, q1, q2)
+        supports += res is not None and len(res.support) > 1
+        # off-node query inside the finite lattice (x = 0 is -inf when N1 = 0)
+        xs = env.xg[env.xg > 0] if N1 == 0 else env.xg
+        qx = float(rng.uniform(xs[0], env.xg[-1]))
+        qy = float(rng.uniform(env.yg[0], env.yg[-1]))
+        assert env._table_value(qx, qy) is None
+        assert_matches_qhull(env, qx, qy)
+    assert supports >= 5  # gapped cells with genuine randomizations were hit
+
+
+def test_envelope_matches_qhull_maxplus_tables(rng):
+    for trial in range(12):
+        u = float(rng.uniform(0.3, 3.0))
+        N1 = 0.0 if trial % 3 == 0 else float(rng.uniform(0.1, 2.0))
+        params = hk.HKParams(u=u, N1=N1)
+        # with N1 = 0 the max-plus rows 0 and 1 are -inf, so at least 5 nodes
+        grid_n = int(rng.choice([5, 17, 33] if N1 == 0 else [2, 5, 17, 33]))
+        q1, q2 = (float(rng.uniform(0.2, 10.0)) for _ in range(2))
+        xg = hk._uniform_lattice_with_node(8 * max(q1, 1.0), q1, grid_n)
+        yg = hk._uniform_lattice_with_node(8 * max(q2, 1.0), q2, grid_n)
+        table = hk.maxplus_self_convolution(hk.f1_table(xg, yg, params))
+        env = hk.Envelope2D(xg, yg, table)
+        if np.isfinite(table[np.searchsorted(xg, q1), np.searchsorted(yg, q2)]):
+            assert_matches_qhull(env, q1, q2)
+        finite_x = xg[np.isfinite(table).any(axis=1)]
+        assert_matches_qhull(env, float(rng.uniform(finite_x[0], xg[-1])),
+                             float(rng.uniform(yg[0], yg[-1])))
+
+
+def test_envelope_bland_pivots_match_qhull(monkeypatch):
+    # every pivot after a degenerate one follows Bland's rule
+    monkeypatch.setattr(hk, "BLAND_AFTER", 0)
+    params = hk.HKParams(u=2.0, N1=0.5)
+    for q in [(2.06669, 0.59676), (39.0, 1.2), (10.0, 10.0), (0.3, 7.0)]:
+        env = hk.envelope_for(*q, params, grid_n=65, margin=8)
+        assert_matches_qhull(env, *q)
+
+
+def test_envelope_pivot_cap_raises(monkeypatch):
+    params = hk.HKParams(u=1.0, N1=1.0)
+    env = hk.envelope_for(39.0, 1.2, params, grid_n=65, margin=8)
+    monkeypatch.setattr(hk, "MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        env.value(39.0, 1.2)
+
+
+def test_envelope_query_outside_finite_points():
+    # with N1 = 0, f1 = -inf on the q1 = 0 column
+    params = hk.HKParams(u=1.0, N1=0.0)
+    env = hk.envelope_for(1.0, 1.0, params, grid_n=9)
+    with pytest.raises(ValueError, match="outside the finite lattice points"):
+        env.value(0.5 * env.xg[1], 1.0)
+    with pytest.raises(ValueError, match="outside the finite lattice points"):
+        env.value(1.0, 2.0 * env.yg[-1])
+
+
+def test_concave_envelope_1d_matches_qhull(rng):
+    for trial in range(30):
+        n = int(rng.integers(3, 40))
+        xs = np.sort(rng.uniform(0.0, 10.0, n))
+        fs = rng.normal(size=n) + (np.log(xs + 0.5) if trial % 2 else 0.0)
+        if trial % 3 == 0:
+            fs[0] = -np.inf
+        finite = xs[np.isfinite(fs)]
+        q = float(rng.uniform(finite[0], finite[-1]))
+        value = hk.concave_envelope_1d(xs, fs, q)
+        assert value == pytest.approx(qhull_envelope_1d(xs, fs, q), rel=0, abs=1e-10)
+        # at a sample, ties between chords and the sample itself
+        k = int(rng.integers(0, n))
+        if np.isfinite(fs[k]):
+            ref = qhull_envelope_1d(xs, fs, xs[k])
+            assert hk.concave_envelope_1d(xs, fs, xs[k]) == pytest.approx(ref, rel=0, abs=1e-10)
+    with pytest.raises(ValueError, match="outside the finite samples"):
+        hk.concave_envelope_1d(np.arange(3.0), np.array([-np.inf, 0.0, 1.0]), 0.5)
+
+
 def test_envelope_equals_f1_where_concave():
     params = hk.HKParams(u=1.0, N1=1.0)
     f1 = hk.fixed_power_value(10.0, 10.0, params).value
@@ -408,6 +566,13 @@ def test_constant_power_gap_large_A_trend():
     devs = [abs(g - c_half) for g in gaps]
     assert devs[-1] <= devs[0] + 1e-12
     assert devs[-1] < 0.2 * c_half
+
+
+@pytest.mark.parametrize("A", [math.nan, math.inf, -1.0])
+def test_constant_power_gap_rejects_bad_mixing_variance(A):
+    params = hk.HKParams(u=1.0, N1=1.0, N2=0.05)
+    with pytest.raises(ValueError, match="mixing variance A must be finite and nonnegative"):
+        hk.constant_power_gap(params, A=A)
 
 
 def test_constant_power_witness_unavailable():
