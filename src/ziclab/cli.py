@@ -31,6 +31,15 @@ from . import hkregion as hk
 from ._util import parallel_map, rng_for
 
 
+def _number(text: str, kind=float):
+    """``kind(text)``, or argparse's own message for ``type=kind`` (a
+    ValueError from a parse_* type makes argparse name the function)."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: '{text}'") from None
+
+
 def parse_values(text: str) -> list[float]:
     """Parse 'lo:hi:step' sweeps, comma lists, or a single number; every
     value must be finite."""
@@ -39,7 +48,7 @@ def parse_values(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad range '{text}', want lo:hi:step")
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = (_number(p) for p in parts)
         if not all(map(math.isfinite, (lo, hi, step))):
             raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
         if step <= 0 or hi < lo:
@@ -47,9 +56,9 @@ def parse_values(text: str) -> list[float]:
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + i * step for i in range(n)]
     if "," in text:
-        values = [float(p) for p in text.split(",") if p.strip()]
+        values = [_number(p) for p in text.split(",") if p.strip()]
     else:
-        values = [float(text)]
+        values = [_number(text)]
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
     return values
@@ -57,7 +66,7 @@ def parse_values(text: str) -> list[float]:
 
 def parse_envelope_grid(text: str) -> int:
     """Nodes per axis of an envelope lattice, checked as the hull builders do."""
-    n = int(text)
+    n = _number(text, int)
     try:
         hk.check_envelope_grid(n)
     except ValueError as exc:
@@ -67,7 +76,7 @@ def parse_envelope_grid(text: str) -> int:
 
 def parse_mixing_variance(text: str) -> float:
     """Mixing variance of constant-power-gap, checked as hkregion does."""
-    a = float(text)
+    a = _number(text)
     try:
         hk.check_mixing_variance(a)
     except ValueError as exc:
@@ -125,7 +134,10 @@ def write_report(
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers: each returns (config, results, checks)
+# Subcommand handlers: each returns (derived, results, checks), where
+# derived holds the configuration values the handler resolves itself
+# (defaults computed from other options, the skew recipe); main merges it
+# over the parsed options to form the report's config
 # ----------------------------------------------------------------------
 
 
@@ -173,18 +185,7 @@ def cmd_verify_lemma1(args) -> tuple[dict, list[dict], list[dict]]:
             f"log-log residual slope {slope:.3f}",
         ),
     ]
-    config = {
-        "subcommand": "verify-lemma1",
-        "t_min": args.t_min,
-        "t_max": args.t_max,
-        "t_count": args.t_count,
-        "n": args.n,
-        "c1_tol": args.c1_tol,
-        "c15_tol": args.c15_tol,
-        "seed": args.seed,
-        **_recipe_config(recipe),
-    }
-    return config, results, checks
+    return _recipe_config(recipe), results, checks
 
 
 def cmd_verify_lemma2(args) -> tuple[dict, list[dict], list[dict]]:
@@ -220,19 +221,7 @@ def cmd_verify_lemma2(args) -> tuple[dict, list[dict], list[dict]]:
             f"fitted {coeff:.6f} vs quadrature {target:.6f}",
         ),
     ]
-    config = {
-        "subcommand": "verify-lemma2",
-        "t_min": args.t_min,
-        "t_max": args.t_max,
-        "t_count": args.t_count,
-        "N1": args.N1,
-        "Sigma1": args.Sigma1,
-        "n": args.n,
-        "seed": args.seed,
-        **_recipe_config(recipe),
-        **info,
-    }
-    return config, results, checks
+    return {**_recipe_config(recipe), **info}, results, checks
 
 
 def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
@@ -241,11 +230,15 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
         raise ValueError(f"verify-vertical needs L > 1, got {L}")
     if J < 1:
         raise ValueError("J must be >= 1")
-    K = args.K if args.K is not None else (L + u) / (L - 1.0)
+    K = args.K if args.K is not None else hs.stationary_source_variance(L, u)
     delta = args.delta if args.delta is not None else cx.default_delta(K, L, J)
     # checked before the eps scan, which would warn on non-finite values
+    # and fail on non-positive variances with a message that names none
     if not all(map(math.isfinite, (K, L, u, delta))):
         raise ValueError("K, L, u, delta must be finite")
+    for name, value in (("K", K), ("u", u), ("delta", delta)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     eps = args.eps if args.eps is not None else cx.select_epsilon(K, L, delta, J)
     vp = cx.VerticalPerturbation(K=K, L=L, u=u, delta=delta, eps=eps, J=J)
     res = cx.vertical_gap(vp, n=args.n)
@@ -276,18 +269,7 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
             f"quadratic_coeff {res.quadratic_coeff:+.3e}, classification {classification}"
         )
     checks = [_check("quadratic_sign_matches_classification", sign_ok, detail)]
-    config = {
-        "subcommand": "verify-vertical",
-        "u": u,
-        "L": L,
-        "K": K,
-        "J": J,
-        "delta": delta,
-        "eps": eps,
-        "n": args.n,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {"K": K, "delta": delta, "eps": eps}, results, checks
 
 
 def cmd_condition54_root(args) -> tuple[dict, list[dict], list[dict]]:
@@ -304,13 +286,7 @@ def cmd_condition54_root(args) -> tuple[dict, list[dict], list[dict]]:
                 f"bisection {root:.10f} vs closed form {closed:.10f}",
             )
         )
-    config = {
-        "subcommand": "condition54-root",
-        "u": args.u,
-        "tolerance": args.tolerance,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {}, results, checks
 
 
 def _parse_coeffs(text: str) -> dict[int, float]:
@@ -327,7 +303,7 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
     u, L = args.u, args.L
     if not L > 1.0:
         raise ValueError(f"hessian needs L > 1 for the stationary K = (L+u)/(L-1), got {L}")
-    K = (L + u) / (L - 1.0)
+    K = hs.stationary_source_variance(L, u)
     A = hs.HermiteCoeffVector(_parse_coeffs(args.A), K)
     B = hs.HermiteCoeffVector(_parse_coeffs(args.B), L)
     report = hs.hessian_quadratic_form(K, L, u, A, B)
@@ -349,16 +325,7 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
             "ledger additivity",
         )
     ]
-    config = {
-        "subcommand": "hessian",
-        "u": u,
-        "L": L,
-        "K": K,
-        "A": args.A,
-        "B": args.B,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {"K": K}, results, checks
 
 
 def cmd_phase_diagram(args) -> tuple[dict, list[dict], list[dict]]:
@@ -375,13 +342,7 @@ def cmd_phase_diagram(args) -> tuple[dict, list[dict], list[dict]]:
             "stability threshold exceeds 1 for every u in the grid",
         )
     ]
-    config = {
-        "subcommand": "phase-diagram",
-        "u": args.u,
-        "L": args.L,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {}, results, checks
 
 
 def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
@@ -402,13 +363,7 @@ def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
                 "rayleigh_min": cert.rayleigh_min,
             }
         ]
-    config = {
-        "subcommand": "theorem5-epsilon",
-        "u": args.u,
-        "L": args.L,
-        "seed": args.seed,
-    }
-    return config, results, []
+    return {}, results, []
 
 
 def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
@@ -438,16 +393,7 @@ def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
             "g1 >= f1 on every cell",
         )
     ]
-    config = {
-        "subcommand": "hk-region",
-        "u": args.u,
-        "N1": args.N1,
-        "q1": args.q1,
-        "q2": args.q2,
-        "envelope_grid": args.envelope_grid,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {}, results, checks
 
 
 def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
@@ -475,15 +421,7 @@ def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
             f"of K+N1 <= {report.bound:.6f}",
         )
     ]
-    config = {
-        "subcommand": "lemma5-audit",
-        "u": args.u,
-        "N1": args.N1,
-        "samples": args.samples,
-        "envelope_grid": args.envelope_grid,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {}, results, checks
 
 
 def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
@@ -510,16 +448,7 @@ def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
             f"of max eig <= {report.bound - params.N1:.6f}",
         )
     ]
-    config = {
-        "subcommand": "theorem4-audit",
-        "d": args.d,
-        "u": args.u,
-        "N1": args.N1,
-        "samples": args.samples,
-        "envelope_grid": args.envelope_grid,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {}, results, checks
 
 
 def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
@@ -550,16 +479,7 @@ def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
             f"slack {res.slack:.3e} <= c/2 = {res.witness_gain / 2:.3e}",
         ),
     ]
-    config = {
-        "subcommand": "constant-power-gap",
-        "u": args.u,
-        "N1": args.N1,
-        "N2": args.N2,
-        "A": res.mixing_variance,
-        "n": args.n,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {"A": res.mixing_variance}, results, checks
 
 
 def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
@@ -593,15 +513,7 @@ def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
             f"{len(bad)} equality cells violate K+N1 <= 1+sqrt(1+u)",
         )
     ]
-    config = {
-        "subcommand": "conjecture2-map",
-        "u": args.u,
-        "q": args.q,
-        "N1": args.N1,
-        "envelope_grid": args.envelope_grid,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {}, results, checks
 
 
 def cmd_geometry(args) -> tuple[dict, list[dict], list[dict]]:
@@ -638,8 +550,7 @@ def cmd_geometry(args) -> tuple[dict, list[dict], list[dict]]:
             f"fit {coeff:.8f} vs exact {exact:.8f}",
         ),
     ]
-    config = {"subcommand": "geometry", "t": ts, "seed": args.seed}
-    return config, results, checks
+    return {}, results, checks
 
 
 def cmd_limit_functional(args) -> tuple[dict, list[dict], list[dict]]:
@@ -667,14 +578,7 @@ def cmd_limit_functional(args) -> tuple[dict, list[dict], list[dict]]:
                 f"quadratic coeff {res.quadratic_coeff:+.3e}, stationary K {res.K:.3f}",
             )
         )
-    config = {
-        "subcommand": "limit-functional",
-        "L": args.L,
-        "J": args.J,
-        "n": args.n,
-        "seed": args.seed,
-    }
-    return config, results, checks
+    return {}, results, checks
 
 
 # ----------------------------------------------------------------------
@@ -826,7 +730,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad input, 0 after --help
         return exc.code
     try:
-        config, results, checks = args.handler(args)
+        derived, results, checks = args.handler(args)
     except (ValueError, cx.RecipeRejectedError, hk.NotApplicableError,
             hk.WitnessUnavailableError, hk.GridTooSmallError,
             en.NegativeDensityError, en.FitRejectedError) as exc:
@@ -834,7 +738,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     # the output path is environment, not experiment configuration; embedding
     # it would break byte-identical reports across destinations
-    config.setdefault("format", args.format)
+    config = {k: v for k, v in vars(args).items() if k not in ("output", "handler")}
+    config.update(derived)
     write_report(config, results, checks, args.output, args.format)
     if any(not c["passed"] for c in checks):
         return 3

@@ -44,6 +44,7 @@ from .entropy import (
     mixture_entropy,
     mixture_to_grid,
 )
+from .hessian import gauss_argmax, gauss_psi
 
 Mixture = Union[GaussDerivMixture, GaussMixture]
 
@@ -152,17 +153,6 @@ def interference_objective(
         + hb
         - (1.0 + params.u) * hc
         - params.Sigma1 * _second_moment(x1)
-    )
-
-
-def gaussian_objective_value(params: ChannelParams, K: float, Lv: float) -> float:
-    """Closed-form objective at x1 = gamma_K, x2 = gamma_Lv."""
-    u, N1, N2 = params.u, params.N1, params.N2
-    return (
-        u * gaussian_entropy(K + N1 + N2 + Lv)
-        + gaussian_entropy(K + N1)
-        - (1.0 + u) * gaussian_entropy(K + N1 + N2)
-        - params.Sigma1 * K
     )
 
 
@@ -368,15 +358,6 @@ class VerticalPerturbation:
         )
 
 
-def gauss_psi_value(K: float, L: float, u: float) -> float:
-    """u h(gamma_{K+u+L}) + h(gamma_K) - (1+u) h(gamma_{K+u})."""
-    return (
-        u * gaussian_entropy(K + u + L)
-        + gaussian_entropy(K)
-        - (1.0 + u) * gaussian_entropy(K + u)
-    )
-
-
 def psi_of_mixtures(
     x1: GaussDerivMixture, x2: GaussDerivMixture, u: float, n: int = 8192
 ) -> float:
@@ -417,9 +398,10 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
     """
     if vp.L <= 1.0:
         raise NoGaussianMaxError("Gaussian objective unbounded-in-K only for L > 1")
-    k_star = (vp.L + vp.u) / (vp.L - 1.0)
-    gaussian_value = gauss_psi_value(k_star, vp.L, vp.u)
-    base = gauss_psi_value(vp.K, vp.L, vp.u)
+    k_star = gauss_argmax(vp.L, vp.u, 0.0, vp.u)
+    # half of psi is u h(gamma_{K+u+L}) + h(gamma_K) - (1+u) h(gamma_{K+u})
+    gaussian_value = 0.5 * gauss_psi(k_star, vp.L, vp.u, 0.0, vp.u)
+    base = 0.5 * gauss_psi(vp.K, vp.L, vp.u, 0.0, vp.u)
     eps_seq = (vp.eps, vp.eps / 2.0, vp.eps / 4.0)
     ratios = []
     perturbed_value = math.nan
@@ -475,13 +457,21 @@ def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
 
 
 def stability_root(u: float, lo: float = 0.2, hi: float = 100.0, tol: float = 1e-8) -> float:
-    """Bisection root of the derivative-norm balance at delta = 0."""
+    """Bisection root of the derivative-norm balance at delta = 0.
+
+    Stops once the bracket is no wider than tol, or once its midpoint
+    rounds to an endpoint, so a tol below the float spacing still ends.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     f_lo = deriv_norm_balance(lo, u)
     f_hi = deriv_norm_balance(hi, u)
     if not (f_lo < 0 < f_hi):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if deriv_norm_balance(mid, u) < 0:
             lo = mid
         else:
@@ -538,6 +528,8 @@ def fisher_limit_gain(
     O(eps^{2(J+1)}).  The quadratic coefficient is positive exactly in the
     low-budget window where the stationary variance K = L/(L-1) exceeds 3.
     """
+    if J < 1:
+        raise ValueError(f"J must be >= 1, got {J}")
     K = fisher_stationary_variance(L)
     if delta is None:
         delta = min(K, L / J) / 20.0

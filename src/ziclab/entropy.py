@@ -267,10 +267,6 @@ class EntropyExpansion:
     residual_slope: float
 
 
-def _mixture_moments(q: Mixture, up_to: int) -> np.ndarray:
-    return q.moments(up_to)
-
-
 def smoothing_curve(
     p: Union[GridDensity, Mixture],
     q: Mixture,
@@ -293,7 +289,7 @@ def smoothing_curve(
     t = np.asarray(t_grid, dtype=float)
     if t.min() <= 0 or t.max() > 0.1:
         raise ValueError("t values must lie in (0, 0.1]")
-    qm = _mixture_moments(q, 3)
+    qm = q.moments(3)
     if abs(q.mass - 1.0) > 1e-9:
         raise ValueError("q must have unit mass")
     if abs(qm[0]) > 1e-9:

@@ -7,6 +7,9 @@ diagonal across alpha, so the quadratic form reduces to a per-order ledger
 I_alpha.  The stationary point (K, L) satisfies K = (L+u)/(L-1) with
 multiplier lambda = u/(K+u+L); negativity of the ledger flips exactly at
 K = u/((1+u)^{1/3} - 1).
+
+The scalar Gaussian objective psi and its maximizer live here too, as the
+one copy that the HK-region and counterexample modules share.
 """
 
 from __future__ import annotations
@@ -41,10 +44,48 @@ def stability_classify(K: float, u: float) -> str:
     return "stable" if K < thr else "unstable"
 
 
+def gauss_psi(K, L, u: float, N1: float, N: float):
+    """psi(K, L) = u ln(K+N1+N+L) + ln(K+N1) - (u+1) ln(K+N1+N), elementwise.
+
+    u weighs the outer term and N is the variance of the second noise: the
+    HK quantities normalize N = u, the constant-power witness has N = N2.
+    Half of psi is the Gaussian value u h(X1+Z1+Z2+X2) + h(X1+Z1)
+    - (1+u) h(X1+Z1+Z2) at X1 ~ gamma_K, X2 ~ gamma_L.  Returns -inf
+    where K+N1 <= 0.
+    """
+    K = np.asarray(K, dtype=float)
+    L = np.asarray(L, dtype=float)
+    x = K + N1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (
+            u * np.log(x + N + L)
+            + np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
+            - (u + 1.0) * np.log(x + N)
+        )
+    return out if out.ndim else float(out)
+
+
+def gauss_argmax(L, u: float, N1: float, N: float):
+    """argmax over K of psi(K, L): (N+L)/((u/N) L - 1) - N1.
+
+    The K^2 terms of d psi/dK cancel, leaving one root, a maximum where
+    u L > N; elsewhere psi increases in K.  Callers check that domain.
+    With N = u this is the stationary variance (L+u)/(L-1) - N1.
+    """
+    return (N + L) / ((u / N) * L - 1.0) - N1
+
+
+def _check_weight(u: float) -> None:
+    # gauss_argmax divides by N = u
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
+
+
 def stationary_source_variance(L: float, u: float) -> float:
     if L <= 1:
         raise ValueError("stationary variance (L+u)/(L-1) requires L > 1")
-    return (L + u) / (L - 1.0)
+    _check_weight(u)
+    return gauss_argmax(L, u, 0.0, u)
 
 
 @dataclass(frozen=True)
@@ -171,9 +212,10 @@ def _as_diag(x: Union[float, Sequence[float], np.ndarray]) -> np.ndarray:
 def gaussian_maximizer(L: Union[float, Sequence[float]], u: float) -> np.ndarray:
     """Diagonal of K = (L - I)^{-1} (L + u I); needs min eigenvalue of L > 1."""
     l = _as_diag(L)
+    _check_weight(u)
     if l.min() <= 1:
         raise NotStationaryError("the Gaussian maximizer exists only for L > I")
-    return (l + u) / (l - 1.0)
+    return gauss_argmax(l, u, 0.0, u)
 
 
 def local_optimality_radius(

@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import counterexamples as cx
+from . import hessian as hs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # fewest lattice nodes per axis an envelope can be built from
@@ -53,59 +54,8 @@ class WitnessUnavailableError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# PSD matrices via cyclic Jacobi
+# PSD matrices
 # ----------------------------------------------------------------------
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Sweeps rotate every (p, q) pair in a fixed order until the off-diagonal
-    Frobenius norm falls below tol * max(1, ||a||_F).  Returns eigenvalues
-    ascending and eigenvectors as columns, with a deterministic sign
-    convention (largest-magnitude component of each vector positive).
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        # off-diagonal norm taken entrywise: the sum(a^2)-sum(diag^2) form
-        # cancels catastrophically near convergence
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -113,7 +63,10 @@ class PsdMatrix:
     """Symmetric positive-semidefinite matrix with cached spectrum.
 
     Asymmetry beyond 1e-12 or eigenvalues below -1e-10 are rejected;
-    eigenvalues in [-1e-10, 0) are clamped to 0.
+    eigenvalues in [-1e-10, 0) are clamped to 0.  The spectrum comes from
+    LAPACK (``np.linalg.eigh``): eigenvalues ascending, eigenvectors as
+    columns, each signed so that its largest-magnitude component is
+    positive.
     """
 
     entries: np.ndarray
@@ -126,7 +79,9 @@ class PsdMatrix:
         if float(np.abs(a - a.T).max()) > 1e-12 * scale:
             raise ValueError("matrix is not symmetric to 1e-12")
         a = 0.5 * (a + a.T)
-        vals, vecs = jacobi_eigh(a.copy())
+        vals, vecs = np.linalg.eigh(a)
+        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(a.shape[0])]
+        vecs = np.where(lead < 0, -vecs, vecs)
         if vals.min() < -1e-10:
             raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
         vals = np.clip(vals, 0.0, None)
@@ -215,16 +170,7 @@ def gauss_objective(K, L, u: float, N1: float = 0.0):
         km = K.entries if isinstance(K, PsdMatrix) else np.asarray(K, dtype=float)
         lm = L.entries if isinstance(L, PsdMatrix) else np.asarray(L, dtype=float)
         return gauss_objective_matrix(km, lm, u, N1)
-    K = np.asarray(K, dtype=float)
-    L = np.asarray(L, dtype=float)
-    x = K + N1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            u * np.log(x + u + L)
-            + np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-            - (u + 1.0) * np.log(x + u)
-        )
-    return out if out.ndim else float(out)
+    return hs.gauss_psi(K, L, u, N1, u)
 
 
 def gauss_objective_matrix(K: np.ndarray, L: np.ndarray, u: float, N1: float = 0.0) -> float:
@@ -239,21 +185,25 @@ def gauss_objective_matrix(K: np.ndarray, L: np.ndarray, u: float, N1: float = 0
     )
 
 
-def unconstrained_argmax(L, u: float, N1: float = 0.0):
-    """argmax_K psi(K, L): (u+L)/(L-1) - N1 for L > 1, +inf otherwise."""
+def unconstrained_argmax(L, u: float, N1: float = 0.0, N: Optional[float] = None):
+    """argmax_K psi(K, L) with second-noise variance N (default u):
+    (N+L)/((u/N) L - 1) - N1 where u L > N, +inf otherwise."""
+    N = u if N is None else N
     L = np.asarray(L, dtype=float)
-    with np.errstate(divide="ignore"):
-        k = np.where(L > 1.0, (u + L) / np.where(L > 1.0, L - 1.0, 1.0) - N1, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where((u / N) * L > 1.0, hs.gauss_argmax(L, u, N1, N), np.inf)
     return k if k.ndim else float(k)
 
 
-def capped_gauss_objective(J, L, u: float, N1: float = 0.0):
+def capped_gauss_objective(J, L, u: float, N1: float = 0.0, N: Optional[float] = None):
     """(value, argmax K) of sup_{0 <= K <= J} psi(K, L), scalar closed form:
-    K = min(J, (u+L)/(L-1) - N1) when L > 1 (clipped at 0), else K = J."""
+    K = min(J, unconstrained_argmax) clipped at 0.  N is the second-noise
+    variance (default u, the HK normalization)."""
+    N = u if N is None else N
     J = np.asarray(J, dtype=float)
     L = np.asarray(L, dtype=float)
-    k = np.clip(unconstrained_argmax(L, u, N1), 0.0, J)
-    val = gauss_objective(k, L, u, N1)
+    k = np.clip(unconstrained_argmax(L, u, N1, N), 0.0, J)
+    val = hs.gauss_psi(k, L, u, N1, N)
     if k.ndim:
         return val, k
     return float(val), float(k)
@@ -285,14 +235,14 @@ def capped_gauss_objective_matrix(
     jm, lm = jp.entries, lp.entries
     comm = float(np.abs(jm @ lm - lm @ jm).max())
     if comm < commute_tol:
-        vals, vecs = jacobi_eigh(jm.copy())
+        vals, vecs = jp.eigenvalues, jp.eigenvectors
         ldiag = np.diag(vecs.T @ lm @ vecs).copy()
         val, kdiag = capped_gauss_objective(vals, ldiag, u, N1)
         k = vecs @ np.diag(np.atleast_1d(kdiag)) @ vecs.T
         return MatrixCapResult(float(np.sum(val)), PsdMatrix(k))
     # projected gradient ascent
     d = jp.dim
-    jv, jq = jacobi_eigh(jm.copy())
+    jv, jq = jp.eigenvalues, jp.eigenvectors
     jhalf = jq @ np.diag(np.sqrt(np.clip(jv, 0, None))) @ jq.T
     s = 0.5 * np.eye(d)
     eye = np.eye(d)
@@ -313,7 +263,7 @@ def capped_gauss_objective_matrix(
             grad = u * a1 + a2 - (u + 1.0) * np.linalg.inv(k + (N1 + u) * eye)
         gs = jhalf @ grad @ jhalf
         s_new = s + eta * gs
-        vals, vecs = jacobi_eigh(0.5 * (s_new + s_new.T))
+        vals, vecs = np.linalg.eigh(0.5 * (s_new + s_new.T))
         s_new = vecs @ np.diag(np.clip(vals, 0.0, 1.0)) @ vecs.T
         val = psi_val(jhalf @ s_new @ jhalf)
         if val < best - 1e-12:
@@ -669,7 +619,7 @@ def maximizer_bound_check(
             f"f1={f1v:.8f} < g1={g1v:.8f} at (J={Jv}, L={Lv}); bound not applicable"
         )
     if Lv > 1.0:
-        kthr = (u + Lv) / (Lv - 1.0) - N1
+        kthr = unconstrained_argmax(Lv, u, N1)
         if abs(Jv - kthr) <= 1e-9:
             case, K = 3, Jv
         elif Jv > kthr:
@@ -821,6 +771,8 @@ def eigenvalue_bound_audit(
     """
     if d not in (1, 2):
         raise ValueError("audit supports d in {1, 2}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     bound = 1.0 + math.sqrt(1.0 + params.u)
     records = []
     violations = 0
@@ -968,18 +920,9 @@ def constant_power_gap(
     lower_witness = lndet_term + c / 2.0
     raw_witness = lndet_term - slack + c
 
-    def gauss_env(K: float) -> float:
-        return 0.5 * (
-            u * math.log(K + N1 + N2 + q2v)
-            + math.log(K + N1)
-            - (u + 1.0) * math.log(K + N1 + N2)
-        )
-
-    best = max(gauss_env(0.0), gauss_env(q1v))
-    for lo, hi in ((0.0, q1v / 2.0), (q1v / 2.0, q1v)):
-        _, v = golden_max(gauss_env, lo, hi, 90)
-        best = max(best, v)
-    gaussian_value = lndet_term + best
+    # the Gaussian term: half the capped psi with second-noise variance N2
+    best, _ = capped_gauss_objective(q1v, q2v, u, N1, N2)
+    gaussian_value = lndet_term + 0.5 * best
     return ConstantPowerGapResult(
         gaussian_value=gaussian_value,
         lower_witness=lower_witness,

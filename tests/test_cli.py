@@ -14,7 +14,7 @@ import pytest
 
 from ziclab import entropy as en
 from ziclab import hkregion as hk
-from ziclab.cli import main, parse_values
+from ziclab.cli import build_parser, main, parse_values
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -409,3 +409,86 @@ def test_geometry_csv_with_summary_row(tmp_path):
     # summary row carries the coefficient columns, data columns empty
     assert rows[-1]["t"] == ""
     assert float(rows[-1]["fitted_inverse_t_coefficient"]) > 0
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_condition54_bad_tolerance_exit_2(tol, capsys):
+    # a tolerance of 0 or below used to bisect forever
+    assert main(["condition54-root", f"--tolerance={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tolerance must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["limit-functional", "--J", "0"], "J must be >= 1, got 0"),
+        (["limit-functional", "--J=-1"], "J must be >= 1, got -1"),
+        (["lemma5-audit", "--samples=-1"], "samples must be >= 0, got -1"),
+        (["theorem4-audit", "--samples=-1"], "samples must be >= 0, got -1"),
+    ],
+)
+def test_bad_count_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ziclab: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["--K=-1"], "K"), (["--K", "0"], "K"), (["--u=-1", "--K", "2"], "u"), (["--delta=-0.1"], "delta")],
+)
+def test_verify_vertical_non_positive_exit_2_names_it(argv, name, capsys):
+    # checked before the eps scan, whose own failure names no parameter
+    assert main(["verify-vertical", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"ziclab: {name} must be positive")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hk-region", "--q1", "1", "--q2", "1", "--envelope-grid", "x"],
+        ["constant-power-gap", "--A", "x"],
+        ["condition54-root", "--u", "x"],
+        ["phase-diagram", "--u", "1,x", "--L", "2"],
+        ["phase-diagram", "--u", "1", "--L", "1:x:1"],
+    ],
+)
+def test_non_numeric_value_exit_2_without_parser_name(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "parse_" not in err and "'x'" in err
+
+
+# one cheap command line per subcommand
+CONFIG_ARGVS = [
+    ["verify-lemma1", "--t-count", "6"],
+    ["verify-lemma2", "--t-count", "4"],
+    ["verify-vertical", "--n", "4096"],
+    ["condition54-root"],
+    ["hessian"],
+    ["phase-diagram", "--u", "1", "--L", "2"],
+    ["theorem5-epsilon"],
+    ["hk-region", "--q1", "1", "--q2", "1", "--envelope-grid", "9"],
+    ["lemma5-audit", "--samples", "0"],
+    ["theorem4-audit", "--samples", "0"],
+    ["constant-power-gap", "--n", "4096"],
+    ["conjecture2-map", "--q", "1", "--envelope-grid", "9"],
+    ["geometry", "--t", "20"],
+    ["limit-functional", "--L", "1.2", "--n", "4096"],
+]
+
+
+def test_config_echoes_every_option(capsys):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(a[0] for a in CONFIG_ARGVS) == sorted(subparsers.choices)
+    for argv in CONFIG_ARGVS:
+        assert main(argv) in (0, 3)
+        cfg = json.loads(capsys.readouterr().out)["config"]
+        options = {
+            a.dest for a in subparsers.choices[argv[0]]._actions if a.option_strings
+        } - {"help", "output"}
+        assert options <= set(cfg), (argv[0], options - set(cfg))
+        assert cfg["subcommand"] == argv[0]

@@ -8,7 +8,7 @@ import pytest
 from ziclab import counterexamples as cx
 from ziclab.entropy import NegativeDensityError, grid_from_mixture
 from ziclab.gaussmix import GaussMixture, gaussian
-from ziclab.hessian import stability_threshold
+from ziclab.hessian import gauss_psi, stability_threshold
 
 
 def balance_closed_form(K: float, u: float, delta: float) -> float:
@@ -47,7 +47,7 @@ def test_objective_matches_closed_form_on_grid():
     for K in (0.5, 1.0, 2.0, 4.0, 8.0):
         for Lv in (0.5, 1.0, 2.0, 4.0, 8.0):
             num = cx.interference_objective(params, gaussian(K), gaussian(Lv), n=8192)
-            closed = cx.gaussian_objective_value(params, K, Lv)
+            closed = 0.5 * gauss_psi(K, Lv, params.u, params.N1, params.N2) - params.Sigma1 * K
             assert num == pytest.approx(closed, abs=1e-6)
 
 
@@ -279,6 +279,16 @@ def test_stability_root_matches_threshold():
     for u in (0.5, 1.0, 2.0):
         root = cx.stability_root(u, tol=1e-8)
         assert root == pytest.approx(stability_threshold(u), abs=1e-8)
+
+
+def test_stability_root_ends_below_float_spacing():
+    # a tol below the spacing of floats near the root stops once the
+    # midpoint rounds to an endpoint
+    root = cx.stability_root(1.0, tol=1e-300)
+    assert abs(root - stability_threshold(1.0)) <= 4 * math.ulp(stability_threshold(1.0))
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            cx.stability_root(1.0, tol=tol)
 
 
 def test_balance_single_sign_change():

@@ -19,15 +19,22 @@ def random_psd(rng, d, scale=2.0):
 # ----------------------------------------------------------------------
 
 
-def test_jacobi_matches_lapack(rng):
+def test_psd_spectrum_matches_charpoly_roots(rng):
     for d in (2, 3, 5):
         for _ in range(20):
             m = random_psd(rng, d)
-            vals, vecs = hk.jacobi_eigh(m.copy())
-            ref = np.linalg.eigvalsh(m)
-            assert np.allclose(vals, ref, atol=1e-10 * max(1, abs(ref).max()))
+            p = hk.PsdMatrix(m)
+            vals, vecs = p.eigenvalues, p.eigenvectors
+            # roots of the characteristic polynomial as an independent oracle
+            roots = np.sort(np.roots(np.poly(m)).real)
+            assert np.allclose(vals, roots, atol=1e-8 * max(1, abs(roots).max()))
+            assert np.all(np.diff(vals) >= 0)
             assert np.allclose(vecs @ np.diag(vals) @ vecs.T, m, atol=1e-10)
             assert np.allclose(vecs.T @ vecs, np.eye(d), atol=1e-12)
+            # sign convention: the largest-magnitude component of each
+            # eigenvector is positive
+            lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
+            assert np.all(lead > 0)
 
 
 def test_psd_validation():
@@ -163,6 +170,39 @@ def test_capped_argmax_cases():
     assert k == 10.0
     val, k = hk.capped_gauss_objective(1.0, 3.0, 1.0, 0.0)
     assert k == 1.0
+
+
+def psi_written_out(K, L, u, N1, N):
+    """psi with second-noise variance N, written out independently of the
+    package: u ln(K+N1+N+L) + ln(K+N1) - (u+1) ln(K+N1+N)."""
+    return u * np.log(K + N1 + N + L) + np.log(K + N1) - (u + 1) * np.log(K + N1 + N)
+
+
+def test_argmax_with_noise_variance_matches_grid(rng):
+    # N != u: the maximizer (N+L)/((u/N) L - 1) - N1 against a dense K grid
+    for _ in range(30):
+        u = float(rng.uniform(0.3, 4.0))
+        N = float(rng.uniform(0.05, 3.0))
+        N1 = float(rng.uniform(0.0, 1.0))
+        L = float(rng.uniform(1.05, 4.0)) * N / u  # u L > N: interior root
+        k = hk.unconstrained_argmax(L, u, N1, N=N)
+        cap = 3.0 * (k + N1) + 1.0
+        ks = np.linspace(0.0, cap, 400001)
+        ks = ks[ks + N1 > 0]
+        vals = psi_written_out(ks, L, u, N1, N)
+        i = int(np.argmax(vals))
+        if k > 0:
+            assert abs(ks[i] - k) <= 2 * (ks[1] - ks[0])
+        else:
+            assert i == 0
+        val, kc = hk.capped_gauss_objective(cap, L, u, N1, N=N)
+        assert kc == max(k, 0.0)
+        assert vals[i] <= val + 1e-12 and val - vals[i] <= 1e-9
+        # u L <= N: psi increases in K, so the cap binds
+        assert hk.unconstrained_argmax(0.9 * N / u, u, N1, N=N) == math.inf
+        val, kc = hk.capped_gauss_objective(cap, 0.9 * N / u, u, N1, N=N)
+        assert kc == cap
+        assert val == pytest.approx(psi_written_out(cap, 0.9 * N / u, u, N1, N), abs=1e-12)
 
 
 def test_capped_matrix_commuting_matches_coordinatewise():
@@ -553,6 +593,22 @@ def test_constant_power_gap_positive():
     assert res.lower_witness > res.gaussian_value
     # e_41 structure: witness >= gaussian + c/2 - slack
     assert res.lower_witness >= res.gaussian_value + res.witness_gain / 2.0 - res.slack - 1e-12
+
+
+@pytest.mark.parametrize(
+    "u, N1, N2, where",
+    [(2.0, 0.5, 0.3, "interior"), (2.0, 1.0, 0.05, "K = 0"), (1.0, 1.0, 0.05, "K = q1")],
+)
+def test_constant_power_gap_gaussian_term_matches_grid(u, N1, N2, where):
+    # the Gaussian term is half the capped psi with N = N2 and L = q2 over
+    # K in [0, q1]; a dense K grid of the written-out psi is the oracle
+    res = hk.constant_power_gap(hk.HKParams(u=u, N1=N1, N2=N2), n=4096)
+    term = res.gaussian_value - 0.5 * math.log((res.q1 + res.q2 + N1 + N2) / N1)
+    ks = np.linspace(0.0, res.q1, 1000001)
+    vals = 0.5 * psi_written_out(ks, res.q2, u, N1, N2)
+    i = int(np.argmax(vals))
+    assert {0: "K = 0", ks.size - 1: "K = q1"}.get(i, "interior") == where
+    assert vals[i] <= term + 1e-12 and term - vals[i] <= 1e-9
 
 
 def test_constant_power_gap_large_A_trend():
