@@ -289,14 +289,21 @@ def cmd_condition54_root(args) -> tuple[dict, list[dict], list[dict]]:
     return {}, results, checks
 
 
-def _parse_coeffs(text: str) -> dict[int, float]:
-    out: dict[int, float] = {}
+def _parse_coeffs(text: str, option: str) -> dict[int, float]:
+    """Parse an ``order:coeff`` list; a malformed one is a ValueError that
+    names the option (the report's config keeps the raw text)."""
     if not text:
-        return out
-    for piece in text.split(","):
-        a, c = piece.split(":")
-        out[int(a)] = float(c)
-    return out
+        return {}
+    try:
+        out = {int(a): float(c) for a, c in (p.split(":") for p in text.split(","))}
+        if all(map(math.isfinite, out.values())):
+            return out
+    except ValueError:
+        pass
+    raise ValueError(
+        f"{option} wants order:coeff pairs such as 1:1.0,2:0.5 (integer order, "
+        f"finite coefficient), got '{text}'"
+    )
 
 
 def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
@@ -304,8 +311,8 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
     if not L > 1.0:
         raise ValueError(f"hessian needs L > 1 for the stationary K = (L+u)/(L-1), got {L}")
     K = hs.stationary_source_variance(L, u)
-    A = hs.HermiteCoeffVector(_parse_coeffs(args.A), K)
-    B = hs.HermiteCoeffVector(_parse_coeffs(args.B), L)
+    A = hs.HermiteCoeffVector(_parse_coeffs(args.A, "--A"), K)
+    B = hs.HermiteCoeffVector(_parse_coeffs(args.B, "--B"), L)
     report = hs.hessian_quadratic_form(K, L, u, A, B)
     results = [
         {"alpha": a, "I_alpha": v} for a, v in sorted(report.per_alpha_terms.items())
@@ -381,7 +388,7 @@ def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
             "argmax_J": res.J,
             "argmax_L": res.L,
             "argmax_K": res.K,
-            "f1_eq_g1": bool(g1 - res.value <= 1e-5),
+            "f1_eq_g1": hk.tangent_witness(q1, q2, params, args.envelope_grid) is None,
         }
 
     pairs = [(q1, q2) for q1 in args.q1 for q2 in args.q2]

@@ -459,19 +459,22 @@ def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
 def stability_root(u: float, lo: float = 0.2, hi: float = 100.0, tol: float = 1e-8) -> float:
     """Bisection root of the derivative-norm balance at delta = 0.
 
-    Stops once the bracket is no wider than tol, or once its midpoint
-    rounds to an endpoint, so a tol below the float spacing still ends.
+    Stops once the bracket is no wider than tol.  A tol below the float
+    spacing at hi is rejected; from it up, a bracket wider than tol has a
+    midpoint strictly inside, so the bisection ends.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if tol < math.ulp(hi):
+        raise ValueError(
+            f"tolerance must be at least {math.ulp(hi):.17g} (float spacing at {hi}), got {tol}"
+        )
     f_lo = deriv_norm_balance(lo, u)
     f_hi = deriv_norm_balance(hi, u)
     if not (f_lo < 0 < f_hi):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
         if deriv_norm_balance(mid, u) < 0:
             lo = mid
         else:

@@ -9,10 +9,10 @@ attained at the corner (J, L) = (q1, q2), and the power-control value
 g1 = upper concave envelope of f1 in (q1, q2), realized by randomizing the
 transmit powers (by Caratheodory at most three support points).
 Envelope values are linear programs over the f1 lattice, solved by a
-three-row simplex.
+three-row simplex; whether f1 = g1 is decided by the tangent plane of f1.
 Dimension-2 quantities go through the alignment reduction: aligned
 diagonal inputs split coordinatewise, so f2 is a max-plus split of f1 and
-g2 is the envelope of the max-plus table.
+g2 is the envelope of the max-plus table, 2 g1(q/2) by tensorization.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from . import counterexamples as cx
 from . import hessian as hs
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # fewest lattice nodes per axis an envelope can be built from
 MIN_ENVELOPE_GRID = 2
 # simplex pivots per envelope query before it gives up (RuntimeError);
@@ -209,75 +208,6 @@ def capped_gauss_objective(J, L, u: float, N1: float = 0.0, N: Optional[float] =
     return float(val), float(k)
 
 
-@dataclass(frozen=True)
-class MatrixCapResult:
-    value: float
-    argmax_K: PsdMatrix
-
-
-def capped_gauss_objective_matrix(
-    Jmat: Union[PsdMatrix, np.ndarray],
-    L: Union[PsdMatrix, np.ndarray],
-    u: float,
-    N1: float = 0.0,
-    commute_tol: float = 1e-8,
-    steps: int = 400,
-) -> MatrixCapResult:
-    """sup_{0 <= K <= J} psi(K, L) for matrices.
-
-    Commuting inputs reduce coordinatewise in the common eigenbasis;
-    otherwise projected gradient ascent on K = J^{1/2} S J^{1/2}, S in [0, I].
-    """
-    jp = _as_psd(Jmat)
-    lp = _as_psd(L)
-    if jp.dim != lp.dim:
-        raise DimensionMismatchError(f"dims {jp.dim} vs {lp.dim}")
-    jm, lm = jp.entries, lp.entries
-    comm = float(np.abs(jm @ lm - lm @ jm).max())
-    if comm < commute_tol:
-        vals, vecs = jp.eigenvalues, jp.eigenvectors
-        ldiag = np.diag(vecs.T @ lm @ vecs).copy()
-        val, kdiag = capped_gauss_objective(vals, ldiag, u, N1)
-        k = vecs @ np.diag(np.atleast_1d(kdiag)) @ vecs.T
-        return MatrixCapResult(float(np.sum(val)), PsdMatrix(k))
-    # projected gradient ascent
-    d = jp.dim
-    jv, jq = jp.eigenvalues, jp.eigenvectors
-    jhalf = jq @ np.diag(np.sqrt(np.clip(jv, 0, None))) @ jq.T
-    s = 0.5 * np.eye(d)
-    eye = np.eye(d)
-
-    def psi_val(kmat):
-        return gauss_objective(PsdMatrix(0.5 * (kmat + kmat.T)), lp, u, N1)
-
-    best = -math.inf
-    best_k = jhalf @ s @ jhalf
-    eta = 0.5
-    for _ in range(steps):
-        k = jhalf @ s @ jhalf
-        a1 = np.linalg.inv(k + lm + (N1 + u) * eye)
-        a2 = np.linalg.inv(k + N1 * eye) if N1 > 0 or np.linalg.det(k) > 0 else None
-        if a2 is None:
-            grad = u * a1 - (u + 1.0) * np.linalg.inv(k + (N1 + u) * eye)
-        else:
-            grad = u * a1 + a2 - (u + 1.0) * np.linalg.inv(k + (N1 + u) * eye)
-        gs = jhalf @ grad @ jhalf
-        s_new = s + eta * gs
-        vals, vecs = np.linalg.eigh(0.5 * (s_new + s_new.T))
-        s_new = vecs @ np.diag(np.clip(vals, 0.0, 1.0)) @ vecs.T
-        val = psi_val(jhalf @ s_new @ jhalf)
-        if val < best - 1e-12:
-            eta *= 0.5
-            if eta < 1e-8:
-                break
-            continue
-        s = s_new
-        if val > best:
-            best = val
-            best_k = jhalf @ s @ jhalf
-    return MatrixCapResult(float(best), PsdMatrix(0.5 * (best_k + best_k.T)))
-
-
 # ----------------------------------------------------------------------
 # Fixed-power value f1 and its vectorized tabulation
 # ----------------------------------------------------------------------
@@ -296,24 +226,15 @@ def _corner_value(q1, q2, u: float, N1: float):
     return np.log(np.asarray(q1, dtype=float) + N1 + u + np.asarray(q2, dtype=float)) + val
 
 
-def golden_max(f, a: float, b: float, iters: int = 90) -> tuple[float, float]:
-    """Scalar golden-section maximizer on [a, b] (ties toward smaller x)."""
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-13 * max(1.0, abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = c if fc >= fd else d
-    return (x, max(fc, fd))
+def _corner_gradient(q1: float, q2: float, u: float, N1: float) -> tuple[float, float]:
+    """Gradient of f1 at q1 > 0, q2 >= 0 by the envelope theorem: d psi/dK
+    enters only where the cap K = q1 binds, and it vanishes at the cap
+    q1 = K*(q2), so f1 is C^1."""
+    _, k = capped_gauss_objective(q1, q2, u, N1)
+    s = 1.0 / (q1 + N1 + u + q2)
+    x = k + N1
+    d_psi_dk = u / (x + u + q2) + 1.0 / x - (u + 1.0) / (x + u)
+    return s + (d_psi_dk if k == q1 else 0.0), s + u / (x + u + q2)
 
 
 @dataclass(frozen=True)
@@ -579,6 +500,70 @@ def concave_envelope_1d(xs: np.ndarray, fs: np.ndarray, q: float) -> float:
 
 
 # ----------------------------------------------------------------------
+# f1 = g1 by the tangent plane at q
+# ----------------------------------------------------------------------
+
+
+def _tail_box(
+    q1: float, q2: float, fq: float, d1: float, d2: float, u: float, N1: float
+) -> tuple[float, float]:
+    """(P1, P2) such that the tangent plane l(p) = fq + d1 (p1-q1) + d2 (p2-q2)
+    of f1 at q lies above f1(p) wherever p1 > P1 or p2 > P2.
+
+    With s = N1 + u, psi(K, L) < u ln(1 + L/u) and ln(a+b+s) <= ln(a+s) +
+    ln(b+s) - ln s give f1(p) < ln(p1+s) + ln(p2+s) + u ln(p2+u) - u ln u
+    - ln s.  Each log lies under its tangent line ln x <= m x - ln m - 1,
+    with m set so that the p1 log takes half of d1 and each p2 log a
+    quarter of d2; so f1(p) - l(p) < gap - d1 p1/2 - d2 p2/2.
+    """
+    s = N1 + u
+    gap = (
+        d1 * (q1 + s / 2.0) + d2 * (q2 + (s + u) / 4.0)
+        - math.log(d1 / 2.0) - (u + 1.0) * math.log(d2 / 4.0) - math.log(s) - (u + 2.0) - fq
+    )
+    return max(0.0, 2.0 * gap / d1), max(0.0, 2.0 * gap / d2)
+
+
+def tangent_witness(
+    q1: float, q2: float, params: HKParams, grid_n: int = 129
+) -> Optional[tuple[float, float]]:
+    """A lattice point where f1 lies above its tangent plane l at q, or None.
+
+    f1 is C^1, so g1(q) = f1(q) exactly when l majorizes f1 (the supporting
+    hyperplanes of a concave envelope; Rockafellar, Convex Analysis, 1970).
+    A point p with f1(p) > l(p) certifies g1(q) > f1(q): weights on p and
+    on a point a small step past q along the chord from p beat f1(q).
+
+    Outside ``_tail_box`` the plane wins.  The scan covers that box with
+    grid_n nodes per axis at q (exp(t ln(1 + P/q)) - 1), t uniform on [0, 1],
+    whose spacing grows in proportion to p + q, and returns the node of
+    largest excess f1 - l above 8 ulps of the magnitudes of the terms of f1
+    and l (the log arguments of f1 other than K+N1 lie in [u, p1+p2+N1+u]).
+    A lattice can miss a gap but never invents one.  For q2 <= 0 the
+    envelope runs along the q1 axis, and so does the scan.
+    """
+    if not q1 > 0:
+        raise ValueError(f"the tangent-plane test needs q1 > 0, got {q1}")
+    check_envelope_grid(grid_n)
+    u, N1 = params.u, params.N1
+    q2 = max(q2, 0.0)
+    fq = float(_corner_value(q1, q2, u, N1))
+    d1, d2 = _corner_gradient(q1, q2, u, N1)
+    p1, p2 = _tail_box(q1, q2, fq, d1, d2, u, N1)
+    t = np.linspace(0.0, 1.0, grid_n)
+    x = (q1 * np.expm1(t * math.log1p(p1 / q1)))[:, None]
+    y = (q2 * np.expm1(t * math.log1p(p2 / q2)))[None, :] if q2 > 0 else np.zeros((1, 1))
+    f = _corner_value(x, y, u, N1)
+    rise = d1 * (x - q1) + d2 * (y - q2)
+    logs = 2.0 + 2.0 * abs(math.log(u)) + abs(math.log(q1 + q2 + N1 + u))
+    logs = logs + np.abs(np.log(x + y + N1 + u))
+    terms = np.abs(f) + abs(fq) + np.abs(d1 * (x - q1)) + np.abs(d2 * (y - q2)) + 4 * (u + 1) * logs
+    over = f - fq - rise - 8.0 * np.finfo(float).eps * terms
+    i, j = np.unravel_index(int(np.argmax(over)), over.shape)
+    return (float(x[i, 0]), float(y[0, j])) if over[i, j] > 0 else None
+
+
+# ----------------------------------------------------------------------
 # Maximizer-variance bound checks
 # ----------------------------------------------------------------------
 
@@ -588,54 +573,31 @@ class MaximizerBoundResult:
     K: float
     bound_holds: bool
     case: int
-    f1: float
-    g1: float
     bound: float
 
 
 def maximizer_bound_check(
-    Jv: float,
-    Lv: float,
-    params: HKParams,
-    grid_n: int = 129,
-    margin: int = 4,
-    equality_tol: float = 1e-5,
-    envelope: Optional[Envelope2D] = None,
+    Jv: float, Lv: float, params: HKParams, grid_n: int = 129
 ) -> MaximizerBoundResult:
-    """At an applicable cell (f1 = g1 within tolerance), the capped argmax
-    satisfies K + N1 <= 1 + sqrt(1+u).  Raises NotApplicableError otherwise.
+    """At an applicable cell (f1 = g1: no ``tangent_witness``), the capped
+    argmax satisfies K + N1 <= 1 + sqrt(1+u).  Raises NotApplicableError
+    otherwise.
 
     Case 1: cap slack (L > 1, J above the unconstrained argmax);
     case 2: cap binds (L <= 1 or J below it); case 3: exactly at it.
     """
     u, N1 = params.u, params.N1
-    f1v = float(_corner_value(Jv, Lv, u, N1))
-    if envelope is not None:
-        g1v = envelope.value(Jv, Lv).value
-    else:
-        g1v = power_control_value(Jv, Lv, params, grid_n, margin)
-    if g1v - f1v > equality_tol:
+    witness = tangent_witness(Jv, Lv, params, grid_n)
+    if witness is not None:
         raise NotApplicableError(
-            f"f1={f1v:.8f} < g1={g1v:.8f} at (J={Jv}, L={Lv}); bound not applicable"
+            f"f1 < g1 at (J={Jv}, L={Lv}): f1 at {witness} lies above its tangent plane"
         )
-    if Lv > 1.0:
-        kthr = unconstrained_argmax(Lv, u, N1)
-        if abs(Jv - kthr) <= 1e-9:
-            case, K = 3, Jv
-        elif Jv > kthr:
-            case, K = 1, max(kthr, 0.0)
-        else:
-            case, K = 2, Jv
-    else:
-        case, K = 2, Jv
+    kthr = unconstrained_argmax(Lv, u, N1)
+    case = 3 if abs(Jv - kthr) <= 1e-9 else 1 if Jv > kthr else 2
+    K = Jv if case == 3 else capped_gauss_objective(Jv, Lv, u, N1)[1]
     bound = 1.0 + math.sqrt(1.0 + u)
     return MaximizerBoundResult(
-        K=float(K),
-        bound_holds=bool(K + N1 <= bound + 1e-6),
-        case=case,
-        f1=f1v,
-        g1=g1v,
-        bound=bound,
+        K=float(K), bound_holds=bool(K + N1 <= bound + 1e-6), case=case, bound=bound
     )
 
 
@@ -652,29 +614,20 @@ class FixedPower2DResult:
 
 
 def fixed_power_value_2d(
-    q1: float, q2: float, params: HKParams, coarse: int = 33
+    q1: float, q2: float, params: HKParams, grid_n: int = 257
 ) -> FixedPower2DResult:
     """f2(q1, q2) through aligned diagonal inputs: the best split
-    max_{a, b} f1(a, b) + f1(q1-a, q2-b), coarse grid plus refinement."""
-    a_nodes = np.linspace(0.0, q1, coarse)
-    b_nodes = np.linspace(0.0, q2, coarse)
-    A, B = np.meshgrid(a_nodes, b_nodes, indexing="ij")
+    max_{a, b} f1(a, b) + f1(q1-a, q2-b) over a grid of splits, one
+    broadcast.  An even grid_n is raised by one: an odd grid keeps the
+    symmetric split q/2, where f2 = 2 f1(q/2) on cells with f1 = g1 at q/2.
+    """
+    n = grid_n | 1
+    a_nodes = np.linspace(0.0, q1, n)[:, None]
+    b_nodes = np.linspace(0.0, q2, n)[None, :]
     u, N1 = params.u, params.N1
-    tot = _corner_value(A, B, u, N1) + _corner_value(q1 - A, q2 - B, u, N1)
+    tot = _corner_value(a_nodes, b_nodes, u, N1) + _corner_value(q1 - a_nodes, q2 - b_nodes, u, N1)
     i, j = np.unravel_index(int(np.argmax(tot)), tot.shape)
-    a0, b0 = float(a_nodes[i]), float(b_nodes[j])
-    ha = q1 / (coarse - 1)
-    hb = q2 / (coarse - 1)
-
-    def val(a: float, b: float) -> float:
-        a = min(max(a, 0.0), q1)
-        b = min(max(b, 0.0), q2)
-        return float(_corner_value(a, b, u, N1) + _corner_value(q1 - a, q2 - b, u, N1))
-
-    a, b = a0, b0
-    for _ in range(3):
-        a, _ = golden_max(lambda x: val(x, b), max(0.0, a - ha), min(q1, a + ha), 60)
-        b, _ = golden_max(lambda y: val(a, y), max(0.0, b - hb), min(q2, b + hb), 60)
+    a, b = float(a_nodes[i, 0]), float(b_nodes[0, j])
     cells = (fixed_power_value(a, b, params), fixed_power_value(q1 - a, q2 - b, params))
     return FixedPower2DResult(value=cells[0].value + cells[1].value, split=(a, b), cells=cells)
 
@@ -698,8 +651,9 @@ def _uniform_lattice_with_node(
     width: float, q: float, n: int
 ) -> np.ndarray:
     """Uniform grid from 0 of ~n nodes reaching ~width with q = k*step
-    exactly (max-plus index arithmetic needs uniformity from 0)."""
-    k = max(1, round(q * (n - 1) / width))
+    exactly (max-plus index arithmetic needs uniformity from 0).  k >= 2
+    where n allows it: with N1 = 0 the max-plus rows 0 and 1 are -inf."""
+    k = min(n - 1, max(2, round(q * (n - 1) / width)))
     step = q / k
     return step * np.arange(n)
 
@@ -751,23 +705,20 @@ def eigenvalue_bound_audit(
     q_low: float = 0.05,
     q_high: float = 30.0,
     grid_n: int = 129,
-    equality_tol: float = 1e-5,
-    equality_floor: float = 1e-8,
 ) -> AuditReport:
     """Random audit of the maximizer-eigenvalue bound 1 + sqrt(1+u) - N1.
 
-    d=1 samples (J, L) cells directly; d=2 samples powers, computes f2 via
-    the alignment-reduction split and g2 via the tensorization identity
-    2 g1(q/2), then checks each split cell's argmax.
+    d=1 samples (J, L) cells and checks each with ``maximizer_bound_check``.
+    d=2 samples powers q and checks the d=1 cell q/2: f2(q) >= 2 f1(q/2)
+    and g2(q) = 2 g1(q/2) (tensorization), so where f1 = g1 at q/2 the
+    symmetric split is optimal and the largest eigenvalue is K(q/2).  Any
+    other optimal split {p, q-p}, and f2(q) = g2(q) where f1 < g1 at q/2,
+    needs both p and q-p on the plane that supports g1 at q/2, a
+    measure-zero event the audit does not look for.
 
-    A suspected violation is re-tested at finer envelope grids; at the
-    finest stage the f1 = g1 predicate is resolved at numerical precision
-    (``equality_floor``) rather than the coarse screen: genuinely equal
-    cells measure gaps at the 1e-13 level while strictly-gapped cells
-    measure >= 1e-6, so the floor separates the two populations.  Cells
-    whose refined gap exceeds the floor are strictly gapped, hence not
-    applicable.  A true equality cell violating the bound would still be
-    reported as a violation.
+    A cell that fails the bound is re-tested once on a lattice of
+    8(grid_n-1)+1 nodes per axis: a lattice can miss a gap but never
+    invents one, so only a finer lattice can show the cell gapped.
     """
     if d not in (1, 2):
         raise ValueError("audit supports d in {1, 2}")
@@ -777,56 +728,23 @@ def eigenvalue_bound_audit(
     records = []
     violations = 0
     applicable = 0
-    refine = [g for g in (grid_n, 257, 513, 1025) if g >= grid_n]
     for _ in range(samples):
         a = float(np.exp(rng.uniform(math.log(q_low), math.log(q_high))))
         b = float(np.exp(rng.uniform(math.log(q_low), math.log(q_high))))
-        if d == 1:
-            # a suspected violation gets re-tested at finer envelope grids:
-            # coarse lattices can miss a genuine f1 < g1 gap, never invent one
-            res = None
-            for i, gn in enumerate(refine):
-                tol = equality_floor if i == len(refine) - 1 else equality_tol
-                try:
-                    res = maximizer_bound_check(
-                        a, b, params, grid_n=gn, equality_tol=tol
-                    )
-                except NotApplicableError:
-                    res = None
-                    break
-                if res.bound_holds:
-                    break
-            if res is None:
-                records.append(AuditRecord(a, b, False, math.nan, True, 0))
-                continue
-            applicable += 1
+        cell = (a, b) if d == 1 else (a / 2.0, b / 2.0)
+        try:
+            res = maximizer_bound_check(*cell, params, grid_n)
             if not res.bound_holds:
-                violations += 1
-            records.append(
-                AuditRecord(a, b, True, res.K, res.bound_holds, res.case)
-            )
-        else:
-            f2 = fixed_power_value_2d(a, b, params)
-            kmax = max(c.K for c in f2.cells)
-            holds = kmax + params.N1 <= bound + 1e-6
-            is_applicable = True
-            for i, gn in enumerate(refine):
-                # the d=2 split optimizer carries ~1e-8 value noise of its
-                # own, so its equality floor is looser than the d=1 one
-                tol = max(equality_floor, 1e-7) if i == len(refine) - 1 else equality_tol
-                g2 = 2.0 * power_control_value(a / 2.0, b / 2.0, params, grid_n=gn)
-                if g2 - f2.value > tol:
-                    is_applicable = False
-                    break
-                if holds:
-                    break
-            if not is_applicable:
-                records.append(AuditRecord(a, b, False, math.nan, True, 0))
-                continue
-            applicable += 1
-            if not holds:
-                violations += 1
-            records.append(AuditRecord(a, b, True, kmax, holds, 0))
+                res = maximizer_bound_check(*cell, params, 8 * (grid_n - 1) + 1)
+        except NotApplicableError:
+            records.append(AuditRecord(a, b, False, math.nan, True, 0))
+            continue
+        applicable += 1
+        if not res.bound_holds:
+            violations += 1
+        records.append(
+            AuditRecord(a, b, True, res.K, res.bound_holds, res.case if d == 1 else 0)
+        )
     return AuditReport(
         records=tuple(records),
         applicable=applicable,
@@ -958,13 +876,13 @@ def power_control_map(
     params: HKParams,
     grid_n: int = 129,
     margin: int = 4,
-    equality_tol: float = 1e-5,
 ) -> list[PowerControlCell]:
     """Per-cell comparison of the fixed-power and power-control values.
 
-    Reports the capped argmax K at the f1-optimal matrices of each cell.
-    Degenerate q2 <= 0 columns take the interferer budget as 0 and use the
-    one-variable envelope along q1.
+    Reports the capped argmax K at the f1-optimal matrices of each cell;
+    f1 = g1 is decided by ``tangent_witness``.  Degenerate q2 <= 0 columns
+    take the interferer budget as 0 and use the one-variable envelope
+    along q1.
     """
     cells = []
     qs = sorted(float(q) for q in q_grid)
@@ -990,7 +908,7 @@ def power_control_map(
                         q2=q2,
                         f1=f1v,
                         g1=g1v,
-                        f1_eq_g1=bool(g1v - f1v <= equality_tol),
+                        f1_eq_g1=tangent_witness(q1, q2, p, grid_n) is None,
                         stationary_K=res.K,
                     )
                 )

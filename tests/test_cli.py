@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -411,12 +412,33 @@ def test_geometry_csv_with_summary_row(tmp_path):
     assert float(rows[-1]["fitted_inverse_t_coefficient"]) > 0
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_condition54_bad_tolerance_exit_2(tol, capsys):
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        pytest.param("0", "tolerance must be finite and positive", id="0"),
+        pytest.param("-1", "tolerance must be finite and positive", id="-1"),
+        pytest.param("nan", "tolerance must be finite and positive", id="nan"),
+        # below the float spacing at the bracket end 100 the root's check
+        # could not pass (it exited 3); the message names the least tolerance
+        pytest.param("1e-300", f"tolerance must be at least {math.ulp(100.0):.17g}", id="1e-300"),
+    ],
+)
+def test_condition54_bad_tolerance_exit_2(tol, message, capsys):
     # a tolerance of 0 or below used to bisect forever
     assert main(["condition54-root", f"--tolerance={tol}"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "tolerance must be finite and positive" in err
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("option", ["--A", "--B"])
+@pytest.mark.parametrize("text", ["1", "1:2:3", "x:1", "2:nan"])
+def test_hessian_bad_coefficients_exit_2(option, text, capsys):
+    # "--A 1" used to exit with "not enough values to unpack"
+    assert main(["hessian", option, text]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"ziclab: {option} wants order:coeff pairs such as 1:1.0")
+    assert f"'{text}'" in err
 
 
 @pytest.mark.parametrize(

@@ -282,10 +282,15 @@ def test_stability_root_matches_threshold():
 
 
 def test_stability_root_ends_below_float_spacing():
-    # a tol below the spacing of floats near the root stops once the
-    # midpoint rounds to an endpoint
-    root = cx.stability_root(1.0, tol=1e-300)
-    assert abs(root - stability_threshold(1.0)) <= 4 * math.ulp(stability_threshold(1.0))
+    # the least accepted tol is the float spacing at the bracket end; below
+    # it the bracket could not shrink to tol, so it is rejected
+    least = math.ulp(100.0)
+    for u in (0.5, 1.0, 2.0):
+        root = cx.stability_root(u, tol=least)
+        assert abs(root - stability_threshold(u)) <= least
+    for tol in (1e-300, 0.5 * least):
+        with pytest.raises(ValueError, match="tolerance must be at least"):
+            cx.stability_root(1.0, tol=tol)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             cx.stability_root(1.0, tol=tol)

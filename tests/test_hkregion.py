@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ziclab import hkregion as hk
 from ziclab._util import rng_for
@@ -203,31 +205,6 @@ def test_argmax_with_noise_variance_matches_grid(rng):
         val, kc = hk.capped_gauss_objective(cap, 0.9 * N / u, u, N1, N=N)
         assert kc == cap
         assert val == pytest.approx(psi_written_out(cap, 0.9 * N / u, u, N1, N), abs=1e-12)
-
-
-def test_capped_matrix_commuting_matches_coordinatewise():
-    j = hk.PsdMatrix(np.diag([10.0, 1.0]))
-    l = hk.PsdMatrix(np.diag([3.0, 0.5]))
-    res = hk.capped_gauss_objective_matrix(j, l, 1.0, 0.0)
-    v1, k1 = hk.capped_gauss_objective(10.0, 3.0, 1.0, 0.0)
-    v2, k2 = hk.capped_gauss_objective(1.0, 0.5, 1.0, 0.0)
-    assert res.value == pytest.approx(v1 + v2, abs=1e-10)
-    assert np.allclose(np.diag(res.argmax_K.entries), [k1, k2], atol=1e-10)
-
-
-def test_capped_matrix_gradient_ascent_noncommuting(rng):
-    # non-commuting inputs: ascent value must be at least any feasible
-    # diagonal-in-J-basis candidate and at most the aligned upper bound
-    j = random_psd(rng, 2, scale=2.0) + 2 * np.eye(2)
-    theta = 0.7
-    r = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    l = r @ np.diag([3.0, 0.6]) @ r.T
-    res = hk.capped_gauss_objective_matrix(j, l, 1.0, 0.0)
-    lo = hk.gauss_objective(hk.PsdMatrix(0.5 * j), hk.PsdMatrix(l), 1.0, 0.0)
-    assert res.value >= lo - 1e-9
-    evals = np.linalg.eigvalsh(res.argmax_K.entries)
-    jvals = np.linalg.eigvalsh(j - res.argmax_K.entries)
-    assert evals.min() >= -1e-9 and jvals.min() >= -1e-9
 
 
 # ----------------------------------------------------------------------
@@ -503,6 +480,8 @@ def test_envelope_grid_below_two_rejected():
             hk.envelope_for(1.0, 1.0, params, grid_n=grid_n)
         with pytest.raises(ValueError, match="at least 2 nodes"):
             hk.power_control_value_2d(1.0, 1.0, params, grid_n=grid_n)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            hk.tangent_witness(1.0, 1.0, params, grid_n=grid_n)
     assert hk.power_control_value(1.0, 1.0, params, grid_n=2) >= hk.fixed_power_value(
         1.0, 1.0, params
     ).value
@@ -521,6 +500,205 @@ def test_tensorization_spot_checks():
         g2 = hk.power_control_value_2d(2 * a, 2 * b, params, grid_n=97)
         g1 = hk.power_control_value(a, b, params, grid_n=129)
         assert g2 == pytest.approx(2 * g1, abs=5e-3)
+
+
+# ----------------------------------------------------------------------
+# f1 = g1 by the tangent plane at q
+# ----------------------------------------------------------------------
+
+
+def tangent_excess(q, p, params):
+    """f1(p) minus the tangent plane of f1 at q, evaluated at p."""
+    u, N1 = params.u, params.N1
+    fq = float(hk._corner_value(*q, u, N1))
+    d1, d2 = hk._corner_gradient(*q, u, N1)
+    return float(hk._corner_value(*p, u, N1)) - (fq + d1 * (p[0] - q[0]) + d2 * (p[1] - q[1]))
+
+
+# cells whose 1e-5 screen on the LP said f1 = g1: hk-region cell (1, 4)
+# (support outside the 4x window), lemma5-audit --u 2 --N1 0.5 --seed 2
+# record 11 (gap 3.5e-6), criterion 06 stream acc6-8 sample 19
+SCREENED_GAPPED = [
+    ((1.0, 4.0), hk.HKParams(u=1.0, N1=1.0)),
+    ((2.066687349572014, 0.5967584113683521), hk.HKParams(u=2.0, N1=0.5)),
+    ((1.4874438405902806, 4.806094193279798), hk.HKParams(u=2.0, N1=0.5)),
+]
+
+positive = dict(allow_nan=False, allow_infinity=False)
+# fixed examples and no example database, so every run checks the same cells
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    u=st.floats(0.3, 4.0, **positive),
+    N1=st.just(0.0) | st.floats(0.0, 2.0, **positive),
+    # for L in (1, 1.1) the cap K*(L) > 20 moves so fast with L that the jump
+    # of f1's second derivative there slows central differences to O(h)
+    L=st.floats(0.05, 1.0, **positive) | st.floats(1.1, 20.0, **positive),
+    ratio=st.just(1.0) | st.floats(0.2, 3.0, **positive),
+)
+@example(u=1.0, N1=0.0, L=3.0, ratio=1.0)
+@example(u=2.0, N1=0.5, L=4.0, ratio=1.0)
+@example(u=1.0, N1=1.0, L=0.5, ratio=1.0)
+@example(u=0.5, N1=2.0, L=10.0, ratio=1.0)
+def test_corner_gradient_matches_central_differences(u, N1, L, ratio):
+    # q1 = ratio K*(L): below the cap, above it, and on it (ratio 1), where
+    # f1 is C^1 but its second derivative jumps; K*(L) <= 0 puts K at 0
+    kstar = float(hk.unconstrained_argmax(L, u, N1))
+    q1 = ratio * (kstar if 0.0 < kstar < math.inf else 1.0 + N1)
+    d1, d2 = hk._corner_gradient(q1, L, u, N1)
+    h1, h2 = 1e-6 * q1, 1e-6 * L
+    fd1 = (hk._corner_value(q1 + h1, L, u, N1) - hk._corner_value(q1 - h1, L, u, N1)) / (2 * h1)
+    fd2 = (hk._corner_value(q1, L + h2, u, N1) - hk._corner_value(q1, L - h2, u, N1)) / (2 * h2)
+    assert d1 == pytest.approx(fd1, rel=1e-5, abs=1e-7)
+    assert d2 == pytest.approx(fd2, rel=1e-5, abs=1e-7)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    K=st.floats(0.0, 1e3, **positive),
+    L=st.floats(0.0, 1e3, **positive),
+    u=st.floats(0.1, 10.0, **positive),
+    N1=st.floats(1e-3, 5.0, **positive),
+)
+def test_psi_below_tail_bound(K, L, u, N1):
+    assert hk.gauss_objective(K, L, u, N1) < u * math.log1p(L / u)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    u=st.floats(0.3, 4.0, **positive),
+    N1=st.just(0.0) | st.floats(0.0, 2.0, **positive),
+    lq1=st.floats(math.log(0.05), math.log(30.0), **positive),
+    lq2=st.floats(math.log(0.05), math.log(30.0), **positive),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tail_box_plane_wins_outside(u, N1, lq1, lq2, seed):
+    # points beyond the box in either coordinate, from its edge out to 100
+    # times its size, lie strictly below the tangent plane at q
+    q1, q2 = math.exp(lq1), math.exp(lq2)
+    fq = float(hk._corner_value(q1, q2, u, N1))
+    d1, d2 = hk._corner_gradient(q1, q2, u, N1)
+    P1, P2 = hk._tail_box(q1, q2, fq, d1, d2, u, N1)
+    assert P1 >= q1 and P2 >= q2
+    rng = np.random.default_rng(seed)
+    n = 200
+    beyond1 = P1 + 100.0 * P1 * 10.0 ** rng.uniform(-6.0, 0.0, n)
+    beyond2 = P2 + 100.0 * P2 * 10.0 ** rng.uniform(-6.0, 0.0, n)
+    x = np.concatenate([beyond1, rng.uniform(0.0, 101.0 * P1, n), beyond1])
+    y = np.concatenate([rng.uniform(0.0, 101.0 * P2, n), beyond2, np.zeros(n)])
+    plane = fq + d1 * (x - q1) + d2 * (y - q2)
+    assert np.all(hk._corner_value(x, y, u, N1) < plane)
+
+
+def assert_chord_beats_f1(q, w, params):
+    """The chord from the witness w through q, a step t past q, is an
+    explicit two-point randomization: weight t/(1+t) at w and 1/(1+t) at
+    r = q + t (q - w) average to q.  Its value beats f1(q) for a small t."""
+    u, N1 = params.u, params.N1
+    q, w = np.array(q), np.array(w)
+    fq = float(hk._corner_value(*q, u, N1))
+    fw = float(hk._corner_value(*w, u, N1))
+    best = -math.inf
+    for k in range(1, 41):
+        t = 2.0**-k
+        r = q + t * (q - w)
+        if np.any(r < 0):
+            continue
+        lam = t / (1.0 + t)
+        assert lam * w + (1.0 - lam) * r == pytest.approx(q, rel=1e-14)
+        fr = float(hk._corner_value(*r, u, N1))
+        gain = lam * fw + (1.0 - lam) * fr - fq
+        best = max(best, gain - 8 * np.finfo(float).eps * (abs(fw) + abs(fr) + abs(fq)))
+    assert best > 0
+
+
+@pytest.mark.parametrize("q, params", SCREENED_GAPPED)
+def test_witness_chord_beats_f1_on_screened_cells(q, params):
+    w = hk.tangent_witness(*q, params, grid_n=129)
+    assert w is not None
+    assert tangent_excess(q, w, params) > 0
+    assert_chord_beats_f1(q, w, params)
+
+
+def test_witness_chord_beats_f1_random_cells(rng):
+    witnesses = 0
+    for trial in range(40):
+        u = float(rng.uniform(0.3, 3.0))
+        N1 = 0.0 if trial % 3 == 0 else float(rng.uniform(0.0, 2.0))
+        params = hk.HKParams(u=u, N1=N1)
+        q = tuple(float(np.exp(rng.uniform(math.log(0.05), math.log(30.0)))) for _ in range(2))
+        w = hk.tangent_witness(*q, params, grid_n=65)
+        if w is not None:
+            witnesses += 1
+            assert_chord_beats_f1(q, w, params)
+        # the q1 axis: the same test in one variable
+        w = hk.tangent_witness(q[0], 0.0, params, grid_n=65)
+        if w is not None:
+            assert w[1] == 0.0
+            assert_chord_beats_f1((q[0], 0.0), w, params)
+    assert witnesses >= 5
+
+
+def test_lp_gap_has_support_above_tangent_plane(rng):
+    # g1 - f1 = sum_i w_i (f1(p_i) - l(p_i)) for the LP support p_i, since
+    # the plane l averages to l(q) = f1(q); so some p_i lies above l
+    gapped = 0
+    for trial in range(40):
+        u = float(rng.uniform(0.3, 3.0))
+        N1 = 0.0 if trial % 3 == 0 else float(rng.uniform(0.0, 2.0))
+        params = hk.HKParams(u=u, N1=N1)
+        q = tuple(float(np.exp(rng.uniform(math.log(0.05), math.log(30.0)))) for _ in range(2))
+        env = hk.power_control_envelope(*q, params, grid_n=65)
+        gap = env.value - hk.fixed_power_value(*q, params).value
+        if gap <= 1e-12:
+            continue
+        gapped += 1
+        top = max(tangent_excess(q, (s.q1, s.q2), params) for s in env.support)
+        assert top >= gap - 1e-12
+        assert hk.tangent_witness(*q, params, grid_n=65) is not None
+    assert gapped >= 5
+
+
+def test_screened_cells_read_gapped():
+    # hk-region --u 1 --N1 1 cell (1, 4) reads f1 < g1
+    cells = hk.power_control_map([1.0], [1.0, 4.0], hk.HKParams(u=1.0, N1=1.0))
+    assert not {(c.q1, c.q2): c for c in cells}[(1.0, 4.0)].f1_eq_g1
+    # lemma5-audit --u 2 --N1 0.5 --seed 2: record 11 is not applicable
+    params = hk.HKParams(u=2.0, N1=0.5)
+    rep = hk.eigenvalue_bound_audit(1, params, 12, rng_for(2, "lemma5-audit"))
+    rec = rep.records[11]
+    assert (rec.q1, rec.q2) == SCREENED_GAPPED[1][0]
+    assert not rec.applicable
+    with pytest.raises(hk.NotApplicableError, match="above its tangent plane"):
+        hk.maximizer_bound_check(rec.q1, rec.q2, params)
+
+
+def test_d2_applicable_records_match_tensorization():
+    # on an applicable d = 2 record f1 = g1 at q/2, so f2(q) = g2(q) = 2 f1(q/2):
+    # the split grid holds q/2, and the max-plus envelope, a lattice lower
+    # bound on g2, lies between 2 f1(q/2) and the best split on its lattice
+    found = 0
+    for (u, N1), stream in (((1.0, 0.0), "d2-a"), ((2.0, 0.5), "d2-b"), ((0.5, 0.2), "d2-c")):
+        params = hk.HKParams(u=u, N1=N1)
+        rep = hk.eigenvalue_bound_audit(2, params, 8, rng_for(5, stream))
+        for r in rep.records:
+            if not r.applicable:
+                continue
+            found += 1
+            half = 2.0 * float(hk._corner_value(r.q1 / 2, r.q2 / 2, u, N1))
+            f2 = hk.fixed_power_value_2d(r.q1, r.q2, params).value
+            assert f2 == pytest.approx(half, rel=0, abs=1e-12)
+            g2 = hk.power_control_value_2d(r.q1, r.q2, params, grid_n=49)
+            xg = hk._uniform_lattice_with_node(4 * max(r.q1, 1.0), r.q1, 49)
+            yg = hk._uniform_lattice_with_node(4 * max(r.q2, 1.0), r.q2, 49)
+            a, b = xg[xg <= r.q1][:, None], yg[yg <= r.q2][None, :]
+            with np.errstate(divide="ignore"):
+                split = hk._corner_value(a, b, u, N1) + hk._corner_value(r.q1 - a, r.q2 - b, u, N1)
+            assert float(split.max()) - 1e-12 <= g2 <= half + 1e-12
+            assert r.max_eigenvalue == hk.capped_gauss_objective(r.q1 / 2, r.q2 / 2, u, N1)[1]
+    assert found >= 10
 
 
 # ----------------------------------------------------------------------
