@@ -47,9 +47,3 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def geomspace_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if lo <= 0 or hi <= lo or n < 2:
-        raise ValueError("need 0 < lo < hi and n >= 2")
-    return np.geomspace(lo, hi, n)

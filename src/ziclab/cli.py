@@ -374,25 +374,22 @@ def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
-    params = hk.HKParams(u=args.u, N1=args.N1, N2=max(args.u, 1e-12), q1=1.0, q2=1.0)
+    params = hk.HKParams(u=args.u, N1=args.N1)
 
-    def cell(pair):
-        q1, q2 = pair
-        res = hk.fixed_power_value(q1, q2, params)
-        g1 = hk.power_control_value(q1, q2, params, grid_n=args.envelope_grid)
+    def row(pair):
+        c = hk.power_control_cell(*pair, params, args.envelope_grid)
         return {
-            "q1": q1,
-            "q2": q2,
-            "f1": res.value,
-            "g1": g1,
-            "argmax_J": res.J,
-            "argmax_L": res.L,
-            "argmax_K": res.K,
-            "f1_eq_g1": hk.tangent_witness(q1, q2, params, args.envelope_grid) is None,
+            "q1": c.q1,
+            "q2": c.q2,
+            "f1": c.f1,
+            "g1": c.g1,
+            "argmax_J": c.q1,
+            "argmax_L": c.q2,
+            "argmax_K": c.stationary_K,
+            "f1_eq_g1": c.f1_eq_g1,
         }
 
-    pairs = [(q1, q2) for q1 in args.q1 for q2 in args.q2]
-    results = parallel_map(cell, pairs)
+    results = parallel_map(row, [(q1, q2) for q1 in args.q1 for q2 in args.q2])
     checks = [
         _check(
             "envelope_majorizes",
@@ -404,7 +401,7 @@ def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
-    params = hk.HKParams(u=args.u, N1=args.N1, N2=max(args.u, 1e-12), q1=1.0, q2=1.0)
+    params = hk.HKParams(u=args.u, N1=args.N1)
     rng = rng_for(args.seed, "lemma5-audit")
     report = hk.eigenvalue_bound_audit(
         1, params, args.samples, rng, grid_n=args.envelope_grid
@@ -432,7 +429,7 @@ def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
-    params = hk.HKParams(u=args.u, N1=args.N1, N2=max(args.u, 1e-12), q1=1.0, q2=1.0)
+    params = hk.HKParams(u=args.u, N1=args.N1)
     rng = rng_for(args.seed, "theorem4-audit")
     report = hk.eigenvalue_bound_audit(
         args.d, params, args.samples, rng, grid_n=args.envelope_grid
@@ -459,7 +456,7 @@ def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
-    params = hk.HKParams(u=args.u, N1=args.N1, N2=args.N2, q1=1.0, q2=1.0)
+    params = hk.HKParams(u=args.u, N1=args.N1, N2=args.N2)
     res = hk.constant_power_gap(params, A=args.A, n=args.n)
     results = [
         {
@@ -490,9 +487,8 @@ def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
-    params = hk.HKParams(u=1.0, N1=args.N1, N2=1.0, q1=1.0, q2=1.0)
     cells = hk.power_control_map(
-        args.u, args.q, params, grid_n=args.envelope_grid
+        args.u, args.q, hk.HKParams(u=1.0, N1=args.N1), grid_n=args.envelope_grid
     )
     results = [
         {
@@ -610,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default="-", help="report path, or - for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -685,6 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(handler=cmd_lemma5_audit)
 
@@ -694,6 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(handler=cmd_theorem4_audit)
 

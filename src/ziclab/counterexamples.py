@@ -33,16 +33,13 @@ from .gaussmix import (
     gaussian,
 )
 from .entropy import (
-    GridDensity,
     NegativeDensityError,
-    convolve_grids,
     differential_entropy,
     fisher_information,
     gaussian_entropy,
     grid_from_mixture,
     log_weighted_deriv_integral,
     mixture_entropy,
-    mixture_to_grid,
 )
 from .hessian import gauss_argmax, gauss_psi
 
@@ -71,7 +68,6 @@ class ChannelParams:
     N2: float = 0.0
     Sigma1: float = 0.0
     A2: float = math.inf
-    d: int = 1
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.u, self.N1, self.N2, self.Sigma1))):
@@ -82,77 +78,31 @@ class ChannelParams:
             raise ValueError("u, N1, N2, Sigma1 must be nonnegative")
         if self.A2 < 0:
             raise ValueError("A2 must be nonnegative")
-        if self.d != 1:
-            raise ValueError("non-Gaussian evaluation is one-dimensional (d=1)")
-
-
-def _second_moment(x: Union[GridDensity, Mixture]) -> float:
-    if isinstance(x, GridDensity):
-        return x.moment(2)
-    return x.second_moment()
-
-
-def _entropy_of(x: Union[GridDensity, Mixture], n: int, width: float) -> float:
-    if isinstance(x, GridDensity):
-        return differential_entropy(x)
-    return mixture_entropy(x, n=n, width=width)
-
-
-def _convolve_noise(x: Union[GridDensity, Mixture], variance: float):
-    if variance == 0.0:
-        return x
-    if isinstance(x, GaussDerivMixture):
-        return x.convolve(gaussian(variance))
-    if isinstance(x, GaussMixture):
-        return x.convolve_gaussian(variance)
-    # grid route: tabulate the Gaussian kernel on the same step
-    s = math.sqrt(variance)
-    half = int(math.ceil(12.0 * s / x.step))
-    lo = -half * x.step
-    kn = 2 * half + 1
-    kern = mixture_to_grid(gaussian(variance), lo, lo + (kn - 1) * x.step, kn)
-    return convolve_grids(x, kern)
-
-
-def _convolve_signals(a, b):
-    if isinstance(a, GridDensity) or isinstance(b, GridDensity):
-        if not isinstance(a, GridDensity):
-            a = grid_from_mixture(a)
-        if not isinstance(b, GridDensity):
-            half = int(math.ceil((b.window()[1] - b.window()[0]) / (2 * a.step)))
-            lo = b.window()[0]
-            kn = 2 * half + 1
-            b = mixture_to_grid(b, lo, lo + (kn - 1) * a.step, kn)
-        return convolve_grids(a, b)
-    return a.convolve(b)
 
 
 def interference_objective(
-    params: ChannelParams,
-    x1: Union[GridDensity, Mixture],
-    x2: Union[GridDensity, Mixture],
-    n: int = 8192,
-    width: float = 12.0,
+    params: ChannelParams, x1: Mixture, x2: Mixture, n: int = 8192
 ) -> float:
     """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) - Sigma1 E[X1^2].
 
-    Zero noise variances skip the corresponding convolution.  Raises
+    X1 and X2 are mixtures of one family, convolved exactly; zero noise
+    variances skip the corresponding convolution.  Raises
     PowerViolationError when E[X2^2] exceeds A2 beyond 1e-9.
     """
-    p2 = _second_moment(x2)
+    p2 = x2.second_moment()
     if p2 > params.A2 + 1e-9:
         raise PowerViolationError(f"E[X2^2] = {p2} exceeds A2 = {params.A2}")
-    x1z1 = _convolve_noise(x1, params.N1)
-    x1z1z2 = _convolve_noise(x1z1, params.N2)
-    trip = _convolve_signals(x1z1z2, x2)
-    ha = _entropy_of(trip, n, width)
-    hb = _entropy_of(x1z1, n, width)
-    hc = _entropy_of(x1z1z2, n, width)
+    x1z1 = x1.convolve_gaussian(params.N1)
+    x1z1z2 = x1z1.convolve_gaussian(params.N2)
+    trip = x1z1z2.convolve(x2)
+    ha = mixture_entropy(trip, n=n)
+    hb = mixture_entropy(x1z1, n=n)
+    hc = mixture_entropy(x1z1z2, n=n)
     return (
         params.u * ha
         + hb
         - (1.0 + params.u) * hc
-        - params.Sigma1 * _second_moment(x1)
+        - params.Sigma1 * x1.second_moment()
     )
 
 
@@ -300,9 +250,9 @@ def partner_series(
     )
 
 
-def _min_density(m: GaussDerivMixture, n: int = 4096, width: float = 12.0) -> float:
-    lo, hi = m.window(width)
-    return float(m.pdf(np.linspace(lo, hi, n)).min())
+def _min_density(m: GaussDerivMixture) -> float:
+    """Least density value on 4096 points over the +-12 sigma window."""
+    return float(m.pdf(np.linspace(*m.window(), 4096)).min())
 
 
 def select_epsilon(K: float, L: float, delta: float, J: int) -> float:
@@ -487,12 +437,12 @@ def stability_root(u: float, lo: float = 0.2, hi: float = 100.0, tol: float = 1e
 # ----------------------------------------------------------------------
 
 
-def entropy_fisher_functional(L: float, x: GridDensity, n: int = 16384) -> float:
-    """h(X + Y) - h(X) - J(X)/2 with Y = gamma_L at full budget."""
-    if L <= 0:
-        raise ValueError("L must be positive")
-    y = _convolve_noise(x, L)
-    return differential_entropy(y) - differential_entropy(x) - 0.5 * fisher_information(x)
+def limit_functional(x: Mixture, y: Mixture, n: int = 16384) -> float:
+    """h(X + Y) - h(X) - J(X)/2 for independent X and Y, each entropy and
+    the Fisher information on an n-point grid over the law's window."""
+    xy = x.convolve(y)
+    xg = grid_from_mixture(x, n=n)
+    return mixture_entropy(xy, n=n) - differential_entropy(xg) - 0.5 * fisher_information(xg)
 
 
 def fisher_limit_gaussian(K: float, L: float) -> float:
@@ -541,14 +491,8 @@ def fisher_limit_gain(
     gaussian_value = fisher_limit_gaussian(K, L)
     gains = []
     for e in (eps0, eps0 / 2.0, eps0 / 4.0):
-        x = perturbed_source(K, delta, e)
-        y = partner_series(L, delta, e, J)
-        xy = x.convolve(y)
-        xg = grid_from_mixture(x, n=n)
-        val = (
-            mixture_entropy(xy, n=n)
-            - differential_entropy(xg)
-            - 0.5 * fisher_information(xg)
+        val = limit_functional(
+            perturbed_source(K, delta, e), partner_series(L, delta, e, J), n=n
         )
         gains.append(val - gaussian_value)
     coeff = richardson_even(*[g / e**2 for g, e in zip(gains, (eps0, eps0 / 2, eps0 / 4))])

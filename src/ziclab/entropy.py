@@ -102,10 +102,6 @@ class GridDensity:
         object.__setattr__(self, "values", vals)
 
     @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
-
-    @property
     def step(self) -> float:
         return (self.hi - self.lo) / (self.n - 1)
 
@@ -122,11 +118,6 @@ class GridDensity:
         if right is not None:
             total += _tail_moments(right, self.hi, upper=True)[0]
         return total
-
-    def moment(self, k: int) -> float:
-        """Raw grid moment (tails ignored; windows are wide enough)."""
-        x = self.x
-        return float(np.trapezoid(self.values * x**k, dx=self.step))
 
 
 def mixture_to_grid(m: Mixture, lo: float, hi: float, n: int) -> GridDensity:
@@ -169,8 +160,8 @@ def _dominant_tails(m: Mixture) -> tuple[TailSide, TailSide]:
     )
 
 
-def grid_from_mixture(m: Mixture, n: int = 8192, width: float = 12.0) -> GridDensity:
-    lo, hi = m.window(width)
+def grid_from_mixture(m: Mixture, n: int = 8192) -> GridDensity:
+    lo, hi = m.window()
     return mixture_to_grid(m, lo, hi, n)
 
 
@@ -216,9 +207,9 @@ def fisher_information(p: GridDensity) -> float:
     return j
 
 
-def mixture_entropy(m: Mixture, n: int = 8192, width: float = 12.0) -> float:
+def mixture_entropy(m: Mixture, n: int = 8192) -> float:
     """Entropy of a mixture via tabulation on its natural window."""
-    return differential_entropy(grid_from_mixture(m, n=n, width=width))
+    return differential_entropy(grid_from_mixture(m, n=n))
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -241,16 +232,14 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     return GridDensity(lo, hi, n, np.clip(vals, 0.0, None), None)
 
 
-def log_weighted_deriv_integral(
-    p: GaussMixture, k: int, n: int = 32768, width: float = 14.0
-) -> float:
-    """Quadrature of int p^{(k)}(x) ln p(x) dx for a location mixture.
+def log_weighted_deriv_integral(p: GaussMixture, k: int) -> float:
+    """Quadrature of int p^{(k)}(x) ln p(x) dx for a location mixture, on
+    32768 points over the +-14 sigma window.
 
     The k-th derivative is evaluated exactly per component; only the log
     weight comes from the tabulated density.
     """
-    lo, hi = p.window(width)
-    x = np.linspace(lo, hi, n)
+    x = np.linspace(*p.window(14.0), 32768)
     vals = p.pdf(x)
     dk = p.pdf_deriv(x, k)
     ok = vals > _TINY
@@ -272,7 +261,6 @@ def smoothing_curve(
     q: Mixture,
     t_grid: np.ndarray,
     n: int = 8192,
-    width: float = 12.0,
 ) -> np.ndarray:
     """Rows (t, h(p_t) - h(p)) for the smoothing p_t(y) = int p(y + sqrt(t) u) q(u) du.
 
@@ -298,8 +286,8 @@ def smoothing_curve(
 
     if isinstance(p, (GaussDerivMixture, GaussMixture)):
         smoothed = [p.convolve(q.scaled(math.sqrt(ti)).reflected()) for ti in t]
-        lo0, hi0 = p.window(width)
-        lo1, hi1 = smoothed[-1].window(width)
+        lo0, hi0 = p.window()
+        lo1, hi1 = smoothed[-1].window()
         lo, hi = min(lo0, lo1), max(hi0, hi1)
         h0 = differential_entropy(mixture_to_grid(p, lo, hi, n))
         dh = np.array(
@@ -313,7 +301,7 @@ def smoothing_curve(
         dh = np.empty(len(t))
         for i, ti in enumerate(t):
             qt = q.scaled(math.sqrt(ti)).reflected()
-            qlo, qhi = qt.window(width)
+            qlo, qhi = qt.window()
             # tabulate the kernel on the same step as p
             kn = max(int(math.ceil((qhi - qlo) / p.step)) + 1, 9)
             qgrid = mixture_to_grid(qt, qlo, qlo + (kn - 1) * p.step, kn)
@@ -326,7 +314,6 @@ def smoothing_expansion(
     q: Mixture,
     t_grid: np.ndarray,
     n: int = 8192,
-    width: float = 12.0,
 ) -> EntropyExpansion:
     """Entropy expansion of p smoothed by the law of sqrt(t)*q.
 
@@ -340,7 +327,7 @@ def smoothing_expansion(
     t = np.asarray(t_grid, dtype=float)
     if len(t) < 6:
         raise ValueError("need at least 6 t values")
-    curve = smoothing_curve(p, q, t, n=n, width=width)
+    curve = smoothing_curve(p, q, t, n=n)
     c1, c15, slope = fit_expansion(curve[:, 0], curve[:, 1])
     if abs(slope - 2.0) > 0.25:
         raise FitRejectedError(

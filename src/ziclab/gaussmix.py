@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,12 +131,6 @@ class GaussDerivMixture:
             out += coeff * gauss_deriv_pdf(x, variance, order)
         return out
 
-    def deriv(self, k: int) -> "GaussDerivMixture":
-        """The k-th distributional derivative (still in the family)."""
-        return GaussDerivMixture(
-            tuple(DerivTerm(c, o + k, v) for c, o, v in self.terms)
-        )
-
     def convolve(self, other: "GaussDerivMixture") -> "GaussDerivMixture":
         if not isinstance(other, GaussDerivMixture):
             raise TypeError(
@@ -149,6 +143,12 @@ class GaussDerivMixture:
             for c2, o2, v2 in other.terms
         ]
         return GaussDerivMixture(tuple(terms))
+
+    def convolve_gaussian(self, variance: float) -> "GaussDerivMixture":
+        """Law of X + Z with Z ~ gamma_variance; variance 0 returns self."""
+        if variance == 0.0:
+            return self
+        return self.convolve(gaussian(variance))
 
     def scaled(self, s: float) -> "GaussDerivMixture":
         """Law of s*X: c D^m gamma_v maps to c s^m D^m gamma_{s^2 v}."""
@@ -194,10 +194,6 @@ class GaussDerivMixture:
 def gaussian(variance: float) -> GaussDerivMixture:
     """The centered Gaussian gamma_variance as a one-term mixture."""
     return GaussDerivMixture((DerivTerm(1.0, 0, float(variance)),))
-
-
-def convolve(a: GaussDerivMixture, b: GaussDerivMixture) -> GaussDerivMixture:
-    return a.convolve(b)
 
 
 def hermite_weighted_norm(k: int, K: float) -> float:
@@ -274,6 +270,7 @@ class GaussMixture:
         return GaussMixture(tuple(w), tuple(m), tuple(v))
 
     def convolve_gaussian(self, variance: float) -> "GaussMixture":
+        """Law of X + Z with Z ~ gamma_variance; variance 0 returns self."""
         if variance == 0.0:
             return self
         return self.convolve(GaussMixture((1.0,), (0.0,), (float(variance),)))
@@ -305,17 +302,5 @@ class GaussMixture:
             out[i - 1] = acc / mass
         return out
 
-    def mean(self) -> float:
-        return float(self.moments(1)[0])
-
     def second_moment(self) -> float:
         return float(self.moments(2)[1])
-
-    def third_moment(self) -> float:
-        return float(self.moments(3)[2])
-
-
-def gauss_location_mixture(
-    weights: Iterable[float], means: Iterable[float], variances: Iterable[float]
-) -> GaussMixture:
-    return GaussMixture(tuple(weights), tuple(means), tuple(variances))

@@ -106,12 +106,6 @@ class HermiteCoeffVector:
     def get(self, alpha: int) -> float:
         return self.coeffs.get(alpha, 0.0)
 
-    def without_first_order(self) -> "HermiteCoeffVector":
-        """Projection onto the variance-preserving subspace (alpha=1 zeroed)."""
-        return HermiteCoeffVector(
-            {a: c for a, c in self.coeffs.items() if a != 1}, self.base_variance
-        )
-
 
 @dataclass(frozen=True)
 class HessianReport:

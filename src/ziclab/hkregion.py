@@ -18,7 +18,7 @@ g2 is the envelope of the max-plus table, 2 g1(q/2) by tensorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -34,6 +34,11 @@ MAX_PIVOTS = 1000
 # consecutive degenerate pivots after which the entering point follows
 # Bland's rule until a pivot makes progress, so the simplex cannot cycle
 BLAND_AFTER = 8
+# an envelope lattice spans [0, MARGIN * max(q, 1)] per axis; the margin
+# doubles up to MAX_MARGIN while support sits on the outer boundary
+MARGIN, MAX_MARGIN = 4, 32
+# the audits draw each power log-uniformly from this range
+AUDIT_Q_LOW, AUDIT_Q_HIGH = 0.05, 30.0
 
 
 class DimensionMismatchError(ValueError):
@@ -89,10 +94,6 @@ class PsdMatrix:
         object.__setattr__(self, "_eigvecs", vecs)
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         return self._eigvals.copy()
 
@@ -136,18 +137,16 @@ class HKParams:
     u: float
     N1: float = 0.0
     N2: float = 1.0
-    q1: float = 1.0
-    q2: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.u, self.N1, self.N2, self.q1, self.q2))):
-            raise ValueError("u, N1, N2, q1, q2 must be finite")
+        if not all(map(math.isfinite, (self.u, self.N1, self.N2))):
+            raise ValueError("u, N1, N2 must be finite")
         if self.u <= 0:
             raise ValueError("u must be positive")
         if self.N1 < 0:
             raise ValueError("N1 must be nonnegative")
-        if self.N2 <= 0 or self.q1 <= 0 or self.q2 <= 0:
-            raise ValueError("N2, q1, q2 must be positive")
+        if self.N2 <= 0:
+            raise ValueError("N2 must be positive")
 
 
 def _lndet_shifted(m: np.ndarray, shift: float) -> float:
@@ -435,51 +434,39 @@ def _lattice_with_node(width: float, q: float, n: int) -> np.ndarray:
 
 
 def envelope_for(
-    q1: float,
-    q2: float,
-    params: HKParams,
-    grid_n: int = 257,
-    margin: int = 4,
-    scale_floor: float = 1.0,
+    q1: float, q2: float, params: HKParams, grid_n: int = 257, margin: int = MARGIN
 ) -> Envelope2D:
-    """Build the f1 envelope on [0, margin*max(q, scale_floor)]^2.
+    """Build the f1 envelope on [0, margin*max(q, 1)]^2.
 
-    The floor keeps the window wide enough for tiny queries, whose
+    The floor of 1 keeps the window wide enough for tiny queries, whose
     envelope support points sit at O(1)-scale powers."""
     if q1 <= 0 or q2 <= 0:
         raise ValueError("envelope queries need positive powers")
     check_envelope_grid(grid_n)
-    xg = _lattice_with_node(margin * max(q1, scale_floor), q1, grid_n)
-    yg = _lattice_with_node(margin * max(q2, scale_floor), q2, grid_n)
+    xg = _lattice_with_node(margin * max(q1, 1.0), q1, grid_n)
+    yg = _lattice_with_node(margin * max(q2, 1.0), q2, grid_n)
     return Envelope2D(xg, yg, f1_table(xg, yg, params))
 
 
 def power_control_envelope(
-    q1: float,
-    q2: float,
-    params: HKParams,
-    grid_n: int = 257,
-    margin: int = 4,
-    max_margin: int = 32,
+    q1: float, q2: float, params: HKParams, grid_n: int = 257
 ) -> EnvelopeValue:
-    """Envelope value with support points; the margin doubles (up to
-    max_margin) when support hits the outer tabulation boundary, after
-    which GridTooSmallError propagates."""
-    m = margin
+    """Envelope value with support points; the margin doubles from MARGIN
+    (up to MAX_MARGIN) when support hits the outer tabulation boundary,
+    after which GridTooSmallError propagates."""
+    m = MARGIN
     while True:
         try:
             return envelope_for(q1, q2, params, grid_n, m).value(q1, q2)
         except GridTooSmallError:
-            if m >= max_margin:
+            if m >= MAX_MARGIN:
                 raise
             m *= 2
 
 
-def power_control_value(
-    q1: float, q2: float, params: HKParams, grid_n: int = 257, margin: int = 4
-) -> float:
+def power_control_value(q1: float, q2: float, params: HKParams, grid_n: int = 257) -> float:
     """g1(q1, q2): least concave majorant of f1 evaluated at (q1, q2)."""
-    return power_control_envelope(q1, q2, params, grid_n, margin).value
+    return power_control_envelope(q1, q2, params, grid_n).value
 
 
 def concave_envelope_1d(xs: np.ndarray, fs: np.ndarray, q: float) -> float:
@@ -539,14 +526,13 @@ def tangent_witness(
     whose spacing grows in proportion to p + q, and returns the node of
     largest excess f1 - l above 8 ulps of the magnitudes of the terms of f1
     and l (the log arguments of f1 other than K+N1 lie in [u, p1+p2+N1+u]).
-    A lattice can miss a gap but never invents one.  For q2 <= 0 the
+    A lattice can miss a gap but never invents one.  For q2 = 0 the
     envelope runs along the q1 axis, and so does the scan.
     """
-    if not q1 > 0:
-        raise ValueError(f"the tangent-plane test needs q1 > 0, got {q1}")
+    if not (q1 > 0 and q2 >= 0):
+        raise ValueError(f"the tangent-plane test needs q1 > 0 and q2 >= 0, got ({q1}, {q2})")
     check_envelope_grid(grid_n)
     u, N1 = params.u, params.N1
-    q2 = max(q2, 0.0)
     fq = float(_corner_value(q1, q2, u, N1))
     d1, d2 = _corner_gradient(q1, q2, u, N1)
     p1, p2 = _tail_box(q1, q2, fq, d1, d2, u, N1)
@@ -659,15 +645,15 @@ def _uniform_lattice_with_node(
 
 
 def power_control_value_2d(
-    q1: float, q2: float, params: HKParams, grid_n: int = 97, margin: int = 4
+    q1: float, q2: float, params: HKParams, grid_n: int = 97
 ) -> float:
     """g2(q1, q2): envelope of the max-plus f2 table (independent of the
     tensorization identity, which the tests verify against 2 g1)."""
     if q1 <= 0 or q2 <= 0:
         raise ValueError("envelope queries need positive powers")
     check_envelope_grid(grid_n)
-    xg = _uniform_lattice_with_node(margin * max(q1, 1.0), q1, grid_n)
-    yg = _uniform_lattice_with_node(margin * max(q2, 1.0), q2, grid_n)
+    xg = _uniform_lattice_with_node(MARGIN * max(q1, 1.0), q1, grid_n)
+    yg = _uniform_lattice_with_node(MARGIN * max(q2, 1.0), q2, grid_n)
     f1tab = f1_table(xg, yg, params)
     f2tab = maxplus_self_convolution(f1tab)
     env = Envelope2D(xg, yg, f2tab)
@@ -702,8 +688,6 @@ def eigenvalue_bound_audit(
     params: HKParams,
     samples: int,
     rng: np.random.Generator,
-    q_low: float = 0.05,
-    q_high: float = 30.0,
     grid_n: int = 129,
 ) -> AuditReport:
     """Random audit of the maximizer-eigenvalue bound 1 + sqrt(1+u) - N1.
@@ -729,8 +713,8 @@ def eigenvalue_bound_audit(
     violations = 0
     applicable = 0
     for _ in range(samples):
-        a = float(np.exp(rng.uniform(math.log(q_low), math.log(q_high))))
-        b = float(np.exp(rng.uniform(math.log(q_low), math.log(q_high))))
+        a = float(np.exp(rng.uniform(math.log(AUDIT_Q_LOW), math.log(AUDIT_Q_HIGH))))
+        b = float(np.exp(rng.uniform(math.log(AUDIT_Q_LOW), math.log(AUDIT_Q_HIGH))))
         cell = (a, b) if d == 1 else (a / 2.0, b / 2.0)
         try:
             res = maximizer_bound_check(*cell, params, grid_n)
@@ -870,46 +854,54 @@ class PowerControlCell:
     stationary_K: float
 
 
+def power_control_cell(
+    q1: float, q2: float, params: HKParams, grid_n: int = 129
+) -> PowerControlCell:
+    """f1, g1 and the f1 = g1 verdict of one cell q1 > 0, q2 >= 0, with the
+    capped argmax K at the f1-optimal matrices.
+
+    g1 is the lattice envelope value (``power_control_value``); a q2 = 0
+    cell has no interferer budget to trade, so its envelope runs along the
+    q1 axis (``concave_envelope_1d`` on [0, MARGIN q1]).  f1 = g1 is decided
+    by ``tangent_witness``.
+    """
+    if not (q1 > 0 and q2 >= 0):
+        raise ValueError(f"power-control cells need q1 > 0 and q2 >= 0, got ({q1}, {q2})")
+    check_envelope_grid(grid_n)
+    u = params.u
+    res = fixed_power_value(q1, q2, params)
+    if q2 > 0:
+        g1 = power_control_value(q1, q2, params, grid_n=grid_n)
+    else:
+        xs = np.linspace(0.0, MARGIN * q1, grid_n)
+        xs[(grid_n - 1) // MARGIN] = q1
+        fs = _corner_value(xs, np.zeros_like(xs), u, params.N1)
+        g1 = max(concave_envelope_1d(xs, fs, q1), res.value)
+    return PowerControlCell(
+        u=u,
+        q1=q1,
+        q2=q2,
+        f1=res.value,
+        g1=g1,
+        f1_eq_g1=tangent_witness(q1, q2, params, grid_n) is None,
+        stationary_K=res.K,
+    )
+
+
 def power_control_map(
     u_grid: Iterable[float],
     q_grid: Iterable[float],
     params: HKParams,
     grid_n: int = 129,
-    margin: int = 4,
 ) -> list[PowerControlCell]:
-    """Per-cell comparison of the fixed-power and power-control values.
-
-    Reports the capped argmax K at the f1-optimal matrices of each cell;
-    f1 = g1 is decided by ``tangent_witness``.  Degenerate q2 <= 0 columns
-    take the interferer budget as 0 and use the one-variable envelope
-    along q1.
-    """
-    cells = []
+    """``power_control_cell`` over every (u, q1, q2) of the sorted grids,
+    with params.u replaced by each u.  Points with q1 <= 0 are dropped, so
+    one grid holding 0 gives the q2 = 0 column without a q1 = 0 row."""
     qs = sorted(float(q) for q in q_grid)
-    for u in sorted(float(x) for x in u_grid):
-        p = HKParams(u=u, N1=params.N1, N2=params.N2, q1=params.q1, q2=params.q2)
-        for q1 in qs:
-            for q2 in qs:
-                if q1 <= 0:
-                    continue
-                res = fixed_power_value(q1, max(q2, 0.0), p)
-                f1v = res.value
-                if q2 <= 0:
-                    xs = np.linspace(0.0, margin * q1, grid_n)
-                    xs[(grid_n - 1) // margin] = q1
-                    fs = _corner_value(xs, np.zeros_like(xs), u, p.N1)
-                    g1v = max(concave_envelope_1d(xs, fs, q1), f1v)
-                else:
-                    g1v = power_control_value(q1, q2, p, grid_n=grid_n, margin=margin)
-                cells.append(
-                    PowerControlCell(
-                        u=u,
-                        q1=q1,
-                        q2=q2,
-                        f1=f1v,
-                        g1=g1v,
-                        f1_eq_g1=tangent_witness(q1, q2, p, grid_n) is None,
-                        stationary_K=res.K,
-                    )
-                )
-    return cells
+    return [
+        power_control_cell(q1, q2, replace(params, u=u), grid_n)
+        for u in sorted(float(x) for x in u_grid)
+        for q1 in qs
+        if q1 > 0
+        for q2 in qs
+    ]

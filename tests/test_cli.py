@@ -147,6 +147,21 @@ def test_seed_changes_draws(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_seed_only_on_audits(capsys):
+    # the other subcommands draw no random number, so they take no --seed
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    seeded = {
+        name for name, p in subparsers.choices.items()
+        if any("--seed" in a.option_strings for a in p._actions)
+    }
+    assert seeded == {"lemma5-audit", "theorem4-audit"}
+    assert main(["condition54-root", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "ziclab: error: unrecognized arguments: --seed 1\n"
+
+
 def test_config_echo_embeds_resolved_defaults(capsys):
     code, out = run_cli(["verify-vertical", "--u", "1", "--L", "1.4"], capsys)
     assert code == 0
@@ -156,7 +171,6 @@ def test_config_echo_embeds_resolved_defaults(capsys):
     assert cfg["K"] == pytest.approx(6.0)
     assert cfg["delta"] > 0
     assert cfg["eps"] > 0
-    assert cfg["seed"] == 0
 
 
 def test_validation_error_exit_2(capsys):
@@ -378,6 +392,48 @@ def test_conjecture2_map_cli(capsys):
     rows = payload["results"]
     assert any(not r["f1_eq_g1"] for r in rows)  # power control helps somewhere
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_hk_region_and_conjecture2_map_agree_cell_for_cell(capsys):
+    # both commands build each cell with power_control_cell; q2 = 0 included
+    code, out = run_cli(
+        ["hk-region", "--u", "1.5", "--N1", "0.5", "--q1", "0.7,3", "--q2", "0,0.7,3",
+         "--envelope-grid", "33"],
+        capsys,
+    )
+    assert code == 0
+    table = {(r["q1"], r["q2"]): r for r in json.loads(out)["results"]}
+    code, out = run_cli(
+        ["conjecture2-map", "--u", "1.5", "--q", "0,0.7,3", "--N1", "0.5",
+         "--envelope-grid", "33"],
+        capsys,
+    )
+    assert code == 0
+    cells = json.loads(out)["results"]
+    # the map drops its q1 = 0 row and keeps the q2 = 0 column
+    assert sorted((c["q1"], c["q2"]) for c in cells) == sorted(table)
+    assert {c["f1_eq_g1"] for c in cells} == {True, False}
+    for c in cells:
+        r = table[(c["q1"], c["q2"])]
+        assert json.dumps([r["f1"], r["g1"], r["f1_eq_g1"], r["argmax_K"]]) == json.dumps(
+            [c["f1"], c["g1"], c["f1_eq_g1"], c["stationary_K"]]
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, cell",
+    [
+        (["conjecture2-map", "--q=-1,2"], "(2.0, -1.0)"),
+        (["hk-region", "--q1", "1", "--q2=-1"], "(1.0, -1.0)"),
+        (["hk-region", "--q1", "0", "--q2", "1"], "(0.0, 1.0)"),
+    ],
+)
+def test_negative_power_exit_2(argv, cell, capsys):
+    # conjecture2-map --q=-1,2 used to report a q2 = -1 cell computed at q2 = 0
+    assert main(argv + ["--envelope-grid", "9"]) == 2
+    assert capsys.readouterr().err == (
+        f"ziclab: power-control cells need q1 > 0 and q2 >= 0, got {cell}\n"
+    )
 
 
 def test_theorem4_audit_cli(capsys):

@@ -333,9 +333,8 @@ def test_vertical_sign_flip_by_bisection():
 
 def test_limit_functional_gaussian_closed_form():
     for K, L in ((2.0, 2.0), (1.7, 1.2)):
-        g = grid_from_mixture(gaussian(K), n=16384)
-        val = cx.entropy_fisher_functional(L, g)
-        assert val == pytest.approx(cx.fisher_limit_gaussian(K, L), abs=1e-5)
+        val = cx.limit_functional(gaussian(K), gaussian(L))
+        assert val == pytest.approx(cx.fisher_limit_gaussian(K, L), abs=1e-10)
 
 
 def test_stationary_variance_is_maximum():

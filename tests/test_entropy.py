@@ -15,7 +15,6 @@ from ziclab.entropy import (
     differential_entropy,
     expansion_targets,
     fisher_information,
-    fit_expansion,
     gaussian_entropy,
     grid_from_mixture,
     log_weighted_deriv_integral,
@@ -203,13 +202,16 @@ def test_expansion_rejects_bad_kernel():
         smoothing_expansion(gaussian(1.0), gaussian(1.0), np.geomspace(1e-4, 0.5, 8))
 
 
-def test_fit_rejects_wrong_scaling():
+def test_fit_rejects_wrong_scaling(monkeypatch):
+    # a curve whose residual scales like t^1.2, not t^2: smoothing_expansion
+    # itself must refuse the fit
+    def curve(p, q, t, n=8192):
+        return np.column_stack([t, 0.5 * t + 0.01 * t**1.2])
+
+    monkeypatch.setattr("ziclab.entropy.smoothing_curve", curve)
     t = np.geomspace(1e-4, 1e-2, 10)
-    dh = 0.5 * t + 0.01 * t**1.2  # residual scales like t^1.2, not t^2
-    with pytest.raises(FitRejectedError):
-        c1, c15, slope = fit_expansion(t, dh)
-        if abs(slope - 2.0) > 0.25:
-            raise FitRejectedError(str(slope))
+    with pytest.raises(FitRejectedError, match="residual log-log slope"):
+        smoothing_expansion(gaussian(1.0), gaussian(1.0), t)
 
 
 def test_log_weighted_deriv_integral_gaussian():

@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ziclab.gaussmix import (
     DerivTerm,
     GaussDerivMixture,
     GaussMixture,
-    convolve,
     gauss_deriv_pdf,
     gauss_deriv_poly,
     gaussian,
@@ -78,6 +79,74 @@ def test_convolution_commutative_associative(rng):
         assert set(t[1:] for t in left.terms) == set(t[1:] for t in right.terms)
         for t1, t2 in zip(left.terms, right.terms):
             assert t1.coeff == pytest.approx(t2.coeff, abs=1e-12)
+
+
+# dyadic coefficients, means and variances with small numerators: their
+# sums and products are exact, so the algebraic laws hold bit for bit
+PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=40)
+
+
+def dyadic(lo, hi, den):
+    return st.integers(lo, hi).map(lambda k: k / den)
+
+
+variances = dyadic(1, 48, 16)
+location_mixtures = st.lists(
+    st.tuples(dyadic(1, 32, 16), dyadic(-24, 24, 8), variances), min_size=1, max_size=3
+).map(lambda ts: GaussMixture(*zip(*ts)))
+deriv_mixtures = st.lists(
+    st.tuples(dyadic(-32, 32, 16), st.integers(0, 4), variances), min_size=1, max_size=3
+).map(lambda ts: GaussDerivMixture(tuple(DerivTerm(*t) for t in ts)))
+# unit mass: one order-0 term of weight 1, every other term of order >= 1
+unit_deriv_mixtures = st.tuples(
+    variances,
+    st.lists(st.tuples(dyadic(-8, 8, 64), st.integers(1, 4), variances), max_size=3),
+).map(lambda a: GaussDerivMixture((DerivTerm(1.0, 0, a[0]),) + tuple(DerivTerm(*t) for t in a[1])))
+
+
+def location_terms(m):
+    return sorted(zip(m.weights, m.means, m.variances))
+
+
+@PROPERTY
+@given(a=location_mixtures, b=location_mixtures, c=location_mixtures)
+def test_location_convolution_commutative_associative(a, b, c):
+    assert location_terms(a.convolve(b)) == location_terms(b.convolve(a))
+    assert location_terms(a.convolve(b).convolve(c)) == location_terms(a.convolve(b.convolve(c)))
+
+
+@PROPERTY
+@given(a=deriv_mixtures, b=deriv_mixtures, c=deriv_mixtures)
+def test_deriv_convolution_commutative_associative_exact(a, b, c):
+    assert a.convolve(b).terms == b.convolve(a).terms
+    assert a.convolve(b).convolve(c).terms == a.convolve(b.convolve(c)).terms
+
+
+def assert_second_moments_add(a, b):
+    ma, mb = a.moments(2), b.moments(2)
+    m2 = a.convolve(b).moments(2)[1]
+    assert m2 == pytest.approx(ma[1] + mb[1] + 2.0 * ma[0] * mb[0], rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(a=location_mixtures, b=location_mixtures)
+def test_location_second_moments_add(a, b):
+    assert_second_moments_add(a, b)
+
+
+@PROPERTY
+@given(a=unit_deriv_mixtures, b=unit_deriv_mixtures)
+def test_deriv_second_moments_add(a, b):
+    assert_second_moments_add(a, b)
+
+
+@PROPERTY
+@given(a=location_mixtures, d=deriv_mixtures, v=variances)
+def test_convolve_gaussian_is_convolution_with_gaussian(a, d, v):
+    assert a.convolve_gaussian(v) == a.convolve(GaussMixture((1.0,), (0.0,), (v,)))
+    assert d.convolve_gaussian(v).terms == d.convolve(gaussian(v)).terms
+    assert a.convolve_gaussian(0.0) is a
+    assert d.convolve_gaussian(0.0) is d
 
 
 def test_validation_rejects_bad_terms():

@@ -488,7 +488,7 @@ def test_envelope_grid_below_two_rejected():
 
 
 def test_params_reject_non_finite():
-    for kwargs in ({"u": math.nan}, {"u": 1.0, "N1": math.inf}, {"u": 1.0, "q2": math.nan}):
+    for kwargs in ({"u": math.nan}, {"u": 1.0, "N1": math.inf}):
         with pytest.raises(ValueError, match="finite"):
             hk.HKParams(**kwargs)
 
@@ -837,6 +837,25 @@ def test_power_control_map_cells():
     for c in cells:
         if c.f1_eq_g1 and c.q2 > 0:
             assert c.stationary_K + params.N1 <= 1 + math.sqrt(1 + c.u) + 1e-6
+
+
+def test_power_control_cell_rules():
+    params = hk.HKParams(u=1.0, N1=1.0)
+    for q in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match=r"need q1 > 0 and q2 >= 0"):
+            hk.power_control_cell(*q, params, 33)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        hk.power_control_cell(1.0, 0.0, params, 1)
+    # the audits' check took a negative L as 0 and returned a K
+    with pytest.raises(ValueError, match=r"needs q1 > 0 and q2 >= 0, got \(1.0, -0.5\)"):
+        hk.maximizer_bound_check(1.0, -0.5, params, 33)
+    # a q2 = 0 cell: the axis envelope, f1 and K at (q1, 0), the same
+    # tangent-plane verdict
+    c = hk.power_control_cell(1.2, 0.0, params, 65)
+    res = hk.fixed_power_value(1.2, 0.0, params)
+    assert (c.f1, c.stationary_K) == (res.value, res.K)
+    assert c.g1 >= c.f1
+    assert c.f1_eq_g1 == (hk.tangent_witness(1.2, 0.0, params, 65) is None)
 
 
 def test_gauss_objective_rotation_invariance(rng):
