@@ -64,24 +64,23 @@ def parse_values(text: str) -> list[float]:
     return values
 
 
-def parse_envelope_grid(text: str) -> int:
-    """Nodes per axis of an envelope lattice, checked as the hull builders do."""
-    n = _number(text, int)
-    try:
-        hk.check_envelope_grid(n)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return n
+def _checked(kind, check):
+    """Parser type for ``kind`` values that ``check`` accepts: the check's
+    ValueError becomes argparse's one-line error naming the option."""
+
+    def parse(text: str):
+        value = _number(text, kind)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
-def parse_mixing_variance(text: str) -> float:
-    """Mixing variance of constant-power-gap, checked as hkregion does."""
-    a = _number(text)
-    try:
-        hk.check_mixing_variance(a)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return a
+# nodes per axis of an envelope lattice, checked as the hull builders do
+parse_envelope_grid = _checked(int, hk.check_envelope_grid)
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -228,19 +227,9 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
     u, L, J = args.u, args.L, args.J
     if not L > 1.0:
         raise ValueError(f"verify-vertical needs L > 1, got {L}")
-    if J < 1:
-        raise ValueError("J must be >= 1")
     K = args.K if args.K is not None else hs.stationary_source_variance(L, u)
-    delta = args.delta if args.delta is not None else cx.default_delta(K, L, J)
-    # checked before the eps scan, which would warn on non-finite values
-    # and fail on non-positive variances with a message that names none
-    if not all(map(math.isfinite, (K, L, u, delta))):
-        raise ValueError("K, L, u, delta must be finite")
-    for name, value in (("K", K), ("u", u), ("delta", delta)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    eps = args.eps if args.eps is not None else cx.select_epsilon(K, L, delta, J)
-    vp = cx.VerticalPerturbation(K=K, L=L, u=u, delta=delta, eps=eps, J=J)
+    vp = cx.VerticalPerturbation(K=K, L=L, u=u, delta=args.delta, eps=args.eps, J=J)
+    delta, eps = vp.delta, vp.eps
     res = cx.vertical_gap(vp, n=args.n)
     classification = hs.stability_classify(K, u)
     threshold = hs.stability_threshold(u)
@@ -610,9 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify-lemma1", help="entropy expansion coefficients vs quadrature")
-    p.add_argument("--t-min", type=float, default=1e-4)
-    p.add_argument("--t-max", type=float, default=1e-2)
-    p.add_argument("--t-count", type=int, default=10)
+    p.add_argument("--t-min", type=_checked(float, en.check_smoothing_t), default=1e-4)
+    p.add_argument("--t-max", type=_checked(float, en.check_smoothing_t), default=1e-2)
+    p.add_argument("--t-count", type=_checked(int, en.check_expansion_count), default=10)
     p.add_argument("--n", type=int, default=8192)
     p.add_argument("--c1-tol", type=float, default=0.02)
     p.add_argument("--c15-tol", type=float, default=0.05)
@@ -620,9 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_lemma1)
 
     p = sub.add_parser("verify-lemma2", help="skewed-interferer gap vs Gaussian control")
-    p.add_argument("--t-min", type=float, default=1e-3)
-    p.add_argument("--t-max", type=float, default=1e-2)
-    p.add_argument("--t-count", type=int, default=6)
+    p.add_argument("--t-min", type=_checked(float, cx.check_gap_t), default=1e-3)
+    p.add_argument("--t-max", type=_checked(float, cx.check_gap_t), default=1e-2)
+    p.add_argument("--t-count", type=_checked(int, cx.check_gap_count), default=6)
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--Sigma1", type=float, default=0.0)
     p.add_argument("--n", type=int, default=8192)
@@ -698,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=1.0)
     p.add_argument("--N2", type=float, default=0.05)
-    p.add_argument("--A", type=parse_mixing_variance, default=None,
+    p.add_argument("--A", type=_checked(float, hk.check_mixing_variance), default=None,
                    help="mixing variance (default: auto)")
     p.add_argument("--n", type=int, default=8192)
     common(p)

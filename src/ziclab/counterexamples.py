@@ -11,16 +11,17 @@ Three constructions are evaluated numerically:
 * the Fisher-information limit functional h(X+Y) - h(X) - J(X)/2 with the
   same third-derivative direction and a budget-neutral partner.
 
-All quadratic-in-eps coefficients are extracted by Richardson extrapolation
-over {eps, eps/2, eps/4} (the perturbation series is even in eps because
-every perturbing term is an odd function).
+The first two evaluate the channel objective through its one copy,
+``interference_objective``.  All quadratic-in-eps coefficients are extracted
+by ``richardson_quadratic`` over {eps, eps/2, eps/4} (the perturbation
+series is even in eps because every perturbing term is an odd function).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .gaussmix import (
     gaussian,
 )
 from .entropy import (
+    Mixture,
     NegativeDensityError,
     differential_entropy,
     fisher_information,
@@ -40,10 +42,9 @@ from .entropy import (
     grid_from_mixture,
     log_weighted_deriv_integral,
     mixture_entropy,
+    power_fit,
 )
 from .hessian import gauss_argmax, gauss_psi
-
-Mixture = Union[GaussDerivMixture, GaussMixture]
 
 
 class PowerViolationError(ValueError):
@@ -85,9 +86,11 @@ def interference_objective(
 ) -> float:
     """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) - Sigma1 E[X1^2].
 
-    X1 and X2 are mixtures of one family, convolved exactly; zero noise
-    variances skip the corresponding convolution.  Raises
-    PowerViolationError when E[X2^2] exceeds A2 beyond 1e-9.
+    The one evaluation of this objective: the skewed-interferer gap
+    (u = 1) and the vertical perturbation (N2 = u) call it too.  X1 and X2
+    are mixtures of one family, convolved exactly; zero noise variances
+    skip the corresponding convolution.  Raises PowerViolationError when
+    E[X2^2] exceeds A2 beyond 1e-9.
     """
     p2 = x2.second_moment()
     if p2 > params.A2 + 1e-9:
@@ -184,43 +187,47 @@ def skewness_gap(
     sign conditions (m3 < 0, int p''' ln p > 0) give a positive gain; the
     supremum over interferer laws makes the orientations equivalent.  All
     entropies are evaluated after the common sqrt(t) dilation, under which
-    the combination is invariant.
+    the combination is invariant; the cost is that of the undilated X1,
+    Sigma1 m2(p_eff)/t.  N1 and Sigma1 must be finite and nonnegative.
 
     Returns an array of rows (t, gap).
     """
+    for name, value in (("N1", N1), ("Sigma1", Sigma1)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     info = recipe.validate()
     m2 = info["m2"]
     rows = []
     for t in sorted(float(t) for t in t_grid):
-        if t <= 0:
-            raise ValueError("t values must be positive")
-        p_eff = recipe.p.convolve_gaussian(t * N1) if N1 > 0 else recipe.p
+        check_gap_t(t)
+        p_eff = recipe.p.convolve_gaussian(t * N1)
         if gaussian_x2:
             q_t = GaussMixture((1.0,), (0.0,), (t * m2,))
         else:
             q_t = recipe.q.scaled(math.sqrt(t)).reflected()
-        b = p_eff
-        c = p_eff.convolve_gaussian(t * m2)
-        a = c.convolve(q_t)
-        gap = (
-            mixture_entropy(a, n=n)
-            + mixture_entropy(b, n=n)
-            - 2.0 * mixture_entropy(c, n=n)
-        )
+        gap = interference_objective(ChannelParams(u=1.0, N2=t * m2), p_eff, q_t, n=n)
         if Sigma1 > 0:
             gap -= Sigma1 * p_eff.second_moment() / t
         rows.append((t, gap))
     return np.array(rows)
 
 
+def check_gap_t(t: float) -> None:
+    """Reject a t that is not finite and positive (ValueError)."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t values must be finite and positive, got {t}")
+
+
+def check_gap_count(count: int) -> None:
+    """Reject fewer t values than the two columns of the gap fit (ValueError)."""
+    if count < 2:
+        raise ValueError(f"the t^(3/2) fit needs at least 2 t values, got {count}")
+
+
 def gap_coefficient(rows: np.ndarray) -> float:
     """Fitted t^{3/2} coefficient of the gap (basis {t^{3/2}, t^2})."""
-    t = rows[:, 0]
-    g = rows[:, 1]
-    basis = np.stack([t**1.5, t**2], axis=1)
-    scale = np.linalg.norm(basis, axis=0)
-    coef, *_ = np.linalg.lstsq(basis / scale, g, rcond=None)
-    return float((coef / scale)[0])
+    check_gap_count(len(rows))
+    return float(power_fit(rows[:, 0], rows[:, 1], (1.5, 2))[0])
 
 
 # ----------------------------------------------------------------------
@@ -268,32 +275,39 @@ def select_epsilon(K: float, L: float, delta: float, J: int) -> float:
     raise NegativeDensityError("no positive eps admits nonnegative densities")
 
 
-def default_delta(K: float, L: float, J: int) -> float:
-    return min(K, L / J) / 10.0
-
-
 @dataclass(frozen=True)
 class VerticalPerturbation:
-    """Validated parameter bundle for the density-perturbation pipeline."""
+    """Validated parameter bundle for the density-perturbation pipeline;
+    delta defaults to min(K, L/J)/10, eps (scanned after the checks) to
+    select_epsilon's choice."""
 
     K: float
     L: float
     u: float
-    delta: float
-    eps: float
+    delta: Optional[float] = None
+    eps: Optional[float] = None
     J: int = 2
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.K, self.L, self.u, self.delta, self.eps))):
-            raise ValueError("K, L, u, delta, eps must be finite")
-        if min(self.K, self.L, self.u, self.delta, self.eps) <= 0:
-            raise ValueError("K, L, u, delta, eps must be positive")
         if self.J < 1:
             raise ValueError("J must be >= 1")
+        if self.delta is None:
+            object.__setattr__(self, "delta", min(self.K, self.L / self.J) / 10.0)
+        if not all(map(math.isfinite, (self.K, self.L, self.u, self.delta))):
+            raise ValueError("K, L, u, delta must be finite")
+        for name in ("K", "L", "u", "delta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.K - self.delta > 0:
             raise ValueError("need K - delta > 0")
         if not self.L - self.J * self.delta > 0:
             raise ValueError("need L - J*delta > 0")
+        if self.eps is None:
+            object.__setattr__(self, "eps", select_epsilon(self.K, self.L, self.delta, self.J))
+        elif not math.isfinite(self.eps):
+            raise ValueError("K, L, u, delta, eps must be finite")
+        elif not self.eps > 0:
+            raise ValueError("K, L, u, delta, eps must be positive")
         if _min_density(self.x1()) < -1e-12 or _min_density(self.x2()) < -1e-12:
             raise NegativeDensityError(
                 "eps too large: perturbed density goes negative on the grid"
@@ -308,25 +322,19 @@ class VerticalPerturbation:
         )
 
 
-def psi_of_mixtures(
-    x1: GaussDerivMixture, x2: GaussDerivMixture, u: float, n: int = 8192
-) -> float:
-    """u h(X1+Z2+X2) + h(X1) - (1+u) h(X1+Z2) with Z2 ~ gamma_u, numerically."""
-    x1z = x1.convolve(gaussian(u))
-    trip = x1z.convolve(x2)
-    return (
-        u * mixture_entropy(trip, n=n)
-        + mixture_entropy(x1, n=n)
-        - (1.0 + u) * mixture_entropy(x1z, n=n)
-    )
-
-
-def richardson_even(a0: float, a1: float, a2: float) -> float:
-    """Limit of an even series A(eps) = a + c eps^2 + ... from A at
-    eps0, eps0/2, eps0/4."""
+def richardson_quadratic(
+    value: Callable[[float], float], reference: float, eps0: float
+) -> tuple[list[float], float]:
+    """value at eps0, eps0/2, eps0/4, and the eps^2 coefficient of
+    value(eps) - reference = c eps^2 + O(eps^4), the limit of the ratios
+    (value - reference)/eps^2 by two rounds of Richardson extrapolation
+    (the series is even in eps)."""
+    eps_seq = (eps0, eps0 / 2.0, eps0 / 4.0)
+    values = [value(e) for e in eps_seq]
+    a0, a1, a2 = ((v - reference) / e**2 for v, e in zip(values, eps_seq))
     r1 = (4.0 * a1 - a0) / 3.0
     r2 = (4.0 * a2 - a1) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+    return values, (16.0 * r2 - r1) / 15.0
 
 
 @dataclass(frozen=True)
@@ -336,7 +344,6 @@ class VerticalGapResult:
     quadratic_coeff: float
     base_value: float
     stationary_K: float
-    eps_used: tuple[float, float, float]
 
 
 def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
@@ -352,22 +359,16 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
     # half of psi is u h(gamma_{K+u+L}) + h(gamma_K) - (1+u) h(gamma_{K+u})
     gaussian_value = 0.5 * gauss_psi(k_star, vp.L, vp.u, 0.0, vp.u)
     base = 0.5 * gauss_psi(vp.K, vp.L, vp.u, 0.0, vp.u)
-    eps_seq = (vp.eps, vp.eps / 2.0, vp.eps / 4.0)
-    ratios = []
-    perturbed_value = math.nan
-    for i, e in enumerate(eps_seq):
-        val = psi_of_mixtures(vp.x1(e), vp.x2(e), vp.u, n=n)
-        if i == 0:
-            perturbed_value = val
-        ratios.append((val - base) / e**2)
-    coeff = richardson_even(*ratios)
+    params = ChannelParams(u=vp.u, N2=vp.u)
+    values, coeff = richardson_quadratic(
+        lambda e: interference_objective(params, vp.x1(e), vp.x2(e), n=n), base, vp.eps
+    )
     return VerticalGapResult(
         gaussian_value=gaussian_value,
-        perturbed_value=perturbed_value,
+        perturbed_value=values[0],
         quadratic_coeff=coeff,
         base_value=base,
         stationary_K=k_star,
-        eps_used=eps_seq,
     )
 
 
@@ -489,18 +490,18 @@ def fisher_limit_gain(
     if eps0 is None:
         eps0 = select_epsilon(K, L, delta, J)
     gaussian_value = fisher_limit_gaussian(K, L)
-    gains = []
-    for e in (eps0, eps0 / 2.0, eps0 / 4.0):
-        val = limit_functional(
+    values, coeff = richardson_quadratic(
+        lambda e: limit_functional(
             perturbed_source(K, delta, e), partner_series(L, delta, e, J), n=n
-        )
-        gains.append(val - gaussian_value)
-    coeff = richardson_even(*[g / e**2 for g, e in zip(gains, (eps0, eps0 / 2, eps0 / 4))])
+        ),
+        gaussian_value,
+        eps0,
+    )
     return FisherLimitGain(
         L=L,
         K=K,
         eps0=eps0,
         gaussian_value=gaussian_value,
-        gains=tuple(gains),
+        gains=tuple(v - gaussian_value for v in values),
         quadratic_coeff=coeff,
     )

@@ -105,36 +105,37 @@ class GridDensity:
     def step(self) -> float:
         return (self.hi - self.lo) / (self.n - 1)
 
-    def _tails(self) -> tuple[Optional[TailSide], Optional[TailSide]]:
-        if self.tail_model is None:
-            return None, None
-        return self.tail_model
+    def integral(self, integrand: np.ndarray, moment: int) -> float:
+        """Trapezoid integral of ``integrand`` plus the left, then the right,
+        analytic tail's ``moment`` (index into _tail_moments)."""
+        total = float(np.trapezoid(integrand, dx=self.step))
+        left, right = self.tail_model or (None, None)
+        if left is not None:
+            total += _tail_moments(left, self.lo, upper=False)[moment]
+        if right is not None:
+            total += _tail_moments(right, self.hi, upper=True)[moment]
+        return total
 
     def mass(self) -> float:
-        total = float(np.trapezoid(self.values, dx=self.step))
-        left, right = self._tails()
-        if left is not None:
-            total += _tail_moments(left, self.lo, upper=False)[0]
-        if right is not None:
-            total += _tail_moments(right, self.hi, upper=True)[0]
-        return total
+        return self.integral(self.values, 0)
+
+    def check_normalized(self, what: str) -> None:
+        """Entropy and Fisher precondition: n >= 1024, unit mass within 1e-7."""
+        if self.n < 1024:
+            raise ValueError(f"{what} evaluation requires n >= 1024")
+        mass = self.mass()
+        if abs(mass - 1.0) > _MASS_TOL:
+            raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
 
 
 def mixture_to_grid(m: Mixture, lo: float, hi: float, n: int) -> GridDensity:
     """Tabulate a mixture density, with tails from the dominant mass terms.
 
-    Raises NegativeDensityError when the density dips below -1e-12 anywhere
-    on the grid, which signals a perturbation amplitude too large for
-    pointwise positivity.
+    GridDensity raises NegativeDensityError when the density dips below
+    -1e-12 anywhere on the grid, which signals a perturbation amplitude too
+    large for pointwise positivity.
     """
-    x = np.linspace(lo, hi, n)
-    vals = m.pdf(x)
-    if vals.min() < _NEG_TOL:
-        raise NegativeDensityError(
-            f"mixture density reaches {vals.min():.3e} < -1e-12 on the grid"
-        )
-    tails = _dominant_tails(m)
-    return GridDensity(lo, hi, n, np.clip(vals, 0.0, None), tails)
+    return GridDensity(lo, hi, n, m.pdf(np.linspace(lo, hi, n)), _dominant_tails(m))
 
 
 def _dominant_tails(m: Mixture) -> tuple[TailSide, TailSide]:
@@ -171,40 +172,20 @@ def differential_entropy(p: GridDensity) -> float:
     Points with p < 1e-300 are excluded from the log (their contribution is
     analytically below any tolerance used here).
     """
-    if p.n < 1024:
-        raise ValueError("entropy evaluation requires n >= 1024")
-    mass = p.mass()
-    if abs(mass - 1.0) > _MASS_TOL:
-        raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
+    p.check_normalized("entropy")
     vals = p.values
     integrand = np.where(vals > _TINY, -vals * np.log(np.where(vals > _TINY, vals, 1.0)), 0.0)
-    h = float(np.trapezoid(integrand, dx=p.step))
-    left, right = p._tails()
-    if left is not None:
-        h += _tail_moments(left, p.lo, upper=False)[1]
-    if right is not None:
-        h += _tail_moments(right, p.hi, upper=True)[1]
-    return h
+    return p.integral(integrand, 1)
 
 
 def fisher_information(p: GridDensity) -> float:
     """int (p')^2 / p with p' from central differences on the grid."""
-    if p.n < 1024:
-        raise ValueError("fisher evaluation requires n >= 1024")
-    mass = p.mass()
-    if abs(mass - 1.0) > _MASS_TOL:
-        raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
+    p.check_normalized("fisher")
     vals = p.values
     dp = np.gradient(vals, p.step)
     ok = vals > _TINY
     integrand = np.where(ok, dp * dp / np.where(ok, vals, 1.0), 0.0)
-    j = float(np.trapezoid(integrand, dx=p.step))
-    left, right = p._tails()
-    if left is not None:
-        j += _tail_moments(left, p.lo, upper=False)[2]
-    if right is not None:
-        j += _tail_moments(right, p.hi, upper=True)[2]
-    return j
+    return p.integral(integrand, 2)
 
 
 def mixture_entropy(m: Mixture, n: int = 8192) -> float:
@@ -229,7 +210,7 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     lo = a.lo + b.lo
     n = a.n + b.n - 1
     hi = lo + ha * (n - 1)
-    return GridDensity(lo, hi, n, np.clip(vals, 0.0, None), None)
+    return GridDensity(lo, hi, n, vals, None)
 
 
 def log_weighted_deriv_integral(p: GaussMixture, k: int) -> float:
@@ -275,8 +256,8 @@ def smoothing_curve(
     the difference.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.min() <= 0 or t.max() > 0.1:
-        raise ValueError("t values must lie in (0, 0.1]")
+    for end in (t.min(), t.max()):
+        check_smoothing_t(end)
     qm = q.moments(3)
     if abs(q.mass - 1.0) > 1e-9:
         raise ValueError("q must have unit mass")
@@ -325,8 +306,7 @@ def smoothing_expansion(
     by more than 0.25.
     """
     t = np.asarray(t_grid, dtype=float)
-    if len(t) < 6:
-        raise ValueError("need at least 6 t values")
+    check_expansion_count(len(t))
     curve = smoothing_curve(p, q, t, n=n)
     c1, c15, slope = fit_expansion(curve[:, 0], curve[:, 1])
     if abs(slope - 2.0) > 0.25:
@@ -336,11 +316,30 @@ def smoothing_expansion(
     return EntropyExpansion(c1, c15, slope)
 
 
-def fit_expansion(t: np.ndarray, dh: np.ndarray) -> tuple[float, float, float]:
-    basis = np.stack([t, t**1.5, t**2, t**2.5], axis=1)
+def check_smoothing_t(t: float) -> None:
+    """Reject a t outside (0, 0.1], the small-t range (ValueError)."""
+    if not 0 < t <= 0.1:
+        raise ValueError(f"t values must lie in (0, 0.1], got {t}")
+
+
+def check_expansion_count(count: int) -> None:
+    """Reject fewer than 6 t values: 4 fit columns, 2 for the residual slope."""
+    if count < 6:
+        raise ValueError(f"need at least 6 t values, got {count}")
+
+
+def power_fit(t: np.ndarray, y: np.ndarray, powers: tuple[float, ...]) -> np.ndarray:
+    """Least-squares coefficients of y in the basis {t^p for p in powers},
+    solved with each column scaled to unit norm."""
+    basis = np.stack([t**p for p in powers], axis=1)
     scale = np.linalg.norm(basis, axis=0)
-    coef, *_ = np.linalg.lstsq(basis / scale, dh, rcond=None)
-    coef = coef / scale
+    coef, *_ = np.linalg.lstsq(basis / scale, y, rcond=None)
+    return coef / scale
+
+
+def fit_expansion(t: np.ndarray, dh: np.ndarray) -> tuple[float, float, float]:
+    """(c1, c15, residual log-log slope) of dh in {t, t^1.5, t^2, t^2.5}."""
+    coef = power_fit(t, dh, (1, 1.5, 2, 2.5))
     resid = dh - coef[0] * t - coef[1] * t**1.5
     ok = np.abs(resid) > 1e-14
     if ok.sum() >= 2:

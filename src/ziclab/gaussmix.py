@@ -242,11 +242,7 @@ class GaussMixture:
         return (min(self.means) - r, max(self.means) + r)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, mu, v in zip(self.weights, self.means, self.variances):
-            out += w * gauss_deriv_pdf(x - mu, v)
-        return out
+        return self.pdf_deriv(x, 0)
 
     def pdf_deriv(self, x: np.ndarray | float, order: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)

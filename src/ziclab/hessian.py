@@ -127,6 +127,7 @@ def hessian_quadratic_form(
     (the variance-preserving subspace).  I_1 involves only A_1; for
     alpha >= 2 the source terms, the interferer term, and the cross term
     all carry the outer factor 1/(K+u+L)^{alpha+1} scaled by (alpha+1)!.
+    Raises ValueError where a power or factorial leaves the float range.
     """
     if L <= 1:
         raise NotStationaryError("no stationary point for L <= 1")
@@ -140,22 +141,26 @@ def hessian_quadratic_form(
     M = K + u + L
     terms: dict[int, float] = {}
     a1 = A.get(1)
-    if a1 != 0.0:
-        terms[1] = a1 * a1 * (
-            -2.0 * u / M**2 - 2.0 / K**2 + 2.0 * (1.0 + u) / (K + u) ** 2
-        )
-    orders = sorted({a for a in (*A.coeffs, *B.coeffs) if a >= 2})
-    for alpha in orders:
-        aa = A.get(alpha)
-        bb = B.get(alpha)
-        core = (
-            -u * aa * aa / M ** (alpha + 1)
-            - aa * aa / K ** (alpha + 1)
-            + (1.0 + u) * aa * aa / (K + u) ** (alpha + 1)
-            - u * bb * bb / M ** (alpha + 1)
-            - 2.0 * u * aa * bb / M ** (alpha + 1)
-        )
-        terms[alpha] = math.factorial(alpha + 1) * core
+    # a float power or (alpha+1)! beyond the float range raises OverflowError
+    try:
+        if a1 != 0.0:
+            terms[1] = a1 * a1 * (
+                -2.0 * u / M**2 - 2.0 / K**2 + 2.0 * (1.0 + u) / (K + u) ** 2
+            )
+        orders = sorted({a for a in (*A.coeffs, *B.coeffs) if a >= 2})
+        for alpha in orders:
+            aa = A.get(alpha)
+            bb = B.get(alpha)
+            core = (
+                -u * aa * aa / M ** (alpha + 1)
+                - aa * aa / K ** (alpha + 1)
+                + (1.0 + u) * aa * aa / (K + u) ** (alpha + 1)
+                - u * bb * bb / M ** (alpha + 1)
+                - 2.0 * u * aa * bb / M ** (alpha + 1)
+            )
+            terms[alpha] = math.factorial(alpha + 1) * core
+    except OverflowError:
+        raise ValueError(f"Hessian ledger overflows the float range at K={K}, L={L}, u={u}") from None
     total = float(sum(terms.values()))
     return HessianReport(
         per_alpha_terms=terms,

@@ -802,7 +802,7 @@ def constant_power_gap(
     def slack_for(a: float) -> float:
         big = x1p.convolve_gaussian(a + N1 + N2).convolve(x2)
         q1v = var1 + a
-        return 0.5 * math.log(2 * math.pi * math.e * (q1v + q2v + N1 + N2)) - cx.mixture_entropy(big, n=n)
+        return cx.gaussian_entropy(q1v + q2v + N1 + N2) - cx.mixture_entropy(big, n=n)
 
     if A is None:
         A = max(4.0 * (var1 + N1 + 2.0 * N2), 1.0)

@@ -497,6 +497,57 @@ def test_hessian_bad_coefficients_exit_2(option, text, capsys):
     assert f"'{text}'" in err
 
 
+@pytest.mark.parametrize("argv", [["--L", "1e300"], ["--L", "1e160"], ["--u", "1e300"], ["--A", "171:1"]])
+def test_hessian_float_overflow_exit_2(argv, capsys):
+    # a power of K+u+L (or (alpha+1)!) beyond the float range used to end
+    # in an OverflowError traceback
+    assert main(["hessian", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ziclab: Hessian ledger overflows the float range at K=")
+
+
+@pytest.mark.parametrize("option", ["--N1", "--Sigma1"])
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_verify_lemma2_bad_noise_exit_2(option, value, capsys):
+    # a negative N1 used to be echoed while the gaps were computed at N1 = 0
+    assert main(["verify-lemma2", "--t-count", "2", f"{option}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ziclab: {option[2:]} must be finite and nonnegative, got {float(value)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-lemma1", "--t-count", "0"], "--t-count: need at least 6 t values, got 0"),
+        (["verify-lemma1", "--t-count", "4"], "--t-count: need at least 6 t values, got 4"),
+        (["verify-lemma1", "--t-count", "5"], "--t-count: need at least 6 t values, got 5"),
+        (["verify-lemma2", "--t-count", "0"], "--t-count: the t^(3/2) fit needs at least 2 t values, got 0"),
+        (["verify-lemma2", "--t-count", "1"], "--t-count: the t^(3/2) fit needs at least 2 t values, got 1"),
+        (["verify-lemma1", "--t-min=-1"], "--t-min: t values must lie in (0, 0.1], got -1.0"),
+        (["verify-lemma1", "--t-min", "0"], "--t-min: t values must lie in (0, 0.1], got 0.0"),
+        (["verify-lemma1", "--t-max", "0.2"], "--t-max: t values must lie in (0, 0.1], got 0.2"),
+        (["verify-lemma1", "--t-max", "nan"], "--t-max: t values must lie in (0, 0.1], got nan"),
+        (["verify-lemma2", "--t-min=-1"], "--t-min: t values must be finite and positive, got -1.0"),
+        (["verify-lemma2", "--t-min", "0"], "--t-min: t values must be finite and positive, got 0.0"),
+        (["verify-lemma2", "--t-max", "inf"], "--t-max: t values must be finite and positive, got inf"),
+    ],
+)
+def test_lemma_t_grid_out_of_range_exit_2(argv, message, capsys):
+    # these used to end in an IndexError traceback, in numpy's geomspace
+    # messages after a RuntimeWarning, or in a fit with no residual freedom
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"ziclab {argv[0]}: error: argument {message}\n"
+
+
+def test_verify_vertical_delta_above_K_named_before_eps_scan(capsys):
+    # the eps scan used to fail first, on a negative variance it did not name
+    assert main(["verify-vertical", "--delta", "10"]) == 2
+    assert capsys.readouterr().err == "ziclab: need K - delta > 0\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

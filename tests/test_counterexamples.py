@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ziclab import counterexamples as cx
-from ziclab.entropy import NegativeDensityError, grid_from_mixture
+from ziclab.entropy import NegativeDensityError, grid_from_mixture, mixture_entropy
 from ziclab.gaussmix import GaussMixture, gaussian
 from ziclab.hessian import gauss_psi, stability_threshold
 
@@ -116,8 +116,6 @@ def test_skewness_gap_symmetric_interferer_is_second_order():
     for t in t_grid:
         c = base.convolve_gaussian(t * m2)
         a = c.convolve(sym.scaled(math.sqrt(t)).reflected())
-        from ziclab.entropy import mixture_entropy
-
         gaps.append(
             mixture_entropy(a) + mixture_entropy(base) - 2 * mixture_entropy(c)
         )
@@ -147,6 +145,46 @@ def test_skewness_gap_with_noise_and_cost(recipe):
     sigma1 = 1e-7 * t[0]  # cost term ~1e-7 * m2p, well under the gap
     rows = cx.skewness_gap(t, recipe, N1=1.0, Sigma1=sigma1, n=8192)
     assert np.all(rows[:, 1] > 1e-6)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"N1": -1.0}, {"Sigma1": -1.0}, {"N1": math.nan}, {"Sigma1": math.inf}]
+)
+def test_skewness_gap_rejects_bad_noise_and_cost(recipe, kwargs):
+    # a negative N1 used to be skipped silently, as if it were 0
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative, got {value}"):
+        cx.skewness_gap([1e-2], recipe, n=1024, **kwargs)
+
+
+def test_skewness_gap_is_the_channel_objective(recipe):
+    # the gap row is the three-entropy combination, evaluated exactly as
+    # assembled by hand (u = 1, N2 = t m2, no extra N1 smoothing)
+    t = 4e-3
+    m2 = recipe.q.second_moment()
+    c = recipe.p.convolve_gaussian(t * m2)
+    a = c.convolve(recipe.q.scaled(math.sqrt(t)).reflected())
+    by_hand = (
+        mixture_entropy(a, n=2048) + mixture_entropy(recipe.p, n=2048)
+        - 2.0 * mixture_entropy(c, n=2048)
+    )
+    assert cx.skewness_gap([t], recipe, n=2048)[0, 1] == by_hand
+
+
+@pytest.mark.parametrize("rows", [np.array([]), np.array([[1e-3, 0.1]])])
+def test_gap_coefficient_needs_two_rows(rows):
+    with pytest.raises(ValueError, match="needs at least 2 t values"):
+        cx.gap_coefficient(rows)
+
+
+def test_richardson_quadratic_exact_to_sixth_order():
+    # two Richardson rounds remove the eps^4 and eps^6 terms of an even series
+    def value(e):
+        return 0.5 + 3.0 * e**2 - 7.0 * e**4 + 11.0 * e**6
+
+    values, coeff = cx.richardson_quadratic(value, 0.5, 0.1)
+    assert values == [value(0.1), value(0.05), value(0.025)]
+    assert coeff == pytest.approx(3.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +261,46 @@ def test_outer_entropy_epsilon_exponent():
     assert np.all(defects > 0)
     slope = np.polyfit(np.log(eps), np.log(defects), 1)[0]
     assert slope >= 2 * (J + 1) - 0.2
+
+
+def test_vertical_perturbation_resolves_defaults():
+    vp = cx.VerticalPerturbation(K=6.0, L=1.4, u=1.0, J=3)
+    assert vp.delta == min(6.0, 1.4 / 3) / 10.0
+    assert vp.eps == cx.select_epsilon(6.0, 1.4, vp.delta, 3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"J": 0}, "J must be >= 1"),
+        ({"K": math.inf}, "K, L, u, delta must be finite"),
+        ({"delta": -0.1}, "delta must be positive, got -0.1"),
+        ({"delta": 7.0}, r"need K - delta > 0"),
+        ({"delta": 1.0}, r"need L - J\*delta > 0"),
+        ({"eps": math.nan}, "K, L, u, delta, eps must be finite"),
+        ({"eps": 0.0}, "K, L, u, delta, eps must be positive"),
+    ],
+)
+def test_vertical_perturbation_rejects_before_eps_scan(kwargs, message, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the eps scan ran on a rejected parameter")
+
+    monkeypatch.setattr(cx, "select_epsilon", no_scan)
+    with pytest.raises(ValueError, match=message):
+        cx.VerticalPerturbation(**{"K": 6.0, "L": 1.4, "u": 1.0, **kwargs})
+
+
+def test_vertical_gap_value_is_the_channel_objective():
+    # perturbed_value is u h(X1+Z2+X2) + h(X1) - (1+u) h(X1+Z2), Z2 ~ gamma_u,
+    # evaluated exactly as assembled by hand
+    vp = cx.VerticalPerturbation(K=2.0, L=3.0, u=0.7, delta=0.3, eps=1e-3, J=1)
+    x1z = vp.x1().convolve(gaussian(vp.u))
+    by_hand = (
+        vp.u * mixture_entropy(x1z.convolve(vp.x2()), n=2048)
+        + mixture_entropy(vp.x1(), n=2048)
+        - (1.0 + vp.u) * mixture_entropy(x1z, n=2048)
+    )
+    assert cx.vertical_gap(vp, n=2048).perturbed_value == by_hand
 
 
 def test_partner_series_budget_neutral():

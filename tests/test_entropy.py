@@ -20,6 +20,8 @@ from ziclab.entropy import (
     log_weighted_deriv_integral,
     mixture_entropy,
     mixture_to_grid,
+    power_fit,
+    smoothing_curve,
     smoothing_expansion,
 )
 from ziclab.gaussmix import GaussDerivMixture, GaussMixture, gaussian
@@ -134,6 +136,25 @@ def test_grid_convolution_matches_exact_algebra():
 # ----------------------------------------------------------------------
 # smoothing expansion
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t_max", [0.2, math.nan])
+def test_smoothing_curve_rejects_t_outside_range(t_max):
+    # a nan t used to pass the range test
+    with pytest.raises(ValueError, match=r"t values must lie in \(0, 0.1\]"):
+        smoothing_curve(gaussian(1.0), gaussian(1.0), [1e-3, t_max], n=1024)
+
+
+def test_smoothing_expansion_needs_six_points():
+    with pytest.raises(ValueError, match="need at least 6 t values, got 5"):
+        smoothing_expansion(gaussian(1.0), gaussian(1.0), np.geomspace(1e-4, 1e-2, 5), n=1024)
+
+
+def test_power_fit_recovers_exact_combination():
+    t = np.geomspace(1e-4, 1e-2, 8)
+    y = 0.5 * t - 2.0 * t**1.5 + 7.0 * t**2 + 3.0 * t**2.5
+    coef = power_fit(t, y, (1, 1.5, 2, 2.5))
+    assert coef == pytest.approx([0.5, -2.0, 7.0, 3.0], rel=1e-7)
 
 
 def test_expansion_gaussian_by_gaussian():
