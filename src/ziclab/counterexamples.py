@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gaussmix import (
+    MAX_ORDER,
     GaussDerivMixture,
     GaussMixture,
     DerivTerm,
@@ -189,14 +190,15 @@ def skewness_gap(
     entropies are evaluated after the common sqrt(t) dilation, under which
     the combination is invariant; the cost is that of the undilated X1,
     Sigma1 m2(p_eff)/t.  N1 and Sigma1 must be finite and nonnegative.
+    The recipe's sign conditions are ``SkewRecipe.validate``'s, which this
+    function does not run.
 
     Returns an array of rows (t, gap).
     """
     for name, value in (("N1", N1), ("Sigma1", Sigma1)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    info = recipe.validate()
-    m2 = info["m2"]
+    m2 = recipe.q.second_moment()
     rows = []
     for t in sorted(float(t) for t in t_grid):
         check_gap_t(t)
@@ -257,6 +259,21 @@ def partner_series(
     )
 
 
+# The objectives convolve the source's D^3 term with the partner's D^{3J}
+# term, so 3J + 3 is the highest derivative order they evaluate.
+MAX_J = (MAX_ORDER - 3) // 3
+
+
+def _check_partner_order(J: int) -> None:
+    """Reject a partner series whose convolution with the perturbed source
+    passes gaussmix's derivative-order limit (ValueError)."""
+    if J > MAX_J:
+        raise ValueError(
+            f"J must be <= {MAX_J} (the derivative order 3J + 3 must not exceed "
+            f"{MAX_ORDER}), got {J}"
+        )
+
+
 def _min_density(m: GaussDerivMixture) -> float:
     """Least density value on 4096 points over the +-12 sigma window."""
     return float(m.pdf(np.linspace(*m.window(), 4096)).min())
@@ -291,6 +308,7 @@ class VerticalPerturbation:
     def __post_init__(self):
         if self.J < 1:
             raise ValueError("J must be >= 1")
+        _check_partner_order(self.J)
         if self.delta is None:
             object.__setattr__(self, "delta", min(self.K, self.L / self.J) / 10.0)
         if not all(map(math.isfinite, (self.K, self.L, self.u, self.delta))):
@@ -484,6 +502,7 @@ def fisher_limit_gain(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
+    _check_partner_order(J)
     K = fisher_stationary_variance(L)
     if delta is None:
         delta = min(K, L / J) / 20.0

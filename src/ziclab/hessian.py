@@ -29,10 +29,12 @@ class NotStationaryError(ValueError):
 
 
 def stability_threshold(u: float) -> float:
-    """Variance at which the Hessian at the stationary point changes sign."""
+    """Variance at which the Hessian at the stationary point changes sign,
+    u/((1+u)^{1/3} - 1).  The denominator is formed as expm1(log1p(u)/3),
+    which does not cancel at small u: the threshold tends to 3 as u -> 0."""
     if u <= 0:
         raise ValueError("u must be positive")
-    return u / ((1.0 + u) ** (1.0 / 3.0) - 1.0)
+    return u / math.expm1(math.log1p(u) / 3.0)
 
 
 def stability_classify(K: float, u: float) -> str:

@@ -511,6 +511,10 @@ def _tail_box(
     return max(0.0, 2.0 * gap / d1), max(0.0, 2.0 * gap / d2)
 
 
+def _not_finite(q1: float, q2: float, what: str) -> str:
+    return f"tangent-plane test at cell (q1={q1}, q2={q2}): its {what} is not finite"
+
+
 def tangent_witness(
     q1: float, q2: float, params: HKParams, grid_n: int = 129
 ) -> Optional[tuple[float, float]]:
@@ -527,7 +531,10 @@ def tangent_witness(
     largest excess f1 - l above 8 ulps of the magnitudes of the terms of f1
     and l (the log arguments of f1 other than K+N1 lie in [u, p1+p2+N1+u]).
     A lattice can miss a gap but never invents one.  For q2 = 0 the
-    envelope runs along the q1 axis, and so does the scan.
+    envelope runs along the q1 axis, and so does the scan.  A cell whose
+    tail box is not finite, or whose lattice excess is NaN or +inf (q near
+    the ends of the float range), raises ValueError: a NaN lattice holds no
+    witness and would read as f1 = g1.
     """
     if not (q1 > 0 and q2 >= 0):
         raise ValueError(f"the tangent-plane test needs q1 > 0 and q2 >= 0, got ({q1}, {q2})")
@@ -536,15 +543,22 @@ def tangent_witness(
     fq = float(_corner_value(q1, q2, u, N1))
     d1, d2 = _corner_gradient(q1, q2, u, N1)
     p1, p2 = _tail_box(q1, q2, fq, d1, d2, u, N1)
+    s1 = math.log1p(p1 / q1)
+    s2 = math.log1p(p2 / q2) if q2 > 0 else 0.0
+    if not all(map(math.isfinite, (fq, d1, d2, s1, s2))):
+        raise ValueError(_not_finite(q1, q2, "tail box"))
     t = np.linspace(0.0, 1.0, grid_n)
-    x = (q1 * np.expm1(t * math.log1p(p1 / q1)))[:, None]
-    y = (q2 * np.expm1(t * math.log1p(p2 / q2)))[None, :] if q2 > 0 else np.zeros((1, 1))
+    x = (q1 * np.expm1(t * s1))[:, None]
+    y = (q2 * np.expm1(t * s2))[None, :] if q2 > 0 else np.zeros((1, 1))
     f = _corner_value(x, y, u, N1)
     rise = d1 * (x - q1) + d2 * (y - q2)
     logs = 2.0 + 2.0 * abs(math.log(u)) + abs(math.log(q1 + q2 + N1 + u))
     logs = logs + np.abs(np.log(x + y + N1 + u))
     terms = np.abs(f) + abs(fq) + np.abs(d1 * (x - q1)) + np.abs(d2 * (y - q2)) + 4 * (u + 1) * logs
     over = f - fq - rise - 8.0 * np.finfo(float).eps * terms
+    # -inf is f1's true value where K + N1 = 0; NaN or +inf decides nothing
+    if not (over < math.inf).all():
+        raise ValueError(_not_finite(q1, q2, "lattice excess"))
     i, j = np.unravel_index(int(np.argmax(over)), over.shape)
     return (float(x[i, 0]), float(y[0, j])) if over[i, j] > 0 else None
 
@@ -807,12 +821,14 @@ def constant_power_gap(
     if A is None:
         A = max(4.0 * (var1 + N1 + 2.0 * N2), 1.0)
         for _ in range(60):
-            if slack_for(A) <= c / 4.0:
+            slack = slack_for(A)
+            if slack <= c / 4.0:
                 break
             A *= 2.0
         else:
             raise WitnessUnavailableError("could not drive the mixing slack below c/4")
-    slack = slack_for(A)
+    else:
+        slack = slack_for(A)
     if slack > c / 2.0:
         raise WitnessUnavailableError(
             f"mixing slack {slack:.3e} exceeds c/2 = {c/2:.3e}; increase A"

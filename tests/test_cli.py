@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from ziclab import counterexamples as cx
 from ziclab import entropy as en
 from ziclab import hkregion as hk
 from ziclab.cli import build_parser, main, parse_values
@@ -275,6 +276,68 @@ def test_verify_vertical_J_below_one_exit_2(capsys):
     # the default delta divides by J
     assert main(["verify-vertical", "--J", "0"]) == 2
     assert capsys.readouterr().err == "ziclab: J must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [["verify-vertical", "--J", "21"], ["limit-functional", "--J", "21"]])
+def test_J_above_order_limit_exit_2(argv, capsys):
+    # the D^{3J+3} term used to fail in gaussmix: "order must be in [0, 64], got 66"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "ziclab: J must be <= 20 (the derivative order 3J + 3 must not exceed 64), got 21\n"
+    )
+
+
+def test_small_u_threshold_and_classification(capsys):
+    # u/((1+u)^{1/3} - 1) cancelled to 2.2518 at u = 1e-15, so K = 2.667
+    # read unstable and verify-vertical exited 3
+    code, out = run_cli(["verify-vertical", "--u", "1e-15", "--L", "1.6"], capsys)
+    row = json.loads(out)["results"][0]
+    assert code == 0
+    assert row["threshold"] == 3.0000000000000013 and row["classification"] == "stable"
+    code, out = run_cli(["phase-diagram", "--u", "1e-15", "--L", "1.6"], capsys)
+    assert code == 0 and json.loads(out)["results"][0]["classification"] == "stable"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-vertical", "--u", "1e-300"], ["phase-diagram", "--u", "1e-300", "--L", "2"],
+             ["hessian", "--u", "1e-300"]],
+)
+def test_tiny_u_reports_threshold_3(argv, capsys):
+    # each ended in a ZeroDivisionError traceback; verify-vertical exits 3,
+    # as its O(u) gap reads 0 and cannot show the unstable sign at K = 3.5
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 3) and err == ""
+    rows = json.loads(out)["results"]
+    assert all(r["threshold"] == 3.0 for r in rows if "threshold" in r)
+
+
+@pytest.mark.parametrize(
+    "argv", [["hk-region", "--q1", "1e-300", "--q2", "1e-300"], ["conjecture2-map", "--q", "1e-300"]]
+)
+def test_non_finite_tail_box_exit_2(argv, capsys):
+    # every lattice node was NaN, so the cell read f1 = g1 after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "ziclab: tangent-plane test at cell (q1=1e-300, q2=1e-300): its tail box is not finite\n"
+    )
+
+
+def test_verify_lemma2_runs_one_recipe_quadrature(monkeypatch, capsys):
+    # validate() ran in the handler and again in each of two skewness_gap calls
+    calls = []
+    real = cx.log_weighted_deriv_integral
+
+    def counted(p, k):
+        calls.append(k)
+        return real(p, k)
+
+    monkeypatch.setattr(cx, "log_weighted_deriv_integral", counted)
+    assert main(["verify-lemma2", "--t-count", "2", "--n", "4096"]) in (0, 3)
+    capsys.readouterr()
+    assert calls == [3]
 
 
 def test_non_applicable_audit_rows_are_strict_json_null(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from ziclab import counterexamples as cx
 from ziclab.entropy import NegativeDensityError, grid_from_mixture, mixture_entropy
-from ziclab.gaussmix import GaussMixture, gaussian
+from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
 from ziclab.hessian import gauss_psi, stability_threshold
 
 
@@ -135,6 +135,18 @@ def test_recipe_rejection_modes(recipe):
     flipped_q = cx.SkewRecipe(p=recipe.p, q=recipe.q.reflected())
     with pytest.raises(cx.RecipeRejectedError):
         flipped_q.validate()  # m3 > 0
+
+
+def test_skewness_gap_runs_no_recipe_quadrature(recipe, monkeypatch):
+    # m2 comes from the closed-form moments, the same bits validate() reports
+    assert recipe.q.second_moment() == recipe.validate()["m2"]
+
+    def no_quadrature(*args):
+        raise AssertionError("skewness_gap ran the recipe quadrature")
+
+    monkeypatch.setattr(cx, "log_weighted_deriv_integral", no_quadrature)
+    rows = cx.skewness_gap([1e-3, 1e-2], recipe, n=4096)
+    assert rows.shape == (2, 2)
 
 
 def test_skewness_gap_with_noise_and_cost(recipe):
@@ -279,6 +291,7 @@ def test_vertical_perturbation_resolves_defaults():
         ({"delta": 1.0}, r"need L - J\*delta > 0"),
         ({"eps": math.nan}, "K, L, u, delta, eps must be finite"),
         ({"eps": 0.0}, "K, L, u, delta, eps must be positive"),
+        ({"J": 21}, r"J must be <= 20 \(the derivative order 3J \+ 3 must not exceed 64\), got 21"),
     ],
 )
 def test_vertical_perturbation_rejects_before_eps_scan(kwargs, message, monkeypatch):
@@ -288,6 +301,18 @@ def test_vertical_perturbation_rejects_before_eps_scan(kwargs, message, monkeypa
     monkeypatch.setattr(cx, "select_epsilon", no_scan)
     with pytest.raises(ValueError, match=message):
         cx.VerticalPerturbation(**{"K": 6.0, "L": 1.4, "u": 1.0, **kwargs})
+
+
+def test_J_bound_follows_max_order(monkeypatch):
+    # the objectives convolve D^3 with the partner's D^{3J}: order 3J + 3
+    assert 3 * cx.MAX_J + 3 <= MAX_ORDER < 3 * (cx.MAX_J + 1) + 3
+
+    def no_scan(*args):
+        raise AssertionError("the eps scan ran on a rejected J")
+
+    monkeypatch.setattr(cx, "select_epsilon", no_scan)
+    with pytest.raises(ValueError, match=f"J must be <= {cx.MAX_J} .*, got {cx.MAX_J + 1}"):
+        cx.fisher_limit_gain(1.2, J=cx.MAX_J + 1)
 
 
 def test_vertical_gap_value_is_the_channel_objective():

@@ -76,6 +76,19 @@ def test_mixture_to_grid_mass_and_positivity():
     assert g2.values.min() >= 0.0
 
 
+def test_window_reaches_12_sd_past_every_component():
+    # grid integrals are the trapezoid sum alone: past 12 sd a unit-weight
+    # Gaussian keeps mass 1.8e-33, far below one ulp of any entropy
+    loc = GaussMixture((0.8, 0.2), (0.3, -1.2), (0.25, 4.0))
+    lo, hi = loc.window()
+    for mu, v in zip(loc.means, loc.variances):
+        assert lo <= mu - 12 * math.sqrt(v) and mu + 12 * math.sqrt(v) <= hi
+    deriv = GaussDerivMixture(((1.0, 0, 2.0), (-0.01, 3, 1.8), (0.01, 6, 2.6)))
+    lo, hi = deriv.window()
+    for _, _, v in deriv.terms:
+        assert lo <= -12 * math.sqrt(v) and 12 * math.sqrt(v) <= hi
+
+
 def test_entropy_translation_invariance():
     m = GaussMixture((0.7, 0.3), (0.75, -1.75), (1.0, 1.0))
     shift = 2.5

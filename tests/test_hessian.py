@@ -235,6 +235,15 @@ def test_phase_diagram_large_L_always_stable():
         assert stability_threshold(u) > 1.0
 
 
+@pytest.mark.parametrize("u", [1e-15, 1e-9, 1e-3, 0.3, 1.0, 1e3])
+def test_stability_threshold_matches_mpmath(u):
+    # u/((1+u)^{1/3} - 1) in floats cancels at small u (2.2518 at u = 1e-15)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(mpmath.mpf(u) / (mpmath.cbrt(1 + mpmath.mpf(u)) - 1))
+    assert abs(stability_threshold(u) - exact) <= 1e-15 * exact
+
+
 def test_phase_diagram_validation():
     with pytest.raises(ValueError):
         phase_diagram([], [2.0])

@@ -1,12 +1,14 @@
 """Weighted-rate quantities, alignments, envelopes, and audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ziclab import counterexamples as cx
 from ziclab import hkregion as hk
 from ziclab._util import rng_for
 
@@ -614,6 +616,24 @@ def assert_chord_beats_f1(q, w, params):
     assert best > 0
 
 
+def test_tangent_witness_rejects_non_finite_tail_box():
+    # p2/q2 overflowed, every lattice node was NaN, and the cell read f1 = g1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"cell \(q1=1e-300, q2=1e-300\): its tail box"):
+            hk.tangent_witness(1e-300, 1e-300, hk.HKParams(u=1.0))
+
+
+@pytest.mark.parametrize("q", [(1.0, 1.0), (1.0, 0.0)])
+def test_tangent_witness_rejects_nan_lattice(q, monkeypatch):
+    # a NaN excess holds no witness; it must not read as f1 = g1
+    real = hk._corner_value
+    monkeypatch.setattr(hk, "_corner_value", lambda x, y, u, N1: real(x, y, u, N1) * np.nan
+                        if np.ndim(x) else real(x, y, u, N1))
+    with pytest.raises(ValueError, match="its lattice excess is not finite"):
+        hk.tangent_witness(*q, hk.HKParams(u=1.0))
+
+
 @pytest.mark.parametrize("q, params", SCREENED_GAPPED)
 def test_witness_chord_beats_f1_on_screened_cells(q, params):
     w = hk.tangent_witness(*q, params, grid_n=129)
@@ -800,6 +820,20 @@ def test_constant_power_gap_large_A_trend():
     devs = [abs(g - c_half) for g in gaps]
     assert devs[-1] <= devs[0] + 1e-12
     assert devs[-1] < 0.2 * c_half
+
+
+def test_constant_power_gap_computes_each_entropy_once(monkeypatch):
+    # the slack that ends the A-doubling loop used to be evaluated again
+    seen = []
+    real = cx.mixture_entropy
+
+    def counted(m, n=8192):
+        seen.append(m)
+        return real(m, n=n)
+
+    monkeypatch.setattr(cx, "mixture_entropy", counted)
+    hk.constant_power_gap(hk.HKParams(u=1.0, N1=1.0, N2=0.05))
+    assert len(seen) == len(set(seen))
 
 
 @pytest.mark.parametrize("A", [math.nan, math.inf, -1.0])
