@@ -151,9 +151,20 @@ def _recipe_config(recipe: cx.SkewRecipe) -> dict:
     }
 
 
+def _fit_t_grid(args, powers: tuple[float, ...]) -> np.ndarray:
+    """geomspace(--t-min, --t-max, --t-count), rejected before any entropy
+    is computed when the fit in the basis {t^p} cannot use it."""
+    t_grid = np.geomspace(args.t_min, args.t_max, args.t_count)
+    try:
+        en.check_fit_t(t_grid, powers)
+    except ValueError as exc:
+        raise ValueError(f"--t-min {args.t_min!r}, --t-max {args.t_max!r}: {exc}") from None
+    return t_grid
+
+
 def cmd_verify_lemma1(args) -> tuple[dict, list[dict], list[dict]]:
     recipe = cx.default_recipe()
-    t_grid = np.geomspace(args.t_min, args.t_max, args.t_count)
+    t_grid = _fit_t_grid(args, en.EXPANSION_POWERS)
     curve = en.smoothing_curve(recipe.p, recipe.q, t_grid, n=args.n)
     c1, c15, slope = en.fit_expansion(curve[:, 0], curve[:, 1])
     c1_target, c15_target = en.expansion_targets(recipe.p, recipe.q)
@@ -190,7 +201,7 @@ def cmd_verify_lemma1(args) -> tuple[dict, list[dict], list[dict]]:
 def cmd_verify_lemma2(args) -> tuple[dict, list[dict], list[dict]]:
     recipe = cx.default_recipe()
     info = recipe.validate()
-    t_grid = np.geomspace(args.t_min, args.t_max, args.t_count)
+    t_grid = _fit_t_grid(args, cx.GAP_POWERS)
     rows = cx.skewness_gap(t_grid, recipe, N1=args.N1, Sigma1=args.Sigma1, n=args.n)
     control = cx.skewness_gap(
         t_grid, recipe, N1=args.N1, Sigma1=args.Sigma1, gaussian_x2=True, n=args.n

@@ -40,8 +40,9 @@ from .entropy import (
     differential_entropy,
     fisher_information,
     gaussian_entropy,
-    grid_from_mixture,
+    grids_from_mixtures,
     log_weighted_deriv_integral,
+    mixture_entropies,
     mixture_entropy,
     power_fit,
 )
@@ -83,31 +84,35 @@ class ChannelParams:
 
 
 def interference_objective(
-    params: ChannelParams, x1: Mixture, x2: Mixture, n: int = 8192
-) -> float:
-    """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) - Sigma1 E[X1^2].
+    params: ChannelParams, pairs: Sequence[tuple[Mixture, Mixture]], n: int = 8192
+) -> list[float]:
+    """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) - Sigma1 E[X1^2]
+    for each (X1, X2) pair.
 
     The one evaluation of this objective: the skewed-interferer gap
     (u = 1) and the vertical perturbation (N2 = u) call it too.  X1 and X2
     are mixtures of one family, convolved exactly; zero noise variances
-    skip the corresponding convolution.  Raises PowerViolationError when
-    E[X2^2] exceeds A2 beyond 1e-9.
+    skip the corresponding convolution.  The pairs' entropies are one
+    ``mixture_entropies`` batch, listed law by law, so the pairs of an eps
+    ladder share one tabulation per grid.  Raises PowerViolationError when
+    an E[X2^2] exceeds A2 beyond 1e-9.
     """
-    p2 = x2.second_moment()
-    if p2 > params.A2 + 1e-9:
-        raise PowerViolationError(f"E[X2^2] = {p2} exceeds A2 = {params.A2}")
-    x1z1 = x1.convolve_gaussian(params.N1)
-    x1z1z2 = x1z1.convolve_gaussian(params.N2)
-    trip = x1z1z2.convolve(x2)
-    ha = mixture_entropy(trip, n=n)
-    hb = mixture_entropy(x1z1, n=n)
-    hc = mixture_entropy(x1z1z2, n=n)
-    return (
+    for _, x2 in pairs:
+        p2 = x2.second_moment()
+        if p2 > params.A2 + 1e-9:
+            raise PowerViolationError(f"E[X2^2] = {p2} exceeds A2 = {params.A2}")
+    x1z1 = [x1.convolve_gaussian(params.N1) for x1, _ in pairs]
+    x1z1z2 = [m.convolve_gaussian(params.N2) for m in x1z1]
+    trip = [m.convolve(x2) for m, (_, x2) in zip(x1z1z2, pairs)]
+    k = len(pairs)
+    h = mixture_entropies(trip + x1z1 + x1z1z2, n=n)
+    return [
         params.u * ha
         + hb
         - (1.0 + params.u) * hc
         - params.Sigma1 * x1.second_moment()
-    )
+        for ha, hb, hc, (x1, _) in zip(h[:k], h[k : 2 * k], h[2 * k :], pairs)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +212,7 @@ def skewness_gap(
             q_t = GaussMixture((1.0,), (0.0,), (t * m2,))
         else:
             q_t = recipe.q.scaled(math.sqrt(t)).reflected()
-        gap = interference_objective(ChannelParams(u=1.0, N2=t * m2), p_eff, q_t, n=n)
+        [gap] = interference_objective(ChannelParams(u=1.0, N2=t * m2), [(p_eff, q_t)], n=n)
         if Sigma1 > 0:
             gap -= Sigma1 * p_eff.second_moment() / t
         rows.append((t, gap))
@@ -226,10 +231,14 @@ def check_gap_count(count: int) -> None:
         raise ValueError(f"the t^(3/2) fit needs at least 2 t values, got {count}")
 
 
+# the gap fit's columns: the t^{3/2} gain and the competing t^2 term
+GAP_POWERS = (1.5, 2)
+
+
 def gap_coefficient(rows: np.ndarray) -> float:
     """Fitted t^{3/2} coefficient of the gap (basis {t^{3/2}, t^2})."""
     check_gap_count(len(rows))
-    return float(power_fit(rows[:, 0], rows[:, 1], (1.5, 2))[0])
+    return float(power_fit(rows[:, 0], rows[:, 1], GAP_POWERS)[0])
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +301,24 @@ def select_epsilon(K: float, L: float, delta: float, J: int) -> float:
     raise NegativeDensityError("no positive eps admits nonnegative densities")
 
 
+def eps_ladder(eps0: float) -> tuple[float, float, float]:
+    """The eps values richardson_quadratic evaluates: eps0, eps0/2, eps0/4."""
+    return (eps0, eps0 / 2.0, eps0 / 4.0)
+
+
+def _check_eps_ladder(eps: float, J: int) -> None:
+    """Reject an eps whose ladder richardson_quadratic cannot divide by
+    (an e**2 overflows or underflows to 0) or whose partner series
+    overflows (eps**J is not finite) (ValueError)."""
+    try:
+        squares = [e**2 for e in eps_ladder(eps)]
+        eps**J
+    except OverflowError:
+        raise ValueError(f"eps too large: eps**2 or eps**J overflows at J={J}, got {eps}") from None
+    if 0.0 in squares:
+        raise ValueError(f"eps too small: (eps/4)**2 underflows to 0, got {eps}")
+
+
 @dataclass(frozen=True)
 class VerticalPerturbation:
     """Validated parameter bundle for the density-perturbation pipeline;
@@ -326,6 +353,8 @@ class VerticalPerturbation:
             raise ValueError("K, L, u, delta, eps must be finite")
         elif not self.eps > 0:
             raise ValueError("K, L, u, delta, eps must be positive")
+        else:
+            _check_eps_ladder(self.eps, self.J)
         if _min_density(self.x1()) < -1e-12 or _min_density(self.x2()) < -1e-12:
             raise NegativeDensityError(
                 "eps too large: perturbed density goes negative on the grid"
@@ -341,14 +370,16 @@ class VerticalPerturbation:
 
 
 def richardson_quadratic(
-    value: Callable[[float], float], reference: float, eps0: float
+    values_at: Callable[[tuple[float, float, float]], Sequence[float]],
+    reference: float,
+    eps0: float,
 ) -> tuple[list[float], float]:
-    """value at eps0, eps0/2, eps0/4, and the eps^2 coefficient of
-    value(eps) - reference = c eps^2 + O(eps^4), the limit of the ratios
-    (value - reference)/eps^2 by two rounds of Richardson extrapolation
-    (the series is even in eps)."""
-    eps_seq = (eps0, eps0 / 2.0, eps0 / 4.0)
-    values = [value(e) for e in eps_seq]
+    """The values at eps_ladder(eps0), from one call of ``values_at`` on
+    that tuple, and the eps^2 coefficient of value(eps) - reference =
+    c eps^2 + O(eps^4), the limit of the ratios (value - reference)/eps^2
+    by two rounds of Richardson extrapolation (the series is even in eps)."""
+    eps_seq = eps_ladder(eps0)
+    values = list(values_at(eps_seq))
     a0, a1, a2 = ((v - reference) / e**2 for v, e in zip(values, eps_seq))
     r1 = (4.0 * a1 - a0) / 3.0
     r2 = (4.0 * a2 - a1) / 3.0
@@ -379,7 +410,11 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
     base = 0.5 * gauss_psi(vp.K, vp.L, vp.u, 0.0, vp.u)
     params = ChannelParams(u=vp.u, N2=vp.u)
     values, coeff = richardson_quadratic(
-        lambda e: interference_objective(params, vp.x1(e), vp.x2(e), n=n), base, vp.eps
+        lambda eps: interference_objective(
+            params, [(vp.x1(e), vp.x2(e)) for e in eps], n=n
+        ),
+        base,
+        vp.eps,
     )
     return VerticalGapResult(
         gaussian_value=gaussian_value,
@@ -456,12 +491,18 @@ def stability_root(u: float, lo: float = 0.2, hi: float = 100.0, tol: float = 1e
 # ----------------------------------------------------------------------
 
 
-def limit_functional(x: Mixture, y: Mixture, n: int = 16384) -> float:
-    """h(X + Y) - h(X) - J(X)/2 for independent X and Y, each entropy and
-    the Fisher information on an n-point grid over the law's window."""
-    xy = x.convolve(y)
-    xg = grid_from_mixture(x, n=n)
-    return mixture_entropy(xy, n=n) - differential_entropy(xg) - 0.5 * fisher_information(xg)
+def limit_functional(
+    pairs: Sequence[tuple[Mixture, Mixture]], n: int = 16384
+) -> list[float]:
+    """h(X + Y) - h(X) - J(X)/2 for each pair of independent X and Y, each
+    entropy and the Fisher information on an n-point grid over the law's
+    window.  The X laws are one grid batch and the X + Y laws another, so
+    the pairs of an eps ladder share one tabulation per grid."""
+    h_xy = mixture_entropies([x.convolve(y) for x, y in pairs], n=n)
+    return [
+        h - differential_entropy(xg) - 0.5 * fisher_information(xg)
+        for h, xg in zip(h_xy, grids_from_mixtures([x for x, _ in pairs], n=n))
+    ]
 
 
 def fisher_limit_gaussian(K: float, L: float) -> float:
@@ -510,8 +551,9 @@ def fisher_limit_gain(
         eps0 = select_epsilon(K, L, delta, J)
     gaussian_value = fisher_limit_gaussian(K, L)
     values, coeff = richardson_quadratic(
-        lambda e: limit_functional(
-            perturbed_source(K, delta, e), partner_series(L, delta, e, J), n=n
+        lambda eps: limit_functional(
+            [(perturbed_source(K, delta, e), partner_series(L, delta, e, J)) for e in eps],
+            n=n,
         ),
         gaussian_value,
         eps0,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -87,19 +87,53 @@ class GridDensity:
             raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
 
 
-def mixture_to_grid(m: Mixture, lo: float, hi: float, n: int) -> GridDensity:
-    """Tabulate a mixture density on n points over [lo, hi].
+def mixtures_to_grids(
+    ms: Sequence[Mixture], lo: float, hi: float, n: int
+) -> Iterator[GridDensity]:
+    """Tabulate mixtures of one family on n points over [lo, hi], yielding
+    their GridDensity in order.
 
-    GridDensity raises NegativeDensityError when the density dips below
-    -1e-12 anywhere on the grid, which signals a perturbation amplitude too
-    large for pointwise positivity.
+    One ``pdf_many`` call tabulates them all, so a term several mixtures
+    hold is evaluated once, and each density has the bits it has alone.
+    Each GridDensity is built when it is reached.  It raises
+    NegativeDensityError when the density dips below -1e-12 anywhere on
+    the grid, which signals a perturbation amplitude too large for
+    pointwise positivity.
     """
-    return GridDensity(lo, hi, n, m.pdf(np.linspace(lo, hi, n)))
+    values = type(ms[0]).pdf_many(ms, np.linspace(lo, hi, n))
+    values.reverse()
+    while values:
+        yield GridDensity(lo, hi, n, values.pop())
+
+
+def mixture_to_grid(m: Mixture, lo: float, hi: float, n: int) -> GridDensity:
+    """Tabulate a mixture density on n points over [lo, hi]."""
+    return next(mixtures_to_grids((m,), lo, hi, n))
+
+
+def grids_from_mixtures(ms: Sequence[Mixture], n: int = 8192) -> Iterator[GridDensity]:
+    """Each mixture tabulated on n points over its own window(), in order.
+
+    Mixtures of one family with equal windows are tabulated together by
+    ``mixtures_to_grids`` when the first of them is reached, so each grid is
+    the one the mixture gets alone.  The rest of such a group waits for its
+    turn: listing a group's members together keeps one group in memory.
+    """
+    pending: dict[int, Iterator[GridDensity]] = {}
+    for i, m in enumerate(ms):
+        if i not in pending:
+            window = m.window()
+            group = [
+                j for j in range(i, len(ms))
+                if type(ms[j]) is type(m) and ms[j].window() == window
+            ]
+            grids = mixtures_to_grids([ms[j] for j in group], *window, n)
+            pending.update((j, grids) for j in group)
+        yield next(pending.pop(i))
 
 
 def grid_from_mixture(m: Mixture, n: int = 8192) -> GridDensity:
-    lo, hi = m.window()
-    return mixture_to_grid(m, lo, hi, n)
+    return next(grids_from_mixtures((m,), n))
 
 
 def differential_entropy(p: GridDensity) -> float:
@@ -124,9 +158,15 @@ def fisher_information(p: GridDensity) -> float:
     return p.integral(integrand)
 
 
+def mixture_entropies(ms: Sequence[Mixture], n: int = 8192) -> list[float]:
+    """Entropy of each mixture via tabulation on its natural window;
+    mixtures that share a window share one tabulation (grids_from_mixtures)."""
+    return [differential_entropy(g) for g in grids_from_mixtures(ms, n=n)]
+
+
 def mixture_entropy(m: Mixture, n: int = 8192) -> float:
     """Entropy of a mixture via tabulation on its natural window."""
-    return differential_entropy(grid_from_mixture(m, n=n))
+    return mixture_entropies((m,), n=n)[0]
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -264,18 +304,43 @@ def check_expansion_count(count: int) -> None:
         raise ValueError(f"need at least 6 t values, got {count}")
 
 
+def check_fit_t(t: np.ndarray, powers: tuple[float, ...]) -> None:
+    """Reject t values the fit in the basis {t^p for p in powers} cannot
+    use (ValueError): fewer distinct values than columns, or a column whose
+    norm, which scales it, is not finite and positive."""
+    t = np.asarray(t, dtype=float)
+    distinct = len(set(t.tolist()))
+    if distinct < len(powers):
+        raise ValueError(
+            f"t values must take at least {len(powers)} distinct values "
+            f"for the fit in t^p, p in {powers}, got {distinct}"
+        )
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(np.stack([t**p for p in powers], axis=1), axis=0)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ValueError(
+            f"t values must keep every fit column t^p, p in {powers}, finite "
+            f"and nonzero, got t from {t.min()} to {t.max()}"
+        )
+
+
 def power_fit(t: np.ndarray, y: np.ndarray, powers: tuple[float, ...]) -> np.ndarray:
     """Least-squares coefficients of y in the basis {t^p for p in powers},
-    solved with each column scaled to unit norm."""
+    solved with each column scaled to unit norm (check_fit_t's t only)."""
+    check_fit_t(t, powers)
     basis = np.stack([t**p for p in powers], axis=1)
     scale = np.linalg.norm(basis, axis=0)
     coef, *_ = np.linalg.lstsq(basis / scale, y, rcond=None)
     return coef / scale
 
 
+# the small-t expansion's fit columns: c1, c15 and two that absorb the tail
+EXPANSION_POWERS = (1, 1.5, 2, 2.5)
+
+
 def fit_expansion(t: np.ndarray, dh: np.ndarray) -> tuple[float, float, float]:
     """(c1, c15, residual log-log slope) of dh in {t, t^1.5, t^2, t^2.5}."""
-    coef = power_fit(t, dh, (1, 1.5, 2, 2.5))
+    coef = power_fit(t, dh, EXPANSION_POWERS)
     resid = dh - coef[0] * t - coef[1] * t**1.5
     ok = np.abs(resid) > 1e-14
     if ok.sum() >= 2:

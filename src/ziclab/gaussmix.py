@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,37 +37,48 @@ class DerivTerm(NamedTuple):
 def gauss_deriv_poly(order: int, variance: float) -> np.ndarray:
     """Coefficients (ascending) of P with D^order gamma_v = P * gamma_v.
 
-    Built by the recursion P_{k+1} = P_k' - (x/v) P_k, so the leading
-    coefficient is (-1/v)^order.  Memoized per (order, variance), since
-    pointwise callers such as adaptive quadrature ask for the same
-    polynomial many times; the returned array is read-only because it is
-    shared.
+    Built by the recursion P_{k+1} = P_k' - (x/v) P_k, one slice each for
+    the derivative and the shift, so the leading coefficient is
+    (-1/v)^order.  Memoized per (order, variance), since pointwise callers
+    such as adaptive quadrature ask for the same polynomial many times; the
+    returned array is read-only because it is shared.
     """
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
     if variance <= 0:
         raise ValueError("variance must be positive")
     p = np.array([1.0])
-    for _ in range(order):
-        dp = np.polynomial.polynomial.polyder(p) if len(p) > 1 else np.array([0.0])
-        xp = np.concatenate([[0.0], p]) / variance
-        n = max(len(dp), len(xp))
-        q = np.zeros(n)
-        q[: len(dp)] += dp
-        q[: len(xp)] -= xp
-        p = q
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            q = np.zeros(k + 1)
+            q[: k - 1] += p[1:] * np.arange(1, k)
+            q[1:] -= p / variance
+            p = q
+    if not np.isfinite(p).all():
+        raise ValueError(
+            f"D^{order} gamma_v has coefficients beyond the float range at v = {variance}"
+        )
     p.setflags(write=False)
     return p
 
 
 def gauss_deriv_pdf(x: np.ndarray | float, variance: float, order: int = 0) -> np.ndarray:
-    """Evaluate D^order gamma_variance pointwise."""
+    """Evaluate D^order gamma_variance pointwise.
+
+    The polynomial factor is Horner's rule in one buffer, out <- out * x + c:
+    the operations of ``polyval`` without its two temporaries per step.
+    """
     x = np.asarray(x, dtype=float)
     g = np.exp(-x * x / (2.0 * variance)) / (_SQRT2PI * math.sqrt(variance))
     if order == 0:
         return g
     poly = gauss_deriv_poly(order, variance)
-    return np.polynomial.polynomial.polyval(x, poly) * g
+    out = np.full_like(x, poly[-1])
+    for c in poly[-2::-1]:
+        out *= x
+        out += c
+    out *= g
+    return out
 
 
 def gauss_raw_moment(j: int, variance: float) -> float:
@@ -125,11 +136,33 @@ class GaussDerivMixture:
         return (-r, r)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray:
+        return self.pdf_many((self,), x)[0]
+
+    @staticmethod
+    def pdf_many(
+        mixtures: Sequence["GaussDerivMixture"], x: np.ndarray | float
+    ) -> list[np.ndarray]:
+        """Each mixture's density on x, every distinct D^m gamma_v evaluated once.
+
+        Walks the sorted union of the mixtures' (order, variance) keys,
+        evaluates each key's column once and adds coeff * column to every
+        mixture that holds the key.  A mixture's terms are sorted by the
+        same key, so each sum runs in the order of that mixture alone and
+        its bits do not depend on the batch.  One column is alive at a
+        time, beside one accumulator per mixture.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for coeff, order, variance in self.terms:
-            out += coeff * gauss_deriv_pdf(x, variance, order)
-        return out
+        outs = [np.zeros_like(x) for _ in mixtures]
+        holders: dict[tuple[int, float], list[tuple[float, np.ndarray]]] = {}
+        for out, m in zip(outs, mixtures):
+            for coeff, order, variance in m.terms:
+                holders.setdefault((order, variance), []).append((coeff, out))
+        for order, variance in sorted(holders):
+            column = gauss_deriv_pdf(x, variance, order)
+            for coeff, out in holders[order, variance]:
+                out += coeff * column
+            del column  # free before the next column is built
+        return outs
 
     def convolve(self, other: "GaussDerivMixture") -> "GaussDerivMixture":
         if not isinstance(other, GaussDerivMixture):
@@ -243,6 +276,11 @@ class GaussMixture:
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray:
         return self.pdf_deriv(x, 0)
+
+    @staticmethod
+    def pdf_many(mixtures: Sequence["GaussMixture"], x: np.ndarray | float) -> list[np.ndarray]:
+        """Each mixture's density on x (location terms share no columns)."""
+        return [m.pdf(x) for m in mixtures]
 
     def pdf_deriv(self, x: np.ndarray | float, order: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)

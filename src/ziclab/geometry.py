@@ -9,6 +9,7 @@ coefficient fits are not polluted by polygonal approximation of arcs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -282,11 +283,20 @@ def reference_bodies() -> tuple[ConvexBody2D, ConvexBody2D, ConvexBody2D]:
     return square(1.0), disc(0.5), square(math.pi / 4.0, math.pi / 4.0)
 
 
+# The ratio multiplies two areas of order t^2 (K is the unit square), so
+# t^4 must stay below the float range.
+T_MAX = sys.float_info.max ** 0.25 / 2.0
+
+
 def volume_ratio(t: float, round_interferer: bool = False) -> float:
     """sqrt(area(tK+B+L) area(tK)) / area(tK+B) with the reference bodies
     (L replaced by B when ``round_interferer``); all bodies centered."""
     if t <= 0:
         raise ValueError("t must be positive")
+    if t > T_MAX:
+        raise ValueError(
+            f"t must be at most {T_MAX:.6g} (the ratio multiplies two areas of order t^2), got {t}"
+        )
     k, b, l = reference_bodies()
     tk = k.scaled(t)
     if round_interferer:

@@ -246,6 +246,10 @@ def local_optimality_radius(
             f"K is not the Gaussian maximizer for L: expected diag {expected}"
         )
     kmax = float(k.max())
+    if not math.isfinite((kmax + u) * (kmax + u)):
+        raise ValueError(
+            f"local optimality ledger overflows the float range at K={kmax}, u={u}"
+        )
     cubic_ratio = (1.0 + u) * (kmax / (kmax + u)) ** 3
     if cubic_ratio >= 1.0 - 1e-15:
         return None

@@ -325,6 +325,43 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # OverflowError traceback in partner_series (eps**j)
+        (["verify-vertical", "--K", "1e300", "--delta", "2.5011080795048392e-272",
+          "--eps", "2.298404453637188e+221", "--n", "1024"],
+         "eps too large: eps**2 or eps**J overflows at J=2, got 2.298404453637188e+221"),
+        # ZeroDivisionError traceback in richardson_quadratic
+        (["verify-vertical", "--K", "8.043241841108752e+256", "--delta", "5.062894561534945e-23",
+          "--eps", "9.43946782688377e-284", "--n", "1024"],
+         "eps too small: (eps/4)**2 underflows to 0, got 9.43946782688377e-284"),
+        # exit 3 after a RankWarning from the residual-slope polyfit
+        (["verify-lemma1", "--t-min", "0.1", "--t-max", "0.1", "--n", "1024"],
+         "--t-min 0.1, --t-max 0.1: t values must take at least 4 distinct values "
+         "for the fit in t^p, p in (1, 1.5, 2, 2.5), got 1"),
+        # "SVD did not converge" after three overflow RuntimeWarnings
+        (["verify-lemma2", "--t-min", "1e200", "--t-max", "1e200", "--t-count", "2", "--n", "1024"],
+         "--t-min 1e+200, --t-max 1e+200: t values must take at least 2 distinct values "
+         "for the fit in t^p, p in (1.5, 2), got 1"),
+        (["verify-lemma2", "--t-min", "1e120", "--t-max", "1e200", "--t-count", "2", "--n", "1024"],
+         "--t-min 1e+120, --t-max 1e+200: t values must keep every fit column t^p, "
+         "p in (1.5, 2), finite and nonzero, got t from 1e+120 to 1e+200"),
+        # exit 0 after overflow and divide-by-zero RuntimeWarnings
+        (["theorem5-epsilon", "--u", "1.49e181", "--L", "9.26e61"],
+         "local optimality ledger overflows the float range at K=1.609071274298056e+119, u=1.49e+181"),
+        # exit 2 after two overflow RuntimeWarnings
+        (["geometry", "--t", "1e300"],
+         "t must be at most 5.7896e+76 (the ratio multiplies two areas of order t^2), got 1e+300"),
+    ],
+)
+def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"ziclab: {message}\n"
+
+
 def test_verify_lemma2_runs_one_recipe_quadrature(monkeypatch, capsys):
     # validate() ran in the handler and again in each of two skewness_gap calls
     calls = []

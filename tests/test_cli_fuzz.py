@@ -39,6 +39,10 @@ COMMANDS = st.one_of(
     command("lemma5-audit", "--samples=2", "--envelope-grid=9", u=FLOAT, N1=FLOAT),
     command("theorem4-audit", "--d=2", "--samples=2", "--envelope-grid=9", u=FLOAT, N1=FLOAT),
     command("verify-vertical", "--n=1024", u=FLOAT, L=FLOAT, J=INT),
+    command("verify-vertical", "--n=1024", K=FLOAT, delta=FLOAT, eps=FLOAT),
+    command("verify-lemma1", "--n=1024", "--t-count=6", **{"t-min": FLOAT, "t-max": FLOAT}),
+    command("verify-lemma2", "--n=1024", "--t-count=2", **{"t-min": FLOAT, "t-max": FLOAT}),
+    command("geometry", t=FLOAT),
     command("limit-functional", "--n=1024", L=FLOAT, J=INT),
     command("constant-power-gap", "--n=1024", u=FLOAT, N1=FLOAT, N2=FLOAT),
 )
@@ -56,6 +60,16 @@ def reject_non_finite(text):
 @example(["verify-vertical", "--u=1e-300", "--n=1024"])
 @example(["hk-region", "--q1=1e-300", "--q2=1e-300", "--envelope-grid=9"])
 @example(["conjecture2-map", "--q=1e-300", "--envelope-grid=9"])
+@example(["verify-vertical", "--K=1e300", "--delta=2.5011080795048392e-272",
+          "--eps=2.298404453637188e+221", "--n=1024"])
+@example(["verify-vertical", "--K=8.043241841108752e+256", "--delta=5.062894561534945e-23",
+          "--eps=9.43946782688377e-284", "--n=1024"])
+@example(["verify-vertical", "--K=2.168379929338835e-141", "--delta=7.943308566024267e-213",
+          "--eps=5", "--n=1024"])
+@example(["verify-lemma1", "--t-min=0.1", "--t-max=0.1", "--n=1024"])
+@example(["verify-lemma2", "--t-min=1e200", "--t-max=1e200", "--t-count=2", "--n=1024"])
+@example(["theorem5-epsilon", "--u=1.49e181", "--L=9.26e61"])
+@example(["geometry", "--t=1e300"])
 def test_cli_exits_0_2_or_3_with_strict_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:

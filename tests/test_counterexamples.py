@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ziclab import counterexamples as cx
+from ziclab import gaussmix
 from ziclab.entropy import NegativeDensityError, grid_from_mixture, mixture_entropy
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
 from ziclab.hessian import gauss_psi, stability_threshold
@@ -35,7 +36,7 @@ def test_gaussian_objective_vanishes_from_below():
     params = cx.ChannelParams(u=1.0, N1=0.0, N2=1.0, Sigma1=0.0, A2=1.0)
     prev = -math.inf
     for K in (10.0, 100.0, 1000.0):
-        val = cx.interference_objective(params, gaussian(K), gaussian(1.0), n=8192)
+        [val] = cx.interference_objective(params, [(gaussian(K), gaussian(1.0))], n=8192)
         assert val < 0
         assert val > prev
         prev = val
@@ -46,7 +47,7 @@ def test_objective_matches_closed_form_on_grid():
     params = cx.ChannelParams(u=1.0, N1=0.3, N2=1.0, Sigma1=0.0, A2=100.0)
     for K in (0.5, 1.0, 2.0, 4.0, 8.0):
         for Lv in (0.5, 1.0, 2.0, 4.0, 8.0):
-            num = cx.interference_objective(params, gaussian(K), gaussian(Lv), n=8192)
+            [num] = cx.interference_objective(params, [(gaussian(K), gaussian(Lv))], n=8192)
             closed = 0.5 * gauss_psi(K, Lv, params.u, params.N1, params.N2) - params.Sigma1 * K
             assert num == pytest.approx(closed, abs=1e-6)
 
@@ -54,7 +55,7 @@ def test_objective_matches_closed_form_on_grid():
 def test_power_violation():
     params = cx.ChannelParams(u=1.0, N2=1.0, A2=0.5)
     with pytest.raises(cx.PowerViolationError):
-        cx.interference_objective(params, gaussian(1.0), gaussian(1.0))
+        cx.interference_objective(params, [(gaussian(1.0), gaussian(1.0))])
 
 
 @pytest.mark.parametrize(
@@ -78,7 +79,7 @@ def test_recipe_objective_positive_at_small_t(recipe):
     params = cx.ChannelParams(u=1.0, N1=0.0, N2=m2, A2=m2 + 1e-9)
     x1 = recipe.p.scaled(1.0 / math.sqrt(t))
     x2 = recipe.q.reflected()
-    val = cx.interference_objective(params, x1, x2, n=8192)
+    [val] = cx.interference_objective(params, [(x1, x2)], n=8192)
     assert val > 1e-6
 
 
@@ -194,7 +195,7 @@ def test_richardson_quadratic_exact_to_sixth_order():
     def value(e):
         return 0.5 + 3.0 * e**2 - 7.0 * e**4 + 11.0 * e**6
 
-    values, coeff = cx.richardson_quadratic(value, 0.5, 0.1)
+    values, coeff = cx.richardson_quadratic(lambda eps: [value(e) for e in eps], 0.5, 0.1)
     assert values == [value(0.1), value(0.05), value(0.025)]
     assert coeff == pytest.approx(3.0, rel=1e-12)
 
@@ -328,6 +329,74 @@ def test_vertical_gap_value_is_the_channel_objective():
     assert cx.vertical_gap(vp, n=2048).perturbed_value == by_hand
 
 
+def count_grid_columns(monkeypatch, n):
+    """Patch gaussmix's kernel to count its calls on n-point grids, keyed by
+    (grid ends, order, variance)."""
+    kernel = gaussmix.gauss_deriv_pdf
+    calls = {}
+
+    def counted(x, variance, order=0):
+        if np.size(x) == n:
+            key = (float(x[0]), float(x[-1]), order, variance)
+            calls[key] = calls.get(key, 0) + 1
+        return kernel(x, variance, order)
+
+    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", counted)
+    return calls
+
+
+def test_vertical_gap_tabulates_each_term_once_per_grid(monkeypatch):
+    # the eps ladder's three objectives share their (order, variance) terms
+    # on each grid; before the batch each column was evaluated three times
+    vp = cx.VerticalPerturbation(K=2.0, L=3.0, u=0.7, delta=0.3, eps=1e-3, J=2)
+    calls = count_grid_columns(monkeypatch, 2048)
+    cx.vertical_gap(vp, n=2048)
+    assert calls and set(calls.values()) == {1}
+    grids = {key[:2] for key in calls}
+    assert len(grids) == 3  # X1+Z1+Z2+X2, X1+Z1 and X1+Z1+Z2 windows
+
+
+def test_fisher_limit_gain_tabulates_each_term_once_per_grid(monkeypatch):
+    calls = count_grid_columns(monkeypatch, 2048)
+    cx.fisher_limit_gain(1.2, J=3, eps0=2.0**-8, n=2048)
+    assert calls and set(calls.values()) == {1}
+    assert len({key[:2] for key in calls}) == 2  # X and X + Y windows
+
+
+def test_vertical_gap_ladder_matches_single_pair_objectives():
+    vp = cx.VerticalPerturbation(K=2.0, L=3.0, u=0.7, delta=0.3, eps=1e-3, J=2)
+    res = cx.vertical_gap(vp, n=2048)
+    params = cx.ChannelParams(u=vp.u, N2=vp.u)
+    singles = [
+        cx.interference_objective(params, [(vp.x1(e), vp.x2(e))], n=2048)[0]
+        for e in cx.eps_ladder(vp.eps)
+    ]
+    _, coeff = cx.richardson_quadratic(lambda eps: singles, res.base_value, vp.eps)
+    assert res.perturbed_value == singles[0]
+    assert res.quadratic_coeff == coeff
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # OverflowError in partner_series (eps**j)
+        ({"K": 1e300, "delta": 2.5011080795048392e-272, "eps": 2.298404453637188e221},
+         r"eps too large: eps\*\*2 or eps\*\*J overflows at J=2, got 2.298404453637188e\+221"),
+        ({"eps": 1e200, "J": 1}, r"eps too large: .* overflows at J=1, got 1e\+200"),
+        # ZeroDivisionError in richardson_quadratic: (eps/4)**2 underflowed to 0
+        ({"K": 8.043241841108752e256, "delta": 5.062894561534945e-23, "eps": 9.43946782688377e-284},
+         r"eps too small: \(eps/4\)\*\*2 underflows to 0, got 9.43946782688377e-284"),
+    ],
+)
+def test_vertical_perturbation_rejects_eps_ladder_before_tabulation(kwargs, message, monkeypatch):
+    def no_tabulation(*args):
+        raise AssertionError("a density was tabulated for a rejected eps")
+
+    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", no_tabulation)
+    with pytest.raises(ValueError, match=message):
+        cx.VerticalPerturbation(**{"K": 6.0, "L": 1.4, "u": 1.0, **kwargs})
+
+
 def test_partner_series_budget_neutral():
     y = cx.partner_series(3.0, 0.1, 0.05, 3)
     assert y.mass == pytest.approx(1.0, abs=1e-15)
@@ -436,7 +505,7 @@ def test_vertical_sign_flip_by_bisection():
 
 def test_limit_functional_gaussian_closed_form():
     for K, L in ((2.0, 2.0), (1.7, 1.2)):
-        val = cx.limit_functional(gaussian(K), gaussian(L))
+        [val] = cx.limit_functional([(gaussian(K), gaussian(L))])
         assert val == pytest.approx(cx.fisher_limit_gaussian(K, L), abs=1e-10)
 
 

@@ -16,15 +16,18 @@ from ziclab.entropy import (
     expansion_targets,
     fisher_information,
     gaussian_entropy,
+    check_fit_t,
     grid_from_mixture,
+    grids_from_mixtures,
     log_weighted_deriv_integral,
+    mixture_entropies,
     mixture_entropy,
     mixture_to_grid,
     power_fit,
     smoothing_curve,
     smoothing_expansion,
 )
-from ziclab.gaussmix import GaussDerivMixture, GaussMixture, gaussian
+from ziclab.gaussmix import DerivTerm, GaussDerivMixture, GaussMixture, gaussian
 
 
 def test_gaussian_entropy_closed_form():
@@ -252,3 +255,44 @@ def test_log_weighted_deriv_integral_gaussian():
     # int gamma'' ln gamma = -1 for the standard gaussian
     g = GaussMixture((1.0,), (0.0,), (1.0,))
     assert log_weighted_deriv_integral(g, 2) == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_grids_from_mixtures_equal_each_grid_alone():
+    # interleaved windows and families: every grid is the one its mixture
+    # gets alone, in input order
+    def perturbed(eps):
+        return GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-eps, 3, 1.8)))
+
+    mixtures = [
+        gaussian(2.0),
+        GaussMixture((0.5, 0.5), (-1.0, 1.0), (0.3, 0.3)),
+        perturbed(0.01),
+        gaussian(3.0),
+        perturbed(0.02),
+    ]
+    grids = list(grids_from_mixtures(mixtures, n=2048))
+    assert len(grids) == len(mixtures)
+    for m, g in zip(mixtures, grids):
+        alone = mixture_to_grid(m, *m.window(), 2048)
+        assert (g.lo, g.hi, g.n) == (alone.lo, alone.hi, alone.n)
+        assert g.values.tobytes() == alone.values.tobytes()
+        assert g.values.tobytes() == grid_from_mixture(m, n=2048).values.tobytes()
+    assert mixture_entropies(mixtures, n=2048) == [mixture_entropy(m, n=2048) for m in mixtures]
+
+
+@pytest.mark.parametrize(
+    "t, powers, message",
+    [
+        (np.full(6, 0.1), (1, 1.5, 2, 2.5), "at least 4 distinct values .* got 1"),
+        (np.array([0.1, 0.1, 0.1, 0.0999999999999999]), (1, 1.5, 2, 2.5), "got 2"),
+        (np.array([1e120, 1e200]), (1.5, 2), "finite and nonzero"),
+        (np.array([1e-300, 2e-300]), (1.5, 2), "finite and nonzero"),
+    ],
+)
+def test_fit_rejects_t_values_it_cannot_use(t, powers, message):
+    # equal t left lstsq rank-deficient (a RankWarning in the slope fit);
+    # t^2 = inf or 0 made the column scaling divide by inf or 0
+    with pytest.raises(ValueError, match=message):
+        check_fit_t(t, powers)
+    with pytest.raises(ValueError, match=message):
+        power_fit(t, np.ones_like(t), powers)

@@ -2,6 +2,7 @@
 oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ziclab import gaussmix
 from ziclab.gaussmix import (
+    MAX_ORDER,
     DerivTerm,
     GaussDerivMixture,
     GaussMixture,
@@ -366,3 +369,110 @@ def test_location_mixture_rejects_non_finite(bad):
     ):
         with pytest.raises(ValueError, match="must be finite"):
             GaussMixture(*args)
+
+
+# ----------------------------------------------------------------------
+# batch tabulation and the kernels under it
+# ----------------------------------------------------------------------
+
+
+def loop_pdf(m, x):
+    """The per-term loop every mixture density summed before batching."""
+    out = np.zeros_like(x)
+    for coeff, order, variance in m.terms:
+        out += coeff * gauss_deriv_pdf(x, variance, order)
+    return out
+
+
+# terms drawn from a small key pool, so mixtures share keys; a term drawn
+# with its negative cancels to nothing
+batch_keys = st.tuples(st.integers(0, 12), st.sampled_from((0.3, 0.75, 1.0, 1.7, 9.0)))
+batch_terms = st.lists(
+    st.tuples(st.floats(-4.0, 4.0, allow_nan=False), batch_keys, st.booleans()), max_size=6
+)
+
+
+def batch_mixture(drawn):
+    terms = []
+    for coeff, (order, variance), cancelled in drawn:
+        terms.append(DerivTerm(coeff, order, variance))
+        if cancelled:
+            terms.append(DerivTerm(-coeff, order, variance))
+    return GaussDerivMixture(tuple(terms))
+
+
+@PROPERTY
+@given(st.lists(batch_terms.map(batch_mixture), min_size=1, max_size=4))
+def test_pdf_many_equals_each_mixture_alone(mixtures):
+    x = np.linspace(-40.0, 40.0, 257)
+    batch = GaussDerivMixture.pdf_many(mixtures, x)
+    assert len(batch) == len(mixtures)
+    for m, values in zip(mixtures, batch):
+        assert values.tobytes() == loop_pdf(m, x).tobytes()
+        assert values.tobytes() == m.pdf(x).tobytes()
+
+
+def test_pdf_many_evaluates_each_shared_term_once(monkeypatch):
+    calls = []
+
+    def counted(x, variance, order=0):
+        calls.append((order, variance))
+        return gauss_deriv_pdf(x, variance, order)
+
+    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", counted)
+    a = GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-0.1, 3, 1.5)))
+    b = GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-0.05, 3, 1.5), DerivTerm(0.2, 6, 1.0)))
+    GaussDerivMixture.pdf_many((a, b), np.linspace(-5.0, 5.0, 11))
+    assert sorted(calls) == [(0, 2.0), (3, 1.5), (6, 1.0)]
+
+
+def test_location_pdf_many_is_each_pdf():
+    a = GaussMixture((0.5, 0.5), (-1.0, 1.0), (0.3, 0.7))
+    b = GaussMixture((1.0,), (0.25,), (2.0,))
+    x = np.linspace(-6.0, 6.0, 101)
+    batch = GaussMixture.pdf_many((a, b), x)
+    assert [v.tobytes() for v in batch] == [a.pdf(x).tobytes(), b.pdf(x).tobytes()]
+
+
+def polyder_poly(order, variance):
+    """The polyder/concatenate recursion gauss_deriv_poly used before its
+    slice form; kept as the bit-for-bit oracle."""
+    p = np.array([1.0])
+    for _ in range(order):
+        dp = np.polynomial.polynomial.polyder(p) if len(p) > 1 else np.array([0.0])
+        xp = np.concatenate([[0.0], p]) / variance
+        n = max(len(dp), len(xp))
+        q = np.zeros(n)
+        q[: len(dp)] += dp
+        q[: len(xp)] -= xp
+        p = q
+    return p
+
+
+def test_deriv_poly_matches_polyder_recursion_bitwise():
+    # tobytes also compares signed zeros, which == would not
+    for v in (0.3, 1.0, 1.7, 9.0, 123.4, 1e-3):
+        for k in range(MAX_ORDER + 1):
+            assert gauss_deriv_poly(k, v).tobytes() == polyder_poly(k, v).tobytes(), (k, v)
+
+
+def test_deriv_pdf_matches_polyval_bitwise():
+    # in-place Horner does polyval's operations: out * x + c, then times g
+    rng = np.random.default_rng(7)
+    for v in (0.3, 1.7, 9.0):
+        s = math.sqrt(v)
+        x = np.concatenate([np.linspace(-12 * s, 12 * s, 1001), rng.normal(0.0, 3 * s, 200), [0.0, -0.0]])
+        g = np.exp(-x * x / (2.0 * v)) / (math.sqrt(2.0 * math.pi) * s)
+        for k in range(1, MAX_ORDER + 1):
+            expected = np.polynomial.polynomial.polyval(x, gauss_deriv_poly(k, v)) * g
+            assert gauss_deriv_pdf(x, v, k).tobytes() == expected.tobytes(), (k, v)
+
+
+def test_deriv_poly_rejects_coefficients_beyond_float_range():
+    # (1/v)^3 overflowed with a RuntimeWarning at v = 2e-141 and the
+    # density read inf and nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="D\\^3 gamma_v has coefficients beyond the float range"):
+            gauss_deriv_poly(3, 2.168379929338835e-141)
+        assert np.isfinite(gauss_deriv_poly(MAX_ORDER, 1e-4)).all()

@@ -1,6 +1,7 @@
 """Exact planar Minkowski/mixed-area computations and the ratio sweep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.spatial import ConvexHull
 
 from ziclab.geometry import (
     RATIO_COEFFICIENT_EXACT,
+    T_MAX,
     ConvexBody2D,
     NonConvexInputError,
     RoundedBody,
@@ -187,3 +189,15 @@ def test_exact_ratio_value_at_t():
     area_tkb = sq_area + 0.5 * (4 * t) + math.pi * 0.25
     expected = math.sqrt(area_tkbl * sq_area) / area_tkb
     assert volume_ratio(t) == pytest.approx(expected, rel=1e-14)
+
+
+def test_volume_ratio_finite_up_to_t_max():
+    # past T_MAX the product of the two O(t^2) areas overflowed: ratio inf
+    # (reported null, yet "ratio_gt_1": true), and past ~1e154 warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for round_interferer in (False, True):
+            assert math.isfinite(volume_ratio(T_MAX, round_interferer))
+        for t in (math.nextafter(T_MAX, math.inf), 1e100, 1e300):
+            with pytest.raises(ValueError, match="t must be at most"):
+                volume_ratio(t)

@@ -1,6 +1,7 @@
 """Hessian ledger, stability classifier, and local-optimality certificate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,3 +250,13 @@ def test_phase_diagram_validation():
         phase_diagram([], [2.0])
     with pytest.raises(ValueError):
         phase_diagram([1.0], [0.9, 2.0])
+
+
+def test_local_optimality_radius_rejects_overflowing_ledger():
+    # (K + u)^2 overflowed: RuntimeWarnings, then a certificate from den = 0
+    u, L = 1.49e181, 9.26e61
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = gaussian_maximizer(L, u)
+        with pytest.raises(ValueError, match="local optimality ledger overflows"):
+            local_optimality_radius(K, L, u)
