@@ -403,9 +403,7 @@ def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
 def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
     params = hk.HKParams(u=args.u, N1=args.N1)
     rng = rng_for(args.seed, "lemma5-audit")
-    report = hk.eigenvalue_bound_audit(
-        1, params, args.samples, rng, grid_n=args.envelope_grid
-    )
+    report = hk.eigenvalue_bound_audit(1, params, args.samples, rng)
     results = [
         {
             "J": r.q1,
@@ -431,9 +429,7 @@ def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
 def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
     params = hk.HKParams(u=args.u, N1=args.N1)
     rng = rng_for(args.seed, "theorem4-audit")
-    report = hk.eigenvalue_bound_audit(
-        args.d, params, args.samples, rng, grid_n=args.envelope_grid
-    )
+    report = hk.eigenvalue_bound_audit(args.d, params, args.samples, rng)
     results = [
         {
             "q1": r.q1,
@@ -679,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(handler=cmd_lemma5_audit)
@@ -689,7 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(handler=cmd_theorem4_audit)

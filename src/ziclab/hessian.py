@@ -31,9 +31,13 @@ class NotStationaryError(ValueError):
 def stability_threshold(u: float) -> float:
     """Variance at which the Hessian at the stationary point changes sign,
     u/((1+u)^{1/3} - 1).  The denominator is formed as expm1(log1p(u)/3),
-    which does not cancel at small u: the threshold tends to 3 as u -> 0."""
+    which does not cancel at small u.  The threshold is 3 + u + O(u^2), which
+    rounds to 3 below u = 2^-52; 3 is returned there, as log1p(u)/3 loses
+    digits to underflow at subnormal u."""
     if u <= 0:
         raise ValueError("u must be positive")
+    if u < 2.0**-52:
+        return 3.0
     return u / math.expm1(math.log1p(u) / 3.0)
 
 

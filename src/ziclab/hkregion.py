@@ -491,65 +491,72 @@ def concave_envelope_1d(xs: np.ndarray, fs: np.ndarray, q: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _tail_box(
-    q1: float, q2: float, fq: float, d1: float, d2: float, u: float, N1: float
-) -> tuple[float, float]:
-    """(P1, P2) such that the tangent plane l(p) = fq + d1 (p1-q1) + d2 (p2-q2)
-    of f1 at q lies above f1(p) wherever p1 > P1 or p2 > P2.
+def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
+    """Real roots of c2 t^2 + c1 t + c0 (c0 != 0) by the cancellation-free
+    formula, on coefficients scaled to at most 1 so that no square overflows."""
+    m = max(abs(c2), abs(c1), abs(c0))
+    c2, c1, c0 = c2 / m, c1 / m, c0 / m
+    if c2 == 0.0:
+        return [-c0 / c1]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    h = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [h / c2, c0 / h]
 
-    With s = N1 + u, psi(K, L) < u ln(1 + L/u) and ln(a+b+s) <= ln(a+s) +
-    ln(b+s) - ln s give f1(p) < ln(p1+s) + ln(p2+s) + u ln(p2+u) - u ln u
-    - ln s.  Each log lies under its tangent line ln x <= m x - ln m - 1,
-    with m set so that the p1 log takes half of d1 and each p2 log a
-    quarter of d2; so f1(p) - l(p) < gap - d1 p1/2 - d2 p2/2.
-    """
+
+def _plane_contacts(a: float, b: float, u: float, N1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p1, p2) of the at most eight points p >= 0 among which the
+    maximum of f1(p) - a p1 - b p2 (a, b > 0) lies.  With s = N1 + u, S = p1 +
+    p2 + s and x = p1 + N1, f1 is C^1, a stationary point of each smooth piece
+    solves at most a quadratic, and f1(p1, 0) = ln x, f1(0, p2) = (1+u) ln S + c."""
     s = N1 + u
-    gap = (
-        d1 * (q1 + s / 2.0) + d2 * (q2 + (s + u) / 4.0)
-        - math.log(d1 / 2.0) - (u + 1.0) * math.log(d2 / 4.0) - math.log(s) - (u + 2.0) - fq
-    )
-    return max(0.0, 2.0 * gap / d1), max(0.0, 2.0 * gap / d2)
+    pts = [(0.0, 0.0), (1.0 / a - N1, 0.0), (0.0, (1.0 + u) / b - s)]
+    # cap binds, f1 = (1+u) ln S + ln x - (1+u) ln(x+u): S = (1+u)/b and
+    # (a-b) x^2 + ((a-b) u + u) x - u = 0
+    pts += [(x - N1, (1.0 + u) / b - u - x) for x in _quadratic_roots(a - b, (a - b) * u + u, -u)]
+    # K = K*(p2) > 0, f1 = ln S + phi(L), phi'(L) = u (L-1)/(L (u+L)) with
+    # L = p2: S = 1/a and (b-a) L^2 + ((b-a) u - u) L + u = 0
+    pts += [(1.0 / a - s - L, L) for L in _quadratic_roots(b - a, (b - a) * u - u, u)]
+    # K clipped to 0, f1 = ln S + u ln(p2+s) + c: S = 1/a and p2 + s = u/(b-a)
+    pts += [(1.0 / a - u / (b - a), u / (b - a) - s)] if b > a else []
+    p = np.array(pts)
+    keep = ((p >= 0.0) & (p < math.inf)).all(axis=1)
+    return p[keep, 0], p[keep, 1]
 
 
 def _not_finite(q1: float, q2: float, what: str) -> str:
     return f"tangent-plane test at cell (q1={q1}, q2={q2}): its {what} is not finite"
 
 
-def tangent_witness(
-    q1: float, q2: float, params: HKParams, grid_n: int = 129
-) -> Optional[tuple[float, float]]:
-    """A lattice point where f1 lies above its tangent plane l at q, or None.
+def tangent_witness(q1: float, q2: float, params: HKParams) -> Optional[tuple[float, float]]:
+    """A point where f1 lies above its tangent plane l at q, or None.
 
     f1 is C^1, so g1(q) = f1(q) exactly when l majorizes f1 (the supporting
     hyperplanes of a concave envelope; Rockafellar, Convex Analysis, 1970).
     A point p with f1(p) > l(p) certifies g1(q) > f1(q): weights on p and
     on a point a small step past q along the chord from p beat f1(q).
 
-    Outside ``_tail_box`` the plane wins.  The scan covers that box with
-    grid_n nodes per axis at q (exp(t ln(1 + P/q)) - 1), t uniform on [0, 1],
-    whose spacing grows in proportion to p + q, and returns the node of
-    largest excess f1 - l above 8 ulps of the magnitudes of the terms of f1
-    and l (the log arguments of f1 other than K+N1 lie in [u, p1+p2+N1+u]).
-    A lattice can miss a gap but never invents one.  For q2 = 0 the
-    envelope runs along the q1 axis, and so does the scan.  A cell whose
-    tail box is not finite, or whose lattice excess is NaN or +inf (q near
-    the ends of the float range), raises ValueError: a NaN lattice holds no
-    witness and would read as f1 = g1.
+    The maximum of f1 - l over p >= 0 is attained at one of the closed-form
+    points of ``_plane_contacts``; the test returns the one of largest
+    excess f1 - l above 8 ulps of the magnitudes of the terms of f1 and l
+    (the log arguments of f1 other than K+N1 lie in [u, p1+p2+N1+u]).  For
+    q2 = 0 the support of g1 stays on the q1 axis, where f1(p1, 0) =
+    ln(p1 + N1) is concave, so the answer is None.  A cell whose tangent
+    plane is not finite, or whose excess at a contact point is NaN or +inf
+    (q near the ends of the float range), raises ValueError: a NaN excess
+    holds no witness and would read as f1 = g1.
     """
     if not (q1 > 0 and q2 >= 0):
         raise ValueError(f"the tangent-plane test needs q1 > 0 and q2 >= 0, got ({q1}, {q2})")
-    check_envelope_grid(grid_n)
     u, N1 = params.u, params.N1
     fq = float(_corner_value(q1, q2, u, N1))
     d1, d2 = _corner_gradient(q1, q2, u, N1)
-    p1, p2 = _tail_box(q1, q2, fq, d1, d2, u, N1)
-    s1 = math.log1p(p1 / q1)
-    s2 = math.log1p(p2 / q2) if q2 > 0 else 0.0
-    if not all(map(math.isfinite, (fq, d1, d2, s1, s2))):
-        raise ValueError(_not_finite(q1, q2, "tail box"))
-    t = np.linspace(0.0, 1.0, grid_n)
-    x = (q1 * np.expm1(t * s1))[:, None]
-    y = (q2 * np.expm1(t * s2))[None, :] if q2 > 0 else np.zeros((1, 1))
+    if not all(map(math.isfinite, (fq, d1, d2))):
+        raise ValueError(_not_finite(q1, q2, "tangent plane"))
+    if q2 == 0:
+        return None
+    x, y = _plane_contacts(d1, d2, u, N1)
     f = _corner_value(x, y, u, N1)
     rise = d1 * (x - q1) + d2 * (y - q2)
     logs = 2.0 + 2.0 * abs(math.log(u)) + abs(math.log(q1 + q2 + N1 + u))
@@ -558,9 +565,9 @@ def tangent_witness(
     over = f - fq - rise - 8.0 * np.finfo(float).eps * terms
     # -inf is f1's true value where K + N1 = 0; NaN or +inf decides nothing
     if not (over < math.inf).all():
-        raise ValueError(_not_finite(q1, q2, "lattice excess"))
-    i, j = np.unravel_index(int(np.argmax(over)), over.shape)
-    return (float(x[i, 0]), float(y[0, j])) if over[i, j] > 0 else None
+        raise ValueError(_not_finite(q1, q2, "contact excess"))
+    i = int(np.argmax(over))
+    return (float(x[i]), float(y[i])) if over[i] > 0 else None
 
 
 # ----------------------------------------------------------------------
@@ -576,9 +583,7 @@ class MaximizerBoundResult:
     bound: float
 
 
-def maximizer_bound_check(
-    Jv: float, Lv: float, params: HKParams, grid_n: int = 129
-) -> MaximizerBoundResult:
+def maximizer_bound_check(Jv: float, Lv: float, params: HKParams) -> MaximizerBoundResult:
     """At an applicable cell (f1 = g1: no ``tangent_witness``), the capped
     argmax satisfies K + N1 <= 1 + sqrt(1+u).  Raises NotApplicableError
     otherwise.
@@ -587,7 +592,7 @@ def maximizer_bound_check(
     case 2: cap binds (L <= 1 or J below it); case 3: exactly at it.
     """
     u, N1 = params.u, params.N1
-    witness = tangent_witness(Jv, Lv, params, grid_n)
+    witness = tangent_witness(Jv, Lv, params)
     if witness is not None:
         raise NotApplicableError(
             f"f1 < g1 at (J={Jv}, L={Lv}): f1 at {witness} lies above its tangent plane"
@@ -702,7 +707,6 @@ def eigenvalue_bound_audit(
     params: HKParams,
     samples: int,
     rng: np.random.Generator,
-    grid_n: int = 129,
 ) -> AuditReport:
     """Random audit of the maximizer-eigenvalue bound 1 + sqrt(1+u) - N1.
 
@@ -713,10 +717,6 @@ def eigenvalue_bound_audit(
     other optimal split {p, q-p}, and f2(q) = g2(q) where f1 < g1 at q/2,
     needs both p and q-p on the plane that supports g1 at q/2, a
     measure-zero event the audit does not look for.
-
-    A cell that fails the bound is re-tested once on a lattice of
-    8(grid_n-1)+1 nodes per axis: a lattice can miss a gap but never
-    invents one, so only a finer lattice can show the cell gapped.
     """
     if d not in (1, 2):
         raise ValueError("audit supports d in {1, 2}")
@@ -731,9 +731,7 @@ def eigenvalue_bound_audit(
         b = float(np.exp(rng.uniform(math.log(AUDIT_Q_LOW), math.log(AUDIT_Q_HIGH))))
         cell = (a, b) if d == 1 else (a / 2.0, b / 2.0)
         try:
-            res = maximizer_bound_check(*cell, params, grid_n)
-            if not res.bound_holds:
-                res = maximizer_bound_check(*cell, params, 8 * (grid_n - 1) + 1)
+            res = maximizer_bound_check(*cell, params)
         except NotApplicableError:
             records.append(AuditRecord(a, b, False, math.nan, True, 0))
             continue
@@ -899,7 +897,7 @@ def power_control_cell(
         q2=q2,
         f1=res.value,
         g1=g1,
-        f1_eq_g1=tangent_witness(q1, q2, params, grid_n) is None,
+        f1_eq_g1=tangent_witness(q1, q2, params) is None,
         stationary_K=res.K,
     )
 

@@ -172,9 +172,7 @@ def test_criterion_06_maximizer_bound_and_tensorization():
     violations = 0
     for i, (u, N1) in enumerate(configs):
         params = hk.HKParams(u=u, N1=N1)
-        repo = hk.eigenvalue_bound_audit(
-            1, params, 20, rng_for(7, f"acc6-{i}"), grid_n=129
-        )
+        repo = hk.eigenvalue_bound_audit(1, params, 20, rng_for(7, f"acc6-{i}"))
         applicable += repo.applicable
         violations += repo.violations
     params = hk.HKParams(u=1.0, N1=1.0)

@@ -133,7 +133,7 @@ def test_theorem5_report(capsys):
 def test_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    argv = ["lemma5-audit", "--samples", "4", "--seed", "3", "--envelope-grid", "65"]
+    argv = ["lemma5-audit", "--samples", "4", "--seed", "3"]
     assert main(argv + ["--output", str(a)]) == 0
     assert main(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -142,7 +142,7 @@ def test_determinism_byte_identical(tmp_path):
 def test_seed_changes_draws(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    base = ["lemma5-audit", "--samples", "4", "--envelope-grid", "65"]
+    base = ["lemma5-audit", "--samples", "4"]
     assert main(base + ["--seed", "3", "--output", str(a)]) == 0
     assert main(base + ["--seed", "4", "--output", str(b)]) == 0
     assert a.read_bytes() != b.read_bytes()
@@ -210,8 +210,6 @@ def test_numerical_rejection_exit_2(owner, name, exc, argv, monkeypatch, capsys)
     "argv",
     [
         ["hk-region", "--q1", "1", "--q2", "1"],
-        ["lemma5-audit", "--samples", "2"],
-        ["theorem4-audit", "--d", "2", "--samples", "2"],
         ["conjecture2-map", "--q", "1"],
     ],
 )
@@ -300,7 +298,10 @@ def test_small_u_threshold_and_classification(capsys):
 
 @pytest.mark.parametrize(
     "argv", [["verify-vertical", "--u", "1e-300"], ["phase-diagram", "--u", "1e-300", "--L", "2"],
-             ["hessian", "--u", "1e-300"]],
+             ["hessian", "--u", "1e-300"],
+             # subnormal u: 5e-324 divided by zero, 1e-323 and 2e-323 read 2 and 4
+             ["phase-diagram", "--u", "5e-324,1e-323,2e-323", "--L", "1.6"],
+             ["hessian", "--u", "5e-324"], ["verify-vertical", "--u", "1e-323", "--n", "1024"]],
 )
 def test_tiny_u_reports_threshold_3(argv, capsys):
     # each ended in a ZeroDivisionError traceback; verify-vertical exits 3,
@@ -310,19 +311,25 @@ def test_tiny_u_reports_threshold_3(argv, capsys):
     assert code in (0, 3) and err == ""
     rows = json.loads(out)["results"]
     assert all(r["threshold"] == 3.0 for r in rows if "threshold" in r)
+    # phase-diagram --u 1e-323 --L 1.6 called K = 2.67 unstable
+    assert all(r["classification"] == ("stable" if r["K"] < 3.0 else "unstable")
+               for r in rows if "classification" in r)
 
 
 @pytest.mark.parametrize(
     "argv", [["hk-region", "--q1", "1e-300", "--q2", "1e-300"], ["conjecture2-map", "--q", "1e-300"]]
 )
 def test_non_finite_tail_box_exit_2(argv, capsys):
-    # every lattice node was NaN, so the cell read f1 = g1 after a RuntimeWarning
+    # a NaN lattice once read f1 = g1 here, and the tail box that replaced it
+    # was not finite (exit 2); the contact points decide the cell, as the LP does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "ziclab: tangent-plane test at cell (q1=1e-300, q2=1e-300): its tail box is not finite\n"
-    )
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    [cell] = json.loads(out)["results"]
+    assert cell["f1_eq_g1"] is True
+    assert cell["g1"] == cell["f1"] == -690.7755278982137
 
 
 @pytest.mark.parametrize(
@@ -379,8 +386,7 @@ def test_verify_lemma2_runs_one_recipe_quadrature(monkeypatch, capsys):
 
 def test_non_applicable_audit_rows_are_strict_json_null(capsys):
     code, out = run_cli(
-        ["lemma5-audit", "--u", "2", "--N1", "0.5", "--samples", "6", "--seed", "2",
-         "--envelope-grid", "33"],
+        ["lemma5-audit", "--u", "2", "--N1", "0.5", "--samples", "6", "--seed", "2"],
         capsys,
     )
     assert code == 0
@@ -538,7 +544,7 @@ def test_negative_power_exit_2(argv, cell, capsys):
 
 def test_theorem4_audit_cli(capsys):
     code, out = run_cli(
-        ["theorem4-audit", "--d", "2", "--samples", "2", "--envelope-grid", "65"],
+        ["theorem4-audit", "--d", "2", "--samples", "2"],
         capsys,
     )
     assert code == 0

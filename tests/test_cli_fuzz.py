@@ -36,8 +36,8 @@ COMMANDS = st.one_of(
     command("theorem5-epsilon", u=FLOAT, L=FLOAT),
     command("hk-region", "--envelope-grid=9", u=FLOAT, N1=FLOAT, q1=FLOAT, q2=FLOAT),
     command("conjecture2-map", "--envelope-grid=9", u=FLOAT, N1=FLOAT, q=FLOAT),
-    command("lemma5-audit", "--samples=2", "--envelope-grid=9", u=FLOAT, N1=FLOAT),
-    command("theorem4-audit", "--d=2", "--samples=2", "--envelope-grid=9", u=FLOAT, N1=FLOAT),
+    command("lemma5-audit", "--samples=2", u=FLOAT, N1=FLOAT),
+    command("theorem4-audit", "--d=2", "--samples=2", u=FLOAT, N1=FLOAT),
     command("verify-vertical", "--n=1024", u=FLOAT, L=FLOAT, J=INT),
     command("verify-vertical", "--n=1024", K=FLOAT, delta=FLOAT, eps=FLOAT),
     command("verify-lemma1", "--n=1024", "--t-count=6", **{"t-min": FLOAT, "t-max": FLOAT}),
@@ -58,6 +58,9 @@ def reject_non_finite(text):
 @example(["phase-diagram", "--u=1e-300", "--L=2"])
 @example(["hessian", "--u=1e-300"])
 @example(["verify-vertical", "--u=1e-300", "--n=1024"])
+@example(["phase-diagram", "--u=5e-324", "--L=1.6"])
+@example(["hessian", "--u=5e-324"])
+@example(["verify-vertical", "--u=5e-324", "--n=1024"])
 @example(["hk-region", "--q1=1e-300", "--q2=1e-300", "--envelope-grid=9"])
 @example(["conjecture2-map", "--q=1e-300", "--envelope-grid=9"])
 @example(["verify-vertical", "--K=1e300", "--delta=2.5011080795048392e-272",

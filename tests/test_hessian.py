@@ -236,11 +236,13 @@ def test_phase_diagram_large_L_always_stable():
         assert stability_threshold(u) > 1.0
 
 
-@pytest.mark.parametrize("u", [1e-15, 1e-9, 1e-3, 0.3, 1.0, 1e3])
+@pytest.mark.parametrize("u", [5e-324, 1e-323, 2e-323, 1e-15, 1e-9, 1e-3, 0.3, 1.0, 1e3])
 def test_stability_threshold_matches_mpmath(u):
-    # u/((1+u)^{1/3} - 1) in floats cancels at small u (2.2518 at u = 1e-15)
+    # u/((1+u)^{1/3} - 1) in floats cancels at small u (2.2518 at u = 1e-15);
+    # at subnormal u, log1p(u)/3 lost digits (5e-324 divided by 0, 2e-323
+    # gave 4).  The reference keeps 40 digits past u's exponent in 1 + u.
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
+    with mpmath.workdps(40 - math.floor(math.log10(u))):
         exact = float(mpmath.mpf(u) / (mpmath.cbrt(1 + mpmath.mpf(u)) - 1))
     assert abs(stability_threshold(u) - exact) <= 1e-15 * exact
 

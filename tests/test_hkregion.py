@@ -482,8 +482,6 @@ def test_envelope_grid_below_two_rejected():
             hk.envelope_for(1.0, 1.0, params, grid_n=grid_n)
         with pytest.raises(ValueError, match="at least 2 nodes"):
             hk.power_control_value_2d(1.0, 1.0, params, grid_n=grid_n)
-        with pytest.raises(ValueError, match="at least 2 nodes"):
-            hk.tangent_witness(1.0, 1.0, params, grid_n=grid_n)
     assert hk.power_control_value(1.0, 1.0, params, grid_n=2) >= hk.fixed_power_value(
         1.0, 1.0, params
     ).value
@@ -509,12 +507,23 @@ def test_tensorization_spot_checks():
 # ----------------------------------------------------------------------
 
 
-def tangent_excess(q, p, params):
-    """f1(p) minus the tangent plane of f1 at q, evaluated at p."""
+def plane_excess(q, x, y, params):
+    """f1 - l at the points (x, y) for the tangent plane l of f1 at q, and
+    the rounding bound of ``tangent_witness`` there (8 ulps of its terms)."""
     u, N1 = params.u, params.N1
     fq = float(hk._corner_value(*q, u, N1))
     d1, d2 = hk._corner_gradient(*q, u, N1)
-    return float(hk._corner_value(*p, u, N1)) - (fq + d1 * (p[0] - q[0]) + d2 * (p[1] - q[1]))
+    f = hk._corner_value(x, y, u, N1)
+    r1, r2 = d1 * (x - q[0]), d2 * (y - q[1])
+    logs = 2.0 + 2.0 * abs(math.log(u)) + abs(math.log(q[0] + q[1] + N1 + u))
+    logs = logs + np.abs(np.log(x + y + N1 + u))
+    terms = np.abs(f) + abs(fq) + np.abs(r1) + np.abs(r2) + 4 * (u + 1) * logs
+    return f - fq - r1 - r2, 8.0 * np.finfo(float).eps * terms
+
+
+def tangent_excess(q, p, params):
+    """f1(p) minus the tangent plane of f1 at q, evaluated at p."""
+    return float(plane_excess(q, *p, params)[0])
 
 
 # cells whose 1e-5 screen on the LP said f1 = g1: hk-region cell (1, 4)
@@ -568,32 +577,6 @@ def test_psi_below_tail_bound(K, L, u, N1):
     assert hk.gauss_objective(K, L, u, N1) < u * math.log1p(L / u)
 
 
-@settings(PROPERTY, max_examples=40)
-@given(
-    u=st.floats(0.3, 4.0, **positive),
-    N1=st.just(0.0) | st.floats(0.0, 2.0, **positive),
-    lq1=st.floats(math.log(0.05), math.log(30.0), **positive),
-    lq2=st.floats(math.log(0.05), math.log(30.0), **positive),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_tail_box_plane_wins_outside(u, N1, lq1, lq2, seed):
-    # points beyond the box in either coordinate, from its edge out to 100
-    # times its size, lie strictly below the tangent plane at q
-    q1, q2 = math.exp(lq1), math.exp(lq2)
-    fq = float(hk._corner_value(q1, q2, u, N1))
-    d1, d2 = hk._corner_gradient(q1, q2, u, N1)
-    P1, P2 = hk._tail_box(q1, q2, fq, d1, d2, u, N1)
-    assert P1 >= q1 and P2 >= q2
-    rng = np.random.default_rng(seed)
-    n = 200
-    beyond1 = P1 + 100.0 * P1 * 10.0 ** rng.uniform(-6.0, 0.0, n)
-    beyond2 = P2 + 100.0 * P2 * 10.0 ** rng.uniform(-6.0, 0.0, n)
-    x = np.concatenate([beyond1, rng.uniform(0.0, 101.0 * P1, n), beyond1])
-    y = np.concatenate([rng.uniform(0.0, 101.0 * P2, n), beyond2, np.zeros(n)])
-    plane = fq + d1 * (x - q1) + d2 * (y - q2)
-    assert np.all(hk._corner_value(x, y, u, N1) < plane)
-
-
 def assert_chord_beats_f1(q, w, params):
     """The chord from the witness w through q, a step t past q, is an
     explicit two-point randomization: weight t/(1+t) at w and 1/(1+t) at
@@ -617,26 +600,40 @@ def assert_chord_beats_f1(q, w, params):
 
 
 def test_tangent_witness_rejects_non_finite_tail_box():
-    # p2/q2 overflowed, every lattice node was NaN, and the cell read f1 = g1
+    # the lattice's tail box was not finite here (p2/q2 overflowed); the
+    # contact points are, and they decide f1 = g1 without a warning, as
+    # the LP envelope agrees
+    params = hk.HKParams(u=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"cell \(q1=1e-300, q2=1e-300\): its tail box"):
-            hk.tangent_witness(1e-300, 1e-300, hk.HKParams(u=1.0))
+        assert hk.tangent_witness(1e-300, 1e-300, params) is None
+        f1 = hk.fixed_power_value(1e-300, 1e-300, params).value
+        assert hk.power_control_value(1e-300, 1e-300, params, grid_n=9) == f1
 
 
 @pytest.mark.parametrize("q", [(1.0, 1.0), (1.0, 0.0)])
 def test_tangent_witness_rejects_nan_lattice(q, monkeypatch):
-    # a NaN excess holds no witness; it must not read as f1 = g1
+    # a NaN excess holds no witness; it must not read as f1 = g1, on the
+    # q1 axis either, where no contact point is evaluated: here f1(q) is NaN
+    real = hk._corner_value
+    monkeypatch.setattr(hk, "_corner_value", lambda x, y, u, N1: real(x, y, u, N1)
+                        if np.ndim(x) else real(x, y, u, N1) * np.nan)
+    with pytest.raises(ValueError, match="its tangent plane is not finite"):
+        hk.tangent_witness(*q, hk.HKParams(u=1.0))
+
+
+def test_tangent_witness_rejects_nan_contact_excess(monkeypatch):
+    # f1(q) and its gradient are finite, f1 at the contact points is NaN
     real = hk._corner_value
     monkeypatch.setattr(hk, "_corner_value", lambda x, y, u, N1: real(x, y, u, N1) * np.nan
                         if np.ndim(x) else real(x, y, u, N1))
-    with pytest.raises(ValueError, match="its lattice excess is not finite"):
-        hk.tangent_witness(*q, hk.HKParams(u=1.0))
+    with pytest.raises(ValueError, match="its contact excess is not finite"):
+        hk.tangent_witness(1.0, 1.0, hk.HKParams(u=1.0))
 
 
 @pytest.mark.parametrize("q, params", SCREENED_GAPPED)
 def test_witness_chord_beats_f1_on_screened_cells(q, params):
-    w = hk.tangent_witness(*q, params, grid_n=129)
+    w = hk.tangent_witness(*q, params)
     assert w is not None
     assert tangent_excess(q, w, params) > 0
     assert_chord_beats_f1(q, w, params)
@@ -649,15 +646,12 @@ def test_witness_chord_beats_f1_random_cells(rng):
         N1 = 0.0 if trial % 3 == 0 else float(rng.uniform(0.0, 2.0))
         params = hk.HKParams(u=u, N1=N1)
         q = tuple(float(np.exp(rng.uniform(math.log(0.05), math.log(30.0)))) for _ in range(2))
-        w = hk.tangent_witness(*q, params, grid_n=65)
+        w = hk.tangent_witness(*q, params)
         if w is not None:
             witnesses += 1
             assert_chord_beats_f1(q, w, params)
-        # the q1 axis: the same test in one variable
-        w = hk.tangent_witness(q[0], 0.0, params, grid_n=65)
-        if w is not None:
-            assert w[1] == 0.0
-            assert_chord_beats_f1((q[0], 0.0), w, params)
+        # the q1 axis: f1(p1, 0) = ln(p1 + N1) is concave, so no witness
+        assert hk.tangent_witness(q[0], 0.0, params) is None
     assert witnesses >= 5
 
 
@@ -677,8 +671,53 @@ def test_lp_gap_has_support_above_tangent_plane(rng):
         gapped += 1
         top = max(tangent_excess(q, (s.q1, s.q2), params) for s in env.support)
         assert top >= gap - 1e-12
-        assert hk.tangent_witness(*q, params, grid_n=65) is not None
+        assert hk.tangent_witness(*q, params) is not None
     assert gapped >= 5
+
+
+def assert_contacts_beat_lattice(q, params, n=129):
+    """The lattice is the oracle for the closed-form contact points: on
+    [0, 64 max(q, 1)]^2, with n uniform and n geometric nodes per axis, no
+    node lies above the best contact point beyond the rounding bound, and a
+    node above the bound means ``tangent_witness`` finds a witness too."""
+    axes = []
+    for qi in q:
+        width = 64.0 * max(qi, 1.0)
+        geometric = qi * np.expm1(np.linspace(0.0, math.log1p(width / qi), n))
+        axes.append(np.union1d(np.linspace(0.0, width, n), geometric))
+    excess, bound = plane_excess(q, axes[0][:, None], axes[1][None, :], params)
+    over = float((excess - bound).max())
+    u, N1 = params.u, params.N1
+    contacts = hk._plane_contacts(*hk._corner_gradient(*q, u, N1), u, N1)
+    assert over <= plane_excess(q, *contacts, params)[0].max()
+    if over > 0:
+        assert hk.tangent_witness(*q, params) is not None
+    return over > 0
+
+
+def test_contact_points_beat_lattice_on_criterion_06_cells():
+    # criterion 06's ten (u, N1) streams, 200 cells
+    configs = [
+        (0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.5), (1.0, 1.0),
+        (0.7, 0.2), (3.0, 0.0), (1.5, 1.0), (2.0, 0.5), (0.5, 1.0),
+    ]
+    witnesses = 0
+    for i, (u, N1) in enumerate(configs):
+        params = hk.HKParams(u=u, N1=N1)
+        rep = hk.eigenvalue_bound_audit(1, params, 20, rng_for(7, f"acc6-{i}"))
+        witnesses += sum(assert_contacts_beat_lattice((r.q1, r.q2), params) for r in rep.records)
+    # the lattice finds every one of the 200 - 138 gapped cells
+    assert witnesses == 62
+
+
+def test_contact_points_beat_lattice_random_cells(rng):
+    witnesses = 0
+    for trial in range(120):
+        u = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+        N1 = 0.0 if trial % 4 == 0 else float(rng.uniform(0.01, 5.0))
+        q = tuple(float(np.exp(rng.uniform(math.log(0.05), math.log(30.0)))) for _ in range(2))
+        witnesses += assert_contacts_beat_lattice(q, hk.HKParams(u=u, N1=N1))
+    assert witnesses >= 50
 
 
 def test_screened_cells_read_gapped():
@@ -728,7 +767,7 @@ def test_d2_applicable_records_match_tensorization():
 
 def test_bound_value_example():
     params = hk.HKParams(u=3.0, N1=0.0)
-    res = hk.maximizer_bound_check(1.5, 4.0, params, grid_n=65)
+    res = hk.maximizer_bound_check(1.5, 4.0, params)
     assert res.bound == pytest.approx(3.0, abs=1e-12)
 
 
@@ -743,7 +782,7 @@ def test_case1_cells_have_large_L(rng):
         if L <= 1 or J <= (params.u + L) / (L - 1.0):
             continue
         try:
-            res = hk.maximizer_bound_check(J, L, params, grid_n=65)
+            res = hk.maximizer_bound_check(J, L, params)
         except hk.NotApplicableError:
             continue
         if res.case == 1:
@@ -755,19 +794,19 @@ def test_case1_cells_have_large_L(rng):
 def test_not_applicable_raises():
     params = hk.HKParams(u=1.0, N1=1.0)
     with pytest.raises(hk.NotApplicableError):
-        hk.maximizer_bound_check(39.0, 1.2, params, grid_n=129)
+        hk.maximizer_bound_check(39.0, 1.2, params)
 
 
 def test_audit_d1_no_violations():
     params = hk.HKParams(u=1.0, N1=0.0)
-    rep = hk.eigenvalue_bound_audit(1, params, 30, rng_for(11, "audit-test"), grid_n=129)
+    rep = hk.eigenvalue_bound_audit(1, params, 30, rng_for(11, "audit-test"))
     assert rep.violations == 0
     assert rep.applicable > 5
 
 
 def test_audit_d2_no_violations():
     params = hk.HKParams(u=1.0, N1=0.0)
-    rep = hk.eigenvalue_bound_audit(2, params, 6, rng_for(12, "audit2-test"), grid_n=129)
+    rep = hk.eigenvalue_bound_audit(2, params, 6, rng_for(12, "audit2-test"))
     assert rep.violations == 0
 
 
@@ -882,14 +921,14 @@ def test_power_control_cell_rules():
         hk.power_control_cell(1.0, 0.0, params, 1)
     # the audits' check took a negative L as 0 and returned a K
     with pytest.raises(ValueError, match=r"needs q1 > 0 and q2 >= 0, got \(1.0, -0.5\)"):
-        hk.maximizer_bound_check(1.0, -0.5, params, 33)
+        hk.maximizer_bound_check(1.0, -0.5, params)
     # a q2 = 0 cell: the axis envelope, f1 and K at (q1, 0), the same
     # tangent-plane verdict
     c = hk.power_control_cell(1.2, 0.0, params, 65)
     res = hk.fixed_power_value(1.2, 0.0, params)
     assert (c.f1, c.stationary_K) == (res.value, res.K)
     assert c.g1 >= c.f1
-    assert c.f1_eq_g1 == (hk.tangent_witness(1.2, 0.0, params, 65) is None)
+    assert c.f1_eq_g1 == (hk.tangent_witness(1.2, 0.0, params) is None)
 
 
 def test_gauss_objective_rotation_invariance(rng):
