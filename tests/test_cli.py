@@ -205,18 +205,26 @@ def test_numerical_rejection_exit_2(owner, name, exc, argv, monkeypatch, capsys)
     assert capsys.readouterr().err == "ziclab: rejected\n"
 
 
+GRID_TOO_SMALL = "at least 2 nodes per axis, got {grid}"
+# The audits decide f1 = g1 at contact points and take no --envelope-grid.
+NO_GRID_OPTION = "unrecognized arguments: --envelope-grid {grid}"
+
+
 @pytest.mark.parametrize("grid", ["1", "0", "-5"])
 @pytest.mark.parametrize(
     "argv",
     [
-        ["hk-region", "--q1", "1", "--q2", "1"],
-        ["conjecture2-map", "--q", "1"],
+        (["hk-region", "--q1", "1", "--q2", "1"], GRID_TOO_SMALL),
+        (["lemma5-audit", "--samples", "2"], NO_GRID_OPTION),
+        (["theorem4-audit", "--d", "2", "--samples", "2"], NO_GRID_OPTION),
+        (["conjecture2-map", "--q", "1"], GRID_TOO_SMALL),
     ],
 )
 def test_envelope_grid_below_two_exit_2(argv, grid, capsys):
+    argv, message = argv
     assert main(argv + ["--envelope-grid", grid]) == 2
     err = capsys.readouterr().err
-    assert f"at least 2 nodes per axis, got {grid}" in err
+    assert err.count("\n") == 1 and message.format(grid=grid) in err
 
 
 @pytest.mark.parametrize(
