@@ -306,10 +306,30 @@ def eps_ladder(eps0: float) -> tuple[float, float, float]:
     return (eps0, eps0 / 2.0, eps0 / 4.0)
 
 
-def _check_eps_ladder(eps: float, J: int) -> None:
+def objective_rounding_floor(K: float, L: float, u: float) -> float:
+    """Least rounding error of the vertical-perturbation objective
+    u h(X1+Z1+Z2+X2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2), N1 = 0, N2 = u.
+
+    Each of its three terms is a float, so it carries a rounding error of
+    up to one unit roundoff 2^-53 of its magnitude, and the sum of the
+    terms cannot resolve a change below 2^-53 times the sum of their
+    magnitudes.  At small eps the entropies are those of the Gaussian laws
+    of variances K+u+L, K and K+u, so the floor is
+    2^-53 (u |h(K+u+L)| + |h(K)| + (1+u) |h(K+u)|), with
+    h(v) = (ln(2 pi e) + ln v) / 2 (no overflow for v up to the float max).
+    """
+    def h(v: float) -> float:
+        return abs(0.5 * (math.log(2.0 * math.pi * math.e) + math.log(v)))
+
+    return 2.0**-53 * (u * h(K + u + L) + h(K) + (1.0 + u) * h(K + u))
+
+
+def _check_eps_ladder(eps: float, J: int, K: float, L: float, u: float) -> None:
     """Reject an eps whose ladder richardson_quadratic cannot divide by
-    (an e**2 overflows or underflows to 0) or whose partner series
-    overflows (eps**J is not finite) (ValueError)."""
+    (an e**2 overflows or underflows to 0), whose partner series overflows
+    (eps**J is not finite), or whose smallest eps^2 step (eps/4)**2 falls
+    below the objective's rounding floor, so that every ratio
+    (value - reference) / e**2 is rounding noise (ValueError)."""
     try:
         squares = [e**2 for e in eps_ladder(eps)]
         eps**J
@@ -317,6 +337,12 @@ def _check_eps_ladder(eps: float, J: int) -> None:
         raise ValueError(f"eps too large: eps**2 or eps**J overflows at J={J}, got {eps}") from None
     if 0.0 in squares:
         raise ValueError(f"eps too small: (eps/4)**2 underflows to 0, got {eps}")
+    floor = objective_rounding_floor(K, L, u)
+    if squares[-1] < floor:
+        raise ValueError(
+            f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "
+            f"rounding floor {floor:.3e}, got {eps}"
+        )
 
 
 @dataclass(frozen=True)
@@ -354,7 +380,7 @@ class VerticalPerturbation:
         elif not self.eps > 0:
             raise ValueError("K, L, u, delta, eps must be positive")
         else:
-            _check_eps_ladder(self.eps, self.J)
+            _check_eps_ladder(self.eps, self.J, self.K, self.L, self.u)
         if _min_density(self.x1()) < -1e-12 or _min_density(self.x2()) < -1e-12:
             raise NegativeDensityError(
                 "eps too large: perturbed density goes negative on the grid"

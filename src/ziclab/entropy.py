@@ -72,8 +72,16 @@ class GridDensity:
         return (self.hi - self.lo) / (self.n - 1)
 
     def integral(self, integrand: np.ndarray) -> float:
-        """Trapezoid integral of ``integrand`` tabulated on this grid."""
-        return float(np.trapezoid(integrand, dx=self.step))
+        """Trapezoid integral of ``integrand`` tabulated on this grid.
+
+        ``np.trapezoid``'s expression d * (y[1:] + y[:-1]) / 2.0, summed,
+        built in one buffer.
+        """
+        y = np.asarray(integrand, dtype=float)
+        buf = np.add(y[1:], y[:-1])
+        buf *= self.step
+        buf /= 2.0
+        return float(buf.sum())
 
     def mass(self) -> float:
         return self.integral(self.values)
@@ -136,6 +144,15 @@ def grid_from_mixture(m: Mixture, n: int = 8192) -> GridDensity:
     return next(grids_from_mixtures((m,), n))
 
 
+def _zero_below_tiny(integrand: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Zero ``integrand`` in place where not vals > 1e-300, NaN included, as
+    np.where(vals > 1e-300, integrand, 0.0) would."""
+    below = vals > _TINY
+    np.logical_not(below, out=below)
+    np.copyto(integrand, 0.0, where=below)
+    return integrand
+
+
 def differential_entropy(p: GridDensity) -> float:
     """-int p ln p by the composite trapezoid rule on the grid.
 
@@ -144,18 +161,22 @@ def differential_entropy(p: GridDensity) -> float:
     """
     p.check_normalized("entropy")
     vals = p.values
-    integrand = np.where(vals > _TINY, -vals * np.log(np.where(vals > _TINY, vals, 1.0)), 0.0)
-    return p.integral(integrand)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = np.log(vals)
+        integrand *= vals
+    np.negative(integrand, out=integrand)
+    return p.integral(_zero_below_tiny(integrand, vals))
 
 
 def fisher_information(p: GridDensity) -> float:
     """int (p')^2 / p with p' from central differences on the grid."""
     p.check_normalized("fisher")
     vals = p.values
-    dp = np.gradient(vals, p.step)
-    ok = vals > _TINY
-    integrand = np.where(ok, dp * dp / np.where(ok, vals, 1.0), 0.0)
-    return p.integral(integrand)
+    integrand = np.gradient(vals, p.step)
+    integrand *= integrand
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        integrand /= vals
+    return p.integral(_zero_below_tiny(integrand, vals))
 
 
 def mixture_entropies(ms: Sequence[Mixture], n: int = 8192) -> list[float]:

@@ -62,23 +62,35 @@ def gauss_deriv_poly(order: int, variance: float) -> np.ndarray:
     return p
 
 
-def gauss_deriv_pdf(x: np.ndarray | float, variance: float, order: int = 0) -> np.ndarray:
-    """Evaluate D^order gamma_variance pointwise.
+def gauss_deriv_pdf(
+    x: np.ndarray | float, variance: float, order: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate D^order gamma_variance pointwise, into ``out`` when given.
 
-    The polynomial factor is Horner's rule in one buffer, out <- out * x + c:
-    the operations of ``polyval`` without its two temporaries per step.
+    gamma_v is built in one buffer: x*x, then / -2v, exp and / sqrt(2 pi v),
+    the bits of exp(-x*x / (2v)) / sqrt(2 pi v), since negation is exact
+    and rounding is sign-symmetric.  The polynomial factor is Horner's rule
+    in one more buffer, h <- h * x + c: the operations of ``polyval``
+    without its two temporaries per step.  It runs before gamma_v is
+    built, so ``out`` may be ``x`` itself.  A 0-d input returns a scalar.
     """
     x = np.asarray(x, dtype=float)
-    g = np.exp(-x * x / (2.0 * variance)) / (_SQRT2PI * math.sqrt(variance))
-    if order == 0:
-        return g
-    poly = gauss_deriv_poly(order, variance)
-    out = np.full_like(x, poly[-1])
-    for c in poly[-2::-1]:
-        out *= x
-        out += c
-    out *= g
-    return out
+    h = None
+    if order:
+        poly = gauss_deriv_poly(order, variance)
+        h = np.full_like(x, poly[-1])
+        for c in poly[-2::-1]:
+            h *= x
+            h += c
+    if out is None:
+        out = np.empty_like(x)
+    np.multiply(x, x, out=out)
+    out /= -2.0 * variance
+    np.exp(out, out=out)
+    out /= _SQRT2PI * math.sqrt(variance)
+    if h is not None:
+        out *= h
+    return out[()] if out.ndim == 0 else out
 
 
 def gauss_raw_moment(j: int, variance: float) -> float:
@@ -148,8 +160,9 @@ class GaussDerivMixture:
         evaluates each key's column once and adds coeff * column to every
         mixture that holds the key.  A mixture's terms are sorted by the
         same key, so each sum runs in the order of that mixture alone and
-        its bits do not depend on the batch.  One column is alive at a
-        time, beside one accumulator per mixture.
+        its bits do not depend on the batch.  One column buffer and one
+        coeff * column buffer serve every key, beside one accumulator per
+        mixture.
         """
         x = np.asarray(x, dtype=float)
         outs = [np.zeros_like(x) for _ in mixtures]
@@ -157,11 +170,12 @@ class GaussDerivMixture:
         for out, m in zip(outs, mixtures):
             for coeff, order, variance in m.terms:
                 holders.setdefault((order, variance), []).append((coeff, out))
+        column = np.empty_like(x)
+        scaled = np.empty_like(x)
         for order, variance in sorted(holders):
-            column = gauss_deriv_pdf(x, variance, order)
+            gauss_deriv_pdf(x, variance, order, out=column)
             for coeff, out in holders[order, variance]:
-                out += coeff * column
-            del column  # free before the next column is built
+                out += np.multiply(coeff, column, out=scaled)
         return outs
 
     def convolve(self, other: "GaussDerivMixture") -> "GaussDerivMixture":
@@ -283,10 +297,17 @@ class GaussMixture:
         return [m.pdf(x) for m in mixtures]
 
     def pdf_deriv(self, x: np.ndarray | float, order: int) -> np.ndarray:
+        """D^order of the density on x; every component is tabulated in one
+        shift buffer, w * D^order gamma_v(x - mu) in the bits of that
+        expression."""
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
+        buf = np.empty_like(x)
         for w, mu, v in zip(self.weights, self.means, self.variances):
-            out += w * gauss_deriv_pdf(x - mu, v, order)
+            np.subtract(x, mu, out=buf)
+            gauss_deriv_pdf(buf, v, order, out=buf)
+            buf *= w
+            out += buf
         return out
 
     def convolve(self, other: "GaussMixture") -> "GaussMixture":

@@ -18,6 +18,7 @@ g2 is the envelope of the max-plus table, 2 g1(q/2) by tensorization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
@@ -129,6 +130,9 @@ def increasing_alignment(m: Union[PsdMatrix, np.ndarray]) -> tuple[PsdMatrix, np
 # ----------------------------------------------------------------------
 
 
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class HKParams:
     """Weighted-rate parameters.  The fixed-power quantities normalize the
@@ -143,6 +147,15 @@ class HKParams:
             raise ValueError("u, N1, N2 must be finite")
         if self.u <= 0:
             raise ValueError("u must be positive")
+        # tangent_witness's rounding term 4 (u+1) logs must be finite on
+        # every cell; its logs stay below 2 + 2|ln u| + 2 ln(float max), and
+        # below such a u the terms u ln(.) of f1 are finite too
+        logs = 2.0 + 2.0 * abs(math.log(self.u)) + 2.0 * _LN_FLOAT_MAX
+        if not math.isfinite(4.0 * (self.u + 1.0) * logs):
+            raise ValueError(
+                f"u too large: the f1 = g1 rounding bound 4 (u+1) (2 + 2 ln u + "
+                f"2 ln(float max)) overflows, got {self.u}"
+            )
         if self.N1 < 0:
             raise ValueError("N1 must be nonnegative")
         if self.N2 <= 0:

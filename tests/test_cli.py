@@ -351,6 +351,13 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
         (["verify-vertical", "--K", "8.043241841108752e+256", "--delta", "5.062894561534945e-23",
           "--eps", "9.43946782688377e-284", "--n", "1024"],
          "eps too small: (eps/4)**2 underflows to 0, got 9.43946782688377e-284"),
+        # noise read as the eps^2 coefficient: -1.87e286, then null
+        (["verify-vertical", "--eps", "1e-150", "--n", "1024"],
+         "eps too small: (eps/4)**2 = 6.250e-302 is below the objective's rounding floor "
+         "1.064e-15, got 1e-150"),
+        (["verify-vertical", "--eps", "1e-161", "--n", "1024"],
+         "eps too small: (eps/4)**2 = 4.941e-324 is below the objective's rounding floor "
+         "1.064e-15, got 1e-161"),
         # exit 3 after a RankWarning from the residual-slope polyfit
         (["verify-lemma1", "--t-min", "0.1", "--t-max", "0.1", "--n", "1024"],
          "--t-min 0.1, --t-max 0.1: t values must take at least 4 distinct values "
@@ -375,6 +382,37 @@ def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert capsys.readouterr().err == f"ziclab: {message}\n"
+
+
+HK_COMMANDS = (
+    ["hk-region", "--q1", "1", "--q2", "1"],
+    ["lemma5-audit", "--samples", "2"],
+    ["theorem4-audit", "--d", "2", "--samples", "2"],
+    ["conjecture2-map", "--q", "1,5"],
+    ["constant-power-gap", "--n", "1024"],
+)
+
+
+@pytest.mark.parametrize("u", ["1e305", "3e305", "1.7e308"])
+@pytest.mark.parametrize("argv", HK_COMMANDS, ids=lambda argv: argv[0])
+def test_hk_u_overflowing_the_rounding_bound_exit_2(argv, u, capsys):
+    # 1e305 exited 0 after an overflow warning in tangent_witness, 3e305 up
+    # warned in gauss_psi and exited 2 with an unrelated message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--u", u]) == 2
+    assert capsys.readouterr().err == (
+        "ziclab: u too large: the f1 = g1 rounding bound 4 (u+1) (2 + 2 ln u + "
+        f"2 ln(float max)) overflows, got {float(u)}\n"
+    )
+
+
+@pytest.mark.parametrize("argv", HK_COMMANDS, ids=lambda argv: argv[0])
+def test_hk_u_below_the_overflow_limit_runs(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--u", "1.5e304"]) in (0, 3)
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_lemma2_runs_one_recipe_quadrature(monkeypatch, capsys):

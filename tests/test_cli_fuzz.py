@@ -69,6 +69,10 @@ def reject_non_finite(text):
           "--eps=9.43946782688377e-284", "--n=1024"])
 @example(["verify-vertical", "--K=2.168379929338835e-141", "--delta=7.943308566024267e-213",
           "--eps=5", "--n=1024"])
+@example(["verify-vertical", "--eps=1e-150", "--n=1024"])
+@example(["verify-vertical", "--eps=1e-161", "--n=1024"])
+@example(["hk-region", "--u=1e305", "--q1=1", "--q2=1", "--envelope-grid=9"])
+@example(["lemma5-audit", "--u=3e305", "--samples=2"])
 @example(["verify-lemma1", "--t-min=0.1", "--t-max=0.1", "--n=1024"])
 @example(["verify-lemma2", "--t-min=1e200", "--t-max=1e200", "--t-count=2", "--n=1024"])
 @example(["theorem5-epsilon", "--u=1.49e181", "--L=9.26e61"])

@@ -7,9 +7,9 @@ import pytest
 
 from ziclab import counterexamples as cx
 from ziclab import gaussmix
-from ziclab.entropy import NegativeDensityError, grid_from_mixture, mixture_entropy
+from ziclab.entropy import NegativeDensityError, gaussian_entropy, grid_from_mixture, mixture_entropy
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
-from ziclab.hessian import gauss_psi, stability_threshold
+from ziclab.hessian import gauss_psi, stability_threshold, stationary_source_variance
 
 
 def balance_closed_form(K: float, u: float, delta: float) -> float:
@@ -335,11 +335,11 @@ def count_grid_columns(monkeypatch, n):
     kernel = gaussmix.gauss_deriv_pdf
     calls = {}
 
-    def counted(x, variance, order=0):
+    def counted(x, variance, order=0, out=None):
         if np.size(x) == n:
             key = (float(x[0]), float(x[-1]), order, variance)
             calls[key] = calls.get(key, 0) + 1
-        return kernel(x, variance, order)
+        return kernel(x, variance, order, out=out)
 
     monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", counted)
     return calls
@@ -386,6 +386,9 @@ def test_vertical_gap_ladder_matches_single_pair_objectives():
         # ZeroDivisionError in richardson_quadratic: (eps/4)**2 underflowed to 0
         ({"K": 8.043241841108752e256, "delta": 5.062894561534945e-23, "eps": 9.43946782688377e-284},
          r"eps too small: \(eps/4\)\*\*2 underflows to 0, got 9.43946782688377e-284"),
+        # the eps^2 coefficient was rounding noise: -1.87 at 1e-7, -1.87e286 at 1e-150
+        ({"eps": 1e-7}, r"eps too small: \(eps/4\)\*\*2 = 6.250e-16 is below the objective's rounding floor"),
+        ({"eps": 1e-150}, r"eps too small: \(eps/4\)\*\*2 = 6.250e-302 is below the objective's rounding floor"),
     ],
 )
 def test_vertical_perturbation_rejects_eps_ladder_before_tabulation(kwargs, message, monkeypatch):
@@ -395,6 +398,23 @@ def test_vertical_perturbation_rejects_eps_ladder_before_tabulation(kwargs, mess
     monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", no_tabulation)
     with pytest.raises(ValueError, match=message):
         cx.VerticalPerturbation(**{"K": 6.0, "L": 1.4, "u": 1.0, **kwargs})
+
+
+def test_objective_rounding_floor_is_unit_roundoff_of_the_terms():
+    K, L, u = 6.0, 1.4, 1.0
+    h = [abs(gaussian_entropy(v)) for v in (K + u + L, K, K + u)]
+    expected = 2.0**-53 * (u * h[0] + h[1] + (1.0 + u) * h[2])
+    assert cx.objective_rounding_floor(K, L, u) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("u, L, J", [(1.0, 1.4, 2), (2.0, 3.0, 8), (0.5, 2.0, 4)])
+def test_default_eps_passes_the_rounding_floor_check(u, L, J):
+    # the README and benchmark commands' select_epsilon choices, given explicitly
+    K = stationary_source_variance(L, u)
+    chosen = cx.VerticalPerturbation(K=K, L=L, u=u, J=J).eps
+    assert chosen >= 2.0**-9
+    vp = cx.VerticalPerturbation(K=K, L=L, u=u, eps=chosen, J=J)
+    assert (vp.eps / 4.0) ** 2 > 1e6 * cx.objective_rounding_floor(K, L, u)
 
 
 def test_partner_series_budget_neutral():

@@ -415,9 +415,9 @@ def test_pdf_many_equals_each_mixture_alone(mixtures):
 def test_pdf_many_evaluates_each_shared_term_once(monkeypatch):
     calls = []
 
-    def counted(x, variance, order=0):
+    def counted(x, variance, order=0, out=None):
         calls.append((order, variance))
-        return gauss_deriv_pdf(x, variance, order)
+        return gauss_deriv_pdf(x, variance, order, out=out)
 
     monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", counted)
     a = GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-0.1, 3, 1.5)))

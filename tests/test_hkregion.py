@@ -493,6 +493,13 @@ def test_params_reject_non_finite():
             hk.HKParams(**kwargs)
 
 
+def test_params_reject_u_overflowing_the_rounding_bound():
+    # 4 (u+1) (2 + 2 ln u + 2 ln(float max)) overflows between these two
+    assert hk.HKParams(u=1.59e304).u == 1.59e304
+    with pytest.raises(ValueError, match="u too large"):
+        hk.HKParams(u=1.6e304)
+
+
 def test_tensorization_spot_checks():
     params = hk.HKParams(u=1.0, N1=1.0)
     pts = [(5.0, 2.0), (10.0, 4.0), (3.0, 1.0), (8.0, 8.0), (2.0, 6.0)]
