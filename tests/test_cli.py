@@ -351,13 +351,6 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
         (["verify-vertical", "--K", "8.043241841108752e+256", "--delta", "5.062894561534945e-23",
           "--eps", "9.43946782688377e-284", "--n", "1024"],
          "eps too small: (eps/4)**2 underflows to 0, got 9.43946782688377e-284"),
-        # noise read as the eps^2 coefficient: -1.87e286, then null
-        (["verify-vertical", "--eps", "1e-150", "--n", "1024"],
-         "eps too small: (eps/4)**2 = 6.250e-302 is below the objective's rounding floor "
-         "1.064e-15, got 1e-150"),
-        (["verify-vertical", "--eps", "1e-161", "--n", "1024"],
-         "eps too small: (eps/4)**2 = 4.941e-324 is below the objective's rounding floor "
-         "1.064e-15, got 1e-161"),
         # exit 3 after a RankWarning from the residual-slope polyfit
         (["verify-lemma1", "--t-min", "0.1", "--t-max", "0.1", "--n", "1024"],
          "--t-min 0.1, --t-max 0.1: t values must take at least 4 distinct values "
@@ -375,6 +368,13 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
         # exit 2 after two overflow RuntimeWarnings
         (["geometry", "--t", "1e300"],
          "t must be at most 5.7896e+76 (the ratio multiplies two areas of order t^2), got 1e+300"),
+        # noise read as the eps^2 coefficient: -1.87e286, then null
+        (["verify-vertical", "--eps", "1e-150", "--n", "1024"],
+         "eps too small: (eps/4)**2 = 6.250e-302 is below the objective's rounding floor "
+         "1.064e-15, got 1e-150"),
+        (["verify-vertical", "--eps", "1e-161", "--n", "1024"],
+         "eps too small: (eps/4)**2 = 4.941e-324 is below the objective's rounding floor "
+         "1.064e-15, got 1e-161"),
     ],
 )
 def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
