@@ -8,25 +8,19 @@ from .gaussmix import (
     gauss_deriv_pdf,
     gauss_deriv_poly,
     gaussian,
-    hermite_weighted_norm,
 )
 from .entropy import (
-    EntropyExpansion,
-    FitRejectedError,
     GridDensity,
     NegativeDensityError,
     NonNormalizedError,
-    convolve_grids,
     differential_entropy,
     fisher_information,
     gaussian_entropy,
-    grid_from_mixture,
     grids_from_mixtures,
     mixture_entropies,
     mixture_entropy,
     mixture_to_grid,
     smoothing_curve,
-    smoothing_expansion,
 )
 from .counterexamples import (
     ChannelParams,
@@ -60,20 +54,15 @@ from .hkregion import (
     GridTooSmallError,
     HKParams,
     NotApplicableError,
-    PsdMatrix,
     WitnessUnavailableError,
     capped_gauss_objective,
     constant_power_gap,
-    decreasing_alignment,
     eigenvalue_bound_audit,
     fixed_power_value,
-    gauss_objective,
-    increasing_alignment,
     maximizer_bound_check,
     power_control_cell,
     power_control_map,
     power_control_value,
-    power_control_value_2d,
     tangent_witness,
 )
 from .geometry import (
@@ -81,9 +70,7 @@ from .geometry import (
     NonConvexInputError,
     RoundedBody,
     disc,
-    mean_width_2d,
     minkowski_sum,
-    mixed_area,
     polygon,
     square,
     volume_ratio,

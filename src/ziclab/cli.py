@@ -731,7 +731,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         derived, results, checks = args.handler(args)
     except (ValueError, cx.RecipeRejectedError, hk.NotApplicableError,
             hk.WitnessUnavailableError, hk.GridTooSmallError,
-            en.NegativeDensityError, en.FitRejectedError) as exc:
+            en.NegativeDensityError) as exc:
         print(f"ziclab: {exc}", file=sys.stderr)
         return 2
     # the output path is environment, not experiment configuration; embedding

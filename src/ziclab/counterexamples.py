@@ -32,7 +32,6 @@ from .gaussmix import (
     DerivTerm,
     gauss_deriv_poly,
     gauss_raw_moment,
-    gaussian,
 )
 from .entropy import (
     Mixture,
@@ -369,6 +368,14 @@ class VerticalPerturbation:
         for name in ("K", "L", "u", "delta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # the widest law the objective tabulates, X1+Z2+X2, has variance
+        # K+u+L; its +-12 sd window squares to 144 (K+u+L) in gamma_v's x*x
+        v = self.K + self.u + self.L
+        if not math.isfinite(144.0 * v):
+            raise ValueError(
+                f"term variance K+u+L = {v} too large: 144 (K+u+L) overflows on the "
+                f"+-12 sd window (K={self.K}, u={self.u}, L={self.L})"
+            )
         if not self.K - self.delta > 0:
             raise ValueError("need K - delta > 0")
         if not self.L - self.J * self.delta > 0:
@@ -449,12 +456,6 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
         base_value=base,
         stationary_K=k_star,
     )
-
-
-def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) -> float:
-    """|h(X1 * gamma_u * X2) - h(gamma_{K+u+L})| at the given eps."""
-    trip = vp.x1(eps).convolve(gaussian(vp.u)).convolve(vp.x2(eps))
-    return abs(mixture_entropy(trip, n=n) - gaussian_entropy(vp.K + vp.u + vp.L))
 
 
 # ----------------------------------------------------------------------

@@ -41,10 +41,6 @@ class NegativeDensityError(ValueError):
     """Density negative beyond -1e-12 somewhere on the grid."""
 
 
-class FitRejectedError(RuntimeError):
-    """Expansion fit residual does not scale like t^2."""
-
-
 @dataclass(frozen=True)
 class GridDensity:
     """Tabulated nonnegative density on a uniform grid."""
@@ -140,10 +136,6 @@ def grids_from_mixtures(ms: Sequence[Mixture], n: int = 8192) -> Iterator[GridDe
         yield next(pending.pop(i))
 
 
-def grid_from_mixture(m: Mixture, n: int = 8192) -> GridDensity:
-    return next(grids_from_mixtures((m,), n))
-
-
 def _zero_below_tiny(integrand: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Zero ``integrand`` in place where not vals > 1e-300, NaN included, as
     np.where(vals > 1e-300, integrand, 0.0) would."""
@@ -194,22 +186,6 @@ def gaussian_entropy(variance: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 
-def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
-    """Direct-quadrature convolution of two grid densities (no transform).
-
-    Requires equal steps; the output lives on the sum grid.  Used for
-    generic densities that are not exact mixtures.
-    """
-    ha, hb = a.step, b.step
-    if abs(ha - hb) > 1e-12 * max(ha, hb):
-        raise ValueError(f"grid steps differ: {ha} vs {hb}")
-    vals = np.convolve(a.values, b.values) * ha
-    lo = a.lo + b.lo
-    n = a.n + b.n - 1
-    hi = lo + ha * (n - 1)
-    return GridDensity(lo, hi, n, vals)
-
-
 def log_weighted_deriv_integral(p: GaussMixture, k: int) -> float:
     """Quadrature of int p^{(k)}(x) ln p(x) dx for a location mixture, on
     32768 points over the +-14 sigma window.
@@ -225,18 +201,9 @@ def log_weighted_deriv_integral(p: GaussMixture, k: int) -> float:
     return float(np.trapezoid(integrand, x))
 
 
-@dataclass(frozen=True)
-class EntropyExpansion:
-    """Fitted small-t coefficients of h(p_t) - h(p) = c1 t + c15 t^{3/2} + O(t^2)."""
-
-    c1: float
-    c15: float
-    residual_slope: float
-
-
 def smoothing_curve(
-    p: Union[GridDensity, Mixture],
-    q: Mixture,
+    p: GaussMixture,
+    q: GaussMixture,
     t_grid: np.ndarray,
     n: int = 8192,
 ) -> np.ndarray:
@@ -247,10 +214,9 @@ def smoothing_curve(
     m3(q) * (-1/6 int p''' ln p); plain convolution would flip its sign for
     skewed kernels.  For symmetric q the two conventions coincide.
 
-    Mixture inputs go through the exact convolution algebra; a GridDensity
-    p is convolved by direct quadrature against the tabulated kernel.  All
-    entropies for mixture p share one grid so quadrature wiggle cancels in
-    the difference.
+    Each p_t is an exact mixture from the convolution algebra.  All
+    entropies share one grid so quadrature wiggle cancels in the
+    difference.
     """
     t = np.asarray(t_grid, dtype=float)
     for end in (t.min(), t.max()):
@@ -261,56 +227,18 @@ def smoothing_curve(
     if abs(qm[0]) > 1e-9:
         raise ValueError("q must be centered (m1 = 0)")
     t = np.sort(t)
-
-    if isinstance(p, (GaussDerivMixture, GaussMixture)):
-        smoothed = [p.convolve(q.scaled(math.sqrt(ti)).reflected()) for ti in t]
-        lo0, hi0 = p.window()
-        lo1, hi1 = smoothed[-1].window()
-        lo, hi = min(lo0, lo1), max(hi0, hi1)
-        h0 = differential_entropy(mixture_to_grid(p, lo, hi, n))
-        dh = np.array(
-            [
-                differential_entropy(mixture_to_grid(s, lo, hi, n)) - h0
-                for s in smoothed
-            ]
-        )
-    else:
-        h0 = differential_entropy(p)
-        dh = np.empty(len(t))
-        for i, ti in enumerate(t):
-            qt = q.scaled(math.sqrt(ti)).reflected()
-            qlo, qhi = qt.window()
-            # tabulate the kernel on the same step as p
-            kn = max(int(math.ceil((qhi - qlo) / p.step)) + 1, 9)
-            qgrid = mixture_to_grid(qt, qlo, qlo + (kn - 1) * p.step, kn)
-            dh[i] = differential_entropy(convolve_grids(p, qgrid)) - h0
+    smoothed = [p.convolve(q.scaled(math.sqrt(ti)).reflected()) for ti in t]
+    lo0, hi0 = p.window()
+    lo1, hi1 = smoothed[-1].window()
+    lo, hi = min(lo0, lo1), max(hi0, hi1)
+    h0 = differential_entropy(mixture_to_grid(p, lo, hi, n))
+    dh = np.array(
+        [
+            differential_entropy(mixture_to_grid(s, lo, hi, n)) - h0
+            for s in smoothed
+        ]
+    )
     return np.column_stack([t, dh])
-
-
-def smoothing_expansion(
-    p: Union[GridDensity, Mixture],
-    q: Mixture,
-    t_grid: np.ndarray,
-    n: int = 8192,
-) -> EntropyExpansion:
-    """Entropy expansion of p smoothed by the law of sqrt(t)*q.
-
-    Extracts the t and t^{3/2} coefficients of h(p_t) - h(p) by least
-    squares in the basis {t, t^{3/2}, t^2, t^{5/2}}; the two higher columns
-    absorb the Taylor tail so the reported coefficients and the residual
-    diagnostic are not contaminated by projection leakage.  Raises
-    FitRejectedError when the log-log slope of the residual strays from 2
-    by more than 0.25.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    check_expansion_count(len(t))
-    curve = smoothing_curve(p, q, t, n=n)
-    c1, c15, slope = fit_expansion(curve[:, 0], curve[:, 1])
-    if abs(slope - 2.0) > 0.25:
-        raise FitRejectedError(
-            f"residual log-log slope {slope:.3f} outside 2 +- 0.25"
-        )
-    return EntropyExpansion(c1, c15, slope)
 
 
 def check_smoothing_t(t: float) -> None:

@@ -139,10 +139,6 @@ class GaussDerivMixture:
     def max_variance(self) -> float:
         return max(t.variance for t in self.terms)
 
-    @property
-    def max_order(self) -> int:
-        return max(t.order for t in self.terms)
-
     def window(self, width: float = 12.0) -> tuple[float, float]:
         r = width * math.sqrt(self.max_variance)
         return (-r, r)
@@ -197,20 +193,6 @@ class GaussDerivMixture:
             return self
         return self.convolve(gaussian(variance))
 
-    def scaled(self, s: float) -> "GaussDerivMixture":
-        """Law of s*X: c D^m gamma_v maps to c s^m D^m gamma_{s^2 v}."""
-        if s <= 0:
-            raise ValueError("scale must be positive")
-        return GaussDerivMixture(
-            tuple(DerivTerm(c * s**o, o, s * s * v) for c, o, v in self.terms)
-        )
-
-    def reflected(self) -> "GaussDerivMixture":
-        """Law of -X: odd-order coefficients flip sign."""
-        return GaussDerivMixture(
-            tuple(DerivTerm(c * (-1) ** o, o, v) for c, o, v in self.terms)
-        )
-
     def moments(self, up_to: int) -> np.ndarray:
         """Raw moments m_1..m_up_to (requires unit mass).
 
@@ -241,15 +223,6 @@ class GaussDerivMixture:
 def gaussian(variance: float) -> GaussDerivMixture:
     """The centered Gaussian gamma_variance as a one-term mixture."""
     return GaussDerivMixture((DerivTerm(1.0, 0, float(variance)),))
-
-
-def hermite_weighted_norm(k: int, K: float) -> float:
-    """int (D^k gamma_K)^2 / gamma_K = k! / K^k, exactly."""
-    if K <= 0:
-        raise ValueError("K must be positive")
-    if k < 0 or k > MAX_ORDER:
-        raise ValueError(f"k must be in [0, {MAX_ORDER}]")
-    return math.factorial(k) / K**k
 
 
 @dataclass(frozen=True)

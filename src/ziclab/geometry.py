@@ -1,5 +1,5 @@
-"""Exact planar convex geometry: Minkowski sums, mixed areas, Steiner
-bundles, and the volume-ratio sweep with a non-round width-1 body.
+"""Exact planar convex geometry: Minkowski sums, Steiner bundles, and the
+volume-ratio sweep with a non-round width-1 body.
 
 Polygons are strictly convex counterclockwise vertex lists; a polygon plus
 a disc stays symbolic (area = A + P r + pi r^2 exactly), so large-t
@@ -93,29 +93,6 @@ class ConvexBody2D:
         v = self.vertices
         return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
 
-    def centroid(self) -> np.ndarray:
-        if self.kind == "disc":
-            return np.zeros(2)
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        a = 0.5 * float(np.sum(cross))
-        cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
-        cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
-        return np.array([cx, cy])
-
-    def centered(self) -> "ConvexBody2D":
-        if self.kind == "disc":
-            return self
-        return ConvexBody2D("polygon", self.vertices - self.centroid())
-
-    def support(self, direction: np.ndarray) -> float:
-        d = np.asarray(direction, dtype=float)
-        if self.kind == "disc":
-            return self.radius * float(np.linalg.norm(d))
-        return float(np.max(self.vertices @ d))
-
     def scaled(self, s: float) -> "ConvexBody2D":
         if s <= 0:
             raise ValueError("scale must be positive")
@@ -143,7 +120,7 @@ def square(side: float, angle: float = 0.0) -> ConvexBody2D:
 
 @dataclass(frozen=True)
 class RoundedBody:
-    """Symbolic Steiner bundle polygon (+) disc: exact area and perimeter."""
+    """Symbolic Steiner bundle polygon (+) disc with exact area."""
 
     poly: ConvexBody2D
     radius: float
@@ -153,24 +130,12 @@ class RoundedBody:
         p = self.poly.perimeter()
         return a + p * self.radius + math.pi * self.radius**2
 
-    def perimeter(self) -> float:
-        return self.poly.perimeter() + 2.0 * math.pi * self.radius
-
 
 Body = Union[ConvexBody2D, RoundedBody]
 
 
 def area(body: Body) -> float:
     return body.area()
-
-
-def perimeter(body: Body) -> float:
-    return body.perimeter()
-
-
-def mean_width_2d(body: Body) -> float:
-    """Expected directional width; equals perimeter/pi in the plane."""
-    return body.perimeter() / math.pi
 
 
 # ----------------------------------------------------------------------
@@ -234,42 +199,6 @@ def minkowski_sum(a: Body, b: Body) -> Body:
     if b.kind == "disc":
         return RoundedBody(a, b.radius)
     return _merge_polygons(a, b)
-
-
-# ----------------------------------------------------------------------
-# Mixed area
-# ----------------------------------------------------------------------
-
-
-def mixed_area(k: ConvexBody2D, l: ConvexBody2D) -> float:
-    """A(K, L) with 2 A(K, L) = sum over edges e of L of h_K(n_e) |e|,
-    both bodies centered at their centroids first.
-
-    A(K, L) is the bilinear coefficient in
-    area(K + t L) = area(K) + 2 t A(K, L) + t^2 area(L).
-    """
-    kc = k.centered()
-    lc = l.centered()
-    if lc.kind == "disc":
-        # surface measure of the disc is uniform: integral of h_K over unit
-        # normals times r equals r * perimeter(K) / ... use symmetry instead
-        return 0.5 * kc.perimeter() * lc.radius
-    if kc.kind == "disc":
-        return 0.5 * lc.perimeter() * kc.radius
-    v = lc.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=1)
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-    total = sum(
-        kc.support(nrm) * ln for nrm, ln in zip(normals, lengths)
-    )
-    return 0.5 * float(total)
-
-
-def mixed_area_via_minkowski(k: ConvexBody2D, l: ConvexBody2D) -> float:
-    """Oracle route: A(K,L) = (area(K+L) - area(K) - area(L)) / 2."""
-    s = minkowski_sum(k.centered(), l.centered())
-    return 0.5 * (area(s) - k.area() - l.area())
 
 
 # ----------------------------------------------------------------------

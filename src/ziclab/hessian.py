@@ -175,19 +175,6 @@ def hessian_quadratic_form(
     )
 
 
-def worst_second_order_direction(K: float, L: float, u: float) -> float:
-    """I_2 at the extremal pairing B_2 = -A_2 = -1 (cross terms cancel
-    the outer-entropy term): 3! * (-1/K^3 + (1+u)/(K+u)^3)."""
-    report = hessian_quadratic_form(
-        K,
-        L,
-        u,
-        HermiteCoeffVector({2: 1.0}, K),
-        HermiteCoeffVector({2: -1.0}, L),
-    )
-    return report.per_alpha_terms[2]
-
-
 # ----------------------------------------------------------------------
 # Local-optimality certificate
 # ----------------------------------------------------------------------

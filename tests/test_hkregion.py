@@ -8,9 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import (
+    PsdMatrix,
+    _uniform_lattice_with_node,
+    decreasing_alignment,
+    increasing_alignment,
+    maxplus_self_convolution,
+    power_control_value_2d,
+)
 from ziclab import counterexamples as cx
 from ziclab import hkregion as hk
 from ziclab._util import rng_for
+from ziclab.hessian import gauss_psi
 
 
 def random_psd(rng, d, scale=2.0):
@@ -27,7 +36,7 @@ def test_psd_spectrum_matches_charpoly_roots(rng):
     for d in (2, 3, 5):
         for _ in range(20):
             m = random_psd(rng, d)
-            p = hk.PsdMatrix(m)
+            p = PsdMatrix(m)
             vals, vecs = p.eigenvalues, p.eigenvectors
             # roots of the characteristic polynomial as an independent oracle
             roots = np.sort(np.roots(np.poly(m)).real)
@@ -43,28 +52,28 @@ def test_psd_spectrum_matches_charpoly_roots(rng):
 
 def test_psd_validation():
     with pytest.raises(ValueError):
-        hk.PsdMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not symmetric
+        PsdMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not symmetric
     with pytest.raises(ValueError):
-        hk.PsdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # negative eigenvalue
-    m = hk.PsdMatrix(np.array([[1.0, 0.0], [0.0, 1e-11]]))
+        PsdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # negative eigenvalue
+    m = PsdMatrix(np.array([[1.0, 0.0], [0.0, 1e-11]]))
     assert m.eigenvalues.min() >= 0.0
 
 
 def test_alignment_examples():
-    aligned, q = hk.decreasing_alignment(np.diag([1.0, 3.0]))
+    aligned, q = decreasing_alignment(np.diag([1.0, 3.0]))
     assert np.allclose(np.diag(aligned.entries), [3.0, 1.0])
     assert np.allclose(q.T @ np.diag([1.0, 3.0]) @ q, aligned.entries, atol=1e-12)
     already = np.diag([5.0, 2.0, 1.0])
-    out, _ = hk.decreasing_alignment(already)
+    out, _ = decreasing_alignment(already)
     assert np.allclose(out.entries, already)
-    inc, _ = hk.increasing_alignment(already)
+    inc, _ = increasing_alignment(already)
     assert np.allclose(np.diag(inc.entries), [1.0, 2.0, 5.0])
 
 
 def test_alignment_matches_charpoly_roots(rng):
     for _ in range(10):
         m = random_psd(rng, 3)
-        aligned, q = hk.decreasing_alignment(m)
+        aligned, q = decreasing_alignment(m)
         # roots of the characteristic polynomial as an independent oracle
         roots = np.sort(np.roots(np.poly(m)).real)[::-1]
         assert np.allclose(np.diag(aligned.entries), roots, atol=1e-9)
@@ -78,8 +87,8 @@ def test_lndet_alignment_inequality(rng):
         d = int(rng.integers(2, 5))
         k = random_psd(rng, d)
         l = random_psd(rng, d)
-        kbar, _ = hk.decreasing_alignment(k)
-        lbar, _ = hk.increasing_alignment(l)
+        kbar, _ = decreasing_alignment(k)
+        lbar, _ = increasing_alignment(l)
         lhs = np.linalg.slogdet(k + l)[1]
         rhs = np.linalg.slogdet(kbar.entries + lbar.entries)[1]
         if lhs > rhs + 1e-10:
@@ -97,8 +106,8 @@ def test_alignment_preserves_order(rng):
         k = random_psd(rng, d)
         bump = random_psd(rng, d, scale=1.0)
         kp = k + bump
-        kbar = np.diag(hk.decreasing_alignment(k)[0].entries)
-        kpbar = np.diag(hk.decreasing_alignment(kp)[0].entries)
+        kbar = np.diag(decreasing_alignment(k)[0].entries)
+        kpbar = np.diag(decreasing_alignment(kp)[0].entries)
         assert np.all(kbar <= kpbar + 1e-10)
 
 
@@ -141,19 +150,14 @@ def test_rotation_stationarity_iff_commuting(rng):
 
 
 def test_gauss_objective_examples():
+    # the HK objective is psi with second-noise variance u
     # stationary K=(u+L)/(L-1): psi = 2 ln 4 - ln 3 - 2 ln 2 = ln(4/3)
-    val = hk.gauss_objective(2.0, 3.0, 1.0, 0.0)
+    val = gauss_psi(2.0, 3.0, 1.0, 0.0, 1.0)
     assert val == pytest.approx(2 * math.log(4) - math.log(3) - 2 * math.log(2), abs=1e-12)
     assert val == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
     # direct substitution with K=0
-    assert hk.gauss_objective(0.0, 0.0, 1.0, 1.0) == pytest.approx(-math.log(2), abs=1e-14)
-    # lndet additivity for diagonal matrices
-    md = hk.gauss_objective(
-        hk.PsdMatrix(np.diag([2.0, 5.0])), hk.PsdMatrix(np.diag([3.0, 1.0])), 1.0, 0.5
-    )
-    s = hk.gauss_objective(2.0, 3.0, 1.0, 0.5) + hk.gauss_objective(5.0, 1.0, 1.0, 0.5)
-    assert md == pytest.approx(s, abs=1e-12)
-    assert hk.gauss_objective(0.0, 1.0, 1.0, 0.0) == -math.inf
+    assert gauss_psi(0.0, 0.0, 1.0, 1.0, 1.0) == pytest.approx(-math.log(2), abs=1e-14)
+    assert gauss_psi(0.0, 1.0, 1.0, 0.0, 1.0) == -math.inf
 
 
 def test_stationary_value_formula(rng):
@@ -162,7 +166,7 @@ def test_stationary_value_formula(rng):
         u = float(rng.uniform(0.3, 4.0))
         L = float(rng.uniform(1.05, 9.0))
         K = (u + L) / (L - 1.0)
-        lhs = hk.gauss_objective(K, L, u, 0.0)
+        lhs = gauss_psi(K, L, u, 0.0, u)
         rhs = (u + 1) * math.log(u + L) - math.log(L) - (u + 1) * math.log(u + 1)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -258,7 +262,7 @@ def test_f1_degenerate_interferer_budget():
     # q2 -> 0 reduces to sup_J ln(J+N1+u) + psi(J, 0)
     params = hk.HKParams(u=1.0, N1=0.3)
     res = hk.fixed_power_value(5.0, 1e-12, params)
-    expected = math.log(5.0 + 0.3 + 1.0) + hk.gauss_objective(5.0, 0.0, 1.0, 0.3)
+    expected = math.log(5.0 + 0.3 + 1.0) + gauss_psi(5.0, 0.0, 1.0, 0.3, 1.0)
     assert res.value == pytest.approx(expected, abs=1e-6)
 
 
@@ -403,9 +407,9 @@ def test_envelope_matches_qhull_maxplus_tables(rng):
         # with N1 = 0 the max-plus rows 0 and 1 are -inf, so at least 5 nodes
         grid_n = int(rng.choice([5, 17, 33] if N1 == 0 else [2, 5, 17, 33]))
         q1, q2 = (float(rng.uniform(0.2, 10.0)) for _ in range(2))
-        xg = hk._uniform_lattice_with_node(8 * max(q1, 1.0), q1, grid_n)
-        yg = hk._uniform_lattice_with_node(8 * max(q2, 1.0), q2, grid_n)
-        table = hk.maxplus_self_convolution(hk.f1_table(xg, yg, params))
+        xg = _uniform_lattice_with_node(8 * max(q1, 1.0), q1, grid_n)
+        yg = _uniform_lattice_with_node(8 * max(q2, 1.0), q2, grid_n)
+        table = maxplus_self_convolution(hk.f1_table(xg, yg, params))
         env = hk.Envelope2D(xg, yg, table)
         if np.isfinite(table[np.searchsorted(xg, q1), np.searchsorted(yg, q2)]):
             assert_matches_qhull(env, q1, q2)
@@ -481,7 +485,7 @@ def test_envelope_grid_below_two_rejected():
         with pytest.raises(ValueError, match="at least 2 nodes"):
             hk.envelope_for(1.0, 1.0, params, grid_n=grid_n)
         with pytest.raises(ValueError, match="at least 2 nodes"):
-            hk.power_control_value_2d(1.0, 1.0, params, grid_n=grid_n)
+            power_control_value_2d(1.0, 1.0, params, grid_n=grid_n)
     assert hk.power_control_value(1.0, 1.0, params, grid_n=2) >= hk.fixed_power_value(
         1.0, 1.0, params
     ).value
@@ -504,7 +508,7 @@ def test_tensorization_spot_checks():
     params = hk.HKParams(u=1.0, N1=1.0)
     pts = [(5.0, 2.0), (10.0, 4.0), (3.0, 1.0), (8.0, 8.0), (2.0, 6.0)]
     for (a, b) in pts:
-        g2 = hk.power_control_value_2d(2 * a, 2 * b, params, grid_n=97)
+        g2 = power_control_value_2d(2 * a, 2 * b, params, grid_n=97)
         g1 = hk.power_control_value(a, b, params, grid_n=129)
         assert g2 == pytest.approx(2 * g1, abs=5e-3)
 
@@ -581,7 +585,7 @@ def test_corner_gradient_matches_central_differences(u, N1, L, ratio):
     N1=st.floats(1e-3, 5.0, **positive),
 )
 def test_psi_below_tail_bound(K, L, u, N1):
-    assert hk.gauss_objective(K, L, u, N1) < u * math.log1p(L / u)
+    assert gauss_psi(K, L, u, N1, u) < u * math.log1p(L / u)
 
 
 def assert_chord_beats_f1(q, w, params):
@@ -756,9 +760,9 @@ def test_d2_applicable_records_match_tensorization():
             half = 2.0 * float(hk._corner_value(r.q1 / 2, r.q2 / 2, u, N1))
             f2 = hk.fixed_power_value_2d(r.q1, r.q2, params).value
             assert f2 == pytest.approx(half, rel=0, abs=1e-12)
-            g2 = hk.power_control_value_2d(r.q1, r.q2, params, grid_n=49)
-            xg = hk._uniform_lattice_with_node(4 * max(r.q1, 1.0), r.q1, 49)
-            yg = hk._uniform_lattice_with_node(4 * max(r.q2, 1.0), r.q2, 49)
+            g2 = power_control_value_2d(r.q1, r.q2, params, grid_n=49)
+            xg = _uniform_lattice_with_node(4 * max(r.q1, 1.0), r.q1, 49)
+            yg = _uniform_lattice_with_node(4 * max(r.q2, 1.0), r.q2, 49)
             a, b = xg[xg <= r.q1][:, None], yg[yg <= r.q2][None, :]
             with np.errstate(divide="ignore"):
                 split = hk._corner_value(a, b, u, N1) + hk._corner_value(r.q1 - a, r.q2 - b, u, N1)
@@ -929,25 +933,34 @@ def test_power_control_cell_rules():
     # the audits' check took a negative L as 0 and returned a K
     with pytest.raises(ValueError, match=r"needs q1 > 0 and q2 >= 0, got \(1.0, -0.5\)"):
         hk.maximizer_bound_check(1.0, -0.5, params)
-    # a q2 = 0 cell: the axis envelope, f1 and K at (q1, 0), the same
-    # tangent-plane verdict
+    # a q2 = 0 cell: g1 = f1 and K at (q1, 0), the same tangent-plane verdict
     c = hk.power_control_cell(1.2, 0.0, params, 65)
     res = hk.fixed_power_value(1.2, 0.0, params)
-    assert (c.f1, c.stationary_K) == (res.value, res.K)
-    assert c.g1 >= c.f1
+    assert (c.f1, c.g1, c.stationary_K) == (res.value, res.value, res.K)
     assert c.f1_eq_g1 == (hk.tangent_witness(1.2, 0.0, params) is None)
 
 
-def test_gauss_objective_rotation_invariance(rng):
-    # conjugating both matrices by the same orthogonal map leaves the
-    # log-determinant objective unchanged
-    for _ in range(10):
-        k = random_psd(rng, 3)
-        l = random_psd(rng, 3)
-        h = rng.normal(size=(3, 3))
-        q, _ = np.linalg.qr(h)
-        a = hk.gauss_objective(hk.PsdMatrix(k), hk.PsdMatrix(l), 1.3, 0.4)
-        b = hk.gauss_objective(
-            hk.PsdMatrix(q.T @ k @ q), hk.PsdMatrix(q.T @ l @ q), 1.3, 0.4
-        )
-        assert a == pytest.approx(b, abs=1e-10)
+def test_axis_cells_read_g1_equal_f1(rng):
+    # a randomization averaging to (q1, 0) keeps its support on the q1 axis,
+    # where f1(p1, 0) = ln(p1 + N1) is concave: the best chord over a fine
+    # axis lattice never beats f1 beyond the 8-ulp rounding bound, and the
+    # cell reads g1 == f1
+    for trial in range(60):
+        u = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+        N1 = 0.0 if trial % 4 == 0 else float(rng.uniform(0.01, 5.0))
+        q1 = float(np.exp(rng.uniform(math.log(0.05), math.log(30.0))))
+        params = hk.HKParams(u=u, N1=N1)
+        xs = np.union1d(np.linspace(0.0, 64.0 * max(q1, 1.0), 4097), [q1])
+        chord = hk.concave_envelope_1d(xs, hk._corner_value(xs, 0.0 * xs, u, N1), q1)
+        _, bound = plane_excess((q1, 0.0), xs, 0.0 * xs, params)
+        f1 = hk.fixed_power_value(q1, 0.0, params).value
+        assert chord - f1 <= bound[np.isfinite(bound)].max()
+        assert hk.power_control_cell(q1, 0.0, params).g1 == f1
+
+
+@pytest.mark.parametrize("q", [(1e308, 1e-300), (1e308, 0.0), (1.0, 1e308), (5.7e306, 1.0)])
+def test_power_control_cell_rejects_non_finite_window(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lattice window 32 max"):
+            hk.power_control_cell(*q, hk.HKParams(u=1.0))
