@@ -3,13 +3,13 @@
 All randomness in the package flows from a single integer seed through
 named Philox streams, so draws are reproducible regardless of execution
 order.  ``ZIC_THREADS`` caps sweep parallelism (1 disables threading).
+``hashlib`` and ``concurrent.futures`` are imported on first use, so a
+command that draws nothing or runs one thread does not load them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -20,6 +20,8 @@ R = TypeVar("R")
 
 def rng_for(seed: int, stream: str) -> np.random.Generator:
     """Counter-based generator for a named substream of ``seed``."""
+    import hashlib
+
     digest = hashlib.sha256(stream.encode("utf-8")).digest()
     key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(key=(seed & (2**64 - 1)) ^ key))
@@ -45,5 +47,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     workers = min(thread_count(), len(items)) if items else 1
     if workers <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -9,26 +9,28 @@ strict: non-finite values are written as null.
 Sweep syntax: ``lo:hi:step`` for ranges, comma lists for discrete sets.
 Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
 ``ZIC_THREADS`` caps sweep parallelism.
+
+Importing this module loads neither numpy nor a compute module: each
+handler, and each option validator, imports the modules it runs when it
+runs, so a command loads only its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
+import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from . import counterexamples as cx
-from . import entropy as en
-from . import geometry as geo
-from . import hessian as hs
-from . import hkregion as hk
-from ._util import parallel_map, rng_for
+    from .counterexamples import SkewRecipe
 
 
 def _number(text: str, kind=float):
@@ -64,14 +66,18 @@ def parse_values(text: str) -> list[float]:
     return values
 
 
-def _checked(kind, check):
-    """Parser type for ``kind`` values that ``check`` accepts: the check's
-    ValueError becomes argparse's one-line error naming the option."""
+def _checked(kind, check: str):
+    """Parser type for ``kind`` values that ``check``, a validator named
+    ``module.function`` within ziclab, accepts: the check's ValueError
+    becomes argparse's one-line error naming the option.  The module is
+    imported when the option is parsed, not when the parser is built."""
+    module, name = check.split(".")
 
     def parse(text: str):
         value = _number(text, kind)
+        validate = getattr(importlib.import_module(f"{__package__}.{module}"), name)
         try:
-            check(value)
+            validate(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -80,7 +86,7 @@ def _checked(kind, check):
 
 
 # nodes per axis of an envelope lattice, checked as the hull builders do
-parse_envelope_grid = _checked(int, hk.check_envelope_grid)
+parse_envelope_grid = _checked(int, "hkregion.check_envelope_grid")
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -91,6 +97,8 @@ def _report_values(obj):
     """Plain Python copy of a report value: numpy scalars become Python
     numbers and non-finite floats become None, so that JSON reports are
     strict (null, never NaN or Infinity) and CSV cells are empty."""
+    import numpy as np  # loaded by every handler before its report is written
+
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float):
@@ -140,7 +148,7 @@ def write_report(
 # ----------------------------------------------------------------------
 
 
-def _recipe_config(recipe: cx.SkewRecipe) -> dict:
+def _recipe_config(recipe: SkewRecipe) -> dict:
     return {
         "p_weights": list(recipe.p.weights),
         "p_means": list(recipe.p.means),
@@ -154,6 +162,10 @@ def _recipe_config(recipe: cx.SkewRecipe) -> dict:
 def _fit_t_grid(args, powers: tuple[float, ...]) -> np.ndarray:
     """geomspace(--t-min, --t-max, --t-count), rejected before any entropy
     is computed when the fit in the basis {t^p} cannot use it."""
+    import numpy as np
+
+    from . import entropy as en
+
     t_grid = np.geomspace(args.t_min, args.t_max, args.t_count)
     try:
         en.check_fit_t(t_grid, powers)
@@ -163,6 +175,8 @@ def _fit_t_grid(args, powers: tuple[float, ...]) -> np.ndarray:
 
 
 def cmd_verify_lemma1(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import counterexamples as cx, entropy as en
+
     recipe = cx.default_recipe()
     t_grid = _fit_t_grid(args, en.EXPANSION_POWERS)
     curve = en.smoothing_curve(recipe.p, recipe.q, t_grid, n=args.n)
@@ -199,6 +213,10 @@ def cmd_verify_lemma1(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_verify_lemma2(args) -> tuple[dict, list[dict], list[dict]]:
+    import numpy as np
+
+    from . import counterexamples as cx
+
     recipe = cx.default_recipe()
     info = recipe.validate()
     t_grid = _fit_t_grid(args, cx.GAP_POWERS)
@@ -235,6 +253,8 @@ def cmd_verify_lemma2(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import counterexamples as cx, hessian as hs
+
     u, L, J = args.u, args.L, args.J
     if not L > 1.0:
         raise ValueError(f"verify-vertical needs L > 1, got {L}")
@@ -273,6 +293,8 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_condition54_root(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import counterexamples as cx, hessian as hs
+
     results = []
     checks = []
     for u in args.u:
@@ -307,6 +329,8 @@ def _parse_coeffs(text: str, option: str) -> dict[int, float]:
 
 
 def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import hessian as hs
+
     u, L = args.u, args.L
     if not L > 1.0:
         raise ValueError(f"hessian needs L > 1 for the stationary K = (L+u)/(L-1), got {L}")
@@ -336,6 +360,8 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_phase_diagram(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import hessian as hs
+
     cells = hs.phase_diagram(args.u, args.L)
     results = [
         {"u": c.u, "L": c.L, "K": c.K, "classification": c.classification}
@@ -353,6 +379,10 @@ def cmd_phase_diagram(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
+    import numpy as np
+
+    from . import hessian as hs
+
     L = np.asarray(args.L, dtype=float)
     K = hs.gaussian_maximizer(L, args.u)
     cert = hs.local_optimality_radius(K, L, args.u)
@@ -374,6 +404,9 @@ def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import hkregion as hk
+    from ._util import parallel_map
+
     params = hk.HKParams(u=args.u, N1=args.N1)
 
     def row(pair):
@@ -401,6 +434,9 @@ def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import hkregion as hk
+    from ._util import rng_for
+
     params = hk.HKParams(u=args.u, N1=args.N1)
     rng = rng_for(args.seed, "lemma5-audit")
     report = hk.eigenvalue_bound_audit(1, params, args.samples, rng)
@@ -427,6 +463,9 @@ def cmd_lemma5_audit(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import hkregion as hk
+    from ._util import rng_for
+
     params = hk.HKParams(u=args.u, N1=args.N1)
     rng = rng_for(args.seed, "theorem4-audit")
     report = hk.eigenvalue_bound_audit(args.d, params, args.samples, rng)
@@ -452,6 +491,8 @@ def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import hkregion as hk
+
     params = hk.HKParams(u=args.u, N1=args.N1, N2=args.N2)
     res = hk.constant_power_gap(params, A=args.A, n=args.n)
     results = [
@@ -483,6 +524,8 @@ def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import hkregion as hk
+
     cells = hk.power_control_map(
         args.u, args.q, hk.HKParams(u=1.0, N1=args.N1), grid_n=args.envelope_grid
     )
@@ -516,6 +559,9 @@ def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_geometry(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import geometry as geo
+    from ._util import parallel_map
+
     ts = args.t
 
     def row(t):
@@ -553,6 +599,8 @@ def cmd_geometry(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_limit_functional(args) -> tuple[dict, list[dict], list[dict]]:
+    from . import counterexamples as cx
+
     results = []
     checks = []
     for L in args.L:
@@ -606,9 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify-lemma1", help="entropy expansion coefficients vs quadrature")
-    p.add_argument("--t-min", type=_checked(float, en.check_smoothing_t), default=1e-4)
-    p.add_argument("--t-max", type=_checked(float, en.check_smoothing_t), default=1e-2)
-    p.add_argument("--t-count", type=_checked(int, en.check_expansion_count), default=10)
+    p.add_argument("--t-min", type=_checked(float, "entropy.check_smoothing_t"), default=1e-4)
+    p.add_argument("--t-max", type=_checked(float, "entropy.check_smoothing_t"), default=1e-2)
+    p.add_argument("--t-count", type=_checked(int, "entropy.check_expansion_count"), default=10)
     p.add_argument("--n", type=int, default=8192)
     p.add_argument("--c1-tol", type=float, default=0.02)
     p.add_argument("--c15-tol", type=float, default=0.05)
@@ -616,9 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_lemma1)
 
     p = sub.add_parser("verify-lemma2", help="skewed-interferer gap vs Gaussian control")
-    p.add_argument("--t-min", type=_checked(float, cx.check_gap_t), default=1e-3)
-    p.add_argument("--t-max", type=_checked(float, cx.check_gap_t), default=1e-2)
-    p.add_argument("--t-count", type=_checked(int, cx.check_gap_count), default=6)
+    p.add_argument("--t-min", type=_checked(float, "counterexamples.check_gap_t"), default=1e-3)
+    p.add_argument("--t-max", type=_checked(float, "counterexamples.check_gap_t"), default=1e-2)
+    p.add_argument("--t-count", type=_checked(int, "counterexamples.check_gap_count"), default=6)
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--Sigma1", type=float, default=0.0)
     p.add_argument("--n", type=int, default=8192)
@@ -692,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=1.0)
     p.add_argument("--N2", type=float, default=0.05)
-    p.add_argument("--A", type=_checked(float, hk.check_mixing_variance), default=None,
+    p.add_argument("--A", type=_checked(float, "hkregion.check_mixing_variance"), default=None,
                    help="mixing variance (default: auto)")
     p.add_argument("--n", type=int, default=8192)
     common(p)
@@ -721,7 +769,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The exceptions main reports as exit 2: ValueError, which every
+    module's validation errors subclass, and hkregion's three RuntimeErrors
+    once a handler has loaded hkregion (no other module raises them)."""
+    hk = sys.modules.get(f"{__package__}.hkregion")
+    if hk is None:
+        return (ValueError,)
+    return (ValueError, hk.NotApplicableError, hk.WitnessUnavailableError, hk.GridTooSmallError)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS starts one thread per core when numpy is imported, which
+        # is a large share of a light command's start-up; the CLI's only
+        # BLAS/LAPACK calls are 3x3 solves and least-squares fits of at most
+        # 20x4, which one thread serves as well.  A user's own setting is
+        # kept, and a process that already imported numpy is left alone.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -729,9 +794,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     try:
         derived, results, checks = args.handler(args)
-    except (ValueError, cx.RecipeRejectedError, hk.NotApplicableError,
-            hk.WitnessUnavailableError, hk.GridTooSmallError,
-            en.NegativeDensityError) as exc:
+    except _input_errors() as exc:  # evaluated only once the handler has raised
         print(f"ziclab: {exc}", file=sys.stderr)
         return 2
     # the output path is environment, not experiment configuration; embedding

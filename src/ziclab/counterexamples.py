@@ -282,6 +282,17 @@ def _check_partner_order(J: int) -> None:
         )
 
 
+def _check_widest_variance(v: float, terms: str, params: str) -> None:
+    """Reject a pipeline whose widest tabulated law, of variance v (the sum
+    ``terms`` of the parameters ``params``), has a +-12 sd window that
+    squares past the float range, 144 v, in gamma_v's x*x (ValueError)."""
+    if not math.isfinite(144.0 * v):
+        raise ValueError(
+            f"term variance {terms} = {v} too large: 144 ({terms}) overflows on the "
+            f"+-12 sd window ({params})"
+        )
+
+
 def _min_density(m: GaussDerivMixture) -> float:
     """Least density value on 4096 points over the +-12 sigma window."""
     return float(m.pdf(np.linspace(*m.window(), 4096)).min())
@@ -368,14 +379,10 @@ class VerticalPerturbation:
         for name in ("K", "L", "u", "delta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        # the widest law the objective tabulates, X1+Z2+X2, has variance
-        # K+u+L; its +-12 sd window squares to 144 (K+u+L) in gamma_v's x*x
-        v = self.K + self.u + self.L
-        if not math.isfinite(144.0 * v):
-            raise ValueError(
-                f"term variance K+u+L = {v} too large: 144 (K+u+L) overflows on the "
-                f"+-12 sd window (K={self.K}, u={self.u}, L={self.L})"
-            )
+        # the widest law the objective tabulates, X1+Z2+X2, has variance K+u+L
+        _check_widest_variance(
+            self.K + self.u + self.L, "K+u+L", f"K={self.K}, u={self.u}, L={self.L}"
+        )
         if not self.K - self.delta > 0:
             raise ValueError("need K - delta > 0")
         if not self.L - self.J * self.delta > 0:
@@ -572,6 +579,8 @@ def fisher_limit_gain(
         raise ValueError(f"J must be >= 1, got {J}")
     _check_partner_order(J)
     K = fisher_stationary_variance(L)
+    # the widest law it tabulates, X+Y, has variance K+L
+    _check_widest_variance(K + L, "K+L", f"K={K}, L={L}")
     if delta is None:
         delta = min(K, L / J) / 20.0
     if eps0 is None:

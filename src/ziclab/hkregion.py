@@ -225,6 +225,15 @@ class Envelope2D:
             # columns (x, y, 1) of the basis points; plane = f_B^T B^-1 (p, 1)
             binv = np.linalg.inv(np.array([x[basis], y[basis], np.ones(3)]))
             a, b, c = f[basis] @ binv
+            if not (math.isfinite(a) and math.isfinite(b)):
+                # LAPACK's inverse divides a power by the basis triangle's
+                # extent along the other axis; past the float range a slope
+                # is lost and no pivot can restore it
+                raise ValueError(
+                    f"envelope query ({qx}, {qy}) too large for its lattice: a slope of "
+                    f"the plane through a basis triangle is not finite (a power over "
+                    f"the other axis's lattice step passes the float range)"
+                )
             r = f - (a * x + b * y + c)
             j = int(np.argmax(r))
             if r[j] <= self._tol:
@@ -748,7 +757,9 @@ def power_control_cell(
     so g1 = f1 there in closed form.  f1 = g1 is decided by
     ``tangent_witness``.  A cell whose widest lattice window
     MAX_MARGIN max(q, 1), or whose f1 log argument q1 + q2 + N1 + u, is not
-    finite is rejected (ValueError) before anything is tabulated.
+    finite is rejected (ValueError) before anything is tabulated; a lattice
+    LP whose plane leaves the float range is rejected by ``Envelope2D.value``
+    (ValueError).
     """
     if not (q1 > 0 and q2 >= 0):
         raise ValueError(f"power-control cells need q1 > 0 and q2 >= 0, got ({q1}, {q2})")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,8 @@ import pytest
 from ziclab import counterexamples as cx
 from ziclab import hkregion as hk
 from ziclab.cli import build_parser, main, parse_values
+
+from test_readme_commands import readme_commands
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -384,6 +387,21 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
         (["conjecture2-map", "--u", "1", "--q", "0,1e308"],
          "power-control cell (q1=1e+308, q2=0.0) too large: its lattice window 32 max(q, 1) "
          "or its f1 log argument q1+q2+N1+u is not finite"),
+        # exit 2 with "no positive eps admits nonnegative densities" after
+        # overflow and invalid RuntimeWarnings in gauss_deriv_pdf
+        (["limit-functional", "--L", "1e308", "--n", "1024"],
+         "term variance K+L = 1e+308 too large: 144 (K+L) overflows on the +-12 sd window "
+         "(K=1.0, L=1e+308)"),
+        # exit 1 with "envelope simplex ... did not converge in 1000 pivots"
+        # after an invalid-value RuntimeWarning in Envelope2D.value
+        (["hk-region", "--u", "1", "--q1", "5.6e306", "--q2", "1"],
+         "envelope query (5.6e+306, 1.0) too large for its lattice: a slope of the plane "
+         "through a basis triangle is not finite (a power over the other axis's lattice "
+         "step passes the float range)"),
+        (["hk-region", "--u", "1", "--q1", "5.6e306", "--q2", "1e-300"],
+         "envelope query (5.6e+306, 1e-300) too large for its lattice: a slope of the plane "
+         "through a basis triangle is not finite (a power over the other axis's lattice "
+         "step passes the float range)"),
     ],
 )
 def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
@@ -401,6 +419,8 @@ def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
         # 32 max(q, 1) just below the float max
         ["hk-region", "--q1", "5e306", "--q2", "1"],
         ["conjecture2-map", "--q", "0,5e306"],
+        # 144 (K+L) just below the float max
+        ["limit-functional", "--L", "1.24e306", "--n", "1024"],
     ],
 )
 def test_largest_accepted_variances_and_powers_run_without_warning(argv, capsys):
@@ -497,6 +517,126 @@ def test_hull_import_from_pool_threads_same_report():
     two = run_fresh(argv, ZIC_THREADS="2")
     assert one == two
     assert len(json.loads(one)["results"]) == 4
+
+
+def test_geometry_from_pool_threads_same_report():
+    # fresh processes, so the volume_ratio rows of the second run go through
+    # the parallel_map pool threads right after the handler's own imports
+    argv = ["-m", "ziclab.cli", "geometry", "--t", "10,20,30"]
+    one = run_fresh(argv, ZIC_THREADS="1")
+    two = run_fresh(argv, ZIC_THREADS="2")
+    assert one == two
+    assert len(json.loads(one)["results"]) == 4
+
+
+LOADED = "print(sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'ziclab'))"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    assert run_fresh(["-c", f"import sys, ziclab; {LOADED}"]) == "['ziclab']\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hk-region", "--help"]])
+def test_help_loads_no_numpy(argv):
+    out = run_fresh(["-c", f"import sys; from ziclab.cli import main; main({argv!r}); {LOADED}"])
+    assert out.startswith("usage: ziclab")
+    assert out.endswith("\n['ziclab', 'ziclab.cli']\n")
+
+
+HESSIAN_ONLY = ("hessian",)
+PERTURBATION = ("counterexamples", "entropy", "gaussmix", "hessian")
+HK = (*PERTURBATION, "hkregion")
+# the modules each subcommand loads besides the package and the CLI (_util
+# is the sweep pool and the audits' RNG streams); README runs all 14
+# subcommands (test_readme_runs_every_subcommand)
+COMMAND_MODULES = {
+    "phase-diagram": HESSIAN_ONLY,
+    "hessian": HESSIAN_ONLY,
+    "theorem5-epsilon": HESSIAN_ONLY,
+    "geometry": ("_util", "geometry"),
+    "condition54-root": PERTURBATION,
+    "verify-lemma1": PERTURBATION,
+    "verify-lemma2": PERTURBATION,
+    "verify-vertical": PERTURBATION,
+    "limit-functional": PERTURBATION,
+    "hk-region": ("_util", *HK),
+    "lemma5-audit": ("_util", *HK),
+    "theorem4-audit": ("_util", *HK),
+    "constant-power-gap": HK,
+    "conjecture2-map": HK,
+}
+
+
+@pytest.mark.parametrize("line", readme_commands(), ids=lambda line: line.split()[1])
+def test_readme_command_loads_only_its_modules(line, tmp_path):
+    argv = shlex.split(line)[1:]
+    if "--output" in argv:
+        i = argv.index("--output")
+        del argv[i : i + 2]
+    argv += ["--output", str(tmp_path / "report")]
+    out = run_fresh(["-c", f"import sys; from ziclab.cli import main; code = main({argv!r}); "
+                           f"print(code); {LOADED}"])
+    want = ["numpy", "ziclab", "ziclab.cli", *(f"ziclab.{m}" for m in COMMAND_MODULES[argv[0]])]
+    assert out == f"0\n{sorted(want)}\n"
+
+
+# every name `import ziclab` exported when the package imported its modules eagerly
+EAGER_EXPORTS = """
+    ChannelParams ConvexBody2D DerivTerm GaussDerivMixture GaussMixture GridDensity
+    GridTooSmallError HKParams HermiteCoeffVector HessianReport LocalOptimalityCertificate
+    NegativeDensityError NoGaussianMaxError NonConvexInputError NonNormalizedError
+    NotApplicableError NotStationaryError PowerViolationError RecipeRejectedError RoundedBody
+    SkewRecipe VerticalPerturbation WitnessUnavailableError capped_gauss_objective
+    constant_power_gap counterexamples default_recipe deriv_norm_balance differential_entropy
+    disc eigenvalue_bound_audit entropy fisher_information fisher_limit_gain fixed_power_value
+    gauss_deriv_pdf gauss_deriv_poly gaussian gaussian_entropy gaussmix geometry
+    grids_from_mixtures hessian hessian_quadratic_form hkregion interference_objective
+    limit_functional local_optimality_radius maximizer_bound_check minkowski_sum
+    mixture_entropies mixture_entropy mixture_to_grid phase_diagram polygon power_control_cell
+    power_control_map power_control_value select_epsilon skewness_gap smoothing_curve square
+    stability_classify stability_root stability_threshold tangent_witness vertical_gap
+    volume_ratio
+""".split()
+
+
+RESOLVES_AS_EAGERLY = """
+import importlib, sys, ziclab
+resolved = {name: getattr(ziclab, name) for name in NAMES}
+modules = [importlib.import_module(f"ziclab.{m}") for m in
+           ("gaussmix", "entropy", "counterexamples", "hessian", "hkregion", "geometry")]
+for name, value in resolved.items():
+    # a submodule, or the one object every module holding the name holds
+    holders = [getattr(m, name) for m in modules if hasattr(m, name)]
+    assert value is sys.modules.get(f"ziclab.{name}") or (
+        holders and all(h is value for h in holders)), name
+print(sorted(set(NAMES) - set(dir(ziclab))), ziclab.__version__)
+"""
+
+
+def test_lazy_exports_are_the_module_objects():
+    # each name is resolved before any submodule is imported by hand
+    out = run_fresh(["-c", f"NAMES = {EAGER_EXPORTS!r}" + RESOLVES_AS_EAGERLY])
+    assert out == "[] 0.1.0\n"
+
+
+OPENBLAS = "OPENBLAS_NUM_THREADS"
+QUIET_RUN = "main(['phase-diagram', '--u', '1', '--L', '2', '--output', os.devnull])"
+
+
+@pytest.mark.parametrize("user, seen", [(None, "1"), ("2", "2")])
+def test_cli_defaults_openblas_to_one_thread(user, seen):
+    # the variable must be set before numpy loads OpenBLAS; a user's own
+    # setting wins
+    out = run_fresh(["-c", f"import os; os.environ.pop({OPENBLAS!r}, None)\n"
+                           f"if {user!r} is not None: os.environ[{OPENBLAS!r}] = {user!r}\n"
+                           f"from ziclab.cli import main; {QUIET_RUN}; print(os.environ[{OPENBLAS!r}])"])
+    assert out == f"{seen}\n"
+
+
+def test_cli_leaves_environment_alone_once_numpy_is_imported():
+    out = run_fresh(["-c", f"import os, numpy; os.environ.pop({OPENBLAS!r}, None)\n"
+                           f"from ziclab.cli import main; {QUIET_RUN}; print({OPENBLAS!r} in os.environ)"])
+    assert out == "False\n"
 
 
 def test_oracle_mismatch_exit_3(capsys):

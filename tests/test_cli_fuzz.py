@@ -77,6 +77,11 @@ def reject_non_finite(text):
 @example(["verify-lemma2", "--t-min=1e200", "--t-max=1e200", "--t-count=2", "--n=1024"])
 @example(["theorem5-epsilon", "--u=1.49e181", "--L=9.26e61"])
 @example(["geometry", "--t=1e300"])
+# past the float strategy's 1e300: a traceback after an invalid-value
+# warning, and an unrelated message after overflow warnings
+@example(["hk-region", "--u=1", "--q1=5.6e306", "--q2=1"])
+@example(["hk-region", "--u=1", "--q1=5.6e306", "--q2=1e-300"])
+@example(["limit-functional", "--L=1e308", "--n=1024"])
 def test_cli_exits_0_2_or_3_with_strict_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
