@@ -77,16 +77,7 @@ _EXPORTS = {
         "power_control_value",
         "tangent_witness",
     ),
-    "geometry": (
-        "ConvexBody2D",
-        "NonConvexInputError",
-        "RoundedBody",
-        "disc",
-        "minkowski_sum",
-        "polygon",
-        "square",
-        "volume_ratio",
-    ),
+    "geometry": ("volume_ratio",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,7 +8,7 @@ strict: non-finite values are written as null.
 
 Sweep syntax: ``lo:hi:step`` for ranges, comma lists for discrete sets.
 Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
-``ZIC_THREADS`` caps sweep parallelism.
+``ZIC_THREADS`` caps the parallelism of the ``hk-region`` sweep.
 
 Importing this module loads neither numpy nor a compute module: each
 handler, and each option validator, imports the modules it runs when it
@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -363,10 +364,7 @@ def cmd_phase_diagram(args) -> tuple[dict, list[dict], list[dict]]:
     from . import hessian as hs
 
     cells = hs.phase_diagram(args.u, args.L)
-    results = [
-        {"u": c.u, "L": c.L, "K": c.K, "classification": c.classification}
-        for c in cells
-    ]
+    results = [asdict(c) for c in cells]
     thr_ok = all(hs.stability_threshold(u) > 1.0 for u in args.u)
     checks = [
         _check(
@@ -495,19 +493,7 @@ def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
 
     params = hk.HKParams(u=args.u, N1=args.N1, N2=args.N2)
     res = hk.constant_power_gap(params, A=args.A, n=args.n)
-    results = [
-        {
-            "gaussian_value": res.gaussian_value,
-            "lower_witness": res.lower_witness,
-            "gap": res.gap,
-            "witness_gain": res.witness_gain,
-            "mixing_variance": res.mixing_variance,
-            "slack": res.slack,
-            "raw_witness_value": res.raw_witness_value,
-            "q1": res.q1,
-            "q2": res.q2,
-        }
-    ]
+    results = [asdict(res)]
     checks = [
         _check(
             "witness_beats_gaussian",
@@ -529,18 +515,7 @@ def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
     cells = hk.power_control_map(
         args.u, args.q, hk.HKParams(u=1.0, N1=args.N1), grid_n=args.envelope_grid
     )
-    results = [
-        {
-            "u": c.u,
-            "q1": c.q1,
-            "q2": c.q2,
-            "f1": c.f1,
-            "g1": c.g1,
-            "f1_eq_g1": c.f1_eq_g1,
-            "stationary_K": c.stationary_K,
-        }
-        for c in cells
-    ]
+    results = [asdict(c) for c in cells]
     bad = [
         c
         for c in cells
@@ -560,21 +535,16 @@ def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
 
 def cmd_geometry(args) -> tuple[dict, list[dict], list[dict]]:
     from . import geometry as geo
-    from ._util import parallel_map
 
-    ts = args.t
-
-    def row(t):
-        r = geo.volume_ratio(t)
-        rb = geo.volume_ratio(t, round_interferer=True)
-        return {
+    results = [
+        {
             "t": t,
-            "ratio": r,
-            "ratio_round_interferer": rb,
-            "ratio_gt_1": bool(r > 1.0),
+            "ratio": (r := geo.volume_ratio(t)),
+            "ratio_round_interferer": geo.volume_ratio(t, round_interferer=True),
+            "ratio_gt_1": r > 1.0,
         }
-
-    results = parallel_map(row, ts)
+        for t in args.t
+    ]
     coeff = geo.ratio_leading_coefficient()
     exact = geo.RATIO_COEFFICIENT_EXACT
     results.append({"fitted_inverse_t_coefficient": coeff, "exact_coefficient": exact})

@@ -17,7 +17,6 @@ from ziclab import hkregion as hk
 from ziclab.counterexamples import VerticalPerturbation
 from ziclab.entropy import GridDensity, differential_entropy, gaussian_entropy, mixture_entropy, mixture_to_grid
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
-from ziclab.geometry import ConvexBody2D, area, minkowski_sum
 
 # ----------------------------------------------------------------------
 # Hermite-weighted norms and the outer-entropy defect
@@ -188,65 +187,3 @@ def power_control_value_2d(
     f2tab = maxplus_self_convolution(f1tab)
     env = hk.Envelope2D(xg, yg, f2tab)
     return env.value(q1, q2).value
-
-
-# ----------------------------------------------------------------------
-# Mixed areas
-# ----------------------------------------------------------------------
-
-
-def centroid(body: ConvexBody2D) -> np.ndarray:
-    if body.kind == "disc":
-        return np.zeros(2)
-    v = body.vertices
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = 0.5 * float(np.sum(cross))
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
-    return np.array([cx, cy])
-
-
-def centered(body: ConvexBody2D) -> ConvexBody2D:
-    if body.kind == "disc":
-        return body
-    return ConvexBody2D("polygon", body.vertices - centroid(body))
-
-
-def support(body: ConvexBody2D, direction: np.ndarray) -> float:
-    d = np.asarray(direction, dtype=float)
-    if body.kind == "disc":
-        return body.radius * float(np.linalg.norm(d))
-    return float(np.max(body.vertices @ d))
-
-
-def mixed_area(k: ConvexBody2D, l: ConvexBody2D) -> float:
-    """A(K, L) with 2 A(K, L) = sum over edges e of L of h_K(n_e) |e|,
-    both bodies centered at their centroids first.
-
-    A(K, L) is the bilinear coefficient in
-    area(K + t L) = area(K) + 2 t A(K, L) + t^2 area(L).
-    """
-    kc = centered(k)
-    lc = centered(l)
-    if lc.kind == "disc":
-        # surface measure of the disc is uniform: integral of h_K over unit
-        # normals times r equals r * perimeter(K) / ... use symmetry instead
-        return 0.5 * kc.perimeter() * lc.radius
-    if kc.kind == "disc":
-        return 0.5 * lc.perimeter() * kc.radius
-    v = lc.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=1)
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-    total = sum(
-        support(kc, nrm) * ln for nrm, ln in zip(normals, lengths)
-    )
-    return 0.5 * float(total)
-
-
-def mixed_area_via_minkowski(k: ConvexBody2D, l: ConvexBody2D) -> float:
-    """Oracle route: A(K,L) = (area(K+L) - area(K) - area(L)) / 2."""
-    s = minkowski_sum(centered(k), centered(l))
-    return 0.5 * (area(s) - k.area() - l.area())

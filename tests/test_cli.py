@@ -105,6 +105,16 @@ def test_geometry_report(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_geometry_large_t_ratio_exceeds_one(capsys):
+    # summed polygon areas cancel here: they give ratio 0.9999999999999555
+    # at t = 1e13, where it is 1 + 1.1e-14, and exit 3
+    code, out = run_cli(["geometry", "--t", "1e13,1e14"], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"][:-1]
+    assert [r["t"] for r in rows] == [1e13, 1e14]
+    assert all(r["ratio_gt_1"] for r in rows)
+
+
 def test_hessian_report(capsys):
     code, out = run_cli(
         ["hessian", "--u", "1", "--L", "3", "--A", "1:1.0", "--B", ""], capsys
@@ -520,8 +530,6 @@ def test_hull_import_from_pool_threads_same_report():
 
 
 def test_geometry_from_pool_threads_same_report():
-    # fresh processes, so the volume_ratio rows of the second run go through
-    # the parallel_map pool threads right after the handler's own imports
     argv = ["-m", "ziclab.cli", "geometry", "--t", "10,20,30"]
     one = run_fresh(argv, ZIC_THREADS="1")
     two = run_fresh(argv, ZIC_THREADS="2")
@@ -553,7 +561,7 @@ COMMAND_MODULES = {
     "phase-diagram": HESSIAN_ONLY,
     "hessian": HESSIAN_ONLY,
     "theorem5-epsilon": HESSIAN_ONLY,
-    "geometry": ("_util", "geometry"),
+    "geometry": ("geometry",),
     "condition54-root": PERTURBATION,
     "verify-lemma1": PERTURBATION,
     "verify-lemma2": PERTURBATION,
@@ -582,18 +590,18 @@ def test_readme_command_loads_only_its_modules(line, tmp_path):
 
 # every name `import ziclab` exported when the package imported its modules eagerly
 EAGER_EXPORTS = """
-    ChannelParams ConvexBody2D DerivTerm GaussDerivMixture GaussMixture GridDensity
+    ChannelParams DerivTerm GaussDerivMixture GaussMixture GridDensity
     GridTooSmallError HKParams HermiteCoeffVector HessianReport LocalOptimalityCertificate
-    NegativeDensityError NoGaussianMaxError NonConvexInputError NonNormalizedError
-    NotApplicableError NotStationaryError PowerViolationError RecipeRejectedError RoundedBody
+    NegativeDensityError NoGaussianMaxError NonNormalizedError
+    NotApplicableError NotStationaryError PowerViolationError RecipeRejectedError
     SkewRecipe VerticalPerturbation WitnessUnavailableError capped_gauss_objective
     constant_power_gap counterexamples default_recipe deriv_norm_balance differential_entropy
-    disc eigenvalue_bound_audit entropy fisher_information fisher_limit_gain fixed_power_value
+    eigenvalue_bound_audit entropy fisher_information fisher_limit_gain fixed_power_value
     gauss_deriv_pdf gauss_deriv_poly gaussian gaussian_entropy gaussmix geometry
     grids_from_mixtures hessian hessian_quadratic_form hkregion interference_objective
-    limit_functional local_optimality_radius maximizer_bound_check minkowski_sum
-    mixture_entropies mixture_entropy mixture_to_grid phase_diagram polygon power_control_cell
-    power_control_map power_control_value select_epsilon skewness_gap smoothing_curve square
+    limit_functional local_optimality_radius maximizer_bound_check
+    mixture_entropies mixture_entropy mixture_to_grid phase_diagram power_control_cell
+    power_control_map power_control_value select_epsilon skewness_gap smoothing_curve
     stability_classify stability_root stability_threshold tangent_witness vertical_gap
     volume_ratio
 """.split()

@@ -1,157 +1,90 @@
-"""Exact planar Minkowski/mixed-area computations and the ratio sweep."""
+"""The closed-form volume-ratio sweep against a convex-hull oracle and a
+50-digit evaluation."""
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from _oracles import centroid, mixed_area, mixed_area_via_minkowski
 from ziclab.geometry import (
     RATIO_COEFFICIENT_EXACT,
     T_MAX,
-    ConvexBody2D,
-    NonConvexInputError,
-    RoundedBody,
-    area,
-    disc,
-    minkowski_sum,
-    polygon,
     ratio_leading_coefficient,
-    reference_bodies,
-    square,
     volume_ratio,
 )
 
 
-def random_convex_polygon(rng, n_pts=12, scale=2.0):
-    pts = rng.normal(size=(n_pts, 2)) * scale
-    hull = ConvexHull(pts)
-    return polygon(pts[hull.vertices])
+def square_vertices(side, angle=0.0):
+    h = side / 2.0
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[-h, -h], [h, -h], [h, h], [-h, h]]) @ np.array([[c, s], [-s, c]])
 
 
-def test_polygon_validation():
-    with pytest.raises(NonConvexInputError):
-        polygon([[0, 0], [1, 0], [1, 1], [0.6, 0.2]])  # reflex vertex
-    with pytest.raises(NonConvexInputError):
-        polygon([[0, 0], [1, 0]])
-    # collinear midpoints are merged away
-    p = polygon([[0, 0], [0.5, 0.0], [1, 0], [1, 1], [0, 1]])
-    assert len(p.vertices) == 4
-    assert p.area() == pytest.approx(1.0, abs=1e-14)
+def hull(points):
+    """(area, perimeter) of the convex hull; in 2-D Qhull's ``volume`` is
+    the area and its ``area`` the perimeter."""
+    h = ConvexHull(points)
+    return h.volume, h.area
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_bodies_reject_non_finite(bad):
-    with pytest.raises(ValueError, match="vertices must be finite"):
-        polygon([[0, 0], [1, 0], [1, bad], [0, 1]])
-    with pytest.raises(ValueError, match="radius must be finite"):
-        disc(bad)
-    with pytest.raises(ValueError, match="radius must be finite"):
-        ConvexBody2D("disc", radius=bad)
+def minkowski_hull(a, b):
+    return hull((a[:, None, :] + b[None, :, :]).reshape(-1, 2))
 
 
-def test_square_metrics():
-    s = square(2.0)
-    assert s.area() == pytest.approx(4.0, abs=1e-12)
-    assert s.perimeter() == pytest.approx(8.0, abs=1e-12)
-    assert np.allclose(centroid(s), [0, 0], atol=1e-14)
+def hull_ratio(t, round_interferer=False):
+    """The ratio from Qhull areas: tK (+) L as the hull of all pairwise
+    vertex sums, the disc B of radius r added by Steiner's formula
+    area + r per + pi r^2."""
+    tk = square_vertices(t)
+    area_tk, per_tk = hull(tk)
+    kb = area_tk + 0.5 * per_tk + math.pi / 4.0
+    if round_interferer:
+        kbl = area_tk + per_tk + math.pi
+    else:
+        area_kl, per_kl = minkowski_hull(tk, square_vertices(math.pi / 4.0, math.pi / 4.0))
+        kbl = area_kl + 0.5 * per_kl + math.pi / 4.0
+    return math.sqrt(kbl * area_tk) / kb
 
 
-def test_minkowski_square_plus_square():
-    out = minkowski_sum(square(1.0), square(1.0))
-    assert isinstance(out, ConvexBody2D)
-    assert out.area() == pytest.approx(4.0, abs=1e-12)
-    assert out.perimeter() == pytest.approx(8.0, abs=1e-12)
+def test_ratio_matches_hull_oracle():
+    # L and B share mean width (perimeter / pi) 1; B's through a fine
+    # inscribed polygon, whose perimeter falls short by about pi^3 / (6 n^2)
+    _, per_l = hull(square_vertices(math.pi / 4.0, math.pi / 4.0))
+    assert per_l / math.pi == pytest.approx(1.0, abs=1e-14)
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    _, per_b = hull(0.5 * np.column_stack([np.cos(theta), np.sin(theta)]))
+    assert per_b / math.pi == pytest.approx(1.0, abs=1e-6)
+    for t in [*np.arange(10.0, 201.0, 10.0), 1e3, 3.7e4, 1e6]:
+        for round_interferer in (False, True):
+            assert volume_ratio(t, round_interferer) == pytest.approx(
+                hull_ratio(t, round_interferer), rel=1e-13
+            )
 
 
-def test_minkowski_square_plus_disc_steiner():
-    out = minkowski_sum(square(1.0), disc(0.5))
-    assert isinstance(out, RoundedBody)
-    assert area(out) == pytest.approx(1.0 + 4 * 0.5 + math.pi * 0.25, abs=1e-12)
-    assert area(out) == pytest.approx(3.0 + math.pi / 4.0, abs=1e-12)
+def mp_ratio(t, round_interferer):
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        pi = mpmath.pi
+        kb = t * t + 2 * t + pi / 4
+        if round_interferer:
+            kbl = t * t + 4 * t + pi
+        else:
+            kbl = t * t + t * pi * mpmath.sqrt(2) / 2 + pi**2 / 16 + 2 * t + pi / 2 + pi / 4
+        return mpmath.sqrt(kbl * t * t) / kb
 
 
-def test_minkowski_octagon_mixed_area():
-    # unit square + pi/4-side square rotated 45 degrees: octagon with
-    # area 1 + pi sqrt(2)/2 + (pi/4)^2 via the mixed-area formula
-    k = square(1.0)
-    l = square(math.pi / 4.0, math.pi / 4.0)
-    out = minkowski_sum(k, l)
-    assert len(out.vertices) == 8
-    expected = 1.0 + math.pi * math.sqrt(2) / 2.0 + (math.pi / 4.0) ** 2
-    assert out.area() == pytest.approx(expected, abs=1e-12)
-    assert mixed_area(k, l) == pytest.approx(math.pi * math.sqrt(2) / 4.0, abs=1e-12)
-
-
-def test_minkowski_disc_disc():
-    out = minkowski_sum(disc(0.5), disc(0.25))
-    assert out.kind == "disc"
-    assert out.radius == pytest.approx(0.75)
-
-
-def test_rounded_body_composition():
-    kb = minkowski_sum(square(2.0), disc(0.5))
-    kbl = minkowski_sum(kb, square(1.0, math.pi / 4.0))
-    assert isinstance(kbl, RoundedBody)
-    # polygon part is the square+square sum; radius carried through
-    assert kbl.radius == pytest.approx(0.5)
-    kbb = minkowski_sum(kb, disc(0.5))
-    assert kbb.radius == pytest.approx(1.0)
-
-
-def mean_width(body):
-    """Expected directional width of a planar convex body: perimeter/pi."""
-    return body.perimeter() / math.pi
-
-
-def test_mean_widths():
-    assert mean_width(disc(0.5)) == pytest.approx(1.0, abs=1e-14)
-    assert mean_width(square(math.pi / 4.0, math.pi / 4.0)) == pytest.approx(
-        1.0, abs=1e-14
-    )
-    assert mean_width(square(1.0)) == pytest.approx(4.0 / math.pi, abs=1e-14)
-
-
-def test_reference_bodies_share_width():
-    k, b, l = reference_bodies()
-    assert mean_width(b) == pytest.approx(1.0, abs=1e-14)
-    assert mean_width(l) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_steiner_formula_exactness(rng):
-    for _ in range(20):
-        p = random_convex_polygon(rng)
-        for r in (0.1, 1.0):
-            out = minkowski_sum(p, disc(r))
-            steiner = p.area() + p.perimeter() * r + math.pi * r * r
-            assert area(out) == pytest.approx(steiner, abs=1e-12 * max(1, steiner))
-
-
-def test_brunn_minkowski_superadditivity(rng):
-    for _ in range(100):
-        a = random_convex_polygon(rng, n_pts=int(rng.integers(5, 15)))
-        b = random_convex_polygon(rng, n_pts=int(rng.integers(5, 15)))
-        s = minkowski_sum(a, b)
-        assert math.sqrt(s.area()) >= math.sqrt(a.area()) + math.sqrt(b.area()) - 1e-9
-
-
-def test_mixed_area_symmetry_and_oracle(rng):
-    for _ in range(50):
-        a = random_convex_polygon(rng, n_pts=8)
-        b = random_convex_polygon(rng, n_pts=8)
-        m1 = mixed_area(a, b)
-        m2 = mixed_area(b, a)
-        scale = max(1.0, abs(m1))
-        assert m1 == pytest.approx(m2, abs=1e-12 * scale)
-        assert m1 == pytest.approx(mixed_area_via_minkowski(a, b), abs=1e-10 * scale)
-
-
-def test_mixed_area_disc_is_half_perimeter_radius():
-    p = square(2.0)
-    assert mixed_area(p, disc(0.5)) == pytest.approx(0.25 * p.perimeter(), abs=1e-12)
-    assert mixed_area(disc(0.5), p) == pytest.approx(0.25 * p.perimeter(), abs=1e-12)
+def test_volume_ratio_within_4_ulps_of_mpmath():
+    # summed polygon areas cancel at large t (about 1000 ulps off on this
+    # grid, and ratio < 1 at t = 1e13, where it is 1 + 1.1e-14)
+    for t in np.logspace(-3.0, math.log10(T_MAX), 400):
+        t = min(float(t), T_MAX)
+        for round_interferer in (False, True):
+            exact = mp_ratio(t, round_interferer)
+            err = abs(mpmath.mpf(volume_ratio(t, round_interferer)) - exact)
+            assert err <= 4 * math.ulp(float(exact)), (t, round_interferer)
 
 
 def test_volume_ratio_exceeds_one_on_sweep():
