@@ -2,9 +2,9 @@
 
 All randomness in the package flows from a single integer seed through
 named Philox streams, so draws are reproducible regardless of execution
-order.  ``ZIC_THREADS`` caps sweep parallelism (1 disables threading).
-``hashlib`` and ``concurrent.futures`` are imported on first use, so a
-command that draws nothing or runs one thread does not load them.
+order.  No command calls ``parallel_map``: it and ``thread_count`` remain
+because the benchmark's tracer (``perfbench/trace_run.py``) hooks them by
+name.  ``hashlib`` and ``concurrent.futures`` are imported on first use.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ strict: non-finite values are written as null.
 
 Sweep syntax: ``lo:hi:step`` for ranges, comma lists for discrete sets.
 Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
-``ZIC_THREADS`` caps the parallelism of the ``hk-region`` sweep.
 
 Importing this module loads neither numpy nor a compute module: each
 handler, and each option validator, imports the modules it runs when it
@@ -45,7 +44,7 @@ def _number(text: str, kind=float):
 
 def parse_values(text: str) -> list[float]:
     """Parse 'lo:hi:step' sweeps, comma lists, or a single number; every
-    value must be finite."""
+    value must be finite, and a comma list must hold at least one."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -60,6 +59,8 @@ def parse_values(text: str) -> list[float]:
         return [lo + i * step for i in range(n)]
     if "," in text:
         values = [_number(p) for p in text.split(",") if p.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no value in '{text}'")
     else:
         values = [_number(text)]
     if not all(map(math.isfinite, values)):
@@ -257,9 +258,9 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
     from . import counterexamples as cx, hessian as hs
 
     u, L, J = args.u, args.L, args.J
-    if not L > 1.0:
-        raise ValueError(f"verify-vertical needs L > 1, got {L}")
-    K = args.K if args.K is not None else hs.stationary_source_variance(L, u)
+    # called with --K too, so that L <= 1 is rejected before any tabulation
+    k_star = hs.stationary_source_variance(L, u)
+    K = k_star if args.K is None else args.K
     vp = cx.VerticalPerturbation(K=K, L=L, u=u, delta=args.delta, eps=args.eps, J=J)
     delta, eps = vp.delta, vp.eps
     res = cx.vertical_gap(vp, n=args.n)
@@ -332,13 +333,9 @@ def _parse_coeffs(text: str, option: str) -> dict[int, float]:
 def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
     from . import hessian as hs
 
-    u, L = args.u, args.L
-    if not L > 1.0:
-        raise ValueError(f"hessian needs L > 1 for the stationary K = (L+u)/(L-1), got {L}")
-    K = hs.stationary_source_variance(L, u)
-    A = hs.HermiteCoeffVector(_parse_coeffs(args.A, "--A"), K)
-    B = hs.HermiteCoeffVector(_parse_coeffs(args.B, "--B"), L)
-    report = hs.hessian_quadratic_form(K, L, u, A, B)
+    A = hs.HermiteCoeffVector(_parse_coeffs(args.A, "--A"))
+    B = hs.HermiteCoeffVector(_parse_coeffs(args.B, "--B"))
+    report = hs.hessian_quadratic_form(args.L, args.u, A, B)
     results = [
         {"alpha": a, "I_alpha": v} for a, v in sorted(report.per_alpha_terms.items())
     ]
@@ -346,8 +343,8 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
         {
             "total": report.total,
             "classification": report.classification,
-            "K": K,
-            "threshold": hs.stability_threshold(u),
+            "K": report.K,
+            "threshold": hs.stability_threshold(args.u),
         }
     )
     checks = [
@@ -357,7 +354,7 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
             "ledger additivity",
         )
     ]
-    return {"K": K}, results, checks
+    return {"K": report.K}, results, checks
 
 
 def cmd_phase_diagram(args) -> tuple[dict, list[dict], list[dict]]:
@@ -377,21 +374,17 @@ def cmd_phase_diagram(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
-    import numpy as np
-
     from . import hessian as hs
 
-    L = np.asarray(args.L, dtype=float)
-    K = hs.gaussian_maximizer(L, args.u)
-    cert = hs.local_optimality_radius(K, L, args.u)
+    cert = hs.local_optimality_radius(args.L, args.u)
     if cert is None:
-        results = [{"u": args.u, "L": list(map(float, L)), "eps": None}]
+        results = [{"u": args.u, "L": args.L, "eps": None}]
     else:
         results = [
             {
                 "u": args.u,
-                "L": list(map(float, L)),
-                "K": list(map(float, K)),
+                "L": args.L,
+                "K": list(cert.K),
                 "eps": cert.eps,
                 "eps1": cert.eps1,
                 "eps2": cert.eps2,
@@ -403,12 +396,11 @@ def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
 
 def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
     from . import hkregion as hk
-    from ._util import parallel_map
 
     params = hk.HKParams(u=args.u, N1=args.N1)
 
-    def row(pair):
-        c = hk.power_control_cell(*pair, params, args.envelope_grid)
+    def row(q1, q2):
+        c = hk.power_control_cell(q1, q2, params, args.envelope_grid)
         return {
             "q1": c.q1,
             "q2": c.q2,
@@ -420,7 +412,7 @@ def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
             "f1_eq_g1": c.f1_eq_g1,
         }
 
-    results = parallel_map(row, [(q1, q2) for q1 in args.q1 for q2 in args.q2])
+    results = [row(q1, q2) for q1 in args.q1 for q2 in args.q2]
     checks = [
         _check(
             "envelope_majorizes",
@@ -739,16 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_errors() -> tuple[type[Exception], ...]:
-    """The exceptions main reports as exit 2: ValueError, which every
-    module's validation errors subclass, and hkregion's three RuntimeErrors
-    once a handler has loaded hkregion (no other module raises them)."""
-    hk = sys.modules.get(f"{__package__}.hkregion")
-    if hk is None:
-        return (ValueError,)
-    return (ValueError, hk.NotApplicableError, hk.WitnessUnavailableError, hk.GridTooSmallError)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     if "numpy" not in sys.modules:
         # OpenBLAS starts one thread per core when numpy is imported, which
@@ -764,7 +746,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     try:
         derived, results, checks = args.handler(args)
-    except _input_errors() as exc:  # evaluated only once the handler has raised
+    except ValueError as exc:  # every module's validation errors subclass it
         print(f"ziclab: {exc}", file=sys.stderr)
         return 2
     # the output path is environment, not experiment configuration; embedding

@@ -45,7 +45,7 @@ from .entropy import (
     mixture_entropy,
     power_fit,
 )
-from .hessian import gauss_argmax, gauss_psi
+from .hessian import gauss_psi, stationary_source_variance
 
 
 class PowerViolationError(ValueError):
@@ -63,21 +63,20 @@ class RecipeRejectedError(ValueError):
 @dataclass(frozen=True)
 class ChannelParams:
     """Parameters of the scalar interference objective
-    u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) - Sigma1 E[X1^2]."""
+    u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2)."""
 
     u: float
     N1: float = 0.0
     N2: float = 0.0
-    Sigma1: float = 0.0
     A2: float = math.inf
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.u, self.N1, self.N2, self.Sigma1))):
-            raise ValueError("u, N1, N2, Sigma1 must be finite")
+        if not all(map(math.isfinite, (self.u, self.N1, self.N2))):
+            raise ValueError("u, N1, N2 must be finite")
         if math.isnan(self.A2):
             raise ValueError("A2 must be a number (inf for no power constraint)")
-        if min(self.u, self.N1, self.N2, self.Sigma1) < 0:
-            raise ValueError("u, N1, N2, Sigma1 must be nonnegative")
+        if min(self.u, self.N1, self.N2) < 0:
+            raise ValueError("u, N1, N2 must be nonnegative")
         if self.A2 < 0:
             raise ValueError("A2 must be nonnegative")
 
@@ -85,8 +84,8 @@ class ChannelParams:
 def interference_objective(
     params: ChannelParams, pairs: Sequence[tuple[Mixture, Mixture]], n: int = 8192
 ) -> list[float]:
-    """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) - Sigma1 E[X1^2]
-    for each (X1, X2) pair.
+    """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) for each (X1, X2)
+    pair.
 
     The one evaluation of this objective: the skewed-interferer gap
     (u = 1) and the vertical perturbation (N2 = u) call it too.  X1 and X2
@@ -106,11 +105,8 @@ def interference_objective(
     k = len(pairs)
     h = mixture_entropies(trip + x1z1 + x1z1z2, n=n)
     return [
-        params.u * ha
-        + hb
-        - (1.0 + params.u) * hc
-        - params.Sigma1 * x1.second_moment()
-        for ha, hb, hc, (x1, _) in zip(h[:k], h[k : 2 * k], h[2 * k :], pairs)
+        params.u * ha + hb - (1.0 + params.u) * hc
+        for ha, hb, hc in zip(h[:k], h[k : 2 * k], h[2 * k :])
     ]
 
 
@@ -440,11 +436,10 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
 
     quadratic_coeff is the Richardson-extrapolated eps^2 coefficient of
     psi(x1_eps, x2_eps) - psi(gamma_K, gamma_L); at a stationary K it is
-    positive exactly when K exceeds the stability threshold.
+    positive exactly when K exceeds the stability threshold.  Raises
+    NotStationaryError when L <= 1, where no stationary K exists.
     """
-    if vp.L <= 1.0:
-        raise NoGaussianMaxError("Gaussian objective unbounded-in-K only for L > 1")
-    k_star = gauss_argmax(vp.L, vp.u, 0.0, vp.u)
+    k_star = stationary_source_variance(vp.L, vp.u)
     # half of psi is u h(gamma_{K+u+L}) + h(gamma_K) - (1+u) h(gamma_{K+u})
     gaussian_value = 0.5 * gauss_psi(k_star, vp.L, vp.u, 0.0, vp.u)
     base = 0.5 * gauss_psi(vp.K, vp.L, vp.u, 0.0, vp.u)

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-STATIONARY_TOL = 1e-9
 CRITICAL_TOL = 1e-9
 
 
@@ -88,8 +87,11 @@ def _check_weight(u: float) -> None:
 
 
 def stationary_source_variance(L: float, u: float) -> float:
-    if L <= 1:
-        raise ValueError("stationary variance (L+u)/(L-1) requires L > 1")
+    """The stationary variance K = (L+u)/(L-1) of the Gaussian objective:
+    the one place K is derived from (L, u), and the one L > 1 check
+    (NotStationaryError, NaN included)."""
+    if not L > 1:
+        raise NotStationaryError(f"the stationary variance K = (L+u)/(L-1) needs L > 1, got {L}")
     _check_weight(u)
     return gauss_argmax(L, u, 0.0, u)
 
@@ -99,11 +101,8 @@ class HermiteCoeffVector:
     """Finitely supported coefficients over the orders of D^alpha gamma_v."""
 
     coeffs: dict[int, float]
-    base_variance: float
 
     def __post_init__(self):
-        if self.base_variance <= 0:
-            raise ValueError("base_variance must be positive")
         clean = {int(a): float(c) for a, c in self.coeffs.items() if c != 0.0}
         if any(a < 0 for a in clean):
             raise ValueError("orders must be nonnegative")
@@ -115,33 +114,28 @@ class HermiteCoeffVector:
 
 @dataclass(frozen=True)
 class HessianReport:
+    K: float
     per_alpha_terms: dict[int, float]
     total: float
     classification: str
 
 
 def hessian_quadratic_form(
-    K: float,
     L: float,
     u: float,
     A: HermiteCoeffVector,
     B: HermiteCoeffVector,
 ) -> HessianReport:
-    """Per-order ledger I_alpha of the constrained Hessian at (gamma_K, gamma_L).
+    """Per-order ledger I_alpha of the constrained Hessian at (gamma_K, gamma_L)
+    with K the stationary variance of (L, u), returned as the report's K.
 
-    Requires K = (L+u)/(L-1) within 1e-9 and B's alpha=1 coefficient zero
-    (the variance-preserving subspace).  I_1 involves only A_1; for
-    alpha >= 2 the source terms, the interferer term, and the cross term
-    all carry the outer factor 1/(K+u+L)^{alpha+1} scaled by (alpha+1)!.
-    Raises ValueError where a power or factorial leaves the float range.
+    Requires B's alpha=1 coefficient zero (the variance-preserving
+    subspace).  I_1 involves only A_1; for alpha >= 2 the source terms, the
+    interferer term, and the cross term all carry the outer factor
+    1/(K+u+L)^{alpha+1} scaled by (alpha+1)!.  Raises ValueError where a
+    power or factorial leaves the float range.
     """
-    if L <= 1:
-        raise NotStationaryError("no stationary point for L <= 1")
-    k_star = stationary_source_variance(L, u)
-    if abs(K - k_star) > STATIONARY_TOL:
-        raise NotStationaryError(
-            f"K={K} is not the stationary variance {k_star} for (L={L}, u={u})"
-        )
+    K = stationary_source_variance(L, u)
     if B.get(1) != 0.0:
         raise ValueError("B's alpha=1 coefficient must be 0 on the constraint subspace")
     M = K + u + L
@@ -169,6 +163,7 @@ def hessian_quadratic_form(
         raise ValueError(f"Hessian ledger overflows the float range at K={K}, L={L}, u={u}") from None
     total = float(sum(terms.values()))
     return HessianReport(
+        K=K,
         per_alpha_terms=terms,
         total=total,
         classification=stability_classify(K, u),
@@ -183,8 +178,9 @@ def hessian_quadratic_form(
 @dataclass(frozen=True)
 class LocalOptimalityCertificate:
     """Radius of the sup-norm neighborhood where the surrogate objective
-    stays below the Gaussian maximum."""
+    stays below the Gaussian maximum at the stationary diagonal K."""
 
+    K: tuple[float, ...]
     eps: float
     eps1: float
     eps2: float
@@ -192,30 +188,12 @@ class LocalOptimalityCertificate:
     cubic_ratio: float
 
 
-def _as_diag(x: Union[float, Sequence[float], np.ndarray]) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim == 2:
-        if not np.allclose(arr, np.diag(np.diag(arr)), atol=1e-12):
-            raise ValueError("matrix arguments must be diagonal")
-        arr = np.diag(arr)
-    return arr
-
-
-def gaussian_maximizer(L: Union[float, Sequence[float]], u: float) -> np.ndarray:
-    """Diagonal of K = (L - I)^{-1} (L + u I); needs min eigenvalue of L > 1."""
-    l = _as_diag(L)
-    _check_weight(u)
-    if l.min() <= 1:
-        raise NotStationaryError("the Gaussian maximizer exists only for L > I")
-    return gauss_argmax(l, u, 0.0, u)
-
-
 def local_optimality_radius(
-    K: Union[float, Sequence[float]],
-    L: Union[float, Sequence[float]],
-    u: float,
+    L: Sequence[float], u: float
 ) -> Optional[LocalOptimalityCertificate]:
-    """Certificate eps = min(eps1, eps2) for local optimality of gamma_K.
+    """Certificate eps = min(eps1, eps2) for local optimality of gamma_K,
+    where the diagonal K = (L - I)^{-1} (L + u I) is the stationary variance
+    of each diagonal entry of L, returned as the certificate's K.
 
     eps2 solves (1-eps)/(1+eps) = (1+u) max_i (k_i/(k_i+u))^3, the worst
     order-3 multi-index (mass concentrated on the largest k_i, since
@@ -225,19 +203,13 @@ def local_optimality_radius(
     Returns None when the eigenvalue hypothesis max k_i < threshold fails
     (at the threshold the certificate degenerates to eps2 = 0).
     """
-    if not (u > 0 and math.isfinite(u)):
+    l = [float(x) for x in L]
+    k = [stationary_source_variance(x, u) for x in l]
+    if not math.isfinite(u):  # each k checked u > 0
         raise ValueError(f"u must be positive and finite, got {u}")
-    k = _as_diag(K)
-    l = _as_diag(L)
-    if k.shape != l.shape:
-        raise ValueError("K and L must have the same dimension")
-    expected = gaussian_maximizer(l, u)
-    if np.max(np.abs(k - expected)) > STATIONARY_TOL:
-        raise NotStationaryError(
-            f"K is not the Gaussian maximizer for L: expected diag {expected}"
-        )
-    kmax = float(k.max())
-    if not math.isfinite((kmax + u) * (kmax + u)):
+    kmax = max(k)
+    # an infinite L gives a NaN k, which max() may pass over
+    if not all(math.isfinite((x + u) * (x + u)) for x in k):
         raise ValueError(
             f"local optimality ledger overflows the float range at K={kmax}, u={u}"
         )
@@ -247,27 +219,24 @@ def local_optimality_radius(
     eps2 = (1.0 - cubic_ratio) / (1.0 + cubic_ratio)
 
     d = len(k)
-    idx = [(i, i) for i in range(d)] + [
-        (i, j) for i in range(d) for j in range(i + 1, d)
+    m = [1.0 / (ki + li) for ki, li in zip(k, l)]
+    # both forms are diagonal over the pairs i <= j, so the minimum
+    # generalized Rayleigh quotient is the smallest ratio of their entries
+    ratios = [
+        (2.0 / k[i] ** 2 + 2.0 * m[i] ** 2) / (2.0 * (1.0 + u) / (k[i] + u) ** 2)
+        for i in range(d)
+    ] + [
+        (1.0 / (k[i] * k[j]) + m[i] * m[j]) / ((1.0 + u) / ((k[i] + u) * (k[j] + u)))
+        for i in range(d)
+        for j in range(i + 1, d)
     ]
-    m = 1.0 / (k + l)
-    num = np.zeros(len(idx))
-    den = np.zeros(len(idx))
-    for r, (i, j) in enumerate(idx):
-        if i == j:
-            num[r] = 2.0 / k[i] ** 2 + 2.0 * m[i] ** 2
-            den[r] = 2.0 * (1.0 + u) / (k[i] + u) ** 2
-        else:
-            num[r] = 1.0 / (k[i] * k[j]) + m[i] * m[j]
-            den[r] = (1.0 + u) / ((k[i] + u) * (k[j] + u))
-    # both forms are diagonal, so the minimum generalized Rayleigh quotient
-    # is the smallest ratio of their entries
-    rho = float((num / den).min())
+    rho = min(ratios)
     if rho <= 1.0 + 1e-10:
         return None
     disc = (2.0 + rho) ** 2 - 4.0 * (1.0 - rho)
     eps1 = 0.5 * (-(2.0 + rho) + math.sqrt(disc))
     return LocalOptimalityCertificate(
+        K=tuple(k),
         eps=min(eps1, eps2),
         eps1=eps1,
         eps2=eps2,
@@ -292,13 +261,12 @@ class PhaseCell:
 def phase_diagram(
     u_grid: Iterable[float], L_grid: Iterable[float]
 ) -> list[PhaseCell]:
-    """Stationary variance and classification per (u, L) cell; L > 1 required."""
+    """Stationary variance and classification per (u, L) cell; L > 1 required
+    (NotStationaryError)."""
     us = [float(x) for x in u_grid]
     ls = [float(x) for x in L_grid]
     if not us or not ls:
         raise ValueError("grids must be nonempty")
-    if min(ls) <= 1:
-        raise ValueError("phase diagram requires L > 1")
     cells = []
     for u in sorted(us):
         for L in sorted(ls):

@@ -41,15 +41,15 @@ MARGIN, MAX_MARGIN = 4, 32
 AUDIT_Q_LOW, AUDIT_Q_HIGH = 0.05, 30.0
 
 
-class GridTooSmallError(RuntimeError):
+class GridTooSmallError(ValueError):
     """Envelope support points reached the outer tabulation boundary."""
 
 
-class NotApplicableError(RuntimeError):
+class NotApplicableError(ValueError):
     """Cell has f1 < g1; the fixed-power bound does not apply."""
 
 
-class WitnessUnavailableError(RuntimeError):
+class WitnessUnavailableError(ValueError):
     """No verified positive-gap witness at the requested parameters."""
 
 

@@ -131,20 +131,12 @@ def test_criterion_05_ledger_properties():
         L = float(rng.uniform(1.05, 10.0))
         K = hs.stationary_source_variance(L, u)
         rep = hs.hessian_quadratic_form(
-            K,
-            L,
-            u,
-            hs.HermiteCoeffVector({1: float(rng.normal())}, K),
-            hs.HermiteCoeffVector({}, L),
+            L, u, hs.HermiteCoeffVector({1: float(rng.normal())}), hs.HermiteCoeffVector({})
         )
         i1_ok &= rep.per_alpha_terms.get(1, 0.0) <= 0
         a2 = float(rng.normal())
         rep2 = hs.hessian_quadratic_form(
-            K,
-            L,
-            u,
-            hs.HermiteCoeffVector({2: a2}, K),
-            hs.HermiteCoeffVector({2: -a2}, L),
+            L, u, hs.HermiteCoeffVector({2: a2}), hs.HermiteCoeffVector({2: -a2})
         )
         expected = 6.0 * (-(a2 * a2) / K**3 + (1 + u) * a2 * a2 / (K + u) ** 3)
         cancel_ok &= abs(rep2.per_alpha_terms.get(2, 0.0) - expected) <= 1e-12
@@ -255,11 +247,11 @@ def test_criterion_07_alignment_property_suites():
 
 def test_criterion_08_local_optimality_certificate():
     t0 = time.time()
-    cert = hs.local_optimality_radius(2.0, 3.0, 1.0)
+    cert = hs.local_optimality_radius([3.0], 1.0)
     ok = cert is not None and abs(cert.eps2 - 11.0 / 43.0) <= 1e-9
     thr = hs.stability_threshold(1.0)
     L_at = (thr + 1.0) / (thr - 1.0)
-    at_thr = hs.local_optimality_radius(hs.stationary_source_variance(L_at, 1.0), L_at, 1.0)
+    at_thr = hs.local_optimality_radius([L_at], 1.0)
     ok = ok and at_thr is None
     elapsed = time.time() - t0
     report(

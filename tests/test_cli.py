@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -50,6 +51,28 @@ def test_parse_values():
     assert parse_values("0.5,1,2") == [0.5, 1.0, 2.0]
     vals = parse_values("1.1:1.5:0.1")
     assert vals == pytest.approx([1.1, 1.2, 1.3, 1.4, 1.5])
+    for text in (",", " , ", ",,"):
+        with pytest.raises(argparse.ArgumentTypeError, match="no value in"):
+            parse_values(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hk-region", "--q1", ",", "--q2", "1"],
+        ["geometry", "--t", ","],
+        ["conjecture2-map", "--q", ","],
+        ["condition54-root", "--u", ","],
+        ["theorem5-epsilon", "--L", ","],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_parse_values_rejects_empty_list(argv, capsys):
+    # a comma-only list used to run an empty sweep whose checks test nothing
+    assert main(argv) == 2
+    option = argv[argv.index(",") - 1]
+    err = capsys.readouterr().err
+    assert err == f"ziclab {argv[0]}: error: argument {option}: no value in ','\n"
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1,nan", "1:inf:1", "0:1:inf"])
@@ -193,12 +216,51 @@ def test_validation_error_exit_2(capsys):
     assert "ziclab" in err
 
 
-@pytest.mark.parametrize("argv", [["hessian", "--L", "1"], ["verify-vertical", "--L", "1"]])
-def test_L_at_most_one_exit_2(argv, capsys):
-    # the stationary K = (L+u)/(L-1) has no value at L = 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hessian", "--L", "1"],
+        ["verify-vertical", "--L", "1"],
+        ["hessian", "--L", "nan"],
+        ["verify-vertical", "--K", "2", "--L", "0.9"],
+        ["phase-diagram", "--u", "1", "--L", "0.5,2"],
+        ["theorem5-epsilon", "--L", "3,0.9"],
+    ],
+)
+def test_L_at_most_one_exit_2(argv, monkeypatch, capsys):
+    # the stationary K = (L+u)/(L-1) has no value at L <= 1; every command
+    # rejects it with hessian.stationary_source_variance's one message,
+    # verify-vertical (even with --K) before it builds its perturbation,
+    # whose eps scan tabulates
+    monkeypatch.setattr(cx, "VerticalPerturbation", None)
+    bad = next(x for x in map(float, argv[argv.index("--L") + 1].split(",")) if not x > 1)
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "L > 1" in err
+    assert capsys.readouterr().err == (
+        f"ziclab: the stationary variance K = (L+u)/(L-1) needs L > 1, got {bad}\n"
+    )
+
+
+# sha256 of reports at the Gaussian stationary point, so that no change to
+# how K = (L+u)/(L-1) is derived or checked moves a byte
+PINNED_REPORTS = {
+    "phase-diagram --u 0.5,1,2 --L 1.1:4:0.1 --format csv":
+        "c2ddd0efc820a960e3e7bf8adb24301e32ac358deb268383849cb0c8ede0fdeb",
+    "hessian --u 1 --L 3 --A 1:1.0 --B ''":
+        "3d246f7973cebdb36ab1d83aff822b6412643c18f69f8ee673881081af0e2876",
+    "theorem5-epsilon --u 1 --L 3,4":
+        "16dfcd4a47fd9e96781df81915ac8a7e30e03ce0b8e706809c4b816d602e3f63",
+    "theorem5-epsilon --u 0.7 --L 3,4,6,9":
+        "11e63f2581b43979da110e7c4afdaff5bf165dd2bc9396ef3c105fa1718813f5",
+    "hessian --u 2 --L 5 --A 1:0.7,2:1.1,4:-0.3 --B 2:0.4,4:0.9":
+        "b8b389509fc36d136f022fa278a7ea36d67087113e715e5d771101f7b607fa60",
+}
+
+
+@pytest.mark.parametrize("line", PINNED_REPORTS)
+def test_stationary_point_reports_pinned(line, tmp_path):
+    report = tmp_path / "report"
+    assert main([*shlex.split(line), "--output", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_REPORTS[line]
 
 
 @pytest.mark.parametrize(
@@ -519,8 +581,8 @@ def test_hull_commands_load_no_scipy(tmp_path):
 
 
 def test_hull_import_from_pool_threads_same_report():
-    # fresh processes, so the envelope queries of the second run go through
-    # the parallel_map pool threads from a cold start
+    # fresh processes; no command reads ZIC_THREADS, so the report must not
+    # depend on it
     argv = ["-m", "ziclab.cli", "hk-region", "--q1", "1,2", "--q2", "1,3",
             "--envelope-grid", "33"]
     one = run_fresh(argv, ZIC_THREADS="1")
@@ -555,8 +617,8 @@ HESSIAN_ONLY = ("hessian",)
 PERTURBATION = ("counterexamples", "entropy", "gaussmix", "hessian")
 HK = (*PERTURBATION, "hkregion")
 # the modules each subcommand loads besides the package and the CLI (_util
-# is the sweep pool and the audits' RNG streams); README runs all 14
-# subcommands (test_readme_runs_every_subcommand)
+# holds the audits' RNG streams); README runs all 14 subcommands
+# (test_readme_runs_every_subcommand)
 COMMAND_MODULES = {
     "phase-diagram": HESSIAN_ONLY,
     "hessian": HESSIAN_ONLY,
@@ -567,7 +629,7 @@ COMMAND_MODULES = {
     "verify-lemma2": PERTURBATION,
     "verify-vertical": PERTURBATION,
     "limit-functional": PERTURBATION,
-    "hk-region": ("_util", *HK),
+    "hk-region": HK,
     "lemma5-audit": ("_util", *HK),
     "theorem4-audit": ("_util", *HK),
     "constant-power-gap": HK,

@@ -10,7 +10,12 @@ from ziclab import counterexamples as cx
 from ziclab import gaussmix
 from ziclab.entropy import NegativeDensityError, gaussian_entropy, mixture_entropy, mixture_to_grid
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
-from ziclab.hessian import gauss_psi, stability_threshold, stationary_source_variance
+from ziclab.hessian import (
+    NotStationaryError,
+    gauss_psi,
+    stability_threshold,
+    stationary_source_variance,
+)
 
 
 def balance_closed_form(K: float, u: float, delta: float) -> float:
@@ -34,7 +39,7 @@ def balance_closed_form(K: float, u: float, delta: float) -> float:
 
 
 def test_gaussian_objective_vanishes_from_below():
-    params = cx.ChannelParams(u=1.0, N1=0.0, N2=1.0, Sigma1=0.0, A2=1.0)
+    params = cx.ChannelParams(u=1.0, N1=0.0, N2=1.0, A2=1.0)
     prev = -math.inf
     for K in (10.0, 100.0, 1000.0):
         [val] = cx.interference_objective(params, [(gaussian(K), gaussian(1.0))], n=8192)
@@ -45,11 +50,11 @@ def test_gaussian_objective_vanishes_from_below():
 
 
 def test_objective_matches_closed_form_on_grid():
-    params = cx.ChannelParams(u=1.0, N1=0.3, N2=1.0, Sigma1=0.0, A2=100.0)
+    params = cx.ChannelParams(u=1.0, N1=0.3, N2=1.0, A2=100.0)
     for K in (0.5, 1.0, 2.0, 4.0, 8.0):
         for Lv in (0.5, 1.0, 2.0, 4.0, 8.0):
             [num] = cx.interference_objective(params, [(gaussian(K), gaussian(Lv))], n=8192)
-            closed = 0.5 * gauss_psi(K, Lv, params.u, params.N1, params.N2) - params.Sigma1 * K
+            closed = 0.5 * gauss_psi(K, Lv, params.u, params.N1, params.N2)
             assert num == pytest.approx(closed, abs=1e-6)
 
 
@@ -61,7 +66,7 @@ def test_power_violation():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"u": math.nan}, {"u": 1.0, "N1": math.inf}, {"u": 1.0, "Sigma1": math.nan},
+    [{"u": math.nan}, {"u": 1.0, "N1": math.inf}, {"u": 1.0, "N2": math.nan},
      {"u": 1.0, "A2": math.nan}],
 )
 def test_channel_params_reject_non_finite(kwargs):
@@ -241,7 +246,7 @@ def test_vertical_gap_stable_case():
 
 def test_vertical_gap_requires_L_above_1():
     vp = cx.VerticalPerturbation(K=4.0, L=0.9, u=1.0, delta=0.05, eps=1e-3, J=2)
-    with pytest.raises(cx.NoGaussianMaxError):
+    with pytest.raises(NotStationaryError, match="needs L > 1, got 0.9"):
         cx.vertical_gap(vp)
 
 

@@ -10,7 +10,6 @@ from ziclab import counterexamples as cx
 from ziclab.hessian import (
     HermiteCoeffVector,
     NotStationaryError,
-    gaussian_maximizer,
     hessian_quadratic_form,
     local_optimality_radius,
     phase_diagram,
@@ -20,18 +19,15 @@ from ziclab.hessian import (
 )
 
 
-def coeffs(base_variance, **orders):
-    return HermiteCoeffVector(
-        {int(k.lstrip("a")): v for k, v in orders.items()}, base_variance
-    )
+def coeffs(**orders):
+    return HermiteCoeffVector({int(k.lstrip("a")): v for k, v in orders.items()})
 
 
 def test_first_order_ledger_value():
     # u=1, L=3 -> K=2; the first-order term is
     # -2u/(K+u+L)^2 - 2/K^2 + 2(1+u)/(K+u)^2 = -2/36 - 2/4 + 4/9 = -1/9
-    rep = hessian_quadratic_form(
-        2.0, 3.0, 1.0, coeffs(2.0, a1=1.0), coeffs(3.0)
-    )
+    rep = hessian_quadratic_form(3.0, 1.0, coeffs(a1=1.0), coeffs())
+    assert rep.K == 2.0
     assert rep.per_alpha_terms[1] == pytest.approx(-1.0 / 9.0, abs=1e-14)
     assert rep.total == pytest.approx(-1.0 / 9.0, abs=1e-14)
     assert rep.classification == "stable"
@@ -39,15 +35,14 @@ def test_first_order_ledger_value():
 
 def test_second_order_instability_witness():
     # u=1, L=1.4 -> K=6 above threshold: B2=-A2 makes I2 positive
-    rep = hessian_quadratic_form(
-        6.0, 1.4, 1.0, coeffs(6.0, a2=1.0), coeffs(1.4, a2=-1.0)
-    )
+    rep = hessian_quadratic_form(1.4, 1.0, coeffs(a2=1.0), coeffs(a2=-1.0))
+    assert rep.K == pytest.approx(6.0, rel=1e-14)
     assert rep.per_alpha_terms[2] > 0
     assert rep.classification == "unstable"
 
 
 def test_zero_coefficients_zero_total():
-    rep = hessian_quadratic_form(2.0, 3.0, 1.0, coeffs(2.0), coeffs(3.0))
+    rep = hessian_quadratic_form(3.0, 1.0, coeffs(), coeffs())
     assert rep.total == 0.0
     assert rep.per_alpha_terms == {}
 
@@ -62,8 +57,9 @@ def test_cancellation_identity_exact(rng):
         a = float(rng.normal())
         for alpha in (2, 3, 4, 5):
             rep = hessian_quadratic_form(
-                K, L, u, coeffs(K, **{f"a{alpha}": a}), coeffs(L, **{f"a{alpha}": -a})
+                L, u, coeffs(**{f"a{alpha}": a}), coeffs(**{f"a{alpha}": -a})
             )
+            assert rep.K == K
             expected = math.factorial(alpha + 1) * (
                 -(a * a) / K ** (alpha + 1) + (1 + u) * a * a / (K + u) ** (alpha + 1)
             )
@@ -74,23 +70,21 @@ def test_first_order_term_nonpositive(rng):
     for _ in range(200):
         u = float(rng.uniform(0.2, 4.0))
         L = float(rng.uniform(1.05, 10.0))
-        K = stationary_source_variance(L, u)
-        rep = hessian_quadratic_form(K, L, u, coeffs(K, a1=1.0), coeffs(L))
+        rep = hessian_quadratic_form(L, u, coeffs(a1=1.0), coeffs())
         assert rep.per_alpha_terms[1] <= 0
 
 
 def test_total_is_ledger_sum():
-    rep = hessian_quadratic_form(
-        2.0, 3.0, 1.0, coeffs(2.0, a1=0.7, a2=1.1, a4=-0.3), coeffs(3.0, a2=0.4, a4=0.9)
-    )
+    rep = hessian_quadratic_form(3.0, 1.0, coeffs(a1=0.7, a2=1.1, a4=-0.3), coeffs(a2=0.4, a4=0.9))
     assert rep.total == pytest.approx(sum(rep.per_alpha_terms.values()), abs=1e-12)
 
 
 def test_stationarity_enforced():
-    with pytest.raises(NotStationaryError):
-        hessian_quadratic_form(2.5, 3.0, 1.0, coeffs(2.5, a1=1.0), coeffs(3.0))
+    for L in (1.0, 0.5, math.nan):
+        with pytest.raises(NotStationaryError, match="needs L > 1"):
+            hessian_quadratic_form(L, 1.0, coeffs(a1=1.0), coeffs())
     with pytest.raises(ValueError):
-        hessian_quadratic_form(2.0, 3.0, 1.0, coeffs(2.0), coeffs(3.0, a1=1.0))
+        hessian_quadratic_form(3.0, 1.0, coeffs(), coeffs(a1=1.0))
 
 
 def test_worst_direction_sign_tracks_classification(rng):
@@ -103,7 +97,7 @@ def test_worst_direction_sign_tracks_classification(rng):
             continue
         # I_2 at the extremal pairing A_2 = 1, B_2 = -1 (cross terms cancel
         # the outer-entropy term): 3! (-1/K^3 + (1+u)/(K+u)^3)
-        w = hessian_quadratic_form(K, L, u, coeffs(K, a2=1.0), coeffs(L, a2=-1.0)).per_alpha_terms[2]
+        w = hessian_quadratic_form(L, u, coeffs(a2=1.0), coeffs(a2=-1.0)).per_alpha_terms[2]
         assert (w > 0) == (cls == "unstable")
 
 
@@ -137,8 +131,9 @@ def test_vertical_gap_sign_agrees_with_classifier():
 
 def test_certificate_scalar_example():
     # d=1, u=1, L=3 -> K=2: the cubic condition gives eps2 = 11/43
-    cert = local_optimality_radius(2.0, 3.0, 1.0)
+    cert = local_optimality_radius([3.0], 1.0)
     assert cert is not None
+    assert cert.K == (2.0,)
     assert cert.eps2 == pytest.approx(11.0 / 43.0, abs=1e-9)
     assert cert.cubic_ratio == pytest.approx(16.0 / 27.0, rel=1e-12)
     assert 0 < cert.eps <= cert.eps2
@@ -151,16 +146,14 @@ def test_certificate_none_at_threshold():
     L = (thr + u) / (thr - 1.0)  # L making the maximizer sit at the threshold
     K = stationary_source_variance(L, u)
     assert K == pytest.approx(thr, rel=1e-12)
-    assert local_optimality_radius(K, L, u) is None
+    assert local_optimality_radius([L], u) is None
 
 
 def test_certificate_diagonal_example():
     # d=2, u=1, L=diag(3,4): K=diag(2, 5/3), both below threshold
-    L = np.array([3.0, 4.0])
-    K = gaussian_maximizer(L, 1.0)
-    assert K == pytest.approx([2.0, 5.0 / 3.0], rel=1e-12)
-    cert = local_optimality_radius(K, L, 1.0)
+    cert = local_optimality_radius([3.0, 4.0], 1.0)
     assert cert is not None
+    assert cert.K == pytest.approx([2.0, 5.0 / 3.0], rel=1e-12)
     assert cert.eps > 0
     # the binding order-3 index concentrates on the largest k
     assert cert.cubic_ratio == pytest.approx(2.0 * (2.0 / 3.0) ** 3, rel=1e-12)
@@ -168,9 +161,7 @@ def test_certificate_diagonal_example():
 
 def test_certificate_requires_maximizer():
     with pytest.raises(NotStationaryError):
-        local_optimality_radius(2.5, 3.0, 1.0)
-    with pytest.raises(NotStationaryError):
-        gaussian_maximizer(0.9, 1.0)
+        local_optimality_radius([3.0, 0.9], 1.0)
 
 
 def test_certificate_monotone_in_max_eigenvalue():
@@ -179,8 +170,9 @@ def test_certificate_monotone_in_max_eigenvalue():
     eps_values = []
     for L in (6.0, 4.0, 3.0, 2.5, 2.0):
         K = stationary_source_variance(L, u)
-        cert = local_optimality_radius(K, L, u)
+        cert = local_optimality_radius([L], u)
         assert cert is not None
+        assert cert.K == (K,)
         eps_values.append(cert.eps)
     assert all(a >= b - 1e-12 for a, b in zip(eps_values, eps_values[1:]))
 
@@ -192,7 +184,7 @@ def test_rayleigh_min_matches_generalized_eigh(rng):
         for _ in range(5):
             u = rng.uniform(0.2, 3.0)
             L = rng.uniform(3.0, 20.0, d)
-            k = gaussian_maximizer(L, u)
+            k = (L + u) / (L - 1.0)
             m = 1.0 / (k + L)
             num, den = [], []
             for i in range(d):
@@ -201,16 +193,16 @@ def test_rayleigh_min_matches_generalized_eigh(rng):
                     num.append(scale * (1.0 / (k[i] * k[j]) + m[i] * m[j]))
                     den.append(scale * (1.0 + u) / ((k[i] + u) * (k[j] + u)))
             expected = eigh(np.diag(num), np.diag(den), eigvals_only=True).min()
-            cert = local_optimality_radius(k, L, u)
+            cert = local_optimality_radius(L.tolist(), u)
             assert cert is not None
+            assert cert.K == pytest.approx(k, rel=1e-15)
             assert cert.rayleigh_min == pytest.approx(expected, rel=1e-13)
 
 
 def test_rayleigh_certificate_rejects_unstable():
     u = 1.0
     L = 1.4  # K = 6 above threshold
-    K = stationary_source_variance(L, u)
-    assert local_optimality_radius(K, L, u) is None
+    assert local_optimality_radius([L], u) is None
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +243,7 @@ def test_stability_threshold_matches_mpmath(u):
 def test_phase_diagram_validation():
     with pytest.raises(ValueError):
         phase_diagram([], [2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NotStationaryError, match="needs L > 1, got 0.9"):
         phase_diagram([1.0], [0.9, 2.0])
 
 
@@ -260,6 +252,5 @@ def test_local_optimality_radius_rejects_overflowing_ledger():
     u, L = 1.49e181, 9.26e61
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K = gaussian_maximizer(L, u)
         with pytest.raises(ValueError, match="local optimality ledger overflows"):
-            local_optimality_radius(K, L, u)
+            local_optimality_radius([L], u)
