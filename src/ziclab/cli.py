@@ -68,6 +68,14 @@ def parse_values(text: str) -> list[float]:
     return values
 
 
+def parse_finite(text: str) -> float:
+    """One finite float."""
+    value = _number(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
+    return value
+
+
 def _checked(kind, check: str):
     """Parser type for ``kind`` values that ``check``, a validator named
     ``module.function`` within ziclab, accepts: the check's ValueError
@@ -264,8 +272,7 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
     vp = cx.VerticalPerturbation(K=K, L=L, u=u, delta=args.delta, eps=args.eps, J=J)
     delta, eps = vp.delta, vp.eps
     res = cx.vertical_gap(vp, n=args.n)
-    classification = hs.stability_classify(K, u)
-    threshold = hs.stability_threshold(u)
+    closed = 0.5 * cx.deriv_norm_balance(K, u, delta)
     results = [
         {
             "u": u,
@@ -278,19 +285,13 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
             "base_value": res.base_value,
             "perturbed_value": res.perturbed_value,
             "quadratic_coeff": res.quadratic_coeff,
-            "threshold": threshold,
-            "classification": classification,
+            "threshold": hs.stability_threshold(u),
+            "classification": hs.stability_classify(K, u),
         }
     ]
-    if classification == "critical":
-        sign_ok = True
-        detail = "K at threshold; no sign requirement"
-    else:
-        sign_ok = (res.quadratic_coeff > 0) == (classification == "unstable")
-        detail = (
-            f"quadratic_coeff {res.quadratic_coeff:+.3e}, classification {classification}"
-        )
-    checks = [_check("quadratic_sign_matches_classification", sign_ok, detail)]
+    sign_ok = res.quadratic_coeff > 0 if closed > 0 else res.quadratic_coeff < 0
+    detail = f"quadratic_coeff {res.quadratic_coeff:+.3e}, closed form {closed:+.3e}"
+    checks = [_check("quadratic_sign_matches_closed_form", sign_ok, detail)]
     return {"K": K, "delta": delta, "eps": eps}, results, checks
 
 
@@ -350,7 +351,7 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[dict]]:
     checks = [
         _check(
             "total_equals_ledger_sum",
-            abs(report.total - sum(report.per_alpha_terms.values())) <= 1e-12,
+            report.total == sum(report.per_alpha_terms.values()),
             "ledger additivity",
         )
     ]
@@ -513,7 +514,7 @@ def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
         for c in cells
         if c.f1_eq_g1
         and c.q2 > 0  # q2=0 columns have no interferer budget to trade
-        and c.stationary_K + args.N1 > 1.0 + math.sqrt(1.0 + c.u) + 1e-6
+        and not hk.variance_bound_holds(c.stationary_K, args.N1, c.u)
     ]
     checks = [
         _check(
@@ -620,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=_checked(float, "entropy.check_smoothing_t"), default=1e-2)
     p.add_argument("--t-count", type=_checked(int, "entropy.check_expansion_count"), default=10)
     p.add_argument("--n", type=int, default=8192)
-    p.add_argument("--c1-tol", type=float, default=0.02)
-    p.add_argument("--c15-tol", type=float, default=0.05)
+    p.add_argument("--c1-tol", type=parse_finite, default=0.02)
+    p.add_argument("--c15-tol", type=parse_finite, default=0.05)
     common(p)
     p.set_defaults(handler=cmd_verify_lemma1)
 

@@ -330,12 +330,14 @@ def objective_rounding_floor(K: float, L: float, u: float) -> float:
     return 2.0**-53 * (u * h(K + u + L) + h(K) + (1.0 + u) * h(K + u))
 
 
-def _check_eps_ladder(eps: float, J: int, K: float, L: float, u: float) -> None:
+def _check_eps_ladder(eps: float, J: int, K: float, L: float, u: float, delta: float) -> None:
     """Reject an eps whose ladder richardson_quadratic cannot divide by
     (an e**2 overflows or underflows to 0), whose partner series overflows
     (eps**J is not finite), or whose smallest eps^2 step (eps/4)**2 falls
     below the objective's rounding floor, so that every ratio
-    (value - reference) / e**2 is rounding noise (ValueError)."""
+    (value - reference) / e**2 is rounding noise (ValueError); then one
+    whose densities go negative (NegativeDensityError), or whose closed-form
+    step |deriv_norm_balance/2| (eps/4)**2 misses the floor (ValueError)."""
     try:
         squares = [e**2 for e in eps_ladder(eps)]
         eps**J
@@ -349,13 +351,25 @@ def _check_eps_ladder(eps: float, J: int, K: float, L: float, u: float) -> None:
             f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "
             f"rounding floor {floor:.3e}, got {eps}"
         )
+    if (
+        _min_density(perturbed_source(K, delta, eps)) < -1e-12
+        or _min_density(partner_series(L, delta, eps, J)) < -1e-12
+    ):
+        raise NegativeDensityError("eps too large: perturbed density goes negative on the grid")
+    change = abs(0.5 * deriv_norm_balance(K, u, delta)) * squares[-1]
+    if not change >= floor:  # NaN where the balance's moments leave the float range
+        raise ValueError(
+            f"eps too small: the closed-form change |deriv_norm_balance/2| (eps/4)**2 = "
+            f"{change:.3e} does not reach the objective's rounding floor {floor:.3e} at "
+            f"K={K}, u={u}, delta={delta}, got {eps}"
+        )
 
 
 @dataclass(frozen=True)
 class VerticalPerturbation:
     """Validated parameter bundle for the density-perturbation pipeline;
     delta defaults to min(K, L/J)/10, eps (scanned after the checks) to
-    select_epsilon's choice."""
+    select_epsilon's choice; either passes _check_eps_ladder."""
 
     K: float
     L: float
@@ -389,12 +403,7 @@ class VerticalPerturbation:
             raise ValueError("K, L, u, delta, eps must be finite")
         elif not self.eps > 0:
             raise ValueError("K, L, u, delta, eps must be positive")
-        else:
-            _check_eps_ladder(self.eps, self.J, self.K, self.L, self.u)
-        if _min_density(self.x1()) < -1e-12 or _min_density(self.x2()) < -1e-12:
-            raise NegativeDensityError(
-                "eps too large: perturbed density goes negative on the grid"
-            )
+        _check_eps_ladder(self.eps, self.J, self.K, self.L, self.u, self.delta)
 
     def x1(self, eps: Optional[float] = None) -> GaussDerivMixture:
         return perturbed_source(self.K, self.delta, self.eps if eps is None else eps)
@@ -435,8 +444,8 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
     """Gaussian-stationary value vs perturbed objective and its eps^2 slope.
 
     quadratic_coeff is the Richardson-extrapolated eps^2 coefficient of
-    psi(x1_eps, x2_eps) - psi(gamma_K, gamma_L); at a stationary K it is
-    positive exactly when K exceeds the stability threshold.  Raises
+    psi(x1_eps, x2_eps) - psi(gamma_K, gamma_L), whose closed form is
+    deriv_norm_balance(K, u, delta)/2.  Raises
     NotStationaryError when L <= 1, where no stationary K exists.
     """
     k_star = stationary_source_variance(vp.L, vp.u)
@@ -481,8 +490,12 @@ def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
     def sq_norm(base: float) -> float:
         v = base - delta
         s2 = v * base / (2.0 * base - v)
-        p = gauss_deriv_poly(3, v)
-        p2 = np.polynomial.polynomial.polymul(p, p)
+        # P^2 in plain floats, trailing zeros dropped as numpy.polynomial's
+        # polymul does (their moments could overflow), without its import
+        p = gauss_deriv_poly(3, v).tolist()
+        p2 = [sum(p[i] * p[j - i] for i in range(max(0, j - 3), min(j, 3) + 1)) for j in range(7)]
+        while len(p2) > 1 and p2[-1] == 0.0:
+            p2.pop()
         moments = sum(c * gauss_raw_moment(j, s2) for j, c in enumerate(p2))
         return math.sqrt(base * s2) / v * float(moments)
 

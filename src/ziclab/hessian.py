@@ -6,7 +6,7 @@ D^alpha gamma_K / gamma_K; the Hessian of the constrained objective is
 diagonal across alpha, so the quadratic form reduces to a per-order ledger
 I_alpha.  The stationary point (K, L) satisfies K = (L+u)/(L-1) with
 multiplier lambda = u/(K+u+L); negativity of the ledger flips exactly at
-K = u/((1+u)^{1/3} - 1).
+K = u/((1+u)^{1/3} - 1), where (1+u) K^3 = (K+u)^3; the classifier decides that sign exactly.
 
 The scalar Gaussian objective psi and its maximizer live here too, as the
 one copy that the HK-region and counterexample modules share.
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-CRITICAL_TOL = 1e-9
 
 
 class NotStationaryError(ValueError):
@@ -41,12 +39,12 @@ def stability_threshold(u: float) -> float:
 
 
 def stability_classify(K: float, u: float) -> str:
-    if K <= 0 or u <= 0:
-        raise ValueError("K and u must be positive")
-    thr = stability_threshold(u)
-    if abs(K - thr) < CRITICAL_TOL:
-        return "critical"
-    return "stable" if K < thr else "unstable"
+    """Exact sign of (1+u) K^3 - (K+u)^3: stable < 0, critical = 0, unstable > 0."""
+    if not (0 < K < math.inf and 0 < u < math.inf):
+        raise ValueError(f"K and u must be positive and finite, got K={K}, u={u}")
+    (a, b), (c, d) = float(K).as_integer_ratio(), float(u).as_integer_ratio()
+    gap = (d + c) * d * d * a**3 - (a * d + c * b) ** 3
+    return "stable" if gap < 0 else "unstable" if gap > 0 else "critical"
 
 
 def gauss_psi(K, L, u: float, N1: float, N: float):
@@ -89,11 +87,15 @@ def _check_weight(u: float) -> None:
 def stationary_source_variance(L: float, u: float) -> float:
     """The stationary variance K = (L+u)/(L-1) of the Gaussian objective:
     the one place K is derived from (L, u), and the one L > 1 check
-    (NotStationaryError, NaN included)."""
+    (NotStationaryError, NaN included); a K that is not finite is a
+    ValueError."""
     if not L > 1:
         raise NotStationaryError(f"the stationary variance K = (L+u)/(L-1) needs L > 1, got {L}")
     _check_weight(u)
-    return gauss_argmax(L, u, 0.0, u)
+    K = gauss_argmax(L, u, 0.0, u)
+    if not math.isfinite(K):
+        raise ValueError(f"the stationary variance K = (L+u)/(L-1) is not finite at L={L}, u={u}")
+    return K
 
 
 @dataclass(frozen=True)
@@ -200,23 +202,20 @@ def local_optimality_radius(
     k/(k+u) is increasing in k).  eps1 comes from the order-2 spectral
     problem: the minimum generalized Rayleigh quotient rho over the
     symmetric coefficient parameterization, with (1+eps)^2/(1-eps) = rho.
-    Returns None when the eigenvalue hypothesis max k_i < threshold fails
-    (at the threshold the certificate degenerates to eps2 = 0).
+    Returns None unless ``stability_classify`` reads max k_i stable; just
+    below the threshold the certificate degenerates to eps2 = 0.
     """
     l = [float(x) for x in L]
     k = [stationary_source_variance(x, u) for x in l]
-    if not math.isfinite(u):  # each k checked u > 0
-        raise ValueError(f"u must be positive and finite, got {u}")
     kmax = max(k)
-    # an infinite L gives a NaN k, which max() may pass over
     if not all(math.isfinite((x + u) * (x + u)) for x in k):
         raise ValueError(
             f"local optimality ledger overflows the float range at K={kmax}, u={u}"
         )
-    cubic_ratio = (1.0 + u) * (kmax / (kmax + u)) ** 3
-    if cubic_ratio >= 1.0 - 1e-15:
+    if stability_classify(kmax, u) != "stable":
         return None
-    eps2 = (1.0 - cubic_ratio) / (1.0 + cubic_ratio)
+    cubic_ratio = (1.0 + u) * (kmax / (kmax + u)) ** 3
+    eps2 = max(0.0, (1.0 - cubic_ratio) / (1.0 + cubic_ratio))
 
     d = len(k)
     m = [1.0 / (ki + li) for ki, li in zip(k, l)]

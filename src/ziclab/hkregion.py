@@ -491,6 +491,15 @@ def tangent_witness(q1: float, q2: float, params: HKParams) -> Optional[tuple[fl
 # ----------------------------------------------------------------------
 
 
+def variance_bound_holds(K: float, N1: float, u: float) -> bool:
+    """Exact K + N1 <= 1 + sqrt(1+u): x - 1 = s/(b d) <= 0 or (x-1)^2 <= 1+u."""
+    if not all(map(math.isfinite, (K, N1, u))):
+        raise ValueError(f"K, N1 and u must be finite, got K={K}, N1={N1}, u={u}")
+    (a, b), (c, d), (e, f) = (float(v).as_integer_ratio() for v in (K, N1, u))
+    s = a * d + c * b - b * d
+    return s <= 0 or s * s * f <= (f + e) * (b * d) ** 2
+
+
 @dataclass(frozen=True)
 class MaximizerBoundResult:
     K: float
@@ -514,11 +523,10 @@ def maximizer_bound_check(Jv: float, Lv: float, params: HKParams) -> MaximizerBo
             f"f1 < g1 at (J={Jv}, L={Lv}): f1 at {witness} lies above its tangent plane"
         )
     kthr = unconstrained_argmax(Lv, u, N1)
-    case = 3 if abs(Jv - kthr) <= 1e-9 else 1 if Jv > kthr else 2
-    K = Jv if case == 3 else capped_gauss_objective(Jv, Lv, u, N1)[1]
-    bound = 1.0 + math.sqrt(1.0 + u)
+    case = 3 if Jv == kthr else 1 if Jv > kthr else 2
+    K = capped_gauss_objective(Jv, Lv, u, N1)[1]
     return MaximizerBoundResult(
-        K=float(K), bound_holds=bool(K + N1 <= bound + 1e-6), case=case, bound=bound
+        K=K, bound_holds=variance_bound_holds(K, N1, u), case=case, bound=1.0 + math.sqrt(1.0 + u)
     )
 
 

@@ -141,8 +141,11 @@ def test_criterion_05_ledger_properties():
         expected = 6.0 * (-(a2 * a2) / K**3 + (1 + u) * a2 * a2 / (K + u) ** 3)
         cancel_ok &= abs(rep2.per_alpha_terms.get(2, 0.0) - expected) <= 1e-12
     thr = hs.stability_threshold(1.3)
+    # u = K = 7 is exactly critical, 8 * 7^3 = 14^3, and one ulp flips it
     flip_ok = (
-        hs.stability_classify(thr, 1.3) == "critical"
+        hs.stability_classify(7.0, 7.0) == "critical"
+        and hs.stability_classify(math.nextafter(7.0, 8.0), 7.0) == "unstable"
+        and hs.stability_classify(math.nextafter(7.0, 6.0), 7.0) == "stable"
         and hs.stability_classify(thr + 1.01e-9, 1.3) == "unstable"
         and hs.stability_classify(thr - 1.01e-9, 1.3) == "stable"
     )

@@ -253,6 +253,13 @@ PINNED_REPORTS = {
         "11e63f2581b43979da110e7c4afdaff5bf165dd2bc9396ef3c105fa1718813f5",
     "hessian --u 2 --L 5 --A 1:0.7,2:1.1,4:-0.3 --B 2:0.4,4:0.9":
         "b8b389509fc36d136f022fa278a7ea36d67087113e715e5d771101f7b607fa60",
+    # and of the README reports that decide K + N1 <= 1 + sqrt(1+u)
+    "lemma5-audit --samples 50 --seed 7":
+        "5da23ef0ddb6f4519c0f20f60342d8c47afcc2a4fd4d1d0dcf8dd29f390540e5",
+    "theorem4-audit --d 2 --samples 10":
+        "43ed0dda5b44cd97dcba85ae69c48583a7206386209f1571de1aa8a0fa6efc12",
+    "conjecture2-map --u 1 --q 1.2,5,39 --N1 1":
+        "b2976d3239d91fd8ea4a5560c55ba2b34e7ef0fd8f7d51050c725c57de3d306c",
 }
 
 
@@ -261,6 +268,94 @@ def test_stationary_point_reports_pinned(line, tmp_path):
     report = tmp_path / "report"
     assert main([*shlex.split(line), "--output", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_REPORTS[line]
+
+
+# every float option of every subcommand, and the options a command requires
+FLOAT_OPTIONS = {
+    "verify-lemma1": ("--t-min", "--t-max", "--c1-tol", "--c15-tol"),
+    "verify-lemma2": ("--t-min", "--t-max", "--N1", "--Sigma1"),
+    "verify-vertical": ("--u", "--L", "--K", "--delta", "--eps"),
+    "condition54-root": ("--u", "--tolerance"),
+    "hessian": ("--u", "--L"),
+    "phase-diagram": ("--u", "--L"),
+    "theorem5-epsilon": ("--u", "--L"),
+    "hk-region": ("--u", "--N1", "--q1", "--q2"),
+    "lemma5-audit": ("--u", "--N1"),
+    "theorem4-audit": ("--u", "--N1"),
+    "constant-power-gap": ("--u", "--N1", "--N2", "--A"),
+    "conjecture2-map": ("--u", "--q", "--N1"),
+    "geometry": ("--t",),
+    "limit-functional": ("--L",),
+}
+REQUIRED_OPTIONS = {
+    "phase-diagram": {"--u": "1", "--L": "2"},
+    "hk-region": {"--q1": "1", "--q2": "1"},
+    "conjecture2-map": {"--q": "1"},
+}
+
+
+def test_float_option_table_is_complete():
+    assert sum(map(len, FLOAT_OPTIONS.values())) == 38
+    assert set(FLOAT_OPTIONS) == set(build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "command, option", [(c, o) for c, options in FLOAT_OPTIONS.items() for o in options]
+)
+def test_non_finite_float_option_exit_2(command, option, value, capsys):
+    # hessian's --L inf and --u inf exited 3 with K: null, and verify-lemma1
+    # passed an infinite --c1-tol or --c15-tol (exit 0) or failed -inf and nan
+    args = {**REQUIRED_OPTIONS.get(command, {}), option: value}
+    assert main([command, *(f"{k}={v}" for k, v in args.items())]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+
+
+# verify-vertical runs whose eps^2 coefficient has the sign of its closed
+# form at the delta it ran; the --u 7 runs exited 3 when the sign was
+# demanded from the delta = 0 classification (K = 7.0015 and K above 7
+# read unstable, while the coefficient at delta is about -6.3e-6 and -1.5e-5)
+VERTICAL_DECIDED = [
+    "--u 1 --L 1.4",
+    "--u 7 --L 2.333",
+    *(f"--u 7 --L 3 --K {K}"
+      for K in ("7.000000001", "7.00000001", "7.0000001", "7.000001", "7.00001")),
+    "--L 1.001",
+]
+
+
+@pytest.mark.parametrize("line", VERTICAL_DECIDED)
+def test_vertical_sign_is_the_closed_form_sign(line, capsys):
+    code, out = run_cli(["verify-vertical", *line.split()], capsys)
+    rep = json.loads(out)
+    row = rep["results"][0]
+    closed = 0.5 * cx.deriv_norm_balance(row["K"], row["u"], row["delta"])
+    assert code == 0
+    assert [c["name"] for c in rep["checks"]] == ["quadratic_sign_matches_closed_form"]
+    assert f"{closed:+.3e}" in rep["checks"][0]["detail"]
+    assert abs(row["quadratic_coeff"] - closed) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, change",
+    [
+        # K = 9.0e15: the closed-form coefficient is 4.1e-48, and every value
+        # read 0.0, so the eps^2 coefficient was 0 against an unstable K
+        (["--L", "1.0000000000000002"], "6.264e-53"),
+        # the balance's moments leave the float range; its true value, about
+        # 3/K^3, underflows
+        (["--K", "1.24e306", "--L", "2", "--eps", "1e-3", "--n", "1024"], "nan"),
+    ],
+)
+def test_vertical_sign_below_rounding_floor_exit_2(argv, change, capsys):
+    assert main(["verify-vertical", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        f"ziclab: eps too small: the closed-form change |deriv_norm_balance/2| (eps/4)**2 = "
+        f"{change} does not reach the objective's rounding floor"
+    )
 
 
 @pytest.mark.parametrize(
@@ -339,16 +434,24 @@ def test_constant_power_gap_bad_A_exit_2(A, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--K", "inf"], ["--K", "nan"], ["--u", "inf"], ["--L", "inf"], ["--delta", "nan"]],
+    "argv, message",
+    [
+        (["--K", "inf"], "K, L, u, delta must be finite"),
+        (["--K", "nan"], "K, L, u, delta must be finite"),
+        # the stationary K, derived first, is not finite
+        (["--u", "inf"], "the stationary variance K = (L+u)/(L-1) is not finite at L=1.4, u=inf"),
+        (["--L", "inf"], "the stationary variance K = (L+u)/(L-1) is not finite at L=inf, u=1.0"),
+        (["--delta", "nan"], "K, L, u, delta must be finite"),
+    ],
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4"],
 )
-def test_verify_vertical_non_finite_exit_2_before_eps_scan(argv, capsys):
+def test_verify_vertical_non_finite_exit_2_before_eps_scan(argv, message, capsys):
     # no --eps: the positivity scan must not run (and warn) on a non-finite K
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["verify-vertical", *argv]) == 2
     err = capsys.readouterr().err
-    assert err == "ziclab: K, L, u, delta must be finite\n"
+    assert err == f"ziclab: {message}\n"
 
 
 def test_verify_vertical_J_below_one_exit_2(capsys):
@@ -369,12 +472,20 @@ def test_J_above_order_limit_exit_2(argv, capsys):
 def test_small_u_threshold_and_classification(capsys):
     # u/((1+u)^{1/3} - 1) cancelled to 2.2518 at u = 1e-15, so K = 2.667
     # read unstable and verify-vertical exited 3
-    code, out = run_cli(["verify-vertical", "--u", "1e-15", "--L", "1.6"], capsys)
-    row = json.loads(out)["results"][0]
+    code, out = run_cli(["hessian", "--u", "1e-15", "--L", "1.6"], capsys)
+    row = json.loads(out)["results"][-1]
     assert code == 0
     assert row["threshold"] == 3.0000000000000013 and row["classification"] == "stable"
     code, out = run_cli(["phase-diagram", "--u", "1e-15", "--L", "1.6"], capsys)
     assert code == 0 and json.loads(out)["results"][0]["classification"] == "stable"
+    # the eps^2 change of the perturbation is O(u), far below the rounding
+    # floor: its measured sign was noise (-7e-11) that happened to match
+    assert main(["verify-vertical", "--u", "1e-15", "--L", "1.6"]) == 2
+    assert capsys.readouterr().err == (
+        "ziclab: eps too small: the closed-form change |deriv_norm_balance/2| (eps/4)**2 = "
+        "3.176e-22 does not reach the objective's rounding floor 4.240e-16 at "
+        "K=2.6666666666666683, u=1e-15, delta=0.08, got 0.0078125\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -385,10 +496,16 @@ def test_small_u_threshold_and_classification(capsys):
              ["hessian", "--u", "5e-324"], ["verify-vertical", "--u", "1e-323", "--n", "1024"]],
 )
 def test_tiny_u_reports_threshold_3(argv, capsys):
-    # each ended in a ZeroDivisionError traceback; verify-vertical exits 3,
-    # as its O(u) gap reads 0 and cannot show the unstable sign at K = 3.5
+    # each ended in a ZeroDivisionError traceback; verify-vertical exits 2,
+    # as its O(u) eps^2 change reads 0 in closed form, below the rounding
+    # floor, so no sign at K = 3.5 can be decided
     code = main(argv)
     out, err = capsys.readouterr()
+    if argv[0] == "verify-vertical":
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("ziclab: eps too small: the closed-form change "
+                              "|deriv_norm_balance/2| (eps/4)**2 = 0.000e+00 does not reach")
+        return
     assert code in (0, 3) and err == ""
     rows = json.loads(out)["results"]
     assert all(r["threshold"] == 3.0 for r in rows if "threshold" in r)
@@ -486,8 +603,9 @@ def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # 144 (K+u+L) just below the float max
-        ["verify-vertical", "--K", "1.24e306", "--L", "2", "--eps", "1e-3", "--n", "1024"],
+        # 144 (K+u+L) just below the float max, at a K whose eps^2 change
+        # reaches the rounding floor (at K = 1.24e306 it does not: exit 2)
+        ["verify-vertical", "--K", "2", "--L", "1.24e306", "--eps", "1e-3", "--n", "1024"],
         # 32 max(q, 1) just below the float max
         ["hk-region", "--q1", "5e306", "--q2", "1"],
         ["conjecture2-map", "--q", "0,5e306"],

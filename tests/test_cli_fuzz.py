@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from ziclab.cli import main
 
-# the float range's edges, zero, negatives, and ordinary values
-SPECIAL = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "0.3", "1", "1.6", "2", "5")
+# the float range's edges, zero, negatives, ordinary and non-finite values
+SPECIAL = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "0.3", "1", "1.6", "2", "5",
+           "inf", "-inf", "nan")
 FLOAT = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(min_value=-1e300, max_value=1e300).map(repr),

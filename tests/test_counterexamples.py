@@ -406,6 +406,18 @@ def test_vertical_perturbation_rejects_eps_ladder_before_tabulation(kwargs, mess
         cx.VerticalPerturbation(**{"K": 6.0, "L": 1.4, "u": 1.0, **kwargs})
 
 
+@pytest.mark.parametrize("eps", [None, 2.0**-7])
+def test_eps_must_decide_the_closed_form_sign(eps):
+    # at u = 1e-300 the eps^2 change of the objective, O(u), reads 0 in
+    # closed form: below the rounding floor for the default eps and an
+    # explicit one alike, although (eps/4)**2 clears that floor
+    K, L, u = 3.5, 1.4, 1e-300
+    assert (2.0**-7 / 4.0) ** 2 > cx.objective_rounding_floor(K, L, u)
+    with pytest.raises(ValueError, match=r"closed-form change \|deriv_norm_balance/2\| "
+                                         r"\(eps/4\)\*\*2 = 0.000e\+00 does not reach"):
+        cx.VerticalPerturbation(K=K, L=L, u=u, eps=eps)
+
+
 def test_objective_rounding_floor_is_unit_roundoff_of_the_terms():
     K, L, u = 6.0, 1.4, 1.0
     h = [abs(gaussian_entropy(v)) for v in (K + u + L, K, K + u)]

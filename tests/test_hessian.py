@@ -76,7 +76,7 @@ def test_first_order_term_nonpositive(rng):
 
 def test_total_is_ledger_sum():
     rep = hessian_quadratic_form(3.0, 1.0, coeffs(a1=0.7, a2=1.1, a4=-0.3), coeffs(a2=0.4, a4=0.9))
-    assert rep.total == pytest.approx(sum(rep.per_alpha_terms.values()), abs=1e-12)
+    assert rep.total == sum(rep.per_alpha_terms.values())
 
 
 def test_stationarity_enforced():
@@ -101,15 +101,43 @@ def test_worst_direction_sign_tracks_classification(rng):
         assert (w > 0) == (cls == "unstable")
 
 
-def test_classifier_examples_and_critical_band():
+def test_classifier_examples_and_exact_critical_pair():
     assert stability_classify(2.0, 1.0) == "stable"
     assert stability_classify(6.0, 1.0) == "unstable"
     thr = stability_threshold(3.0)
     assert thr == pytest.approx(3.0 / (4.0 ** (1 / 3) - 1.0), rel=1e-14)
-    assert stability_classify(thr, 3.0) == "critical"
-    assert stability_classify(thr + 1e-10, 3.0) == "critical"
     assert stability_classify(thr + 1e-8, 3.0) == "unstable"
     assert stability_classify(thr - 1e-8, 3.0) == "stable"
+    # (1+u) K^3 = (K+u)^3 exactly at u = K = 7 (8 * 343 = 14^3); the old
+    # 1e-9 band read all three of these critical
+    assert stability_threshold(7.0) == 7.0
+    assert stability_classify(7.0, 7.0) == "critical"
+    assert stability_classify(math.nextafter(7.0, 8.0), 7.0) == "unstable"
+    assert stability_classify(math.nextafter(7.0, 6.0), 7.0) == "stable"
+    # a larger u raises the threshold past K = 7
+    assert stability_classify(7.0, math.nextafter(7.0, 8.0)) == "stable"
+    assert stability_classify(7.0, math.nextafter(7.0, 6.0)) == "unstable"
+
+
+@pytest.mark.parametrize("K, u", [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf),
+                                  (2.0, math.nan), (0.0, 1.0), (2.0, -1.0)])
+def test_classifier_rejects_non_finite_or_non_positive(K, u):
+    with pytest.raises(ValueError, match="K and u must be positive and finite"):
+        stability_classify(K, u)
+
+
+def test_classifier_matches_mpmath_sign(rng):
+    # the integer sign against 60-digit arithmetic, on inputs within a few
+    # ulps of the rounded threshold, where the float cubes cannot decide
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for _ in range(200):
+            u = float(rng.uniform(0.01, 50.0))
+            thr = stability_threshold(u)
+            K = thr + float(rng.integers(-4, 5)) * math.ulp(thr)
+            gap = (1 + mpmath.mpf(u)) * mpmath.mpf(K) ** 3 - (mpmath.mpf(K) + mpmath.mpf(u)) ** 3
+            want = "stable" if gap < 0 else "unstable" if gap > 0 else "critical"
+            assert stability_classify(K, u) == want
 
 
 def test_vertical_gap_sign_agrees_with_classifier():
@@ -147,6 +175,21 @@ def test_certificate_none_at_threshold():
     K = stationary_source_variance(L, u)
     assert K == pytest.approx(thr, rel=1e-12)
     assert local_optimality_radius([L], u) is None
+
+
+def test_certificate_hypothesis_is_the_classifier():
+    # L = 7/3 rounds to a stationary K of exactly 7 at u = 7: critical, so no
+    # certificate
+    assert stationary_source_variance(7 / 3, 7.0) == 7.0
+    assert local_optimality_radius([7 / 3], 7.0) is None
+    # at u = 1 the stationary K of these L are stable by the exact sign, but
+    # the float cubic ratio reads 1 - 2^-52 and 1 + 2^-52 (the old 1 - 1e-15
+    # margin returned None): eps2 is tiny, then clamped to the degenerate 0
+    for L, ratio in ((1.7024143839193153, 1.0 - 2.0**-52), (1.7024143839193155, 1.0 + 2.0**-52)):
+        assert stability_classify(stationary_source_variance(L, 1.0), 1.0) == "stable"
+        cert = local_optimality_radius([L], 1.0)
+        assert cert is not None and cert.cubic_ratio == ratio
+        assert cert.eps2 == max(0.0, (1.0 - ratio) / (1.0 + ratio)) == cert.eps
 
 
 def test_certificate_diagonal_example():

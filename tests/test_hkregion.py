@@ -776,6 +776,50 @@ def test_d2_applicable_records_match_tensorization():
 # ----------------------------------------------------------------------
 
 
+def test_variance_bound_is_exact_at_its_boundary():
+    # u = 8: 1 + sqrt(9) = 4 exactly; the old 1e-6 slack passed the next float
+    assert hk.variance_bound_holds(4.0, 0.0, 8.0)
+    assert hk.variance_bound_holds(3.0, 1.0, 8.0)
+    assert not hk.variance_bound_holds(math.nextafter(4.0, 5.0), 0.0, 8.0)
+    assert not hk.variance_bound_holds(3.0, math.nextafter(1.0, 2.0), 8.0)
+    # the sum K + N1 is exact: 0.1 + 0.2 rounds to 0.30000000000000004 in floats
+    assert hk.variance_bound_holds(0.1, 0.2, 0.0)
+    assert hk.variance_bound_holds(1.0, 0.0, 1e-300) and hk.variance_bound_holds(0.5, 0.5, 1e-300)
+
+
+@pytest.mark.parametrize("K, N1, u", [(math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
+                                      (1.0, math.inf, 1.0), (1.0, 0.0, math.nan)])
+def test_variance_bound_rejects_non_finite(K, N1, u):
+    with pytest.raises(ValueError, match="K, N1 and u must be finite"):
+        hk.variance_bound_holds(K, N1, u)
+
+
+def test_variance_bound_matches_rational_oracle(rng):
+    # near the boundary, where the float sum and square root cannot decide
+    from fractions import Fraction
+
+    for _ in range(300):
+        u = float(rng.uniform(0.01, 10.0))
+        N1 = float(rng.uniform(0.0, 2.0))
+        K = 1.0 + math.sqrt(1.0 + u) - N1 + float(rng.integers(-3, 4)) * 4e-16
+        x = Fraction(K) + Fraction(N1)
+        want = x <= 1 or (x - 1) ** 2 <= 1 + Fraction(u)
+        assert hk.variance_bound_holds(K, N1, u) == want
+
+
+def test_case_3_is_exact_equality():
+    # J equal to the unconstrained argmax 1.5 at L = 5, u = 1; the old 1e-9
+    # band also called its neighbours case 3
+    params = hk.HKParams(u=1.0)
+    J = hk.unconstrained_argmax(5.0, 1.0)
+    assert J == 1.5
+    assert hk.maximizer_bound_check(J, 5.0, params).case == 3
+    below = hk.maximizer_bound_check(math.nextafter(J, 0.0), 5.0, params)
+    above = hk.maximizer_bound_check(math.nextafter(J, 2.0), 5.0, params)
+    assert (below.case, below.K) == (2, math.nextafter(J, 0.0))
+    assert (above.case, above.K) == (1, J)
+
+
 def test_bound_value_example():
     params = hk.HKParams(u=3.0, N1=0.0)
     res = hk.maximizer_bound_check(1.5, 4.0, params)
