@@ -37,7 +37,6 @@ _EXPORTS = {
     "counterexamples": (
         "ChannelParams",
         "NoGaussianMaxError",
-        "PowerViolationError",
         "RecipeRejectedError",
         "SkewRecipe",
         "VerticalPerturbation",

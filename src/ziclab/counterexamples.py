@@ -15,12 +15,16 @@ The first two evaluate the channel objective through its one copy,
 ``interference_objective``.  All quadratic-in-eps coefficients are extracted
 by ``richardson_quadratic`` over {eps, eps/2, eps/4} (the perturbation
 series is even in eps because every perturbing term is an odd function).
+The two third-derivative perturbations share their eps-ladder checks
+(``_PerturbationLadder``), and the closed forms of their eps^2 coefficients,
+deriv_norm_balance/2 and fisher_limit_coefficient, share one Gaussian-moment
+kernel (``_weighted_sq_norm``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,10 +52,6 @@ from .entropy import (
 from .hessian import gauss_psi, stationary_source_variance
 
 
-class PowerViolationError(ValueError):
-    """Second-moment constraint on the interferer violated."""
-
-
 class NoGaussianMaxError(ValueError):
     """The Gaussian objective has no interior maximizer (L <= 1)."""
 
@@ -68,17 +68,12 @@ class ChannelParams:
     u: float
     N1: float = 0.0
     N2: float = 0.0
-    A2: float = math.inf
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.u, self.N1, self.N2))):
             raise ValueError("u, N1, N2 must be finite")
-        if math.isnan(self.A2):
-            raise ValueError("A2 must be a number (inf for no power constraint)")
         if min(self.u, self.N1, self.N2) < 0:
             raise ValueError("u, N1, N2 must be nonnegative")
-        if self.A2 < 0:
-            raise ValueError("A2 must be nonnegative")
 
 
 def interference_objective(
@@ -92,13 +87,8 @@ def interference_objective(
     are mixtures of one family, convolved exactly; zero noise variances
     skip the corresponding convolution.  The pairs' entropies are one
     ``mixture_entropies`` batch, listed law by law, so the pairs of an eps
-    ladder share one tabulation per grid.  Raises PowerViolationError when
-    an E[X2^2] exceeds A2 beyond 1e-9.
+    ladder share one tabulation per grid.
     """
-    for _, x2 in pairs:
-        p2 = x2.second_moment()
-        if p2 > params.A2 + 1e-9:
-            raise PowerViolationError(f"E[X2^2] = {p2} exceeds A2 = {params.A2}")
     x1z1 = [x1.convolve_gaussian(params.N1) for x1, _ in pairs]
     x1z1z2 = [m.convolve_gaussian(params.N2) for m in x1z1]
     trip = [m.convolve(x2) for m, (_, x2) in zip(x1z1z2, pairs)]
@@ -268,24 +258,16 @@ def partner_series(
 MAX_J = (MAX_ORDER - 3) // 3
 
 
-def _check_partner_order(J: int) -> None:
-    """Reject a partner series whose convolution with the perturbed source
-    passes gaussmix's derivative-order limit (ValueError)."""
+def _check_J(J: int) -> None:
+    """Reject a partner series of fewer than one term past gamma_L, or one
+    whose convolution with the perturbed source passes gaussmix's
+    derivative-order limit (ValueError)."""
+    if J < 1:
+        raise ValueError(f"J must be >= 1, got {J}")
     if J > MAX_J:
         raise ValueError(
             f"J must be <= {MAX_J} (the derivative order 3J + 3 must not exceed "
             f"{MAX_ORDER}), got {J}"
-        )
-
-
-def _check_widest_variance(v: float, terms: str, params: str) -> None:
-    """Reject a pipeline whose widest tabulated law, of variance v (the sum
-    ``terms`` of the parameters ``params``), has a +-12 sd window that
-    squares past the float range, 144 v, in gamma_v's x*x (ValueError)."""
-    if not math.isfinite(144.0 * v):
-        raise ValueError(
-            f"term variance {terms} = {v} too large: 144 ({terms}) overflows on the "
-            f"+-12 sd window ({params})"
         )
 
 
@@ -312,6 +294,12 @@ def eps_ladder(eps0: float) -> tuple[float, float, float]:
     return (eps0, eps0 / 2.0, eps0 / 4.0)
 
 
+def _entropy_magnitude(v: float) -> float:
+    """|h(gamma_v)| = |ln(2 pi e) + ln v| / 2, with no overflow for v up to
+    the float max."""
+    return abs(0.5 * (math.log(2.0 * math.pi * math.e) + math.log(v)))
+
+
 def objective_rounding_floor(K: float, L: float, u: float) -> float:
     """Least rounding error of the vertical-perturbation objective
     u h(X1+Z1+Z2+X2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2), N1 = 0, N2 = u.
@@ -321,78 +309,52 @@ def objective_rounding_floor(K: float, L: float, u: float) -> float:
     terms cannot resolve a change below 2^-53 times the sum of their
     magnitudes.  At small eps the entropies are those of the Gaussian laws
     of variances K+u+L, K and K+u, so the floor is
-    2^-53 (u |h(K+u+L)| + |h(K)| + (1+u) |h(K+u)|), with
-    h(v) = (ln(2 pi e) + ln v) / 2 (no overflow for v up to the float max).
+    2^-53 (u |h(K+u+L)| + |h(K)| + (1+u) |h(K+u)|).
     """
-    def h(v: float) -> float:
-        return abs(0.5 * (math.log(2.0 * math.pi * math.e) + math.log(v)))
-
+    h = _entropy_magnitude
     return 2.0**-53 * (u * h(K + u + L) + h(K) + (1.0 + u) * h(K + u))
 
 
-def _check_eps_ladder(eps: float, J: int, K: float, L: float, u: float, delta: float) -> None:
-    """Reject an eps whose ladder richardson_quadratic cannot divide by
-    (an e**2 overflows or underflows to 0), whose partner series overflows
-    (eps**J is not finite), or whose smallest eps^2 step (eps/4)**2 falls
-    below the objective's rounding floor, so that every ratio
-    (value - reference) / e**2 is rounding noise (ValueError); then one
-    whose densities go negative (NegativeDensityError), or whose closed-form
-    step |deriv_norm_balance/2| (eps/4)**2 misses the floor (ValueError)."""
-    try:
-        squares = [e**2 for e in eps_ladder(eps)]
-        eps**J
-    except OverflowError:
-        raise ValueError(f"eps too large: eps**2 or eps**J overflows at J={J}, got {eps}") from None
-    if 0.0 in squares:
-        raise ValueError(f"eps too small: (eps/4)**2 underflows to 0, got {eps}")
-    floor = objective_rounding_floor(K, L, u)
-    if squares[-1] < floor:
-        raise ValueError(
-            f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "
-            f"rounding floor {floor:.3e}, got {eps}"
-        )
-    if (
-        _min_density(perturbed_source(K, delta, eps)) < -1e-12
-        or _min_density(partner_series(L, delta, eps, J)) < -1e-12
-    ):
-        raise NegativeDensityError("eps too large: perturbed density goes negative on the grid")
-    change = abs(0.5 * deriv_norm_balance(K, u, delta)) * squares[-1]
-    if not change >= floor:  # NaN where the balance's moments leave the float range
-        raise ValueError(
-            f"eps too small: the closed-form change |deriv_norm_balance/2| (eps/4)**2 = "
-            f"{change:.3e} does not reach the objective's rounding floor {floor:.3e} at "
-            f"K={K}, u={u}, delta={delta}, got {eps}"
-        )
+class _PerturbationLadder:
+    """Validation shared by the eps ladders of the third-derivative
+    perturbation: X1 = gamma_K - eps D^3 gamma_{K-delta} against the partner
+    series on L, for the channel objective (VerticalPerturbation) and the
+    Fisher limit functional (FisherPerturbation).
 
+    A subclass is a frozen dataclass with the fields K, L, its objective's
+    own parameters, delta, eps and J.  It sets DELTA_DIVISOR (delta
+    defaults to min(K, L/J) over it), WIDEST (the parameters whose sum is
+    the variance of the widest law it tabulates) and CLOSED_FORM (the name
+    of its closed-form eps^2 coefficient), and supplies rounding_floor()
+    and closed_form(), the objective's rounding floor and that coefficient.
+    The coefficient depends on every parameter but L.  Every check runs
+    before eps is scanned, except the last two of _check_eps_ladder.
+    """
 
-@dataclass(frozen=True)
-class VerticalPerturbation:
-    """Validated parameter bundle for the density-perturbation pipeline;
-    delta defaults to min(K, L/J)/10, eps (scanned after the checks) to
-    select_epsilon's choice; either passes _check_eps_ladder."""
-
-    K: float
-    L: float
-    u: float
-    delta: Optional[float] = None
-    eps: Optional[float] = None
-    J: int = 2
+    DELTA_DIVISOR: float
+    WIDEST: tuple[str, ...]
+    CLOSED_FORM: str
 
     def __post_init__(self):
-        if self.J < 1:
-            raise ValueError("J must be >= 1")
-        _check_partner_order(self.J)
+        _check_J(self.J)
         if self.delta is None:
-            object.__setattr__(self, "delta", min(self.K, self.L / self.J) / 10.0)
-        if not all(map(math.isfinite, (self.K, self.L, self.u, self.delta))):
-            raise ValueError("K, L, u, delta must be finite")
-        for name in ("K", "L", "u", "delta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        # the widest law the objective tabulates, X1+Z2+X2, has variance K+u+L
-        _check_widest_variance(
-            self.K + self.u + self.L, "K+u+L", f"K={self.K}, u={self.u}, L={self.L}"
-        )
+            object.__setattr__(self, "delta", min(self.K, self.L / self.J) / self.DELTA_DIVISOR)
+        params = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("eps", "J")}
+        names = ", ".join(params)
+        if not all(map(math.isfinite, params.values())):
+            raise ValueError(f"{names} must be finite")
+        for name, value in params.items():
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        # 144 v is the square of the widest law's +-12 sd window in gamma_v's x*x
+        widest = sum(params[name] for name in self.WIDEST)
+        if not math.isfinite(144.0 * widest):
+            terms = "+".join(self.WIDEST)
+            values = ", ".join(f"{name}={params[name]}" for name in self.WIDEST)
+            raise ValueError(
+                f"term variance {terms} = {widest} too large: 144 ({terms}) overflows on the "
+                f"+-12 sd window ({values})"
+            )
         if not self.K - self.delta > 0:
             raise ValueError("need K - delta > 0")
         if not self.L - self.J * self.delta > 0:
@@ -400,10 +362,44 @@ class VerticalPerturbation:
         if self.eps is None:
             object.__setattr__(self, "eps", select_epsilon(self.K, self.L, self.delta, self.J))
         elif not math.isfinite(self.eps):
-            raise ValueError("K, L, u, delta, eps must be finite")
+            raise ValueError(f"{names}, eps must be finite")
         elif not self.eps > 0:
-            raise ValueError("K, L, u, delta, eps must be positive")
-        _check_eps_ladder(self.eps, self.J, self.K, self.L, self.u, self.delta)
+            raise ValueError(f"{names}, eps must be positive")
+        self._check_eps_ladder(", ".join(f"{k}={v}" for k, v in params.items() if k != "L"))
+
+    def _check_eps_ladder(self, at: str) -> None:
+        """Reject an eps whose ladder richardson_quadratic cannot divide by
+        (an e**2 overflows or underflows to 0), whose partner series
+        overflows (eps**J is not finite), or whose smallest eps^2 step
+        (eps/4)**2 falls below the objective's rounding floor, so that every
+        ratio (value - reference) / e**2 is rounding noise (ValueError); then
+        one whose densities go negative (NegativeDensityError), or whose
+        closed-form step |closed_form()| (eps/4)**2 misses the floor, so
+        that the sign of the eps^2 coefficient is undecidable (ValueError,
+        naming the closed form's parameters ``at``)."""
+        eps, J = self.eps, self.J
+        try:
+            squares = [e**2 for e in eps_ladder(eps)]
+            eps**J
+        except OverflowError:
+            raise ValueError(f"eps too large: eps**2 or eps**J overflows at J={J}, got {eps}") from None
+        if 0.0 in squares:
+            raise ValueError(f"eps too small: (eps/4)**2 underflows to 0, got {eps}")
+        floor = self.rounding_floor()
+        if squares[-1] < floor:
+            raise ValueError(
+                f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "
+                f"rounding floor {floor:.3e}, got {eps}"
+            )
+        if _min_density(self.x1()) < -1e-12 or _min_density(self.x2()) < -1e-12:
+            raise NegativeDensityError("eps too large: perturbed density goes negative on the grid")
+        change = abs(self.closed_form()) * squares[-1]
+        if not change >= floor:  # NaN where the closed form's terms are both infinite
+            raise ValueError(
+                f"eps too small: the closed-form change |{self.CLOSED_FORM}| (eps/4)**2 = "
+                f"{change:.3e} does not reach the objective's rounding floor {floor:.3e} at "
+                f"{at}, got {eps}"
+            )
 
     def x1(self, eps: Optional[float] = None) -> GaussDerivMixture:
         return perturbed_source(self.K, self.delta, self.eps if eps is None else eps)
@@ -412,6 +408,32 @@ class VerticalPerturbation:
         return partner_series(
             self.L, self.delta, self.eps if eps is None else eps, self.J
         )
+
+
+@dataclass(frozen=True)
+class VerticalPerturbation(_PerturbationLadder):
+    """Validated parameter bundle for the density-perturbation pipeline;
+    delta defaults to min(K, L/J)/10, eps to select_epsilon's choice;
+    either passes the checks of _PerturbationLadder, against
+    objective_rounding_floor and deriv_norm_balance/2."""
+
+    K: float
+    L: float
+    u: float
+    delta: Optional[float] = None
+    eps: Optional[float] = None
+    J: int = 2
+
+    DELTA_DIVISOR = 10.0
+    # the widest law the objective tabulates, X1+Z2+X2, has variance K+u+L
+    WIDEST = ("K", "u", "L")
+    CLOSED_FORM = "deriv_norm_balance/2"
+
+    def rounding_floor(self) -> float:
+        return objective_rounding_floor(self.K, self.L, self.u)
+
+    def closed_form(self) -> float:
+        return 0.5 * deriv_norm_balance(self.K, self.u, self.delta)
 
 
 def richardson_quadratic(
@@ -470,34 +492,50 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
 
 
 # ----------------------------------------------------------------------
-# Weighted derivative-norm balance and the stability root
+# Weighted derivative norms, the balance and the stability root
 # ----------------------------------------------------------------------
+
+
+def _weighted_sq_norm(R: Sequence[float], v: float, b: float) -> float:
+    """int (R(z) gamma_v(x))^2 / gamma_b(x) dx, z = x/sqrt(v), for the
+    polynomial R (ascending coefficients) and 0 < v <= b.
+
+    In z, gamma_v^2/gamma_b dx is sqrt(s/r) times the N(0, s) density dz,
+    with r = v/b and s = 1/(2 - r), so the integral is
+    sqrt(s/r) E[R(Z)^2], Z ~ N(0, s): a finite sum of Gaussian moments.
+    With R from gauss_deriv_poly(m, 1.0), which is (-1)^m He_m (DLMF
+    §18.9), D^m gamma_v = v^{-m/2} R(z) gamma_v, so
+    int (D^m gamma_v)^2/gamma_b is this norm over v^m.  Since r lies in
+    (0, 1] and s in (1/2, 1], no moment leaves the float range at any v.
+    """
+    r = v / b
+    s = 1.0 / (2.0 - r)
+    n = len(R)
+    square = [
+        sum(R[i] * R[j - i] for i in range(max(0, j - n + 1), min(j, n - 1) + 1))
+        for j in range(2 * n - 1)
+    ]
+    return math.sqrt(s / r) * sum(c * gauss_raw_moment(j, s) for j, c in enumerate(square))
 
 
 def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
     """-int (D^3 gamma_{K-delta})^2/gamma_K
-    + (1+u) int (D^3 gamma_{K+u-delta})^2/gamma_{K+u}, as exact Gaussian moments.
+    + (1+u) int (D^3 gamma_{K+u-delta})^2/gamma_{K+u}.
 
-    With v = base - delta, (D^3 gamma_v)^2/gamma_base = P^2 gamma_v^2/gamma_base
-    for the polynomial P of D^3 gamma_v, and gamma_v^2/gamma_base is
-    sqrt(base s2)/v times the N(0, s2) density, s2 = v base/(2 base - v).
+    Each integral is _weighted_sq_norm(He_3; v, base)/v^3 with
+    v = base - delta, divided by v one factor at a time (v**3 raises
+    OverflowError from v of about 5.6e102), so the balance underflows to
+    0, not NaN, at large K.
     At delta = 0 the exact value is -6/K^3 + 6(1+u)/(K+u)^3; positivity is
     the second-order gain condition of the vertical perturbation.
     """
     if K - delta <= 0:
         raise ValueError("need K - delta > 0")
+    he3 = gauss_deriv_poly(3, 1.0).tolist()
 
     def sq_norm(base: float) -> float:
         v = base - delta
-        s2 = v * base / (2.0 * base - v)
-        # P^2 in plain floats, trailing zeros dropped as numpy.polynomial's
-        # polymul does (their moments could overflow), without its import
-        p = gauss_deriv_poly(3, v).tolist()
-        p2 = [sum(p[i] * p[j - i] for i in range(max(0, j - 3), min(j, 3) + 1)) for j in range(7)]
-        while len(p2) > 1 and p2[-1] == 0.0:
-            p2.pop()
-        moments = sum(c * gauss_raw_moment(j, s2) for j, c in enumerate(p2))
-        return math.sqrt(base * s2) / v * float(moments)
+        return _weighted_sq_norm(he3, v, base) / v / v / v
 
     return -sq_norm(K) + (1.0 + u) * sq_norm(K + u)
 
@@ -558,6 +596,63 @@ def fisher_stationary_variance(L: float) -> float:
     return L / (L - 1.0)
 
 
+def limit_rounding_floor(K: float, L: float) -> float:
+    """Least rounding error of the limit functional h(X+Y) - h(X) - J(X)/2
+    near X = gamma_K, Y of variance L: 2^-53 times the sum of its terms'
+    magnitudes, 2^-53 (|h(K+L)| + |h(K)| + 1/(2K)), as in
+    objective_rounding_floor."""
+    h = _entropy_magnitude
+    return 2.0**-53 * (h(K + L) + h(K) + 1.0 / (2.0 * K))
+
+
+def fisher_limit_coefficient(K: float, delta: float) -> float:
+    """Closed-form eps^2 coefficient of the limit functional at
+    X = gamma_K - eps a, a = D^3 gamma_v, v = K - delta, with the partner
+    that keeps h(X+Y) fixed to O(eps^{2(J+1)}):
+    c = 1/2 [int a^2/gamma_K - int gamma_K ((a/gamma_K)')^2].
+
+    The first term is -h's and the second -J/2's second variation.
+    gamma_K (a/gamma_K)' = a' + (x/K) a = v^{-2} (He_4 - r z He_3) gamma_v
+    with z = x/sqrt(v) and r = v/K, so
+    c = 1/2 [N(He_3)/v^3 - N(He_4 - r z He_3)/v^4] in the norm N of
+    _weighted_sq_norm.  At delta = 0 it is (3/K^3)(1 - 3/K), positive iff
+    K > 3.
+    """
+    v = K - delta
+    r = v / K
+    d3 = gauss_deriv_poly(3, 1.0).tolist()  # -He_3
+    d4 = gauss_deriv_poly(4, 1.0).tolist()  # He_4
+    shifted = [a + r * b for a, b in zip(d4, [0.0, *d3])]
+    return 0.5 * (
+        _weighted_sq_norm(d3, v, K) / v / v / v - _weighted_sq_norm(shifted, v, K) / v / v / v / v
+    )
+
+
+@dataclass(frozen=True)
+class FisherPerturbation(_PerturbationLadder):
+    """Validated parameter bundle for the limit functional's perturbation;
+    delta defaults to min(K, L/J)/20, eps to select_epsilon's choice;
+    either passes the checks of _PerturbationLadder, against
+    limit_rounding_floor and fisher_limit_coefficient."""
+
+    K: float
+    L: float
+    delta: Optional[float] = None
+    eps: Optional[float] = None
+    J: int = 2
+
+    DELTA_DIVISOR = 20.0
+    # the widest law the functional tabulates, X+Y, has variance K+L
+    WIDEST = ("K", "L")
+    CLOSED_FORM = "fisher_limit_coefficient"
+
+    def rounding_floor(self) -> float:
+        return limit_rounding_floor(self.K, self.L)
+
+    def closed_form(self) -> float:
+        return fisher_limit_coefficient(self.K, self.delta)
+
+
 @dataclass(frozen=True)
 class FisherLimitGain:
     L: float
@@ -566,6 +661,7 @@ class FisherLimitGain:
     gaussian_value: float
     gains: tuple[float, float, float]
     quadratic_coeff: float
+    closed_form: float
 
 
 def fisher_limit_gain(
@@ -580,33 +676,23 @@ def fisher_limit_gain(
 
     X is perturbed by -eps D^3 gamma_{K-delta}; Y is the partner series,
     which keeps E[Y^2] = L exactly and neutralizes h(X+Y) up to
-    O(eps^{2(J+1)}).  The quadratic coefficient is positive exactly in the
-    low-budget window where the stationary variance K = L/(L-1) exceeds 3.
+    O(eps^{2(J+1)}).  The parameters pass FisherPerturbation's checks, so
+    eps0 moves the functional by at least its rounding floor; the eps^2
+    coefficient's closed form is fisher_limit_coefficient(K, delta).
     """
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
-    _check_partner_order(J)
-    K = fisher_stationary_variance(L)
-    # the widest law it tabulates, X+Y, has variance K+L
-    _check_widest_variance(K + L, "K+L", f"K={K}, L={L}")
-    if delta is None:
-        delta = min(K, L / J) / 20.0
-    if eps0 is None:
-        eps0 = select_epsilon(K, L, delta, J)
-    gaussian_value = fisher_limit_gaussian(K, L)
+    fp = FisherPerturbation(K=fisher_stationary_variance(L), L=L, delta=delta, eps=eps0, J=J)
+    gaussian_value = fisher_limit_gaussian(fp.K, L)
     values, coeff = richardson_quadratic(
-        lambda eps: limit_functional(
-            [(perturbed_source(K, delta, e), partner_series(L, delta, e, J)) for e in eps],
-            n=n,
-        ),
+        lambda eps: limit_functional([(fp.x1(e), fp.x2(e)) for e in eps], n=n),
         gaussian_value,
-        eps0,
+        fp.eps,
     )
     return FisherLimitGain(
         L=L,
-        K=K,
-        eps0=eps0,
+        K=fp.K,
+        eps0=fp.eps,
         gaussian_value=gaussian_value,
         gains=tuple(v - gaussian_value for v in values),
         quadratic_coeff=coeff,
+        closed_form=fp.closed_form(),
     )

@@ -687,7 +687,7 @@ def constant_power_gap(
     # mirror-image interferer, the orientation with the positive skew gain
     x2 = recipe.q.scaled(math.sqrt(t)).reflected()
     [c] = cx.interference_objective(
-        cx.ChannelParams(u=u, N1=N1, N2=N2, A2=N2 + 1e-9), [(x1p, x2)], n=n
+        cx.ChannelParams(u=u, N1=N1, N2=N2), [(x1p, x2)], n=n
     )
     if c <= 1e-6:
         raise WitnessUnavailableError(

@@ -16,7 +16,7 @@ import numpy as np
 from ziclab import hkregion as hk
 from ziclab.counterexamples import VerticalPerturbation
 from ziclab.entropy import GridDensity, differential_entropy, gaussian_entropy, mixture_entropy, mixture_to_grid
-from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
+from ziclab.gaussmix import MAX_ORDER, GaussMixture, gauss_deriv_poly, gauss_raw_moment, gaussian
 
 # ----------------------------------------------------------------------
 # Hermite-weighted norms and the outer-entropy defect
@@ -30,6 +30,24 @@ def hermite_weighted_norm(k: int, K: float) -> float:
     if k < 0 or k > MAX_ORDER:
         raise ValueError(f"k must be in [0, {MAX_ORDER}]")
     return math.factorial(k) / K**k
+
+
+def moment_sum_sq_norm(base: float, delta: float) -> float:
+    """int (D^3 gamma_v)^2 / gamma_base, v = base - delta, as Gaussian
+    moments in x: (D^3 gamma_v)^2/gamma_base = P^2 gamma_v^2/gamma_base for
+    the polynomial P of D^3 gamma_v, and gamma_v^2/gamma_base is
+    sqrt(base s2)/v times the N(0, s2) density, s2 = v base/(2 base - v).
+
+    P's leading coefficient is -1/v^3, so its square underflows past
+    v of about 3e51, and v base overflows past about 1.3e154."""
+    v = base - delta
+    s2 = v * base / (2.0 * base - v)
+    p = gauss_deriv_poly(3, v).tolist()
+    p2 = [sum(p[i] * p[j - i] for i in range(max(0, j - 3), min(j, 3) + 1)) for j in range(7)]
+    while len(p2) > 1 and p2[-1] == 0.0:
+        p2.pop()
+    moments = sum(c * gauss_raw_moment(j, s2) for j, c in enumerate(p2))
+    return math.sqrt(base * s2) / v * moments
 
 
 def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) -> float:

@@ -270,7 +270,7 @@ def test_criterion_09_volume_ratio_sweep():
     t0 = time.time()
     sweep_ok = all(geo.volume_ratio(t) > 1.0 for t in np.arange(20.0, 201.0, 10.0))
     ball_ok = all(
-        geo.volume_ratio(t, round_interferer=True) <= 1.0 + 1e-9
+        geo.volume_ratio(t, round_interferer=True) <= 1.0
         for t in np.arange(20.0, 201.0, 10.0)
     )
     coeff = geo.ratio_leading_coefficient()

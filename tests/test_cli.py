@@ -124,17 +124,19 @@ def test_geometry_report(capsys):
     payload = json.loads(out)
     data_rows = [r for r in payload["results"] if "t" in r]
     assert all(r["ratio"] > 1 for r in data_rows)
-    assert all(r["ratio_round_interferer"] <= 1 + 1e-9 for r in data_rows)
+    assert all(r["ratio_round_interferer"] <= 1.0 for r in data_rows)
     assert all(c["passed"] for c in payload["checks"])
 
 
 def test_geometry_large_t_ratio_exceeds_one(capsys):
     # summed polygon areas cancel here: they give ratio 0.9999999999999555
-    # at t = 1e13, where it is 1 + 1.1e-14, and exit 3
-    code, out = run_cli(["geometry", "--t", "1e13,1e14"], capsys)
+    # at t = 1e13, where it is 1 + 1.1e-14, and exit 3; from t = 1e16 on
+    # the exact ratio rounds to 1.0, and "ratio_gt_1" read false (exit 3)
+    code, out = run_cli(["geometry", "--t", "1e13,1e14,1e16,5.7e76"], capsys)
     assert code == 0
     rows = json.loads(out)["results"][:-1]
-    assert [r["t"] for r in rows] == [1e13, 1e14]
+    assert [r["t"] for r in rows] == [1e13, 1e14, 1e16, 5.7e76]
+    assert [r["ratio"] == 1.0 for r in rows] == [False, False, True, True]
     assert all(r["ratio_gt_1"] for r in rows)
 
 
@@ -343,9 +345,9 @@ def test_vertical_sign_is_the_closed_form_sign(line, capsys):
         # K = 9.0e15: the closed-form coefficient is 4.1e-48, and every value
         # read 0.0, so the eps^2 coefficient was 0 against an unstable K
         (["--L", "1.0000000000000002"], "6.264e-53"),
-        # the balance's moments leave the float range; its true value, about
-        # 3/K^3, underflows
-        (["--K", "1.24e306", "--L", "2", "--eps", "1e-3", "--n", "1024"], "nan"),
+        # the balance's true value, about 3/K^3, underflows to 0 (its moment
+        # sum in x once overflowed and read nan)
+        (["--K", "1.24e306", "--L", "2", "--eps", "1e-3", "--n", "1024"], "0.000e+00"),
     ],
 )
 def test_vertical_sign_below_rounding_floor_exit_2(argv, change, capsys):
@@ -457,7 +459,7 @@ def test_verify_vertical_non_finite_exit_2_before_eps_scan(argv, message, capsys
 def test_verify_vertical_J_below_one_exit_2(capsys):
     # the default delta divides by J
     assert main(["verify-vertical", "--J", "0"]) == 2
-    assert capsys.readouterr().err == "ziclab: J must be >= 1\n"
+    assert capsys.readouterr().err == "ziclab: J must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv", [["verify-vertical", "--J", "21"], ["limit-functional", "--J", "21"]])
@@ -479,11 +481,14 @@ def test_small_u_threshold_and_classification(capsys):
     code, out = run_cli(["phase-diagram", "--u", "1e-15", "--L", "1.6"], capsys)
     assert code == 0 and json.loads(out)["results"][0]["classification"] == "stable"
     # the eps^2 change of the perturbation is O(u), far below the rounding
-    # floor: its measured sign was noise (-7e-11) that happened to match
+    # floor: its measured sign was noise (-7e-11) that happened to match.
+    # The closed form itself is a difference of two O(1) terms here, so its
+    # float value is rounding noise too: 1.1e-22 (3.2e-22 from the moment sum
+    # in x) against a true 7.8e-23 (50-digit mpmath), all far below the floor
     assert main(["verify-vertical", "--u", "1e-15", "--L", "1.6"]) == 2
     assert capsys.readouterr().err == (
         "ziclab: eps too small: the closed-form change |deriv_norm_balance/2| (eps/4)**2 = "
-        "3.176e-22 does not reach the objective's rounding floor 4.240e-16 at "
+        "1.059e-22 does not reach the objective's rounding floor 4.240e-16 at "
         "K=2.6666666666666683, u=1e-15, delta=0.08, got 0.0078125\n"
     )
 
@@ -773,7 +778,7 @@ EAGER_EXPORTS = """
     ChannelParams DerivTerm GaussDerivMixture GaussMixture GridDensity
     GridTooSmallError HKParams HermiteCoeffVector HessianReport LocalOptimalityCertificate
     NegativeDensityError NoGaussianMaxError NonNormalizedError
-    NotApplicableError NotStationaryError PowerViolationError RecipeRejectedError
+    NotApplicableError NotStationaryError RecipeRejectedError
     SkewRecipe VerticalPerturbation WitnessUnavailableError capped_gauss_objective
     constant_power_gap counterexamples default_recipe deriv_norm_balance differential_entropy
     eigenvalue_bound_audit entropy fisher_information fisher_limit_gain fixed_power_value
@@ -854,7 +859,7 @@ def test_hk_region_table(capsys):
     payload = json.loads(out)
     rows = payload["results"]
     assert len(rows) == 4
-    assert all(r["g1"] >= r["f1"] - 1e-9 for r in rows)
+    assert all(r["g1"] >= r["f1"] for r in rows)
 
 
 def test_hk_region_readme_cells_g1_majorizes_f1_exactly(capsys):
@@ -877,6 +882,29 @@ def test_limit_functional_cli(capsys):
     assert rows[0]["perturbation_beats_gaussian"] is True
     assert rows[1]["perturbation_beats_gaussian"] is False
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_limit_functional_sign_is_the_closed_form_sign(capsys):
+    # K = 3.0004 > 3, yet at delta = 0.0375 the closed form is -4.30e-5 and
+    # the grid reads -4.42e-5: the K > 3 rule called it a failure (exit 3)
+    code, out = run_cli(["limit-functional", "--L", "1.4999", "--n", "8192"], capsys)
+    rep = json.loads(out)
+    closed = cx.fisher_limit_coefficient(rep["results"][0]["K"], 1.4999 / 2 / 20)
+    assert code == 0
+    assert [c["name"] for c in rep["checks"]] == ["gain_sign_L=1.4999"]
+    assert f"closed form {closed:+.3e}" in rep["checks"][0]["detail"]
+    assert closed == pytest.approx(-4.304e-5, rel=1e-3)
+
+
+def test_limit_functional_sign_below_rounding_floor_exit_2(capsys):
+    # K = 10001: no eps ladder resolves c = 3.0e-12, and the grid read
+    # -8.6e-11 against the K > 3 rule (exit 3)
+    assert main(["limit-functional", "--L", "1.0001", "--n", "1024"]) == 2
+    assert capsys.readouterr().err == (
+        "ziclab: eps too small: the closed-form change |fisher_limit_coefficient| (eps/4)**2 = "
+        "4.575e-17 does not reach the objective's rounding floor 1.338e-15 at "
+        "K=10001.0000000011, delta=0.0250025, got 0.015625\n"
+    )
 
 
 def test_constant_power_gap_cli(capsys):

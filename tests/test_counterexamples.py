@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from _oracles import outer_entropy_defect
+from _oracles import moment_sum_sq_norm, outer_entropy_defect
 from ziclab import counterexamples as cx
 from ziclab import gaussmix
 from ziclab.entropy import NegativeDensityError, gaussian_entropy, mixture_entropy, mixture_to_grid
@@ -39,7 +40,7 @@ def balance_closed_form(K: float, u: float, delta: float) -> float:
 
 
 def test_gaussian_objective_vanishes_from_below():
-    params = cx.ChannelParams(u=1.0, N1=0.0, N2=1.0, A2=1.0)
+    params = cx.ChannelParams(u=1.0, N1=0.0, N2=1.0)
     prev = -math.inf
     for K in (10.0, 100.0, 1000.0):
         [val] = cx.interference_objective(params, [(gaussian(K), gaussian(1.0))], n=8192)
@@ -50,7 +51,7 @@ def test_gaussian_objective_vanishes_from_below():
 
 
 def test_objective_matches_closed_form_on_grid():
-    params = cx.ChannelParams(u=1.0, N1=0.3, N2=1.0, A2=100.0)
+    params = cx.ChannelParams(u=1.0, N1=0.3, N2=1.0)
     for K in (0.5, 1.0, 2.0, 4.0, 8.0):
         for Lv in (0.5, 1.0, 2.0, 4.0, 8.0):
             [num] = cx.interference_objective(params, [(gaussian(K), gaussian(Lv))], n=8192)
@@ -58,23 +59,15 @@ def test_objective_matches_closed_form_on_grid():
             assert num == pytest.approx(closed, abs=1e-6)
 
 
-def test_power_violation():
-    params = cx.ChannelParams(u=1.0, N2=1.0, A2=0.5)
-    with pytest.raises(cx.PowerViolationError):
-        cx.interference_objective(params, [(gaussian(1.0), gaussian(1.0))])
-
-
 @pytest.mark.parametrize(
     "kwargs",
-    [{"u": math.nan}, {"u": 1.0, "N1": math.inf}, {"u": 1.0, "N2": math.nan},
-     {"u": 1.0, "A2": math.nan}],
+    [{"u": math.nan}, {"u": 1.0, "N1": math.inf}, {"u": 1.0, "N2": math.nan}],
 )
 def test_channel_params_reject_non_finite(kwargs):
     # no CLI input reaches ChannelParams unvalidated: constant-power-gap
     # builds it from HKParams, which rejects the same values first
     with pytest.raises(ValueError):
         cx.ChannelParams(**kwargs)
-    assert cx.ChannelParams(u=1.0).A2 == math.inf  # inf means no power constraint
 
 
 def test_recipe_objective_positive_at_small_t(recipe):
@@ -82,7 +75,7 @@ def test_recipe_objective_positive_at_small_t(recipe):
     # X2 ~ mirrored q unscaled, sqrt(t) X1 ~ p, N2 = m2(q)
     t = 0.01
     m2 = recipe.q.second_moment()
-    params = cx.ChannelParams(u=1.0, N1=0.0, N2=m2, A2=m2 + 1e-9)
+    params = cx.ChannelParams(u=1.0, N1=0.0, N2=m2)
     x1 = recipe.p.scaled(1.0 / math.sqrt(t))
     x2 = recipe.q.reflected()
     [val] = cx.interference_objective(params, [(x1, x2)], n=8192)
@@ -485,6 +478,37 @@ def test_balance_matches_adaptive_quadrature():
         assert cx.deriv_norm_balance(K, u, d) == pytest.approx(expected, rel=1e-10)
 
 
+def test_balance_matches_the_moment_sum_in_x():
+    # the standardized kernel against the moment sum in x it replaced, within
+    # 16 ulps of the terms' magnitude sum (10.1 measured); past K = 1e50 the
+    # oracle's squared 1/v^3 coefficient runs into the subnormals
+    rng = np.random.default_rng(18)
+    for _ in range(5000):
+        K = 10.0 ** rng.uniform(-3.0, 50.0)
+        u = 10.0 ** rng.uniform(-3.0, 3.0)
+        delta = K * rng.uniform(0.0, 0.99)
+        t1 = moment_sum_sq_norm(K, delta)
+        t2 = (1.0 + u) * moment_sum_sq_norm(K + u, delta)
+        bound = 16 * 2.0**-52 * (abs(t1) + abs(t2))
+        assert abs(cx.deriv_norm_balance(K, u, delta) - (t2 - t1)) <= bound, (K, u, delta)
+
+
+@pytest.mark.parametrize("K", [1e160, 1e306])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_balance_underflows_to_zero_at_large_K(K, delta):
+    # the moment sum in x read nan from K = 1.34e154: v * base overflowed
+    assert cx.deriv_norm_balance(K, 1.0, delta) == 0.0
+
+
+def test_stability_root_unchanged_from_the_moment_sum(monkeypatch):
+    roots = {u: cx.stability_root(u, tol=1e-8) for u in (0.001, 0.5, 1.0, 2.0, 7.0, 100.0)}
+    monkeypatch.setattr(
+        cx, "deriv_norm_balance",
+        lambda K, u, d=0.0: -moment_sum_sq_norm(K, d) + (1 + u) * moment_sum_sq_norm(K + u, d),
+    )
+    assert roots == {u: cx.stability_root(u, tol=1e-8) for u in roots}
+
+
 def test_stability_root_matches_threshold():
     for u in (0.5, 1.0, 2.0):
         root = cx.stability_root(u, tol=1e-8)
@@ -554,6 +578,91 @@ def test_stationary_variance_is_maximum():
     base = cx.fisher_limit_gaussian(k0, L)
     for k in (0.8 * k0, 1.2 * k0):
         assert cx.fisher_limit_gaussian(k, L) < base
+
+
+def mp_fisher_coefficient(K: float, delta: float):
+    """1/2 int [a^2 - (a' + x a/K)^2] / gamma_K, a = D^3 gamma_{K-delta},
+    by 30-digit quadrature: -h's and -J/2's second variations."""
+    with mpmath.workdps(30):
+        K, v = mpmath.mpf(K), mpmath.mpf(K) - mpmath.mpf(delta)
+
+        def gauss(x, w):
+            return mpmath.exp(-x * x / (2 * w)) / mpmath.sqrt(2 * mpmath.pi * w)
+
+        def f(x):
+            a = -(x**3 / v**3 - 3 * x / v**2) * gauss(x, v)
+            da = (x**4 / v**4 - 6 * x**2 / v**3 + 3 / v**2) * gauss(x, v)
+            return (a * a - (da + x * a / K) ** 2) / gauss(x, K)
+
+        return mpmath.quad(f, [-mpmath.inf, 0, mpmath.inf]) / 2
+
+
+# the README's limit-functional L at J = 2, delta = min(K, L/J)/20
+FISHER_COEFFICIENTS = {
+    1.2: 0.0069447337773047299,
+    1.6: -0.019931292756235835,
+    2.0: -0.18926262744159333,
+}
+
+
+@pytest.mark.parametrize("L", FISHER_COEFFICIENTS)
+def test_fisher_coefficient_matches_mpmath(L):
+    K = cx.fisher_stationary_variance(L)
+    delta = min(K, L / 2) / 20.0
+    exact = mp_fisher_coefficient(K, delta)
+    assert float(exact) == pytest.approx(FISHER_COEFFICIENTS[L], rel=1e-15)
+    assert cx.fisher_limit_coefficient(K, delta) == pytest.approx(float(exact), rel=1e-13)
+
+
+@pytest.mark.parametrize("K", [0.5, 2.0, 3.0, 6.0, 1e3, 1e100])
+def test_fisher_coefficient_at_delta_0(K):
+    # the abstract's window: positive iff K > 3; to rounding of its two terms
+    expected = 3.0 / K**3 * (1.0 - 3.0 / K)
+    bound = 8 * 2.0**-52 * (6.0 / K**3 + 18.0 / K**3 / K) / 2
+    assert abs(cx.fisher_limit_coefficient(K, 0.0) - expected) <= bound
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"J": 0}, "J must be >= 1, got 0"),
+        ({"L": math.nan}, "K, L, delta must be finite"),
+        ({"delta": -0.1}, "delta must be positive, got -0.1"),
+        ({"delta": 7.0}, r"need K - delta > 0"),
+        ({"delta": 1.0}, r"need L - J\*delta > 0"),
+        ({"eps0": math.nan}, "K, L, delta, eps must be finite"),
+        ({"eps0": 0.0}, "K, L, delta, eps must be positive"),
+        ({"eps0": 1e200, "J": 1}, r"eps too large: .* overflows at J=1, got 1e\+200"),
+        ({"eps0": 1e-8}, r"eps too small: \(eps/4\)\*\*2 = 6.250e-18 is below the objective's rounding floor "
+                         r"5.334e-16, got 1e-08"),
+    ],
+)
+def test_fisher_limit_gain_runs_the_ladder_checks(kwargs, message, monkeypatch):
+    # the checks of VerticalPerturbation, before any density is tabulated
+    def no_tabulation(*args, **kwargs):
+        raise AssertionError("a density was tabulated for a rejected parameter")
+
+    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", no_tabulation)
+    with pytest.raises(ValueError, match=message):
+        cx.fisher_limit_gain(**{"L": 1.2, **kwargs})
+
+
+def test_fisher_limit_gain_rejects_an_undecidable_sign():
+    # K = 10001: c = 3.0e-12, whose change at (eps/4)^2 is below the floor;
+    # the grid once read -8.6e-11 here and called the K > 3 rule broken
+    with pytest.raises(ValueError, match=r"closed-form change \|fisher_limit_coefficient\| "
+                                         r"\(eps/4\)\*\*2 = 4.575e-17 does not reach"):
+        cx.fisher_limit_gain(1.0001, n=1024)
+    with pytest.raises(NegativeDensityError):
+        cx.fisher_limit_gain(1.2, eps0=0.5, n=1024)
+
+
+def test_fisher_limit_gain_reports_its_closed_form():
+    # the grid's Fisher information takes p' from np.gradient, so the
+    # extrapolated coefficient is off by about 2e-5 relative at n = 16384
+    res = cx.fisher_limit_gain(1.2)
+    assert res.closed_form == cx.fisher_limit_coefficient(res.K, min(res.K, 0.6) / 20.0)
+    assert res.quadratic_coeff == pytest.approx(res.closed_form, rel=1e-4)
 
 
 def test_fisher_limit_gain_signs():

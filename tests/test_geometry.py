@@ -4,14 +4,22 @@
 import math
 import warnings
 
+import contextlib
+import io
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
+
+from ziclab.cli import main
 
 from ziclab.geometry import (
     RATIO_COEFFICIENT_EXACT,
     T_MAX,
+    area_gap,
     ratio_leading_coefficient,
     volume_ratio,
 )
@@ -94,7 +102,7 @@ def test_volume_ratio_exceeds_one_on_sweep():
 
 def test_volume_ratio_ball_control():
     for t in np.arange(10.0, 201.0, 10.0):
-        assert volume_ratio(t, round_interferer=True) <= 1.0 + 1e-9
+        assert volume_ratio(t, round_interferer=True) <= 1.0
 
 
 def test_volume_ratio_tends_to_one():
@@ -137,3 +145,41 @@ def test_volume_ratio_finite_up_to_t_max():
         for t in (math.nextafter(T_MAX, math.inf), 1e100, 1e300):
             with pytest.raises(ValueError, match="t must be at most"):
                 volume_ratio(t)
+
+
+def mp_area_gap(t, round_interferer):
+    """area(tK+B+L) area(tK) - area(tK+B)^2 from the Steiner areas, unexpanded:
+    the t^4 terms cancel, so up to T_MAX = 5.8e76 it needs 400 digits."""
+    with mpmath.workdps(400):
+        t = mpmath.mpf(t)
+        pi = mpmath.pi
+        kb = t * t + 2 * t + pi / 4
+        if round_interferer:
+            kbl = t * t + 4 * t + pi
+        else:
+            kbl = t * t + t * pi * mpmath.sqrt(2) / 2 + pi**2 / 16 + 2 * t + pi / 2 + pi / 4
+        return kbl * t * t - kb * kb
+
+
+def test_area_gap_has_the_sign_of_the_exact_gap():
+    # the expanded polynomial against the unexpanded areas; the ratio itself
+    # rounds to 1 from t of about 3e15 on (the round one from about 1e8)
+    for t in [*np.logspace(-3.0, math.log10(T_MAX), 400), T_MAX, 12.85, 12.86]:
+        t = min(float(t), T_MAX)
+        for round_interferer in (False, True):
+            assert (area_gap(t, round_interferer) > 0) == (mp_area_gap(t, round_interferer) > 0)
+    assert area_gap(12.85) < 0 < area_gap(12.86)
+    for t in (0.0, -1.0, math.nextafter(T_MAX, math.inf)):
+        with pytest.raises(ValueError, match="t must be"):
+            area_gap(t)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.floats(min_value=0.0, max_value=T_MAX, exclude_min=True))
+@example(1e16)
+@example(5e-324)
+@example(T_MAX)
+def test_geometry_passes_its_checks_for_every_t(t):
+    # the ratio's rounding decided the signs: t = 1e16 exited 3
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["geometry", "--t", repr(t)]) == 0

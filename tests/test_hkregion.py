@@ -872,6 +872,23 @@ def test_f2_split_beats_symmetric_half():
     assert res.value >= 2 * half - 1e-8
 
 
+def test_power_control_cell_g1_majorizes_f1_exactly():
+    # the LP clamps g1 to the table node f1 at q, so hk-region's
+    # envelope_majorizes check needs no tolerance
+    # (7 of the 300 cells have envelope support on the lattice edge, so no
+    # g1: they raise GridTooSmallError, and hk-region exits 2)
+    rng = np.random.default_rng(18)
+    decided = 0
+    for u, N1, q1, q2 in np.exp(rng.uniform(-8.0, 8.0, (300, 4))):
+        try:
+            c = hk.power_control_cell(float(q1), float(q2), hk.HKParams(u=float(u), N1=float(N1)), 33)
+        except hk.GridTooSmallError:
+            continue
+        decided += 1
+        assert c.g1 >= c.f1, (u, N1, q1, q2)
+    assert decided == 293
+
+
 # ----------------------------------------------------------------------
 # constant-power comparison
 # ----------------------------------------------------------------------
@@ -928,6 +945,16 @@ def test_constant_power_gap_computes_each_entropy_once(monkeypatch):
     monkeypatch.setattr(cx, "mixture_entropy", counted)
     hk.constant_power_gap(hk.HKParams(u=1.0, N1=1.0, N2=0.05))
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("N2", [0.01, 0.02, 0.05, 0.1])
+def test_constant_power_gap_witness_meets_the_power_exactly(N2):
+    # X2 is the recipe's q scaled by sqrt(N2/m2(q)), so E[X2^2] = N2 up to
+    # the roundings of t, sqrt(t)^2 and the moment sum: at most 5 ulps over
+    # 20 000 log-uniform N2 in [1e-12, 1e12]; the objective's former power
+    # test allowed 1e-9 over N2
+    res = hk.constant_power_gap(hk.HKParams(u=1.0, N1=1.0, N2=N2), n=2048)
+    assert abs(res.q2 - N2) <= 8 * math.ulp(N2)
 
 
 @pytest.mark.parametrize("A", [math.nan, math.inf, -1.0])
