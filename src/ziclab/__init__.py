@@ -40,6 +40,8 @@ _EXPORTS = {
         "RecipeRejectedError",
         "SkewRecipe",
         "VerticalPerturbation",
+        "WitnessUnavailableError",
+        "constant_power_gap",
         "default_recipe",
         "deriv_norm_balance",
         "fisher_limit_gain",
@@ -55,6 +57,7 @@ _EXPORTS = {
         "HessianReport",
         "LocalOptimalityCertificate",
         "NotStationaryError",
+        "capped_gauss_objective",
         "hessian_quadratic_form",
         "local_optimality_radius",
         "phase_diagram",
@@ -65,9 +68,6 @@ _EXPORTS = {
         "GridTooSmallError",
         "HKParams",
         "NotApplicableError",
-        "WitnessUnavailableError",
-        "capped_gauss_objective",
-        "constant_power_gap",
         "eigenvalue_bound_audit",
         "fixed_power_value",
         "maximizer_bound_check",

@@ -44,18 +44,35 @@ def _number(text: str, kind=float):
 
 def parse_values(text: str) -> list[float]:
     """Parse 'lo:hi:step' sweeps, comma lists, or a single number; every
-    value must be finite, and a comma list must hold at least one."""
+    value must be finite, and a comma list must hold at least one.
+
+    A range holds the values lo + i step, i = 0, 1, ..., for every i with
+    i step <= hi - lo in the exact decimal values of the three texts (a
+    text that rounds to the float 0 counts as 0), so 1.1:4:0.1 gives 30
+    values and ends at 4 within rounding.  A range whose count passes the
+    float range is rejected."""
     text = text.strip()
     if ":" in text:
+        from fractions import Fraction
+
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad range '{text}', want lo:hi:step")
         lo, hi, step = (_number(p) for p in parts)
         if not all(map(math.isfinite, (lo, hi, step))):
             raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
-        if step <= 0 or hi < lo:
+        # Fraction of a text like 1e-999999999, which rounds to 0, would
+        # build a huge power of ten
+        f_lo, f_hi, f_step = (
+            Fraction(p) if v else Fraction(0) for p, v in zip(parts, (lo, hi, step))
+        )
+        if f_step <= 0 or f_hi < f_lo:
             raise argparse.ArgumentTypeError(f"bad range '{text}'")
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        n = (f_hi - f_lo) // f_step + 1
+        if n > sys.float_info.max:
+            raise argparse.ArgumentTypeError(
+                f"bad range '{text}': non-finite value count (hi-lo)/step + 1"
+            )
         return [lo + i * step for i in range(n)]
     if "," in text:
         values = [_number(p) for p in text.split(",") if p.strip()]
@@ -488,10 +505,10 @@ def cmd_theorem4_audit(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
-    from . import hkregion as hk
+    from . import counterexamples as cx
 
-    params = hk.HKParams(u=args.u, N1=args.N1, N2=args.N2)
-    res = hk.constant_power_gap(params, A=args.A, n=args.n)
+    params = cx.ChannelParams(u=args.u, N1=args.N1, N2=args.N2)
+    res = cx.constant_power_gap(params, A=args.A, n=args.n)
     results = [asdict(res)]
     checks = [
         _check(
@@ -702,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--N1", type=float, default=1.0)
     p.add_argument("--N2", type=float, default=0.05)
-    p.add_argument("--A", type=_checked(float, "hkregion.check_mixing_variance"), default=None,
-                   help="mixing variance (default: auto)")
+    p.add_argument("--A", type=_checked(float, "counterexamples.check_mixing_variance"),
+                   default=None, help="mixing variance (default: auto)")
     p.add_argument("--n", type=int, default=8192)
     common(p)
     p.set_defaults(handler=cmd_constant_power_gap)
@@ -717,7 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_conjecture2_map)
 
     p = sub.add_parser("geometry", help="volume-ratio sweep with exact mixed areas")
-    p.add_argument("--t", type=parse_values, default=parse_values("10:200:10"))
+    # a string default goes through parse_values only when geometry runs, so
+    # the other commands do not import fractions
+    p.add_argument("--t", type=parse_values, default="10:200:10")
     common(p)
     p.set_defaults(handler=cmd_geometry)
 

@@ -1,6 +1,7 @@
 """Counterexample pipelines for the Gaussian-optimality question.
 
-Three constructions are evaluated numerically:
+Three constructions are evaluated numerically, and a fourth rests on the
+first:
 
 * the skewed-interferer gap: a third-moment mismatch between the interferer
   and its Gaussian surrogate produces a strictly positive t^{3/2} gain in
@@ -9,9 +10,13 @@ Three constructions are evaluated numerically:
   paired with a telescoping partner series for the interferer, whose
   convolution stays Gaussian up to O(eps^{J+1});
 * the Fisher-information limit functional h(X+Y) - h(X) - J(X)/2 with the
-  same third-derivative direction and a budget-neutral partner.
+  same third-derivative direction and a budget-neutral partner;
+* the constant-power witness: the skewed interferer at power N2, with the
+  source mixed by an independent Gaussian, against the best Gaussian
+  input of the same powers.
 
-The first two evaluate the channel objective through its one copy,
+The skewed-interferer gap, the witness and the vertical perturbation
+evaluate the channel objective through its one copy,
 ``interference_objective``.  All quadratic-in-eps coefficients are extracted
 by ``richardson_quadratic`` over {eps, eps/2, eps/4} (the perturbation
 series is even in eps because every perturbing term is an odd function).
@@ -49,7 +54,7 @@ from .entropy import (
     mixture_entropy,
     power_fit,
 )
-from .hessian import gauss_psi, stationary_source_variance
+from .hessian import capped_gauss_objective, gauss_psi, stationary_source_variance
 
 
 class NoGaussianMaxError(ValueError):
@@ -227,6 +232,113 @@ def gap_coefficient(rows: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------
+# Constant-power suboptimality
+# ----------------------------------------------------------------------
+
+
+class WitnessUnavailableError(ValueError):
+    """No verified positive-gap witness at the requested parameters."""
+
+
+@dataclass(frozen=True)
+class ConstantPowerGapResult:
+    gaussian_value: float
+    lower_witness: float
+    gap: float
+    witness_gain: float
+    mixing_variance: float
+    slack: float
+    raw_witness_value: float
+    q1: float
+    q2: float
+
+
+def check_mixing_variance(A: float) -> None:
+    """Reject a mixing variance that is not finite and nonnegative (ValueError)."""
+    if not (math.isfinite(A) and A >= 0):
+        raise ValueError(f"mixing variance A must be finite and nonnegative, got {A}")
+
+
+def constant_power_gap(
+    params: ChannelParams,
+    A: Optional[float] = None,
+    recipe: Optional[SkewRecipe] = None,
+    n: int = 8192,
+) -> ConstantPowerGapResult:
+    """Certified non-Gaussian vs Gaussian values of the constant-power
+    weighted rate F_u at the witness cell, for positive u, N1 and N2
+    (ValueError otherwise).
+
+    The witness scales the skew recipe so E[X2^2] = N2 (t = N2 / m2(q)) and
+    mixes the source with an independent gamma_A; conditioning on the mixing
+    device bounds the concave-envelope term below by the skew gain c, while
+    the output entropy concedes at most the measured Gaussian slack.  The
+    certified lower bound is lndet-term + c/2, valid once slack <= c/2 (A is
+    doubled until slack <= c/4 when not supplied).  Raises
+    WitnessUnavailableError when the cell has no verified positive gain.
+    """
+    u, N1, N2 = params.u, params.N1, params.N2
+    for name, value in (("u", u), ("N1", N1), ("N2", N2)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive for the constant-power witness, got {value}")
+    if A is not None:
+        check_mixing_variance(A)
+    recipe = recipe or default_recipe()
+    info = recipe.validate()
+    t = N2 / info["m2"]
+    x1p = recipe.p.scaled(1.0 / math.sqrt(t))
+    # mirror-image interferer, the orientation with the positive skew gain
+    x2 = recipe.q.scaled(math.sqrt(t)).reflected()
+    [c] = interference_objective(params, [(x1p, x2)], n=n)
+    if not 1e-6 < c < math.inf:  # a NaN or infinite c verifies nothing
+        raise WitnessUnavailableError(
+            f"skew gain c = {c:.3e} is not a verified positive gap at N2={N2}"
+        )
+    var1 = x1p.second_moment()
+    q2v = x2.second_moment()
+
+    def slack_for(a: float) -> float:
+        big = x1p.convolve_gaussian(a + N1 + N2).convolve(x2)
+        q1v = var1 + a
+        return gaussian_entropy(q1v + q2v + N1 + N2) - mixture_entropy(big, n=n)
+
+    if A is None:
+        A = max(4.0 * (var1 + N1 + 2.0 * N2), 1.0)
+        for _ in range(60):
+            slack = slack_for(A)
+            if slack <= c / 4.0:
+                break
+            A *= 2.0
+        else:
+            raise WitnessUnavailableError("could not drive the mixing slack below c/4")
+    else:
+        slack = slack_for(A)
+    if slack > c / 2.0:
+        raise WitnessUnavailableError(
+            f"mixing slack {slack:.3e} exceeds c/2 = {c/2:.3e}; increase A"
+        )
+    q1v = var1 + A
+    lndet_term = 0.5 * math.log((q1v + q2v + N1 + N2) / N1)
+    lower_witness = lndet_term + c / 2.0
+    raw_witness = lndet_term - slack + c
+
+    # the Gaussian term: half the capped psi with second-noise variance N2
+    best, _ = capped_gauss_objective(q1v, q2v, u, N1, N2)
+    gaussian_value = lndet_term + 0.5 * best
+    return ConstantPowerGapResult(
+        gaussian_value=gaussian_value,
+        lower_witness=lower_witness,
+        gap=lower_witness - gaussian_value,
+        witness_gain=c,
+        mixing_variance=A,
+        slack=slack,
+        raw_witness_value=raw_witness,
+        q1=q1v,
+        q2=q2v,
+    )
+
+
+# ----------------------------------------------------------------------
 # Vertical perturbation
 # ----------------------------------------------------------------------
 
@@ -244,9 +356,12 @@ def partner_series(
     """sum_{j=0}^J eps^j D^{3j} gamma_{L - j delta}.
 
     Telescopes against the perturbed source so the convolution equals
-    gamma_{K+L} - eps^{J+1} D^{3(J+1)} gamma_{K+L-(J+1) delta} exactly.
-    Every j >= 1 term is of derivative order >= 3, so the second moment
-    stays exactly L.
+    gamma_{K+L} - eps^{J+1} D^{3(J+1)} gamma_{K+L-(J+1) delta} in exact
+    arithmetic.  In floats the variances K + (L - j delta) and
+    (K - delta) + (L - (j-1) delta) of a cancelling pair can differ by an
+    ulp, and the pair then survives as two terms (18 at L = 1.1, J = 20 in
+    the limit functional, where the telescoped law has 2).  Every j >= 1
+    term is of derivative order >= 3, so the second moment stays exactly L.
     """
     return GaussDerivMixture(
         tuple(DerivTerm(eps**j, 3 * j, L - j * delta) for j in range(J + 1))
@@ -540,26 +655,55 @@ def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
     return -sq_norm(K) + (1.0 + u) * sq_norm(K + u)
 
 
-def stability_root(u: float, lo: float = 0.2, hi: float = 100.0, tol: float = 1e-8) -> float:
-    """Bisection root of the derivative-norm balance at delta = 0.
+def _balance_rounding_floor(K: float, u: float) -> float:
+    """Bound on the rounding error of deriv_norm_balance(K, u) at delta = 0.
 
-    Stops once the bracket is no wider than tol.  A tol below the float
-    spacing at hi is rejected; from it up, a bracket wider than tol has a
-    midpoint strictly inside, so the bisection ends.
+    There the moment sum is exact: the terms 15, -18 and 9 of
+    E[He_3(Z)^2] = 6 are integers, so the balance is t2 - t1 with
+    t1 = 6/K/K/K and t2 = (1+u) (6/b/b/b), b = K + u.  t1 carries three
+    roundings, t2 eight (three divisions, the sum b to the third power,
+    1 + u and the product), and the difference one more, of at most
+    max(t1, t2).  So the error is at most 2^-53 (4 t1 + 9 t2) to first
+    order, below the floor 10 * 2^-53 (t1 + t2) returned here.
     """
+    b = K + u
+    return 10.0 * 2.0**-53 * (6.0 / K / K / K + (1.0 + u) * (6.0 / b / b / b))
+
+
+def stability_root(u: float, tol: float = 1e-8) -> float:
+    """Bisection root of the derivative-norm balance at delta = 0 on the
+    bracket [1, 3 + u].
+
+    The balance -6/K^3 + 6(1+u)/(K+u)^3 has the sign of
+    (1+u) K^3 - (K+u)^3, which is (1+u) - (1+u)^3 < 0 at K = 1 and
+    u^3 (2+u) > 0 at K = 3 + u, so the ends are not evaluated.  A tol
+    below the float spacing at 3 + u is rejected; from it up, a bracket
+    wider than tol has a midpoint strictly inside.  The bisection stops
+    once the bracket is no wider than tol, or at a midpoint whose balance
+    lies within its rounding floor (``_balance_rounding_floor``), whose
+    sign is then undecided; a bracket still wider than tol is a ValueError
+    that names the floor.
+    """
+    if not 0 < u < math.inf:
+        raise ValueError(f"u must be positive and finite, got {u}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    lo, hi = 1.0, 3.0 + u
     if tol < math.ulp(hi):
         raise ValueError(
             f"tolerance must be at least {math.ulp(hi):.17g} (float spacing at {hi}), got {tol}"
         )
-    f_lo = deriv_norm_balance(lo, u)
-    f_hi = deriv_norm_balance(hi, u)
-    if not (f_lo < 0 < f_hi):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if deriv_norm_balance(mid, u) < 0:
+        balance = deriv_norm_balance(mid, u)
+        floor = _balance_rounding_floor(mid, u)
+        if abs(balance) <= floor:
+            raise ValueError(
+                f"the balance {balance:.3e} at K={mid!r} is within its rounding floor "
+                f"{floor:.3e}, so its sign is undecided and the bracket [{lo!r}, {hi!r}] "
+                f"cannot shrink to the tolerance {tol}"
+            )
+        if balance < 0:
             lo = mid
         else:
             hi = mid

@@ -8,8 +8,9 @@ I_alpha.  The stationary point (K, L) satisfies K = (L+u)/(L-1) with
 multiplier lambda = u/(K+u+L); negativity of the ledger flips exactly at
 K = u/((1+u)^{1/3} - 1), where (1+u) K^3 = (K+u)^3; the classifier decides that sign exactly.
 
-The scalar Gaussian objective psi and its maximizer live here too, as the
-one copy that the HK-region and counterexample modules share.
+The scalar Gaussian objective psi, its maximizer and its maximum over a
+capped K live here too, as the one copy that the HK-region and
+counterexample modules share.
 """
 
 from __future__ import annotations
@@ -69,13 +70,28 @@ def gauss_psi(K, L, u: float, N1: float, N: float):
 
 
 def gauss_argmax(L, u: float, N1: float, N: float):
-    """argmax over K of psi(K, L): (N+L)/((u/N) L - 1) - N1.
+    """argmax over K of psi(K, L), elementwise: (N+L)/((u/N) L - 1) - N1
+    where (u/N) L > 1, +inf elsewhere.
 
     The K^2 terms of d psi/dK cancel, leaving one root, a maximum where
-    u L > N; elsewhere psi increases in K.  Callers check that domain.
-    With N = u this is the stationary variance (L+u)/(L-1) - N1.
+    (u/N) L > 1; elsewhere psi increases in K.  With N = u this is the
+    stationary variance (L+u)/(L-1) - N1.
     """
-    return (N + L) / ((u / N) * L - 1.0) - N1
+    L = np.asarray(L, dtype=float)
+    slope = (u / N) * L
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(slope > 1.0, (N + L) / (slope - 1.0) - N1, np.inf)
+    return k if k.ndim else float(k)
+
+
+def capped_gauss_objective(J, L, u: float, N1: float, N: float):
+    """(value, argmax K) of sup_{0 <= K <= J} psi(K, L), elementwise: K is
+    gauss_argmax clipped to [0, J]."""
+    k = np.clip(gauss_argmax(L, u, N1, N), 0.0, np.asarray(J, dtype=float))
+    val = gauss_psi(k, L, u, N1, N)
+    if k.ndim:
+        return val, k
+    return float(val), float(k)
 
 
 def _check_weight(u: float) -> None:

@@ -3,7 +3,8 @@ power control, and the maximizer-variance audits.
 
 The scalar building block is
     psi(K, L) = u ln(K+N1+u+L) + ln(K+N1) - (u+1) ln(K+N1+u),
-its capped supremum over K <= J, the fixed-power value
+its capped supremum over K <= J (``hessian.capped_gauss_objective``), the
+fixed-power value
     f1(q1, q2) = sup_{J<=q1, L<=q2} { ln(J+N1+u+L) + phi(J, L) },
 attained at the corner (J, L) = (q1, q2), and the power-control value
 g1 = upper concave envelope of f1 in (q1, q2), realized by randomizing the
@@ -23,7 +24,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import counterexamples as cx
 from . import hessian as hs
 
 # fewest lattice nodes per axis an envelope can be built from
@@ -49,30 +49,20 @@ class NotApplicableError(ValueError):
     """Cell has f1 < g1; the fixed-power bound does not apply."""
 
 
-class WitnessUnavailableError(ValueError):
-    """No verified positive-gap witness at the requested parameters."""
-
-
-# ----------------------------------------------------------------------
-# Scalar Gaussian objective
-# ----------------------------------------------------------------------
-
-
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class HKParams:
-    """Weighted-rate parameters.  The fixed-power quantities normalize the
-    second noise to variance u; N2 enters only the constant-power witness."""
+    """Weighted-rate parameters; the fixed-power quantities normalize the
+    second noise to variance u."""
 
     u: float
     N1: float = 0.0
-    N2: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.u, self.N1, self.N2))):
-            raise ValueError("u, N1, N2 must be finite")
+        if not (math.isfinite(self.u) and math.isfinite(self.N1)):
+            raise ValueError("u and N1 must be finite")
         if self.u <= 0:
             raise ValueError("u must be positive")
         # tangent_witness's rounding term 4 (u+1) logs must be finite on
@@ -86,32 +76,6 @@ class HKParams:
             )
         if self.N1 < 0:
             raise ValueError("N1 must be nonnegative")
-        if self.N2 <= 0:
-            raise ValueError("N2 must be positive")
-
-
-def unconstrained_argmax(L, u: float, N1: float = 0.0, N: Optional[float] = None):
-    """argmax_K psi(K, L) with second-noise variance N (default u):
-    (N+L)/((u/N) L - 1) - N1 where u L > N, +inf otherwise."""
-    N = u if N is None else N
-    L = np.asarray(L, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.where((u / N) * L > 1.0, hs.gauss_argmax(L, u, N1, N), np.inf)
-    return k if k.ndim else float(k)
-
-
-def capped_gauss_objective(J, L, u: float, N1: float = 0.0, N: Optional[float] = None):
-    """(value, argmax K) of sup_{0 <= K <= J} psi(K, L), scalar closed form:
-    K = min(J, unconstrained_argmax) clipped at 0.  N is the second-noise
-    variance (default u, the HK normalization)."""
-    N = u if N is None else N
-    J = np.asarray(J, dtype=float)
-    L = np.asarray(L, dtype=float)
-    k = np.clip(unconstrained_argmax(L, u, N1, N), 0.0, J)
-    val = hs.gauss_psi(k, L, u, N1, N)
-    if k.ndim:
-        return val, k
-    return float(val), float(k)
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +92,7 @@ def _corner_value(q1, q2, u: float, N1: float):
     both.  Every f1 value in this module comes from this one expression,
     so scalar results agree bit for bit with the tabulated nodes.
     """
-    val, _ = capped_gauss_objective(q1, q2, u, N1)
+    val, _ = hs.capped_gauss_objective(q1, q2, u, N1, u)
     return np.log(np.asarray(q1, dtype=float) + N1 + u + np.asarray(q2, dtype=float)) + val
 
 
@@ -136,7 +100,7 @@ def _corner_gradient(q1: float, q2: float, u: float, N1: float) -> tuple[float, 
     """Gradient of f1 at q1 > 0, q2 >= 0 by the envelope theorem: d psi/dK
     enters only where the cap K = q1 binds, and it vanishes at the cap
     q1 = K*(q2), so f1 is C^1."""
-    _, k = capped_gauss_objective(q1, q2, u, N1)
+    _, k = hs.capped_gauss_objective(q1, q2, u, N1, u)
     s = 1.0 / (q1 + N1 + u + q2)
     x = k + N1
     d_psi_dk = u / (x + u + q2) + 1.0 / x - (u + 1.0) / (x + u)
@@ -158,7 +122,7 @@ def fixed_power_value(q1: float, q2: float, params: HKParams) -> FixedPowerResul
     capped argmax; the value equals the f1_table node at (q1, q2) exactly.
     """
     u, N1 = params.u, params.N1
-    _, k = capped_gauss_objective(q1, q2, u, N1)
+    _, k = hs.capped_gauss_objective(q1, q2, u, N1, u)
     value = float(_corner_value(q1, q2, u, N1))
     return FixedPowerResult(value=value, J=float(q1), L=float(q2), K=k)
 
@@ -522,9 +486,9 @@ def maximizer_bound_check(Jv: float, Lv: float, params: HKParams) -> MaximizerBo
         raise NotApplicableError(
             f"f1 < g1 at (J={Jv}, L={Lv}): f1 at {witness} lies above its tangent plane"
         )
-    kthr = unconstrained_argmax(Lv, u, N1)
+    kthr = hs.gauss_argmax(Lv, u, N1, u)
     case = 3 if Jv == kthr else 1 if Jv > kthr else 2
-    K = capped_gauss_objective(Jv, Lv, u, N1)[1]
+    K = hs.capped_gauss_objective(Jv, Lv, u, N1, u)[1]
     return MaximizerBoundResult(
         K=K, bound_holds=variance_bound_holds(K, N1, u), case=case, bound=1.0 + math.sqrt(1.0 + u)
     )
@@ -631,109 +595,6 @@ def eigenvalue_bound_audit(
         applicable=applicable,
         violations=violations,
         bound=bound,
-    )
-
-
-# ----------------------------------------------------------------------
-# Constant-power suboptimality
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantPowerGapResult:
-    gaussian_value: float
-    lower_witness: float
-    gap: float
-    witness_gain: float
-    mixing_variance: float
-    slack: float
-    raw_witness_value: float
-    q1: float
-    q2: float
-
-
-def check_mixing_variance(A: float) -> None:
-    """Reject a mixing variance that is not finite and nonnegative (ValueError)."""
-    if not (math.isfinite(A) and A >= 0):
-        raise ValueError(f"mixing variance A must be finite and nonnegative, got {A}")
-
-
-def constant_power_gap(
-    params: HKParams,
-    A: Optional[float] = None,
-    recipe: Optional[cx.SkewRecipe] = None,
-    n: int = 8192,
-) -> ConstantPowerGapResult:
-    """Certified non-Gaussian vs Gaussian values of the constant-power
-    weighted rate F_u at the witness cell.
-
-    The witness scales the skew recipe so E[X2^2] = N2 (t = N2 / m2(q)) and
-    mixes the source with an independent gamma_A; conditioning on the mixing
-    device bounds the concave-envelope term below by the skew gain c, while
-    the output entropy concedes at most the measured Gaussian slack.  The
-    certified lower bound is lndet-term + c/2, valid once slack <= c/2 (A is
-    doubled until slack <= c/4 when not supplied).  Raises
-    WitnessUnavailableError when the cell has no verified positive gain.
-    """
-    if params.N1 <= 0:
-        raise ValueError("constant-power comparison needs N1 > 0")
-    if A is not None:
-        check_mixing_variance(A)
-    recipe = recipe or cx.default_recipe()
-    info = recipe.validate()
-    u, N1, N2 = params.u, params.N1, params.N2
-    t = N2 / info["m2"]
-    x1p = recipe.p.scaled(1.0 / math.sqrt(t))
-    # mirror-image interferer, the orientation with the positive skew gain
-    x2 = recipe.q.scaled(math.sqrt(t)).reflected()
-    [c] = cx.interference_objective(
-        cx.ChannelParams(u=u, N1=N1, N2=N2), [(x1p, x2)], n=n
-    )
-    if c <= 1e-6:
-        raise WitnessUnavailableError(
-            f"skew gain c = {c:.3e} is not a verified positive gap at N2={N2}"
-        )
-    var1 = x1p.second_moment()
-    q2v = x2.second_moment()
-
-    def slack_for(a: float) -> float:
-        big = x1p.convolve_gaussian(a + N1 + N2).convolve(x2)
-        q1v = var1 + a
-        return cx.gaussian_entropy(q1v + q2v + N1 + N2) - cx.mixture_entropy(big, n=n)
-
-    if A is None:
-        A = max(4.0 * (var1 + N1 + 2.0 * N2), 1.0)
-        for _ in range(60):
-            slack = slack_for(A)
-            if slack <= c / 4.0:
-                break
-            A *= 2.0
-        else:
-            raise WitnessUnavailableError("could not drive the mixing slack below c/4")
-    else:
-        slack = slack_for(A)
-    if slack > c / 2.0:
-        raise WitnessUnavailableError(
-            f"mixing slack {slack:.3e} exceeds c/2 = {c/2:.3e}; increase A"
-        )
-    q1v = var1 + A
-    lndet_term = 0.5 * math.log((q1v + q2v + N1 + N2) / N1)
-    lower_witness = lndet_term + c / 2.0
-    raw_witness = lndet_term - slack + c
-
-    # the Gaussian term: half the capped psi with second-noise variance N2
-    best, _ = capped_gauss_objective(q1v, q2v, u, N1, N2)
-    gaussian_value = lndet_term + 0.5 * best
-    return ConstantPowerGapResult(
-        gaussian_value=gaussian_value,
-        lower_witness=lower_witness,
-        gap=lower_witness - gaussian_value,
-        witness_gain=c,
-        mixing_variance=A,
-        slack=slack,
-        raw_witness_value=raw_witness,
-        q1=q1v,
-        q2=q2v,
     )
 
 

@@ -51,6 +51,11 @@ def test_parse_values():
     assert parse_values("0.5,1,2") == [0.5, 1.0, 2.0]
     vals = parse_values("1.1:1.5:0.1")
     assert vals == pytest.approx([1.1, 1.2, 1.3, 1.4, 1.5])
+    # a range is counted in its decimal texts: floor((hi-lo)/step + 1e-9) + 1
+    # in floats emitted 1.0, above hi, here
+    assert parse_values("0:0.99999999995:0.1") == [i * 0.1 for i in range(10)]
+    # (4 - 1.1)/0.1 is 28.999999999999996 in floats and 29 in the texts
+    assert parse_values("1.1:4:0.1") == [1.1 + i * 0.1 for i in range(30)]
     for text in (",", " , ", ",,"):
         with pytest.raises(argparse.ArgumentTypeError, match="no value in"):
             parse_values(text)
@@ -75,7 +80,11 @@ def test_parse_values_rejects_empty_list(argv, capsys):
     assert err == f"ziclab {argv[0]}: error: argument {option}: no value in ','\n"
 
 
-@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1,nan", "1:inf:1", "0:1:inf"])
+# the last two, whose value counts pass the float range, exited 1 with an
+# OverflowError traceback
+@pytest.mark.parametrize(
+    "text", ["nan", "inf", "-inf", "1,nan", "1:inf:1", "0:1:inf", "1:1e300:1e-300", "2:3:1e-320"]
+)
 def test_parse_values_rejects_non_finite(text, capsys):
     with pytest.raises(argparse.ArgumentTypeError):
         parse_values(text)
@@ -116,6 +125,23 @@ def test_condition54_root_report(capsys):
     assert row["root"] == pytest.approx(3.8473221018, abs=1e-6)
     assert row["tolerance"] == 1e-8
     assert all(c["passed"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize("u, root", [(1000.0, 111.0699877833), (5000.0, 310.5416587998)])
+def test_condition54_root_at_large_u(u, root, capsys):
+    # the old bracket [0.2, 100] held no sign change at these u (exit 2)
+    code, out = run_cli(["condition54-root", "--u", str(u)], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["root"] == pytest.approx(root, abs=1e-8)
+
+
+def test_condition54_root_below_its_rounding_floor_exit_2(capsys):
+    # near the root the balance's slope is about 0.07 u, so at u = 1e-9 it
+    # falls within its rounding floor before the bracket reaches 1e-8; the
+    # bisection used to end 1.7e-7 from the closed form (exit 3)
+    assert main(["condition54-root", "--u", "1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is within its rounding floor" in err
 
 
 def test_geometry_report(capsys):
@@ -420,6 +446,9 @@ def test_non_finite_parameter_exit_2(argv, capsys):
         ["theorem5-epsilon", "--u", "nan"],
         ["theorem5-epsilon", "--u", "0"],
         ["theorem5-epsilon", "--u=-1"],
+        ["constant-power-gap", "--u", "0"],
+        ["constant-power-gap", "--N1", "0"],
+        ["constant-power-gap", "--N2", "0"],
     ],
 )
 def test_non_positive_parameter_exit_2(argv, capsys):
@@ -630,7 +659,6 @@ HK_COMMANDS = (
     ["lemma5-audit", "--samples", "2"],
     ["theorem4-audit", "--d", "2", "--samples", "2"],
     ["conjecture2-map", "--q", "1,5"],
-    ["constant-power-gap", "--n", "1024"],
 )
 
 
@@ -648,7 +676,10 @@ def test_hk_u_overflowing_the_rounding_bound_exit_2(argv, u, capsys):
     )
 
 
-@pytest.mark.parametrize("argv", HK_COMMANDS, ids=lambda argv: argv[0])
+# the constant-power witness has no f1 = g1 test, and runs at such u too
+@pytest.mark.parametrize(
+    "argv", [*HK_COMMANDS, ["constant-power-gap", "--n", "1024"]], ids=lambda argv: argv[0]
+)
 def test_hk_u_below_the_overflow_limit_runs(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -738,7 +769,7 @@ def test_help_loads_no_numpy(argv):
 
 HESSIAN_ONLY = ("hessian",)
 PERTURBATION = ("counterexamples", "entropy", "gaussmix", "hessian")
-HK = (*PERTURBATION, "hkregion")
+HK = ("hessian", "hkregion")
 # the modules each subcommand loads besides the package and the CLI (_util
 # holds the audits' RNG streams); README runs all 14 subcommands
 # (test_readme_runs_every_subcommand)
@@ -755,7 +786,7 @@ COMMAND_MODULES = {
     "hk-region": HK,
     "lemma5-audit": ("_util", *HK),
     "theorem4-audit": ("_util", *HK),
-    "constant-power-gap": HK,
+    "constant-power-gap": PERTURBATION,
     "conjecture2-map": HK,
 }
 
@@ -915,6 +946,19 @@ def test_constant_power_gap_cli(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_constant_power_gap_at_huge_u(capsys):
+    # u = 3e305 exited 2 with the f1 = g1 bound of the HK commands, which
+    # this command never runs; now the witness runs and loses to the
+    # Gaussian value, as it already does at u = 1.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["constant-power-gap", "--u", "3e305", "--n", "1024"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: c["passed"] for c in json.loads(captured.out)["checks"]}
+    assert checks == {"witness_beats_gaussian": False, "mixing_slack_within_budget": True}
+
+
 def test_conjecture2_map_cli(capsys):
     code, out = run_cli(
         ["conjecture2-map", "--u", "1", "--q", "1.2,39", "--N1", "1",
@@ -1008,9 +1052,9 @@ def test_geometry_csv_with_summary_row(tmp_path):
         pytest.param("0", "tolerance must be finite and positive", id="0"),
         pytest.param("-1", "tolerance must be finite and positive", id="-1"),
         pytest.param("nan", "tolerance must be finite and positive", id="nan"),
-        # below the float spacing at the bracket end 100 the root's check
-        # could not pass (it exited 3); the message names the least tolerance
-        pytest.param("1e-300", f"tolerance must be at least {math.ulp(100.0):.17g}", id="1e-300"),
+        # below the float spacing at the bracket end 3 + u the bisection
+        # could not narrow the bracket to it; the message names the least tolerance
+        pytest.param("1e-300", f"tolerance must be at least {math.ulp(4.0):.17g}", id="1e-300"),
     ],
 )
 def test_condition54_bad_tolerance_exit_2(tol, message, capsys):

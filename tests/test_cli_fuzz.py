@@ -20,6 +20,11 @@ FLOAT = st.one_of(
     st.floats(min_value=-1e300, max_value=1e300).map(repr),
 )
 INT = st.integers(min_value=-3, max_value=25).map(str)
+# lo:hi:step ranges with a few values, none, or more than a float can count
+# (a huge finite count, such as 0:1:1e-12, would build that many floats)
+RANGES = ("1:2:0.5", "0:0.99999999995:0.1", "2:2:1", "1e-300:1e300:2e299", "1:0:1", "0:1:0",
+          "1:2:3:4", "1:1e300:1e-300", "2:3:1e-320")
+VALUES = st.one_of(FLOAT, st.sampled_from(RANGES))
 
 
 def command(name, *fixed, **options):
@@ -31,20 +36,20 @@ def command(name, *fixed, **options):
 
 
 COMMANDS = st.one_of(
-    command("phase-diagram", u=FLOAT, L=FLOAT),
-    command("condition54-root", u=FLOAT, tolerance=FLOAT),
+    command("phase-diagram", u=VALUES, L=VALUES),
+    command("condition54-root", u=VALUES, tolerance=FLOAT),
     command("hessian", u=FLOAT, L=FLOAT),
-    command("theorem5-epsilon", u=FLOAT, L=FLOAT),
-    command("hk-region", "--envelope-grid=9", u=FLOAT, N1=FLOAT, q1=FLOAT, q2=FLOAT),
-    command("conjecture2-map", "--envelope-grid=9", u=FLOAT, N1=FLOAT, q=FLOAT),
+    command("theorem5-epsilon", u=FLOAT, L=VALUES),
+    command("hk-region", "--envelope-grid=9", u=FLOAT, N1=FLOAT, q1=VALUES, q2=VALUES),
+    command("conjecture2-map", "--envelope-grid=9", u=VALUES, N1=FLOAT, q=VALUES),
     command("lemma5-audit", "--samples=2", u=FLOAT, N1=FLOAT),
     command("theorem4-audit", "--d=2", "--samples=2", u=FLOAT, N1=FLOAT),
     command("verify-vertical", "--n=1024", u=FLOAT, L=FLOAT, J=INT),
     command("verify-vertical", "--n=1024", K=FLOAT, delta=FLOAT, eps=FLOAT),
     command("verify-lemma1", "--n=1024", "--t-count=6", **{"t-min": FLOAT, "t-max": FLOAT}),
     command("verify-lemma2", "--n=1024", "--t-count=2", **{"t-min": FLOAT, "t-max": FLOAT}),
-    command("geometry", t=FLOAT),
-    command("limit-functional", "--n=1024", L=FLOAT, J=INT),
+    command("geometry", t=VALUES),
+    command("limit-functional", "--n=1024", L=VALUES, J=INT),
     command("constant-power-gap", "--n=1024", u=FLOAT, N1=FLOAT, N2=FLOAT),
 )
 
@@ -83,6 +88,13 @@ def reject_non_finite(text):
 @example(["hk-region", "--u=1", "--q1=5.6e306", "--q2=1"])
 @example(["hk-region", "--u=1", "--q1=5.6e306", "--q2=1e-300"])
 @example(["limit-functional", "--L=1e308", "--n=1024"])
+# the witness ran into the HK commands' f1 = g1 bound (exit 2), or must
+# reject u = 0 itself now that it takes ChannelParams
+@example(["constant-power-gap", "--u=3e305", "--n=1024"])
+@example(["constant-power-gap", "--u=0", "--n=1024"])
+# an OverflowError traceback
+@example(["geometry", "--t=1:1e300:1e-300"])
+@example(["phase-diagram", "--u=1", "--L=2:3:1e-320"])
 def test_cli_exits_0_2_or_3_with_strict_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:

@@ -516,15 +516,19 @@ def test_stability_root_matches_threshold():
 
 
 def test_stability_root_ends_below_float_spacing():
-    # the least accepted tol is the float spacing at the bracket end; below
-    # it the bracket could not shrink to tol, so it is rejected
-    least = math.ulp(100.0)
+    # the least accepted tol is the float spacing at the bracket end 3 + u;
+    # below it the bracket could not shrink to tol, so it is rejected.  At
+    # it the bisection ends, at a midpoint within about 1e-14 of the root
+    # whose balance lies within its rounding floor; 1e-12 is reached
     for u in (0.5, 1.0, 2.0):
-        root = cx.stability_root(u, tol=least)
-        assert abs(root - stability_threshold(u)) <= least
-    for tol in (1e-300, 0.5 * least):
-        with pytest.raises(ValueError, match="tolerance must be at least"):
-            cx.stability_root(1.0, tol=tol)
+        least = math.ulp(3.0 + u)
+        with pytest.raises(ValueError, match="is within its rounding floor"):
+            cx.stability_root(u, tol=least)
+        root = cx.stability_root(u, tol=1e-12)
+        assert abs(root - stability_threshold(u)) <= 1e-12
+        for tol in (1e-300, 0.5 * least):
+            with pytest.raises(ValueError, match="tolerance must be at least"):
+                cx.stability_root(u, tol=tol)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             cx.stability_root(1.0, tol=tol)

@@ -1,5 +1,6 @@
 """Weighted-rate quantities, alignments, envelopes, and audits."""
 
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from _oracles import (
     power_control_value_2d,
 )
 from ziclab import counterexamples as cx
+from ziclab import hessian as hs
 from ziclab import hkregion as hk
 from ziclab._util import rng_for
 from ziclab.hessian import gauss_psi
@@ -172,12 +174,20 @@ def test_stationary_value_formula(rng):
 
 
 def test_capped_argmax_cases():
-    val, k = hk.capped_gauss_objective(10.0, 3.0, 1.0, 0.0)
+    val, k = hs.capped_gauss_objective(10.0, 3.0, 1.0, 0.0, 1.0)
     assert k == 2.0
-    val, k = hk.capped_gauss_objective(10.0, 0.5, 1.0, 0.0)
+    val, k = hs.capped_gauss_objective(10.0, 0.5, 1.0, 0.0, 1.0)
     assert k == 10.0
-    val, k = hk.capped_gauss_objective(1.0, 3.0, 1.0, 0.0)
+    val, k = hs.capped_gauss_objective(1.0, 3.0, 1.0, 0.0, 1.0)
     assert k == 1.0
+
+
+def test_argmax_is_inf_outside_its_domain():
+    # psi increases in K where (u/N) L <= 1; the boundary (u/N) L = 1 included
+    L = np.array([0.0, 0.5, 1.0, 1.5, 3.0])
+    k = hs.gauss_argmax(L, 2.0, 0.5, 2.0)
+    assert k.tolist() == [math.inf, math.inf, math.inf, (2.0 + 1.5) / 0.5 - 0.5, 5.0 / 2.0 - 0.5]
+    assert hs.gauss_argmax(1.0, 2.0, 0.0, 4.0) == math.inf
 
 
 def psi_written_out(K, L, u, N1, N):
@@ -193,7 +203,7 @@ def test_argmax_with_noise_variance_matches_grid(rng):
         N = float(rng.uniform(0.05, 3.0))
         N1 = float(rng.uniform(0.0, 1.0))
         L = float(rng.uniform(1.05, 4.0)) * N / u  # u L > N: interior root
-        k = hk.unconstrained_argmax(L, u, N1, N=N)
+        k = hs.gauss_argmax(L, u, N1, N)
         cap = 3.0 * (k + N1) + 1.0
         ks = np.linspace(0.0, cap, 400001)
         ks = ks[ks + N1 > 0]
@@ -203,12 +213,12 @@ def test_argmax_with_noise_variance_matches_grid(rng):
             assert abs(ks[i] - k) <= 2 * (ks[1] - ks[0])
         else:
             assert i == 0
-        val, kc = hk.capped_gauss_objective(cap, L, u, N1, N=N)
+        val, kc = hs.capped_gauss_objective(cap, L, u, N1, N)
         assert kc == max(k, 0.0)
         assert vals[i] <= val + 1e-12 and val - vals[i] <= 1e-9
         # u L <= N: psi increases in K, so the cap binds
-        assert hk.unconstrained_argmax(0.9 * N / u, u, N1, N=N) == math.inf
-        val, kc = hk.capped_gauss_objective(cap, 0.9 * N / u, u, N1, N=N)
+        assert hs.gauss_argmax(0.9 * N / u, u, N1, N) == math.inf
+        val, kc = hs.capped_gauss_objective(cap, 0.9 * N / u, u, N1, N)
         assert kc == cap
         assert val == pytest.approx(psi_written_out(cap, 0.9 * N / u, u, N1, N), abs=1e-12)
 
@@ -497,6 +507,12 @@ def test_params_reject_non_finite():
             hk.HKParams(**kwargs)
 
 
+def test_params_hold_u_and_N1_only():
+    # the second-noise variance N2 belonged to the constant-power witness,
+    # which takes counterexamples.ChannelParams
+    assert [f.name for f in dataclasses.fields(hk.HKParams)] == ["u", "N1"]
+
+
 def test_params_reject_u_overflowing_the_rounding_bound():
     # 4 (u+1) (2 + 2 ln u + 2 ln(float max)) overflows between these two
     assert hk.HKParams(u=1.59e304).u == 1.59e304
@@ -567,7 +583,7 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None)
 def test_corner_gradient_matches_central_differences(u, N1, L, ratio):
     # q1 = ratio K*(L): below the cap, above it, and on it (ratio 1), where
     # f1 is C^1 but its second derivative jumps; K*(L) <= 0 puts K at 0
-    kstar = float(hk.unconstrained_argmax(L, u, N1))
+    kstar = hs.gauss_argmax(L, u, N1, u)
     q1 = ratio * (kstar if 0.0 < kstar < math.inf else 1.0 + N1)
     d1, d2 = hk._corner_gradient(q1, L, u, N1)
     h1, h2 = 1e-6 * q1, 1e-6 * L
@@ -767,7 +783,7 @@ def test_d2_applicable_records_match_tensorization():
             with np.errstate(divide="ignore"):
                 split = hk._corner_value(a, b, u, N1) + hk._corner_value(r.q1 - a, r.q2 - b, u, N1)
             assert float(split.max()) - 1e-12 <= g2 <= half + 1e-12
-            assert r.max_eigenvalue == hk.capped_gauss_objective(r.q1 / 2, r.q2 / 2, u, N1)[1]
+            assert r.max_eigenvalue == hs.capped_gauss_objective(r.q1 / 2, r.q2 / 2, u, N1, u)[1]
     assert found >= 10
 
 
@@ -811,7 +827,7 @@ def test_case_3_is_exact_equality():
     # J equal to the unconstrained argmax 1.5 at L = 5, u = 1; the old 1e-9
     # band also called its neighbours case 3
     params = hk.HKParams(u=1.0)
-    J = hk.unconstrained_argmax(5.0, 1.0)
+    J = hs.gauss_argmax(5.0, 1.0, 0.0, 1.0)
     assert J == 1.5
     assert hk.maximizer_bound_check(J, 5.0, params).case == 3
     below = hk.maximizer_bound_check(math.nextafter(J, 0.0), 5.0, params)
@@ -895,8 +911,8 @@ def test_power_control_cell_g1_majorizes_f1_exactly():
 
 
 def test_constant_power_gap_positive():
-    params = hk.HKParams(u=1.0, N1=1.0, N2=0.05)
-    res = hk.constant_power_gap(params)
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
+    res = cx.constant_power_gap(params)
     assert res.witness_gain > 1e-6
     assert res.slack <= res.witness_gain / 2.0
     assert res.lower_witness > res.gaussian_value
@@ -911,7 +927,7 @@ def test_constant_power_gap_positive():
 def test_constant_power_gap_gaussian_term_matches_grid(u, N1, N2, where):
     # the Gaussian term is half the capped psi with N = N2 and L = q2 over
     # K in [0, q1]; a dense K grid of the written-out psi is the oracle
-    res = hk.constant_power_gap(hk.HKParams(u=u, N1=N1, N2=N2), n=4096)
+    res = cx.constant_power_gap(cx.ChannelParams(u=u, N1=N1, N2=N2), n=4096)
     term = res.gaussian_value - 0.5 * math.log((res.q1 + res.q2 + N1 + N2) / N1)
     ks = np.linspace(0.0, res.q1, 1000001)
     vals = 0.5 * psi_written_out(ks, res.q2, u, N1, N2)
@@ -921,11 +937,11 @@ def test_constant_power_gap_gaussian_term_matches_grid(u, N1, N2, where):
 
 
 def test_constant_power_gap_large_A_trend():
-    params = hk.HKParams(u=1.0, N1=1.0, N2=0.05)
-    base = hk.constant_power_gap(params)
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
+    base = cx.constant_power_gap(params)
     gaps = []
     for mult in (1.0, 8.0, 64.0):
-        res = hk.constant_power_gap(params, A=base.mixing_variance * mult)
+        res = cx.constant_power_gap(params, A=base.mixing_variance * mult)
         gaps.append(res.gap)
     c_half = base.witness_gain / 2.0
     devs = [abs(g - c_half) for g in gaps]
@@ -943,7 +959,7 @@ def test_constant_power_gap_computes_each_entropy_once(monkeypatch):
         return real(m, n=n)
 
     monkeypatch.setattr(cx, "mixture_entropy", counted)
-    hk.constant_power_gap(hk.HKParams(u=1.0, N1=1.0, N2=0.05))
+    cx.constant_power_gap(cx.ChannelParams(u=1.0, N1=1.0, N2=0.05))
     assert len(seen) == len(set(seen))
 
 
@@ -953,22 +969,29 @@ def test_constant_power_gap_witness_meets_the_power_exactly(N2):
     # the roundings of t, sqrt(t)^2 and the moment sum: at most 5 ulps over
     # 20 000 log-uniform N2 in [1e-12, 1e12]; the objective's former power
     # test allowed 1e-9 over N2
-    res = hk.constant_power_gap(hk.HKParams(u=1.0, N1=1.0, N2=N2), n=2048)
+    res = cx.constant_power_gap(cx.ChannelParams(u=1.0, N1=1.0, N2=N2), n=2048)
     assert abs(res.q2 - N2) <= 8 * math.ulp(N2)
 
 
 @pytest.mark.parametrize("A", [math.nan, math.inf, -1.0])
 def test_constant_power_gap_rejects_bad_mixing_variance(A):
-    params = hk.HKParams(u=1.0, N1=1.0, N2=0.05)
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
     with pytest.raises(ValueError, match="mixing variance A must be finite and nonnegative"):
-        hk.constant_power_gap(params, A=A)
+        cx.constant_power_gap(params, A=A)
 
 
 def test_constant_power_witness_unavailable():
     # N2 so large that the scaled construction has no verified positive gain
-    params = hk.HKParams(u=1.0, N1=1.0, N2=50.0)
-    with pytest.raises(hk.WitnessUnavailableError):
-        hk.constant_power_gap(params)
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=50.0)
+    with pytest.raises(cx.WitnessUnavailableError):
+        cx.constant_power_gap(params)
+
+
+def test_constant_power_gap_rejects_a_nan_skew_gain():
+    # u h(.) and (1+u) h(.) overflow to inf, so c = inf - inf is NaN, which
+    # passed the old test c <= 1e-6
+    with pytest.raises(cx.WitnessUnavailableError, match="skew gain c = nan"):
+        cx.constant_power_gap(cx.ChannelParams(u=1.7e308, N1=1.0, N2=0.05), n=1024)
 
 
 # ----------------------------------------------------------------------
