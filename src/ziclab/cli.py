@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
 
 Importing this module loads neither numpy nor a compute module: each
 handler, and each option validator, imports the modules it runs when it
-runs, so a command loads only its own.
+runs, so a command loads only its own.  The scalar commands
+(``phase-diagram``, ``hessian``, ``theorem5-epsilon``, ``condition54-root``
+and ``geometry``) compute on Python floats and never load numpy, and the
+report writer looks numpy up only if a handler loaded it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ def _number(text: str, kind=float):
         raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: '{text}'") from None
 
 
+# A range is a sweep: each of its values becomes at least one report row
+# of some 100 bytes and costs 32 bytes as a listed float, so 10^6 values
+# already make a report of about 100 MB.  The longest sweep of the README
+# and the benchmark holds 30 values.
+MAX_RANGE_VALUES = 10**6
+
+
 def parse_values(text: str) -> list[float]:
     """Parse 'lo:hi:step' sweeps, comma lists, or a single number; every
     value must be finite, and a comma list must hold at least one.
@@ -50,7 +60,8 @@ def parse_values(text: str) -> list[float]:
     i step <= hi - lo in the exact decimal values of the three texts (a
     text that rounds to the float 0 counts as 0), so 1.1:4:0.1 gives 30
     values and ends at 4 within rounding.  A range whose count passes the
-    float range is rejected."""
+    float range, or MAX_RANGE_VALUES, is rejected before any value is
+    built."""
     text = text.strip()
     if ":" in text:
         from fractions import Fraction
@@ -72,6 +83,10 @@ def parse_values(text: str) -> list[float]:
         if n > sys.float_info.max:
             raise argparse.ArgumentTypeError(
                 f"bad range '{text}': non-finite value count (hi-lo)/step + 1"
+            )
+        if n > MAX_RANGE_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"bad range '{text}': more than {MAX_RANGE_VALUES} values (hi-lo)/step + 1"
             )
         return [lo + i * step for i in range(n)]
     if "," in text:
@@ -133,9 +148,10 @@ def _report_values(obj):
     """Plain Python copy of a report value: numpy scalars become Python
     numbers and non-finite floats become None, so that JSON reports are
     strict (null, never NaN or Infinity) and CSV cells are empty."""
-    import numpy as np  # loaded by every handler before its report is written
-
-    if isinstance(obj, (np.floating, np.integer)):
+    # a report that holds a numpy scalar comes from a handler that loaded
+    # numpy; the scalar commands' reports hold Python values alone
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
@@ -319,12 +335,12 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def cmd_condition54_root(args) -> tuple[dict, list[dict], list[dict]]:
-    from . import counterexamples as cx, hessian as hs
+    from . import hessian as hs
 
     results = []
     checks = []
     for u in args.u:
-        root = cx.stability_root(u, tol=args.tolerance)
+        root = hs.stability_root(u, tol=args.tolerance)
         closed = hs.stability_threshold(u)
         results.append({"u": u, "root": root, "tolerance": args.tolerance})
         checks.append(

@@ -23,7 +23,9 @@ series is even in eps because every perturbing term is an odd function).
 The two third-derivative perturbations share their eps-ladder checks
 (``_PerturbationLadder``), and the closed forms of their eps^2 coefficients,
 deriv_norm_balance/2 and fisher_limit_coefficient, share one Gaussian-moment
-kernel (``_weighted_sq_norm``).
+kernel (``_weighted_sq_norm``).  The balance, its kernel and the stability
+root live in ``hessian``, beside the threshold the root checks, and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .gaussmix import (
     GaussMixture,
     DerivTerm,
     gauss_deriv_poly,
-    gauss_raw_moment,
 )
 from .entropy import (
     Mixture,
@@ -54,7 +55,14 @@ from .entropy import (
     mixture_entropy,
     power_fit,
 )
-from .hessian import capped_gauss_objective, gauss_psi, stationary_source_variance
+from .hessian import (
+    _weighted_sq_norm,
+    capped_gauss_objective,
+    deriv_norm_balance,
+    gauss_psi,
+    stability_root,
+    stationary_source_variance,
+)
 
 
 class NoGaussianMaxError(ValueError):
@@ -604,110 +612,6 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
         base_value=base,
         stationary_K=k_star,
     )
-
-
-# ----------------------------------------------------------------------
-# Weighted derivative norms, the balance and the stability root
-# ----------------------------------------------------------------------
-
-
-def _weighted_sq_norm(R: Sequence[float], v: float, b: float) -> float:
-    """int (R(z) gamma_v(x))^2 / gamma_b(x) dx, z = x/sqrt(v), for the
-    polynomial R (ascending coefficients) and 0 < v <= b.
-
-    In z, gamma_v^2/gamma_b dx is sqrt(s/r) times the N(0, s) density dz,
-    with r = v/b and s = 1/(2 - r), so the integral is
-    sqrt(s/r) E[R(Z)^2], Z ~ N(0, s): a finite sum of Gaussian moments.
-    With R from gauss_deriv_poly(m, 1.0), which is (-1)^m He_m (DLMF
-    §18.9), D^m gamma_v = v^{-m/2} R(z) gamma_v, so
-    int (D^m gamma_v)^2/gamma_b is this norm over v^m.  Since r lies in
-    (0, 1] and s in (1/2, 1], no moment leaves the float range at any v.
-    """
-    r = v / b
-    s = 1.0 / (2.0 - r)
-    n = len(R)
-    square = [
-        sum(R[i] * R[j - i] for i in range(max(0, j - n + 1), min(j, n - 1) + 1))
-        for j in range(2 * n - 1)
-    ]
-    return math.sqrt(s / r) * sum(c * gauss_raw_moment(j, s) for j, c in enumerate(square))
-
-
-def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
-    """-int (D^3 gamma_{K-delta})^2/gamma_K
-    + (1+u) int (D^3 gamma_{K+u-delta})^2/gamma_{K+u}.
-
-    Each integral is _weighted_sq_norm(He_3; v, base)/v^3 with
-    v = base - delta, divided by v one factor at a time (v**3 raises
-    OverflowError from v of about 5.6e102), so the balance underflows to
-    0, not NaN, at large K.
-    At delta = 0 the exact value is -6/K^3 + 6(1+u)/(K+u)^3; positivity is
-    the second-order gain condition of the vertical perturbation.
-    """
-    if K - delta <= 0:
-        raise ValueError("need K - delta > 0")
-    he3 = gauss_deriv_poly(3, 1.0).tolist()
-
-    def sq_norm(base: float) -> float:
-        v = base - delta
-        return _weighted_sq_norm(he3, v, base) / v / v / v
-
-    return -sq_norm(K) + (1.0 + u) * sq_norm(K + u)
-
-
-def _balance_rounding_floor(K: float, u: float) -> float:
-    """Bound on the rounding error of deriv_norm_balance(K, u) at delta = 0.
-
-    There the moment sum is exact: the terms 15, -18 and 9 of
-    E[He_3(Z)^2] = 6 are integers, so the balance is t2 - t1 with
-    t1 = 6/K/K/K and t2 = (1+u) (6/b/b/b), b = K + u.  t1 carries three
-    roundings, t2 eight (three divisions, the sum b to the third power,
-    1 + u and the product), and the difference one more, of at most
-    max(t1, t2).  So the error is at most 2^-53 (4 t1 + 9 t2) to first
-    order, below the floor 10 * 2^-53 (t1 + t2) returned here.
-    """
-    b = K + u
-    return 10.0 * 2.0**-53 * (6.0 / K / K / K + (1.0 + u) * (6.0 / b / b / b))
-
-
-def stability_root(u: float, tol: float = 1e-8) -> float:
-    """Bisection root of the derivative-norm balance at delta = 0 on the
-    bracket [1, 3 + u].
-
-    The balance -6/K^3 + 6(1+u)/(K+u)^3 has the sign of
-    (1+u) K^3 - (K+u)^3, which is (1+u) - (1+u)^3 < 0 at K = 1 and
-    u^3 (2+u) > 0 at K = 3 + u, so the ends are not evaluated.  A tol
-    below the float spacing at 3 + u is rejected; from it up, a bracket
-    wider than tol has a midpoint strictly inside.  The bisection stops
-    once the bracket is no wider than tol, or at a midpoint whose balance
-    lies within its rounding floor (``_balance_rounding_floor``), whose
-    sign is then undecided; a bracket still wider than tol is a ValueError
-    that names the floor.
-    """
-    if not 0 < u < math.inf:
-        raise ValueError(f"u must be positive and finite, got {u}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    lo, hi = 1.0, 3.0 + u
-    if tol < math.ulp(hi):
-        raise ValueError(
-            f"tolerance must be at least {math.ulp(hi):.17g} (float spacing at {hi}), got {tol}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        balance = deriv_norm_balance(mid, u)
-        floor = _balance_rounding_floor(mid, u)
-        if abs(balance) <= floor:
-            raise ValueError(
-                f"the balance {balance:.3e} at K={mid!r} is within its rounding floor "
-                f"{floor:.3e}, so its sign is undecided and the bracket [{lo!r}, {hi!r}] "
-                f"cannot shrink to the tolerance {tol}"
-            )
-        if balance < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .hessian import gauss_deriv_coeffs, gauss_raw_moment
+
 MAX_ORDER = 64
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -37,23 +39,17 @@ class DerivTerm(NamedTuple):
 def gauss_deriv_poly(order: int, variance: float) -> np.ndarray:
     """Coefficients (ascending) of P with D^order gamma_v = P * gamma_v.
 
-    Built by the recursion P_{k+1} = P_k' - (x/v) P_k, one slice each for
-    the derivative and the shift, so the leading coefficient is
-    (-1/v)^order.  Memoized per (order, variance), since pointwise callers
-    such as adaptive quadrature ask for the same polynomial many times; the
+    The recursion P_{k+1} = P_k' - (x/v) P_k is ``hessian.gauss_deriv_coeffs``,
+    which runs on Python floats; this checks order, variance and the float
+    range.  Memoized per (order, variance), since pointwise callers such
+    as adaptive quadrature ask for the same polynomial many times; the
     returned array is read-only because it is shared.
     """
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
     if variance <= 0:
         raise ValueError("variance must be positive")
-    p = np.array([1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, order + 1):
-            q = np.zeros(k + 1)
-            q[: k - 1] += p[1:] * np.arange(1, k)
-            q[1:] -= p / variance
-            p = q
+    p = np.array(gauss_deriv_coeffs(order, float(variance)))
     if not np.isfinite(p).all():
         raise ValueError(
             f"D^{order} gamma_v has coefficients beyond the float range at v = {variance}"
@@ -91,13 +87,6 @@ def gauss_deriv_pdf(
     if h is not None:
         out *= h
     return out[()] if out.ndim == 0 else out
-
-
-def gauss_raw_moment(j: int, variance: float) -> float:
-    """E[Z^j] for Z ~ N(0, variance)."""
-    if j % 2:
-        return 0.0
-    return float(math.prod(range(j - 1, 0, -2)) * variance ** (j // 2)) if j else 1.0
 
 
 def _falling(i: int, m: int) -> int:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 # The ratio multiplies two areas of order t^2 (K is the unit square), so
 # t^4 must stay below the float range.
 T_MAX = sys.float_info.max ** 0.25 / 2.0
@@ -69,14 +67,20 @@ def area_gap(t: float, round_interferer: bool = False) -> float:
     return ((a * t + b) * t - math.pi) * t - math.pi**2 / 16.0
 
 
-def ratio_leading_coefficient(ts=(50.0, 100.0, 200.0)) -> float:
-    """Fitted t^{-1} coefficient of (ratio - 1); exact value
-    ((pi sqrt(2) / 2) - 2) / 2 from the mixed-area computation."""
-    ts = np.asarray(ts, dtype=float)
-    y = np.array([volume_ratio(t) - 1.0 for t in ts])
-    basis = np.stack([1.0 / ts, 1.0 / ts**2], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return float(coef[0])
+def ratio_leading_coefficient() -> float:
+    """Fitted t^{-1} coefficient of (ratio - 1): the least-squares fit in
+    the basis {1/t, 1/t^2} at t = 50, 100, 200, solved from its 2x2 normal
+    equations by Cramer's rule; exact value ((pi sqrt(2) / 2) - 2) / 2 from
+    the mixed-area computation."""
+    ts = (50.0, 100.0, 200.0)
+    a = [1.0 / t for t in ts]
+    b = [1.0 / t**2 for t in ts]
+    y = [volume_ratio(t) - 1.0 for t in ts]
+
+    def dot(p, q):
+        return sum(x * z for x, z in zip(p, q))
+
+    return (dot(b, b) * dot(a, y) - dot(a, b) * dot(b, y)) / (dot(a, a) * dot(b, b) - dot(a, b) ** 2)
 
 
 RATIO_COEFFICIENT_EXACT = (math.pi * math.sqrt(2.0) / 2.0 - 2.0) / 2.0

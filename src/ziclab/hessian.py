@@ -8,9 +8,14 @@ I_alpha.  The stationary point (K, L) satisfies K = (L+u)/(L-1) with
 multiplier lambda = u/(K+u+L); negativity of the ledger flips exactly at
 K = u/((1+u)^{1/3} - 1), where (1+u) K^3 = (K+u)^3; the classifier decides that sign exactly.
 
-The scalar Gaussian objective psi, its maximizer and its maximum over a
-capped K live here too, as the one copy that the HK-region and
-counterexample modules share.
+The bisection root of the derivative-norm balance, the Gaussian moments
+and the Hermite coefficients it needs live beside the threshold it checks;
+gaussmix and counterexamples import them from here.  The scalar Gaussian
+objective psi, its maximizer and its maximum over a capped K live here
+too, as the one copy that the HK-region and counterexample modules share.
+Only those three take arrays, and each imports numpy when called, so the
+scalar commands (the ledger, the certificate, the phase diagram and the
+stability root) run on Python floats and never load numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 
 class NotStationaryError(ValueError):
@@ -48,6 +51,143 @@ def stability_classify(K: float, u: float) -> str:
     return "stable" if gap < 0 else "unstable" if gap > 0 else "critical"
 
 
+# ----------------------------------------------------------------------
+# Hermite coefficients, derivative norms and the stability root
+# ----------------------------------------------------------------------
+
+
+def gauss_deriv_coeffs(order: int, variance: float) -> list[float]:
+    """Coefficients (ascending) of P with D^order gamma_v = P * gamma_v, by
+    the recursion P_{k+1} = P_k' - (x/v) P_k, so the leading coefficient is
+    (-1/v)^order.  Each coefficient of P_{k+1} starts at 0.0, gains its
+    derivative term and loses its shift term: the float operations, signed
+    zeros included, of the array updates q[:k-1] += p[1:] * arange(1, k)
+    and q[1:] -= p / v on a zeroed q.  ``gaussmix.gauss_deriv_poly`` wraps
+    this in its checked array.  A coefficient beyond the float range reads
+    inf or nan.
+    """
+    p = [1.0]
+    for k in range(1, order + 1):
+        q = [0.0] * (k + 1)
+        for j in range(1, k):
+            q[j - 1] += p[j] * j
+        for j in range(k):
+            q[j + 1] -= p[j] / variance
+        p = q
+    return p
+
+
+def gauss_raw_moment(j: int, variance: float) -> float:
+    """E[Z^j] for Z ~ N(0, variance)."""
+    if j % 2:
+        return 0.0
+    return float(math.prod(range(j - 1, 0, -2)) * variance ** (j // 2)) if j else 1.0
+
+
+def _weighted_sq_norm(R: Sequence[float], v: float, b: float) -> float:
+    """int (R(z) gamma_v(x))^2 / gamma_b(x) dx, z = x/sqrt(v), for the
+    polynomial R (ascending coefficients) and 0 < v <= b.
+
+    In z, gamma_v^2/gamma_b dx is sqrt(s/r) times the N(0, s) density dz,
+    with r = v/b and s = 1/(2 - r), so the integral is
+    sqrt(s/r) E[R(Z)^2], Z ~ N(0, s): a finite sum of Gaussian moments.
+    With R from gauss_deriv_coeffs(m, 1.0), which is (-1)^m He_m (DLMF
+    §18.9), D^m gamma_v = v^{-m/2} R(z) gamma_v, so
+    int (D^m gamma_v)^2/gamma_b is this norm over v^m.  Since r lies in
+    (0, 1] and s in (1/2, 1], no moment leaves the float range at any v.
+    """
+    r = v / b
+    s = 1.0 / (2.0 - r)
+    n = len(R)
+    square = [
+        sum(R[i] * R[j - i] for i in range(max(0, j - n + 1), min(j, n - 1) + 1))
+        for j in range(2 * n - 1)
+    ]
+    return math.sqrt(s / r) * sum(c * gauss_raw_moment(j, s) for j, c in enumerate(square))
+
+
+def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
+    """-int (D^3 gamma_{K-delta})^2/gamma_K
+    + (1+u) int (D^3 gamma_{K+u-delta})^2/gamma_{K+u}.
+
+    Each integral is _weighted_sq_norm(He_3; v, base)/v^3 with
+    v = base - delta, divided by v one factor at a time (v**3 raises
+    OverflowError from v of about 5.6e102), so the balance underflows to
+    0, not NaN, at large K.
+    At delta = 0 the exact value is -6/K^3 + 6(1+u)/(K+u)^3; positivity is
+    the second-order gain condition of the vertical perturbation.
+    """
+    if K - delta <= 0:
+        raise ValueError("need K - delta > 0")
+    he3 = gauss_deriv_coeffs(3, 1.0)
+
+    def sq_norm(base: float) -> float:
+        v = base - delta
+        return _weighted_sq_norm(he3, v, base) / v / v / v
+
+    return -sq_norm(K) + (1.0 + u) * sq_norm(K + u)
+
+
+def _balance_rounding_floor(K: float, u: float) -> float:
+    """Bound on the rounding error of deriv_norm_balance(K, u) at delta = 0.
+
+    There the moment sum is exact: the terms 15, -18 and 9 of
+    E[He_3(Z)^2] = 6 are integers, so the balance is t2 - t1 with
+    t1 = 6/K/K/K and t2 = (1+u) (6/b/b/b), b = K + u.  t1 carries three
+    roundings, t2 eight (three divisions, the sum b to the third power,
+    1 + u and the product), and the difference one more, of at most
+    max(t1, t2).  So the error is at most 2^-53 (4 t1 + 9 t2) to first
+    order, below the floor 10 * 2^-53 (t1 + t2) returned here.
+    """
+    b = K + u
+    return 10.0 * 2.0**-53 * (6.0 / K / K / K + (1.0 + u) * (6.0 / b / b / b))
+
+
+def stability_root(u: float, tol: float = 1e-8) -> float:
+    """Bisection root of the derivative-norm balance at delta = 0 on the
+    bracket [1, 3 + u].
+
+    The balance -6/K^3 + 6(1+u)/(K+u)^3 has the sign of
+    (1+u) K^3 - (K+u)^3, which is (1+u) - (1+u)^3 < 0 at K = 1 and
+    u^3 (2+u) > 0 at K = 3 + u, so the ends are not evaluated.  A tol
+    below the float spacing at 3 + u is rejected; from it up, a bracket
+    wider than tol has a midpoint strictly inside.  The bisection stops
+    once the bracket is no wider than tol, or at a midpoint whose balance
+    lies within its rounding floor (``_balance_rounding_floor``), whose
+    sign is then undecided; a bracket still wider than tol is a ValueError
+    that names the floor.
+    """
+    if not 0 < u < math.inf:
+        raise ValueError(f"u must be positive and finite, got {u}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    lo, hi = 1.0, 3.0 + u
+    if tol < math.ulp(hi):
+        raise ValueError(
+            f"tolerance must be at least {math.ulp(hi):.17g} (float spacing at {hi}), got {tol}"
+        )
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        balance = deriv_norm_balance(mid, u)
+        floor = _balance_rounding_floor(mid, u)
+        if abs(balance) <= floor:
+            raise ValueError(
+                f"the balance {balance:.3e} at K={mid!r} is within its rounding floor "
+                f"{floor:.3e}, so its sign is undecided and the bracket [{lo!r}, {hi!r}] "
+                f"cannot shrink to the tolerance {tol}"
+            )
+        if balance < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# ----------------------------------------------------------------------
+# The scalar Gaussian objective and the stationary variance
+# ----------------------------------------------------------------------
+
+
 def gauss_psi(K, L, u: float, N1: float, N: float):
     """psi(K, L) = u ln(K+N1+N+L) + ln(K+N1) - (u+1) ln(K+N1+N), elementwise.
 
@@ -57,6 +197,8 @@ def gauss_psi(K, L, u: float, N1: float, N: float):
     - (1+u) h(X1+Z1+Z2) at X1 ~ gamma_K, X2 ~ gamma_L.  Returns -inf
     where K+N1 <= 0.
     """
+    import numpy as np
+
     K = np.asarray(K, dtype=float)
     L = np.asarray(L, dtype=float)
     x = K + N1
@@ -77,6 +219,8 @@ def gauss_argmax(L, u: float, N1: float, N: float):
     (u/N) L > 1; elsewhere psi increases in K.  With N = u this is the
     stationary variance (L+u)/(L-1) - N1.
     """
+    import numpy as np
+
     L = np.asarray(L, dtype=float)
     slope = (u / N) * L
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -87,6 +231,8 @@ def gauss_argmax(L, u: float, N1: float, N: float):
 def capped_gauss_objective(J, L, u: float, N1: float, N: float):
     """(value, argmax K) of sup_{0 <= K <= J} psi(K, L), elementwise: K is
     gauss_argmax clipped to [0, J]."""
+    import numpy as np
+
     k = np.clip(gauss_argmax(L, u, N1, N), 0.0, np.asarray(J, dtype=float))
     val = gauss_psi(k, L, u, N1, N)
     if k.ndim:
@@ -94,24 +240,29 @@ def capped_gauss_objective(J, L, u: float, N1: float, N: float):
     return float(val), float(k)
 
 
-def _check_weight(u: float) -> None:
-    # gauss_argmax divides by N = u
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
-
-
 def stationary_source_variance(L: float, u: float) -> float:
     """The stationary variance K = (L+u)/(L-1) of the Gaussian objective:
     the one place K is derived from (L, u), and the one L > 1 check
     (NotStationaryError, NaN included); a K that is not finite is a
-    ValueError."""
+    ValueError.  In floats this is gauss_argmax(L, u, 0, u) bit for bit:
+    at finite u, u/u is exactly 1 and x - 0.0 is x, and at u = inf both
+    are not finite."""
     if not L > 1:
         raise NotStationaryError(f"the stationary variance K = (L+u)/(L-1) needs L > 1, got {L}")
-    _check_weight(u)
-    K = gauss_argmax(L, u, 0.0, u)
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
+    # K is a Python float whatever the inputs, so that the callers' float
+    # powers raise OverflowError rather than warn as numpy scalars would
+    L, u = float(L), float(u)
+    K = (L + u) / (L - 1.0)
     if not math.isfinite(K):
         raise ValueError(f"the stationary variance K = (L+u)/(L-1) is not finite at L={L}, u={u}")
     return K
+
+
+# ----------------------------------------------------------------------
+# Hessian ledger
+# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from ziclab import hkregion as hk
 from ziclab.counterexamples import VerticalPerturbation
 from ziclab.entropy import GridDensity, differential_entropy, gaussian_entropy, mixture_entropy, mixture_to_grid
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gauss_deriv_poly, gauss_raw_moment, gaussian
+from ziclab.geometry import volume_ratio
 
 # ----------------------------------------------------------------------
 # Hermite-weighted norms and the outer-entropy defect
@@ -205,3 +206,20 @@ def power_control_value_2d(
     f2tab = maxplus_self_convolution(f1tab)
     env = hk.Envelope2D(xg, yg, f2tab)
     return env.value(q1, q2).value
+
+
+# ----------------------------------------------------------------------
+# The volume-ratio fit
+# ----------------------------------------------------------------------
+
+
+def ratio_fit_lstsq() -> tuple[np.ndarray, np.ndarray]:
+    """(basis, coefficients) of LAPACK's least-squares fit of
+    volume_ratio(t) - 1 in the basis {1/t, 1/t^2} at t = 50, 100, 200: the
+    fit that ``geometry.ratio_leading_coefficient`` solves by its normal
+    equations."""
+    ts = np.array([50.0, 100.0, 200.0])
+    basis = np.stack([1.0 / ts, 1.0 / ts**2], axis=1)
+    y = np.array([volume_ratio(t) - 1.0 for t in ts])
+    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return basis, coef

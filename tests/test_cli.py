@@ -17,7 +17,7 @@ import pytest
 
 from ziclab import counterexamples as cx
 from ziclab import hkregion as hk
-from ziclab.cli import build_parser, main, parse_values
+from ziclab.cli import MAX_RANGE_VALUES, build_parser, main, parse_values, write_report
 
 from test_readme_commands import readme_commands
 
@@ -90,6 +90,35 @@ def test_parse_values_rejects_non_finite(text, capsys):
         parse_values(text)
     assert main(["phase-diagram", "--u", "1", f"--L={text}"]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_parse_values_range_count_bound():
+    values = parse_values(f"1:{MAX_RANGE_VALUES}:1")
+    assert len(values) == MAX_RANGE_VALUES and values[-1] == MAX_RANGE_VALUES
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match=f"more than {MAX_RANGE_VALUES} values"):
+        parse_values(f"0:{MAX_RANGE_VALUES}:1")
+
+
+def test_huge_range_count_exit_2_before_any_value_is_built():
+    # 0:1:1e-12 would list 10^12 floats.  The child runs under a 1 GB
+    # address space, so a missing bound ends in a MemoryError within a
+    # second instead of exhausting the machine's memory
+    import resource
+
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "ziclab.cli", "phase-diagram", "--u", "1", "--L", "0:1:1e-12"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "ziclab phase-diagram: error: argument --L: bad range '0:1:1e-12': "
+        f"more than {MAX_RANGE_VALUES} values (hi-lo)/step + 1\n"
+    )
 
 
 def test_phase_diagram_csv_columns(tmp_path, capsys):
@@ -767,25 +796,27 @@ def test_help_loads_no_numpy(argv):
     assert out.endswith("\n['ziclab', 'ziclab.cli']\n")
 
 
-HESSIAN_ONLY = ("hessian",)
-PERTURBATION = ("counterexamples", "entropy", "gaussmix", "hessian")
-HK = ("hessian", "hkregion")
-# the modules each subcommand loads besides the package and the CLI (_util
-# holds the audits' RNG streams); README runs all 14 subcommands
-# (test_readme_runs_every_subcommand)
+HESSIAN_ONLY = ("ziclab.hessian",)
+PERTURBATION = ("numpy", "ziclab.counterexamples", "ziclab.entropy", "ziclab.gaussmix",
+                "ziclab.hessian")
+HK = ("numpy", "ziclab.hessian", "ziclab.hkregion")
+# the modules each subcommand loads besides the package and the CLI, numpy
+# among them only where the command computes on arrays (_util holds the
+# audits' RNG streams); the five scalar commands load no numpy, and README
+# runs all 14 subcommands (test_readme_runs_every_subcommand)
 COMMAND_MODULES = {
     "phase-diagram": HESSIAN_ONLY,
     "hessian": HESSIAN_ONLY,
     "theorem5-epsilon": HESSIAN_ONLY,
-    "geometry": ("geometry",),
-    "condition54-root": PERTURBATION,
+    "geometry": ("ziclab.geometry",),
+    "condition54-root": HESSIAN_ONLY,
     "verify-lemma1": PERTURBATION,
     "verify-lemma2": PERTURBATION,
     "verify-vertical": PERTURBATION,
     "limit-functional": PERTURBATION,
     "hk-region": HK,
-    "lemma5-audit": ("_util", *HK),
-    "theorem4-audit": ("_util", *HK),
+    "lemma5-audit": ("ziclab._util", *HK),
+    "theorem4-audit": ("ziclab._util", *HK),
     "constant-power-gap": PERTURBATION,
     "conjecture2-map": HK,
 }
@@ -800,8 +831,30 @@ def test_readme_command_loads_only_its_modules(line, tmp_path):
     argv += ["--output", str(tmp_path / "report")]
     out = run_fresh(["-c", f"import sys; from ziclab.cli import main; code = main({argv!r}); "
                            f"print(code); {LOADED}"])
-    want = ["numpy", "ziclab", "ziclab.cli", *(f"ziclab.{m}" for m in COMMAND_MODULES[argv[0]])]
+    want = ["ziclab", "ziclab.cli", *COMMAND_MODULES[argv[0]]]
     assert out == f"0\n{sorted(want)}\n"
+
+
+def test_write_report_of_python_values_loads_no_numpy():
+    out = run_fresh(["-c", "import math, sys; from ziclab.cli import write_report; "
+                           "write_report({'u': 1.0}, [{'K': math.inf, 'n': 2, 'c': 'stable'}], "
+                           f"[], '-', 'json'); {LOADED}"])
+    assert out.endswith("\n['ziclab', 'ziclab.cli']\n")
+    assert json.loads(out[: out.rindex("[")])["results"] == [{"K": None, "n": 2, "c": "stable"}]
+
+
+def test_numpy_scalars_become_numbers_or_null(capsys):
+    import numpy as np
+
+    row = {"f": np.float64(0.5), "nan": np.float64("nan"), "inf": np.float32("inf"),
+           "i": np.int64(7), "list": [np.float32(0.25), np.float64("-inf")]}
+    write_report({}, [row], [], "-", "json")
+    results = json.loads(capsys.readouterr().out, parse_constant=reject_non_finite)["results"]
+    assert results == [{"f": 0.5, "nan": None, "inf": None, "i": 7, "list": [0.25, None]}]
+    assert type(results[0]["i"]) is int
+    del row["list"]
+    write_report({}, [row], [], "-", "csv")
+    assert capsys.readouterr().out == "f,nan,inf,i\r\n0.5,,,7\r\n"
 
 
 # every name `import ziclab` exported when the package imported its modules eagerly

@@ -10,7 +10,7 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ziclab.cli import main
+from ziclab.cli import MAX_RANGE_VALUES, main
 
 # the float range's edges, zero, negatives, ordinary and non-finite values
 SPECIAL = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "0.3", "1", "1.6", "2", "5",
@@ -21,10 +21,13 @@ FLOAT = st.one_of(
 )
 INT = st.integers(min_value=-3, max_value=25).map(str)
 # lo:hi:step ranges with a few values, none, or more than a float can count
-# (a huge finite count, such as 0:1:1e-12, would build that many floats)
+# (a huge finite count, such as 0:1:1e-12, is run in a child process under
+# an address-space limit by test_cli.py), and ranges just past the count
+# bound, which are rejected before any value is built
 RANGES = ("1:2:0.5", "0:0.99999999995:0.1", "2:2:1", "1e-300:1e300:2e299", "1:0:1", "0:1:0",
           "1:2:3:4", "1:1e300:1e-300", "2:3:1e-320")
-VALUES = st.one_of(FLOAT, st.sampled_from(RANGES))
+PAST_BOUND = st.integers(min_value=0, max_value=3).map(lambda k: f"0:{MAX_RANGE_VALUES + k}:1")
+VALUES = st.one_of(FLOAT, st.sampled_from(RANGES), PAST_BOUND)
 
 
 def command(name, *fixed, **options):
@@ -95,6 +98,8 @@ def reject_non_finite(text):
 # an OverflowError traceback
 @example(["geometry", "--t=1:1e300:1e-300"])
 @example(["phase-diagram", "--u=1", "--L=2:3:1e-320"])
+# an overflow RuntimeWarning from numpy before the one-line exit 2
+@example(["phase-diagram", "--u=1e300", "--L=1.0000000009313226"])
 def test_cli_exits_0_2_or_3_with_strict_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:

@@ -1,6 +1,7 @@
 """Counterexample pipelines against closed forms and quadrature oracles."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -502,11 +503,18 @@ def test_balance_underflows_to_zero_at_large_K(K, delta):
 
 def test_stability_root_unchanged_from_the_moment_sum(monkeypatch):
     roots = {u: cx.stability_root(u, tol=1e-8) for u in (0.001, 0.5, 1.0, 2.0, 7.0, 100.0)}
-    monkeypatch.setattr(
-        cx, "deriv_norm_balance",
-        lambda K, u, d=0.0: -moment_sum_sq_norm(K, d) + (1 + u) * moment_sum_sq_norm(K + u, d),
-    )
+    calls = []
+
+    def moment_sum_balance(K, u, d=0.0):
+        calls.append(K)
+        return -moment_sum_sq_norm(K, d) + (1 + u) * moment_sum_sq_norm(K + u, d)
+
+    # the balance is patched where stability_root reads it, and the root
+    # must have called the patched one
+    monkeypatch.setattr(sys.modules[cx.stability_root.__module__], "deriv_norm_balance",
+                        moment_sum_balance)
     assert roots == {u: cx.stability_root(u, tol=1e-8) for u in roots}
+    assert len(calls) >= len(roots)
 
 
 def test_stability_root_matches_threshold():

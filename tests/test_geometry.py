@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from _oracles import ratio_fit_lstsq
 from ziclab.cli import main
 
 from ziclab.geometry import (
@@ -119,6 +120,20 @@ def test_ratio_leading_coefficient():
     )
     assert RATIO_COEFFICIENT_EXACT > 0
     assert coeff == pytest.approx(RATIO_COEFFICIENT_EXACT, rel=0.01)
+
+
+def test_ratio_leading_coefficient_matches_lstsq():
+    # Forming A^T A and A^T y, m-term sums over the m x n basis A, perturbs
+    # the normal-equation solution by at most about m n kappa(A)^2 u |x|
+    # to first order (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 20.4), u = 2^-53; the bound doubles that
+    # for the 2 x 2 solve and for lstsq's own error, which is about
+    # kappa(A) u |x| plus kappa(A)^2 u |x| times the relative residual (7e-4
+    # here).  The two fits differ by 5.7e-16, 41 ulps of the coefficient.
+    basis, coef = ratio_fit_lstsq()
+    m, n = basis.shape
+    bound = 2 * m * n * np.linalg.cond(basis) ** 2 * 2.0**-53 * np.linalg.norm(coef)
+    assert abs(ratio_leading_coefficient() - coef[0]) <= bound
 
 
 def test_exact_ratio_value_at_t():

@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ziclab import counterexamples as cx
 from ziclab.hessian import (
     HermiteCoeffVector,
     NotStationaryError,
+    gauss_argmax,
     hessian_quadratic_form,
     local_optimality_radius,
     phase_diagram,
@@ -175,6 +178,34 @@ def test_certificate_none_at_threshold():
     K = stationary_source_variance(L, u)
     assert K == pytest.approx(thr, rel=1e-12)
     assert local_optimality_radius([L], u) is None
+
+
+# L from just above 1 up to the float max; u from the least subnormal to inf
+L_ABOVE_1 = st.one_of(
+    st.floats(min_value=1.0, max_value=1.0 + 1e-9, exclude_min=True),
+    st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+)
+U_POSITIVE = st.floats(min_value=0.0, exclude_min=True)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(L_ABOVE_1, U_POSITIVE)
+@example(math.nextafter(1.0, 2.0), 1.0)
+@example(1.0 + 2.0**-30, 1e300)
+@example(1.7976931348623157e308, 1.0)
+@example(1e300, 1e300)
+@example(3.0, 5e-324)
+@example(1.5, math.inf)
+def test_stationary_variance_is_the_array_argmax_bit_for_bit(L, u):
+    # the scalar path computes (L+u)/(L-1) in Python floats; the array path
+    # is gauss_argmax at N1 = 0, N = u, whose quotient may overflow to inf
+    with np.errstate(over="ignore"):
+        k = float(gauss_argmax(np.array([L]), u, 0.0, u)[0])
+    if math.isfinite(k):
+        assert stationary_source_variance(L, u).hex() == k.hex()
+    else:
+        with pytest.raises(ValueError, match="is not finite"):
+            stationary_source_variance(L, u)
 
 
 def test_certificate_hypothesis_is_the_classifier():
