@@ -65,7 +65,6 @@ _EXPORTS = {
         "stability_threshold",
     ),
     "hkregion": (
-        "GridTooSmallError",
         "HKParams",
         "NotApplicableError",
         "eigenvalue_bound_audit",

@@ -13,8 +13,10 @@ Importing this module loads neither numpy nor a compute module: each
 handler, and each option validator, imports the modules it runs when it
 runs, so a command loads only its own.  The scalar commands
 (``phase-diagram``, ``hessian``, ``theorem5-epsilon``, ``condition54-root``
-and ``geometry``) compute on Python floats and never load numpy, and the
-report writer looks numpy up only if a handler loaded it.
+and ``geometry``) and the four HK commands (``hk-region``, ``lemma5-audit``,
+``theorem4-audit`` and ``conjecture2-map``) compute on Python floats and
+never load numpy, and the report writer looks numpy up only if a handler
+loaded it.
 """
 
 from __future__ import annotations
@@ -125,10 +127,6 @@ def _checked(kind, check: str):
         return value
 
     return parse
-
-
-# nodes per axis of an envelope lattice, checked as the hull builders do
-parse_envelope_grid = _checked(int, "hkregion.check_envelope_grid")
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -434,14 +432,25 @@ def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
     return {}, results, []
 
 
+def _bracket_check(cells) -> dict:
+    """g1's dual bracket on every gapped cell stays within its rounding
+    bound (``hkregion._Dual.certify``); on an f1 = g1 cell it is exact."""
+    gapped = [c.bracket for c in cells if not c.f1_eq_g1]
+    worst = max((b.upper - b.value for b in gapped), default=0.0)
+    return _check(
+        "g1_dual_bracket_within_rounding",
+        all(b.within_rounding for b in gapped),
+        f"widest bracket {worst:.3e} over {len(gapped)} cells with f1 < g1",
+    )
+
+
 def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
     from . import hkregion as hk
 
     params = hk.HKParams(u=args.u, N1=args.N1)
-
-    def row(q1, q2):
-        c = hk.power_control_cell(q1, q2, params, args.envelope_grid)
-        return {
+    cells = [hk.power_control_cell(q1, q2, params) for q1 in args.q1 for q2 in args.q2]
+    results = [
+        {
             "q1": c.q1,
             "q2": c.q2,
             "f1": c.f1,
@@ -451,14 +460,15 @@ def cmd_hk_region(args) -> tuple[dict, list[dict], list[dict]]:
             "argmax_K": c.stationary_K,
             "f1_eq_g1": c.f1_eq_g1,
         }
-
-    results = [row(q1, q2) for q1 in args.q1 for q2 in args.q2]
+        for c in cells
+    ]
     checks = [
         _check(
             "envelope_majorizes",
             all(r["g1"] >= r["f1"] for r in results),
             "g1 >= f1 on every cell",
-        )
+        ),
+        _bracket_check(cells),
     ]
     return {}, results, checks
 
@@ -544,10 +554,9 @@ def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[dict]]:
 def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
     from . import hkregion as hk
 
-    cells = hk.power_control_map(
-        args.u, args.q, hk.HKParams(u=1.0, N1=args.N1), grid_n=args.envelope_grid
-    )
-    results = [asdict(c) for c in cells]
+    cells = hk.power_control_map(args.u, args.q, hk.HKParams(u=1.0, N1=args.N1))
+    keys = ("u", "q1", "q2", "f1", "g1", "f1_eq_g1", "stationary_K")
+    results = [{k: getattr(c, k) for k in keys} for c in cells]
     bad = [
         c
         for c in cells
@@ -560,7 +569,8 @@ def cmd_conjecture2_map(args) -> tuple[dict, list[dict], list[dict]]:
             "equal_cells_respect_variance_bound",
             not bad,
             f"{len(bad)} equality cells violate K+N1 <= 1+sqrt(1+u)",
-        )
+        ),
+        _bracket_check(cells),
     ]
     return {}, results, checks
 
@@ -710,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N1", type=float, default=0.0)
     p.add_argument("--q1", type=parse_values, required=True)
     p.add_argument("--q2", type=parse_values, required=True)
-    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     common(p)
     p.set_defaults(handler=cmd_hk_region)
 
@@ -745,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=parse_values, default=[1.0])
     p.add_argument("--q", type=parse_values, required=True)
     p.add_argument("--N1", type=float, default=0.0)
-    p.add_argument("--envelope-grid", type=parse_envelope_grid, default=129)
     common(p)
     p.set_defaults(handler=cmd_conjecture2_map)
 

@@ -13,9 +13,8 @@ and the Hermite coefficients it needs live beside the threshold it checks;
 gaussmix and counterexamples import them from here.  The scalar Gaussian
 objective psi, its maximizer and its maximum over a capped K live here
 too, as the one copy that the HK-region and counterexample modules share.
-Only those three take arrays, and each imports numpy when called, so the
-scalar commands (the ledger, the certificate, the phase diagram and the
-stability root) run on Python floats and never load numpy.
+Every function here computes on Python floats with ``math``, so a command
+that runs this module and ``hkregion`` alone never loads numpy.
 """
 
 from __future__ import annotations
@@ -188,8 +187,8 @@ def stability_root(u: float, tol: float = 1e-8) -> float:
 # ----------------------------------------------------------------------
 
 
-def gauss_psi(K, L, u: float, N1: float, N: float):
-    """psi(K, L) = u ln(K+N1+N+L) + ln(K+N1) - (u+1) ln(K+N1+N), elementwise.
+def gauss_psi(K: float, L: float, u: float, N1: float, N: float) -> float:
+    """psi(K, L) = u ln(K+N1+N+L) + ln(K+N1) - (u+1) ln(K+N1+N).
 
     u weighs the outer term and N is the variance of the second noise: the
     HK quantities normalize N = u, the constant-power witness has N = N2.
@@ -197,47 +196,28 @@ def gauss_psi(K, L, u: float, N1: float, N: float):
     - (1+u) h(X1+Z1+Z2) at X1 ~ gamma_K, X2 ~ gamma_L.  Returns -inf
     where K+N1 <= 0.
     """
-    import numpy as np
-
-    K = np.asarray(K, dtype=float)
-    L = np.asarray(L, dtype=float)
     x = K + N1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            u * np.log(x + N + L)
-            + np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-            - (u + 1.0) * np.log(x + N)
-        )
-    return out if out.ndim else float(out)
+    inner = math.log(x) if x > 0 else -math.inf
+    return u * math.log(x + N + L) + inner - (u + 1.0) * math.log(x + N)
 
 
-def gauss_argmax(L, u: float, N1: float, N: float):
-    """argmax over K of psi(K, L), elementwise: (N+L)/((u/N) L - 1) - N1
-    where (u/N) L > 1, +inf elsewhere.
+def gauss_argmax(L: float, u: float, N1: float, N: float) -> float:
+    """argmax over K of psi(K, L): (N+L)/((u/N) L - 1) - N1 where
+    (u/N) L > 1, +inf elsewhere.
 
     The K^2 terms of d psi/dK cancel, leaving one root, a maximum where
     (u/N) L > 1; elsewhere psi increases in K.  With N = u this is the
     stationary variance (L+u)/(L-1) - N1.
     """
-    import numpy as np
-
-    L = np.asarray(L, dtype=float)
     slope = (u / N) * L
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.where(slope > 1.0, (N + L) / (slope - 1.0) - N1, np.inf)
-    return k if k.ndim else float(k)
+    return (N + L) / (slope - 1.0) - N1 if slope > 1.0 else math.inf
 
 
-def capped_gauss_objective(J, L, u: float, N1: float, N: float):
-    """(value, argmax K) of sup_{0 <= K <= J} psi(K, L), elementwise: K is
-    gauss_argmax clipped to [0, J]."""
-    import numpy as np
-
-    k = np.clip(gauss_argmax(L, u, N1, N), 0.0, np.asarray(J, dtype=float))
-    val = gauss_psi(k, L, u, N1, N)
-    if k.ndim:
-        return val, k
-    return float(val), float(k)
+def capped_gauss_objective(J: float, L: float, u: float, N1: float, N: float) -> tuple[float, float]:
+    """(value, argmax K) of sup_{0 <= K <= J} psi(K, L): K is gauss_argmax
+    clipped to [0, J]."""
+    k = min(max(gauss_argmax(L, u, N1, N), 0.0), J)
+    return gauss_psi(k, L, u, N1, N), k
 
 
 def stationary_source_variance(L: float, u: float) -> float:

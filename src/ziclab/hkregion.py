@@ -8,11 +8,16 @@ fixed-power value
     f1(q1, q2) = sup_{J<=q1, L<=q2} { ln(J+N1+u+L) + phi(J, L) },
 attained at the corner (J, L) = (q1, q2), and the power-control value
 g1 = upper concave envelope of f1 in (q1, q2), realized by randomizing the
-transmit powers (by Caratheodory at most three support points).
-Envelope values are linear programs over the f1 lattice, solved by a
-three-row simplex; whether f1 = g1 is decided by the tangent plane of f1.
-The d = 2 audit reduces to the d = 1 cell q/2 by tensorization,
-g2(q) = 2 g1(q/2).
+transmit powers (by Caratheodory at most three support points).  Whether
+f1 = g1 is decided by the tangent plane of f1; g1 comes from the Fenchel
+dual, minimized by Newton's method on its tied contact points, with an
+upper and a lower bound that bracket it.  The d = 2 audit reduces to the
+d = 1 cell q/2 by tensorization, g2(q) = 2 g1(q/2).
+
+Everything here computes on Python floats with ``math``, so the HK
+commands load no numpy.  The lattice linear program that g1 replaced is
+the tests' lower-bound oracle in ``_lattice``; the names of it that the
+benchmark's tracer hooks on this module are forwarded there on access.
 """
 
 from __future__ import annotations
@@ -22,27 +27,39 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import hessian as hs
 
-# fewest lattice nodes per axis an envelope can be built from
-MIN_ENVELOPE_GRID = 2
-# simplex pivots per envelope query before it gives up (RuntimeError);
-# queries on lattices up to 1025^2 take at most a few dozen
-MAX_PIVOTS = 1000
-# consecutive degenerate pivots after which the entering point follows
-# Bland's rule until a pivot makes progress, so the simplex cannot cycle
-BLAND_AFTER = 8
-# an envelope lattice spans [0, MARGIN * max(q, 1)] per axis; the margin
-# doubles up to MAX_MARGIN while support sits on the outer boundary
-MARGIN, MAX_MARGIN = 4, 32
 # the audits draw each power log-uniformly from this range
 AUDIT_Q_LOW, AUDIT_Q_HIGH = 0.05, 30.0
+# Newton steps of one dual solve: a converging run takes at most 19 on the
+# README and benchmark cells, and a run that wanders is cut here
+DUAL_MAX_STEPS = 30
+# log-bisection steps per level of the dual's fallback search, which puts
+# (a, b) within a factor 4^(2^-20) of the dual minimizer before Newton
+LOCATE_STEPS = 20
+# quadruplings of (a, b) that widen a bisection bracket before the search
+# gives up: 4^520 spans the float range
+_BRACKET_STEPS = 520
+
+# the lattice LP's names that perfbench/trace_run.py hooks on this module
+_LATTICE_NAMES = frozenset(
+    {
+        "Envelope2D",
+        "concave_envelope_1d",
+        "envelope_for",
+        "f1_table",
+        "fixed_power_value_2d",
+        "power_control_envelope",
+    }
+)
 
 
-class GridTooSmallError(ValueError):
-    """Envelope support points reached the outer tabulation boundary."""
+def __getattr__(name: str):
+    if name in _LATTICE_NAMES:
+        from . import _lattice
+
+        return getattr(_lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotApplicableError(ValueError):
@@ -50,6 +67,7 @@ class NotApplicableError(ValueError):
 
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -79,21 +97,21 @@ class HKParams:
 
 
 # ----------------------------------------------------------------------
-# Fixed-power value f1 and its vectorized tabulation
+# Fixed-power value f1
 # ----------------------------------------------------------------------
 
 
-def _corner_value(q1, q2, u: float, N1: float):
-    """f1(q1, q2) = ln(q1+N1+u+q2) + phi(q1, q2), elementwise.
+def _corner_value(q1: float, q2: float, u: float, N1: float) -> float:
+    """f1(q1, q2) = ln(q1+N1+u+q2) + phi(q1, q2).
 
     The supremum over J <= q1, L <= q2 sits at the corner: psi(K, L)
     increases in L for every K, so phi(J, L) = sup_{K<=J} psi(K, L) is
     nondecreasing in J and in L, and the log term strictly increases in
     both.  Every f1 value in this module comes from this one expression,
-    so scalar results agree bit for bit with the tabulated nodes.
+    so the reported f1 and the dual's values agree bit for bit.
     """
     val, _ = hs.capped_gauss_objective(q1, q2, u, N1, u)
-    return np.log(np.asarray(q1, dtype=float) + N1 + u + np.asarray(q2, dtype=float)) + val
+    return math.log(q1 + N1 + u + q2) + val
 
 
 def _corner_gradient(q1: float, q2: float, u: float, N1: float) -> tuple[float, float]:
@@ -105,6 +123,12 @@ def _corner_gradient(q1: float, q2: float, u: float, N1: float) -> tuple[float, 
     x = k + N1
     d_psi_dk = u / (x + u + q2) + 1.0 / x - (u + 1.0) / (x + u)
     return s + (d_psi_dk if k == q1 else 0.0), s + u / (x + u + q2)
+
+
+def _log_scale(p1: float, p2: float, u: float, N1: float) -> float:
+    """4 (u+1) times a bound on the magnitudes of the logs in f1(p): the log
+    arguments other than K+N1 lie in [u, p1+p2+N1+u]."""
+    return 4.0 * (u + 1.0) * (1.0 + abs(math.log(u)) + abs(math.log(p1 + p2 + N1 + u)))
 
 
 @dataclass(frozen=True)
@@ -119,290 +143,93 @@ def fixed_power_value(q1: float, q2: float, params: HKParams) -> FixedPowerResul
     """sup over J in [0, q1], L in [0, q2] of ln(J+N1+u+L) + phi(J, L).
 
     Closed form: the supremum is attained at (J, L) = (q1, q2) with K the
-    capped argmax; the value equals the f1_table node at (q1, q2) exactly.
+    capped argmax.
     """
     u, N1 = params.u, params.N1
     _, k = hs.capped_gauss_objective(q1, q2, u, N1, u)
-    value = float(_corner_value(q1, q2, u, N1))
-    return FixedPowerResult(value=value, J=float(q1), L=float(q2), K=k)
-
-
-def f1_table(q1_nodes: np.ndarray, q2_nodes: np.ndarray, params: HKParams) -> np.ndarray:
-    """f1 on the product grid, as the corner value broadcast over the nodes.
-    Checked in the tests against a brute-force grid over (J, L, K)."""
-    q1 = np.asarray(q1_nodes, dtype=float)[:, None]
-    q2 = np.asarray(q2_nodes, dtype=float)[None, :]
-    return _corner_value(q1, q2, params.u, params.N1)
+    return FixedPowerResult(value=_corner_value(q1, q2, u, N1), J=float(q1), L=float(q2), K=k)
 
 
 # ----------------------------------------------------------------------
-# Concave envelope
+# Contact points of a plane
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportPoint:
-    q1: float
-    q2: float
-    value: float
-    weight: float
-
-
-@dataclass(frozen=True)
-class EnvelopeValue:
-    value: float
-    f_value: float
-    support: tuple[SupportPoint, ...]
-
-
-class Envelope2D:
-    """Upper concave envelope of a tabulated function, one linear program
-    per query.
-
-    By Caratheodory the envelope at q is
-        max sum_i w_i f(p_i)  s.t.  sum_i w_i (p_i, 1) = (q, 1),  w >= 0
-    over the finite lattice points p_i, a program with three equality rows.
-    ``value`` solves it by a primal simplex whose basis is a triangle of
-    lattice points holding q.  The plane through the lifted basis prices
-    every point in one vectorized pass; the query ends when that plane
-    majorizes every lifted point, which certifies the value.
-    """
-
-    def __init__(self, xg: np.ndarray, yg: np.ndarray, table: np.ndarray):
-        self.xg = np.asarray(xg, dtype=float)
-        self.yg = np.asarray(yg, dtype=float)
-        self.table = np.asarray(table, dtype=float)
-        finite = np.isfinite(self.table)
-        X, Y = np.meshgrid(self.xg, self.yg, indexing="ij")
-        self._x, self._y, self._f = X[finite], Y[finite], self.table[finite]
-        # flat index of each finite node, -1 elsewhere
-        self._index = np.full(self.table.shape, -1)
-        self._index[finite] = np.arange(self._f.size)
-        scale = float(np.abs(self._f).max()) if self._f.size else 0.0
-        self._tol = 1e-12 * max(1.0, scale)
-
-    def value(self, qx: float, qy: float) -> EnvelopeValue:
-        x, y, f = self._x, self._y, self._f
-        basis, w = self._start(qx, qy)
-        degenerate_run = 0
-        for _ in range(MAX_PIVOTS):
-            # columns (x, y, 1) of the basis points; plane = f_B^T B^-1 (p, 1)
-            binv = np.linalg.inv(np.array([x[basis], y[basis], np.ones(3)]))
-            a, b, c = f[basis] @ binv
-            if not (math.isfinite(a) and math.isfinite(b)):
-                # LAPACK's inverse divides a power by the basis triangle's
-                # extent along the other axis; past the float range a slope
-                # is lost and no pivot can restore it
-                raise ValueError(
-                    f"envelope query ({qx}, {qy}) too large for its lattice: a slope of "
-                    f"the plane through a basis triangle is not finite (a power over "
-                    f"the other axis's lattice step passes the float range)"
-                )
-            r = f - (a * x + b * y + c)
-            j = int(np.argmax(r))
-            if r[j] <= self._tol:
-                break
-            if degenerate_run >= BLAND_AFTER:
-                # Bland's rule: lowest-index entering point, so degenerate
-                # pivots cannot cycle
-                j = int(np.flatnonzero(r > self._tol)[0])
-            d = binv @ np.array([x[j], y[j], 1.0])
-            leave, theta = _ratio_test(w, d, basis)
-            degenerate_run = degenerate_run + 1 if theta == 0.0 else 0
-            w = np.maximum(w - theta * d, 0.0)
-            w[leave] = theta
-            basis[leave] = j
-        else:
-            raise RuntimeError(
-                f"envelope simplex at ({qx}, {qy}) did not converge in {MAX_PIVOTS} pivots"
-            )
-        tri = np.column_stack([x[basis], y[basis], f[basis]])
-        w = _barycentric(tri[:, :2], np.array([qx, qy]))
-        val = float(w @ tri[:, 2])
-        support = tuple(
-            SupportPoint(q1=float(p[0]), q2=float(p[1]), value=float(p[2]), weight=float(wi))
-            for p, wi in zip(tri, w)
-            if wi > 1e-9
-        )
-        self._check_boundary(support)
-        fq = self._table_value(qx, qy)
-        if fq is not None and val < fq:
-            val = fq  # envelope majorizes the function; guard fp dust
-        return EnvelopeValue(value=val, f_value=fq if fq is not None else math.nan, support=support)
-
-    def _start(self, qx: float, qy: float) -> tuple[np.ndarray, np.ndarray]:
-        """Feasible basis: a triangle of finite corners of q's lattice cell
-        that holds q; when q is a node it is a corner of weight 1."""
-        idx = self._index
-        i = int(np.clip(np.searchsorted(self.xg, qx, side="right") - 1, 0, len(self.xg) - 2))
-        j = int(np.clip(np.searchsorted(self.yg, qy, side="right") - 1, 0, len(self.yg) - 2))
-        corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-        for k in range(4):
-            basis = np.array([idx[c] for c in corners[k:] + corners[:k]][:3])
-            if (basis >= 0).all():
-                t = np.column_stack([self._x[basis], self._y[basis]])
-                q = np.array([qx, qy])
-                if (_barycentric_raw(t, q) >= -1e-12).all():
-                    return basis, _barycentric(t, q)
-        raise ValueError(f"envelope query ({qx}, {qy}) lies outside the finite lattice points")
-
-    def _table_value(self, qx: float, qy: float) -> Optional[float]:
-        ix = np.argmin(np.abs(self.xg - qx))
-        iy = np.argmin(np.abs(self.yg - qy))
-        if abs(self.xg[ix] - qx) < 1e-9 * max(1.0, abs(qx)) and abs(
-            self.yg[iy] - qy
-        ) < 1e-9 * max(1.0, abs(qy)):
-            v = self.table[ix, iy]
-            return float(v) if np.isfinite(v) else None
-        return None
-
-    def _check_boundary(self, support: tuple[SupportPoint, ...]):
-        x_hi, y_hi = self.xg[-1], self.yg[-1]
-        for s in support:
-            if s.weight <= 1e-9:
-                continue
-            if s.q1 >= x_hi - 1e-9 * max(1.0, x_hi) or s.q2 >= y_hi - 1e-9 * max(1.0, y_hi):
-                raise GridTooSmallError(
-                    f"envelope support point ({s.q1}, {s.q2}) lies on the outer "
-                    "tabulation boundary; enlarge the margin"
-                )
-
-
-def _ratio_test(w: np.ndarray, d: np.ndarray, basis: np.ndarray) -> tuple[int, float]:
-    """Leaving slot and step of a pivot whose entering point has barycentric
-    coordinates d in the basis: the first weight w - theta d to reach zero,
-    ties to the lowest point index."""
-    pos = d > 1e-12 * np.abs(d).max()
-    ratios = np.full(3, np.inf)
-    ratios[pos] = w[pos] / d[pos]
-    theta = ratios.min()
-    ties = np.flatnonzero(ratios == theta)
-    return int(ties[np.argmin(basis[ties])]), float(theta)
-
-
-def _barycentric_raw(tri: np.ndarray, q: np.ndarray) -> np.ndarray:
-    t = np.column_stack([tri[0] - tri[2], tri[1] - tri[2]])
-    try:
-        w12 = np.linalg.solve(t, q - tri[2])
-    except np.linalg.LinAlgError:
-        w12, *_ = np.linalg.lstsq(t, q - tri[2], rcond=None)
-    return np.array([w12[0], w12[1], 1.0 - w12[0] - w12[1]])
-
-
-def _barycentric(tri: np.ndarray, q: np.ndarray) -> np.ndarray:
-    w = _barycentric_raw(tri, q)
-    w[np.abs(w) < 1e-12] = 0.0
-    return np.clip(w, 0.0, None) / max(np.clip(w, 0.0, None).sum(), 1e-300)
-
-
-def check_envelope_grid(grid_n: int) -> None:
-    """Reject lattices too small to span a hull (ValueError)."""
-    if grid_n < MIN_ENVELOPE_GRID:
-        raise ValueError(
-            f"envelope grid must have at least {MIN_ENVELOPE_GRID} nodes per axis, got {grid_n}"
-        )
-
-
-def _lattice_with_node(width: float, q: float, n: int) -> np.ndarray:
-    """Grid over [0, width] containing q as an exact node."""
-    xs = np.linspace(0.0, width, n)
-    i = int(np.argmin(np.abs(xs - q)))
-    if 0 < i < n - 1:
-        xs[i] = q
-        return xs
-    return np.unique(np.concatenate([xs, [q]]))
-
-
-def envelope_for(
-    q1: float, q2: float, params: HKParams, grid_n: int = 257, margin: int = MARGIN
-) -> Envelope2D:
-    """Build the f1 envelope on [0, margin*max(q, 1)]^2.
-
-    The floor of 1 keeps the window wide enough for tiny queries, whose
-    envelope support points sit at O(1)-scale powers."""
-    if q1 <= 0 or q2 <= 0:
-        raise ValueError("envelope queries need positive powers")
-    check_envelope_grid(grid_n)
-    xg = _lattice_with_node(margin * max(q1, 1.0), q1, grid_n)
-    yg = _lattice_with_node(margin * max(q2, 1.0), q2, grid_n)
-    return Envelope2D(xg, yg, f1_table(xg, yg, params))
-
-
-def power_control_envelope(
-    q1: float, q2: float, params: HKParams, grid_n: int = 257
-) -> EnvelopeValue:
-    """Envelope value with support points; the margin doubles from MARGIN
-    (up to MAX_MARGIN) when support hits the outer tabulation boundary,
-    after which GridTooSmallError propagates."""
-    m = MARGIN
-    while True:
-        try:
-            return envelope_for(q1, q2, params, grid_n, m).value(q1, q2)
-        except GridTooSmallError:
-            if m >= MAX_MARGIN:
-                raise
-            m *= 2
-
-
-def power_control_value(q1: float, q2: float, params: HKParams, grid_n: int = 257) -> float:
-    """g1(q1, q2): least concave majorant of f1 evaluated at (q1, q2)."""
-    return power_control_envelope(q1, q2, params, grid_n).value
-
-
-def concave_envelope_1d(xs: np.ndarray, fs: np.ndarray, q: float) -> float:
-    """Upper concave envelope at q of a sampled one-variable function: the
-    best chord over pairs of finite samples x_i <= q <= x_j."""
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    keep = np.isfinite(fs)
-    xs, fs = xs[keep], fs[keep]
-    lo, hi = xs <= q, xs >= q
-    if not lo.any() or not hi.any():
-        raise ValueError(f"envelope query {q} lies outside the finite samples")
-    xl, fl = xs[lo][:, None], fs[lo][:, None]
-    xr, fr = xs[hi][None, :], fs[hi][None, :]
-    dx = xr - xl
-    t = np.where(dx > 0, (q - xl) / np.where(dx > 0, dx, 1.0), 0.0)
-    return float((fl + t * (fr - fl)).max())
-
-
-# ----------------------------------------------------------------------
-# f1 = g1 by the tangent plane at q
-# ----------------------------------------------------------------------
-
-
-def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of c2 t^2 + c1 t + c0 (c0 != 0) by the cancellation-free
-    formula, on coefficients scaled to at most 1 so that no square overflows."""
+def _quadratic_roots(c2: float, c1: float, c0: float) -> tuple[float, float]:
+    """The real roots (h/c2, c0/h) of c2 t^2 + c1 t + c0 (c0 != 0) by the
+    cancellation-free formula, h = -(c1 + sign(c1) sqrt(disc))/2, on
+    coefficients scaled to at most 1 so that no square overflows.  Each
+    root keeps its slot as the coefficients move: h/c2 is NaN where c2 = 0
+    (that root went to infinity), and both are NaN where disc < 0."""
     m = max(abs(c2), abs(c1), abs(c0))
     c2, c1, c0 = c2 / m, c1 / m, c0 / m
-    if c2 == 0.0:
-        return [-c0 / c1]
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
-        return []
+        return math.nan, math.nan
     h = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    return [h / c2, c0 / h]
+    return (h / c2 if c2 != 0.0 else math.nan), c0 / h
 
 
-def _plane_contacts(a: float, b: float, u: float, N1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (p1, p2) of the at most eight points p >= 0 among which the
-    maximum of f1(p) - a p1 - b p2 (a, b > 0) lies.  With s = N1 + u, S = p1 +
-    p2 + s and x = p1 + N1, f1 is C^1, a stationary point of each smooth piece
-    solves at most a quadratic, and f1(p1, 0) = ln x, f1(0, p2) = (1+u) ln S + c."""
+def _contact_slots(a: float, b: float, u: float, N1: float) -> list[Optional[tuple[float, float]]]:
+    """The at most eight points p >= 0 among which the maximum of
+    f1(p) - a p1 - b p2 (a, b > 0) lies, each in a fixed slot (None where
+    the slot has no point p >= 0 in the float range), so that a slot's point
+    moves continuously with (a, b).
+
+    With s = N1 + u, S = p1 + p2 + s and x = p1 + N1, f1 is C^1, a
+    stationary point of each smooth piece solves at most a quadratic, and
+    f1(p1, 0) = ln x, f1(0, p2) = (1+u) ln S + c.  Slots: 0 the corner,
+    1 and 2 the stationary points on the edges, 3 and 4 the cap binding
+    (f1 = (1+u) ln S + ln x - (1+u) ln(x+u): S = (1+u)/b and
+    (a-b) x^2 + ((a-b) u + u) x - u = 0), 5 and 6 K = K*(p2) > 0
+    (f1 = ln S + phi(L), phi'(L) = u (L-1)/(L (u+L)) with L = p2: S = 1/a
+    and (b-a) L^2 + ((b-a) u - u) L + u = 0), 7 K clipped to 0
+    (f1 = ln S + u ln(p2+s) + c: S = 1/a and p2 + s = u/(b-a)).
+    """
     s = N1 + u
-    pts = [(0.0, 0.0), (1.0 / a - N1, 0.0), (0.0, (1.0 + u) / b - s)]
-    # cap binds, f1 = (1+u) ln S + ln x - (1+u) ln(x+u): S = (1+u)/b and
-    # (a-b) x^2 + ((a-b) u + u) x - u = 0
-    pts += [(x - N1, (1.0 + u) / b - u - x) for x in _quadratic_roots(a - b, (a - b) * u + u, -u)]
-    # K = K*(p2) > 0, f1 = ln S + phi(L), phi'(L) = u (L-1)/(L (u+L)) with
-    # L = p2: S = 1/a and (b-a) L^2 + ((b-a) u - u) L + u = 0
-    pts += [(1.0 / a - s - L, L) for L in _quadratic_roots(b - a, (b - a) * u - u, u)]
-    # K clipped to 0, f1 = ln S + u ln(p2+s) + c: S = 1/a and p2 + s = u/(b-a)
-    pts += [(1.0 / a - u / (b - a), u / (b - a) - s)] if b > a else []
-    p = np.array(pts)
-    keep = ((p >= 0.0) & (p < math.inf)).all(axis=1)
-    return p[keep, 0], p[keep, 1]
+    x1, x2 = _quadratic_roots(a - b, (a - b) * u + u, -u)
+    L1, L2 = _quadratic_roots(b - a, (b - a) * u - u, u)
+    t = u / (b - a) if b > a else math.nan
+    pts = (
+        (0.0, 0.0),
+        (1.0 / a - N1, 0.0),
+        (0.0, (1.0 + u) / b - s),
+        (x1 - N1, (1.0 + u) / b - u - x1),
+        (x2 - N1, (1.0 + u) / b - u - x2),
+        (1.0 / a - s - L1, L1),
+        (1.0 / a - s - L2, L2),
+        (1.0 / a - t, t - s),
+    )
+    return [p if 0.0 <= p[0] < math.inf and 0.0 <= p[1] < math.inf else None for p in pts]
+
+
+def _plane_contacts(a: float, b: float, u: float, N1: float) -> tuple[list[float], list[float]]:
+    """Lists (p1, p2) of the points of ``_contact_slots`` that exist."""
+    pts = [p for p in _contact_slots(a, b, u, N1) if p is not None]
+    return [p[0] for p in pts], [p[1] for p in pts]
+
+
+def _slot_jacobian(slot: int, p: tuple[float, float], a: float, b: float, u: float, N1: float):
+    """(dp1/dln a, dp1/dln b, dp2/dln a, dp2/dln b) of the point p in
+    ``slot``, from the closed forms of ``_contact_slots`` (the quadratic
+    roots by implicit differentiation).  In ln a and ln b the edge points
+    move by -1/a and -(1+u)/b, finite wherever the points are."""
+    if slot == 0:
+        return 0.0, 0.0, 0.0, 0.0
+    if slot == 1:
+        return -1.0 / a, 0.0, 0.0, 0.0
+    if slot == 2:
+        return 0.0, 0.0, 0.0, -(1.0 + u) / b
+    if slot in (3, 4):
+        x = p[0] + N1
+        g = x / ((a - b) * (2.0 * x + u) + u) * (x + u)
+        return -g * a, g * b, g * a, -(1.0 + u) / b - g * b
+    if slot in (5, 6):
+        L = p[1]
+        g = L / ((b - a) * (2.0 * L + u) - u) * (L + u)
+        return -1.0 / a - g * a, g * b, g * a, -g * b
+    dt = u / (b - a) / (b - a)
+    return -1.0 / a - dt * a, dt * b, dt * a, -dt * b
 
 
 def _not_finite(q1: float, q2: float, what: str) -> str:
@@ -420,34 +247,367 @@ def tangent_witness(q1: float, q2: float, params: HKParams) -> Optional[tuple[fl
     The maximum of f1 - l over p >= 0 is attained at one of the closed-form
     points of ``_plane_contacts``; the test returns the one of largest
     excess f1 - l above 8 ulps of the magnitudes of the terms of f1 and l
-    (the log arguments of f1 other than K+N1 lie in [u, p1+p2+N1+u]).  For
-    q2 = 0 the support of g1 stays on the q1 axis, where f1(p1, 0) =
-    ln(p1 + N1) is concave, so the answer is None.  A cell whose tangent
-    plane is not finite, or whose excess at a contact point is NaN or +inf
-    (q near the ends of the float range), raises ValueError: a NaN excess
-    holds no witness and would read as f1 = g1.
+    (``_log_scale`` bounds the logs of f1).  For q2 = 0 the support of g1
+    stays on the q1 axis, where f1(p1, 0) = ln(p1 + N1) is concave, so the
+    answer is None.  A cell whose tangent plane is not finite, or whose
+    excess at a contact point is NaN or +inf (q near the ends of the float
+    range), raises ValueError: a NaN excess holds no witness and would read
+    as f1 = g1.
     """
     if not (q1 > 0 and q2 >= 0):
         raise ValueError(f"the tangent-plane test needs q1 > 0 and q2 >= 0, got ({q1}, {q2})")
     u, N1 = params.u, params.N1
-    fq = float(_corner_value(q1, q2, u, N1))
+    fq = _corner_value(q1, q2, u, N1)
     d1, d2 = _corner_gradient(q1, q2, u, N1)
     if not all(map(math.isfinite, (fq, d1, d2))):
         raise ValueError(_not_finite(q1, q2, "tangent plane"))
     if q2 == 0:
         return None
-    x, y = _plane_contacts(d1, d2, u, N1)
-    f = _corner_value(x, y, u, N1)
-    rise = d1 * (x - q1) + d2 * (y - q2)
-    logs = 2.0 + 2.0 * abs(math.log(u)) + abs(math.log(q1 + q2 + N1 + u))
-    logs = logs + np.abs(np.log(x + y + N1 + u))
-    terms = np.abs(f) + abs(fq) + np.abs(d1 * (x - q1)) + np.abs(d2 * (y - q2)) + 4 * (u + 1) * logs
-    over = f - fq - rise - 8.0 * np.finfo(float).eps * terms
-    # -inf is f1's true value where K + N1 = 0; NaN or +inf decides nothing
-    if not (over < math.inf).all():
-        raise ValueError(_not_finite(q1, q2, "contact excess"))
-    i = int(np.argmax(over))
-    return (float(x[i]), float(y[i])) if over[i] > 0 else None
+    scale_q = _log_scale(q1, q2, u, N1)
+    best, witness = 0.0, None
+    for x, y in zip(*_plane_contacts(d1, d2, u, N1)):
+        f = _corner_value(x, y, u, N1)
+        r1, r2 = d1 * (x - q1), d2 * (y - q2)
+        terms = abs(f) + abs(fq) + abs(r1) + abs(r2) + scale_q + _log_scale(x, y, u, N1)
+        over = f - fq - r1 - r2 - 8.0 * _EPS * terms
+        # -inf is f1's true value where K + N1 = 0; NaN or +inf decides nothing
+        if not over < math.inf:
+            raise ValueError(_not_finite(q1, q2, "contact excess"))
+        if over > best:
+            best, witness = over, (x, y)
+    return witness
+
+
+# ----------------------------------------------------------------------
+# g1 by the Fenchel dual
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PowerControlBracket:
+    """g1(q) = value, with the dual's upper bound ``upper`` and the
+    rounding bound that upper - value must stay within, and the support
+    points (p1, p2, weight) of the randomization that attains ``value``."""
+
+    value: float
+    upper: float
+    rounding: float
+    support: tuple[tuple[float, float, float], ...]
+
+    @property
+    def within_rounding(self) -> bool:
+        return abs(self.upper - self.value) <= self.rounding
+
+
+def _solve(rows: list[list[float]], rhs: list[float]) -> Optional[list[float]]:
+    """Solution of a small dense linear system by Gaussian elimination with
+    partial pivoting, or None where a pivot is 0 or not finite."""
+    n = len(rhs)
+    m = [row + [r] for row, r in zip(rows, rhs)]
+    for c in range(n):
+        piv = max(range(c, n), key=lambda i: abs(m[i][c]))
+        if not 0.0 < abs(m[piv][c]) < math.inf:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            for j in range(c, n + 1):
+                m[i][j] -= f * m[c][j]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+    return x
+
+
+class _Dual:
+    """The dual function D(a, b) = a q1 + b q2 + M(a, b) of one cell, with
+    M(a, b) the maximum of f1(p) - a p1 - b p2 over ``_contact_slots``."""
+
+    def __init__(self, q1: float, q2: float, u: float, N1: float):
+        self.q1, self.q2, self.u, self.N1 = q1, q2, u, N1
+
+    def heights(self, a: float, b: float):
+        """(slot points, heights f1(p) - a p1 - b p2, None where no point,
+        and the slot of the maximum M(a, b), the first of a tie)."""
+        pts = _contact_slots(a, b, self.u, self.N1)
+        hs_ = [
+            None if p is None else _corner_value(p[0], p[1], self.u, self.N1) - a * p[0] - b * p[1]
+            for p in pts
+        ]
+        # the corner (0, 0) is always a point, so the maximum exists
+        return pts, hs_, max((i for i, h in enumerate(hs_) if h is not None), key=lambda i: hs_[i])
+
+    def top(self, a: float, b: float) -> tuple[int, tuple[float, float]]:
+        """Slot and point of the maximum M(a, b)."""
+        pts, _, i = self.heights(a, b)
+        return i, pts[i]
+
+    def newton(self, a: float, b: float, active: list[int], w: list[float]):
+        """Newton's method on the optimality conditions of D with the tied
+        slots ``active`` (two or three, weights w summing to 1): the
+        weighted contact points average to q, and the heights are equal.
+        The unknowns are ln a and ln b, so a and b stay positive: the
+        height of slot i has gradient -(a p_i1, b p_i2) in them (envelope
+        theorem), and the points move by ``_slot_jacobian``.  A slot higher
+        than the tied ones joins them, and a weight that turns negative
+        leaves with its slot.  Returns the final (a, b, active, w), or None
+        where a step finds no point in a tied slot or a singular system."""
+        q1, q2, u, N1 = self.q1, self.q2, self.u, self.N1
+        for _ in range(DUAL_MAX_STEPS):
+            pts, hs_, top = self.heights(a, b)
+            if any(pts[i] is None for i in active):
+                return None
+            if top not in active and hs_[top] > max(hs_[i] for i in active) and len(active) < 3:
+                active, w = active + [top], w + [0.0]
+            n = len(active)
+            P = [pts[i] for i in active]
+            J = [_slot_jacobian(i, pts[i], a, b, u, N1) for i in active]
+            # unknowns d ln a, d ln b and the first n-1 weights; the last
+            # weight is 1 - sum
+            rows = [
+                [sum(wk * j[0] for wk, j in zip(w, J)), sum(wk * j[1] for wk, j in zip(w, J))]
+                + [P[k][0] - P[-1][0] for k in range(n - 1)],
+                [sum(wk * j[2] for wk, j in zip(w, J)), sum(wk * j[3] for wk, j in zip(w, J))]
+                + [P[k][1] - P[-1][1] for k in range(n - 1)],
+            ]
+            rhs = [q1 - sum(wk * p[0] for wk, p in zip(w, P)), q2 - sum(wk * p[1] for wk, p in zip(w, P))]
+            for k in range(1, n):
+                rows.append([a * (P[k][0] - P[0][0]), b * (P[k][1] - P[0][1])] + [0.0] * (n - 1))
+                rhs.append(hs_[active[k]] - hs_[active[0]])
+            d = _solve(rows, rhs)
+            if d is None:
+                return None
+            # halve the step, at most doubling or halving a or b, until every
+            # tied slot keeps its point
+            t = min(1.0, 0.7 / max(abs(d[0]), abs(d[1]), 1e-300))
+            for _ in range(60):
+                na, nb = a * math.exp(t * d[0]), b * math.exp(t * d[1])
+                npts = _contact_slots(na, nb, u, N1)
+                if all(npts[i] is not None for i in active):
+                    break
+                t *= 0.5
+            else:
+                return None
+            # converging quadratically, a step below 2^-40 leaves (a, b)
+            # at the float resolution of the tied heights
+            done = abs(t * d[0]) <= 2.0**-40 and abs(t * d[1]) <= 2.0**-40
+            a, b = na, nb
+            head = [w[k] + t * d[2 + k] for k in range(n - 1)]
+            w = head + [1.0 - sum(head)]
+            if min(w) < 0.0 and n == 3:
+                k = w.index(min(w))
+                active, w = active[:k] + active[k + 1:], w[:k] + w[k + 1:]
+                w = [w[0], 1.0 - w[0]]
+            elif done:
+                break
+        return a, b, active, w
+
+    def locate(self, a: float, b: float):
+        """Near-minimizer of D by nested log-bisection, for a start where
+        Newton from the tangent plane fails.  For fixed a, D(a, .) is convex
+        with slope q2 - p2 at its top contact p; at the inner minimum the
+        contacts on either side, p above q2 and r below, average to q2 with
+        weight lam on p, and D's slope in a is q1 - (lam p1 + (1-lam) r1).
+        Returns (a, b) and the slots and points of those contacts; raises
+        ArithmeticError where no bracket of a sign change lies in the float
+        range."""
+
+        def inner(a, b):
+            lo = hi = b
+            tl = th = self.top(a, b)
+            for _ in range(_BRACKET_STEPS):
+                if th[1][1] > self.q2:
+                    lo, tl = hi, th
+                    hi *= 4.0
+                    th = self.top(a, hi)
+                elif tl[1][1] <= self.q2:
+                    hi, th = lo, tl
+                    lo *= 0.25
+                    tl = self.top(a, lo)
+                else:
+                    break
+            else:
+                raise ArithmeticError("no bisection bracket in the float range")
+            for _ in range(LOCATE_STEPS):
+                mid = math.sqrt(lo) * math.sqrt(hi)
+                tm = self.top(a, mid)
+                if tm[1][1] > self.q2:
+                    lo, tl = mid, tm
+                else:
+                    hi, th = mid, tm
+            (_, p), (_, r) = tl, th
+            lam = (self.q2 - r[1]) / (p[1] - r[1])
+            slope = self.q1 - (lam * p[0] + (1.0 - lam) * r[0])
+            return slope, math.sqrt(lo) * math.sqrt(hi), (tl, th)
+
+        lo = hi = a
+        sl = sh = inner(a, b)
+        for _ in range(_BRACKET_STEPS):
+            if sh[0] < 0:
+                lo, sl = hi, sh
+                hi *= 4.0
+                sh = inner(hi, sh[1])
+            elif sl[0] >= 0:
+                hi, sh = lo, sl
+                lo *= 0.25
+                sl = inner(lo, sl[1])
+            else:
+                break
+        else:
+            raise ArithmeticError("no bisection bracket in the float range")
+        for _ in range(LOCATE_STEPS):
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            sm = inner(mid, math.sqrt(sl[1]) * math.sqrt(sh[1]))
+            if sm[0] < 0:
+                lo, sl = mid, sm
+            else:
+                hi, sh = mid, sm
+        return math.sqrt(lo) * math.sqrt(hi), math.sqrt(sl[1]) * math.sqrt(sh[1]), [*sl[2], *sh[2]]
+
+    def certify(self, a: float, b: float, active: list[int]) -> Optional[PowerControlBracket]:
+        """The bracket at (a, b) with the tied slots ``active``, or None
+        where their points do not hold q in their hull.
+
+        The weights are the barycentric coordinates of q for three points,
+        and for two the projection of q on their line; one point then moves
+        so that sum w_i p_i = q.  Weak duality gives f1's values
+        sum w_i f1(p_i) <= g1(q) <= D(a, b), and the width is
+        sum_i w_i (M - h_i), zero at the dual minimizer in exact
+        arithmetic.  Rounding: each f1 value carries at
+        most a few roundings of each of its terms, whose magnitudes
+        ``_log_scale`` bounds, each product a p1, b p2 one rounding and
+        each sum one of its partial sums; the moved points average to q to
+        rounding in their coordinates, which moves the lower bound by at
+        most the rounding of the terms a p_i1, b p_i2.  So 8 ulps of the magnitudes |a q1| + |b q2| + max_i
+        (|f1(p_i)| + |a p_i1| + |b p_i2| + _log_scale(p_i)), with p_i over
+        the tied points and the top contact, bound the width at the
+        minimizer.
+        """
+        q1, q2, u, N1 = self.q1, self.q2, self.u, self.N1
+        pts, hs_, top = self.heights(a, b)
+        if any(pts[i] is None for i in active):
+            return None
+        P = [pts[i] for i in active]
+        if len(P) == 2:
+            (x0, y0), (x1, y1) = P
+            dx, dy = x0 - x1, y0 - y1
+            w0 = ((q1 - x1) * dx + (q2 - y1) * dy) / (dx * dx + dy * dy)
+            w = [w0, 1.0 - w0]
+        else:
+            (x0, y0), (x1, y1), (x2, y2) = P
+            det = (x0 - x2) * (y1 - y2) - (x1 - x2) * (y0 - y2)
+            w0 = ((q1 - x2) * (y1 - y2) - (x1 - x2) * (q2 - y2)) / det
+            w1 = ((x0 - x2) * (q2 - y2) - (q1 - x2) * (y0 - y2)) / det
+            w = [w0, w1, 1.0 - w0 - w1]
+        if not all(0.0 <= wk <= 1.0 for wk in w):
+            return None
+        # in each coordinate, the point of largest weight that stays in
+        # p >= 0 absorbs the residual of q - sum w_i p_i, so that the points
+        # average to q and their values bound g1(q) from below; at a
+        # contact point f1 has gradient (a, b) (an edge point: at most b or
+        # a across the edge), so a move changes the value by at most
+        # (a, b) times the residual to first order, as it moves q's side
+        for c, qc in ((0, q1), (1, q2)):
+            r = qc - sum(wk * p[c] for wk, p in zip(w, P))
+            k = max(
+                (k for k in range(len(P)) if w[k] > 0.0 and P[k][c] + r / w[k] >= 0.0),
+                key=lambda k: w[k],
+                default=None,
+            )
+            if k is None:
+                return None
+            P[k] = (P[k][0] + r / w[k], P[k][1]) if c == 0 else (P[k][0], P[k][1] + r / w[k])
+        ends = [*P, pts[top]]
+        values = [_corner_value(p[0], p[1], u, N1) for p in ends]
+        value = sum(wk * v for wk, v in zip(w, values))
+        upper = a * q1 + b * q2 + hs_[top]
+        terms = [
+            abs(v) + abs(a * p[0]) + abs(b * p[1]) + _log_scale(p[0], p[1], u, N1)
+            for p, v in zip(ends, values)
+        ]
+        rounding = 8.0 * _EPS * (abs(a * q1) + abs(b * q2) + max(terms))
+        support = tuple((p[0], p[1], wk) for p, wk in zip(P, w) if wk > 0.0)
+        if not all(map(math.isfinite, (value, upper, rounding))):
+            return None
+        return PowerControlBracket(value=value, upper=upper, rounding=rounding, support=support)
+
+
+def power_control_bracket(q1: float, q2: float, params: HKParams) -> PowerControlBracket:
+    """g1(q1, q2) by the Fenchel dual (Rockafellar, Convex Analysis, §12):
+
+        g1(q) = min over a, b > 0 of  a q1 + b q2 + M(a, b),
+
+    M(a, b) the exact maximum of f1(p) - a p1 - b p2 over the closed-form
+    ``_contact_slots``, so every (a, b) gives an upper bound; the tied
+    contact points whose hull holds q give a lower bound, the reported
+    value.  Where ``tangent_witness`` finds no point above the tangent
+    plane, g1 = f1 exactly (a bracket of width and rounding 0).
+    """
+    return _bracket(q1, q2, params.u, params.N1, tangent_witness(q1, q2, params))
+
+
+def _bracket(q1: float, q2: float, u: float, N1: float, witness) -> PowerControlBracket:
+    """``power_control_bracket`` given the cell's ``tangent_witness``.
+
+    Newton's method starts from the tangent plane with the slots of q and
+    of the witness tied (``_Dual.newton``); where that ends in no bracket
+    within its rounding bound, it restarts from the log-bisection search
+    ``_Dual.locate`` with the slots found there, and the narrowest bracket
+    is kept.  A run that divides by zero, overflows or finds no bisection
+    bracket (ArithmeticError) gives no bracket.  The value is never
+    below f1(q): a cell where no bracket holds q, or whose value does not
+    exceed f1 although a witness lies above the tangent plane, is a
+    ValueError.
+    """
+    fq = _corner_value(q1, q2, u, N1)
+    if witness is None:
+        return PowerControlBracket(value=fq, upper=fq, rounding=0.0, support=((q1, q2, 1.0),))
+    dual = _Dual(q1, q2, u, N1)
+    a, b = _corner_gradient(q1, q2, u, N1)
+    pts = _contact_slots(a, b, u, N1)
+    near = min(
+        (i for i, p in enumerate(pts) if p is not None),
+        key=lambda i: abs(pts[i][0] - q1) / q1 + abs(pts[i][1] - q2) / q2,
+    )
+    starts = [(a, b, [near, pts.index(witness)], [1.0, 0.0])]
+    best = None
+    for attempt in range(2):
+        for start in starts:
+            try:
+                found = dual.newton(*start)
+                cert = found and dual.certify(*found[:3])
+            except ArithmeticError:
+                cert = None
+            if cert and (best is None or abs(cert.upper - cert.value) < abs(best.upper - best.value)):
+                best = cert
+        if attempt or (best is not None and best.within_rounding):
+            break
+        try:
+            a, b, contacts = dual.locate(a, b)
+        except ArithmeticError:
+            break
+        slots = sorted({i for i, _ in contacts})
+        groups = [slots] if len(slots) <= 3 else []
+        groups += [[i, j] for i in slots for j in slots if i < j] if len(slots) > 2 else []
+        starts = [(a, b, g, [1.0 / len(g)] * len(g)) for g in groups]
+    if best is None:
+        raise ValueError(
+            f"power-control cell (q1={q1}, q2={q2}): the dual found no contact points "
+            f"whose hull holds q"
+        )
+    if not best.value > fq:
+        raise ValueError(
+            f"power-control cell (q1={q1}, q2={q2}): a point lies above the tangent plane, "
+            f"but g1 - f1 is below f1's rounding (the dual's value {best.value!r}, "
+            f"f1 = {fq!r})"
+        )
+    return best
+
+
+def power_control_value(q1: float, q2: float, params: HKParams) -> float:
+    """g1(q1, q2): least concave majorant of f1 evaluated at (q1, q2), the
+    lower end of ``power_control_bracket``."""
+    return power_control_bracket(q1, q2, params).value
 
 
 # ----------------------------------------------------------------------
@@ -495,40 +655,6 @@ def maximizer_bound_check(Jv: float, Lv: float, params: HKParams) -> MaximizerBo
 
 
 # ----------------------------------------------------------------------
-# Dimension 2: the best split of f1
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedPower2DResult:
-    value: float
-    split: tuple[float, float]
-    cells: tuple[FixedPowerResult, FixedPowerResult]
-
-
-def fixed_power_value_2d(
-    q1: float, q2: float, params: HKParams, grid_n: int = 257
-) -> FixedPower2DResult:
-    """A lower bound on f2(q1, q2) through aligned diagonal inputs: the best
-    split max_{a, b} f1(a, b) + f1(q1-a, q2-b) over a grid of splits, one
-    broadcast.  The true best split may fall between grid nodes: at
-    (4.297, 0.325) with u = 0.5, N1 = 0.2 the default grid is 6.1e-7 short
-    of a 3001^2 brute-force split.  An even grid_n is raised by one: an odd
-    grid keeps the symmetric split q/2, where f2 = 2 f1(q/2) on cells with
-    f1 = g1 at q/2.
-    """
-    n = grid_n | 1
-    a_nodes = np.linspace(0.0, q1, n)[:, None]
-    b_nodes = np.linspace(0.0, q2, n)[None, :]
-    u, N1 = params.u, params.N1
-    tot = _corner_value(a_nodes, b_nodes, u, N1) + _corner_value(q1 - a_nodes, q2 - b_nodes, u, N1)
-    i, j = np.unravel_index(int(np.argmax(tot)), tot.shape)
-    a, b = float(a_nodes[i, 0]), float(b_nodes[0, j])
-    cells = (fixed_power_value(a, b, params), fixed_power_value(q1 - a, q2 - b, params))
-    return FixedPower2DResult(value=cells[0].value + cells[1].value, split=(a, b), cells=cells)
-
-
-# ----------------------------------------------------------------------
 # Audits
 # ----------------------------------------------------------------------
 
@@ -551,14 +677,11 @@ class AuditReport:
     bound: float
 
 
-def eigenvalue_bound_audit(
-    d: int,
-    params: HKParams,
-    samples: int,
-    rng: np.random.Generator,
-) -> AuditReport:
+def eigenvalue_bound_audit(d: int, params: HKParams, samples: int, rng) -> AuditReport:
     """Random audit of the maximizer-eigenvalue bound 1 + sqrt(1+u) - N1.
 
+    ``rng`` draws ``uniform(low, high)`` (``_util.rng_for``); each power is
+    exp of a uniform draw on [ln AUDIT_Q_LOW, ln AUDIT_Q_HIGH].
     d=1 samples (J, L) cells and checks each with ``maximizer_bound_check``.
     d=2 samples powers q and checks the d=1 cell q/2: f2(q) >= 2 f1(q/2)
     and g2(q) = 2 g1(q/2) (tensorization), so where f1 = g1 at q/2 the
@@ -572,12 +695,13 @@ def eigenvalue_bound_audit(
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     bound = 1.0 + math.sqrt(1.0 + params.u)
+    low, high = math.log(AUDIT_Q_LOW), math.log(AUDIT_Q_HIGH)
     records = []
     violations = 0
     applicable = 0
     for _ in range(samples):
-        a = float(np.exp(rng.uniform(math.log(AUDIT_Q_LOW), math.log(AUDIT_Q_HIGH))))
-        b = float(np.exp(rng.uniform(math.log(AUDIT_Q_LOW), math.log(AUDIT_Q_HIGH))))
+        a = math.exp(rng.uniform(low, high))
+        b = math.exp(rng.uniform(low, high))
         cell = (a, b) if d == 1 else (a / 2.0, b / 2.0)
         try:
             res = maximizer_bound_check(*cell, params)
@@ -612,58 +736,50 @@ class PowerControlCell:
     g1: float
     f1_eq_g1: bool
     stationary_K: float
+    bracket: PowerControlBracket
 
 
-def power_control_cell(
-    q1: float, q2: float, params: HKParams, grid_n: int = 129
-) -> PowerControlCell:
+def power_control_cell(q1: float, q2: float, params: HKParams) -> PowerControlCell:
     """f1, g1 and the f1 = g1 verdict of one cell q1 > 0, q2 >= 0, with the
-    capped argmax K at the f1-optimal matrices.
+    capped argmax K at the f1-optimal matrices and g1's dual bracket.
 
-    g1 is the lattice envelope value (``power_control_value``).  On a
-    q2 = 0 cell every support point of a randomization that averages to
-    (q1, 0) lies on the q1 axis, where f1(p1, 0) = ln(p1 + N1) is concave,
-    so g1 = f1 there in closed form.  f1 = g1 is decided by
-    ``tangent_witness``.  A cell whose widest lattice window
-    MAX_MARGIN max(q, 1), or whose f1 log argument q1 + q2 + N1 + u, is not
-    finite is rejected (ValueError) before anything is tabulated; a lattice
-    LP whose plane leaves the float range is rejected by ``Envelope2D.value``
-    (ValueError).
+    g1 is ``power_control_bracket``'s value; f1 = g1 is decided by
+    ``tangent_witness``, and where it finds no witness (on the q2 = 0
+    axis among others) g1 = f1.  A cell whose f1 log argument
+    q1 + q2 + N1 + u is not finite is rejected (ValueError).
     """
     if not (q1 > 0 and q2 >= 0):
         raise ValueError(f"power-control cells need q1 > 0 and q2 >= 0, got ({q1}, {q2})")
     u, N1 = params.u, params.N1
-    if not (math.isfinite(MAX_MARGIN * max(q1, q2, 1.0)) and math.isfinite(q1 + q2 + N1 + u)):
+    if not math.isfinite(q1 + q2 + N1 + u):
         raise ValueError(
-            f"power-control cell (q1={q1}, q2={q2}) too large: its lattice window "
-            f"{MAX_MARGIN} max(q, 1) or its f1 log argument q1+q2+N1+u is not finite"
+            f"power-control cell (q1={q1}, q2={q2}) too large: its f1 log argument "
+            f"q1+q2+N1+u is not finite"
         )
-    check_envelope_grid(grid_n)
     res = fixed_power_value(q1, q2, params)
-    g1 = power_control_value(q1, q2, params, grid_n=grid_n) if q2 > 0 else res.value
+    witness = tangent_witness(q1, q2, params)
+    bracket = _bracket(q1, q2, u, N1, witness)
     return PowerControlCell(
         u=u,
         q1=q1,
         q2=q2,
         f1=res.value,
-        g1=g1,
-        f1_eq_g1=tangent_witness(q1, q2, params) is None,
+        g1=bracket.value,
+        f1_eq_g1=witness is None,
         stationary_K=res.K,
+        bracket=bracket,
     )
 
 
 def power_control_map(
-    u_grid: Iterable[float],
-    q_grid: Iterable[float],
-    params: HKParams,
-    grid_n: int = 129,
+    u_grid: Iterable[float], q_grid: Iterable[float], params: HKParams
 ) -> list[PowerControlCell]:
     """``power_control_cell`` over every (u, q1, q2) of the sorted grids,
     with params.u replaced by each u.  Points with q1 <= 0 are dropped, so
     one grid holding 0 gives the q2 = 0 column without a q1 = 0 row."""
     qs = sorted(float(q) for q in q_grid)
     return [
-        power_control_cell(q1, q2, replace(params, u=u), grid_n)
+        power_control_cell(q1, q2, replace(params, u=u))
         for u in sorted(float(x) for x in u_grid)
         for q1 in qs
         if q1 > 0

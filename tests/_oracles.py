@@ -13,11 +13,25 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ziclab import _lattice as lat
 from ziclab import hkregion as hk
+from ziclab._util import stream_key
 from ziclab.counterexamples import VerticalPerturbation
 from ziclab.entropy import GridDensity, differential_entropy, gaussian_entropy, mixture_entropy, mixture_to_grid
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gauss_deriv_poly, gauss_raw_moment, gaussian
 from ziclab.geometry import volume_ratio
+
+# ----------------------------------------------------------------------
+# Random streams
+# ----------------------------------------------------------------------
+
+
+def rng_for(seed: int, stream: str, counter: int = 0) -> np.random.Generator:
+    """numpy's Philox4x64-10 generator under the key of ``_util.rng_for``:
+    the oracle for the package's pure-Python stream, whose uniforms it must
+    equal bit for bit, and the tests' own generator."""
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, stream), counter=counter))
+
 
 # ----------------------------------------------------------------------
 # Hermite-weighted norms and the outer-entropy defect
@@ -199,12 +213,12 @@ def power_control_value_2d(
     tensorization identity, which the tests verify against 2 g1)."""
     if q1 <= 0 or q2 <= 0:
         raise ValueError("envelope queries need positive powers")
-    hk.check_envelope_grid(grid_n)
-    xg = _uniform_lattice_with_node(hk.MARGIN * max(q1, 1.0), q1, grid_n)
-    yg = _uniform_lattice_with_node(hk.MARGIN * max(q2, 1.0), q2, grid_n)
-    f1tab = hk.f1_table(xg, yg, params)
+    lat.check_envelope_grid(grid_n)
+    xg = _uniform_lattice_with_node(lat.MARGIN * max(q1, 1.0), q1, grid_n)
+    yg = _uniform_lattice_with_node(lat.MARGIN * max(q2, 1.0), q2, grid_n)
+    f1tab = lat.f1_table(xg, yg, params)
     f2tab = maxplus_self_convolution(f1tab)
-    env = hk.Envelope2D(xg, yg, f2tab)
+    env = lat.Envelope2D(xg, yg, f2tab)
     return env.value(q1, q2).value
 
 

@@ -3,10 +3,12 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -297,11 +299,24 @@ def test_L_at_most_one_exit_2(argv, monkeypatch, capsys):
     )
 
 
-# sha256 of reports at the Gaussian stationary point, so that no change to
-# how K = (L+u)/(L-1) is derived or checked moves a byte
+# sha256 of every README and benchmark report (perfbench/workloads.py), and
+# of two more at the Gaussian stationary point, so that no change to how a
+# report is computed moves a byte unnoticed.  The digests hold for the
+# numpy and C library these were recorded with (numpy 2.4.6 on x86-64 with
+# AVX-512): numpy's vectorized log and exp, and libm's, may round an ulp
+# differently elsewhere.
 PINNED_REPORTS = {
+    # recorded before g1 came from the dual; none of these moved
     "phase-diagram --u 0.5,1,2 --L 1.1:4:0.1 --format csv":
         "c2ddd0efc820a960e3e7bf8adb24301e32ac358deb268383849cb0c8ede0fdeb",
+    "condition54-root --u 1":
+        "8c70f1cb30bb94f2550caf0fc381af6f3b06dfb989fbd9550cceb5eb4ae341fe",
+    "verify-lemma1":
+        "f6ffa1191c1862684bb88060b78d406190553646d0dce1ef3856c1672e5473b3",
+    "verify-lemma2 --t-min 1e-3 --t-max 1e-2":
+        "30631a8d2f973f4210af79c6aa96b7d48900bc39784bcb9f2b21198b5c6f6692",
+    "verify-vertical --u 1 --L 1.4":
+        "441d88aa7544cf9d62faab05d705f54ed48b000459cfc01abc97ec962fa431aa",
     "hessian --u 1 --L 3 --A 1:1.0 --B ''":
         "3d246f7973cebdb36ab1d83aff822b6412643c18f69f8ee673881081af0e2876",
     "theorem5-epsilon --u 1 --L 3,4":
@@ -310,14 +325,50 @@ PINNED_REPORTS = {
         "11e63f2581b43979da110e7c4afdaff5bf165dd2bc9396ef3c105fa1718813f5",
     "hessian --u 2 --L 5 --A 1:0.7,2:1.1,4:-0.3 --B 2:0.4,4:0.9":
         "b8b389509fc36d136f022fa278a7ea36d67087113e715e5d771101f7b607fa60",
-    # and of the README reports that decide K + N1 <= 1 + sqrt(1+u)
+    "constant-power-gap --u 1 --N1 1 --N2 0.05":
+        "66ccfa402fb629cc54c7baf3bd3d5404a01cef24125a819ed54fc6df19698244",
+    "geometry --t 10:200:10":
+        "fde0ead8f9033ea58264f0f0f2b07b4893710b0e01ebb7e4bfa890bffced5f1a",
+    "limit-functional --L 1.2,1.6,2.0":
+        "98f839896a5801d038995b1d14257e9b0124600500a6c2f11c0f07307b7407ff",
+    "verify-lemma1 --t-count 20 --n 1048576":
+        "77d258298640f5d2479f23d322903d5cff0b355d3bc4bdabfdb1f5da183751e4",
+    "verify-vertical --u 2 --L 3 --J 8 --n 524288":
+        "37ab38674608c0e8d40d3927472f1184e0fb4bf4c6952005b44d276a20f466ff",
+    "limit-functional --L 1.1:1.9:0.4 --J 20 --n 262144":
+        "8f9185db2f80942f5077d077f77965dab1cee7c7c1ff09f9a1906d676e0d2790",
+    # the HK reports, recorded with g1 from the dual and the audits' powers
+    # from math.exp (CHANGES.md lists every value that moved)
+    "hk-region --u 1 --N1 1 --q1 1:10:3 --q2 1:10:3":
+        "4c05f3a2d51253af0f96ca1294056c8713d05cbcccd6de76e20b9d9aeba7dee4",
     "lemma5-audit --samples 50 --seed 7":
-        "5da23ef0ddb6f4519c0f20f60342d8c47afcc2a4fd4d1d0dcf8dd29f390540e5",
+        "b31aa89dd472bdf59b1218e8658c7a74bfd856ad09780d0cac3419c58f9ae904",
     "theorem4-audit --d 2 --samples 10":
-        "43ed0dda5b44cd97dcba85ae69c48583a7206386209f1571de1aa8a0fa6efc12",
+        "155df9c2aedc4b10920a95f05d13ddaf06f892940654024994da6a8cbf6d91c1",
     "conjecture2-map --u 1 --q 1.2,5,39 --N1 1":
-        "b2976d3239d91fd8ea4a5560c55ba2b34e7ef0fd8f7d51050c725c57de3d306c",
+        "06db43cbda272d8f38db02da10c981f675529afa000bf446db329a72353d7944",
+    "lemma5-audit --u 2 --N1 0.5 --samples 12 --seed 2":
+        "962b415d83ddf1c74adcf6eb20cecbc551c60211a430f3b46072826ecba32f79",
+    "theorem4-audit --d 2 --samples 4":
+        "667fbcb646439767471fcdb4dc3dfab873320b8513128b07e158efbb4b3c1320",
+    "conjecture2-map --u 0.6:3:1.2 --q 0,2,7 --N1 0.5":
+        "fa4a6cf057a6081c3e8d1833c7e6dec1b6025e84eeade1ed4a8cded25ea1c130",
 }
+
+
+def test_pins_cover_every_readme_and_benchmark_report():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lines = {shlex.join(c.argv) for cmds in workloads.WORKLOADS.values() for c in cmds}
+    for line in readme_commands():
+        argv = shlex.split(line)[1:]
+        if "--output" in argv:
+            i = argv.index("--output")
+            del argv[i : i + 2]
+        lines.add(shlex.join(argv))
+    assert len(lines) == 20 and lines <= set(PINNED_REPORTS)
 
 
 @pytest.mark.parametrize("line", PINNED_REPORTS)
@@ -418,7 +469,7 @@ def test_vertical_sign_below_rounding_floor_exit_2(argv, change, capsys):
 @pytest.mark.parametrize(
     "owner, name, exc, argv",
     [
-        (hk, "power_control_value", hk.GridTooSmallError, ["hk-region", "--q1", "1", "--q2", "1"]),
+        (hk, "_bracket", ValueError, ["hk-region", "--q1", "1", "--q2", "1"]),
     ],
 )
 def test_numerical_rejection_exit_2(owner, name, exc, argv, monkeypatch, capsys):
@@ -430,8 +481,7 @@ def test_numerical_rejection_exit_2(owner, name, exc, argv, monkeypatch, capsys)
     assert capsys.readouterr().err == "ziclab: rejected\n"
 
 
-GRID_TOO_SMALL = "at least 2 nodes per axis, got {grid}"
-# The audits decide f1 = g1 at contact points and take no --envelope-grid.
+# No HK command takes --envelope-grid: g1 comes from the dual, with no lattice.
 NO_GRID_OPTION = "unrecognized arguments: --envelope-grid {grid}"
 
 
@@ -439,10 +489,10 @@ NO_GRID_OPTION = "unrecognized arguments: --envelope-grid {grid}"
 @pytest.mark.parametrize(
     "argv",
     [
-        (["hk-region", "--q1", "1", "--q2", "1"], GRID_TOO_SMALL),
+        (["hk-region", "--q1", "1", "--q2", "1"], NO_GRID_OPTION),
         (["lemma5-audit", "--samples", "2"], NO_GRID_OPTION),
         (["theorem4-audit", "--d", "2", "--samples", "2"], NO_GRID_OPTION),
-        (["conjecture2-map", "--q", "1"], GRID_TOO_SMALL),
+        (["conjecture2-map", "--q", "1"], NO_GRID_OPTION),
     ],
 )
 def test_envelope_grid_below_two_exit_2(argv, grid, capsys):
@@ -632,28 +682,26 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
         (["verify-vertical", "--K", "1.7e308", "--L", "2", "--eps", "1e-3", "--n", "1024"],
          "term variance K+u+L = 1.7e+308 too large: 144 (K+u+L) overflows on the +-12 sd "
          "window (K=1.7e+308, u=1.0, L=2.0)"),
-        # exit 2 with an unrelated lattice message after a RuntimeWarning in np.linspace
+        # exit 2 with an unrelated lattice message after a RuntimeWarning in
+        # np.linspace; the dual's contact points at q1 = 1e308 leave the float range
         (["hk-region", "--u", "1", "--q1", "1e308", "--q2", "1e-300"],
-         "power-control cell (q1=1e+308, q2=1e-300) too large: its lattice window 32 max(q, 1) "
-         "or its f1 log argument q1+q2+N1+u is not finite"),
+         "power-control cell (q1=1e+308, q2=1e-300): the dual found no contact points "
+         "whose hull holds q"),
         (["conjecture2-map", "--u", "1", "--q", "0,1e308"],
-         "power-control cell (q1=1e+308, q2=0.0) too large: its lattice window 32 max(q, 1) "
-         "or its f1 log argument q1+q2+N1+u is not finite"),
+         "power-control cell (q1=1e+308, q2=1e+308) too large: its f1 log argument "
+         "q1+q2+N1+u is not finite"),
         # exit 2 with "no positive eps admits nonnegative densities" after
         # overflow and invalid RuntimeWarnings in gauss_deriv_pdf
         (["limit-functional", "--L", "1e308", "--n", "1024"],
          "term variance K+L = 1e+308 too large: 144 (K+L) overflows on the +-12 sd window "
          "(K=1.0, L=1e+308)"),
         # exit 1 with "envelope simplex ... did not converge in 1000 pivots"
-        # after an invalid-value RuntimeWarning in Envelope2D.value
-        (["hk-region", "--u", "1", "--q1", "5.6e306", "--q2", "1"],
-         "envelope query (5.6e+306, 1.0) too large for its lattice: a slope of the plane "
-         "through a basis triangle is not finite (a power over the other axis's lattice "
-         "step passes the float range)"),
+        # after an invalid-value RuntimeWarning in the lattice LP, then exit 2
+        # on a lattice slope; at q2 = 1e-300 the dual's gain is below f1's rounding
         (["hk-region", "--u", "1", "--q1", "5.6e306", "--q2", "1e-300"],
-         "envelope query (5.6e+306, 1e-300) too large for its lattice: a slope of the plane "
-         "through a basis triangle is not finite (a power over the other axis's lattice "
-         "step passes the float range)"),
+         "power-control cell (q1=5.6e+306, q2=1e-300): a point lies above the tangent plane, "
+         "but g1 - f1 is below f1's rounding (the dual's value 706.313805053919, "
+         "f1 = 706.313805053919)"),
     ],
 )
 def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
@@ -669,11 +717,13 @@ def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):
         # 144 (K+u+L) just below the float max, at a K whose eps^2 change
         # reaches the rounding floor (at K = 1.24e306 it does not: exit 2)
         ["verify-vertical", "--K", "2", "--L", "1.24e306", "--eps", "1e-3", "--n", "1024"],
-        # 32 max(q, 1) just below the float max
+        # 32 max(q, 1) just below the float max, the lattice LP's limit; the
+        # dual certifies g1 > f1 here and past it, where the LP lost a slope
         ["hk-region", "--q1", "5e306", "--q2", "1"],
         ["conjecture2-map", "--q", "0,5e306"],
         # 144 (K+L) just below the float max
         ["limit-functional", "--L", "1.24e306", "--n", "1024"],
+        ["hk-region", "--q1", "5.6e306", "--q2", "1"],
     ],
 )
 def test_largest_accepted_variances_and_powers_run_without_warning(argv, capsys):
@@ -716,6 +766,46 @@ def test_hk_u_below_the_overflow_limit_runs(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_large_u_cell_runs(capsys):
+    # the lattice LP's support reached its window 32 max(q2, 1) here and
+    # hk-region exited 2 with "enlarge the margin", which no option could do
+    argv = ["hk-region", "--u", "533.635540258911", "--N1", "1.7532776164814148",
+            "--q1", "262.4789051699561", "--q2", "0.07448567574706068"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert row["f1_eq_g1"] is False and row["g1"] > row["f1"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["hk-region", "--q1", "5.44e306", "--q2", "1"], ["conjecture2-map", "--q", "0,5e306"]]
+)
+def test_huge_cells_certify_g1_above_f1_or_exit_2(argv, capsys):
+    # the LP stopped on a plane with an infinite intercept and printed
+    # g1 = f1 beside f1_eq_g1: false
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    for row in json.loads(out)["results"]:
+        assert row["g1"] > row["f1"] if not row["f1_eq_g1"] else row["g1"] == row["f1"]
+
+
+def test_wide_random_cells_never_exit_2(capsys):
+    # u, N1, q1 and q2 log-uniform over e^+-8: the lattice LP exited 2 on 7
+    # of these 300 cells (support on its outer edge)
+    rng = random.Random(300)
+    for _ in range(300):
+        u, N1, q1, q2 = (repr(math.exp(rng.uniform(-8.0, 8.0))) for _ in range(4))
+        argv = ["hk-region", "--u", u, "--N1", N1, "--q1", q1, "--q2", q2]
+        code, out = run_cli(argv, capsys)
+        assert code == 0, argv
+        [row] = json.loads(out)["results"]
+        assert row["g1"] > row["f1"] if not row["f1_eq_g1"] else row["g1"] == row["f1"]
+
+
 def test_verify_lemma2_runs_one_recipe_quadrature(monkeypatch, capsys):
     # validate() ran in the handler and again in each of two skewness_gap calls
     calls = []
@@ -756,7 +846,7 @@ def test_hull_commands_load_no_scipy(tmp_path):
     # the envelope is a linear program per query: no command needs Qhull
     out = run_fresh(
         ["-c", "import sys; from ziclab.cli import main; "
-               f"code = main(['hk-region', '--q1', '1,39', '--q2', '1.2', '--envelope-grid', '33', "
+               f"code = main(['hk-region', '--q1', '1,39', '--q2', '1.2', "
                f"'--output', {str(tmp_path / 'r.json')!r}]); "
                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
     )
@@ -766,8 +856,7 @@ def test_hull_commands_load_no_scipy(tmp_path):
 def test_hull_import_from_pool_threads_same_report():
     # fresh processes; no command reads ZIC_THREADS, so the report must not
     # depend on it
-    argv = ["-m", "ziclab.cli", "hk-region", "--q1", "1,2", "--q2", "1,3",
-            "--envelope-grid", "33"]
+    argv = ["-m", "ziclab.cli", "hk-region", "--q1", "1,2", "--q2", "1,3"]
     one = run_fresh(argv, ZIC_THREADS="1")
     two = run_fresh(argv, ZIC_THREADS="2")
     assert one == two
@@ -799,11 +888,12 @@ def test_help_loads_no_numpy(argv):
 HESSIAN_ONLY = ("ziclab.hessian",)
 PERTURBATION = ("numpy", "ziclab.counterexamples", "ziclab.entropy", "ziclab.gaussmix",
                 "ziclab.hessian")
-HK = ("numpy", "ziclab.hessian", "ziclab.hkregion")
+HK = ("ziclab.hessian", "ziclab.hkregion")
 # the modules each subcommand loads besides the package and the CLI, numpy
 # among them only where the command computes on arrays (_util holds the
-# audits' RNG streams); the five scalar commands load no numpy, and README
-# runs all 14 subcommands (test_readme_runs_every_subcommand)
+# audits' RNG streams); the five scalar commands and the four HK commands
+# load no numpy, and README runs all 14 subcommands
+# (test_readme_runs_every_subcommand)
 COMMAND_MODULES = {
     "phase-diagram": HESSIAN_ONLY,
     "hessian": HESSIAN_ONLY,
@@ -835,6 +925,33 @@ def test_readme_command_loads_only_its_modules(line, tmp_path):
     assert out == f"0\n{sorted(want)}\n"
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "lemma5-audit --u 2 --N1 0.5 --samples 12 --seed 2",
+        "theorem4-audit --d 2 --samples 4",
+        "conjecture2-map --u 0.6:3:1.2 --q 0,2,7 --N1 0.5",
+    ],
+    ids=lambda line: line.split()[0],
+)
+def test_benchmark_hk_command_loads_no_numpy(line, tmp_path):
+    # the benchmark's HK commands besides the README's hk-region line
+    argv = [*line.split(), "--output", str(tmp_path / "report")]
+    out = run_fresh(["-c", f"import sys; from ziclab.cli import main; code = main({argv!r}); "
+                           f"print(code); {LOADED}"])
+    want = ["ziclab", "ziclab.cli", *COMMAND_MODULES[argv[0]]]
+    assert out == f"0\n{sorted(want)}\n"
+
+
+def test_hkregion_import_loads_no_numpy_and_no_lattice():
+    # the lattice LP is imported only when a name it holds is read on hkregion
+    out = run_fresh(["-c", f"import sys, ziclab.hkregion; {LOADED}"])
+    assert out == "['ziclab', 'ziclab.hessian', 'ziclab.hkregion']\n"
+    out = run_fresh(["-c", "import sys, ziclab.hkregion as hk; hk.f1_table; "
+                           "print('ziclab._lattice' in sys.modules, 'numpy' in sys.modules)"])
+    assert out == "True True\n"
+
+
 def test_write_report_of_python_values_loads_no_numpy():
     out = run_fresh(["-c", "import math, sys; from ziclab.cli import write_report; "
                            "write_report({'u': 1.0}, [{'K': math.inf, 'n': 2, 'c': 'stable'}], "
@@ -860,7 +977,7 @@ def test_numpy_scalars_become_numbers_or_null(capsys):
 # every name `import ziclab` exported when the package imported its modules eagerly
 EAGER_EXPORTS = """
     ChannelParams DerivTerm GaussDerivMixture GaussMixture GridDensity
-    GridTooSmallError HKParams HermiteCoeffVector HessianReport LocalOptimalityCertificate
+    HKParams HermiteCoeffVector HessianReport LocalOptimalityCertificate
     NegativeDensityError NoGaussianMaxError NonNormalizedError
     NotApplicableError NotStationaryError RecipeRejectedError
     SkewRecipe VerticalPerturbation WitnessUnavailableError capped_gauss_objective
@@ -935,8 +1052,7 @@ def test_verify_lemma2_passes(capsys):
 
 def test_hk_region_table(capsys):
     code, out = run_cli(
-        ["hk-region", "--u", "1", "--N1", "1", "--q1", "2,10", "--q2", "2,10",
-         "--envelope-grid", "65"],
+        ["hk-region", "--u", "1", "--N1", "1", "--q1", "2,10", "--q2", "2,10"],
         capsys,
     )
     assert code == 0
@@ -1014,8 +1130,7 @@ def test_constant_power_gap_at_huge_u(capsys):
 
 def test_conjecture2_map_cli(capsys):
     code, out = run_cli(
-        ["conjecture2-map", "--u", "1", "--q", "1.2,39", "--N1", "1",
-         "--envelope-grid", "65"],
+        ["conjecture2-map", "--u", "1", "--q", "1.2,39", "--N1", "1"],
         capsys,
     )
     assert code == 0
@@ -1028,15 +1143,13 @@ def test_conjecture2_map_cli(capsys):
 def test_hk_region_and_conjecture2_map_agree_cell_for_cell(capsys):
     # both commands build each cell with power_control_cell; q2 = 0 included
     code, out = run_cli(
-        ["hk-region", "--u", "1.5", "--N1", "0.5", "--q1", "0.7,3", "--q2", "0,0.7,3",
-         "--envelope-grid", "33"],
+        ["hk-region", "--u", "1.5", "--N1", "0.5", "--q1", "0.7,3", "--q2", "0,0.7,3"],
         capsys,
     )
     assert code == 0
     table = {(r["q1"], r["q2"]): r for r in json.loads(out)["results"]}
     code, out = run_cli(
-        ["conjecture2-map", "--u", "1.5", "--q", "0,0.7,3", "--N1", "0.5",
-         "--envelope-grid", "33"],
+        ["conjecture2-map", "--u", "1.5", "--q", "0,0.7,3", "--N1", "0.5"],
         capsys,
     )
     assert code == 0
@@ -1061,7 +1174,7 @@ def test_hk_region_and_conjecture2_map_agree_cell_for_cell(capsys):
 )
 def test_negative_power_exit_2(argv, cell, capsys):
     # conjecture2-map --q=-1,2 used to report a q2 = -1 cell computed at q2 = 0
-    assert main(argv + ["--envelope-grid", "9"]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"ziclab: power-control cells need q1 > 0 and q2 >= 0, got {cell}\n"
     )
@@ -1207,7 +1320,7 @@ def test_verify_vertical_non_positive_exit_2_names_it(argv, name, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["hk-region", "--q1", "1", "--q2", "1", "--envelope-grid", "x"],
+        ["hk-region", "--q1", "x", "--q2", "1"],
         ["constant-power-gap", "--A", "x"],
         ["condition54-root", "--u", "x"],
         ["phase-diagram", "--u", "1,x", "--L", "2"],
@@ -1229,11 +1342,11 @@ CONFIG_ARGVS = [
     ["hessian"],
     ["phase-diagram", "--u", "1", "--L", "2"],
     ["theorem5-epsilon"],
-    ["hk-region", "--q1", "1", "--q2", "1", "--envelope-grid", "9"],
+    ["hk-region", "--q1", "1", "--q2", "1"],
     ["lemma5-audit", "--samples", "0"],
     ["theorem4-audit", "--samples", "0"],
     ["constant-power-gap", "--n", "4096"],
-    ["conjecture2-map", "--q", "1", "--envelope-grid", "9"],
+    ["conjecture2-map", "--q", "1"],
     ["geometry", "--t", "20"],
     ["limit-functional", "--L", "1.2", "--n", "4096"],
 ]

@@ -43,8 +43,8 @@ COMMANDS = st.one_of(
     command("condition54-root", u=VALUES, tolerance=FLOAT),
     command("hessian", u=FLOAT, L=FLOAT),
     command("theorem5-epsilon", u=FLOAT, L=VALUES),
-    command("hk-region", "--envelope-grid=9", u=FLOAT, N1=FLOAT, q1=VALUES, q2=VALUES),
-    command("conjecture2-map", "--envelope-grid=9", u=VALUES, N1=FLOAT, q=VALUES),
+    command("hk-region", u=FLOAT, N1=FLOAT, q1=VALUES, q2=VALUES),
+    command("conjecture2-map", u=VALUES, N1=FLOAT, q=VALUES),
     command("lemma5-audit", "--samples=2", u=FLOAT, N1=FLOAT),
     command("theorem4-audit", "--d=2", "--samples=2", u=FLOAT, N1=FLOAT),
     command("verify-vertical", "--n=1024", u=FLOAT, L=FLOAT, J=INT),
@@ -70,8 +70,8 @@ def reject_non_finite(text):
 @example(["phase-diagram", "--u=5e-324", "--L=1.6"])
 @example(["hessian", "--u=5e-324"])
 @example(["verify-vertical", "--u=5e-324", "--n=1024"])
-@example(["hk-region", "--q1=1e-300", "--q2=1e-300", "--envelope-grid=9"])
-@example(["conjecture2-map", "--q=1e-300", "--envelope-grid=9"])
+@example(["hk-region", "--q1=1e-300", "--q2=1e-300"])
+@example(["conjecture2-map", "--q=1e-300"])
 @example(["verify-vertical", "--K=1e300", "--delta=2.5011080795048392e-272",
           "--eps=2.298404453637188e+221", "--n=1024"])
 @example(["verify-vertical", "--K=8.043241841108752e+256", "--delta=5.062894561534945e-23",
@@ -80,7 +80,7 @@ def reject_non_finite(text):
           "--eps=5", "--n=1024"])
 @example(["verify-vertical", "--eps=1e-150", "--n=1024"])
 @example(["verify-vertical", "--eps=1e-161", "--n=1024"])
-@example(["hk-region", "--u=1e305", "--q1=1", "--q2=1", "--envelope-grid=9"])
+@example(["hk-region", "--u=1e305", "--q1=1", "--q2=1"])
 @example(["lemma5-audit", "--u=3e305", "--samples=2"])
 @example(["verify-lemma1", "--t-min=0.1", "--t-max=0.1", "--n=1024"])
 @example(["verify-lemma2", "--t-min=1e200", "--t-max=1e200", "--t-count=2", "--n=1024"])

@@ -197,10 +197,9 @@ U_POSITIVE = st.floats(min_value=0.0, exclude_min=True)
 @example(3.0, 5e-324)
 @example(1.5, math.inf)
 def test_stationary_variance_is_the_array_argmax_bit_for_bit(L, u):
-    # the scalar path computes (L+u)/(L-1) in Python floats; the array path
-    # is gauss_argmax at N1 = 0, N = u, whose quotient may overflow to inf
-    with np.errstate(over="ignore"):
-        k = float(gauss_argmax(np.array([L]), u, 0.0, u)[0])
+    # the stationary variance computes (L+u)/(L-1); the maximizer behind
+    # f1 is gauss_argmax at N1 = 0, N = u, whose quotient may overflow to inf
+    k = gauss_argmax(L, u, 0.0, u)
     if math.isfinite(k):
         assert stationary_source_variance(L, u).hex() == k.hex()
     else:

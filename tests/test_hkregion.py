@@ -16,11 +16,12 @@ from _oracles import (
     increasing_alignment,
     maxplus_self_convolution,
     power_control_value_2d,
+    rng_for,
 )
+from ziclab import _lattice as lat
 from ziclab import counterexamples as cx
 from ziclab import hessian as hs
 from ziclab import hkregion as hk
-from ziclab._util import rng_for
 from ziclab.hessian import gauss_psi
 
 
@@ -184,9 +185,8 @@ def test_capped_argmax_cases():
 
 def test_argmax_is_inf_outside_its_domain():
     # psi increases in K where (u/N) L <= 1; the boundary (u/N) L = 1 included
-    L = np.array([0.0, 0.5, 1.0, 1.5, 3.0])
-    k = hs.gauss_argmax(L, 2.0, 0.5, 2.0)
-    assert k.tolist() == [math.inf, math.inf, math.inf, (2.0 + 1.5) / 0.5 - 0.5, 5.0 / 2.0 - 0.5]
+    k = [hs.gauss_argmax(L, 2.0, 0.5, 2.0) for L in (0.0, 0.5, 1.0, 1.5, 3.0)]
+    assert k == [math.inf, math.inf, math.inf, (2.0 + 1.5) / 0.5 - 0.5, 5.0 / 2.0 - 0.5]
     assert hs.gauss_argmax(1.0, 2.0, 0.0, 4.0) == math.inf
 
 
@@ -370,7 +370,7 @@ def assert_matches_qhull(env, qx, qy):
         ref = max(ref, fq)
     try:
         res = env.value(qx, qy)
-    except hk.GridTooSmallError:
+    except lat.GridTooSmallError:
         x_hi, y_hi = env.xg[-1], env.yg[-1]
         assert tie or any(
             a >= x_hi * (1 - 1e-9) or b >= y_hi * (1 - 1e-9) for a, b in ref_support
@@ -430,7 +430,7 @@ def test_envelope_matches_qhull_maxplus_tables(rng):
 
 def test_envelope_bland_pivots_match_qhull(monkeypatch):
     # every pivot after a degenerate one follows Bland's rule
-    monkeypatch.setattr(hk, "BLAND_AFTER", 0)
+    monkeypatch.setattr(lat, "BLAND_AFTER", 0)
     params = hk.HKParams(u=2.0, N1=0.5)
     for q in [(2.06669, 0.59676), (39.0, 1.2), (10.0, 10.0), (0.3, 7.0)]:
         env = hk.envelope_for(*q, params, grid_n=65, margin=8)
@@ -440,7 +440,7 @@ def test_envelope_bland_pivots_match_qhull(monkeypatch):
 def test_envelope_pivot_cap_raises(monkeypatch):
     params = hk.HKParams(u=1.0, N1=1.0)
     env = hk.envelope_for(39.0, 1.2, params, grid_n=65, margin=8)
-    monkeypatch.setattr(hk, "MAX_PIVOTS", 1)
+    monkeypatch.setattr(lat, "MAX_PIVOTS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         env.value(39.0, 1.2)
 
@@ -478,14 +478,14 @@ def test_concave_envelope_1d_matches_qhull(rng):
 def test_envelope_equals_f1_where_concave():
     params = hk.HKParams(u=1.0, N1=1.0)
     f1 = hk.fixed_power_value(10.0, 10.0, params).value
-    g1 = hk.power_control_value(10.0, 10.0, params, grid_n=129)
-    assert g1 == pytest.approx(f1, abs=1e-9)
+    assert hk.power_control_value(10.0, 10.0, params) == f1
+    assert lat.lattice_value(10.0, 10.0, params, grid_n=129) == pytest.approx(f1, abs=1e-9)
 
 
 def test_envelope_grid_too_small():
     params = hk.HKParams(u=1.0, N1=1.0)
     env = hk.envelope_for(39.0, 1.2, params, grid_n=65, margin=4)
-    with pytest.raises(hk.GridTooSmallError):
+    with pytest.raises(lat.GridTooSmallError):
         env.value(39.0, 1.2)
 
 
@@ -496,7 +496,7 @@ def test_envelope_grid_below_two_rejected():
             hk.envelope_for(1.0, 1.0, params, grid_n=grid_n)
         with pytest.raises(ValueError, match="at least 2 nodes"):
             power_control_value_2d(1.0, 1.0, params, grid_n=grid_n)
-    assert hk.power_control_value(1.0, 1.0, params, grid_n=2) >= hk.fixed_power_value(
+    assert lat.lattice_value(1.0, 1.0, params, grid_n=2) >= hk.fixed_power_value(
         1.0, 1.0, params
     ).value
 
@@ -525,7 +525,7 @@ def test_tensorization_spot_checks():
     pts = [(5.0, 2.0), (10.0, 4.0), (3.0, 1.0), (8.0, 8.0), (2.0, 6.0)]
     for (a, b) in pts:
         g2 = power_control_value_2d(2 * a, 2 * b, params, grid_n=97)
-        g1 = hk.power_control_value(a, b, params, grid_n=129)
+        g1 = hk.power_control_value(a, b, params)
         assert g2 == pytest.approx(2 * g1, abs=5e-3)
 
 
@@ -538,9 +538,10 @@ def plane_excess(q, x, y, params):
     """f1 - l at the points (x, y) for the tangent plane l of f1 at q, and
     the rounding bound of ``tangent_witness`` there (8 ulps of its terms)."""
     u, N1 = params.u, params.N1
-    fq = float(hk._corner_value(*q, u, N1))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    fq = hk._corner_value(*q, u, N1)
     d1, d2 = hk._corner_gradient(*q, u, N1)
-    f = hk._corner_value(x, y, u, N1)
+    f = lat.corner_values(x, y, u, N1)
     r1, r2 = d1 * (x - q[0]), d2 * (y - q[1])
     logs = 2.0 + 2.0 * abs(math.log(u)) + abs(math.log(q[0] + q[1] + N1 + u))
     logs = logs + np.abs(np.log(x + y + N1 + u))
@@ -635,7 +636,8 @@ def test_tangent_witness_rejects_non_finite_tail_box():
         warnings.simplefilter("error")
         assert hk.tangent_witness(1e-300, 1e-300, params) is None
         f1 = hk.fixed_power_value(1e-300, 1e-300, params).value
-        assert hk.power_control_value(1e-300, 1e-300, params, grid_n=9) == f1
+        assert hk.power_control_value(1e-300, 1e-300, params) == f1
+        assert lat.lattice_value(1e-300, 1e-300, params, grid_n=9) == f1
 
 
 @pytest.mark.parametrize("q", [(1.0, 1.0), (1.0, 0.0)])
@@ -652,8 +654,8 @@ def test_tangent_witness_rejects_nan_lattice(q, monkeypatch):
 def test_tangent_witness_rejects_nan_contact_excess(monkeypatch):
     # f1(q) and its gradient are finite, f1 at the contact points is NaN
     real = hk._corner_value
-    monkeypatch.setattr(hk, "_corner_value", lambda x, y, u, N1: real(x, y, u, N1) * np.nan
-                        if np.ndim(x) else real(x, y, u, N1))
+    monkeypatch.setattr(hk, "_corner_value", lambda x, y, u, N1: real(x, y, u, N1)
+                        if (x, y) == (1.0, 1.0) else math.nan)
     with pytest.raises(ValueError, match="its contact excess is not finite"):
         hk.tangent_witness(1.0, 1.0, hk.HKParams(u=1.0))
 
@@ -773,7 +775,7 @@ def test_d2_applicable_records_match_tensorization():
             if not r.applicable:
                 continue
             found += 1
-            half = 2.0 * float(hk._corner_value(r.q1 / 2, r.q2 / 2, u, N1))
+            half = 2.0 * hk._corner_value(r.q1 / 2, r.q2 / 2, u, N1)
             f2 = hk.fixed_power_value_2d(r.q1, r.q2, params).value
             assert f2 == pytest.approx(half, rel=0, abs=1e-12)
             g2 = power_control_value_2d(r.q1, r.q2, params, grid_n=49)
@@ -781,7 +783,7 @@ def test_d2_applicable_records_match_tensorization():
             yg = _uniform_lattice_with_node(4 * max(r.q2, 1.0), r.q2, 49)
             a, b = xg[xg <= r.q1][:, None], yg[yg <= r.q2][None, :]
             with np.errstate(divide="ignore"):
-                split = hk._corner_value(a, b, u, N1) + hk._corner_value(r.q1 - a, r.q2 - b, u, N1)
+                split = lat.corner_values(a, b, u, N1) + lat.corner_values(r.q1 - a, r.q2 - b, u, N1)
             assert float(split.max()) - 1e-12 <= g2 <= half + 1e-12
             assert r.max_eigenvalue == hs.capped_gauss_objective(r.q1 / 2, r.q2 / 2, u, N1, u)[1]
     assert found >= 10
@@ -889,20 +891,20 @@ def test_f2_split_beats_symmetric_half():
 
 
 def test_power_control_cell_g1_majorizes_f1_exactly():
-    # the LP clamps g1 to the table node f1 at q, so hk-region's
-    # envelope_majorizes check needs no tolerance
-    # (7 of the 300 cells have envelope support on the lattice edge, so no
-    # g1: they raise GridTooSmallError, and hk-region exits 2)
+    # g1 is f1 itself where no point lies above the tangent plane, and the
+    # dual's value exceeds f1 elsewhere, so hk-region's envelope_majorizes
+    # check needs no tolerance; every cell gets a bracket within its
+    # rounding bound (the lattice LP left 7 of these 300 cells with support
+    # on its outer edge: GridTooSmallError, and hk-region exited 2)
     rng = np.random.default_rng(18)
-    decided = 0
+    gapped = 0
     for u, N1, q1, q2 in np.exp(rng.uniform(-8.0, 8.0, (300, 4))):
-        try:
-            c = hk.power_control_cell(float(q1), float(q2), hk.HKParams(u=float(u), N1=float(N1)), 33)
-        except hk.GridTooSmallError:
-            continue
-        decided += 1
+        c = hk.power_control_cell(float(q1), float(q2), hk.HKParams(u=float(u), N1=float(N1)))
         assert c.g1 >= c.f1, (u, N1, q1, q2)
-    assert decided == 293
+        assert c.g1 > c.f1 or c.f1_eq_g1, (u, N1, q1, q2)
+        assert c.bracket.within_rounding, (u, N1, q1, q2)
+        gapped += not c.f1_eq_g1
+    assert gapped >= 100
 
 
 # ----------------------------------------------------------------------
@@ -1001,7 +1003,7 @@ def test_constant_power_gap_rejects_a_nan_skew_gain():
 
 def test_power_control_map_cells():
     params = hk.HKParams(u=1.0, N1=1.0)
-    cells = hk.power_control_map([1.0], [0.0, 1.2, 39.0], params, grid_n=65)
+    cells = hk.power_control_map([1.0], [0.0, 1.2, 39.0], params)
     by_q = {(c.q1, c.q2): c for c in cells}
     gap_cell = by_q[(39.0, 1.2)]
     assert not gap_cell.f1_eq_g1  # power control helps here
@@ -1021,14 +1023,12 @@ def test_power_control_cell_rules():
     params = hk.HKParams(u=1.0, N1=1.0)
     for q in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match=r"need q1 > 0 and q2 >= 0"):
-            hk.power_control_cell(*q, params, 33)
-    with pytest.raises(ValueError, match="at least 2 nodes"):
-        hk.power_control_cell(1.0, 0.0, params, 1)
+            hk.power_control_cell(*q, params)
     # the audits' check took a negative L as 0 and returned a K
     with pytest.raises(ValueError, match=r"needs q1 > 0 and q2 >= 0, got \(1.0, -0.5\)"):
         hk.maximizer_bound_check(1.0, -0.5, params)
     # a q2 = 0 cell: g1 = f1 and K at (q1, 0), the same tangent-plane verdict
-    c = hk.power_control_cell(1.2, 0.0, params, 65)
+    c = hk.power_control_cell(1.2, 0.0, params)
     res = hk.fixed_power_value(1.2, 0.0, params)
     assert (c.f1, c.g1, c.stationary_K) == (res.value, res.value, res.K)
     assert c.f1_eq_g1 == (hk.tangent_witness(1.2, 0.0, params) is None)
@@ -1045,7 +1045,7 @@ def test_axis_cells_read_g1_equal_f1(rng):
         q1 = float(np.exp(rng.uniform(math.log(0.05), math.log(30.0))))
         params = hk.HKParams(u=u, N1=N1)
         xs = np.union1d(np.linspace(0.0, 64.0 * max(q1, 1.0), 4097), [q1])
-        chord = hk.concave_envelope_1d(xs, hk._corner_value(xs, 0.0 * xs, u, N1), q1)
+        chord = hk.concave_envelope_1d(xs, lat.corner_values(xs, 0.0 * xs, u, N1), q1)
         _, bound = plane_excess((q1, 0.0), xs, 0.0 * xs, params)
         f1 = hk.fixed_power_value(q1, 0.0, params).value
         assert chord - f1 <= bound[np.isfinite(bound)].max()
@@ -1054,7 +1054,95 @@ def test_axis_cells_read_g1_equal_f1(rng):
 
 @pytest.mark.parametrize("q", [(1e308, 1e-300), (1e308, 0.0), (1.0, 1e308), (5.7e306, 1.0)])
 def test_power_control_cell_rejects_non_finite_window(q):
+    # the lattice window 32 max(q, 1) of these cells was not finite; the
+    # dual has no window: each cell either gets g1 with a bracket within its
+    # rounding bound, never g1 = f1 beside a witness, or is rejected
+    # (ValueError) without a warning
+    params = hk.HKParams(u=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="lattice window 32 max"):
-            hk.power_control_cell(*q, hk.HKParams(u=1.0))
+        try:
+            c = hk.power_control_cell(*q, params)
+        except ValueError as exc:
+            assert str(exc).startswith(f"power-control cell (q1={q[0]}, q2={q[1]}): ")
+            return
+    assert c.f1_eq_g1 == (hk.tangent_witness(*q, params) is None)
+    assert c.g1 == c.f1 if c.f1_eq_g1 else c.g1 > c.f1 and c.bracket.within_rounding
+
+
+# ----------------------------------------------------------------------
+# g1 by the Fenchel dual against the lattice LP
+# ----------------------------------------------------------------------
+
+
+def assert_lp_below_dual(q, params, grid_n=129):
+    """The lattice LP, a lower bound on g1, lies below the dual's value, and
+    the value below the dual's upper bound, each within the bracket's
+    rounding bound (and the LP's own 1e-12 pricing tolerance)."""
+    br = hk.power_control_bracket(*q, params)
+    lp = lat.lattice_value(*q, params, grid_n=grid_n)
+    slack = br.rounding + 1e-12 * abs(lp)
+    assert lp <= br.value + slack, (q, lp, br)
+    assert br.value <= br.upper + br.rounding and br.within_rounding, (q, br)
+    assert br.value >= hk.fixed_power_value(*q, params).value
+    return br.value - lp
+
+
+def test_dual_brackets_above_lp_on_criterion_06_cells():
+    gaps = []
+    for i, (u, N1) in enumerate([
+        (0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.5), (1.0, 1.0),
+        (0.7, 0.2), (3.0, 0.0), (1.5, 1.0), (2.0, 0.5), (0.5, 1.0),
+    ]):
+        params = hk.HKParams(u=u, N1=N1)
+        rep = hk.eigenvalue_bound_audit(1, params, 20, rng_for(7, f"acc6-{i}"))
+        gaps += [assert_lp_below_dual((r.q1, r.q2), params) for r in rep.records]
+    assert len(gaps) == 200 and max(gaps) > 0
+
+
+@pytest.mark.parametrize(
+    "u, N1, qs",
+    [(1.0, 1.0, (1.0, 4.0, 7.0, 10.0)), (1.0, 1.0, (1.2, 5.0, 39.0))],
+)
+def test_dual_brackets_above_lp_on_readme_cells(u, N1, qs):
+    params = hk.HKParams(u=u, N1=N1)
+    for q in ((q1, q2) for q1 in qs for q2 in qs):
+        assert_lp_below_dual(q, params)
+    # at (1, 4) the LP's window [0, 4] x [0, 16] misses the support point
+    # (5.97, 0): the LP read g1 = f1, and the dual finds a gap of 1.9e-4
+    br = hk.power_control_bracket(1.0, 4.0, params)
+    assert br.value - hk.fixed_power_value(1.0, 4.0, params).value == pytest.approx(1.902e-4, rel=1e-3)
+    assert max(p[0] for p in br.support) > 4.0
+
+
+def test_dual_support_is_a_randomization():
+    # weights summing to 1 on points p >= 0 that average to q, whose f1
+    # values average to the reported g1
+    params = hk.HKParams(u=2.0, N1=0.5)
+    for q in [(2.066687349572014, 0.5967584113683521), (39.0, 1.2), (7.0, 2.0)]:
+        br = hk.power_control_bracket(*q, params)
+        w = [s[2] for s in br.support]
+        assert 2 <= len(w) <= 3 and math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+        assert all(s[0] >= 0 and s[1] >= 0 for s in br.support)
+        for k in (0, 1):
+            assert math.fsum(s[2] * s[k] for s in br.support) == pytest.approx(q[k], rel=1e-14)
+        value = math.fsum(s[2] * hk._corner_value(s[0], s[1], params.u, params.N1) for s in br.support)
+        assert value == pytest.approx(br.value, abs=4 * math.ulp(br.value))
+
+
+def test_dual_falls_back_to_the_bisection_search(monkeypatch):
+    # with Newton from the tangent plane disabled, the log-bisection search
+    # alone finds the bracket, to the same value within rounding
+    params = hk.HKParams(u=1.0, N1=1.0)
+    want = hk.power_control_bracket(1.0, 4.0, params)
+    calls = []
+    real = hk._Dual.newton
+
+    def newton(self, a, b, active, w):
+        calls.append(list(active))
+        return None if len(calls) == 1 else real(self, a, b, active, w)
+
+    monkeypatch.setattr(hk._Dual, "newton", newton)
+    got = hk.power_control_bracket(1.0, 4.0, params)
+    assert len(calls) >= 2 and got.within_rounding
+    assert got.value == pytest.approx(want.value, abs=want.rounding)
