@@ -7,8 +7,9 @@ first:
   and its Gaussian surrogate produces a strictly positive t^{3/2} gain in
   the three-entropy combination h(X1+Z2+X2) + h(X1) - 2 h(X1+Z2);
 * the vertical (density) perturbation: gamma_K - eps D^3 gamma_{K-delta}
-  paired with a telescoping partner series for the interferer, whose
-  convolution stays Gaussian up to O(eps^{J+1});
+  paired with a telescoping partner series for the interferer; the law of
+  their sum is built telescoped (``partner_sum``), a Gaussian less one
+  remainder term of order eps^{J+1};
 * the Fisher-information limit functional h(X+Y) - h(X) - J(X)/2 with the
   same third-derivative direction and a budget-neutral partner;
 * the constant-power witness: the skewed interferer at power N2, with the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,18 +42,17 @@ from .gaussmix import (
     GaussDerivMixture,
     GaussMixture,
     DerivTerm,
+    gauss_deriv_pdf,
     gauss_deriv_poly,
 )
 from .entropy import (
     Mixture,
     NegativeDensityError,
-    differential_entropy,
-    fisher_information,
     gaussian_entropy,
-    grids_from_mixtures,
     log_weighted_deriv_integral,
     mixture_entropies,
     mixture_entropy,
+    mixture_integrals,
     power_fit,
 )
 from .hessian import (
@@ -89,22 +89,33 @@ class ChannelParams:
             raise ValueError("u, N1, N2 must be nonnegative")
 
 
+# The second law of a pair: a mixture, or the function that returns the law
+# of a mixture plus it (the partner series' telescoped sum, ``partner_sum``).
+Addend = Union[Mixture, Callable[[Mixture], Mixture]]
+
+
+def _plus(m: Mixture, y: Addend) -> Mixture:
+    """The law of m + Y for independent Y, given as an Addend."""
+    return y(m) if callable(y) else m.convolve(y)
+
+
 def interference_objective(
-    params: ChannelParams, pairs: Sequence[tuple[Mixture, Mixture]], n: int = 8192
+    params: ChannelParams, pairs: Sequence[tuple[Mixture, Addend]], n: int = 8192
 ) -> list[float]:
     """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) for each (X1, X2)
     pair.
 
     The one evaluation of this objective: the skewed-interferer gap
     (u = 1) and the vertical perturbation (N2 = u) call it too.  X1 and X2
-    are mixtures of one family, convolved exactly; zero noise variances
-    skip the corresponding convolution.  The pairs' entropies are one
-    ``mixture_entropies`` batch, listed law by law, so the pairs of an eps
-    ladder share one tabulation per grid.
+    are mixtures of one family, convolved exactly, or X2 is the function
+    that adds it to X1+Z1+Z2 (the vertical perturbation's telescoped
+    partner sum); zero noise variances skip the corresponding convolution.
+    The pairs' entropies are one ``mixture_entropies`` batch, listed law by
+    law, so the pairs of an eps ladder share one tabulation per grid.
     """
     x1z1 = [x1.convolve_gaussian(params.N1) for x1, _ in pairs]
     x1z1z2 = [m.convolve_gaussian(params.N2) for m in x1z1]
-    trip = [m.convolve(x2) for m, (_, x2) in zip(x1z1z2, pairs)]
+    trip = [_plus(m, x2) for m, (_, x2) in zip(x1z1z2, pairs)]
     k = len(pairs)
     h = mixture_entropies(trip + x1z1 + x1z1z2, n=n)
     return [
@@ -363,21 +374,49 @@ def partner_series(
 ) -> GaussDerivMixture:
     """sum_{j=0}^J eps^j D^{3j} gamma_{L - j delta}.
 
-    Telescopes against the perturbed source so the convolution equals
-    gamma_{K+L} - eps^{J+1} D^{3(J+1)} gamma_{K+L-(J+1) delta} in exact
-    arithmetic.  In floats the variances K + (L - j delta) and
-    (K - delta) + (L - (j-1) delta) of a cancelling pair can differ by an
-    ulp, and the pair then survives as two terms (18 at L = 1.1, J = 20 in
-    the limit functional, where the telescoped law has 2).  Every j >= 1
-    term is of derivative order >= 3, so the second moment stays exactly L.
+    Telescopes against the perturbed source: the sum of the two is
+    ``partner_sum``'s two-term law.  Every j >= 1 term is of derivative
+    order >= 3, so the second moment stays exactly L.  The series itself
+    serves the positivity checks and E[Y^2] = L.
     """
+    return GaussDerivMixture(tuple(_partner_term(L, delta, eps, j) for j in range(J + 1)))
+
+
+def _partner_term(L: float, delta: float, eps: float, j: int) -> DerivTerm:
+    return DerivTerm(eps**j, 3 * j, L - j * delta)
+
+
+def partner_sum(
+    source: GaussDerivMixture, L: float, delta: float, eps: float, J: int
+) -> GaussDerivMixture:
+    """The law of source + partner_series(L, delta, eps, J), telescoped.
+
+    ``source`` is gamma_A - eps D^3 gamma_{A-delta}: the perturbed source,
+    or its law plus independent Gaussian noise (A = K + noise).  Term j + 1
+    of the partner against gamma_A cancels term j against the source's D^3
+    term, so the sum is gamma_{A+L} - eps^{J+1} D^{3J+3}
+    gamma_{(A-delta)+(L-J delta)}.  Those two terms are formed as
+    ``convolve`` forms them, from the source's own terms (variances
+    v0 + (L - 0 delta) and v3 + (L - J delta), coefficients c0 * 1 and
+    c3 * eps**J); the pairs that cancel are left out, where ``convolve``
+    keeps any pair whose variances differ by an ulp as two terms (18 terms
+    at L = 1.1, J = 20 in the limit functional).
+    """
+    orders = tuple(t.order for t in source.terms)
+    if orders != (0, 3):
+        raise ValueError(f"the source must hold one D^0 and one D^3 term, got orders {orders}")
+    (c0, _, v0), (c3, _, v3) = source.terms
+    first, last = _partner_term(L, delta, eps, 0), _partner_term(L, delta, eps, J)
     return GaussDerivMixture(
-        tuple(DerivTerm(eps**j, 3 * j, L - j * delta) for j in range(J + 1))
+        (
+            DerivTerm(c0 * first.coeff, first.order, v0 + first.variance),
+            DerivTerm(c3 * last.coeff, 3 + last.order, v3 + last.variance),
+        )
     )
 
 
-# The objectives convolve the source's D^3 term with the partner's D^{3J}
-# term, so 3J + 3 is the highest derivative order they evaluate.
+# The objectives add the source's D^3 term to the partner's D^{3J} term,
+# so 3J + 3 is the highest derivative order they evaluate.
 MAX_J = (MAX_ORDER - 3) // 3
 
 
@@ -394,19 +433,44 @@ def _check_J(J: int) -> None:
         )
 
 
-def _min_density(m: GaussDerivMixture) -> float:
-    """Least density value on 4096 points over the +-12 sigma window."""
-    return float(m.pdf(np.linspace(*m.window(), 4096)).min())
+class _DensityMinima:
+    """Least density value of a mixture on 4096 points over its +-12 sigma
+    window: the positivity check grid.
+
+    The checks ask this of mixtures that differ only in eps, that is in
+    their coefficients, so each grid column D^m gamma_v is tabulated once
+    and kept.  The density sums coeff * column in the mixture's sorted term
+    order, as ``pdf_many`` does, so each minimum has the bits of
+    ``m.pdf``'s on the grid.
+    """
+
+    def __init__(self):
+        self._columns: dict[tuple[tuple[float, float], int, float], np.ndarray] = {}
+
+    def __call__(self, m: GaussDerivMixture) -> float:
+        window = m.window()
+        density = np.zeros(4096)
+        for coeff, order, variance in m.terms:
+            key = (window, order, variance)
+            if key not in self._columns:
+                self._columns[key] = gauss_deriv_pdf(np.linspace(*window, 4096), variance, order)
+            density += coeff * self._columns[key]
+        return float(density.min())
 
 
-def select_epsilon(K: float, L: float, delta: float, J: int) -> float:
+def select_epsilon(
+    K: float, L: float, delta: float, J: int, minima: Optional[_DensityMinima] = None
+) -> float:
     """Largest eps in {2^-k} keeping both perturbed densities pointwise
-    nonnegative on the check grid, then halved once for margin."""
+    nonnegative on the check grid, then halved once for margin.  The grid
+    columns come from ``minima`` when given, so a later check can reuse
+    them."""
+    minima = _DensityMinima() if minima is None else minima
     for k in range(1, 44):
         eps = 2.0**-k
         if (
-            _min_density(perturbed_source(K, delta, eps)) >= 0.0
-            and _min_density(partner_series(L, delta, eps, J)) >= 0.0
+            minima(perturbed_source(K, delta, eps)) >= 0.0
+            and minima(partner_series(L, delta, eps, J)) >= 0.0
         ):
             return eps / 2.0
     raise NegativeDensityError("no positive eps admits nonnegative densities")
@@ -482,15 +546,16 @@ class _PerturbationLadder:
             raise ValueError("need K - delta > 0")
         if not self.L - self.J * self.delta > 0:
             raise ValueError("need L - J*delta > 0")
+        minima = _DensityMinima()
         if self.eps is None:
-            object.__setattr__(self, "eps", select_epsilon(self.K, self.L, self.delta, self.J))
+            object.__setattr__(self, "eps", select_epsilon(self.K, self.L, self.delta, self.J, minima))
         elif not math.isfinite(self.eps):
             raise ValueError(f"{names}, eps must be finite")
         elif not self.eps > 0:
             raise ValueError(f"{names}, eps must be positive")
-        self._check_eps_ladder(", ".join(f"{k}={v}" for k, v in params.items() if k != "L"))
+        self._check_eps_ladder(", ".join(f"{k}={v}" for k, v in params.items() if k != "L"), minima)
 
-    def _check_eps_ladder(self, at: str) -> None:
+    def _check_eps_ladder(self, at: str, minima: _DensityMinima) -> None:
         """Reject an eps whose ladder richardson_quadratic cannot divide by
         (an e**2 overflows or underflows to 0), whose partner series
         overflows (eps**J is not finite), or whose smallest eps^2 step
@@ -514,7 +579,7 @@ class _PerturbationLadder:
                 f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "
                 f"rounding floor {floor:.3e}, got {eps}"
             )
-        if _min_density(self.x1()) < -1e-12 or _min_density(self.x2()) < -1e-12:
+        if minima(self.x1()) < -1e-12 or minima(self.x2()) < -1e-12:
             raise NegativeDensityError("eps too large: perturbed density goes negative on the grid")
         change = abs(self.closed_form()) * squares[-1]
         if not change >= floor:  # NaN where the closed form's terms are both infinite
@@ -531,6 +596,11 @@ class _PerturbationLadder:
         return partner_series(
             self.L, self.delta, self.eps if eps is None else eps, self.J
         )
+
+    def plus_x2(self, eps: float) -> Callable[[GaussDerivMixture], GaussDerivMixture]:
+        """Adds x2(eps) to a law of x1(eps) plus Gaussian noise, telescoped
+        (partner_sum): the X2 of an objective's pair."""
+        return lambda law: partner_sum(law, self.L, self.delta, eps, self.J)
 
 
 @dataclass(frozen=True)
@@ -600,7 +670,7 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
     params = ChannelParams(u=vp.u, N2=vp.u)
     values, coeff = richardson_quadratic(
         lambda eps: interference_objective(
-            params, [(vp.x1(e), vp.x2(e)) for e in eps], n=n
+            params, [(vp.x1(e), vp.plus_x2(e)) for e in eps], n=n
         ),
         base,
         vp.eps,
@@ -620,16 +690,18 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
 
 
 def limit_functional(
-    pairs: Sequence[tuple[Mixture, Mixture]], n: int = 16384
+    pairs: Sequence[tuple[Mixture, Addend]], n: int = 16384
 ) -> list[float]:
     """h(X + Y) - h(X) - J(X)/2 for each pair of independent X and Y, each
     entropy and the Fisher information on an n-point grid over the law's
-    window.  The X laws are one grid batch and the X + Y laws another, so
-    the pairs of an eps ladder share one tabulation per grid."""
-    h_xy = mixture_entropies([x.convolve(y) for x, y in pairs], n=n)
+    window; Y is a mixture, or the function that adds it to X (the
+    telescoped partner sum).  The X laws are one grid batch and the X + Y
+    laws another, so the pairs of an eps ladder share one tabulation per
+    grid."""
+    h_xy = mixture_entropies([_plus(x, y) for x, y in pairs], n=n)
     return [
-        h - differential_entropy(xg) - 0.5 * fisher_information(xg)
-        for h, xg in zip(h_xy, grids_from_mixtures([x for x, _ in pairs], n=n))
+        h - r.entropy - 0.5 * r.fisher
+        for h, r in zip(h_xy, mixture_integrals([x for x, _ in pairs], n=n, fisher=True))
     ]
 
 
@@ -656,7 +728,8 @@ def limit_rounding_floor(K: float, L: float) -> float:
 def fisher_limit_coefficient(K: float, delta: float) -> float:
     """Closed-form eps^2 coefficient of the limit functional at
     X = gamma_K - eps a, a = D^3 gamma_v, v = K - delta, with the partner
-    that keeps h(X+Y) fixed to O(eps^{2(J+1)}):
+    series, which leaves X+Y Gaussian but for a remainder of order
+    eps^{J+1}, so h(X+Y) moves by O(eps^{2(J+1)}) only:
     c = 1/2 [int a^2/gamma_K - int gamma_K ((a/gamma_K)')^2].
 
     The first term is -h's and the second -J/2's second variation.
@@ -723,15 +796,16 @@ def fisher_limit_gain(
     stationary point of the limit functional.
 
     X is perturbed by -eps D^3 gamma_{K-delta}; Y is the partner series,
-    which keeps E[Y^2] = L exactly and neutralizes h(X+Y) up to
-    O(eps^{2(J+1)}).  The parameters pass FisherPerturbation's checks, so
+    which keeps E[Y^2] = L exactly.  X+Y is partner_sum's telescoped law,
+    gamma_{K+L} less one term of order eps^{J+1}, so h(X+Y) moves by
+    O(eps^{2(J+1)}) only.  The parameters pass FisherPerturbation's checks, so
     eps0 moves the functional by at least its rounding floor; the eps^2
     coefficient's closed form is fisher_limit_coefficient(K, delta).
     """
     fp = FisherPerturbation(K=fisher_stationary_variance(L), L=L, delta=delta, eps=eps0, J=J)
     gaussian_value = fisher_limit_gaussian(fp.K, L)
     values, coeff = richardson_quadratic(
-        lambda eps: limit_functional([(fp.x1(e), fp.x2(e)) for e in eps], n=n),
+        lambda eps: limit_functional([(fp.x1(e), fp.plus_x2(e)) for e in eps], n=n),
         gaussian_value,
         fp.eps,
     )

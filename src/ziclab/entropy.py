@@ -11,6 +11,19 @@ keeps mass Q(12) = 1.8e-33 and second-moment tail 2.6e-31, so the
 omitted entropy and Fisher terms lie far below one ulp of any value
 reported here.
 
+One blocked kernel computes every grid integral.  A pass walks the grid in
+blocks of ``BLOCK`` points: it tabulates the mixtures of one window on the
+block (each distinct term column once), tracks their least value for the
+-1e-12 check, clips, and writes the trapezoid terms of the mass, of -p ln p
+and, when asked, of (p')^2/p into full-length term arrays.  p' is
+``np.gradient``'s central difference, so a block reads one point before it
+and two after it.  Each element goes through the ufuncs of the whole-array
+expressions, and each integral is one ``np.sum`` over its full term array,
+so the results have the bits of tabulating the whole grid at once
+(``tests/_oracles.py`` keeps that path), while a block's buffers stay in
+the CPU caches.  The term arrays are allocated once per call and reused by
+every window group of the call.
+
 This module is the independent oracle for every closed form downstream:
 nothing here reuses the exact mixture algebra except to evaluate pointwise
 densities.
@@ -20,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +45,10 @@ _TINY = 1e-300
 _NEG_TOL = -1e-12
 _MASS_TOL = 1e-7
 
+# grid points per block of a pass: a block's buffers of 256 KiB each stay
+# in the CPU caches, where whole-grid temporaries stream through memory
+BLOCK = 1 << 15
+
 
 class NonNormalizedError(ValueError):
     """Grid density mass deviates from 1 beyond tolerance."""
@@ -39,6 +56,27 @@ class NonNormalizedError(ValueError):
 
 class NegativeDensityError(ValueError):
     """Density negative beyond -1e-12 somewhere on the grid."""
+
+
+def _check_grid(lo: float, hi: float, n: int) -> None:
+    if n < 2:
+        raise ValueError("values length must equal n >= 2")
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+
+
+def _check_nonnegative(low: float) -> None:
+    """Reject a density whose least grid value is below -1e-12."""
+    if low < _NEG_TOL:
+        raise NegativeDensityError(f"density reaches {low:.3e} < -1e-12 on the grid")
+
+
+def _check_normalized(n: int, mass: float, what: str) -> None:
+    """Entropy and Fisher precondition: n >= 1024, unit mass within 1e-7."""
+    if n < 1024:
+        raise ValueError(f"{what} evaluation requires n >= 1024")
+    if abs(mass - 1.0) > _MASS_TOL:
+        raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
 
 
 @dataclass(frozen=True)
@@ -52,14 +90,10 @@ class GridDensity:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if self.n < 2 or len(vals) != self.n:
+        if len(vals) != self.n:
             raise ValueError("values length must equal n >= 2")
-        if not self.hi > self.lo:
-            raise ValueError("need hi > lo")
-        if vals.min() < _NEG_TOL:
-            raise NegativeDensityError(
-                f"density reaches {vals.min():.3e} < -1e-12 on the grid"
-            )
+        _check_grid(self.lo, self.hi, self.n)
+        _check_nonnegative(vals.min())
         vals = np.clip(vals, 0.0, None)
         object.__setattr__(self, "values", vals)
 
@@ -68,27 +102,213 @@ class GridDensity:
         return (self.hi - self.lo) / (self.n - 1)
 
     def integral(self, integrand: np.ndarray) -> float:
-        """Trapezoid integral of ``integrand`` tabulated on this grid.
-
-        ``np.trapezoid``'s expression d * (y[1:] + y[:-1]) / 2.0, summed,
-        built in one buffer.
-        """
-        y = np.asarray(integrand, dtype=float)
-        buf = np.add(y[1:], y[:-1])
-        buf *= self.step
-        buf /= 2.0
-        return float(buf.sum())
+        """Trapezoid integral of ``integrand`` tabulated on this grid:
+        ``np.trapezoid``'s expression d * (y[1:] + y[:-1]) / 2.0, summed."""
+        terms = np.empty(self.n - 1)
+        _trapezoid_terms(np.asarray(integrand, dtype=float), self.step, terms)
+        return float(terms.sum())
 
     def mass(self) -> float:
         return self.integral(self.values)
 
     def check_normalized(self, what: str) -> None:
         """Entropy and Fisher precondition: n >= 1024, unit mass within 1e-7."""
-        if self.n < 1024:
-            raise ValueError(f"{what} evaluation requires n >= 1024")
-        mass = self.mass()
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
+        _check_normalized(self.n, self.mass(), what)
+
+
+def _grid(x: np.ndarray, lo: float, hi: float, n: int, last: bool) -> np.ndarray:
+    """The points of np.linspace(lo, hi, n) whose indices x holds (as
+    floats), in place and bit for bit: index times (hi - lo)/(n - 1), plus
+    lo, and hi at index n - 1 (``last``), with linspace's own operations
+    and its path for a step that underflows to 0."""
+    delta = np.subtract(hi, lo)
+    step = delta / (n - 1)
+    if step == 0:
+        x /= n - 1
+        x *= delta
+    else:
+        x *= step
+    x += lo
+    if last:
+        x[-1] = hi
+    return x
+
+
+def _trapezoid_terms(y: np.ndarray, step: float, out: np.ndarray) -> None:
+    """``np.trapezoid``'s terms step * (y[1:] + y[:-1]) / 2.0, into out."""
+    np.add(y[1:], y[:-1], out=out)
+    out *= step
+    out /= 2.0
+
+
+def _spans(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """The blocks of a pass over n points: (a, b, p0, p1) for the trapezoid
+    terms a..b-1, which read the integrands at points a..b, and the points
+    p0..p1-1 the block tabulates, one more on each side for the central
+    differences of p' at a and at b."""
+    for a in range(0, n - 1, BLOCK):
+        b = min(a + BLOCK, n - 1)
+        yield a, b, max(a - 1, 0), min(b + 2, n)
+
+
+class _Workspace:
+    """The buffers of one call, allocated once and reused by each of its
+    passes: ``rows`` trapezoid term arrays of n - 1, and for one block the
+    point indices and points, the values of up to ``laws`` mixtures, two
+    work buffers (``pdf_many``'s, then an integrand's) and a mask.  Reuse
+    keeps a pass from allocating, and so from faulting in fresh pages,
+    block after block."""
+
+    def __init__(self, rows: int, n: int, laws: int = 0):
+        if n < 2:
+            raise ValueError("values length must equal n >= 2")
+        size = min(BLOCK + 3, n)
+        self.terms = np.empty((rows, n - 1))
+        self.index = np.arange(size, dtype=np.int32)  # half a float index's bytes
+        self.x = np.empty(size)
+        self.values = np.empty((laws, size))
+        self.work = np.empty((2, size))
+        self.mask = np.empty(size, dtype=bool)
+
+    def points(self, lo: float, hi: float, n: int, p0: int, p1: int) -> np.ndarray:
+        """np.linspace(lo, hi, n)[p0:p1], bit for bit, in the points buffer."""
+        x = np.add(self.index[: p1 - p0], float(p0), out=self.x[: p1 - p0])
+        return _grid(x, lo, hi, n, p1 == n)
+
+    def integrand_terms(self, integrand: np.ndarray, p: np.ndarray, step: float, out: np.ndarray) -> None:
+        """Trapezoid terms of ``integrand`` zeroed where not p > 1e-300, NaN
+        included, as np.where(p > 1e-300, integrand, 0.0) would."""
+        below = np.greater(p, _TINY, out=self.mask[: len(p)])
+        np.logical_not(below, out=below)
+        np.copyto(integrand, 0.0, where=below)
+        _trapezoid_terms(integrand, step, out)
+
+    def entropy_terms(self, p: np.ndarray, step: float, out: np.ndarray) -> None:
+        """Trapezoid terms of -p ln p at the density values p, one more than
+        out holds.  Points with p < 1e-300 are excluded from the log (their
+        contribution is analytically below any tolerance used here)."""
+        integrand = self.work[0, : len(p)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(p, out=integrand)
+            integrand *= p
+        np.negative(integrand, out=integrand)
+        self.integrand_terms(integrand, p, step, out)
+
+    def fisher_terms(
+        self, v: np.ndarray, p0: int, a: int, b: int, n: int, step: float, out: np.ndarray
+    ) -> None:
+        """Trapezoid terms a..b-1 of (p')^2/p, where v holds the density at
+        points p0.. of n.  p' at points a..b is np.gradient(values, step):
+        central differences inside, one-sided at points 0 and n - 1."""
+        p = v[a - p0 : b + 1 - p0]
+        grad = self.work[0, : len(p)]
+        i, j = max(a, 1), min(b, n - 2)
+        if i <= j:
+            inner = grad[i - a : j + 1 - a]
+            np.subtract(v[i + 1 - p0 : j + 2 - p0], v[i - 1 - p0 : j - p0], out=inner)
+            inner /= 2.0 * step
+        if a == 0:
+            grad[0] = (v[1] - v[0]) / step
+        if b == n - 1:
+            grad[-1] = (v[-1] - v[-2]) / step
+        grad *= grad
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grad /= p
+        self.integrand_terms(grad, p, step, out)
+
+
+class GridIntegrals(NamedTuple):
+    """A tabulated density's least value and its trapezoid mass, entropy
+    and, when asked for, Fisher information."""
+
+    low: float
+    mass: float
+    entropy: float
+    fisher: Optional[float] = None
+
+    def checked(self, n: int) -> "GridIntegrals":
+        """These integrals, once GridDensity's check and then
+        differential_entropy's pass on an n-point grid."""
+        _check_nonnegative(self.low)
+        _check_normalized(n, self.mass, "entropy")
+        return self
+
+
+def _integrate(
+    ms: Sequence[Mixture], lo: float, hi: float, n: int, ws: _Workspace, fisher: bool = False
+) -> list[GridIntegrals]:
+    """Unchecked GridIntegrals of mixtures of one family on n points over
+    [lo, hi], from one blocked pass.
+
+    Each block is one ``pdf_many`` call, so a term several mixtures hold is
+    evaluated once per block.  Mixture j writes its term arrays into rows
+    per*j.. of the workspace, with per = 3 for Fisher information, else 2.
+    """
+    _check_grid(lo, hi, n)
+    step = (hi - lo) / (n - 1)
+    per = 3 if fisher else 2
+    lows = [np.inf] * len(ms)
+    for a, b, p0, p1 in _spans(n):
+        values = ws.values[: len(ms), : p1 - p0]
+        type(ms[0]).pdf_many(ms, ws.points(lo, hi, n, p0, p1), out=values, work=ws.work[:, : p1 - p0])
+        for j, v in enumerate(values):
+            lows[j] = np.minimum(lows[j], v.min())  # a NaN stays, as in v.min()
+            np.clip(v, 0.0, None, out=v)
+            mass, entropy, *rest = ws.terms[per * j : per * (j + 1)]
+            p = v[a - p0 : b + 1 - p0]
+            _trapezoid_terms(p, step, mass[a:b])
+            ws.entropy_terms(p, step, entropy[a:b])
+            if fisher:
+                ws.fisher_terms(v, p0, a, b, n, step, rest[0][a:b])
+    return [
+        GridIntegrals(low, *(float(row.sum()) for row in ws.terms[per * j : per * (j + 1)]))
+        for j, low in enumerate(lows)
+    ]
+
+
+def _window_groups(ms: Sequence[Mixture]) -> dict[int, list[int]]:
+    """The indices of mixtures of one family with equal windows, keyed by
+    the first of them."""
+    windows = [m.window() for m in ms]
+    groups: dict[int, list[int]] = {}
+    grouped: set[int] = set()
+    for i, m in enumerate(ms):
+        if i not in grouped:
+            groups[i] = [
+                j for j in range(i, len(ms))
+                if type(ms[j]) is type(m) and windows[j] == windows[i]
+            ]
+            grouped.update(groups[i])
+    return groups
+
+
+def mixture_integrals(
+    ms: Sequence[Mixture], n: int = 8192, fisher: bool = False
+) -> list[GridIntegrals]:
+    """GridIntegrals of each mixture on n points over its own window(), in
+    order, with Fisher information when ``fisher``.
+
+    Mixtures of one family with equal windows share one blocked pass, run
+    when the first of them is reached, so a term several of them hold is
+    evaluated once, and each value has the bits the mixture gets alone.
+    Raises law by law as GridDensity and differential_entropy would:
+    NegativeDensityError when a density dips below -1e-12 anywhere on its
+    grid, which signals a perturbation amplitude too large for pointwise
+    positivity, and NonNormalizedError when its mass is off.
+    """
+    groups = _window_groups(ms)
+    if not groups:
+        return []
+    laws = max(map(len, groups.values()))
+    ws = _Workspace((3 if fisher else 2) * laws, n, laws)
+    done: dict[int, GridIntegrals] = {}
+    checked = []
+    for i, m in enumerate(ms):
+        if i in groups:
+            group = [ms[j] for j in groups[i]]
+            done.update(zip(groups[i], _integrate(group, *m.window(), n, ws, fisher)))
+        checked.append(done.pop(i).checked(n))
+    return checked
 
 
 def mixtures_to_grids(
@@ -101,8 +321,7 @@ def mixtures_to_grids(
     hold is evaluated once, and each density has the bits it has alone.
     Each GridDensity is built when it is reached.  It raises
     NegativeDensityError when the density dips below -1e-12 anywhere on
-    the grid, which signals a perturbation amplitude too large for
-    pointwise positivity.
+    the grid.
     """
     values = type(ms[0]).pdf_many(ms, np.linspace(lo, hi, n))
     values.reverse()
@@ -124,57 +343,41 @@ def grids_from_mixtures(ms: Sequence[Mixture], n: int = 8192) -> Iterator[GridDe
     turn: listing a group's members together keeps one group in memory.
     """
     pending: dict[int, Iterator[GridDensity]] = {}
+    groups = _window_groups(ms)
     for i, m in enumerate(ms):
-        if i not in pending:
-            window = m.window()
-            group = [
-                j for j in range(i, len(ms))
-                if type(ms[j]) is type(m) and ms[j].window() == window
-            ]
-            grids = mixtures_to_grids([ms[j] for j in group], *window, n)
-            pending.update((j, grids) for j in group)
+        if i in groups:
+            grids = mixtures_to_grids([ms[j] for j in groups[i]], *m.window(), n)
+            pending.update((j, grids) for j in groups[i])
         yield next(pending.pop(i))
 
 
-def _zero_below_tiny(integrand: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Zero ``integrand`` in place where not vals > 1e-300, NaN included, as
-    np.where(vals > 1e-300, integrand, 0.0) would."""
-    below = vals > _TINY
-    np.logical_not(below, out=below)
-    np.copyto(integrand, 0.0, where=below)
-    return integrand
-
-
 def differential_entropy(p: GridDensity) -> float:
-    """-int p ln p by the composite trapezoid rule on the grid.
+    """-int p ln p by the composite trapezoid rule on the grid, in blocks.
 
     Points with p < 1e-300 are excluded from the log (their contribution is
     analytically below any tolerance used here).
     """
     p.check_normalized("entropy")
-    vals = p.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.log(vals)
-        integrand *= vals
-    np.negative(integrand, out=integrand)
-    return p.integral(_zero_below_tiny(integrand, vals))
+    ws = _Workspace(1, p.n)
+    for a, b, _, _ in _spans(p.n):
+        ws.entropy_terms(p.values[a : b + 1], p.step, ws.terms[0, a:b])
+    return float(ws.terms[0].sum())
 
 
 def fisher_information(p: GridDensity) -> float:
-    """int (p')^2 / p with p' from central differences on the grid."""
+    """int (p')^2 / p with p' from central differences on the grid, in
+    blocks."""
     p.check_normalized("fisher")
-    vals = p.values
-    integrand = np.gradient(vals, p.step)
-    integrand *= integrand
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        integrand /= vals
-    return p.integral(_zero_below_tiny(integrand, vals))
+    ws = _Workspace(1, p.n)
+    for a, b, p0, p1 in _spans(p.n):
+        ws.fisher_terms(p.values[p0:p1], p0, a, b, p.n, p.step, ws.terms[0, a:b])
+    return float(ws.terms[0].sum())
 
 
 def mixture_entropies(ms: Sequence[Mixture], n: int = 8192) -> list[float]:
     """Entropy of each mixture via tabulation on its natural window;
-    mixtures that share a window share one tabulation (grids_from_mixtures)."""
-    return [differential_entropy(g) for g in grids_from_mixtures(ms, n=n)]
+    mixtures that share a window share one pass (mixture_integrals)."""
+    return [r.entropy for r in mixture_integrals(ms, n)]
 
 
 def mixture_entropy(m: Mixture, n: int = 8192) -> float:
@@ -216,7 +419,7 @@ def smoothing_curve(
 
     Each p_t is an exact mixture from the convolution algebra.  All
     entropies share one grid so quadrature wiggle cancels in the
-    difference.
+    difference; their passes run one after another in one workspace.
     """
     t = np.asarray(t_grid, dtype=float)
     for end in (t.min(), t.max()):
@@ -231,13 +434,14 @@ def smoothing_curve(
     lo0, hi0 = p.window()
     lo1, hi1 = smoothed[-1].window()
     lo, hi = min(lo0, lo1), max(hi0, hi1)
-    h0 = differential_entropy(mixture_to_grid(p, lo, hi, n))
-    dh = np.array(
-        [
-            differential_entropy(mixture_to_grid(s, lo, hi, n)) - h0
-            for s in smoothed
-        ]
-    )
+    ws = _Workspace(2, n, 1)
+
+    def entropy(m: GaussMixture) -> float:
+        [r] = _integrate([m], lo, hi, n, ws)
+        return r.checked(n).entropy
+
+    h0 = entropy(p)
+    dh = np.array([entropy(s) - h0 for s in smoothed])
     return np.column_stack([t, dh])
 
 

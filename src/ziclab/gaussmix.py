@@ -137,7 +137,10 @@ class GaussDerivMixture:
 
     @staticmethod
     def pdf_many(
-        mixtures: Sequence["GaussDerivMixture"], x: np.ndarray | float
+        mixtures: Sequence["GaussDerivMixture"],
+        x: np.ndarray | float,
+        out: Sequence[np.ndarray] | None = None,
+        work: Sequence[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Each mixture's density on x, every distinct D^m gamma_v evaluated once.
 
@@ -147,20 +150,25 @@ class GaussDerivMixture:
         same key, so each sum runs in the order of that mixture alone and
         its bits do not depend on the batch.  One column buffer and one
         coeff * column buffer serve every key, beside one accumulator per
-        mixture.
+        mixture.  The accumulators are ``out`` and the two buffers ``work``
+        when given, each shaped like x.
         """
         x = np.asarray(x, dtype=float)
-        outs = [np.zeros_like(x) for _ in mixtures]
+        if out is None:
+            outs = [np.zeros_like(x) for _ in mixtures]
+        else:
+            outs = list(out)
+            for acc in outs:
+                acc.fill(0.0)
         holders: dict[tuple[int, float], list[tuple[float, np.ndarray]]] = {}
-        for out, m in zip(outs, mixtures):
+        for acc, m in zip(outs, mixtures):
             for coeff, order, variance in m.terms:
-                holders.setdefault((order, variance), []).append((coeff, out))
-        column = np.empty_like(x)
-        scaled = np.empty_like(x)
+                holders.setdefault((order, variance), []).append((coeff, acc))
+        column, scaled = (np.empty_like(x), np.empty_like(x)) if work is None else work
         for order, variance in sorted(holders):
             gauss_deriv_pdf(x, variance, order, out=column)
-            for coeff, out in holders[order, variance]:
-                out += np.multiply(coeff, column, out=scaled)
+            for coeff, acc in holders[order, variance]:
+                acc += np.multiply(coeff, column, out=scaled)
         return outs
 
     def convolve(self, other: "GaussDerivMixture") -> "GaussDerivMixture":
@@ -254,17 +262,37 @@ class GaussMixture:
         return self.pdf_deriv(x, 0)
 
     @staticmethod
-    def pdf_many(mixtures: Sequence["GaussMixture"], x: np.ndarray | float) -> list[np.ndarray]:
-        """Each mixture's density on x (location terms share no columns)."""
-        return [m.pdf(x) for m in mixtures]
+    def pdf_many(
+        mixtures: Sequence["GaussMixture"],
+        x: np.ndarray | float,
+        out: Sequence[np.ndarray] | None = None,
+        work: Sequence[np.ndarray] | None = None,
+    ) -> list[np.ndarray]:
+        """Each mixture's density on x (location terms share no columns),
+        into ``out`` when given; the first of the buffers ``work``, when
+        given, is ``pdf_deriv``'s shift buffer."""
+        if out is None:
+            return [m.pdf(x) for m in mixtures]
+        shift = None if work is None else work[0]
+        return [m.pdf_deriv(x, 0, out=acc, work=shift) for m, acc in zip(mixtures, out)]
 
-    def pdf_deriv(self, x: np.ndarray | float, order: int) -> np.ndarray:
-        """D^order of the density on x; every component is tabulated in one
-        shift buffer, w * D^order gamma_v(x - mu) in the bits of that
+    def pdf_deriv(
+        self,
+        x: np.ndarray | float,
+        order: int,
+        out: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """D^order of the density on x, into ``out`` when given; every
+        component is tabulated in one shift buffer, ``work`` when given
+        (shaped like x), w * D^order gamma_v(x - mu) in the bits of that
         expression."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        buf = np.empty_like(x)
+        if out is None:
+            out = np.zeros_like(x)
+        else:
+            out.fill(0.0)
+        buf = np.empty_like(x) if work is None else work
         for w, mu, v in zip(self.weights, self.means, self.variances):
             np.subtract(x, mu, out=buf)
             gauss_deriv_pdf(buf, v, order, out=buf)

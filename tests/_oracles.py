@@ -17,7 +17,14 @@ from ziclab import _lattice as lat
 from ziclab import hkregion as hk
 from ziclab._util import stream_key
 from ziclab.counterexamples import VerticalPerturbation
-from ziclab.entropy import GridDensity, differential_entropy, gaussian_entropy, mixture_entropy, mixture_to_grid
+from ziclab.entropy import (
+    GridDensity,
+    Mixture,
+    differential_entropy,
+    gaussian_entropy,
+    mixture_entropy,
+    mixture_to_grid,
+)
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gauss_deriv_poly, gauss_raw_moment, gaussian
 from ziclab.geometry import volume_ratio
 
@@ -69,6 +76,30 @@ def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) ->
     """|h(X1 * gamma_u * X2) - h(gamma_{K+u+L})| at the given eps."""
     trip = vp.x1(eps).convolve(gaussian(vp.u)).convolve(vp.x2(eps))
     return abs(mixture_entropy(trip, n=n) - gaussian_entropy(vp.K + vp.u + vp.L))
+
+
+# ----------------------------------------------------------------------
+# Whole-grid entropy and Fisher information
+# ----------------------------------------------------------------------
+
+
+def whole_grid_integrals(m: Mixture, lo: float, hi: float, n: int) -> tuple[float, float, float, float]:
+    """(least value, mass, entropy, Fisher information) of a mixture
+    tabulated on the whole n-point grid over [lo, hi] at once: one ``pdf``
+    call on np.linspace, np.clip, the np.where integrands with p' from
+    np.gradient, and np.trapezoid.  That was the package's path before its
+    blocked kernel, which must give these bits.  On that path a least
+    value below -1e-12 raised NegativeDensityError, and entropy and Fisher
+    information raised on n < 1024 or a mass off 1 by more than 1e-7."""
+    raw = m.pdf(np.linspace(lo, hi, n))
+    vals = np.clip(raw, 0.0, None)
+    step = (hi - lo) / (n - 1)
+    ok = vals > 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        entropy = np.where(ok, -vals * np.log(np.where(ok, vals, 1.0)), 0.0)
+        dp = np.gradient(vals, step)
+        fisher = np.where(ok, dp * dp / np.where(ok, vals, 1.0), 0.0)
+    return (raw.min(), *(float(np.trapezoid(y, dx=step)) for y in (vals, entropy, fisher)))
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,13 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import moment_sum_sq_norm, outer_entropy_defect
 from ziclab import counterexamples as cx
 from ziclab import gaussmix
-from ziclab.entropy import NegativeDensityError, gaussian_entropy, mixture_entropy, mixture_to_grid
+from ziclab.entropy import NegativeDensityError, gaussian_entropy, mixture_entropies, mixture_entropy, mixture_to_grid
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
 from ziclab.hessian import (
     NotStationaryError,
@@ -433,6 +435,75 @@ def test_partner_series_budget_neutral():
     y = cx.partner_series(3.0, 0.1, 0.05, 3)
     assert y.mass == pytest.approx(1.0, abs=1e-15)
     assert y.moments(2)[1] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("J", range(1, cx.MAX_J + 1))
+def test_partner_sum_is_the_convolved_law_without_its_cancelling_pairs(J):
+    # the convolution keeps the ulp-apart pairs; its first and last terms
+    # are the telescoped law's, formed the same way
+    K, L, u, eps = 3.0, 2.2, 0.7, 0.013
+    delta = min(K, L / J) / 10.0
+    x1 = cx.perturbed_source(K, delta, eps)
+    for source in (x1, x1.convolve(gaussian(u))):
+        law = cx.partner_sum(source, L, delta, eps, J)
+        convolved = source.convolve(cx.partner_series(L, delta, eps, J))
+        assert len(law.terms) == 2
+        assert law.terms == (convolved.terms[0], convolved.terms[-1])
+        assert law.terms[1].order == 3 * J + 3
+
+
+def test_partner_sum_needs_the_perturbed_source():
+    with pytest.raises(ValueError, match=r"one D\^0 and one D\^3 term, got orders \(0,\)"):
+        cx.partner_sum(gaussian(2.0), 1.5, 0.1, 0.01, 2)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    K=st.floats(0.3, 30.0),
+    L=st.floats(1.01, 8.0),
+    u=st.floats(0.05, 6.0),
+    J=st.integers(1, cx.MAX_J),
+    scale=st.floats(0.26, 1.0),
+)
+def test_partner_sum_entropy_matches_the_convolved_law(K, L, u, J, scale):
+    # eps below select_epsilon's choice, mostly not a power of 2; the
+    # convolved law is the oracle, within each objective's rounding floor
+    delta = min(K, L / J) / 10.0
+    eps = cx.select_epsilon(K, L, delta, J) * scale
+    x1 = cx.perturbed_source(K, delta, eps)
+    y = cx.partner_series(L, delta, eps, J)
+    noisy = x1.convolve(gaussian(u))
+    telescoped = mixture_entropies(
+        [cx.partner_sum(noisy, L, delta, eps, J), cx.partner_sum(x1, L, delta, eps, J)], n=2048
+    )
+    convolved = mixture_entropies([noisy.convolve(y), x1.convolve(y)], n=2048)
+    assert u * abs(telescoped[0] - convolved[0]) <= cx.objective_rounding_floor(K, L, u)
+    assert abs(telescoped[1] - convolved[1]) <= cx.limit_rounding_floor(K, L)
+
+
+def old_select_epsilon(K, L, delta, J):
+    """select_epsilon with every eps's densities tabulated afresh."""
+    for k in range(1, 44):
+        eps = 2.0**-k
+        if all(
+            m.pdf(np.linspace(*m.window(), 4096)).min() >= 0.0
+            for m in (cx.perturbed_source(K, delta, eps), cx.partner_series(L, delta, eps, J))
+        ):
+            return eps / 2.0
+    raise AssertionError("no eps")
+
+
+@pytest.mark.parametrize("K, L, J", [(6.0, 1.4, 2), (2.0, 3.0, 8), (11.0, 1.1, 20), (1.2, 6.0, 5)])
+def test_positivity_scan_tabulates_once_and_keeps_the_bits(K, L, J):
+    delta = min(K, L / J) / 10.0
+    minima = cx._DensityMinima()
+    assert cx.select_epsilon(K, L, delta, J, minima) == old_select_epsilon(K, L, delta, J)
+    for eps in (2.0**-3, 2.0**-9, 0.0123):
+        for m in (cx.perturbed_source(K, delta, eps), cx.partner_series(L, delta, eps, J)):
+            expected = m.pdf(np.linspace(*m.window(), 4096)).min()
+            assert np.float64(minima(m)).tobytes() == expected.tobytes()
+    # J + 3 columns on two grids, whatever the number of eps asked
+    assert len(minima._columns) == J + 3
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,168 @@
+"""The blocked tabulate-and-integrate kernel of ``entropy`` gives the bits of
+the whole-grid path it replaced (``_oracles.whole_grid_integrals``), raises
+on the same inputs with the same messages, and needs no more memory.
+
+Block edges are where the kernel can go wrong: a block reads one point
+before it and two after it for np.gradient's central differences, and the
+last block is short.  The grid sizes below put the edges everywhere they
+can fall.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from _oracles import whole_grid_integrals
+from ziclab import counterexamples as cx
+from ziclab import entropy as en
+from ziclab.gaussmix import DerivTerm, GaussDerivMixture, gaussian
+
+B = en.BLOCK
+SIZES = (1024, B - 1, B, B + 1, 2 * B + 1, 3 * B - 7)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def deriv_laws():
+    """An eps ladder of perturbed sources (one window, shared columns) and
+    the telescoped sums of another."""
+    K, L, delta, J = 2.5, 1.8, 0.2, 3
+    ladder = [cx.perturbed_source(K, delta, e) for e in cx.eps_ladder(2.0**-5)]
+    sums = [cx.partner_sum(x.convolve(gaussian(0.7)), L, delta, e, J) for x, e in zip(ladder, cx.eps_ladder(2.0**-5))]
+    return ladder + sums
+
+
+def location_laws(recipe):
+    return [recipe.p, *(recipe.p.convolve(recipe.q.scaled(math.sqrt(t)).reflected()) for t in (1e-3, 0.1))]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mixture_integrals_match_whole_grid(n, recipe):
+    for laws in (deriv_laws(), location_laws(recipe)):
+        got = en.mixture_integrals(laws, n=n, fisher=True)
+        assert [r.entropy for r in got] == en.mixture_entropies(laws, n=n)
+        for m, r in zip(laws, got):
+            assert same_bits(tuple(r), whole_grid_integrals(m, *m.window(), n)), (n, m)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_grid_density_integrals_match_whole_grid(n):
+    m = deriv_laws()[1]
+    lo, hi = m.window()
+    p = en.mixture_to_grid(m, lo, hi, n)
+    _, mass, entropy, fisher = whole_grid_integrals(m, lo, hi, n)
+    assert same_bits((p.mass(), en.differential_entropy(p), en.fisher_information(p)), (mass, entropy, fisher))
+
+
+def test_fisher_terms_at_every_block_edge():
+    # each trapezoid term of (p')^2/p, not only their sum, is np.gradient's
+    n = 3 * B - 7
+    m = deriv_laws()[0]
+    lo, hi = m.window()
+    p = en.mixture_to_grid(m, lo, hi, n)
+    ws = en._Workspace(1, n)
+    for a, b, p0, p1 in en._spans(n):
+        ws.fisher_terms(p.values[p0:p1], p0, a, b, n, p.step, ws.terms[0, a:b])
+    dp = np.gradient(p.values, p.step)
+    f = dp * dp / p.values
+    assert same_bits(ws.terms[0], p.step * (f[1:] + f[:-1]) / 2.0)
+
+
+def test_grid_points_are_linspace_bit_for_bit():
+    # the last case's step underflows to 0, linspace's subnormal path
+    for lo, hi, n in ((-3.0, 7.5, 1024), (-15.6, 15.6, 3 * B - 7), (0.1, 0.2, 2 * B + 1), (0.0, 5e-324, 1500)):
+        ws = en._Workspace(0, n)
+        x = np.linspace(lo, hi, n)
+        for _, _, p0, p1 in en._spans(n):
+            assert same_bits(ws.points(lo, hi, n, p0, p1), x[p0:p1]), (lo, hi, n, p0)
+
+
+def test_smoothing_curve_matches_whole_grid(recipe):
+    t = np.array([1e-3, 4e-3, 0.1])
+    n = 2 * B + 1
+    curve = en.smoothing_curve(recipe.p, recipe.q, t, n=n)
+    smoothed = [recipe.p.convolve(recipe.q.scaled(math.sqrt(ti)).reflected()) for ti in t]
+    lo = min(recipe.p.window()[0], smoothed[-1].window()[0])
+    hi = max(recipe.p.window()[1], smoothed[-1].window()[1])
+    h0 = whole_grid_integrals(recipe.p, lo, hi, n)[2]
+    dh = [whole_grid_integrals(s, lo, hi, n)[2] - h0 for s in smoothed]
+    assert same_bits(curve[:, 1], dh)
+
+
+def test_nan_and_tiny_points_are_zeroed_across_blocks():
+    # D^64 gamma_{1e-4}'s polynomial overflows where its Gaussian underflows,
+    # which leaves NaN over whole blocks; the wide D^2 term leaves values at
+    # and below 1e-300 and exact zeros in the tails of gamma_1
+    nan_law = GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, 64, 1e-4)))
+    tiny_law = GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, 2, 400.0)))
+    n = 2 * B + 1
+    for m in (nan_law, tiny_law):
+        lo, hi = m.window()
+        with np.errstate(over="ignore", invalid="ignore"):
+            [got] = en.mixture_integrals([m], n=n, fisher=True)
+            expected = whole_grid_integrals(m, lo, hi, n)
+        assert same_bits(tuple(got), expected)
+        assert math.isfinite(got.entropy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan_vals = nan_law.pdf(np.linspace(*nan_law.window(), n))
+    tiny_vals = tiny_law.pdf(np.linspace(*tiny_law.window(), n))
+    assert np.isnan(nan_vals[:B]).any() and np.isnan(nan_vals[B:]).any()
+    assert (tiny_vals == 0.0).any() and ((tiny_vals > 0) & (tiny_vals <= 1e-300)).any()
+
+
+def test_blocked_errors_match_whole_grid():
+    n = 3 * B - 7
+    # negative beyond -1e-12 in the first block, least in a later one
+    m = GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(-1.0, 2, 100.0), DerivTerm(1.0, 1, 81.0)))
+    lo, hi = m.window()
+    vals = m.pdf(np.linspace(lo, hi, n))
+    assert vals[: B + 2].min() < -1e-12 and np.argmin(vals) > B + 2
+    with pytest.raises(en.NegativeDensityError) as whole:
+        en.GridDensity(lo, hi, n, vals)
+    for call in (lambda: en.mixture_entropies([gaussian(1.0), m], n=n), lambda: en.mixture_integrals([m], n=n)):
+        with pytest.raises(en.NegativeDensityError) as blocked:
+            call()
+        assert str(blocked.value) == str(whole.value) == f"density reaches {vals.min():.3e} < -1e-12 on the grid"
+    heavy = GaussDerivMixture((DerivTerm(1.1, 0, 1.0),))
+    with pytest.raises(en.NonNormalizedError) as whole:
+        en.differential_entropy(en.GridDensity(*heavy.window(), n, heavy.pdf(np.linspace(*heavy.window(), n))))
+    with pytest.raises(en.NonNormalizedError) as blocked:
+        en.mixture_entropies([heavy], n=n)
+    assert str(blocked.value) == str(whole.value)
+    with pytest.raises(ValueError, match=r"entropy evaluation requires n >= 1024"):
+        en.mixture_entropies([gaussian(1.0)], n=1023)
+    with pytest.raises(ValueError, match=r"values length must equal n >= 2"):
+        en.mixture_entropies([gaussian(1.0)], n=1)
+
+
+# Peak traced bytes of the whole-grid path (numpy reports its buffers to
+# tracemalloc), measured on it after one warm-up call: smoothing_curve's
+# 21 laws at n = 2^18, and the three laws of the verify-vertical benchmark
+# ladder's X1 at n = 2^18.  The blocked kernel must need no more.
+WHOLE_GRID_PEAK = {"smoothing_curve": 6_314_528, "mixture_entropies": 14_682_817}
+
+
+def traced_peak(call):
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_is_at_most_the_whole_grid_path(recipe):
+    t = np.geomspace(1e-3, 1e-2, 20)
+    vp = cx.VerticalPerturbation(K=2.0, L=3.0, u=2.0, J=8)
+    ladder = [vp.x1(e) for e in cx.eps_ladder(vp.eps)]
+    peaks = {
+        "smoothing_curve": traced_peak(lambda: en.smoothing_curve(recipe.p, recipe.q, t, n=1 << 18)),
+        "mixture_entropies": traced_peak(lambda: en.mixture_entropies(ladder, n=1 << 18)),
+    }
+    for name, peak in peaks.items():
+        assert peak <= WHOLE_GRID_PEAK[name], (name, peak)
