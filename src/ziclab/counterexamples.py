@@ -44,9 +44,9 @@ from .gaussmix import (
     DerivTerm,
     gauss_deriv_pdf,
     gauss_deriv_poly,
+    gaussian,
 )
 from .entropy import (
-    Mixture,
     NegativeDensityError,
     gaussian_entropy,
     log_weighted_deriv_integral,
@@ -91,25 +91,25 @@ class ChannelParams:
 
 # The second law of a pair: a mixture, or the function that returns the law
 # of a mixture plus it (the partner series' telescoped sum, ``partner_sum``).
-Addend = Union[Mixture, Callable[[Mixture], Mixture]]
+Addend = Union[GaussDerivMixture, Callable[[GaussDerivMixture], GaussDerivMixture]]
 
 
-def _plus(m: Mixture, y: Addend) -> Mixture:
+def _plus(m: GaussDerivMixture, y: Addend) -> GaussDerivMixture:
     """The law of m + Y for independent Y, given as an Addend."""
     return y(m) if callable(y) else m.convolve(y)
 
 
 def interference_objective(
-    params: ChannelParams, pairs: Sequence[tuple[Mixture, Addend]], n: int = 8192
+    params: ChannelParams, pairs: Sequence[tuple[GaussDerivMixture, Addend]], n: int = 8192
 ) -> list[float]:
     """u h(X1+X2+Z1+Z2) + h(X1+Z1) - (1+u) h(X1+Z1+Z2) for each (X1, X2)
     pair.
 
     The one evaluation of this objective: the skewed-interferer gap
     (u = 1) and the vertical perturbation (N2 = u) call it too.  X1 and X2
-    are mixtures of one family, convolved exactly, or X2 is the function
-    that adds it to X1+Z1+Z2 (the vertical perturbation's telescoped
-    partner sum); zero noise variances skip the corresponding convolution.
+    are mixtures, convolved exactly, or X2 is the function that adds it to
+    X1+Z1+Z2 (the vertical perturbation's telescoped partner sum); zero
+    noise variances skip the corresponding convolution.
     The pairs' entropies are one ``mixture_entropies`` batch, listed law by
     law, so the pairs of an eps ladder share one tabulation per grid.
     """
@@ -218,7 +218,7 @@ def skewness_gap(
         check_gap_t(t)
         p_eff = recipe.p.convolve_gaussian(t * N1)
         if gaussian_x2:
-            q_t = GaussMixture((1.0,), (0.0,), (t * m2,))
+            q_t = gaussian(t * m2)
         else:
             q_t = recipe.q.scaled(math.sqrt(t)).reflected()
         [gap] = interference_objective(ChannelParams(u=1.0, N2=t * m2), [(p_eff, q_t)], n=n)
@@ -405,12 +405,14 @@ def partner_sum(
     orders = tuple(t.order for t in source.terms)
     if orders != (0, 3):
         raise ValueError(f"the source must hold one D^0 and one D^3 term, got orders {orders}")
-    (c0, _, v0), (c3, _, v3) = source.terms
+    s0, s3 = source.terms
+    if s0.mean or s3.mean:
+        raise ValueError(f"the source terms must be centered, got means {s0.mean}, {s3.mean}")
     first, last = _partner_term(L, delta, eps, 0), _partner_term(L, delta, eps, J)
     return GaussDerivMixture(
         (
-            DerivTerm(c0 * first.coeff, first.order, v0 + first.variance),
-            DerivTerm(c3 * last.coeff, 3 + last.order, v3 + last.variance),
+            DerivTerm(s0.coeff * first.coeff, first.order, s0.variance + first.variance),
+            DerivTerm(s3.coeff * last.coeff, 3 + last.order, s3.variance + last.variance),
         )
     )
 
@@ -438,23 +440,25 @@ class _DensityMinima:
     window: the positivity check grid.
 
     The checks ask this of mixtures that differ only in eps, that is in
-    their coefficients, so each grid column D^m gamma_v is tabulated once
-    and kept.  The density sums coeff * column in the mixture's sorted term
-    order, as ``pdf_many`` does, so each minimum has the bits of
+    their coefficients, so each grid column D^m gamma_v(. - mu) is
+    tabulated once and kept, keyed on the window and the term's order,
+    variance and mean.  The density sums coeff * column in the mixture's
+    term order, as ``pdf_many`` does, so each minimum has the bits of
     ``m.pdf``'s on the grid.
     """
 
     def __init__(self):
-        self._columns: dict[tuple[tuple[float, float], int, float], np.ndarray] = {}
+        self._columns: dict[tuple[tuple[float, float], int, float, float], np.ndarray] = {}
 
     def __call__(self, m: GaussDerivMixture) -> float:
         window = m.window()
         density = np.zeros(4096)
-        for coeff, order, variance in m.terms:
-            key = (window, order, variance)
+        for t in m.terms:
+            key = (window, *t[1:])
             if key not in self._columns:
-                self._columns[key] = gauss_deriv_pdf(np.linspace(*window, 4096), variance, order)
-            density += coeff * self._columns[key]
+                x = np.linspace(*window, 4096)
+                self._columns[key] = gauss_deriv_pdf(x - t.mean if t.mean else x, t.variance, t.order)
+            density += t.coeff * self._columns[key]
         return float(density.min())
 
 
@@ -690,7 +694,7 @@ def vertical_gap(vp: VerticalPerturbation, n: int = 8192) -> VerticalGapResult:
 
 
 def limit_functional(
-    pairs: Sequence[tuple[Mixture, Addend]], n: int = 16384
+    pairs: Sequence[tuple[GaussDerivMixture, Addend]], n: int = 16384
 ) -> list[float]:
     """h(X + Y) - h(X) - J(X)/2 for each pair of independent X and Y, each
     entropy and the Fisher information on an n-point grid over the law's

@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .gaussmix import GaussDerivMixture, GaussMixture
-
-Mixture = Union[GaussDerivMixture, GaussMixture]
+from .gaussmix import GaussDerivMixture
 
 _TINY = 1e-300
 _NEG_TOL = -1e-12
@@ -235,10 +233,10 @@ class GridIntegrals(NamedTuple):
 
 
 def _integrate(
-    ms: Sequence[Mixture], lo: float, hi: float, n: int, ws: _Workspace, fisher: bool = False
+    ms: Sequence[GaussDerivMixture], lo: float, hi: float, n: int, ws: _Workspace, fisher: bool = False
 ) -> list[GridIntegrals]:
-    """Unchecked GridIntegrals of mixtures of one family on n points over
-    [lo, hi], from one blocked pass.
+    """Unchecked GridIntegrals of mixtures on n points over [lo, hi], from
+    one blocked pass.
 
     Each block is one ``pdf_many`` call, so a term several mixtures hold is
     evaluated once per block.  Mixture j writes its term arrays into rows
@@ -250,7 +248,7 @@ def _integrate(
     lows = [np.inf] * len(ms)
     for a, b, p0, p1 in _spans(n):
         values = ws.values[: len(ms), : p1 - p0]
-        type(ms[0]).pdf_many(ms, ws.points(lo, hi, n, p0, p1), out=values, work=ws.work[:, : p1 - p0])
+        GaussDerivMixture.pdf_many(ms, ws.points(lo, hi, n, p0, p1), out=values, work=ws.work[:, : p1 - p0])
         for j, v in enumerate(values):
             lows[j] = np.minimum(lows[j], v.min())  # a NaN stays, as in v.min()
             np.clip(v, 0.0, None, out=v)
@@ -266,35 +264,29 @@ def _integrate(
     ]
 
 
-def _window_groups(ms: Sequence[Mixture]) -> dict[int, list[int]]:
-    """The indices of mixtures of one family with equal windows, keyed by
-    the first of them."""
-    windows = [m.window() for m in ms]
+def _window_groups(ms: Sequence[GaussDerivMixture]) -> dict[int, list[int]]:
+    """The indices of mixtures with equal windows, keyed by the first of
+    them."""
+    first: dict[tuple[float, float], int] = {}
     groups: dict[int, list[int]] = {}
-    grouped: set[int] = set()
     for i, m in enumerate(ms):
-        if i not in grouped:
-            groups[i] = [
-                j for j in range(i, len(ms))
-                if type(ms[j]) is type(m) and windows[j] == windows[i]
-            ]
-            grouped.update(groups[i])
+        groups.setdefault(first.setdefault(m.window(), i), []).append(i)
     return groups
 
 
 def mixture_integrals(
-    ms: Sequence[Mixture], n: int = 8192, fisher: bool = False
+    ms: Sequence[GaussDerivMixture], n: int = 8192, fisher: bool = False
 ) -> list[GridIntegrals]:
     """GridIntegrals of each mixture on n points over its own window(), in
     order, with Fisher information when ``fisher``.
 
-    Mixtures of one family with equal windows share one blocked pass, run
-    when the first of them is reached, so a term several of them hold is
-    evaluated once, and each value has the bits the mixture gets alone.
-    Raises law by law as GridDensity and differential_entropy would:
-    NegativeDensityError when a density dips below -1e-12 anywhere on its
-    grid, which signals a perturbation amplitude too large for pointwise
-    positivity, and NonNormalizedError when its mass is off.
+    Mixtures with equal windows share one blocked pass, run when the first
+    of them is reached, so a term several of them hold is evaluated once,
+    and each value has the bits the mixture gets alone under ``pdf_many``'s
+    condition.  Raises law by law as GridDensity and differential_entropy
+    would: NegativeDensityError when a density dips below -1e-12 anywhere
+    on its grid, which signals a perturbation amplitude too large for
+    pointwise positivity, and NonNormalizedError when its mass is off.
     """
     groups = _window_groups(ms)
     if not groups:
@@ -312,35 +304,37 @@ def mixture_integrals(
 
 
 def mixtures_to_grids(
-    ms: Sequence[Mixture], lo: float, hi: float, n: int
+    ms: Sequence[GaussDerivMixture], lo: float, hi: float, n: int
 ) -> Iterator[GridDensity]:
-    """Tabulate mixtures of one family on n points over [lo, hi], yielding
-    their GridDensity in order.
+    """Tabulate mixtures on n points over [lo, hi], yielding their
+    GridDensity in order.
 
     One ``pdf_many`` call tabulates them all, so a term several mixtures
-    hold is evaluated once, and each density has the bits it has alone.
+    hold is evaluated once, and each density has the bits it has alone
+    under ``pdf_many``'s condition.
     Each GridDensity is built when it is reached.  It raises
     NegativeDensityError when the density dips below -1e-12 anywhere on
     the grid.
     """
-    values = type(ms[0]).pdf_many(ms, np.linspace(lo, hi, n))
+    values = GaussDerivMixture.pdf_many(ms, np.linspace(lo, hi, n))
     values.reverse()
     while values:
         yield GridDensity(lo, hi, n, values.pop())
 
 
-def mixture_to_grid(m: Mixture, lo: float, hi: float, n: int) -> GridDensity:
+def mixture_to_grid(m: GaussDerivMixture, lo: float, hi: float, n: int) -> GridDensity:
     """Tabulate a mixture density on n points over [lo, hi]."""
     return next(mixtures_to_grids((m,), lo, hi, n))
 
 
-def grids_from_mixtures(ms: Sequence[Mixture], n: int = 8192) -> Iterator[GridDensity]:
+def grids_from_mixtures(ms: Sequence[GaussDerivMixture], n: int = 8192) -> Iterator[GridDensity]:
     """Each mixture tabulated on n points over its own window(), in order.
 
-    Mixtures of one family with equal windows are tabulated together by
-    ``mixtures_to_grids`` when the first of them is reached, so each grid is
-    the one the mixture gets alone.  The rest of such a group waits for its
-    turn: listing a group's members together keeps one group in memory.
+    Mixtures with equal windows are tabulated together by
+    ``mixtures_to_grids`` when the first of them is reached, so each grid
+    is the one the mixture gets alone under ``pdf_many``'s condition.  The
+    rest of such a group waits for its turn: listing a group's members
+    together keeps one group in memory.
     """
     pending: dict[int, Iterator[GridDensity]] = {}
     groups = _window_groups(ms)
@@ -374,13 +368,13 @@ def fisher_information(p: GridDensity) -> float:
     return float(ws.terms[0].sum())
 
 
-def mixture_entropies(ms: Sequence[Mixture], n: int = 8192) -> list[float]:
+def mixture_entropies(ms: Sequence[GaussDerivMixture], n: int = 8192) -> list[float]:
     """Entropy of each mixture via tabulation on its natural window;
     mixtures that share a window share one pass (mixture_integrals)."""
     return [r.entropy for r in mixture_integrals(ms, n)]
 
 
-def mixture_entropy(m: Mixture, n: int = 8192) -> float:
+def mixture_entropy(m: GaussDerivMixture, n: int = 8192) -> float:
     """Entropy of a mixture via tabulation on its natural window."""
     return mixture_entropies((m,), n=n)[0]
 
@@ -389,24 +383,24 @@ def gaussian_entropy(variance: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 
-def log_weighted_deriv_integral(p: GaussMixture, k: int) -> float:
-    """Quadrature of int p^{(k)}(x) ln p(x) dx for a location mixture, on
-    32768 points over the +-14 sigma window.
+def log_weighted_deriv_integral(p: GaussDerivMixture, k: int) -> float:
+    """Quadrature of int p^{(k)}(x) ln p(x) dx on 32768 points over the
+    +-14 sigma window.
 
-    The k-th derivative is evaluated exactly per component; only the log
-    weight comes from the tabulated density.
+    The k-th derivative is the exact mixture ``p.derivative(k)``; only the
+    log weight comes from the tabulated density.
     """
     x = np.linspace(*p.window(14.0), 32768)
     vals = p.pdf(x)
-    dk = p.pdf_deriv(x, k)
+    dk = p.derivative(k).pdf(x)
     ok = vals > _TINY
     integrand = np.where(ok, dk * np.log(np.where(ok, vals, 1.0)), 0.0)
     return float(np.trapezoid(integrand, x))
 
 
 def smoothing_curve(
-    p: GaussMixture,
-    q: GaussMixture,
+    p: GaussDerivMixture,
+    q: GaussDerivMixture,
     t_grid: np.ndarray,
     n: int = 8192,
 ) -> np.ndarray:
@@ -436,7 +430,7 @@ def smoothing_curve(
     lo, hi = min(lo0, lo1), max(hi0, hi1)
     ws = _Workspace(2, n, 1)
 
-    def entropy(m: GaussMixture) -> float:
+    def entropy(m: GaussDerivMixture) -> float:
         [r] = _integrate([m], lo, hi, n, ws)
         return r.checked(n).entropy
 
@@ -503,7 +497,7 @@ def fit_expansion(t: np.ndarray, dh: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), slope
 
 
-def expansion_targets(p: GaussMixture, q: Mixture) -> tuple[float, float]:
+def expansion_targets(p: GaussDerivMixture, q: GaussDerivMixture) -> tuple[float, float]:
     """Quadrature targets: c1 = m2(q) * (-1/2 int p'' ln p),
     c15 = m3(q) * (-1/6 int p''' ln p)."""
     m = q.moments(3)

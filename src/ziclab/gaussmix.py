@@ -1,14 +1,15 @@
 """Exact algebra of one-dimensional Gaussian mixtures.
 
-Two closed families are implemented:
-
-* ``GaussDerivMixture`` -- finite signed combinations of derivatives of
-  centered Gaussian densities, ``sum_j c_j D^{m_j} gamma_{v_j}``.  The family
-  is closed under convolution through the identity
-  ``D^m gamma_a * D^n gamma_b = D^{m+n} gamma_{a+b}``, which is what makes
-  telescoping perturbation constructions exact to machine precision.
-* ``GaussMixture`` -- nonnegative Gaussian location mixtures, closed under
-  convolution in the usual way.
+``GaussDerivMixture`` holds finite signed sums of terms
+``c D^m gamma_v(. - mu)``, derivatives of shifted Gaussian densities.  The
+family is closed under convolution through the identity
+``D^m gamma_a(. - mu) * D^n gamma_b(. - nu) = D^{m+n} gamma_{a+b}(. - mu - nu)``,
+which is what makes telescoping perturbation constructions exact to machine
+precision, and under scaling, reflection and differentiation.  Both kinds
+of mixture the counterexamples use are of this form: the signed
+derivative perturbations at mean 0, and the nonnegative location mixtures
+(order 0 only) that ``GaussMixture`` builds from weights, means and
+variances.
 
 Everything is immutable and pure; results never depend on evaluation order.
 """
@@ -30,9 +31,12 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class DerivTerm(NamedTuple):
+    """coeff * D^order gamma_variance(. - mean)."""
+
     coeff: float
     order: int
     variance: float
+    mean: float = 0.0
 
 
 @functools.lru_cache(maxsize=1024)
@@ -89,36 +93,63 @@ def gauss_deriv_pdf(
     return out[()] if out.ndim == 0 else out
 
 
+
+
 def _falling(i: int, m: int) -> int:
     return math.prod(range(i, i - m, -1))
 
 
+def _shifted_moment(j: int, variance: float, mean: float) -> float:
+    """E[(mean + Z)^j] for Z ~ N(0, variance)."""
+    if not mean:
+        return gauss_raw_moment(j, variance)
+    return sum(math.comb(j, k) * mean ** (j - k) * gauss_raw_moment(k, variance) for k in range(j + 1))
+
+
 @dataclass(frozen=True)
 class GaussDerivMixture:
-    """Signed combination sum_j coeff_j * D^{order_j} gamma_{variance_j}.
+    """Signed combination sum_j coeff_j * D^{order_j} gamma_{variance_j}(. - mean_j).
 
-    Terms with identical (order, variance) are merged by coefficient
+    Terms with identical (order, variance, mean) are merged by coefficient
     addition at construction; no epsilon-merging, so the algebra stays
-    predictable.  Only the order-0 terms carry mass.
+    predictable.  The merged terms are kept in a stable sort on (order,
+    variance), so terms of one (order, variance) keep the order in which
+    they first appear (a location mixture's component order).  Only the
+    order-0 terms carry mass.
     """
 
     terms: tuple[DerivTerm, ...]
 
     def __post_init__(self):
-        merged: dict[tuple[int, float], float] = {}
-        for coeff, order, variance in self.terms:
-            order = int(order)
-            variance = float(variance)
+        merged: dict[tuple[int, float, float], float] = {}
+        for term in self.terms:
+            coeff, order, variance, mean = DerivTerm(*term)
+            coeff, order, variance, mean = float(coeff), int(order), float(variance), float(mean)
+            if not all(map(math.isfinite, (coeff, variance, mean))):
+                raise ValueError(f"coeff, variance and mean must be finite, got {tuple(term)}")
             if variance <= 0:
                 raise ValueError(f"variance must be positive, got {variance}")
             if order < 0 or order > MAX_ORDER:
                 raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
-            key = (order, variance)
-            merged[key] = merged.get(key, 0.0) + float(coeff)
-        out = tuple(
-            DerivTerm(c, o, v) for (o, v), c in sorted(merged.items()) if c != 0.0
+            key = (order, variance, mean)
+            merged[key] = merged.get(key, 0.0) + coeff
+        out = sorted(
+            (DerivTerm(c, *key) for key, c in merged.items() if c != 0.0),
+            key=lambda t: (t.order, t.variance),
         )
-        object.__setattr__(self, "terms", out)
+        object.__setattr__(self, "terms", tuple(out))
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(t.coeff for t in self.terms)
+
+    @property
+    def means(self) -> tuple[float, ...]:
+        return tuple(t.mean for t in self.terms)
+
+    @property
+    def variances(self) -> tuple[float, ...]:
+        return tuple(t.variance for t in self.terms)
 
     @property
     def mass(self) -> float:
@@ -130,7 +161,7 @@ class GaussDerivMixture:
 
     def window(self, width: float = 12.0) -> tuple[float, float]:
         r = width * math.sqrt(self.max_variance)
-        return (-r, r)
+        return (min(self.means) - r, max(self.means) + r)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray:
         return self.pdf_many((self,), x)[0]
@@ -142,16 +173,22 @@ class GaussDerivMixture:
         out: Sequence[np.ndarray] | None = None,
         work: Sequence[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
-        """Each mixture's density on x, every distinct D^m gamma_v evaluated once.
+        """Each mixture's density on x, every distinct term column evaluated once.
 
-        Walks the sorted union of the mixtures' (order, variance) keys,
-        evaluates each key's column once and adds coeff * column to every
-        mixture that holds the key.  A mixture's terms are sorted by the
-        same key, so each sum runs in the order of that mixture alone and
-        its bits do not depend on the batch.  One column buffer and one
-        coeff * column buffer serve every key, beside one accumulator per
-        mixture.  The accumulators are ``out`` and the two buffers ``work``
-        when given, each shaped like x.
+        Keys the terms on (order, variance, mean) and walks the keys in a
+        stable sort on (order, variance), each (order, variance) in the
+        order of its keys' first appearance in the batch.  It evaluates each
+        key's column once, D^m gamma_v at x - mean (x itself at mean 0),
+        and adds coeff * column to every mixture that holds the key.  A
+        mixture's sum has the bits it has alone whenever the batch walks
+        its keys in its own term order: whenever, for each (order,
+        variance) it holds with several means, those keys first appear in
+        the batch in the mixture's own order.  The first mixture of a batch
+        always qualifies, and so does every mixture that holds each (order,
+        variance) with one mean, as zero-mean mixtures do.  One column
+        buffer and one coeff * column buffer serve every key, beside one
+        accumulator per mixture.  The accumulators are ``out`` and the two
+        buffers ``work`` when given, each shaped like x.
         """
         x = np.asarray(x, dtype=float)
         if out is None:
@@ -160,29 +197,29 @@ class GaussDerivMixture:
             outs = list(out)
             for acc in outs:
                 acc.fill(0.0)
-        holders: dict[tuple[int, float], list[tuple[float, np.ndarray]]] = {}
+        holders: dict[tuple[int, float, float], list[tuple[float, np.ndarray]]] = {}
         for acc, m in zip(outs, mixtures):
-            for coeff, order, variance in m.terms:
-                holders.setdefault((order, variance), []).append((coeff, acc))
+            for t in m.terms:
+                holders.setdefault(t[1:], []).append((t.coeff, acc))
         column, scaled = (np.empty_like(x), np.empty_like(x)) if work is None else work
-        for order, variance in sorted(holders):
-            gauss_deriv_pdf(x, variance, order, out=column)
-            for coeff, acc in holders[order, variance]:
+        for order, variance, mean in sorted(holders, key=lambda key: key[:2]):
+            # x - 0.0 is x, so zero-mean columns skip the shift pass
+            shifted = np.subtract(x, mean, out=column) if mean else x
+            gauss_deriv_pdf(shifted, variance, order, out=column)
+            for coeff, acc in holders[order, variance, mean]:
                 acc += np.multiply(coeff, column, out=scaled)
         return outs
 
     def convolve(self, other: "GaussDerivMixture") -> "GaussDerivMixture":
-        if not isinstance(other, GaussDerivMixture):
-            raise TypeError(
-                "GaussDerivMixture only convolves with GaussDerivMixture; "
-                "got " + type(other).__name__
+        """Law of X + Y: D^m gamma_a(. - mu) * D^n gamma_b(. - nu) =
+        D^{m+n} gamma_{a+b}(. - mu - nu), so orders, variances and means add."""
+        return GaussDerivMixture(
+            tuple(
+                DerivTerm(c1 * c2, o1 + o2, v1 + v2, mu1 + mu2)
+                for c1, o1, v1, mu1 in self.terms
+                for c2, o2, v2, mu2 in other.terms
             )
-        terms = [
-            DerivTerm(c1 * c2, o1 + o2, v1 + v2)
-            for c1, o1, v1 in self.terms
-            for c2, o2, v2 in other.terms
-        ]
-        return GaussDerivMixture(tuple(terms))
+        )
 
     def convolve_gaussian(self, variance: float) -> "GaussDerivMixture":
         """Law of X + Z with Z ~ gamma_variance; variance 0 returns self."""
@@ -190,27 +227,46 @@ class GaussDerivMixture:
             return self
         return self.convolve(gaussian(variance))
 
-    def moments(self, up_to: int) -> np.ndarray:
-        """Raw moments m_1..m_up_to (requires unit mass).
+    def scaled(self, s: float) -> "GaussDerivMixture":
+        """Law of s X for s > 0: coeff s^m, variance s^2 v, mean s mu."""
+        if s <= 0:
+            raise ValueError("scale must be positive")
+        return GaussDerivMixture(
+            tuple(DerivTerm(c * s**m, m, s * s * v, s * mu) for c, m, v, mu in self.terms)
+        )
 
-        Uses int x^i D^m gamma_v = (-1)^m * i!/(i-m)! * E[Z^{i-m}],
-        Z ~ N(0, v), from m integrations by parts.
+    def reflected(self) -> "GaussDerivMixture":
+        """Law of -X: coeff (-1)^m, mean -mu."""
+        return GaussDerivMixture(
+            tuple(DerivTerm(c * (-1) ** m, m, v, -mu) for c, m, v, mu in self.terms)
+        )
+
+    def derivative(self, k: int = 1) -> "GaussDerivMixture":
+        """D^k of the density (k >= 0): every order plus k."""
+        return GaussDerivMixture(tuple(DerivTerm(c, m + k, v, mu) for c, m, v, mu in self.terms))
+
+    def moments(self, up_to: int) -> np.ndarray:
+        """Raw moments m_1..m_up_to of the mass-normalized law (ValueError
+        unless the mass is positive).
+
+        Uses int x^i D^m gamma_v(x - mu) dx = (-1)^m * i!/(i-m)! *
+        E[(mu + Z)^{i-m}], Z ~ N(0, v), from m integrations by parts.
         """
-        if abs(self.mass - 1.0) > 1e-9:
-            raise ValueError(f"moments need a unit-mass mixture, mass={self.mass}")
+        mass = self.mass
+        if not mass > 0:
+            raise ValueError(f"moments need a positive mass, got {mass}")
         out = np.zeros(up_to)
         for i in range(1, up_to + 1):
             acc = 0.0
-            for coeff, order, variance in self.terms:
-                if order > i:
-                    continue
-                acc += (
-                    coeff
-                    * (-1) ** order
-                    * _falling(i, order)
-                    * gauss_raw_moment(i - order, variance)
-                )
-            out[i - 1] = acc
+            for coeff, order, variance, mean in self.terms:
+                if order <= i:
+                    acc += (
+                        coeff
+                        * (-1) ** order
+                        * _falling(i, order)
+                        * _shifted_moment(i - order, variance, mean)
+                    )
+            out[i - 1] = acc / mass
         return out
 
     def second_moment(self) -> float:
@@ -222,130 +278,17 @@ def gaussian(variance: float) -> GaussDerivMixture:
     return GaussDerivMixture((DerivTerm(1.0, 0, float(variance)),))
 
 
-@dataclass(frozen=True)
-class GaussMixture:
-    """Nonnegative Gaussian location mixture sum_j w_j gamma_{v_j}(. - mu_j)."""
+class GaussMixture(GaussDerivMixture):
+    """Nonnegative Gaussian location mixture sum_j w_j gamma_{v_j}(. - mu_j),
+    built from its weights, means and variances."""
 
-    weights: tuple[float, ...]
-    means: tuple[float, ...]
-    variances: tuple[float, ...]
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        m = tuple(float(x) for x in self.means)
-        v = tuple(float(x) for x in self.variances)
-        if not (len(w) == len(m) == len(v)) or not w:
+    def __init__(self, weights: Sequence[float], means: Sequence[float], variances: Sequence[float]):
+        if not len(weights) == len(means) == len(variances) > 0:
             raise ValueError("weights, means, variances must be equal-length, nonempty")
-        if not all(map(math.isfinite, w + m + v)):
-            raise ValueError("weights, means, variances must be finite")
-        if any(x <= 0 for x in w):
+        super().__init__(tuple(map(DerivTerm, weights, [0] * len(weights), variances, means)))
+        if not all(w > 0 for w in weights):
             raise ValueError("weights must be positive")
-        if any(x <= 0 for x in v):
-            raise ValueError("variances must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
 
-    @property
-    def mass(self) -> float:
-        return sum(self.weights)
-
-    @property
-    def max_variance(self) -> float:
-        return max(self.variances)
-
-    def window(self, width: float = 12.0) -> tuple[float, float]:
-        r = width * math.sqrt(self.max_variance)
-        return (min(self.means) - r, max(self.means) + r)
-
-    def pdf(self, x: np.ndarray | float) -> np.ndarray:
-        return self.pdf_deriv(x, 0)
-
-    @staticmethod
-    def pdf_many(
-        mixtures: Sequence["GaussMixture"],
-        x: np.ndarray | float,
-        out: Sequence[np.ndarray] | None = None,
-        work: Sequence[np.ndarray] | None = None,
-    ) -> list[np.ndarray]:
-        """Each mixture's density on x (location terms share no columns),
-        into ``out`` when given; the first of the buffers ``work``, when
-        given, is ``pdf_deriv``'s shift buffer."""
-        if out is None:
-            return [m.pdf(x) for m in mixtures]
-        shift = None if work is None else work[0]
-        return [m.pdf_deriv(x, 0, out=acc, work=shift) for m, acc in zip(mixtures, out)]
-
-    def pdf_deriv(
-        self,
-        x: np.ndarray | float,
-        order: int,
-        out: np.ndarray | None = None,
-        work: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """D^order of the density on x, into ``out`` when given; every
-        component is tabulated in one shift buffer, ``work`` when given
-        (shaped like x), w * D^order gamma_v(x - mu) in the bits of that
-        expression."""
-        x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.zeros_like(x)
-        else:
-            out.fill(0.0)
-        buf = np.empty_like(x) if work is None else work
-        for w, mu, v in zip(self.weights, self.means, self.variances):
-            np.subtract(x, mu, out=buf)
-            gauss_deriv_pdf(buf, v, order, out=buf)
-            buf *= w
-            out += buf
-        return out
-
-    def convolve(self, other: "GaussMixture") -> "GaussMixture":
-        if not isinstance(other, GaussMixture):
-            raise TypeError(
-                "GaussMixture only convolves with GaussMixture; got "
-                + type(other).__name__
-            )
-        w, m, v = [], [], []
-        for w1, m1, v1 in zip(self.weights, self.means, self.variances):
-            for w2, m2, v2 in zip(other.weights, other.means, other.variances):
-                w.append(w1 * w2)
-                m.append(m1 + m2)
-                v.append(v1 + v2)
-        return GaussMixture(tuple(w), tuple(m), tuple(v))
-
-    def convolve_gaussian(self, variance: float) -> "GaussMixture":
-        """Law of X + Z with Z ~ gamma_variance; variance 0 returns self."""
-        if variance == 0.0:
-            return self
-        return self.convolve(GaussMixture((1.0,), (0.0,), (float(variance),)))
-
-    def scaled(self, s: float) -> "GaussMixture":
-        if s <= 0:
-            raise ValueError("scale must be positive")
-        return GaussMixture(
-            self.weights,
-            tuple(s * m for m in self.means),
-            tuple(s * s * v for v in self.variances),
-        )
-
-    def reflected(self) -> "GaussMixture":
-        """Law of -X."""
-        return GaussMixture(self.weights, tuple(-m for m in self.means), self.variances)
-
-    def moments(self, up_to: int) -> np.ndarray:
-        """Raw moments m_1..m_up_to of the (mass-normalized) mixture."""
-        out = np.zeros(up_to)
-        mass = self.mass
-        for i in range(1, up_to + 1):
-            acc = 0.0
-            for w, mu, v in zip(self.weights, self.means, self.variances):
-                acc += w * sum(
-                    math.comb(i, k) * mu ** (i - k) * gauss_raw_moment(k, v)
-                    for k in range(0, i + 1, 1)
-                )
-            out[i - 1] = acc / mass
-        return out
-
-    def second_moment(self) -> float:
-        return float(self.moments(2)[1])
+    # its own binding of the method: the benchmark's tracer
+    # (perfbench/trace_run.py) hooks GaussMixture.__dict__["convolve"]
+    convolve = GaussDerivMixture.convolve

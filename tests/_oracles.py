@@ -19,13 +19,12 @@ from ziclab._util import stream_key
 from ziclab.counterexamples import VerticalPerturbation
 from ziclab.entropy import (
     GridDensity,
-    Mixture,
     differential_entropy,
     gaussian_entropy,
     mixture_entropy,
     mixture_to_grid,
 )
-from ziclab.gaussmix import MAX_ORDER, GaussMixture, gauss_deriv_poly, gauss_raw_moment, gaussian
+from ziclab.gaussmix import MAX_ORDER, GaussDerivMixture, gauss_deriv_poly, gauss_raw_moment, gaussian
 from ziclab.geometry import volume_ratio
 
 # ----------------------------------------------------------------------
@@ -83,7 +82,7 @@ def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) ->
 # ----------------------------------------------------------------------
 
 
-def whole_grid_integrals(m: Mixture, lo: float, hi: float, n: int) -> tuple[float, float, float, float]:
+def whole_grid_integrals(m: GaussDerivMixture, lo: float, hi: float, n: int) -> tuple[float, float, float, float]:
     """(least value, mass, entropy, Fisher information) of a mixture
     tabulated on the whole n-point grid over [lo, hi] at once: one ``pdf``
     call on np.linspace, np.clip, the np.where integrands with p' from
@@ -122,7 +121,7 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     return GridDensity(lo, hi, n, vals)
 
 
-def grid_smoothing_curve(p: GridDensity, q: GaussMixture, t_grid: np.ndarray) -> np.ndarray:
+def grid_smoothing_curve(p: GridDensity, q: GaussDerivMixture, t_grid: np.ndarray) -> np.ndarray:
     """Rows (t, h(p_t) - h(p)) of ``entropy.smoothing_curve`` for a density
     p known only on a grid: p is convolved by direct quadrature against the
     reflected kernel sqrt(t) q, tabulated on the step of p."""

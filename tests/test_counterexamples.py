@@ -455,6 +455,9 @@ def test_partner_sum_is_the_convolved_law_without_its_cancelling_pairs(J):
 def test_partner_sum_needs_the_perturbed_source():
     with pytest.raises(ValueError, match=r"one D\^0 and one D\^3 term, got orders \(0,\)"):
         cx.partner_sum(gaussian(2.0), 1.5, 0.1, 0.01, 2)
+    shifted = cx.perturbed_source(2.0, 0.1, 0.01).convolve(GaussMixture((1.0,), (0.5,), (1.0,)))
+    with pytest.raises(ValueError, match="must be centered"):
+        cx.partner_sum(shifted, 1.5, 0.1, 0.01, 2)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -504,6 +507,19 @@ def test_positivity_scan_tabulates_once_and_keeps_the_bits(K, L, J):
             assert np.float64(minima(m)).tobytes() == expected.tobytes()
     # J + 3 columns on two grids, whatever the number of eps asked
     assert len(minima._columns) == J + 3
+
+
+def test_positivity_scan_keys_columns_on_the_mean():
+    # equal windows and equal (order, variance), different means: a column
+    # keyed without the mean would give the second law the first one's
+    minima = cx._DensityMinima()
+    for m in (
+        GaussMixture((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0)),
+        GaussMixture((0.25, 0.5, 0.25), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0)),
+    ):
+        expected = m.pdf(np.linspace(*m.window(), 4096)).min()
+        assert np.float64(minima(m)).tobytes() == expected.tobytes()
+    assert len(minima._columns) == 3
 
 
 # ----------------------------------------------------------------------

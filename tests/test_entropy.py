@@ -103,7 +103,7 @@ def test_window_reaches_12_sd_past_every_component():
         assert lo <= mu - 12 * math.sqrt(v) and mu + 12 * math.sqrt(v) <= hi
     deriv = GaussDerivMixture(((1.0, 0, 2.0), (-0.01, 3, 1.8), (0.01, 6, 2.6)))
     lo, hi = deriv.window()
-    for _, _, v in deriv.terms:
+    for _, _, v, _ in deriv.terms:
         assert lo <= -12 * math.sqrt(v) and 12 * math.sqrt(v) <= hi
 
 

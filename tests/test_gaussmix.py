@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -94,11 +94,15 @@ def dyadic(lo, hi, den):
 
 
 variances = dyadic(1, 48, 16)
+means = dyadic(-24, 24, 8)
 location_mixtures = st.lists(
-    st.tuples(dyadic(1, 32, 16), dyadic(-24, 24, 8), variances), min_size=1, max_size=3
+    st.tuples(dyadic(1, 32, 16), means, variances), min_size=1, max_size=3
 ).map(lambda ts: GaussMixture(*zip(*ts)))
 deriv_mixtures = st.lists(
     st.tuples(dyadic(-32, 32, 16), st.integers(0, 4), variances), min_size=1, max_size=3
+).map(lambda ts: GaussDerivMixture(tuple(DerivTerm(*t) for t in ts)))
+shifted_deriv_mixtures = st.lists(
+    st.tuples(dyadic(-32, 32, 16), st.integers(0, 4), variances, means), min_size=1, max_size=3
 ).map(lambda ts: GaussDerivMixture(tuple(DerivTerm(*t) for t in ts)))
 # unit mass: one order-0 term of weight 1, every other term of order >= 1
 unit_deriv_mixtures = st.tuples(
@@ -144,6 +148,19 @@ def test_deriv_second_moments_add(a, b):
 
 
 @PROPERTY
+@given(a=location_mixtures, b=unit_deriv_mixtures)
+def test_location_deriv_second_moments_add(a, b):
+    assert_second_moments_add(a, b)
+    assert_second_moments_add(b, a)
+
+
+def test_moments_reject_non_positive_mass():
+    for m in (GaussDerivMixture((DerivTerm(1.0, 1, 1.0),)), GaussDerivMixture((DerivTerm(-1.0, 0, 1.0),))):
+        with pytest.raises(ValueError, match="positive mass"):
+            m.moments(2)
+
+
+@PROPERTY
 @given(a=location_mixtures, d=deriv_mixtures, v=variances)
 def test_convolve_gaussian_is_convolution_with_gaussian(a, d, v):
     assert a.convolve_gaussian(v) == a.convolve(GaussMixture((1.0,), (0.0,), (v,)))
@@ -159,8 +176,6 @@ def test_validation_rejects_bad_terms():
         GaussDerivMixture(((1.0, -1, 1.0),))
     with pytest.raises(ValueError):
         GaussDerivMixture(((1.0, 65, 1.0),))
-    with pytest.raises(TypeError):
-        gaussian(1.0).convolve(GaussMixture((1.0,), (0.0,), (1.0,)))
 
 
 # ----------------------------------------------------------------------
@@ -357,18 +372,32 @@ def test_location_mixture_derivatives_match_fd():
     h = 1e-3
     for x0 in (-1.0, 0.4):
         fd2 = (q.pdf(x0 + h) - 2 * q.pdf(x0) + q.pdf(x0 - h)) / h**2
-        assert q.pdf_deriv(np.array(x0), 2) == pytest.approx(fd2, abs=1e-5)
+        assert q.derivative(2).pdf(np.array(x0)) == pytest.approx(fd2, abs=1e-5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_location_mixture_rejects_non_finite(bad):
-    for args in (
-        ((0.5, bad), (0.0, 1.0), (1.0, 1.0)),
-        ((0.5, 0.5), (0.0, bad), (1.0, 1.0)),
-        ((0.5, 0.5), (0.0, 1.0), (bad, 1.0)),
-    ):
+    # a weight or coeff, a variance or a mean, through either constructor
+    for c, v, mu in ((bad, 1.0, 0.5), (0.5, bad, 0.5), (0.5, 1.0, bad)):
         with pytest.raises(ValueError, match="must be finite"):
-            GaussMixture(*args)
+            GaussMixture((0.5, c), (0.0, mu), (1.0, v))
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(c, 3, v, mu)))
+
+
+def term_magnitude(m, x):
+    """sum_j |c_j D^m_j gamma_v_j(x - mu_j)|, the scale of the rounding in m.pdf(x)."""
+    return sum((abs(c) * np.abs(gauss_deriv_pdf(x - mu, v, o)) for c, o, v, mu in m.terms), np.zeros_like(x))
+
+
+@PROPERTY
+@given(m=shifted_deriv_mixtures, s=dyadic(1, 64, 16))
+def test_scaled_and_reflected_laws(m, s):
+    # the law of s X has density p(x/s)/s, the law of -X has p(-x)
+    x = np.linspace(-30.0, 30.0, 241)
+    scale = term_magnitude(m, x / s) / s
+    assert np.all(np.abs(m.scaled(s).pdf(x) - m.pdf(x / s) / s) <= 1e-12 * scale + 1e-300)
+    assert np.all(np.abs(m.reflected().pdf(x) - m.pdf(-x)) <= 1e-12 * term_magnitude(m, -x) + 1e-300)
 
 
 # ----------------------------------------------------------------------
@@ -377,16 +406,19 @@ def test_location_mixture_rejects_non_finite(bad):
 
 
 def loop_pdf(m, x):
-    """The per-term loop every mixture density summed before batching."""
+    """The per-term loop every mixture density summed before batching, in
+    the mixture's own term order; x - 0.0 is x, bit for bit."""
     out = np.zeros_like(x)
-    for coeff, order, variance in m.terms:
-        out += coeff * gauss_deriv_pdf(x, variance, order)
+    for coeff, order, variance, mean in m.terms:
+        out += coeff * gauss_deriv_pdf(x - mean, variance, order)
     return out
 
 
-# terms drawn from a small key pool, so mixtures share keys; a term drawn
-# with its negative cancels to nothing
-batch_keys = st.tuples(st.integers(0, 12), st.sampled_from((0.3, 0.75, 1.0, 1.7, 9.0)))
+# terms drawn from a small key pool, so mixtures share keys, with means
+# mostly 0; a term drawn with its negative cancels to nothing
+batch_keys = st.tuples(
+    st.integers(0, 12), st.sampled_from((0.3, 0.75, 1.0, 1.7, 9.0)), st.sampled_from((0.0, 0.0, 1.5, -2.25))
+)
 batch_terms = st.lists(
     st.tuples(st.floats(-4.0, 4.0, allow_nan=False), batch_keys, st.booleans()), max_size=6
 )
@@ -394,22 +426,44 @@ batch_terms = st.lists(
 
 def batch_mixture(drawn):
     terms = []
-    for coeff, (order, variance), cancelled in drawn:
-        terms.append(DerivTerm(coeff, order, variance))
+    for coeff, key, cancelled in drawn:
+        terms.append(DerivTerm(coeff, *key))
         if cancelled:
-            terms.append(DerivTerm(-coeff, order, variance))
+            terms.append(DerivTerm(-coeff, *key))
     return GaussDerivMixture(tuple(terms))
+
+
+def walked_in_own_order(m, batch):
+    """pdf_many's condition for m's alone bits: for each (order, variance)
+    m holds with several means, those keys first appear in the batch in
+    m's own order (m's terms of one (order, variance) are adjacent)."""
+    first = {key: i for i, key in enumerate(dict.fromkeys(t[1:] for b in batch for t in b.terms))}
+    return all(
+        first[s[1:]] < first[t[1:]] for s, t in zip(m.terms, m.terms[1:]) if s[1:3] == t[1:3]
+    )
+
+
+# three means of one (order, variance): the second law follows the first
+# one's order, the third does not
+SHIFTED_BATCH = [
+    GaussDerivMixture((DerivTerm(0.3, 0, 1.0, 1.5), DerivTerm(0.1, 0, 1.0), DerivTerm(0.7, 0, 1.0, -2.25))),
+    GaussDerivMixture((DerivTerm(0.6, 0, 1.0), DerivTerm(0.4, 0, 1.0, -2.25), DerivTerm(-0.05, 3, 0.3, 1.5))),
+    GaussDerivMixture((DerivTerm(0.5, 0, 1.0, -2.25), DerivTerm(0.2, 0, 1.0, 1.5), DerivTerm(0.3, 0, 1.0))),
+]
 
 
 @PROPERTY
 @given(st.lists(batch_terms.map(batch_mixture), min_size=1, max_size=4))
+@example(SHIFTED_BATCH)
 def test_pdf_many_equals_each_mixture_alone(mixtures):
     x = np.linspace(-40.0, 40.0, 257)
     batch = GaussDerivMixture.pdf_many(mixtures, x)
     assert len(batch) == len(mixtures)
+    assert walked_in_own_order(mixtures[0], mixtures)
     for m, values in zip(mixtures, batch):
-        assert values.tobytes() == loop_pdf(m, x).tobytes()
-        assert values.tobytes() == m.pdf(x).tobytes()
+        assert m.pdf(x).tobytes() == loop_pdf(m, x).tobytes()
+        if walked_in_own_order(m, mixtures):
+            assert values.tobytes() == m.pdf(x).tobytes()
 
 
 def test_pdf_many_evaluates_each_shared_term_once(monkeypatch):

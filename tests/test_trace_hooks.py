@@ -1,12 +1,19 @@
 """The benchmark's traced pass hooks `ziclab` functions by name; every name
-it hooks must still resolve, or `perfbench/run.py --trace 1` breaks."""
+it hooks must still resolve, and every hook and extra must still run, or
+`perfbench/run.py --trace 1` breaks."""
 
+import hashlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ziclab import _util
+from ziclab.cli import main
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
 
@@ -32,3 +39,31 @@ def test_pool_hooks_resolve(trace_run):
     assert trace_run._util is _util
     assert callable(_util.parallel_map)
     assert callable(_util.thread_count)
+
+
+# a location-mixture command and a derivative-mixture one: the traced
+# convolve hooks read len(r.weights) and len(r.terms) of their results
+TRACED_COMMANDS = (("verify-lemma1",), ("verify-vertical", "--u", "1", "--L", "1.4"))
+
+
+def test_traced_pass_runs_and_keeps_every_report(capsys):
+    root = TRACE_RUN.parents[1]
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, str(TRACE_RUN)],
+        input=json.dumps(TRACED_COMMANDS),
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    untraced = []
+    for argv in TRACED_COMMANDS:
+        assert main(list(argv)) == 0
+        untraced.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert traced["reports"] == untraced
+    assert traced["metrics"]["gaussmix.convolve.calls"]["value"] > 0
