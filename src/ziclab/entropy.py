@@ -12,17 +12,21 @@ omitted entropy and Fisher terms lie far below one ulp of any value
 reported here.
 
 One blocked kernel computes every grid integral.  A pass walks the grid in
-blocks of ``BLOCK`` points: it tabulates the mixtures of one window on the
-block (each distinct term column once), tracks their least value for the
--1e-12 check, clips, and writes the trapezoid terms of the mass, of -p ln p
-and, when asked, of (p')^2/p into full-length term arrays.  p' is
-``np.gradient``'s central difference, so a block reads one point before it
-and two after it.  Each element goes through the ufuncs of the whole-array
-expressions, and each integral is one ``np.sum`` over its full term array,
-so the results have the bits of tabulating the whole grid at once
-(``tests/_oracles.py`` keeps that path), while a block's buffers stay in
-the CPU caches.  The term arrays are allocated once per call and reused by
-every window group of the call.
+blocks of at most ``BLOCK`` trapezoid terms: it tabulates the mixtures of
+one window on the block (each distinct term column once), tracks their
+least value for the -1e-12 check, clips, and writes the trapezoid terms of
+the mass, of -p ln p and, when asked, of (p')^2/p into rows of at most
+``BLOCK`` floats.  p' is ``np.gradient``'s central difference, so a block
+reads one point before it and two after it.  Each element goes through the
+ufuncs of the whole-array expressions.  The blocks are the nodes of
+numpy's pairwise-sum tree over the n - 1 terms (Higham, SISC 1993): each
+row's ``np.sum`` over a block is that node's sum, and adding the block
+sums in the tree's order gives the bits of one ``np.sum`` over the whole
+term array.  So the results have the bits of tabulating the whole grid at
+once (``tests/_oracles.py`` keeps that path), a block's buffers stay in
+the CPU caches, and a call's memory is O(BLOCK * laws), whatever n is.
+``tests/test_grid_kernel.py::test_block_sums_follow_numpys_pairwise_tree``
+pins numpy's tree, so a numpy that sums otherwise fails it.
 
 This module is the independent oracle for every closed form downstream:
 nothing here reuses the exact mixture algebra except to evaluate pointwise
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +47,9 @@ _TINY = 1e-300
 _NEG_TOL = -1e-12
 _MASS_TOL = 1e-7
 
-# grid points per block of a pass: a block's buffers of 256 KiB each stay
-# in the CPU caches, where whole-grid temporaries stream through memory
+# most trapezoid terms per block of a pass: a block's buffers of 256 KiB
+# each stay in the CPU caches, where whole-grid temporaries stream through
+# memory
 BLOCK = 1 << 15
 
 
@@ -101,10 +106,13 @@ class GridDensity:
 
     def integral(self, integrand: np.ndarray) -> float:
         """Trapezoid integral of ``integrand`` tabulated on this grid:
-        ``np.trapezoid``'s expression d * (y[1:] + y[:-1]) / 2.0, summed."""
-        terms = np.empty(self.n - 1)
-        _trapezoid_terms(np.asarray(integrand, dtype=float), self.step, terms)
-        return float(terms.sum())
+        ``np.trapezoid``'s expression d * (y[1:] + y[:-1]) / 2.0, summed
+        block by block with the bits of one np.sum."""
+        y = np.asarray(integrand, dtype=float)
+        [total] = _Workspace(1, self.n).sums(
+            self.n, 1, lambda a, b, p0, p1, terms: _trapezoid_terms(y[a : b + 1], self.step, terms[0])
+        )
+        return total
 
     def mass(self) -> float:
         return self.integral(self.values)
@@ -139,29 +147,53 @@ def _trapezoid_terms(y: np.ndarray, step: float, out: np.ndarray) -> None:
     out /= 2.0
 
 
+def _half(m: int) -> int:
+    """The terms of the first child of a node of m terms in numpy's
+    pairwise sum: half of m, down to a multiple of its 8-way unroll."""
+    return m // 2 - (m // 2) % 8
+
+
 def _spans(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """The blocks of a pass over n points: (a, b, p0, p1) for the trapezoid
-    terms a..b-1, which read the integrands at points a..b, and the points
-    p0..p1-1 the block tabulates, one more on each side for the central
-    differences of p' at a and at b."""
-    for a in range(0, n - 1, BLOCK):
-        b = min(a + BLOCK, n - 1)
-        yield a, b, max(a - 1, 0), min(b + 2, n)
+    """The blocks of a pass over n points, in order: (a, b, p0, p1) for the
+    trapezoid terms a..b-1, which read the integrands at points a..b, and
+    the points p0..p1-1 the block tabulates, one more on each side for the
+    central differences of p' at a and at b.
+
+    The blocks are the nodes of numpy's pairwise-sum tree over the n - 1
+    terms: a node of more than BLOCK terms splits into its first _half and
+    the rest, and a node of at most BLOCK terms is a block."""
+    nodes = [(0, n - 1)]
+    while nodes:
+        a, b = nodes.pop()
+        if b - a > BLOCK:
+            h = a + _half(b - a)
+            nodes += [(h, b), (a, h)]
+        else:
+            yield a, b, max(a - 1, 0), min(b + 2, n)
+
+
+def _total(m: int, sums: Iterator[np.ndarray]) -> np.ndarray:
+    """np.sum over m terms, from the sums of _spans's blocks over them in
+    order, added as numpy's pairwise sum adds the nodes of its tree."""
+    if m <= BLOCK:
+        return next(sums)
+    h = _half(m)
+    return _total(h, sums) + _total(m - h, sums)
 
 
 class _Workspace:
     """The buffers of one call, allocated once and reused by each of its
-    passes: ``rows`` trapezoid term arrays of n - 1, and for one block the
+    passes, all sized for one block: ``rows`` trapezoid term rows, the
     point indices and points, the values of up to ``laws`` mixtures, two
-    work buffers (``pdf_many``'s, then an integrand's) and a mask.  Reuse
-    keeps a pass from allocating, and so from faulting in fresh pages,
-    block after block."""
+    work buffers (``pdf_many``'s, then an integrand's) and a mask.  None
+    grows with n beyond BLOCK, and reuse keeps a pass from allocating, and
+    so from faulting in fresh pages, block after block."""
 
     def __init__(self, rows: int, n: int, laws: int = 0):
         if n < 2:
             raise ValueError("values length must equal n >= 2")
         size = min(BLOCK + 3, n)
-        self.terms = np.empty((rows, n - 1))
+        self.terms = np.empty((rows, min(BLOCK, n - 1)))
         self.index = np.arange(size, dtype=np.int32)  # half a float index's bytes
         self.x = np.empty(size)
         self.values = np.empty((laws, size))
@@ -172,6 +204,18 @@ class _Workspace:
         """np.linspace(lo, hi, n)[p0:p1], bit for bit, in the points buffer."""
         x = np.add(self.index[: p1 - p0], float(p0), out=self.x[: p1 - p0])
         return _grid(x, lo, hi, n, p1 == n)
+
+    def sums(self, n: int, rows: int, fill: Callable[[int, int, int, int, np.ndarray], None]) -> list[float]:
+        """The whole-grid sums of the first ``rows`` term rows over a pass
+        on n points, where fill(a, b, p0, p1, terms) writes the terms of
+        _spans's block (a, b, p0, p1) into terms[:, : b - a].  Each sum has
+        the bits of np.sum over that row's n - 1 terms written at once."""
+        sums = []
+        for a, b, p0, p1 in _spans(n):
+            terms = self.terms[:rows, : b - a]
+            fill(a, b, p0, p1, terms)
+            sums.append(terms.sum(axis=1))
+        return _total(n - 1, iter(sums)).tolist()
 
     def integrand_terms(self, integrand: np.ndarray, p: np.ndarray, step: float, out: np.ndarray) -> None:
         """Trapezoid terms of ``integrand`` zeroed where not p > 1e-300, NaN
@@ -239,29 +283,33 @@ def _integrate(
     one blocked pass.
 
     Each block is one ``pdf_many`` call, so a term several mixtures hold is
-    evaluated once per block.  Mixture j writes its term arrays into rows
+    evaluated once per block.  Mixture j writes its terms into rows
     per*j.. of the workspace, with per = 3 for Fisher information, else 2.
+    The blocks are nodes of numpy's pairwise-sum tree (``_spans``), so each
+    integral has the bits of one np.sum over its n - 1 terms, from rows of
+    at most BLOCK floats whatever n is (``_Workspace.sums``; the test
+    ``test_block_sums_follow_numpys_pairwise_tree`` pins the tree).
     """
     _check_grid(lo, hi, n)
     step = (hi - lo) / (n - 1)
     per = 3 if fisher else 2
     lows = [np.inf] * len(ms)
-    for a, b, p0, p1 in _spans(n):
+
+    def fill(a: int, b: int, p0: int, p1: int, terms: np.ndarray) -> None:
         values = ws.values[: len(ms), : p1 - p0]
         GaussDerivMixture.pdf_many(ms, ws.points(lo, hi, n, p0, p1), out=values, work=ws.work[:, : p1 - p0])
         for j, v in enumerate(values):
             lows[j] = np.minimum(lows[j], v.min())  # a NaN stays, as in v.min()
             np.clip(v, 0.0, None, out=v)
-            mass, entropy, *rest = ws.terms[per * j : per * (j + 1)]
+            mass, entropy, *rest = terms[per * j : per * (j + 1)]
             p = v[a - p0 : b + 1 - p0]
-            _trapezoid_terms(p, step, mass[a:b])
-            ws.entropy_terms(p, step, entropy[a:b])
+            _trapezoid_terms(p, step, mass)
+            ws.entropy_terms(p, step, entropy)
             if fisher:
-                ws.fisher_terms(v, p0, a, b, n, step, rest[0][a:b])
-    return [
-        GridIntegrals(low, *(float(row.sum()) for row in ws.terms[per * j : per * (j + 1)]))
-        for j, low in enumerate(lows)
-    ]
+                ws.fisher_terms(v, p0, a, b, n, step, rest[0])
+
+    sums = ws.sums(n, per * len(ms), fill)
+    return [GridIntegrals(low, *sums[per * j : per * (j + 1)]) for j, low in enumerate(lows)]
 
 
 def _window_groups(ms: Sequence[GaussDerivMixture]) -> dict[int, list[int]]:
@@ -353,9 +401,8 @@ def differential_entropy(p: GridDensity) -> float:
     """
     p.check_normalized("entropy")
     ws = _Workspace(1, p.n)
-    for a, b, _, _ in _spans(p.n):
-        ws.entropy_terms(p.values[a : b + 1], p.step, ws.terms[0, a:b])
-    return float(ws.terms[0].sum())
+    [h] = ws.sums(p.n, 1, lambda a, b, p0, p1, terms: ws.entropy_terms(p.values[a : b + 1], p.step, terms[0]))
+    return h
 
 
 def fisher_information(p: GridDensity) -> float:
@@ -363,9 +410,10 @@ def fisher_information(p: GridDensity) -> float:
     blocks."""
     p.check_normalized("fisher")
     ws = _Workspace(1, p.n)
-    for a, b, p0, p1 in _spans(p.n):
-        ws.fisher_terms(p.values[p0:p1], p0, a, b, p.n, p.step, ws.terms[0, a:b])
-    return float(ws.terms[0].sum())
+    [i] = ws.sums(
+        p.n, 1, lambda a, b, p0, p1, terms: ws.fisher_terms(p.values[p0:p1], p0, a, b, p.n, p.step, terms[0])
+    )
+    return i
 
 
 def mixture_entropies(ms: Sequence[GaussDerivMixture], n: int = 8192) -> list[float]:

@@ -1,11 +1,12 @@
 """The blocked tabulate-and-integrate kernel of ``entropy`` gives the bits of
 the whole-grid path it replaced (``_oracles.whole_grid_integrals``), raises
-on the same inputs with the same messages, and needs no more memory.
+on the same inputs with the same messages, and holds memory of one block's
+size, whatever the grid's.
 
 Block edges are where the kernel can go wrong: a block reads one point
-before it and two after it for np.gradient's central differences, and the
-last block is short.  The grid sizes below put the edges everywhere they
-can fall.
+before it and two after it for np.gradient's central differences, and
+blocks are the nodes of numpy's pairwise-sum tree, whose halves are uneven.
+The grid sizes below put the edges everywhere they can fall.
 """
 
 import math
@@ -40,7 +41,7 @@ def location_laws(recipe):
     return [recipe.p, *(recipe.p.convolve(recipe.q.scaled(math.sqrt(t)).reflected()) for t in (1e-3, 0.1))]
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES + (B + 2, 8 * B + 5))
 def test_mixture_integrals_match_whole_grid(n, recipe):
     for laws in (deriv_laws(), location_laws(recipe)):
         got = en.mixture_integrals(laws, n=n, fisher=True)
@@ -64,12 +65,27 @@ def test_fisher_terms_at_every_block_edge():
     m = deriv_laws()[0]
     lo, hi = m.window()
     p = en.mixture_to_grid(m, lo, hi, n)
-    ws = en._Workspace(1, n)
-    for a, b, p0, p1 in en._spans(n):
-        ws.fisher_terms(p.values[p0:p1], p0, a, b, n, p.step, ws.terms[0, a:b])
     dp = np.gradient(p.values, p.step)
     f = dp * dp / p.values
-    assert same_bits(ws.terms[0], p.step * (f[1:] + f[:-1]) / 2.0)
+    whole = p.step * (f[1:] + f[:-1]) / 2.0
+    ws = en._Workspace(1, n)
+    for a, b, p0, p1 in en._spans(n):
+        ws.fisher_terms(p.values[p0:p1], p0, a, b, n, p.step, ws.terms[0, : b - a])
+        assert same_bits(ws.terms[0, : b - a], whole[a:b]), (a, b)
+
+
+def test_block_sums_follow_numpys_pairwise_tree():
+    # the kernel's block sums, added in the tree's order, are np.sum over
+    # the whole row: every unroll remainder of a short sum, one block and
+    # its neighbours, and uneven trees up to the 2^20-point grids
+    lengths = [*range(1, 130), B - 1, B, B + 1, 2 * B + 9, (1 << 20) - 1]
+    for m in lengths:
+        rng = np.random.default_rng(m)
+        x = rng.choice((-1.0, 1.0), (2, m)) * np.exp(rng.uniform(-20.0, 20.0, (2, m)))
+        ws = en._Workspace(2, m + 1)
+        got = ws.sums(m + 1, 2, lambda a, b, p0, p1, terms: np.copyto(terms, x[:, a:b]))
+        assert same_bits(got, [np.sum(row) for row in x]), m
+    assert all(B // 2 <= b - a <= B for a, b, _, _ in en._spans(1 << 20))
 
 
 def test_grid_points_are_linspace_bit_for_bit():
@@ -139,11 +155,15 @@ def test_blocked_errors_match_whole_grid():
         en.mixture_entropies([gaussian(1.0)], n=1)
 
 
-# Peak traced bytes of the whole-grid path (numpy reports its buffers to
-# tracemalloc), measured on it after one warm-up call: smoothing_curve's
-# 21 laws at n = 2^18, and the three laws of the verify-vertical benchmark
-# ladder's X1 at n = 2^18.  The blocked kernel must need no more.
-WHOLE_GRID_PEAK = {"smoothing_curve": 6_314_528, "mixture_entropies": 14_682_817}
+# Peak traced bytes (numpy reports its buffers to tracemalloc) after one
+# warm-up call, at n = 2^18: smoothing_curve's 21 laws, and the three laws
+# of the verify-vertical benchmark ladder's X1 without and with Fisher
+# information.  Measured 1,825,287, 3,578,336 and 4,364,792 B with block
+# rows, rounded up to 10 kB; the full-length term arrays before them took
+# 5.5, 14.6 and 20.9 MB.  A pass holds O(BLOCK * laws) bytes, so a grid 4
+# times finer may add no more than NO_GROWTH.
+PEAK = {"smoothing_curve": 1_830_000, "mixture_entropies": 3_580_000, "mixture_integrals": 4_370_000}
+NO_GROWTH = 64 << 10
 
 
 def traced_peak(call):
@@ -160,9 +180,12 @@ def test_peak_memory_is_at_most_the_whole_grid_path(recipe):
     t = np.geomspace(1e-3, 1e-2, 20)
     vp = cx.VerticalPerturbation(K=2.0, L=3.0, u=2.0, J=8)
     ladder = [vp.x1(e) for e in cx.eps_ladder(vp.eps)]
-    peaks = {
-        "smoothing_curve": traced_peak(lambda: en.smoothing_curve(recipe.p, recipe.q, t, n=1 << 18)),
-        "mixture_entropies": traced_peak(lambda: en.mixture_entropies(ladder, n=1 << 18)),
+    calls = {
+        "smoothing_curve": lambda n: en.smoothing_curve(recipe.p, recipe.q, t, n=n),
+        "mixture_entropies": lambda n: en.mixture_entropies(ladder, n=n),
+        "mixture_integrals": lambda n: en.mixture_integrals(ladder, n=n, fisher=True),
     }
-    for name, peak in peaks.items():
-        assert peak <= WHOLE_GRID_PEAK[name], (name, peak)
+    for name, call in calls.items():
+        peak = traced_peak(lambda: call(1 << 18))
+        assert peak <= PEAK[name], (name, peak)
+        assert traced_peak(lambda: call(1 << 20)) - peak <= NO_GROWTH, name
