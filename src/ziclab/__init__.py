@@ -28,7 +28,6 @@ _EXPORTS = {
         "differential_entropy",
         "fisher_information",
         "gaussian_entropy",
-        "grids_from_mixtures",
         "mixture_entropies",
         "mixture_entropy",
         "mixture_to_grid",

@@ -13,24 +13,25 @@ reported here.
 
 One blocked kernel computes every grid integral.  A pass walks the grid in
 blocks of at most ``BLOCK`` trapezoid terms: it tabulates the mixtures of
-one window on the block (each distinct term column once), tracks their
-least value for the -1e-12 check, clips, and writes the trapezoid terms of
-the mass, of -p ln p and, when asked, of (p')^2/p into rows of at most
-``BLOCK`` floats.  p' is ``np.gradient``'s central difference, so a block
-reads one point before it and two after it.  Each element goes through the
-ufuncs of the whole-array expressions.  The blocks are the nodes of
-numpy's pairwise-sum tree over the n - 1 terms (Higham, SISC 1993): each
-row's ``np.sum`` over a block is that node's sum, and adding the block
-sums in the tree's order gives the bits of one ``np.sum`` over the whole
-term array.  So the results have the bits of tabulating the whole grid at
-once (``tests/_oracles.py`` keeps that path), a block's buffers stay in
-the CPU caches, and a call's memory is O(BLOCK * laws), whatever n is.
+one window on the block's own points (each distinct term column once),
+tracks their least value for the -1e-12 check, clips, and writes the
+trapezoid terms of the mass, of -p ln p and, when asked, of (p')^2/p into
+rows of at most ``BLOCK`` + 1 floats.  p' is the exact derivative mixture
+``m.derivative(1)``, tabulated in the same call on the same points.  Each
+element goes through the ufuncs of the whole-array expressions.  The
+blocks are the nodes of numpy's pairwise-sum tree over the n - 1 terms
+(Higham, SISC 1993): each row's ``np.sum`` over a block is that node's
+sum, and adding the block sums in the tree's order gives the bits of one
+``np.sum`` over the whole term array.  So the results have the bits of
+tabulating the whole grid at once (``tests/_oracles.py`` keeps that
+path), a block's buffers stay in the CPU caches, and a call's memory is
+O(BLOCK * laws), whatever n is.
 ``tests/test_grid_kernel.py::test_block_sums_follow_numpys_pairwise_tree``
 pins numpy's tree, so a numpy that sums otherwise fails it.
 
 This module is the independent oracle for every closed form downstream:
 nothing here reuses the exact mixture algebra except to evaluate pointwise
-densities.
+densities and their first derivatives.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .gaussmix import GaussDerivMixture
+from .gaussmix import MAX_ORDER, GaussDerivMixture
 
 _TINY = 1e-300
 _NEG_TOL = -1e-12
@@ -110,7 +111,7 @@ class GridDensity:
         block by block with the bits of one np.sum."""
         y = np.asarray(integrand, dtype=float)
         [total] = _Workspace(1, self.n).sums(
-            self.n, 1, lambda a, b, p0, p1, terms: _trapezoid_terms(y[a : b + 1], self.step, terms[0])
+            self.n, 1, lambda a, b, terms: _trapezoid_terms(y[a : b + 1], self.step, terms[0])
         )
         return total
 
@@ -118,7 +119,7 @@ class GridDensity:
         return self.integral(self.values)
 
     def check_normalized(self, what: str) -> None:
-        """Entropy and Fisher precondition: n >= 1024, unit mass within 1e-7."""
+        """Entropy precondition: n >= 1024, unit mass within 1e-7."""
         _check_normalized(self.n, self.mass(), what)
 
 
@@ -153,11 +154,9 @@ def _half(m: int) -> int:
     return m // 2 - (m // 2) % 8
 
 
-def _spans(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """The blocks of a pass over n points, in order: (a, b, p0, p1) for the
-    trapezoid terms a..b-1, which read the integrands at points a..b, and
-    the points p0..p1-1 the block tabulates, one more on each side for the
-    central differences of p' at a and at b.
+def _spans(n: int) -> Iterator[tuple[int, int]]:
+    """The blocks of a pass over n points, in order: (a, b) for the
+    trapezoid terms a..b-1, which read the integrands at points a..b.
 
     The blocks are the nodes of numpy's pairwise-sum tree over the n - 1
     terms: a node of more than BLOCK terms splits into its first _half and
@@ -169,7 +168,7 @@ def _spans(n: int) -> Iterator[tuple[int, int, int, int]]:
             h = a + _half(b - a)
             nodes += [(h, b), (a, h)]
         else:
-            yield a, b, max(a - 1, 0), min(b + 2, n)
+            yield a, b
 
 
 def _total(m: int, sums: Iterator[np.ndarray]) -> np.ndarray:
@@ -183,37 +182,40 @@ def _total(m: int, sums: Iterator[np.ndarray]) -> np.ndarray:
 
 class _Workspace:
     """The buffers of one call, allocated once and reused by each of its
-    passes, all sized for one block: ``rows`` trapezoid term rows, the
-    point indices and points, the values of up to ``laws`` mixtures, two
-    work buffers (``pdf_many``'s, then an integrand's) and a mask.  None
-    grows with n beyond BLOCK, and reuse keeps a pass from allocating, and
-    so from faulting in fresh pages, block after block."""
+    passes, all sized for one block's points: ``rows`` trapezoid term rows
+    (one float wider than a block's terms, so that a row can first hold an
+    integrand at the block's points), the point indices and points, the
+    values of up to ``laws`` mixtures, two work buffers (``pdf_many``'s,
+    then an integrand's) and a mask.  None grows with n beyond BLOCK, and
+    reuse keeps a pass from allocating, and so from faulting in fresh
+    pages, block after block."""
 
     def __init__(self, rows: int, n: int, laws: int = 0):
         if n < 2:
             raise ValueError("values length must equal n >= 2")
-        size = min(BLOCK + 3, n)
-        self.terms = np.empty((rows, min(BLOCK, n - 1)))
+        size = min(BLOCK + 1, n)
+        self.terms = np.empty((rows, size))
         self.index = np.arange(size, dtype=np.int32)  # half a float index's bytes
         self.x = np.empty(size)
         self.values = np.empty((laws, size))
         self.work = np.empty((2, size))
         self.mask = np.empty(size, dtype=bool)
 
-    def points(self, lo: float, hi: float, n: int, p0: int, p1: int) -> np.ndarray:
-        """np.linspace(lo, hi, n)[p0:p1], bit for bit, in the points buffer."""
-        x = np.add(self.index[: p1 - p0], float(p0), out=self.x[: p1 - p0])
-        return _grid(x, lo, hi, n, p1 == n)
+    def points(self, lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarray:
+        """np.linspace(lo, hi, n)[start:stop], bit for bit, in the points
+        buffer."""
+        x = np.add(self.index[: stop - start], float(start), out=self.x[: stop - start])
+        return _grid(x, lo, hi, n, stop == n)
 
-    def sums(self, n: int, rows: int, fill: Callable[[int, int, int, int, np.ndarray], None]) -> list[float]:
+    def sums(self, n: int, rows: int, fill: Callable[[int, int, np.ndarray], None]) -> list[float]:
         """The whole-grid sums of the first ``rows`` term rows over a pass
-        on n points, where fill(a, b, p0, p1, terms) writes the terms of
-        _spans's block (a, b, p0, p1) into terms[:, : b - a].  Each sum has
-        the bits of np.sum over that row's n - 1 terms written at once."""
+        on n points, where fill(a, b, terms) writes the terms of _spans's
+        block (a, b) into terms[:, : b - a].  Each sum has the bits of
+        np.sum over that row's n - 1 terms written at once."""
         sums = []
-        for a, b, p0, p1 in _spans(n):
+        for a, b in _spans(n):
             terms = self.terms[:rows, : b - a]
-            fill(a, b, p0, p1, terms)
+            fill(a, b, terms)
             sums.append(terms.sum(axis=1))
         return _total(n - 1, iter(sums)).tolist()
 
@@ -236,27 +238,14 @@ class _Workspace:
         np.negative(integrand, out=integrand)
         self.integrand_terms(integrand, p, step, out)
 
-    def fisher_terms(
-        self, v: np.ndarray, p0: int, a: int, b: int, n: int, step: float, out: np.ndarray
-    ) -> None:
-        """Trapezoid terms a..b-1 of (p')^2/p, where v holds the density at
-        points p0.. of n.  p' at points a..b is np.gradient(values, step):
-        central differences inside, one-sided at points 0 and n - 1."""
-        p = v[a - p0 : b + 1 - p0]
-        grad = self.work[0, : len(p)]
-        i, j = max(a, 1), min(b, n - 2)
-        if i <= j:
-            inner = grad[i - a : j + 1 - a]
-            np.subtract(v[i + 1 - p0 : j + 2 - p0], v[i - 1 - p0 : j - p0], out=inner)
-            inner /= 2.0 * step
-        if a == 0:
-            grad[0] = (v[1] - v[0]) / step
-        if b == n - 1:
-            grad[-1] = (v[-1] - v[-2]) / step
-        grad *= grad
+    def fisher_terms(self, dp: np.ndarray, p: np.ndarray, step: float, out: np.ndarray) -> None:
+        """Trapezoid terms of (p')^2/p at the values dp of p' and p of the
+        density, one more than out holds.  dp becomes the integrand, so out
+        may start where dp does."""
+        dp *= dp
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grad /= p
-        self.integrand_terms(grad, p, step, out)
+            dp /= p
+        self.integrand_terms(dp, p, step, out)
 
 
 class GridIntegrals(NamedTuple):
@@ -282,34 +271,39 @@ def _integrate(
     """Unchecked GridIntegrals of mixtures on n points over [lo, hi], from
     one blocked pass.
 
-    Each block is one ``pdf_many`` call, so a term several mixtures hold is
-    evaluated once per block.  Mixture j writes its terms into rows
-    per*j.. of the workspace, with per = 3 for Fisher information, else 2.
+    Each block is one ``pdf_many`` call on the block's points, over the
+    mixtures and, for Fisher information, their exact derivatives
+    ``m.derivative(1)``, so a term several of them hold is evaluated once
+    per block.  With k mixtures, mixture j writes its mass terms into row
+    j of the workspace, its entropy terms into row k + j and its Fisher
+    terms into row 2k + j; that row first holds p' at the block's points.
     The blocks are nodes of numpy's pairwise-sum tree (``_spans``), so each
     integral has the bits of one np.sum over its n - 1 terms, from rows of
-    at most BLOCK floats whatever n is (``_Workspace.sums``; the test
+    at most BLOCK + 1 floats whatever n is (``_Workspace.sums``; the test
     ``test_block_sums_follow_numpys_pairwise_tree`` pins the tree).
     """
     _check_grid(lo, hi, n)
     step = (hi - lo) / (n - 1)
-    per = 3 if fisher else 2
-    lows = [np.inf] * len(ms)
+    k = len(ms)
+    rows = (3 if fisher else 2) * k
+    tabulated = [*ms, *(m.derivative(1) for m in ms)] if fisher else ms
+    lows = [np.inf] * k
 
-    def fill(a: int, b: int, p0: int, p1: int, terms: np.ndarray) -> None:
-        values = ws.values[: len(ms), : p1 - p0]
-        GaussDerivMixture.pdf_many(ms, ws.points(lo, hi, n, p0, p1), out=values, work=ws.work[:, : p1 - p0])
-        for j, v in enumerate(values):
-            lows[j] = np.minimum(lows[j], v.min())  # a NaN stays, as in v.min()
-            np.clip(v, 0.0, None, out=v)
-            mass, entropy, *rest = terms[per * j : per * (j + 1)]
-            p = v[a - p0 : b + 1 - p0]
-            _trapezoid_terms(p, step, mass)
-            ws.entropy_terms(p, step, entropy)
-            if fisher:
-                ws.fisher_terms(v, p0, a, b, n, step, rest[0])
+    def fill(a: int, b: int, terms: np.ndarray) -> None:
+        values = ws.values[:k, : b + 1 - a]
+        slopes = ws.terms[2 * k : rows, : b + 1 - a]
+        x = ws.points(lo, hi, n, a, b + 1)
+        GaussDerivMixture.pdf_many(tabulated, x, out=[*values, *slopes], work=ws.work[:, : b + 1 - a])
+        for j, p in enumerate(values):
+            lows[j] = np.minimum(lows[j], p.min())  # a NaN stays, as in p.min()
+            np.clip(p, 0.0, None, out=p)
+            _trapezoid_terms(p, step, terms[j])
+            ws.entropy_terms(p, step, terms[k + j])
+        for p, dp, out in zip(values, slopes, terms[2 * k :]):
+            ws.fisher_terms(dp, p, step, out)
 
-    sums = ws.sums(n, per * len(ms), fill)
-    return [GridIntegrals(low, *sums[per * j : per * (j + 1)]) for j, low in enumerate(lows)]
+    sums = ws.sums(n, rows, fill)
+    return [GridIntegrals(low, *sums[j::k]) for j, low in enumerate(lows)]
 
 
 def _window_groups(ms: Sequence[GaussDerivMixture]) -> dict[int, list[int]]:
@@ -335,7 +329,17 @@ def mixture_integrals(
     would: NegativeDensityError when a density dips below -1e-12 anywhere
     on its grid, which signals a perturbation amplitude too large for
     pointwise positivity, and NonNormalizedError when its mass is off.
+    Fisher information tabulates each law's derivative, whose orders are
+    one higher, so it first rejects any law with a term of order MAX_ORDER
+    (ValueError).
     """
+    if fisher:
+        top = max((t.order for m in ms for t in m.terms), default=0)
+        if top >= MAX_ORDER:
+            raise ValueError(
+                f"Fisher information needs each law's derivative, so term orders below "
+                f"MAX_ORDER = {MAX_ORDER}, got order {top}"
+            )
     groups = _window_groups(ms)
     if not groups:
         return []
@@ -351,46 +355,9 @@ def mixture_integrals(
     return checked
 
 
-def mixtures_to_grids(
-    ms: Sequence[GaussDerivMixture], lo: float, hi: float, n: int
-) -> Iterator[GridDensity]:
-    """Tabulate mixtures on n points over [lo, hi], yielding their
-    GridDensity in order.
-
-    One ``pdf_many`` call tabulates them all, so a term several mixtures
-    hold is evaluated once, and each density has the bits it has alone
-    under ``pdf_many``'s condition.
-    Each GridDensity is built when it is reached.  It raises
-    NegativeDensityError when the density dips below -1e-12 anywhere on
-    the grid.
-    """
-    values = GaussDerivMixture.pdf_many(ms, np.linspace(lo, hi, n))
-    values.reverse()
-    while values:
-        yield GridDensity(lo, hi, n, values.pop())
-
-
 def mixture_to_grid(m: GaussDerivMixture, lo: float, hi: float, n: int) -> GridDensity:
     """Tabulate a mixture density on n points over [lo, hi]."""
-    return next(mixtures_to_grids((m,), lo, hi, n))
-
-
-def grids_from_mixtures(ms: Sequence[GaussDerivMixture], n: int = 8192) -> Iterator[GridDensity]:
-    """Each mixture tabulated on n points over its own window(), in order.
-
-    Mixtures with equal windows are tabulated together by
-    ``mixtures_to_grids`` when the first of them is reached, so each grid
-    is the one the mixture gets alone under ``pdf_many``'s condition.  The
-    rest of such a group waits for its turn: listing a group's members
-    together keeps one group in memory.
-    """
-    pending: dict[int, Iterator[GridDensity]] = {}
-    groups = _window_groups(ms)
-    for i, m in enumerate(ms):
-        if i in groups:
-            grids = mixtures_to_grids([ms[j] for j in groups[i]], *m.window(), n)
-            pending.update((j, grids) for j in groups[i])
-        yield next(pending.pop(i))
+    return GridDensity(lo, hi, n, m.pdf(np.linspace(lo, hi, n)))
 
 
 def differential_entropy(p: GridDensity) -> float:
@@ -401,19 +368,14 @@ def differential_entropy(p: GridDensity) -> float:
     """
     p.check_normalized("entropy")
     ws = _Workspace(1, p.n)
-    [h] = ws.sums(p.n, 1, lambda a, b, p0, p1, terms: ws.entropy_terms(p.values[a : b + 1], p.step, terms[0]))
+    [h] = ws.sums(p.n, 1, lambda a, b, terms: ws.entropy_terms(p.values[a : b + 1], p.step, terms[0]))
     return h
 
 
-def fisher_information(p: GridDensity) -> float:
-    """int (p')^2 / p with p' from central differences on the grid, in
-    blocks."""
-    p.check_normalized("fisher")
-    ws = _Workspace(1, p.n)
-    [i] = ws.sums(
-        p.n, 1, lambda a, b, p0, p1, terms: ws.fisher_terms(p.values[p0:p1], p0, a, b, p.n, p.step, terms[0])
-    )
-    return i
+def fisher_information(m: GaussDerivMixture, n: int = 8192) -> float:
+    """int (p')^2 / p of a mixture via tabulation, with its exact
+    derivative, on its natural window (mixture_integrals)."""
+    return mixture_integrals((m,), n, fisher=True)[0].fisher
 
 
 def mixture_entropies(ms: Sequence[GaussDerivMixture], n: int = 8192) -> list[float]:

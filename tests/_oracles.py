@@ -82,23 +82,29 @@ def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) ->
 # ----------------------------------------------------------------------
 
 
-def whole_grid_integrals(m: GaussDerivMixture, lo: float, hi: float, n: int) -> tuple[float, float, float, float]:
-    """(least value, mass, entropy, Fisher information) of a mixture
-    tabulated on the whole n-point grid over [lo, hi] at once: one ``pdf``
-    call on np.linspace, np.clip, the np.where integrands with p' from
-    np.gradient, and np.trapezoid.  That was the package's path before its
-    blocked kernel, which must give these bits.  On that path a least
-    value below -1e-12 raised NegativeDensityError, and entropy and Fisher
-    information raised on n < 1024 or a mass off 1 by more than 1e-7."""
-    raw = m.pdf(np.linspace(lo, hi, n))
+def whole_grid_integrals(
+    m: GaussDerivMixture, lo: float, hi: float, n: int, fisher: bool = True
+) -> tuple[float, float, float, float | None]:
+    """(least value, mass, entropy, Fisher information or None) of a
+    mixture tabulated on the whole n-point grid over [lo, hi] at once: one
+    ``pdf`` call on np.linspace, np.clip, the np.where integrands with p'
+    from ``m.derivative(1).pdf`` on the same points, and np.trapezoid.
+    That is the blocked kernel's path written for the whole grid, and the
+    kernel must give these bits.  On that path a least value below -1e-12
+    raised NegativeDensityError, and entropy and Fisher information raised
+    on n < 1024 or a mass off 1 by more than 1e-7."""
+    x = np.linspace(lo, hi, n)
+    raw = m.pdf(x)
     vals = np.clip(raw, 0.0, None)
     step = (hi - lo) / (n - 1)
     ok = vals > 1e-300
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        entropy = np.where(ok, -vals * np.log(np.where(ok, vals, 1.0)), 0.0)
-        dp = np.gradient(vals, step)
-        fisher = np.where(ok, dp * dp / np.where(ok, vals, 1.0), 0.0)
-    return (raw.min(), *(float(np.trapezoid(y, dx=step)) for y in (vals, entropy, fisher)))
+        integrands = [vals, np.where(ok, -vals * np.log(np.where(ok, vals, 1.0)), 0.0)]
+        if fisher:
+            dp = m.derivative(1).pdf(x)
+            integrands.append(np.where(ok, dp * dp / np.where(ok, vals, 1.0), 0.0))
+    sums = [float(np.trapezoid(y, dx=step)) for y in integrands]
+    return (raw.min(), *sums) if fisher else (raw.min(), *sums, None)
 
 
 # ----------------------------------------------------------------------

@@ -329,14 +329,17 @@ PINNED_REPORTS = {
         "66ccfa402fb629cc54c7baf3bd3d5404a01cef24125a819ed54fc6df19698244",
     "geometry --t 10:200:10":
         "fde0ead8f9033ea58264f0f0f2b07b4893710b0e01ebb7e4bfa890bffced5f1a",
+    # re-recorded with Fisher information from the exact derivative p'
+    # (CHANGES.md lists each value that moved)
     "limit-functional --L 1.2,1.6,2.0":
-        "98f839896a5801d038995b1d14257e9b0124600500a6c2f11c0f07307b7407ff",
+        "d7174fcbcb0672eaa4bfe88e2040a7e2f24c2807ccaa34904641e268655e564d",
     "verify-lemma1 --t-count 20 --n 1048576":
         "77d258298640f5d2479f23d322903d5cff0b355d3bc4bdabfdb1f5da183751e4",
     "verify-vertical --u 2 --L 3 --J 8 --n 524288":
         "37ab38674608c0e8d40d3927472f1184e0fb4bf4c6952005b44d276a20f466ff",
+    # re-recorded with Fisher information from the exact derivative p'
     "limit-functional --L 1.1:1.9:0.4 --J 20 --n 262144":
-        "8f9185db2f80942f5077d077f77965dab1cee7c7c1ff09f9a1906d676e0d2790",
+        "6b5e4e5ad8da25b493c2b7c16c8a9b074b591d029e1bb26db244716e8ad34fea",
     # the HK reports, recorded with g1 from the dual and the audits' powers
     # from math.exp (CHANGES.md lists every value that moved)
     "hk-region --u 1 --N1 1 --q1 1:10:3 --q2 1:10:3":
@@ -984,7 +987,7 @@ EAGER_EXPORTS = """
     constant_power_gap counterexamples default_recipe deriv_norm_balance differential_entropy
     eigenvalue_bound_audit entropy fisher_information fisher_limit_gain fixed_power_value
     gauss_deriv_pdf gauss_deriv_poly gaussian gaussian_entropy gaussmix geometry
-    grids_from_mixtures hessian hessian_quadratic_form hkregion interference_objective
+    hessian hessian_quadratic_form hkregion interference_objective
     limit_functional local_optimality_radius maximizer_bound_check
     mixture_entropies mixture_entropy mixture_to_grid phase_diagram power_control_cell
     power_control_map power_control_value select_epsilon skewness_gap smoothing_curve

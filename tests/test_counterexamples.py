@@ -220,8 +220,9 @@ def test_vertical_gap_unstable_case():
     res = cx.vertical_gap(vp)
     assert res.stationary_K == pytest.approx(6.0, rel=1e-12)
     assert res.quadratic_coeff > 0
+    # measured 4.2e-8 off, the Richardson step's error
     assert res.quadratic_coeff == pytest.approx(
-        0.5 * balance_closed_form(6.0, 1.0, delta), rel=1e-4
+        0.5 * balance_closed_form(6.0, 1.0, delta), rel=1e-6
     )
     # the perturbed pair genuinely beats the Gaussian supremum
     assert res.perturbed_value > res.gaussian_value + 1e-8
@@ -233,8 +234,9 @@ def test_vertical_gap_stable_case():
     vp = cx.VerticalPerturbation(K=2.0, L=3.0, u=1.0, delta=delta, eps=eps, J=2)
     res = cx.vertical_gap(vp)
     assert res.quadratic_coeff < 0
+    # measured 1.0e-9 off
     assert res.quadratic_coeff == pytest.approx(
-        0.5 * balance_closed_form(2.0, 1.0, delta), rel=1e-4
+        0.5 * balance_closed_form(2.0, 1.0, delta), rel=1e-6
     )
     # stable direction cannot beat the Gaussian maximum
     assert res.perturbed_value < res.gaussian_value
@@ -757,11 +759,11 @@ def test_fisher_limit_gain_rejects_an_undecidable_sign():
 
 
 def test_fisher_limit_gain_reports_its_closed_form():
-    # the grid's Fisher information takes p' from np.gradient, so the
-    # extrapolated coefficient is off by about 2e-5 relative at n = 16384
+    # with the exact p' the extrapolated coefficient is 7.1e-8 off at
+    # n = 16384, the Richardson step's error
     res = cx.fisher_limit_gain(1.2)
     assert res.closed_form == cx.fisher_limit_coefficient(res.K, min(res.K, 0.6) / 20.0)
-    assert res.quadratic_coeff == pytest.approx(res.closed_form, rel=1e-4)
+    assert res.quadratic_coeff == pytest.approx(res.closed_form, rel=1e-6)
 
 
 def test_fisher_limit_gain_signs():

@@ -18,7 +18,6 @@ from ziclab.entropy import (
     fit_expansion,
     gaussian_entropy,
     check_fit_t,
-    grids_from_mixtures,
     log_weighted_deriv_integral,
     mixture_entropies,
     mixture_entropy,
@@ -139,16 +138,49 @@ def test_convolution_increases_entropy(rng):
 
 
 def test_fisher_information_gaussian():
+    # J(gamma_K) = 1/K; measured 2.2e-16 off with the exact derivative
     for K in (0.25, 1.0, 4.0):
-        g = grid_from_mixture(gaussian(K), n=8192)
-        assert fisher_information(g) * K == pytest.approx(1.0, abs=1e-5)
+        assert fisher_information(gaussian(K), n=8192) * K == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fisher_two_resolution_consistency():
+    # the trapezoid sum of a smooth decaying integrand has converged to
+    # rounding by n = 2048 (measured equal bits at n = 8192)
     m = GaussDerivMixture(((1.0, 0, 1.0), (-0.001, 3, 0.9)))
-    fine = fisher_information(grid_from_mixture(m, n=8192))
-    coarse = fisher_information(grid_from_mixture(m, n=2048))
-    assert fine == pytest.approx(coarse, abs=1e-4)
+    fine = fisher_information(m, n=8192)
+    coarse = fisher_information(m, n=2048)
+    assert fine == pytest.approx(coarse, rel=1e-14)
+
+
+def de_bruijn_laws(recipe):
+    """The recipe's p, p smoothed by the reflected sqrt(0.01) q, and gamma_2.5."""
+    return (recipe.p, recipe.p.convolve(recipe.q.scaled(0.1).reflected()), gaussian(2.5))
+
+
+# The Fisher integral and the log-weighted quadrature are separate
+# trapezoid sums of up to 2^16 terms, each rounding within about log2(n)
+# ulps (numpy's pairwise sum), so they agree to 1e-14 relative; measured
+# at most 4.4e-16.
+DE_BRUIJN_REL = 1e-14
+
+
+@pytest.mark.parametrize("n", (2048, 8192, 65536))
+def test_fisher_information_is_minus_int_p2_ln_p(recipe, n):
+    # integration by parts (de Bruijn's identity, Stam 1959): J(p) =
+    # int (p')^2/p = -int p'' ln p, the second from the exact p'' on its
+    # own 32768-point +-14 sigma grid
+    for m in de_bruijn_laws(recipe):
+        assert fisher_information(m, n) == pytest.approx(-log_weighted_deriv_integral(m, 2), rel=DE_BRUIJN_REL)
+
+
+@pytest.mark.parametrize("n", (2048, 8192, 65536))
+def test_c1_target_is_half_m2_times_fisher(recipe, n):
+    # c1 = m2(q) (-1/2 int p'' ln p) = m2(q)/2 J(p): verify-lemma1's c1
+    # quadrature against an independent Fisher integral
+    m2 = recipe.q.moments(2)[1]
+    for m in de_bruijn_laws(recipe):
+        c1, _ = expansion_targets(m, recipe.q)
+        assert c1 == pytest.approx(m2 / 2 * fisher_information(m, n), rel=DE_BRUIJN_REL)
 
 
 def test_grid_convolution_matches_exact_algebra():
@@ -261,9 +293,9 @@ def test_log_weighted_deriv_integral_gaussian():
     assert log_weighted_deriv_integral(g, 2) == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_grids_from_mixtures_equal_each_grid_alone():
-    # interleaved windows and families: every grid is the one its mixture
-    # gets alone, in input order
+def test_mixture_entropies_equal_each_law_alone():
+    # interleaved windows and families: every entropy is the one its
+    # mixture gets alone, in input order
     def perturbed(eps):
         return GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-eps, 3, 1.8)))
 
@@ -274,12 +306,6 @@ def test_grids_from_mixtures_equal_each_grid_alone():
         gaussian(3.0),
         perturbed(0.02),
     ]
-    grids = list(grids_from_mixtures(mixtures, n=2048))
-    assert len(grids) == len(mixtures)
-    for m, g in zip(mixtures, grids):
-        alone = mixture_to_grid(m, *m.window(), 2048)
-        assert (g.lo, g.hi, g.n) == (alone.lo, alone.hi, alone.n)
-        assert g.values.tobytes() == alone.values.tobytes()
     assert mixture_entropies(mixtures, n=2048) == [mixture_entropy(m, n=2048) for m in mixtures]
 
 

@@ -3,10 +3,10 @@ the whole-grid path it replaced (``_oracles.whole_grid_integrals``), raises
 on the same inputs with the same messages, and holds memory of one block's
 size, whatever the grid's.
 
-Block edges are where the kernel can go wrong: a block reads one point
-before it and two after it for np.gradient's central differences, and
-blocks are the nodes of numpy's pairwise-sum tree, whose halves are uneven.
-The grid sizes below put the edges everywhere they can fall.
+Block edges are where the kernel can go wrong: a block reads its own
+points a..b, the last of which the next block reads again, and blocks are
+the nodes of numpy's pairwise-sum tree, whose halves are uneven.  The grid
+sizes below put the edges everywhere they can fall.
 """
 
 import math
@@ -18,7 +18,7 @@ import pytest
 from _oracles import whole_grid_integrals
 from ziclab import counterexamples as cx
 from ziclab import entropy as en
-from ziclab.gaussmix import DerivTerm, GaussDerivMixture, gaussian
+from ziclab.gaussmix import MAX_ORDER, DerivTerm, GaussDerivMixture, gaussian
 
 B = en.BLOCK
 SIZES = (1024, B - 1, B, B + 1, 2 * B + 1, 3 * B - 7)
@@ -55,23 +55,8 @@ def test_grid_density_integrals_match_whole_grid(n):
     m = deriv_laws()[1]
     lo, hi = m.window()
     p = en.mixture_to_grid(m, lo, hi, n)
-    _, mass, entropy, fisher = whole_grid_integrals(m, lo, hi, n)
-    assert same_bits((p.mass(), en.differential_entropy(p), en.fisher_information(p)), (mass, entropy, fisher))
-
-
-def test_fisher_terms_at_every_block_edge():
-    # each trapezoid term of (p')^2/p, not only their sum, is np.gradient's
-    n = 3 * B - 7
-    m = deriv_laws()[0]
-    lo, hi = m.window()
-    p = en.mixture_to_grid(m, lo, hi, n)
-    dp = np.gradient(p.values, p.step)
-    f = dp * dp / p.values
-    whole = p.step * (f[1:] + f[:-1]) / 2.0
-    ws = en._Workspace(1, n)
-    for a, b, p0, p1 in en._spans(n):
-        ws.fisher_terms(p.values[p0:p1], p0, a, b, n, p.step, ws.terms[0, : b - a])
-        assert same_bits(ws.terms[0, : b - a], whole[a:b]), (a, b)
+    _, mass, entropy, _ = whole_grid_integrals(m, lo, hi, n, fisher=False)
+    assert same_bits((p.mass(), en.differential_entropy(p)), (mass, entropy))
 
 
 def test_block_sums_follow_numpys_pairwise_tree():
@@ -83,9 +68,9 @@ def test_block_sums_follow_numpys_pairwise_tree():
         rng = np.random.default_rng(m)
         x = rng.choice((-1.0, 1.0), (2, m)) * np.exp(rng.uniform(-20.0, 20.0, (2, m)))
         ws = en._Workspace(2, m + 1)
-        got = ws.sums(m + 1, 2, lambda a, b, p0, p1, terms: np.copyto(terms, x[:, a:b]))
+        got = ws.sums(m + 1, 2, lambda a, b, terms: np.copyto(terms, x[:, a:b]))
         assert same_bits(got, [np.sum(row) for row in x]), m
-    assert all(B // 2 <= b - a <= B for a, b, _, _ in en._spans(1 << 20))
+    assert all(B // 2 <= b - a <= B for a, b in en._spans(1 << 20))
 
 
 def test_grid_points_are_linspace_bit_for_bit():
@@ -93,8 +78,8 @@ def test_grid_points_are_linspace_bit_for_bit():
     for lo, hi, n in ((-3.0, 7.5, 1024), (-15.6, 15.6, 3 * B - 7), (0.1, 0.2, 2 * B + 1), (0.0, 5e-324, 1500)):
         ws = en._Workspace(0, n)
         x = np.linspace(lo, hi, n)
-        for _, _, p0, p1 in en._spans(n):
-            assert same_bits(ws.points(lo, hi, n, p0, p1), x[p0:p1]), (lo, hi, n, p0)
+        for a, b in en._spans(n):
+            assert same_bits(ws.points(lo, hi, n, a, b + 1), x[a : b + 1]), (lo, hi, n, a)
 
 
 def test_smoothing_curve_matches_whole_grid(recipe):
@@ -110,24 +95,39 @@ def test_smoothing_curve_matches_whole_grid(recipe):
 
 
 def test_nan_and_tiny_points_are_zeroed_across_blocks():
-    # D^64 gamma_{1e-4}'s polynomial overflows where its Gaussian underflows,
-    # which leaves NaN over whole blocks; the wide D^2 term leaves values at
-    # and below 1e-300 and exact zeros in the tails of gamma_1
-    nan_law = GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, 64, 1e-4)))
+    # D^64 and D^63 gamma_{1e-4}'s polynomials overflow where their Gaussian
+    # underflows, which leaves NaN over whole blocks (the order-64 law has no
+    # derivative within MAX_ORDER, so it runs the entropy pass alone); the
+    # wide D^2 term leaves values at and below 1e-300 and exact zeros in the
+    # tails of gamma_1
+    nan_laws = [GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, k, 1e-4))) for k in (64, 63)]
     tiny_law = GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, 2, 400.0)))
     n = 2 * B + 1
-    for m in (nan_law, tiny_law):
+    for m, fisher in ((nan_laws[0], False), (nan_laws[1], True), (tiny_law, True)):
         lo, hi = m.window()
         with np.errstate(over="ignore", invalid="ignore"):
-            [got] = en.mixture_integrals([m], n=n, fisher=True)
-            expected = whole_grid_integrals(m, lo, hi, n)
+            [got] = en.mixture_integrals([m], n=n, fisher=fisher)
+            expected = whole_grid_integrals(m, lo, hi, n, fisher)
         assert same_bits(tuple(got), expected)
         assert math.isfinite(got.entropy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        nan_vals = nan_law.pdf(np.linspace(*nan_law.window(), n))
+    for m in nan_laws:
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan_vals = m.pdf(np.linspace(*m.window(), n))
+        assert np.isnan(nan_vals[:B]).any() and np.isnan(nan_vals[B:]).any()
     tiny_vals = tiny_law.pdf(np.linspace(*tiny_law.window(), n))
-    assert np.isnan(nan_vals[:B]).any() and np.isnan(nan_vals[B:]).any()
     assert (tiny_vals == 0.0).any() and ((tiny_vals > 0) & (tiny_vals <= 1e-300)).any()
+
+
+def test_fisher_rejects_a_law_without_a_derivative_before_tabulating():
+    # D^64's derivative has order 65, past MAX_ORDER; the error names both
+    # and comes before any law of the call is tabulated
+    top = GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, MAX_ORDER, 1e-4)))
+    message = rf"Fisher information .* MAX_ORDER = {MAX_ORDER}, got order {MAX_ORDER}$"
+    for laws in ([top], [gaussian(1.0), top]):
+        with pytest.raises(ValueError, match=message):
+            en.mixture_integrals(laws, n=1024, fisher=True)
+    with pytest.raises(ValueError, match=message):
+        en.fisher_information(top, n=1024)
 
 
 def test_blocked_errors_match_whole_grid():
@@ -158,10 +158,11 @@ def test_blocked_errors_match_whole_grid():
 # Peak traced bytes (numpy reports its buffers to tracemalloc) after one
 # warm-up call, at n = 2^18: smoothing_curve's 21 laws, and the three laws
 # of the verify-vertical benchmark ladder's X1 without and with Fisher
-# information.  Measured 1,825,287, 3,578,336 and 4,364,792 B with block
-# rows, rounded up to 10 kB; the full-length term arrays before them took
-# 5.5, 14.6 and 20.9 MB.  A pass holds O(BLOCK * laws) bytes, so a grid 4
-# times finer may add no more than NO_GROWTH.
+# information.  Measured 1,825,541, 3,578,414 and 4,366,334 B with block
+# rows one float wider than a block's terms, the Fisher rows holding the
+# exact p' first, rounded up to 10 kB; the full-length term arrays before
+# block rows took 5.5, 14.6 and 20.9 MB.  A pass holds O(BLOCK * laws)
+# bytes, so a grid 4 times finer may add no more than NO_GROWTH.
 PEAK = {"smoothing_curve": 1_830_000, "mixture_entropies": 3_580_000, "mixture_integrals": 4_370_000}
 NO_GROWTH = 64 << 10
 

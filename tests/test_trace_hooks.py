@@ -41,9 +41,14 @@ def test_pool_hooks_resolve(trace_run):
     assert callable(_util.thread_count)
 
 
-# a location-mixture command and a derivative-mixture one: the traced
-# convolve hooks read len(r.weights) and len(r.terms) of their results
-TRACED_COMMANDS = (("verify-lemma1",), ("verify-vertical", "--u", "1", "--L", "1.4"))
+# a location-mixture command, a derivative-mixture one and one through the
+# Fisher rows: the traced convolve hooks read len(r.weights) and
+# len(r.terms) of their results
+TRACED_COMMANDS = (
+    ("verify-lemma1",),
+    ("verify-vertical", "--u", "1", "--L", "1.4"),
+    ("limit-functional", "--L", "1.2"),
+)
 
 
 def test_traced_pass_runs_and_keeps_every_report(capsys):
