@@ -433,8 +433,9 @@ def cmd_theorem5_epsilon(args) -> tuple[dict, list[dict], list[dict]]:
 
 
 def _bracket_check(cells) -> dict:
-    """g1's dual bracket on every gapped cell stays within its rounding
-    bound (``hkregion._Dual.certify``); on an f1 = g1 cell it is exact."""
+    """g1's dual bracket on every gapped cell, the narrowest that the dual's
+    search found, stays within its rounding bound
+    (``hkregion._Dual.certify``); on an f1 = g1 cell it is exact."""
     gapped = [c.bracket for c in cells if not c.f1_eq_g1]
     worst = max((b.upper - b.value for b in gapped), default=0.0)
     return _check(

@@ -257,11 +257,17 @@ class GridIntegrals(NamedTuple):
     entropy: float
     fisher: Optional[float] = None
 
-    def checked(self, n: int) -> "GridIntegrals":
-        """These integrals, once GridDensity's check and then
-        differential_entropy's pass on an n-point grid."""
+    def checked(self, n: int, what: str) -> "GridIntegrals":
+        """These integrals, once GridDensity's check and then the n-point
+        grid and unit-mass checks of ``what`` (the quantity named in the
+        error) pass, and the least value is not NaN.  A NaN there is the
+        law's own tabulation overflowing, and it makes the mass NaN, which
+        both checks would let through; a GridDensity's given NaN points
+        pass them and count as 0 in its entropy."""
+        if math.isnan(self.low):
+            raise NegativeDensityError("density is NaN on the grid")
         _check_nonnegative(self.low)
-        _check_normalized(n, self.mass, "entropy")
+        _check_normalized(n, self.mass, what)
         return self
 
 
@@ -328,7 +334,8 @@ def mixture_integrals(
     condition.  Raises law by law as GridDensity and differential_entropy
     would: NegativeDensityError when a density dips below -1e-12 anywhere
     on its grid, which signals a perturbation amplitude too large for
-    pointwise positivity, and NonNormalizedError when its mass is off.
+    pointwise positivity, and NonNormalizedError when its mass is off; and
+    NegativeDensityError where its tabulation is NaN (``GridIntegrals.checked``).
     Fisher information tabulates each law's derivative, whose orders are
     one higher, so it first rejects any law with a term of order MAX_ORDER
     (ValueError).
@@ -351,7 +358,7 @@ def mixture_integrals(
         if i in groups:
             group = [ms[j] for j in groups[i]]
             done.update(zip(groups[i], _integrate(group, *m.window(), n, ws, fisher)))
-        checked.append(done.pop(i).checked(n))
+        checked.append(done.pop(i).checked(n, "Fisher information" if fisher else "entropy"))
     return checked
 
 
@@ -442,7 +449,7 @@ def smoothing_curve(
 
     def entropy(m: GaussDerivMixture) -> float:
         [r] = _integrate([m], lo, hi, n, ws)
-        return r.checked(n).entropy
+        return r.checked(n, "entropy").entropy
 
     h0 = entropy(p)
     dh = np.array([entropy(s) - h0 for s in smoothed])

@@ -10,8 +10,8 @@ attained at the corner (J, L) = (q1, q2), and the power-control value
 g1 = upper concave envelope of f1 in (q1, q2), realized by randomizing the
 transmit powers (by Caratheodory at most three support points).  Whether
 f1 = g1 is decided by the tangent plane of f1; g1 comes from the Fenchel
-dual, minimized by Newton's method on its tied contact points, with an
-upper and a lower bound that bracket it.  The d = 2 audit reduces to the
+dual, minimized by a nested one-variable convex search, with an upper and
+a lower bound that bracket it.  The d = 2 audit reduces to the
 d = 1 cell q/2 by tensorization, g2(q) = 2 g1(q/2).
 
 Everything here computes on Python floats with ``math``, so the HK
@@ -22,6 +22,7 @@ benchmark's tracer hooks on this module are forwarded there on access.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -31,13 +32,7 @@ from . import hessian as hs
 
 # the audits draw each power log-uniformly from this range
 AUDIT_Q_LOW, AUDIT_Q_HIGH = 0.05, 30.0
-# Newton steps of one dual solve: a converging run takes at most 19 on the
-# README and benchmark cells, and a run that wanders is cut here
-DUAL_MAX_STEPS = 30
-# log-bisection steps per level of the dual's fallback search, which puts
-# (a, b) within a factor 4^(2^-20) of the dual minimizer before Newton
-LOCATE_STEPS = 20
-# quadruplings of (a, b) that widen a bisection bracket before the search
+# quadruplings of a or b that widen a bracket of the dual's search before it
 # gives up: 4^520 spans the float range
 _BRACKET_STEPS = 520
 
@@ -209,29 +204,6 @@ def _plane_contacts(a: float, b: float, u: float, N1: float) -> tuple[list[float
     return [p[0] for p in pts], [p[1] for p in pts]
 
 
-def _slot_jacobian(slot: int, p: tuple[float, float], a: float, b: float, u: float, N1: float):
-    """(dp1/dln a, dp1/dln b, dp2/dln a, dp2/dln b) of the point p in
-    ``slot``, from the closed forms of ``_contact_slots`` (the quadratic
-    roots by implicit differentiation).  In ln a and ln b the edge points
-    move by -1/a and -(1+u)/b, finite wherever the points are."""
-    if slot == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    if slot == 1:
-        return -1.0 / a, 0.0, 0.0, 0.0
-    if slot == 2:
-        return 0.0, 0.0, 0.0, -(1.0 + u) / b
-    if slot in (3, 4):
-        x = p[0] + N1
-        g = x / ((a - b) * (2.0 * x + u) + u) * (x + u)
-        return -g * a, g * b, g * a, -(1.0 + u) / b - g * b
-    if slot in (5, 6):
-        L = p[1]
-        g = L / ((b - a) * (2.0 * L + u) - u) * (L + u)
-        return -1.0 / a - g * a, g * b, g * a, -g * b
-    dt = u / (b - a) / (b - a)
-    return -1.0 / a - dt * a, dt * b, dt * a, -dt * b
-
-
 def _not_finite(q1: float, q2: float, what: str) -> str:
     return f"tangent-plane test at cell (q1={q1}, q2={q2}): its {what} is not finite"
 
@@ -299,24 +271,62 @@ class PowerControlBracket:
         return abs(self.upper - self.value) <= self.rounding
 
 
-def _solve(rows: list[list[float]], rhs: list[float]) -> Optional[list[float]]:
-    """Solution of a small dense linear system by Gaussian elimination with
-    partial pivoting, or None where a pivot is 0 or not finite."""
-    n = len(rhs)
-    m = [row + [r] for row, r in zip(rows, rhs)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda i: abs(m[i][c]))
-        if not 0.0 < abs(m[piv][c]) < math.inf:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            for j in range(c, n + 1):
-                m[i][j] -= f * m[c][j]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
-    return x
+def _log_root(evaluate, x: float, secant):
+    """The sign change of the nondecreasing slope s of a convex function of
+    x > 0, searched in ln x.
+
+    ``evaluate(x)`` returns (s(x) < 0, state, stop), and a true stop ends
+    the search there.  From x the bracket widens by factors of 4 until its
+    ends straddle the sign change.  Each step then goes to the root in ln x
+    of the secant through ``secant(state_lo, state_hi)`` = (F_lo, F_hi),
+    the values at the ends of a function with F_lo >= 0 >= F_hi whose root
+    the step aims at (None: bisect).  An end kept twice running has its F
+    halved (Illinois); a step that would not move less than half the move
+    before last bisects instead (Brent); and every step lands at least 4
+    ulps inside the bracket, so an end that converges on the root is
+    crossed.  The search ends when no float lies strictly between the
+    ends.  Returns the ends (x, state) below and above the sign change;
+    raises ArithmeticError where none lies in the float range.
+    """
+    neg, state, stop = evaluate(x)
+    lo = hi = (x, state, neg)
+    for _ in range(_BRACKET_STEPS):
+        if stop or (lo[2] and not hi[2]):
+            break
+        x = hi[0] * 4.0 if hi[2] else lo[0] * 0.25
+        if not 0.0 < x < math.inf:
+            break
+        neg, state, stop = evaluate(x)
+        if hi[2]:
+            lo, hi = hi, (x, state, neg)
+        else:
+            lo, hi = (x, state, neg), lo
+    if not (stop or lo[2] and not hi[2]):
+        raise ArithmeticError("no bracket of the dual's minimizer in the float range")
+    ends, scale, kept, moves = [lo, hi], [1.0, 1.0], None, [math.inf, math.inf]
+    while not stop:
+        (x_lo, s_lo, _), (x_hi, s_hi, _) = ends
+        span = math.log(x_hi / x_lo)
+        t, f = 0.5, secant(s_lo, s_hi)
+        if f is not None:
+            f_lo, f_hi = f[0] * scale[0], f[1] * scale[1]
+            if 0.0 < f_lo - f_hi < math.inf:
+                t = f_lo / (f_lo - f_hi)
+        edge = 4.0 * _EPS / span if span > 8.0 * _EPS else 0.5
+        y = x_lo * math.exp(min(max(t, edge), 1.0 - edge) * span)
+        if abs(math.log(y / x)) >= 0.5 * moves[0]:
+            y = x_lo * math.exp(0.5 * span)
+        if not x_lo < y < x_hi:
+            break
+        moves = [moves[1], abs(math.log(y / x))]
+        x = y
+        neg, state, stop = evaluate(x)
+        side = 0 if neg else 1
+        ends[side], scale[side] = (x, state, neg), 1.0
+        if kept == 1 - side:
+            scale[kept] *= 0.5
+        kept = 1 - side
+    return ends[0][:2], ends[1][:2]
 
 
 class _Dual:
@@ -337,132 +347,33 @@ class _Dual:
         # the corner (0, 0) is always a point, so the maximum exists
         return pts, hs_, max((i for i, h in enumerate(hs_) if h is not None), key=lambda i: hs_[i])
 
-    def top(self, a: float, b: float) -> tuple[int, tuple[float, float]]:
-        """Slot and point of the maximum M(a, b)."""
-        pts, _, i = self.heights(a, b)
-        return i, pts[i]
+    def inner(self, a: float, b: float) -> tuple[float, tuple[int, int], float]:
+        """min over b of D(a, b) by ``_log_root`` from b: D(a, .) is convex
+        with slope q2 - p2 at its top contact p.  Where the bracket's ends
+        have different top slots i and j, the step aims at their height tie
+        h_i = h_j; where one slot tops both, at p_i2 = q2.  Returns the
+        bracket's lower end b, the top slots at the ends, and the slope
+        q1 - (lam p1 + (1-lam) r1) of g(a) = min over b of D(a, b), with p
+        and r the contacts at the ends and lam the weight that makes them
+        average to q2."""
+        q2 = self.q2
 
-    def newton(self, a: float, b: float, active: list[int], w: list[float]):
-        """Newton's method on the optimality conditions of D with the tied
-        slots ``active`` (two or three, weights w summing to 1): the
-        weighted contact points average to q, and the heights are equal.
-        The unknowns are ln a and ln b, so a and b stay positive: the
-        height of slot i has gradient -(a p_i1, b p_i2) in them (envelope
-        theorem), and the points move by ``_slot_jacobian``.  A slot higher
-        than the tied ones joins them, and a weight that turns negative
-        leaves with its slot.  Returns the final (a, b, active, w), or None
-        where a step finds no point in a tied slot or a singular system."""
-        q1, q2, u, N1 = self.q1, self.q2, self.u, self.N1
-        for _ in range(DUAL_MAX_STEPS):
+        def evaluate(b):
             pts, hs_, top = self.heights(a, b)
-            if any(pts[i] is None for i in active):
-                return None
-            if top not in active and hs_[top] > max(hs_[i] for i in active) and len(active) < 3:
-                active, w = active + [top], w + [0.0]
-            n = len(active)
-            P = [pts[i] for i in active]
-            J = [_slot_jacobian(i, pts[i], a, b, u, N1) for i in active]
-            # unknowns d ln a, d ln b and the first n-1 weights; the last
-            # weight is 1 - sum
-            rows = [
-                [sum(wk * j[0] for wk, j in zip(w, J)), sum(wk * j[1] for wk, j in zip(w, J))]
-                + [P[k][0] - P[-1][0] for k in range(n - 1)],
-                [sum(wk * j[2] for wk, j in zip(w, J)), sum(wk * j[3] for wk, j in zip(w, J))]
-                + [P[k][1] - P[-1][1] for k in range(n - 1)],
-            ]
-            rhs = [q1 - sum(wk * p[0] for wk, p in zip(w, P)), q2 - sum(wk * p[1] for wk, p in zip(w, P))]
-            for k in range(1, n):
-                rows.append([a * (P[k][0] - P[0][0]), b * (P[k][1] - P[0][1])] + [0.0] * (n - 1))
-                rhs.append(hs_[active[k]] - hs_[active[0]])
-            d = _solve(rows, rhs)
-            if d is None:
-                return None
-            # halve the step, at most doubling or halving a or b, until every
-            # tied slot keeps its point
-            t = min(1.0, 0.7 / max(abs(d[0]), abs(d[1]), 1e-300))
-            for _ in range(60):
-                na, nb = a * math.exp(t * d[0]), b * math.exp(t * d[1])
-                npts = _contact_slots(na, nb, u, N1)
-                if all(npts[i] is not None for i in active):
-                    break
-                t *= 0.5
-            else:
-                return None
-            # converging quadratically, a step below 2^-40 leaves (a, b)
-            # at the float resolution of the tied heights
-            done = abs(t * d[0]) <= 2.0**-40 and abs(t * d[1]) <= 2.0**-40
-            a, b = na, nb
-            head = [w[k] + t * d[2 + k] for k in range(n - 1)]
-            w = head + [1.0 - sum(head)]
-            if min(w) < 0.0 and n == 3:
-                k = w.index(min(w))
-                active, w = active[:k] + active[k + 1:], w[:k] + w[k + 1:]
-                w = [w[0], 1.0 - w[0]]
-            elif done:
-                break
-        return a, b, active, w
+            return pts[top][1] > q2, (pts, hs_, top), False
 
-    def locate(self, a: float, b: float):
-        """Near-minimizer of D by nested log-bisection, for a start where
-        Newton from the tangent plane fails.  For fixed a, D(a, .) is convex
-        with slope q2 - p2 at its top contact p; at the inner minimum the
-        contacts on either side, p above q2 and r below, average to q2 with
-        weight lam on p, and D's slope in a is q1 - (lam p1 + (1-lam) r1).
-        Returns (a, b) and the slots and points of those contacts; raises
-        ArithmeticError where no bracket of a sign change lies in the float
-        range."""
+        def secant(lo, hi):
+            (pl, hl, i), (ph, hh, j) = lo, hi
+            if i == j:
+                return pl[i][1] - q2, ph[i][1] - q2
+            if hl[j] is None or hh[i] is None:
+                return None
+            return hl[i] - hl[j], hh[i] - hh[j]
 
-        def inner(a, b):
-            lo = hi = b
-            tl = th = self.top(a, b)
-            for _ in range(_BRACKET_STEPS):
-                if th[1][1] > self.q2:
-                    lo, tl = hi, th
-                    hi *= 4.0
-                    th = self.top(a, hi)
-                elif tl[1][1] <= self.q2:
-                    hi, th = lo, tl
-                    lo *= 0.25
-                    tl = self.top(a, lo)
-                else:
-                    break
-            else:
-                raise ArithmeticError("no bisection bracket in the float range")
-            for _ in range(LOCATE_STEPS):
-                mid = math.sqrt(lo) * math.sqrt(hi)
-                tm = self.top(a, mid)
-                if tm[1][1] > self.q2:
-                    lo, tl = mid, tm
-                else:
-                    hi, th = mid, tm
-            (_, p), (_, r) = tl, th
-            lam = (self.q2 - r[1]) / (p[1] - r[1])
-            slope = self.q1 - (lam * p[0] + (1.0 - lam) * r[0])
-            return slope, math.sqrt(lo) * math.sqrt(hi), (tl, th)
-
-        lo = hi = a
-        sl = sh = inner(a, b)
-        for _ in range(_BRACKET_STEPS):
-            if sh[0] < 0:
-                lo, sl = hi, sh
-                hi *= 4.0
-                sh = inner(hi, sh[1])
-            elif sl[0] >= 0:
-                hi, sh = lo, sl
-                lo *= 0.25
-                sl = inner(lo, sl[1])
-            else:
-                break
-        else:
-            raise ArithmeticError("no bisection bracket in the float range")
-        for _ in range(LOCATE_STEPS):
-            mid = math.sqrt(lo) * math.sqrt(hi)
-            sm = inner(mid, math.sqrt(sl[1]) * math.sqrt(sh[1]))
-            if sm[0] < 0:
-                lo, sl = mid, sm
-            else:
-                hi, sh = mid, sm
-        return math.sqrt(lo) * math.sqrt(hi), math.sqrt(sl[1]) * math.sqrt(sh[1]), [*sl[2], *sh[2]]
+        (b, (pl, _, i)), (_, (ph, _, j)) = _log_root(evaluate, b, secant)
+        p, r = pl[i], ph[j]
+        lam = (q2 - r[1]) / (p[1] - r[1])
+        return b, (i, j), self.q1 - (lam * p[0] + (1.0 - lam) * r[0])
 
     def certify(self, a: float, b: float, active: list[int]) -> Optional[PowerControlBracket]:
         """The bracket at (a, b) with the tied slots ``active``, or None
@@ -540,8 +451,10 @@ def power_control_bracket(q1: float, q2: float, params: HKParams) -> PowerContro
     M(a, b) the exact maximum of f1(p) - a p1 - b p2 over the closed-form
     ``_contact_slots``, so every (a, b) gives an upper bound; the tied
     contact points whose hull holds q give a lower bound, the reported
-    value.  Where ``tangent_witness`` finds no point above the tangent
-    plane, g1 = f1 exactly (a bracket of width and rounding 0).
+    value.  The minimum comes from a nested one-variable convex search,
+    over b inside a (``_bracket``).  Where ``tangent_witness`` finds no
+    point above the tangent plane, g1 = f1 exactly (a bracket of width and
+    rounding 0).
     """
     return _bracket(q1, q2, params.u, params.N1, tangent_witness(q1, q2, params))
 
@@ -549,14 +462,16 @@ def power_control_bracket(q1: float, q2: float, params: HKParams) -> PowerContro
 def _bracket(q1: float, q2: float, u: float, N1: float, witness) -> PowerControlBracket:
     """``power_control_bracket`` given the cell's ``tangent_witness``.
 
-    Newton's method starts from the tangent plane with the slots of q and
-    of the witness tied (``_Dual.newton``); where that ends in no bracket
-    within its rounding bound, it restarts from the log-bisection search
-    ``_Dual.locate`` with the slots found there, and the narrowest bracket
-    is kept.  A run that divides by zero, overflows or finds no bisection
-    bracket (ArithmeticError) gives no bracket.  The value is never
-    below f1(q): a cell where no bracket holds q, or whose value does not
-    exceed f1 although a witness lies above the tangent plane, is a
+    g(a) = min over b of D(a, b) (``_Dual.inner``) is convex, as D is
+    jointly convex, so ``_log_root`` finds the sign change of its slope
+    from the tangent plane's (a, b).  Each a certifies (``_Dual.certify``)
+    every two and three of its top slots and those of the last a on the
+    other side of the sign change; the search stops at the first bracket
+    of width 0, or where its own bracket collapses, and the narrowest
+    bracket is kept.  A search that divides by zero, overflows or finds no
+    bracket in the float range (ArithmeticError) ends there.  The value is
+    never below f1(q): a cell where no bracket holds q, or whose value does
+    not exceed f1 although a witness lies above the tangent plane, is a
     ValueError.
     """
     fq = _corner_value(q1, q2, u, N1)
@@ -564,32 +479,30 @@ def _bracket(q1: float, q2: float, u: float, N1: float, witness) -> PowerControl
         return PowerControlBracket(value=fq, upper=fq, rounding=0.0, support=((q1, q2, 1.0),))
     dual = _Dual(q1, q2, u, N1)
     a, b = _corner_gradient(q1, q2, u, N1)
-    pts = _contact_slots(a, b, u, N1)
-    near = min(
-        (i for i, p in enumerate(pts) if p is not None),
-        key=lambda i: abs(pts[i][0] - q1) / q1 + abs(pts[i][1] - q2) / q2,
-    )
-    starts = [(a, b, [near, pts.index(witness)], [1.0, 0.0])]
     best = None
-    for attempt in range(2):
-        for start in starts:
+    # the top slots at the last a on each side of g's minimum
+    sides = {True: (), False: ()}
+
+    def evaluate(a):
+        nonlocal b, best
+        b, slots, slope = dual.inner(a, b)
+        neg = slope < 0.0
+        pool = sorted({*slots, *sides[not neg]})
+        sides[neg] = slots
+        for group in itertools.chain(*(itertools.combinations(pool, n) for n in (2, 3))):
             try:
-                found = dual.newton(*start)
-                cert = found and dual.certify(*found[:3])
+                cert = dual.certify(a, b, list(group))
             except ArithmeticError:
                 cert = None
             if cert and (best is None or abs(cert.upper - cert.value) < abs(best.upper - best.value)):
                 best = cert
-        if attempt or (best is not None and best.within_rounding):
-            break
-        try:
-            a, b, contacts = dual.locate(a, b)
-        except ArithmeticError:
-            break
-        slots = sorted({i for i, _ in contacts})
-        groups = [slots] if len(slots) <= 3 else []
-        groups += [[i, j] for i in slots for j in slots if i < j] if len(slots) > 2 else []
-        starts = [(a, b, g, [1.0 / len(g)] * len(g)) for g in groups]
+        return neg, slope, best is not None and best.upper <= best.value
+
+    # the secant steps aim at the root of g's slope
+    try:
+        _log_root(evaluate, a, lambda lo, hi: (-lo, -hi))
+    except ArithmeticError:
+        pass
     if best is None:
         raise ValueError(
             f"power-control cell (q1={q1}, q2={q2}): the dual found no contact points "

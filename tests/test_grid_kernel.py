@@ -1,7 +1,8 @@
 """The blocked tabulate-and-integrate kernel of ``entropy`` gives the bits of
 the whole-grid path it replaced (``_oracles.whole_grid_integrals``), raises
-on the same inputs with the same messages, and holds memory of one block's
-size, whatever the grid's.
+on the same inputs with the same messages, and on a NaN tabulation, which
+that path let through, and holds memory of one block's size, whatever the
+grid's.
 
 Block edges are where the kernel can go wrong: a block reads its own
 points a..b, the last of which the next block reads again, and blocks are
@@ -99,23 +100,39 @@ def test_nan_and_tiny_points_are_zeroed_across_blocks():
     # underflows, which leaves NaN over whole blocks (the order-64 law has no
     # derivative within MAX_ORDER, so it runs the entropy pass alone); the
     # wide D^2 term leaves values at and below 1e-300 and exact zeros in the
-    # tails of gamma_1
+    # tails of gamma_1.  The unchecked integrals have the whole grid's bits;
+    # the checked call rejects the NaN laws, whose least value and mass are
+    # NaN, and passes the tiny one
     nan_laws = [GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, k, 1e-4))) for k in (64, 63)]
     tiny_law = GaussDerivMixture((DerivTerm(1.0, 0, 1.0), DerivTerm(1e-300, 2, 400.0)))
     n = 2 * B + 1
     for m, fisher in ((nan_laws[0], False), (nan_laws[1], True), (tiny_law, True)):
         lo, hi = m.window()
         with np.errstate(over="ignore", invalid="ignore"):
-            [got] = en.mixture_integrals([m], n=n, fisher=fisher)
+            [got] = en._integrate([m], lo, hi, n, en._Workspace(3 if fisher else 2, n, 1), fisher)
             expected = whole_grid_integrals(m, lo, hi, n, fisher)
         assert same_bits(tuple(got), expected)
         assert math.isfinite(got.entropy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if m is tiny_law:
+                assert en.mixture_integrals([m], n=n, fisher=fisher) == [got]
+                continue
+            assert math.isnan(got.low) and math.isnan(got.mass)
+            with pytest.raises(en.NegativeDensityError, match=r"^density is NaN on the grid$"):
+                en.mixture_integrals([m], n=n, fisher=fisher)
     for m in nan_laws:
         with np.errstate(over="ignore", invalid="ignore"):
             nan_vals = m.pdf(np.linspace(*m.window(), n))
         assert np.isnan(nan_vals[:B]).any() and np.isnan(nan_vals[B:]).any()
     tiny_vals = tiny_law.pdf(np.linspace(*tiny_law.window(), n))
     assert (tiny_vals == 0.0).any() and ((tiny_vals > 0) & (tiny_vals <= 1e-300)).any()
+
+
+def test_short_grid_error_names_the_quantity():
+    with pytest.raises(ValueError, match=r"^Fisher information evaluation requires n >= 1024$"):
+        en.fisher_information(gaussian(1.0), n=1000)
+    with pytest.raises(ValueError, match=r"^entropy evaluation requires n >= 1024$"):
+        en.mixture_entropy(gaussian(1.0), n=1000)
 
 
 def test_fisher_rejects_a_law_without_a_derivative_before_tabulating():

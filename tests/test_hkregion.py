@@ -1,8 +1,11 @@
 """Weighted-rate quantities, alignments, envelopes, and audits."""
 
 import dataclasses
+import json
 import math
+import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1130,19 +1133,53 @@ def test_dual_support_is_a_randomization():
         assert value == pytest.approx(br.value, abs=4 * math.ulp(br.value))
 
 
-def test_dual_falls_back_to_the_bisection_search(monkeypatch):
-    # with Newton from the tangent plane disabled, the log-bisection search
-    # alone finds the bracket, to the same value within rounding
-    params = hk.HKParams(u=1.0, N1=1.0)
-    want = hk.power_control_bracket(1.0, 4.0, params)
+@pytest.mark.parametrize(
+    "u, N1, q, g1, rounding",
+    [
+        (1.0, 1.0, (10.0, 1.0), 2.618995741257237, 5.974351615933675e-14),
+        (3.0, 0.5, (7.0, 2.0), 2.8364904387418157, 1.422510921436725e-13),
+    ],
+)
+def test_dual_search_certifies_cells_newton_missed(u, N1, q, g1, rounding, monkeypatch):
+    # Newton from the tangent plane ended without a bracket on these two
+    # benchmark cells, and a nested log-bisection found the bracket with 563
+    # and 883 evaluations of the contact points (g1 and its rounding bound
+    # recorded then); the one search certifies them like any other cell
     calls = []
-    real = hk._Dual.newton
+    real = hk._contact_slots
+    monkeypatch.setattr(hk, "_contact_slots", lambda *args: calls.append(args) or real(*args))
+    br = hk.power_control_bracket(*q, hk.HKParams(u=u, N1=N1))
+    assert br.within_rounding and len(calls) < 250
+    assert br.value == pytest.approx(g1, abs=max(rounding, br.rounding))
 
-    def newton(self, a, b, active, w):
-        calls.append(list(active))
-        return None if len(calls) == 1 else real(self, a, b, active, w)
 
-    monkeypatch.setattr(hk._Dual, "newton", newton)
-    got = hk.power_control_bracket(1.0, 4.0, params)
-    assert len(calls) >= 2 and got.within_rounding
-    assert got.value == pytest.approx(want.value, abs=want.rounding)
+def test_dual_answers_across_the_float_range():
+    # 800 cells with u, N1, q1 and q2 log-uniform over e^+-20.  Before the
+    # one search, 9 of the 261 gapped cells reported that the dual found no
+    # contact points and 11 had a bracket wider than its rounding bound.
+    # The 160 cells whose bracket was within rounding and whose g1 - f1
+    # exceeded it (recorded: index, g1, rounding) must keep a bracket
+    # within rounding and g1 within the larger rounding bound.
+    rng = random.Random(20261020)
+    cells = [tuple(math.exp(rng.uniform(-20.0, 20.0)) for _ in range(4)) for _ in range(800)]
+    recorded = json.loads((Path(__file__).parent / "hk_sweep_e20.json").read_text())
+    assert len(recorded) == 160
+    gapped, wide, messages = 0, 0, []
+    got = {}
+    for i, (u, N1, q1, q2) in enumerate(cells):
+        params = hk.HKParams(u=u, N1=N1)
+        if hk.tangent_witness(q1, q2, params) is None:
+            continue
+        gapped += 1
+        try:
+            br = hk.power_control_cell(q1, q2, params).bracket
+        except ValueError as exc:
+            messages.append(str(exc))
+            continue
+        wide += not br.within_rounding
+        got[i] = br
+    assert gapped == 261 and wide <= 11
+    assert not [m for m in messages if "no contact points" in m]
+    for i, g1, rounding in recorded:
+        br = got[i]
+        assert br.within_rounding and abs(br.value - g1) <= max(rounding, br.rounding), (i, br, g1)
