@@ -59,7 +59,7 @@ class NonNormalizedError(ValueError):
 
 
 class NegativeDensityError(ValueError):
-    """Density negative beyond -1e-12 somewhere on the grid."""
+    """Density NaN, or negative beyond -1e-12, somewhere on the grid."""
 
 
 def _check_grid(lo: float, hi: float, n: int) -> None:
@@ -70,16 +70,19 @@ def _check_grid(lo: float, hi: float, n: int) -> None:
 
 
 def _check_nonnegative(low: float) -> None:
-    """Reject a density whose least grid value is below -1e-12."""
-    if low < _NEG_TOL:
+    """Reject a density whose least grid value is NaN or below -1e-12."""
+    if math.isnan(low):
+        raise NegativeDensityError("density is NaN on the grid")
+    if not low >= _NEG_TOL:
         raise NegativeDensityError(f"density reaches {low:.3e} < -1e-12 on the grid")
 
 
 def _check_normalized(n: int, mass: float, what: str) -> None:
-    """Entropy and Fisher precondition: n >= 1024, unit mass within 1e-7."""
+    """Entropy and Fisher precondition: n >= 1024, unit mass within 1e-7
+    (a NaN mass is rejected)."""
     if n < 1024:
         raise ValueError(f"{what} evaluation requires n >= 1024")
-    if abs(mass - 1.0) > _MASS_TOL:
+    if not abs(mass - 1.0) <= _MASS_TOL:
         raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
 
 
@@ -258,14 +261,10 @@ class GridIntegrals(NamedTuple):
     fisher: Optional[float] = None
 
     def checked(self, n: int, what: str) -> "GridIntegrals":
-        """These integrals, once GridDensity's check and then the n-point
-        grid and unit-mass checks of ``what`` (the quantity named in the
-        error) pass, and the least value is not NaN.  A NaN there is the
-        law's own tabulation overflowing, and it makes the mass NaN, which
-        both checks would let through; a GridDensity's given NaN points
-        pass them and count as 0 in its entropy."""
-        if math.isnan(self.low):
-            raise NegativeDensityError("density is NaN on the grid")
+        """These integrals, once GridDensity's check (a NaN least value,
+        here the law's own tabulation overflowing, included) and then the
+        n-point grid and unit-mass checks of ``what`` (the quantity named
+        in the error) pass."""
         _check_nonnegative(self.low)
         _check_normalized(n, self.mass, what)
         return self

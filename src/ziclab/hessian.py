@@ -14,14 +14,14 @@ gaussmix and counterexamples import them from here.  The scalar Gaussian
 objective psi, its maximizer and its maximum over a capped K live here
 too, as the one copy that the HK-region and counterexample modules share.
 Every function here computes on Python floats with ``math``, so a command
-that runs this module and ``hkregion`` alone never loads numpy.
+that runs this module and ``hkregion`` alone never loads numpy; the
+records are named tuples, so it loads no ``dataclasses`` either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class NotStationaryError(ValueError):
@@ -245,24 +245,26 @@ def stationary_source_variance(L: float, u: float) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermiteCoeffVector:
-    """Finitely supported coefficients over the orders of D^alpha gamma_v."""
-
+class _HermiteCoeffs(NamedTuple):
     coeffs: dict[int, float]
 
-    def __post_init__(self):
-        clean = {int(a): float(c) for a, c in self.coeffs.items() if c != 0.0}
+
+class HermiteCoeffVector(_HermiteCoeffs):
+    """Finitely supported coefficients over the orders of D^alpha gamma_v."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: dict[int, float]):
+        clean = {int(a): float(c) for a, c in coeffs.items() if c != 0.0}
         if any(a < 0 for a in clean):
             raise ValueError("orders must be nonnegative")
-        object.__setattr__(self, "coeffs", clean)
+        return super().__new__(cls, clean)
 
     def get(self, alpha: int) -> float:
         return self.coeffs.get(alpha, 0.0)
 
 
-@dataclass(frozen=True)
-class HessianReport:
+class HessianReport(NamedTuple):
     K: float
     per_alpha_terms: dict[int, float]
     total: float
@@ -324,8 +326,7 @@ def hessian_quadratic_form(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalOptimalityCertificate:
+class LocalOptimalityCertificate(NamedTuple):
     """Radius of the sup-norm neighborhood where the surrogate objective
     stays below the Gaussian maximum at the stationary diagonal K."""
 
@@ -396,8 +397,7 @@ def local_optimality_radius(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseCell:
+class PhaseCell(NamedTuple):
     u: float
     L: float
     K: float

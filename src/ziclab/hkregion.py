@@ -15,7 +15,8 @@ a lower bound that bracket it.  The d = 2 audit reduces to the
 d = 1 cell q/2 by tensorization, g2(q) = 2 g1(q/2).
 
 Everything here computes on Python floats with ``math``, so the HK
-commands load no numpy.  The lattice linear program that g1 replaced is
+commands load no numpy, and its records are named tuples, so they load
+no ``dataclasses`` either.  The lattice linear program that g1 replaced is
 the tests' lower-bound oracle in ``_lattice``; the names of it that the
 benchmark's tracer hooks on this module are forwarded there on access.
 """
@@ -25,8 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import hessian as hs
 
@@ -65,30 +65,35 @@ _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class HKParams:
-    """Weighted-rate parameters; the fixed-power quantities normalize the
-    second noise to variance u."""
-
+class _HKFields(NamedTuple):
     u: float
-    N1: float = 0.0
+    N1: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and math.isfinite(self.N1)):
+
+class HKParams(_HKFields):
+    """Weighted-rate parameters; the fixed-power quantities normalize the
+    second noise to variance u.  ``_replace`` and ``_make`` skip these
+    checks: build a new HKParams instead."""
+
+    __slots__ = ()
+
+    def __new__(cls, u: float, N1: float = 0.0):
+        if not (math.isfinite(u) and math.isfinite(N1)):
             raise ValueError("u and N1 must be finite")
-        if self.u <= 0:
+        if u <= 0:
             raise ValueError("u must be positive")
         # tangent_witness's rounding term 4 (u+1) logs must be finite on
         # every cell; its logs stay below 2 + 2|ln u| + 2 ln(float max), and
         # below such a u the terms u ln(.) of f1 are finite too
-        logs = 2.0 + 2.0 * abs(math.log(self.u)) + 2.0 * _LN_FLOAT_MAX
-        if not math.isfinite(4.0 * (self.u + 1.0) * logs):
+        logs = 2.0 + 2.0 * abs(math.log(u)) + 2.0 * _LN_FLOAT_MAX
+        if not math.isfinite(4.0 * (u + 1.0) * logs):
             raise ValueError(
                 f"u too large: the f1 = g1 rounding bound 4 (u+1) (2 + 2 ln u + "
-                f"2 ln(float max)) overflows, got {self.u}"
+                f"2 ln(float max)) overflows, got {u}"
             )
-        if self.N1 < 0:
+        if N1 < 0:
             raise ValueError("N1 must be nonnegative")
+        return super().__new__(cls, u, N1)
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +131,7 @@ def _log_scale(p1: float, p2: float, u: float, N1: float) -> float:
     return 4.0 * (u + 1.0) * (1.0 + abs(math.log(u)) + abs(math.log(p1 + p2 + N1 + u)))
 
 
-@dataclass(frozen=True)
-class FixedPowerResult:
+class FixedPowerResult(NamedTuple):
     value: float
     J: float
     L: float
@@ -255,8 +259,7 @@ def tangent_witness(q1: float, q2: float, params: HKParams) -> Optional[tuple[fl
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerControlBracket:
+class PowerControlBracket(NamedTuple):
     """g1(q) = value, with the dual's upper bound ``upper`` and the
     rounding bound that upper - value must stay within, and the support
     points (p1, p2, weight) of the randomization that attains ``value``."""
@@ -537,8 +540,7 @@ def variance_bound_holds(K: float, N1: float, u: float) -> bool:
     return s <= 0 or s * s * f <= (f + e) * (b * d) ** 2
 
 
-@dataclass(frozen=True)
-class MaximizerBoundResult:
+class MaximizerBoundResult(NamedTuple):
     K: float
     bound_holds: bool
     case: int
@@ -572,8 +574,7 @@ def maximizer_bound_check(Jv: float, Lv: float, params: HKParams) -> MaximizerBo
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     q1: float
     q2: float
     applicable: bool
@@ -582,8 +583,7 @@ class AuditRecord:
     case: int
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     records: tuple[AuditRecord, ...]
     applicable: int
     violations: int
@@ -640,8 +640,7 @@ def eigenvalue_bound_audit(d: int, params: HKParams, samples: int, rng) -> Audit
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerControlCell:
+class PowerControlCell(NamedTuple):
     u: float
     q1: float
     q2: float
@@ -688,11 +687,12 @@ def power_control_map(
     u_grid: Iterable[float], q_grid: Iterable[float], params: HKParams
 ) -> list[PowerControlCell]:
     """``power_control_cell`` over every (u, q1, q2) of the sorted grids,
-    with params.u replaced by each u.  Points with q1 <= 0 are dropped, so
+    with params.u replaced by each u in a new, checked HKParams.  Points
+    with q1 <= 0 are dropped, so
     one grid holding 0 gives the q2 = 0 column without a q1 = 0 row."""
     qs = sorted(float(q) for q in q_grid)
     return [
-        power_control_cell(q1, q2, replace(params, u=u))
+        power_control_cell(q1, q2, HKParams(u, params.N1))
         for u in sorted(float(x) for x in u_grid)
         for q1 in qs
         if q1 > 0

@@ -383,6 +383,59 @@ def test_stationary_point_reports_pinned(line, tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_REPORTS[line]
 
 
+@pytest.mark.parametrize("line", PINNED_REPORTS)
+def test_one_subcommand_parser_parses_as_the_full_one(line):
+    # main builds the parser of argv[0] alone when it names a subcommand
+    argv = shlex.split(line)
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert set(build_parser(argv[0])._subparsers._group_actions[0].choices) == {argv[0]}
+
+
+HK_REGION_HELP = """\
+usage: ziclab hk-region [-h] [--u U] [--N1 N1] --q1 Q1 --q2 Q2
+                        [--output OUTPUT] [--format {json,csv}]
+
+options:
+  -h, --help           show this help message and exit
+  --u U
+  --N1 N1
+  --q1 Q1
+  --q2 Q2
+  --output OUTPUT      report path, or - for stdout
+  --format {json,csv}
+"""
+SUBCOMMANDS = ("'verify-lemma1', 'verify-lemma2', 'verify-vertical', 'condition54-root', "
+               "'hessian', 'phase-diagram', 'theorem5-epsilon', 'hk-region', 'lemma5-audit', "
+               "'theorem4-audit', 'constant-power-gap', 'conjecture2-map', 'geometry', "
+               "'limit-functional'")
+
+
+# the bytes the parser printed when it held every subcommand, at 80
+# columns and with Python 3.11's argparse
+def test_full_help_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out), err) == (
+        "13e60c23e2687cf0f739b2b6238c655f7d2a2d12ca5bd857ce2d578c40ba2d04", 1537, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["hk-region", "--help"], 0, HK_REGION_HELP, ""),
+        (["nope"], 2, "",
+         f"ziclab: error: argument subcommand: invalid choice: 'nope' (choose from {SUBCOMMANDS})\n"),
+        (["hk-region", "--q2", "1"], 2, "",
+         "ziclab hk-region: error: the following arguments are required: --q1\n"),
+    ],
+)
+def test_help_and_parse_errors_pinned(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 # every float option of every subcommand, and the options a command requires
 FLOAT_OPTIONS = {
     "verify-lemma1": ("--t-min", "--t-max", "--c1-tol", "--c15-tol"),
@@ -533,6 +586,8 @@ def test_non_finite_parameter_exit_2(argv, capsys):
         ["constant-power-gap", "--u", "0"],
         ["constant-power-gap", "--N1", "0"],
         ["constant-power-gap", "--N2", "0"],
+        # power_control_map builds a checked HKParams for each u
+        ["conjecture2-map", "--u", "0", "--q", "1"],
     ],
 )
 def test_non_positive_parameter_exit_2(argv, capsys):
@@ -891,20 +946,20 @@ def test_help_loads_no_numpy(argv):
     assert out.endswith("\n['ziclab', 'ziclab.cli']\n")
 
 
-HESSIAN_ONLY = ("ziclab.hessian",)
-PERTURBATION = ("numpy", "ziclab.counterexamples", "ziclab.entropy", "ziclab.gaussmix",
-                "ziclab.hessian")
-HK = ("ziclab.hessian", "ziclab.hkregion")
-# the modules each subcommand loads besides the package and the CLI, numpy
-# among them only where the command computes on arrays (_util holds the
-# audits' RNG streams); the five scalar commands and the four HK commands
-# load no numpy, and README runs all 14 subcommands
-# (test_readme_runs_every_subcommand)
+HESSIAN_ONLY = ("ziclab._cmd_scalar", "ziclab.hessian")
+PERTURBATION = ("numpy", "ziclab._cmd_perturb", "ziclab.counterexamples", "ziclab.entropy",
+                "ziclab.gaussmix", "ziclab.hessian")
+HK = ("ziclab._cmd_hk", "ziclab.hessian", "ziclab.hkregion")
+# the modules each subcommand loads besides the package and the CLI: its
+# family's handler module, and numpy only where the command computes on
+# arrays (_util holds the audits' RNG streams); the five scalar commands
+# and the four HK commands load no numpy, and README runs all 14
+# subcommands (test_readme_runs_every_subcommand)
 COMMAND_MODULES = {
     "phase-diagram": HESSIAN_ONLY,
     "hessian": HESSIAN_ONLY,
     "theorem5-epsilon": HESSIAN_ONLY,
-    "geometry": ("ziclab.geometry",),
+    "geometry": ("ziclab._cmd_scalar", "ziclab.geometry"),
     "condition54-root": HESSIAN_ONLY,
     "verify-lemma1": PERTURBATION,
     "verify-lemma2": PERTURBATION,
@@ -947,6 +1002,38 @@ def test_benchmark_hk_command_loads_no_numpy(line, tmp_path):
                            f"print(code); {LOADED}"])
     want = ["ziclab", "ziclab.cli", *COMMAND_MODULES[argv[0]]]
     assert out == f"0\n{sorted(want)}\n"
+
+
+# how `python -m ziclab.cli` runs the module, with what the run loaded
+RUN_AS_MAIN = """
+import runpy, sys
+sys.argv[1:] = ARGV
+try:
+    runpy.run_module("ziclab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code)
+print(sorted(m for m in sys.modules if m in ("numpy", "dataclasses", "inspect", "csv")
+             or m.startswith("ziclab.")))
+"""
+NUMPY_FREE = ("phase-diagram", "hessian", "theorem5-epsilon", "geometry", "condition54-root",
+              "hk-region", "lemma5-audit", "theorem4-audit", "conjecture2-map")
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE)
+def test_numpy_free_command_as_main_loads_only_its_modules(command, tmp_path):
+    # no numpy, no dataclasses (whose import brings inspect), no csv in a
+    # JSON run, and no second copy of the CLI: a handler module that
+    # imported ziclab.cli would execute it again beside __main__
+    argv = [*next(a for a in CONFIG_ARGVS if a[0] == command), "--output", str(tmp_path / "r")]
+    out = run_fresh(["-c", f"ARGV = {argv!r}" + RUN_AS_MAIN])
+    want = sorted(m for m in COMMAND_MODULES[command] if m.startswith("ziclab."))
+    assert out == f"0\n{want}\n"
+
+
+def test_csv_run_as_main_loads_csv(tmp_path):
+    argv = ["geometry", "--t", "20", "--format", "csv", "--output", str(tmp_path / "r")]
+    out = run_fresh(["-c", f"ARGV = {argv!r}" + RUN_AS_MAIN])
+    assert out == "0\n['csv', 'ziclab._cmd_scalar', 'ziclab.geometry']\n"
 
 
 def test_hkregion_import_loads_no_numpy_and_no_lattice():

@@ -1,6 +1,5 @@
 """Weighted-rate quantities, alignments, envelopes, and audits."""
 
-import dataclasses
 import json
 import math
 import random
@@ -513,7 +512,7 @@ def test_params_reject_non_finite():
 def test_params_hold_u_and_N1_only():
     # the second-noise variance N2 belonged to the constant-power witness,
     # which takes counterexamples.ChannelParams
-    assert [f.name for f in dataclasses.fields(hk.HKParams)] == ["u", "N1"]
+    assert hk.HKParams._fields == ("u", "N1")
 
 
 def test_params_reject_u_overflowing_the_rounding_bound():
@@ -1178,8 +1177,10 @@ def test_dual_answers_across_the_float_range():
             continue
         wide += not br.within_rounding
         got[i] = br
-    assert gapped == 261 and wide <= 11
-    assert not [m for m in messages if "no contact points" in m]
+    assert gapped == 261 and wide <= 2
+    # the other gapped cells are ValueErrors whose g1 - f1 is below f1's
+    # rounding, none that the dual found no contact points
+    assert len(messages) == 32 and all("below f1's rounding" in m for m in messages)
     for i, g1, rounding in recorded:
         br = got[i]
         assert br.within_rounding and abs(br.value - g1) <= max(rounding, br.rounding), (i, br, g1)
