@@ -1,19 +1,18 @@
-"""Shared plumbing: counter-based random streams and a thread-pool map.
+"""Shared plumbing: counter-based random streams.
 
 All randomness in the package flows from a single integer seed through
 named Philox streams, so draws are reproducible regardless of execution
 order.  ``PhiloxStream`` is Philox4x64-10 (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011) on Python integers, drawn the way
 numpy's ``Generator(Philox(key))`` draws ``uniform``, so the audits run
-without numpy; the tests check it against numpy bit for bit.  No command
-calls ``parallel_map``: it and ``thread_count`` remain because the
-benchmark's tracer (``perfbench/trace_run.py``) hooks them by name.
-``hashlib`` and ``concurrent.futures`` are imported on first use.
+without numpy; the tests check it against numpy bit for bit.  ``hashlib``
+is imported on first use.  No command calls ``parallel_map``, a plain
+map, or ``thread_count``: they remain because the benchmark's tracer
+(``perfbench/trace_run.py``) hooks them by name.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -84,26 +83,9 @@ def rng_for(seed: int, stream: str) -> PhiloxStream:
 
 
 def thread_count() -> int:
-    raw = os.environ.get("ZIC_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
+    return 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map ``fn`` over ``items`` preserving order; threaded when allowed.
-
-    ``fn`` must be pure: the output list order is the input order, never
-    completion order, so reports stay deterministic under any thread count.
-    """
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(it) for it in items]."""
+    return [fn(it) for it in items]

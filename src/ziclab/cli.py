@@ -97,14 +97,6 @@ def parse_values(text: str) -> list[float]:
     return values
 
 
-def parse_finite(text: str) -> float:
-    """One finite float."""
-    value = _number(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
-    return value
-
-
 def _checked(kind, check: str):
     """Parser type for ``kind`` values that ``check``, a validator named
     ``module.function`` within ziclab, accepts: the check's ValueError
@@ -199,8 +191,8 @@ COMMANDS = {
         ("--t-max", dict(type=_checked(float, "entropy.check_smoothing_t"), default=1e-2)),
         ("--t-count", dict(type=_checked(int, "entropy.check_expansion_count"), default=10)),
         ("--n", dict(type=int, default=8192)),
-        ("--c1-tol", dict(type=parse_finite, default=0.02)),
-        ("--c15-tol", dict(type=parse_finite, default=0.05)),
+        ("--c1-tol", dict(type=_checked(float, "entropy.check_fit_tolerance"), default=0.02)),
+        ("--c15-tol", dict(type=_checked(float, "entropy.check_fit_tolerance"), default=0.05)),
     )),
     "verify-lemma2": ("skewed-interferer gap vs Gaussian control", "_cmd_perturb", (
         ("--t-min", dict(type=_checked(float, "counterexamples.check_gap_t"), default=1e-3)),

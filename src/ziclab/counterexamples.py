@@ -188,26 +188,28 @@ def skewness_gap(
     recipe: SkewRecipe,
     N1: float = 0.0,
     Sigma1: float = 0.0,
-    gaussian_x2: bool = False,
     n: int = 8192,
 ) -> np.ndarray:
-    """Gap of h(X1+Z2+X2) + h(X1) - 2 h(X1+Z2) - Sigma1 E[X1^2] per t.
+    """Gap of h(X1+Z2+X2) + h(X1) - 2 h(X1+Z2) - Sigma1 E[X1^2] per t, for
+    the skewed interferer and for its Gaussian control.
 
     The base variable satisfies law(sqrt(t) X1) = p (optionally smoothed by
     an extra gamma_{t N1} when N1 > 0, which realizes the positive-noise
     variant by treating X1 + Z1 as the new X1), the interferer witness is
-    the MIRROR IMAGE of the law of sqrt(t) q (or a Gaussian of matched
-    variance when ``gaussian_x2``), and var(Z2) = m2(q).  Reflecting the
-    interferer matches the smoothing convention under which the recipe's
-    sign conditions (m3 < 0, int p''' ln p > 0) give a positive gain; the
+    the MIRROR IMAGE of the law of sqrt(t) q, its control is a Gaussian of
+    matched variance, and var(Z2) = m2(q).  Reflecting the interferer
+    matches the smoothing convention under which the recipe's sign
+    conditions (m3 < 0, int p''' ln p > 0) give a positive gain; the
     supremum over interferer laws makes the orientations equivalent.  All
     entropies are evaluated after the common sqrt(t) dilation, under which
     the combination is invariant; the cost is that of the undilated X1,
-    Sigma1 m2(p_eff)/t.  N1 and Sigma1 must be finite and nonnegative.
-    The recipe's sign conditions are ``SkewRecipe.validate``'s, which this
-    function does not run.
+    Sigma1 m2(p_eff)/t.  The witness and control pairs of a t are one
+    ``interference_objective`` batch, and each keeps the bits it has alone
+    (``pdf_many``'s guarantee).  N1 and Sigma1 must be finite and
+    nonnegative.  The recipe's sign conditions are
+    ``SkewRecipe.validate``'s, which this function does not run.
 
-    Returns an array of rows (t, gap).
+    Returns an array of rows (t, gap, gaussian_control_gap).
     """
     for name, value in (("N1", N1), ("Sigma1", Sigma1)):
         if not (math.isfinite(value) and value >= 0):
@@ -217,14 +219,12 @@ def skewness_gap(
     for t in sorted(float(t) for t in t_grid):
         check_gap_t(t)
         p_eff = recipe.p.convolve_gaussian(t * N1)
-        if gaussian_x2:
-            q_t = gaussian(t * m2)
-        else:
-            q_t = recipe.q.scaled(math.sqrt(t)).reflected()
-        [gap] = interference_objective(ChannelParams(u=1.0, N2=t * m2), [(p_eff, q_t)], n=n)
+        pairs = [(p_eff, recipe.q.scaled(math.sqrt(t)).reflected()), (p_eff, gaussian(t * m2))]
+        gaps = interference_objective(ChannelParams(u=1.0, N2=t * m2), pairs, n=n)
         if Sigma1 > 0:
-            gap -= Sigma1 * p_eff.second_moment() / t
-        rows.append((t, gap))
+            cost = Sigma1 * p_eff.second_moment() / t
+            gaps = [g - cost for g in gaps]
+        rows.append((t, *gaps))
     return np.array(rows)
 
 
@@ -279,22 +279,20 @@ def check_mixing_variance(A: float) -> None:
 
 
 def constant_power_gap(
-    params: ChannelParams,
-    A: Optional[float] = None,
-    recipe: Optional[SkewRecipe] = None,
-    n: int = 8192,
+    params: ChannelParams, A: Optional[float] = None, n: int = 8192
 ) -> ConstantPowerGapResult:
     """Certified non-Gaussian vs Gaussian values of the constant-power
     weighted rate F_u at the witness cell, for positive u, N1 and N2
     (ValueError otherwise).
 
-    The witness scales the skew recipe so E[X2^2] = N2 (t = N2 / m2(q)) and
-    mixes the source with an independent gamma_A; conditioning on the mixing
-    device bounds the concave-envelope term below by the skew gain c, while
-    the output entropy concedes at most the measured Gaussian slack.  The
-    certified lower bound is lndet-term + c/2, valid once slack <= c/2 (A is
-    doubled until slack <= c/4 when not supplied).  Raises
-    WitnessUnavailableError when the cell has no verified positive gain.
+    The witness scales the default skew recipe so E[X2^2] = N2
+    (t = N2 / m2(q)) and mixes the source with an independent gamma_A;
+    conditioning on the mixing device bounds the concave-envelope term below
+    by the skew gain c, while the output entropy concedes at most the
+    measured Gaussian slack.  The certified lower bound is lndet-term + c/2,
+    valid once slack <= c/2 (A is doubled until slack <= c/4 when not
+    supplied).  Raises WitnessUnavailableError when the cell has no verified
+    positive gain.
     """
     u, N1, N2 = params.u, params.N1, params.N2
     for name, value in (("u", u), ("N1", N1), ("N2", N2)):
@@ -302,7 +300,7 @@ def constant_power_gap(
             raise ValueError(f"{name} must be positive for the constant-power witness, got {value}")
     if A is not None:
         check_mixing_variance(A)
-    recipe = recipe or default_recipe()
+    recipe = default_recipe()
     info = recipe.validate()
     t = N2 / info["m2"]
     x1p = recipe.p.scaled(1.0 / math.sqrt(t))

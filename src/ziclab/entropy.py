@@ -11,7 +11,7 @@ keeps mass Q(12) = 1.8e-33 and second-moment tail 2.6e-31, so the
 omitted entropy and Fisher terms lie far below one ulp of any value
 reported here.
 
-One blocked kernel computes every grid integral.  A pass walks the grid in
+One blocked kernel computes every mixture integral.  A pass walks the grid in
 blocks of at most ``BLOCK`` trapezoid terms: it tabulates the mixtures of
 one window on the block's own points (each distinct term column once),
 tracks their least value for the -1e-12 check, clips, and writes the
@@ -27,7 +27,9 @@ tabulating the whole grid at once (``tests/_oracles.py`` keeps that
 path), a block's buffers stay in the CPU caches, and a call's memory is
 O(BLOCK * laws), whatever n is.
 ``tests/test_grid_kernel.py::test_block_sums_follow_numpys_pairwise_tree``
-pins numpy's tree, so a numpy that sums otherwise fails it.
+pins numpy's tree, so a numpy that sums otherwise fails it.  A density
+given as values (``GridDensity``) is already in memory whole, so its
+integrals are numpy's ``np.trapezoid`` itself.
 
 This module is the independent oracle for every closed form downstream:
 nothing here reuses the exact mixture algebra except to evaluate pointwise
@@ -109,21 +111,11 @@ class GridDensity:
         return (self.hi - self.lo) / (self.n - 1)
 
     def integral(self, integrand: np.ndarray) -> float:
-        """Trapezoid integral of ``integrand`` tabulated on this grid:
-        ``np.trapezoid``'s expression d * (y[1:] + y[:-1]) / 2.0, summed
-        block by block with the bits of one np.sum."""
-        y = np.asarray(integrand, dtype=float)
-        [total] = _Workspace(1, self.n).sums(
-            self.n, 1, lambda a, b, terms: _trapezoid_terms(y[a : b + 1], self.step, terms[0])
-        )
-        return total
+        """Trapezoid integral of ``integrand`` tabulated on this grid."""
+        return float(np.trapezoid(np.asarray(integrand, dtype=float), dx=self.step))
 
     def mass(self) -> float:
         return self.integral(self.values)
-
-    def check_normalized(self, what: str) -> None:
-        """Entropy precondition: n >= 1024, unit mass within 1e-7."""
-        _check_normalized(self.n, self.mass(), what)
 
 
 def _grid(x: np.ndarray, lo: float, hi: float, n: int, last: bool) -> np.ndarray:
@@ -367,15 +359,15 @@ def mixture_to_grid(m: GaussDerivMixture, lo: float, hi: float, n: int) -> GridD
 
 
 def differential_entropy(p: GridDensity) -> float:
-    """-int p ln p by the composite trapezoid rule on the grid, in blocks.
+    """-int p ln p by the composite trapezoid rule on the grid.
 
     Points with p < 1e-300 are excluded from the log (their contribution is
     analytically below any tolerance used here).
     """
-    p.check_normalized("entropy")
-    ws = _Workspace(1, p.n)
-    [h] = ws.sums(p.n, 1, lambda a, b, terms: ws.entropy_terms(p.values[a : b + 1], p.step, terms[0]))
-    return h
+    _check_normalized(p.n, p.mass(), "entropy")
+    v = p.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p.integral(np.where(v > _TINY, -(np.log(v) * v), 0.0))
 
 
 def fisher_information(m: GaussDerivMixture, n: int = 8192) -> float:
@@ -465,6 +457,13 @@ def check_expansion_count(count: int) -> None:
     """Reject fewer than 6 t values: 4 fit columns, 2 for the residual slope."""
     if count < 6:
         raise ValueError(f"need at least 6 t values, got {count}")
+
+
+def check_fit_tolerance(tol: float) -> None:
+    """Reject a relative fit tolerance that is not finite and nonnegative
+    (ValueError)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"fit tolerance must be finite and nonnegative, got {tol}")
 
 
 def check_fit_t(t: np.ndarray, powers: tuple[float, ...]) -> None:

@@ -202,12 +202,6 @@ def _contact_slots(a: float, b: float, u: float, N1: float) -> list[Optional[tup
     return [p if 0.0 <= p[0] < math.inf and 0.0 <= p[1] < math.inf else None for p in pts]
 
 
-def _plane_contacts(a: float, b: float, u: float, N1: float) -> tuple[list[float], list[float]]:
-    """Lists (p1, p2) of the points of ``_contact_slots`` that exist."""
-    pts = [p for p in _contact_slots(a, b, u, N1) if p is not None]
-    return [p[0] for p in pts], [p[1] for p in pts]
-
-
 def _not_finite(q1: float, q2: float, what: str) -> str:
     return f"tangent-plane test at cell (q1={q1}, q2={q2}): its {what} is not finite"
 
@@ -221,7 +215,7 @@ def tangent_witness(q1: float, q2: float, params: HKParams) -> Optional[tuple[fl
     on a point a small step past q along the chord from p beat f1(q).
 
     The maximum of f1 - l over p >= 0 is attained at one of the closed-form
-    points of ``_plane_contacts``; the test returns the one of largest
+    points of ``_contact_slots``; the test returns the one of largest
     excess f1 - l above 8 ulps of the magnitudes of the terms of f1 and l
     (``_log_scale`` bounds the logs of f1).  For q2 = 0 the support of g1
     stays on the q1 axis, where f1(p1, 0) = ln(p1 + N1) is concave, so the
@@ -241,7 +235,7 @@ def tangent_witness(q1: float, q2: float, params: HKParams) -> Optional[tuple[fl
         return None
     scale_q = _log_scale(q1, q2, u, N1)
     best, witness = 0.0, None
-    for x, y in zip(*_plane_contacts(d1, d2, u, N1)):
+    for x, y in filter(None, _contact_slots(d1, d2, u, N1)):
         f = _corner_value(x, y, u, N1)
         r1, r2 = d1 * (x - q1), d2 * (y - q2)
         terms = abs(f) + abs(fq) + abs(r1) + abs(r2) + scale_q + _log_scale(x, y, u, N1)

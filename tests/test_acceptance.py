@@ -81,15 +81,15 @@ def test_criterion_03_skew_gap_positive():
     recipe = cx.default_recipe()
     t_grid = np.geomspace(1e-3, 1e-2, 6)
     rows = cx.skewness_gap(t_grid, recipe, n=8192)
-    control = cx.skewness_gap(t_grid, recipe, gaussian_x2=True, n=8192)
-    ok = bool(np.all(rows[:2, 1] > 1e-6) and np.all(control[:, 1] <= 1e-6))
+    control = rows[:, 2]
+    ok = bool(np.all(rows[:2, 1] > 1e-6) and np.all(control <= 1e-6))
     elapsed = time.time() - t0
     report(
         3,
         "skewed-interferer gap strictly positive, Gaussian control flat",
         ok and elapsed < 60.0,
         elapsed,
-        f"gaps {rows[0, 1]:.2e}, {rows[1, 1]:.2e}; max control {control[:, 1].max():.2e}",
+        f"gaps {rows[0, 1]:.2e}, {rows[1, 1]:.2e}; max control {control.max():.2e}",
     )
 
 

@@ -26,12 +26,12 @@ from test_readme_commands import readme_commands
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_fresh(args, **env):
+def run_fresh(args):
     """Run `python <args>` in a new interpreter with only this checkout's
     sources on the path."""
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": SRC, **env},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         check=True,
         text=True,
@@ -914,24 +914,6 @@ def test_hull_commands_load_no_scipy(tmp_path):
     assert out == "0 []\n"
 
 
-def test_hull_import_from_pool_threads_same_report():
-    # fresh processes; no command reads ZIC_THREADS, so the report must not
-    # depend on it
-    argv = ["-m", "ziclab.cli", "hk-region", "--q1", "1,2", "--q2", "1,3"]
-    one = run_fresh(argv, ZIC_THREADS="1")
-    two = run_fresh(argv, ZIC_THREADS="2")
-    assert one == two
-    assert len(json.loads(one)["results"]) == 4
-
-
-def test_geometry_from_pool_threads_same_report():
-    argv = ["-m", "ziclab.cli", "geometry", "--t", "10,20,30"]
-    one = run_fresh(argv, ZIC_THREADS="1")
-    two = run_fresh(argv, ZIC_THREADS="2")
-    assert one == two
-    assert len(json.loads(one)["results"]) == 4
-
-
 LOADED = "print(sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'ziclab'))"
 
 
@@ -1283,17 +1265,6 @@ def test_theorem4_audit_cli(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
-def test_thread_cap_does_not_change_report(tmp_path, monkeypatch):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    argv = ["geometry", "--t", "20:100:20"]
-    monkeypatch.setenv("ZIC_THREADS", "1")
-    assert main(argv + ["--output", str(a)]) == 0
-    monkeypatch.setenv("ZIC_THREADS", "4")
-    assert main(argv + ["--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_geometry_csv_with_summary_row(tmp_path):
     out = tmp_path / "geo.csv"
     assert main(["geometry", "--t", "20,40", "--format", "csv", "--output", str(out)]) == 0
@@ -1368,15 +1339,27 @@ def test_verify_lemma2_bad_noise_exit_2(option, value, capsys):
         (["verify-lemma2", "--t-min=-1"], "--t-min: t values must be finite and positive, got -1.0"),
         (["verify-lemma2", "--t-min", "0"], "--t-min: t values must be finite and positive, got 0.0"),
         (["verify-lemma2", "--t-max", "inf"], "--t-max: t values must be finite and positive, got inf"),
+        (["verify-lemma1", "--c1-tol=-1"], "--c1-tol: fit tolerance must be finite and nonnegative, got -1.0"),
+        (["verify-lemma1", "--c15-tol=-1e-300"],
+         "--c15-tol: fit tolerance must be finite and nonnegative, got -1e-300"),
     ],
 )
 def test_lemma_t_grid_out_of_range_exit_2(argv, message, capsys):
     # these used to end in an IndexError traceback, in numpy's geomspace
-    # messages after a RuntimeWarning, or in a fit with no residual freedom
+    # messages after a RuntimeWarning, or in a fit with no residual freedom;
+    # a negative fit tolerance ran the whole fit and exited 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert capsys.readouterr().err == f"ziclab {argv[0]}: error: argument {message}\n"
+
+
+def test_verify_lemma1_zero_tolerance_is_valid(capsys):
+    # 0 asks for an exact fit: a valid input that no float fit meets
+    code, out = run_cli(["verify-lemma1", "--t-count", "6", "--c1-tol", "0", "--c15-tol", "0"], capsys)
+    checks = json.loads(out)["checks"]
+    assert code == 3
+    assert [c["detail"].endswith("(rel tol 0.0)") for c in checks[:2]] == [True, True]
 
 
 def test_verify_vertical_delta_above_K_named_before_eps_scan(capsys):

@@ -102,8 +102,8 @@ def test_skewness_gap_positive_and_matches_quadrature(recipe):
 
 def test_skewness_gap_gaussian_control(recipe):
     t_grid = np.geomspace(1e-3, 1e-2, 6)
-    rows = cx.skewness_gap(t_grid, recipe, gaussian_x2=True, n=8192)
-    assert np.all(rows[:, 1] <= 1e-6)
+    rows = cx.skewness_gap(t_grid, recipe, n=8192)
+    assert np.all(rows[:, 2] <= 1e-6)
 
 
 def test_skewness_gap_symmetric_interferer_is_second_order():
@@ -149,7 +149,7 @@ def test_skewness_gap_runs_no_recipe_quadrature(recipe, monkeypatch):
 
     monkeypatch.setattr(cx, "log_weighted_deriv_integral", no_quadrature)
     rows = cx.skewness_gap([1e-3, 1e-2], recipe, n=4096)
-    assert rows.shape == (2, 2)
+    assert rows.shape == (2, 3)
 
 
 def test_skewness_gap_with_noise_and_cost(recipe):
@@ -186,6 +186,23 @@ def test_skewness_gap_is_the_channel_objective(recipe):
     assert cx.skewness_gap([t], recipe, n=2048)[0, 1] == by_hand
 
 
+def test_skewness_gap_batch_equals_separate_objectives(recipe):
+    # the witness and its Gaussian control are one objective batch per t,
+    # and each column keeps the bits of its pair evaluated alone, here with
+    # noise and cost (the report pins hold N1 = Sigma1 = 0 only)
+    N1, Sigma1, n = 0.3, 0.2, 4096
+    m2 = recipe.q.second_moment()
+    rows = cx.skewness_gap([1e-3, 4e-3, 1e-2], recipe, N1=N1, Sigma1=Sigma1, n=n)
+    for t, gap, control in rows.tolist():
+        p_eff = recipe.p.convolve_gaussian(t * N1)
+        params = cx.ChannelParams(u=1.0, N2=t * m2)
+        cost = Sigma1 * p_eff.second_moment() / t
+        q_t = recipe.q.scaled(math.sqrt(t)).reflected()
+        [witness] = cx.interference_objective(params, [(p_eff, q_t)], n=n)
+        [alone] = cx.interference_objective(params, [(p_eff, gaussian(t * m2))], n=n)
+        assert (gap, control) == (witness - cost, alone - cost)
+
+
 @pytest.mark.parametrize("rows", [np.array([]), np.array([[1e-3, 0.1]])])
 def test_gap_coefficient_needs_two_rows(rows):
     with pytest.raises(ValueError, match="needs at least 2 t values"):
@@ -200,6 +217,28 @@ def test_richardson_quadratic_exact_to_sixth_order():
     values, coeff = cx.richardson_quadratic(lambda eps: [value(e) for e in eps], 0.5, 0.1)
     assert values == [value(0.1), value(0.05), value(0.025)]
     assert coeff == pytest.approx(3.0, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# constant-power witness
+# ----------------------------------------------------------------------
+
+
+def test_constant_power_gap_positive():
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
+    res = cx.constant_power_gap(params)
+    assert res.witness_gain > 1e-6
+    assert res.slack <= res.witness_gain / 2.0
+    assert res.lower_witness > res.gaussian_value
+    # e_41 structure: witness >= gaussian + c/2 - slack
+    assert res.lower_witness >= res.gaussian_value + res.witness_gain / 2.0 - res.slack - 1e-12
+
+
+def test_constant_power_witness_unavailable():
+    # N2 so large that the scaled construction has no verified positive gain
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=50.0)
+    with pytest.raises(cx.WitnessUnavailableError):
+        cx.constant_power_gap(params)
 
 
 # ----------------------------------------------------------------------

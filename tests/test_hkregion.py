@@ -719,7 +719,7 @@ def assert_contacts_beat_lattice(q, params, n=129):
     excess, bound = plane_excess(q, axes[0][:, None], axes[1][None, :], params)
     over = float((excess - bound).max())
     u, N1 = params.u, params.N1
-    contacts = hk._plane_contacts(*hk._corner_gradient(*q, u, N1), u, N1)
+    contacts = zip(*filter(None, hk._contact_slots(*hk._corner_gradient(*q, u, N1), u, N1)))
     assert over <= plane_excess(q, *contacts, params)[0].max()
     if over > 0:
         assert hk.tangent_witness(*q, params) is not None
@@ -914,16 +914,6 @@ def test_power_control_cell_g1_majorizes_f1_exactly():
 # ----------------------------------------------------------------------
 
 
-def test_constant_power_gap_positive():
-    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
-    res = cx.constant_power_gap(params)
-    assert res.witness_gain > 1e-6
-    assert res.slack <= res.witness_gain / 2.0
-    assert res.lower_witness > res.gaussian_value
-    # e_41 structure: witness >= gaussian + c/2 - slack
-    assert res.lower_witness >= res.gaussian_value + res.witness_gain / 2.0 - res.slack - 1e-12
-
-
 @pytest.mark.parametrize(
     "u, N1, N2, where",
     [(2.0, 0.5, 0.3, "interior"), (2.0, 1.0, 0.05, "K = 0"), (1.0, 1.0, 0.05, "K = q1")],
@@ -982,13 +972,6 @@ def test_constant_power_gap_rejects_bad_mixing_variance(A):
     params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
     with pytest.raises(ValueError, match="mixing variance A must be finite and nonnegative"):
         cx.constant_power_gap(params, A=A)
-
-
-def test_constant_power_witness_unavailable():
-    # N2 so large that the scaled construction has no verified positive gain
-    params = cx.ChannelParams(u=1.0, N1=1.0, N2=50.0)
-    with pytest.raises(cx.WitnessUnavailableError):
-        cx.constant_power_gap(params)
 
 
 def test_constant_power_gap_rejects_a_nan_skew_gain():

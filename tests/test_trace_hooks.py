@@ -41,11 +41,13 @@ def test_pool_hooks_resolve(trace_run):
     assert callable(_util.thread_count)
 
 
-# a location-mixture command, a derivative-mixture one and one through the
-# Fisher rows: the traced convolve hooks read len(r.weights) and
-# len(r.terms) of their results
+# two location-mixture commands (verify-lemma2 through the hooked
+# skewness_gap and its one interference_objective batch per t), a
+# derivative-mixture one and one through the Fisher rows: the traced
+# convolve hooks read len(r.weights) and len(r.terms) of their results
 TRACED_COMMANDS = (
     ("verify-lemma1",),
+    ("verify-lemma2",),
     ("verify-vertical", "--u", "1", "--L", "1.4"),
     ("limit-functional", "--L", "1.2"),
 )
