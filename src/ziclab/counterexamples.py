@@ -133,12 +133,12 @@ def interference_objective(
 class SkewRecipe:
     """Base density p and interferer law q for the skewed-interferer gap.
 
-    Requirements (verified by quadrature in ``validate``): q centered with
-    m2 > 0 and m3 < 0; the base density must have int p''' ln p > 0 so the
-    t^{3/2} gain coefficient m3 * (-1/6 int p''' ln p) is positive.  The
-    sign bookkeeping follows the reflected-kernel smoothing convention of
-    entropy.smoothing_curve; the physical gap witness therefore uses the
-    mirror image of q (see skewness_gap).
+    ``validate`` checks p and q of unit mass and q centered with m2 > 0 and
+    m3 < 0 from closed-form moments, and only then int p''' ln p > 0 from
+    one Fisher pass, so the t^{3/2} gain m3 * (-1/6 int p''' ln p) is
+    positive.  The sign bookkeeping follows the reflected-kernel smoothing
+    convention of entropy.smoothing_curve; the physical gap witness
+    therefore uses the mirror image of q (see skewness_gap).
     """
 
     p: GaussMixture
@@ -146,7 +146,6 @@ class SkewRecipe:
 
     def validate(self) -> dict:
         m = self.q.moments(3)
-        i3 = log_weighted_deriv_integral(self.p, 3)
         problems = []
         if abs(self.q.mass - 1.0) > 1e-9 or abs(self.p.mass - 1.0) > 1e-9:
             problems.append("p and q must have unit mass")
@@ -156,10 +155,11 @@ class SkewRecipe:
             problems.append("q needs m2 > 0")
         if not m[2] < 0:
             problems.append(f"q needs m3 < 0, got {m[2]:.6f}")
-        if not i3 / 6.0 > 0:
-            problems.append(f"need (1/6) int p''' ln p > 0, got {i3/6.0:.6f}")
         if problems:
             raise RecipeRejectedError("; ".join(problems))
+        i3 = log_weighted_deriv_integral(self.p, 3)
+        if not i3 / 6.0 > 0:
+            raise RecipeRejectedError(f"need (1/6) int p''' ln p > 0, got {i3/6.0:.6f}")
         return {
             "m2": float(m[1]),
             "m3": float(m[2]),

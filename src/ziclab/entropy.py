@@ -11,21 +11,22 @@ keeps mass Q(12) = 1.8e-33 and second-moment tail 2.6e-31, so the
 omitted entropy and Fisher terms lie far below one ulp of any value
 reported here.
 
-One blocked kernel computes every mixture integral.  A pass walks the grid in
-blocks of at most ``BLOCK`` trapezoid terms: it tabulates the mixtures of
-one window on the block's own points (each distinct term column once),
-tracks their least value for the -1e-12 check, clips, and writes the
-trapezoid terms of the mass, of -p ln p and, when asked, of (p')^2/p into
-rows of at most ``BLOCK`` + 1 floats.  p' is the exact derivative mixture
-``m.derivative(1)``, tabulated in the same call on the same points.  Each
-element goes through the ufuncs of the whole-array expressions.  The
-blocks are the nodes of numpy's pairwise-sum tree over the n - 1 terms
-(Higham, SISC 1993): each row's ``np.sum`` over a block is that node's
-sum, and adding the block sums in the tree's order gives the bits of one
-``np.sum`` over the whole term array.  So the results have the bits of
-tabulating the whole grid at once (``tests/_oracles.py`` keeps that
-path), a block's buffers stay in the CPU caches, and a call's memory is
-O(BLOCK * laws), whatever n is.
+One blocked kernel computes every mixture integral.  A pass walks the grid
+in blocks of at most ``BLOCK`` trapezoid terms: it tabulates the mixtures
+of one window and, when asked, their exact derivatives ``m.derivative(1)``
+on the block's own points (each distinct term column once), tracks their
+least value for the -1e-12 check, clips, and writes into rows of at most
+``BLOCK`` + 1 floats the trapezoid terms of the mass, of -p ln p and, when
+asked, of the score's moments (p')^2/p and (p')^3/p^2.  By parts these
+give the expansion targets: int p'' ln p = -J(p) and int p''' ln p =
+-1/2 int (p')^3/p^2.  Each element goes through the ufuncs of the
+whole-array expressions.  The blocks are the nodes of numpy's pairwise-sum
+tree over the n - 1 terms (Higham, SISC 1993): each row's ``np.sum`` over
+a block is that node's sum, and adding the block sums in the tree's order
+gives the bits of one ``np.sum`` over the whole term array.  So the
+results have the bits of tabulating the whole grid at once
+(``tests/_oracles.py`` keeps that path), a block's buffers stay in the CPU
+caches, and a call's memory is O(BLOCK * laws), whatever n is.
 ``tests/test_grid_kernel.py::test_block_sums_follow_numpys_pairwise_tree``
 pins numpy's tree, so a numpy that sums otherwise fails it.  A density
 given as values (``GridDensity``) is already in memory whole, so its
@@ -179,20 +180,18 @@ class _Workspace:
     """The buffers of one call, allocated once and reused by each of its
     passes, all sized for one block's points: ``rows`` trapezoid term rows
     (one float wider than a block's terms, so that a row can first hold an
-    integrand at the block's points), the point indices and points, the
-    values of up to ``laws`` mixtures, two work buffers (``pdf_many``'s,
-    then an integrand's) and a mask.  None grows with n beyond BLOCK, and
-    reuse keeps a pass from allocating, and so from faulting in fresh
-    pages, block after block."""
+    integrand at the block's points), the point indices and points, two
+    work buffers (``pdf_many``'s, then an integrand's) and a mask.  None
+    grows with n beyond BLOCK, and reuse keeps a pass from allocating, and
+    so from faulting in fresh pages, block after block."""
 
-    def __init__(self, rows: int, n: int, laws: int = 0):
+    def __init__(self, rows: int, n: int):
         if n < 2:
             raise ValueError("values length must equal n >= 2")
         size = min(BLOCK + 1, n)
         self.terms = np.empty((rows, size))
         self.index = np.arange(size, dtype=np.int32)  # half a float index's bytes
         self.x = np.empty(size)
-        self.values = np.empty((laws, size))
         self.work = np.empty((2, size))
         self.mask = np.empty(size, dtype=bool)
 
@@ -214,43 +213,35 @@ class _Workspace:
             sums.append(terms.sum(axis=1))
         return _total(n - 1, iter(sums)).tolist()
 
-    def integrand_terms(self, integrand: np.ndarray, p: np.ndarray, step: float, out: np.ndarray) -> None:
-        """Trapezoid terms of ``integrand`` zeroed where not p > 1e-300, NaN
-        included, as np.where(p > 1e-300, integrand, 0.0) would."""
-        below = np.greater(p, _TINY, out=self.mask[: len(p)])
-        np.logical_not(below, out=below)
-        np.copyto(integrand, 0.0, where=below)
-        _trapezoid_terms(integrand, step, out)
 
-    def entropy_terms(self, p: np.ndarray, step: float, out: np.ndarray) -> None:
-        """Trapezoid terms of -p ln p at the density values p, one more than
-        out holds.  Points with p < 1e-300 are excluded from the log (their
-        contribution is analytically below any tolerance used here)."""
-        integrand = self.work[0, : len(p)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(p, out=integrand)
-            integrand *= p
-        np.negative(integrand, out=integrand)
-        self.integrand_terms(integrand, p, step, out)
+def _entropy_integrand(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-p ln p at the density values p, into out."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(p, out=out)
+        out *= p
+    return np.negative(out, out=out)
 
-    def fisher_terms(self, dp: np.ndarray, p: np.ndarray, step: float, out: np.ndarray) -> None:
-        """Trapezoid terms of (p')^2/p at the values dp of p' and p of the
-        density, one more than out holds.  dp becomes the integrand, so out
-        may start where dp does."""
+
+def _score_integrands(dp: np.ndarray, p: np.ndarray, cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p')^2/p into dp, the values of p', and (p')^3/p^2 into cube, as the
+    score p'/p times the first, at the density values p."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(dp, p, out=cube)
         dp *= dp
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dp /= p
-        self.integrand_terms(dp, p, step, out)
+        dp /= p
+        cube *= dp
+    return dp, cube
 
 
 class GridIntegrals(NamedTuple):
-    """A tabulated density's least value and its trapezoid mass, entropy
-    and, when asked for, Fisher information."""
+    """A tabulated density's least value, trapezoid mass and entropy and, when
+    asked for, Fisher information and the score cube int (p')^3/p^2."""
 
     low: float
     mass: float
     entropy: float
     fisher: Optional[float] = None
+    score3: Optional[float] = None
 
     def checked(self, n: int, what: str) -> "GridIntegrals":
         """These integrals, once GridDensity's check (a NaN least value,
@@ -262,6 +253,11 @@ class GridIntegrals(NamedTuple):
         return self
 
 
+def _rows(laws: int, fisher: bool) -> int:
+    """Term rows of a pass: mass, entropy and, with ``fisher``, Fisher and cube."""
+    return (4 if fisher else 2) * laws
+
+
 def _integrate(
     ms: Sequence[GaussDerivMixture], lo: float, hi: float, n: int, ws: _Workspace, fisher: bool = False
 ) -> list[GridIntegrals]:
@@ -271,33 +267,39 @@ def _integrate(
     Each block is one ``pdf_many`` call on the block's points, over the
     mixtures and, for Fisher information, their exact derivatives
     ``m.derivative(1)``, so a term several of them hold is evaluated once
-    per block.  With k mixtures, mixture j writes its mass terms into row
-    j of the workspace, its entropy terms into row k + j and its Fisher
-    terms into row 2k + j; that row first holds p' at the block's points.
-    The blocks are nodes of numpy's pairwise-sum tree (``_spans``), so each
-    integral has the bits of one np.sum over its n - 1 terms, from rows of
-    at most BLOCK + 1 floats whatever n is (``_Workspace.sums``; the test
-    ``test_block_sums_follow_numpys_pairwise_tree`` pins the tree).
+    per block.  With k mixtures, mixture j's rows are j (mass), k + j
+    (entropy), 2k + j (Fisher) and 3k + j (score cube).  The mass row first
+    holds p at the block's points and gets its terms last, and the Fisher
+    row first holds p'.  The blocks are nodes of numpy's pairwise-sum tree
+    (``_spans``), so each integral has the bits of one np.sum over its
+    n - 1 terms, from rows of at most BLOCK + 1 floats whatever n is
+    (``_Workspace.sums``; ``test_block_sums_follow_numpys_pairwise_tree``).
     """
     _check_grid(lo, hi, n)
     step = (hi - lo) / (n - 1)
     k = len(ms)
-    rows = (3 if fisher else 2) * k
+    rows = _rows(k, fisher)
     tabulated = [*ms, *(m.derivative(1) for m in ms)] if fisher else ms
     lows = [np.inf] * k
 
     def fill(a: int, b: int, terms: np.ndarray) -> None:
-        values = ws.values[:k, : b + 1 - a]
-        slopes = ws.terms[2 * k : rows, : b + 1 - a]
+        block = ws.terms[:rows, : b + 1 - a]
+        work, below = ws.work[:, : b + 1 - a], ws.mask[: b + 1 - a]
         x = ws.points(lo, hi, n, a, b + 1)
-        GaussDerivMixture.pdf_many(tabulated, x, out=[*values, *slopes], work=ws.work[:, : b + 1 - a])
-        for j, p in enumerate(values):
+        GaussDerivMixture.pdf_many(tabulated, x, out=[*block[:k], *block[2 * k : 3 * k]], work=work)
+        for j, p in enumerate(block[:k]):
             lows[j] = np.minimum(lows[j], p.min())  # a NaN stays, as in p.min()
             np.clip(p, 0.0, None, out=p)
+            # zero each integrand but the mass where not p > 1e-300, NaN
+            # included, as np.where does: a contribution below any tolerance
+            np.logical_not(np.greater(p, _TINY, out=below), out=below)
+            integrands = [_entropy_integrand(p, work[0])]
+            if fisher:
+                integrands += _score_integrands(block[2 * k + j], p, block[3 * k + j])
+            for y, out in zip(integrands, terms[k + j :: k]):
+                np.copyto(y, 0.0, where=below)
+                _trapezoid_terms(y, step, out)
             _trapezoid_terms(p, step, terms[j])
-            ws.entropy_terms(p, step, terms[k + j])
-        for p, dp, out in zip(values, slopes, terms[2 * k :]):
-            ws.fisher_terms(dp, p, step, out)
 
     sums = ws.sums(n, rows, fill)
     return [GridIntegrals(low, *sums[j::k]) for j, low in enumerate(lows)]
@@ -341,8 +343,7 @@ def mixture_integrals(
     groups = _window_groups(ms)
     if not groups:
         return []
-    laws = max(map(len, groups.values()))
-    ws = _Workspace((3 if fisher else 2) * laws, n, laws)
+    ws = _Workspace(_rows(max(map(len, groups.values())), fisher), n)
     done: dict[int, GridIntegrals] = {}
     checked = []
     for i, m in enumerate(ms):
@@ -392,18 +393,17 @@ def gaussian_entropy(variance: float) -> float:
 
 
 def log_weighted_deriv_integral(p: GaussDerivMixture, k: int) -> float:
-    """Quadrature of int p^{(k)}(x) ln p(x) dx on 32768 points over the
-    +-14 sigma window.
+    """int p^{(k)} ln p for k = 2 or 3, from one Fisher pass of
+    mixture_integrals on p's own window.
 
-    The k-th derivative is the exact mixture ``p.derivative(k)``; only the
-    log weight comes from the tabulated density.
+    Integration by parts (de Bruijn's identity; Stam 1959) makes both
+    moments of the score p'/p: int p'' ln p = -int (p')^2/p = -J(p), and
+    int p''' ln p = -int p'' p'/p = -1/2 int (p')^3/p^2.
     """
-    x = np.linspace(*p.window(14.0), 32768)
-    vals = p.pdf(x)
-    dk = p.derivative(k).pdf(x)
-    ok = vals > _TINY
-    integrand = np.where(ok, dk * np.log(np.where(ok, vals, 1.0)), 0.0)
-    return float(np.trapezoid(integrand, x))
+    if k not in (2, 3):
+        raise ValueError(f"k must be 2 or 3, got {k}")
+    r = mixture_integrals((p,), fisher=True)[0]
+    return -r.fisher if k == 2 else -0.5 * r.score3
 
 
 def smoothing_curve(
@@ -436,7 +436,7 @@ def smoothing_curve(
     lo0, hi0 = p.window()
     lo1, hi1 = smoothed[-1].window()
     lo, hi = min(lo0, lo1), max(hi0, hi1)
-    ws = _Workspace(2, n, 1)
+    ws = _Workspace(_rows(1, False), n)
 
     def entropy(m: GaussDerivMixture) -> float:
         [r] = _integrate([m], lo, hi, n, ws)
@@ -513,8 +513,8 @@ def fit_expansion(t: np.ndarray, dh: np.ndarray) -> tuple[float, float, float]:
 
 
 def expansion_targets(p: GaussDerivMixture, q: GaussDerivMixture) -> tuple[float, float]:
-    """Quadrature targets: c1 = m2(q) * (-1/2 int p'' ln p),
-    c15 = m3(q) * (-1/6 int p''' ln p)."""
+    """Quadrature targets c1 = m2(q) * (-1/2 int p'' ln p) = m2(q) J(p)/2
+    and c15 = m3(q) * (-1/6 int p''' ln p), both from the score's moments."""
     m = q.moments(3)
     i2 = log_weighted_deriv_integral(p, 2)
     i3 = log_weighted_deriv_integral(p, 3)

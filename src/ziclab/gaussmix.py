@@ -159,8 +159,8 @@ class GaussDerivMixture:
     def max_variance(self) -> float:
         return max(t.variance for t in self.terms)
 
-    def window(self, width: float = 12.0) -> tuple[float, float]:
-        r = width * math.sqrt(self.max_variance)
+    def window(self) -> tuple[float, float]:
+        r = 12.0 * math.sqrt(self.max_variance)
         return (min(self.means) - r, max(self.means) + r)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray:

@@ -84,15 +84,16 @@ def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) ->
 
 def whole_grid_integrals(
     m: GaussDerivMixture, lo: float, hi: float, n: int, fisher: bool = True
-) -> tuple[float, float, float, float | None]:
-    """(least value, mass, entropy, Fisher information or None) of a
-    mixture tabulated on the whole n-point grid over [lo, hi] at once: one
-    ``pdf`` call on np.linspace, np.clip, the np.where integrands with p'
-    from ``m.derivative(1).pdf`` on the same points, and np.trapezoid.
-    That is the blocked kernel's path written for the whole grid, and the
-    kernel must give these bits.  On that path a least value below -1e-12
-    raised NegativeDensityError, and entropy and Fisher information raised
-    on n < 1024 or a mass off 1 by more than 1e-7."""
+) -> tuple[float, float, float, float | None, float | None]:
+    """(least value, mass, entropy, Fisher information or None, score cube
+    int (p')^3/p^2 or None) of a mixture tabulated on the whole n-point
+    grid over [lo, hi] at once: one ``pdf`` call on np.linspace, np.clip,
+    the np.where integrands with p' from ``m.derivative(1).pdf`` on the
+    same points (the cube as the score p'/p times the Fisher integrand),
+    and np.trapezoid.  That is the blocked kernel's path written for the
+    whole grid, and the kernel must give these bits.  On that path a least
+    value below -1e-12 raised NegativeDensityError, and entropy and Fisher
+    information raised on n < 1024 or a mass off 1 by more than 1e-7."""
     x = np.linspace(lo, hi, n)
     raw = m.pdf(x)
     vals = np.clip(raw, 0.0, None)
@@ -102,9 +103,26 @@ def whole_grid_integrals(
         integrands = [vals, np.where(ok, -vals * np.log(np.where(ok, vals, 1.0)), 0.0)]
         if fisher:
             dp = m.derivative(1).pdf(x)
-            integrands.append(np.where(ok, dp * dp / np.where(ok, vals, 1.0), 0.0))
+            safe = np.where(ok, vals, 1.0)
+            integrands.append(np.where(ok, dp * dp / safe, 0.0))
+            integrands.append(np.where(ok, dp / safe * (dp * dp / safe), 0.0))
     sums = [float(np.trapezoid(y, dx=step)) for y in integrands]
-    return (raw.min(), *sums) if fisher else (raw.min(), *sums, None)
+    return (raw.min(), *sums) if fisher else (raw.min(), *sums, None, None)
+
+
+def log_deriv_integral(m: GaussDerivMixture, k: int) -> float:
+    """int m^{(k)} ln m by the trapezoid rule on 32768 points over its own
+    window, 14 sd past every component: the exact k-th derivative
+    ``m.derivative(k).pdf`` times ln m of the tabulated density, zeroed
+    where m is not above 1e-300.  It uses no integration by parts and not
+    the blocked kernel, so it checks ``entropy``'s by-parts targets
+    int p'' ln p = -J(p) and int p''' ln p = -1/2 int (p')^3/p^2."""
+    r = 14.0 * math.sqrt(max(m.variances))
+    x = np.linspace(min(m.means) - r, max(m.means) + r, 32768)
+    vals = m.pdf(x)
+    ok = vals > 1e-300
+    integrand = np.where(ok, m.derivative(k).pdf(x) * np.log(np.where(ok, vals, 1.0)), 0.0)
+    return float(np.trapezoid(integrand, x))
 
 
 # ----------------------------------------------------------------------

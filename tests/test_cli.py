@@ -311,10 +311,6 @@ PINNED_REPORTS = {
         "c2ddd0efc820a960e3e7bf8adb24301e32ac358deb268383849cb0c8ede0fdeb",
     "condition54-root --u 1":
         "8c70f1cb30bb94f2550caf0fc381af6f3b06dfb989fbd9550cceb5eb4ae341fe",
-    "verify-lemma1":
-        "f6ffa1191c1862684bb88060b78d406190553646d0dce1ef3856c1672e5473b3",
-    "verify-lemma2 --t-min 1e-3 --t-max 1e-2":
-        "30631a8d2f973f4210af79c6aa96b7d48900bc39784bcb9f2b21198b5c6f6692",
     "verify-vertical --u 1 --L 1.4":
         "441d88aa7544cf9d62faab05d705f54ed48b000459cfc01abc97ec962fa431aa",
     "hessian --u 1 --L 3 --A 1:1.0 --B ''":
@@ -333,13 +329,21 @@ PINNED_REPORTS = {
     # (CHANGES.md lists each value that moved)
     "limit-functional --L 1.2,1.6,2.0":
         "d7174fcbcb0672eaa4bfe88e2040a7e2f24c2807ccaa34904641e268655e564d",
-    "verify-lemma1 --t-count 20 --n 1048576":
-        "77d258298640f5d2479f23d322903d5cff0b355d3bc4bdabfdb1f5da183751e4",
     "verify-vertical --u 2 --L 3 --J 8 --n 524288":
         "37ab38674608c0e8d40d3927472f1184e0fb4bf4c6952005b44d276a20f466ff",
     # re-recorded with Fisher information from the exact derivative p'
     "limit-functional --L 1.1:1.9:0.4 --J 20 --n 262144":
         "6b5e4e5ad8da25b493c2b7c16c8a9b074b591d029e1bb26db244716e8ad34fea",
+    # re-recorded with int p''' ln p as -1/2 int (p')^3/p^2 from the
+    # kernel's Fisher pass: c15 and the gap coefficient moved by 3 ulps and
+    # log_deriv3_integral by 4, each to the double nearest mpmath's value
+    # (CHANGES.md lists each value)
+    "verify-lemma1":
+        "1f2f01573be8774149b69c392967f0ed698fa14615b0a5c7f61f3527eafbe800",
+    "verify-lemma1 --t-count 20 --n 1048576":
+        "8ac6f6ab1fdfa88f03b305c430b49e2699c941620c964f2c5ee252a853626935",
+    "verify-lemma2 --t-min 1e-3 --t-max 1e-2":
+        "eda923c75ff62bc4b5d8915ac38e4f00c51a5789f186b582e79c61921d09e8c4",
     # the HK reports, recorded with g1 from the dual and the audits' powers
     # from math.exp; hk-region and conjecture2-map re-recorded with the
     # nested dual search, which moved g1 by at most 2 ulps (CHANGES.md lists

@@ -138,6 +138,11 @@ def test_recipe_rejection_modes(recipe):
     flipped_q = cx.SkewRecipe(p=recipe.p, q=recipe.q.reflected())
     with pytest.raises(cx.RecipeRejectedError):
         flipped_q.validate()  # m3 > 0
+    # a p of mass 0.9 is rejected as a recipe by the closed-form checks,
+    # before the grid pass would reject it as a density (NonNormalizedError)
+    light_p = cx.SkewRecipe(p=GaussMixture((0.7, 0.2), (0.3, -1.2), (0.25, 0.25)), q=recipe.q)
+    with pytest.raises(cx.RecipeRejectedError, match="^p and q must have unit mass$"):
+        light_p.validate()
 
 
 def test_skewness_gap_runs_no_recipe_quadrature(recipe, monkeypatch):
@@ -239,6 +244,40 @@ def test_constant_power_witness_unavailable():
     params = cx.ChannelParams(u=1.0, N1=1.0, N2=50.0)
     with pytest.raises(cx.WitnessUnavailableError):
         cx.constant_power_gap(params)
+
+
+def test_constant_power_gap_large_A_trend():
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
+    base = cx.constant_power_gap(params)
+    gaps = []
+    for mult in (1.0, 8.0, 64.0):
+        res = cx.constant_power_gap(params, A=base.mixing_variance * mult)
+        gaps.append(res.gap)
+    c_half = base.witness_gain / 2.0
+    devs = [abs(g - c_half) for g in gaps]
+    assert devs[-1] <= devs[0] + 1e-12
+    assert devs[-1] < 0.2 * c_half
+
+
+def test_constant_power_gap_computes_each_entropy_once(monkeypatch):
+    # the slack that ends the A-doubling loop used to be evaluated again
+    seen = []
+    real = cx.mixture_entropy
+
+    def counted(m, n=8192):
+        seen.append(m)
+        return real(m, n=n)
+
+    monkeypatch.setattr(cx, "mixture_entropy", counted)
+    cx.constant_power_gap(cx.ChannelParams(u=1.0, N1=1.0, N2=0.05))
+    assert len(seen) == len(set(seen))
+
+
+def test_constant_power_gap_rejects_a_nan_skew_gain():
+    # u h(.) and (1+u) h(.) overflow to inf, so c = inf - inf is NaN, which
+    # passed the old test c <= 1e-6
+    with pytest.raises(cx.WitnessUnavailableError, match="skew gain c = nan"):
+        cx.constant_power_gap(cx.ChannelParams(u=1.7e308, N1=1.0, N2=0.05), n=1024)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import convolve_grids, grid_smoothing_curve
+from _oracles import convolve_grids, grid_smoothing_curve, log_deriv_integral
 from ziclab.entropy import (
     GridDensity,
     NegativeDensityError,
@@ -21,6 +21,7 @@ from ziclab.entropy import (
     log_weighted_deriv_integral,
     mixture_entropies,
     mixture_entropy,
+    mixture_integrals,
     mixture_to_grid,
     power_fit,
     smoothing_curve,
@@ -110,7 +111,7 @@ def test_entropy_translation_invariance():
     m = GaussMixture((0.7, 0.3), (0.75, -1.75), (1.0, 1.0))
     shift = 2.5
     shifted = GaussMixture((0.7, 0.3), (0.75 + shift, -1.75 + shift), (1.0, 1.0))
-    lo, hi = m.window(12.0)
+    lo, hi = m.window()
     h1 = differential_entropy(mixture_to_grid(m, lo, hi, 8192))
     h2 = differential_entropy(mixture_to_grid(shifted, lo + shift, hi + shift, 8192))
     assert h2 == pytest.approx(h1, abs=1e-9)
@@ -157,29 +158,44 @@ def de_bruijn_laws(recipe):
     return (recipe.p, recipe.p.convolve(recipe.q.scaled(0.1).reflected()), gaussian(2.5))
 
 
-# The Fisher integral and the log-weighted quadrature are separate
+# The kernel's score moments and the oracle's log-weighted quadrature
+# (``_oracles.log_deriv_integral``, 32768 points over +-14 sd) are separate
 # trapezoid sums of up to 2^16 terms, each rounding within about log2(n)
 # ulps (numpy's pairwise sum), so they agree to 1e-14 relative; measured
-# at most 4.4e-16.
+# at most 4.4e-16 for J(p) and c1 and 9.5e-16 for int p''' ln p.
 DE_BRUIJN_REL = 1e-14
 
 
 @pytest.mark.parametrize("n", (2048, 8192, 65536))
 def test_fisher_information_is_minus_int_p2_ln_p(recipe, n):
     # integration by parts (de Bruijn's identity, Stam 1959): J(p) =
-    # int (p')^2/p = -int p'' ln p, the second from the exact p'' on its
-    # own 32768-point +-14 sigma grid
+    # int (p')^2/p = -int p'' ln p, the second from the exact p'' on the
+    # oracle's own grid
     for m in de_bruijn_laws(recipe):
-        assert fisher_information(m, n) == pytest.approx(-log_weighted_deriv_integral(m, 2), rel=DE_BRUIJN_REL)
+        assert fisher_information(m, n) == pytest.approx(-log_deriv_integral(m, 2), rel=DE_BRUIJN_REL)
+
+
+@pytest.mark.parametrize("n", (2048, 8192, 65536))
+def test_int_p3_ln_p_is_minus_half_the_score_cube(recipe, n):
+    # by parts twice: int p''' ln p = -int p'' p'/p = -1/2 int (p')^3/p^2,
+    # the kernel's score-cube row against the exact p''' on the oracle's
+    # grid; gamma_2.5 is symmetric, so both sides are 0 up to rounding
+    # (measured at most 2.8e-17), hence the absolute bound of the same size
+    for m in de_bruijn_laws(recipe):
+        [r] = mixture_integrals((m,), n, fisher=True)
+        expected = log_deriv_integral(m, 3)
+        assert -0.5 * r.score3 == pytest.approx(expected, rel=DE_BRUIJN_REL, abs=DE_BRUIJN_REL)
 
 
 @pytest.mark.parametrize("n", (2048, 8192, 65536))
 def test_c1_target_is_half_m2_times_fisher(recipe, n):
     # c1 = m2(q) (-1/2 int p'' ln p) = m2(q)/2 J(p): verify-lemma1's c1
-    # quadrature against an independent Fisher integral
+    # quadrature against the independent log-weighted quadrature, and
+    # against the Fisher integral at other resolutions
     m2 = recipe.q.moments(2)[1]
     for m in de_bruijn_laws(recipe):
         c1, _ = expansion_targets(m, recipe.q)
+        assert c1 == pytest.approx(-m2 / 2 * log_deriv_integral(m, 2), rel=DE_BRUIJN_REL)
         assert c1 == pytest.approx(m2 / 2 * fisher_information(m, n), rel=DE_BRUIJN_REL)
 
 
@@ -291,6 +307,15 @@ def test_log_weighted_deriv_integral_gaussian():
     # int gamma'' ln gamma = -1 for the standard gaussian
     g = GaussMixture((1.0,), (0.0,), (1.0,))
     assert log_weighted_deriv_integral(g, 2) == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_log_weighted_deriv_integral_takes_orders_2_and_3(recipe):
+    # k = 3 is the score-cube row of one default Fisher pass on p's window
+    [r] = mixture_integrals((recipe.p,), fisher=True)
+    assert log_weighted_deriv_integral(recipe.p, 3) == -0.5 * r.score3
+    for k in (1, 4):
+        with pytest.raises(ValueError, match=rf"^k must be 2 or 3, got {k}$"):
+            log_weighted_deriv_integral(recipe.p, k)
 
 
 def test_mixture_entropies_equal_each_law_alone():

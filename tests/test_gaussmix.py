@@ -321,7 +321,7 @@ def test_unit_mass_integrates_to_one(rng):
                 )
             )
         m = GaussDerivMixture(tuple(terms))
-        lo, hi = m.window(12.0)
+        lo, hi = m.window()
         x = np.linspace(lo, hi, 16384)
         assert np.trapezoid(m.pdf(x), x) == pytest.approx(1.0, abs=1e-9)
 

@@ -56,7 +56,7 @@ def test_grid_density_integrals_match_whole_grid(n):
     m = deriv_laws()[1]
     lo, hi = m.window()
     p = en.mixture_to_grid(m, lo, hi, n)
-    _, mass, entropy, _ = whole_grid_integrals(m, lo, hi, n, fisher=False)
+    _, mass, entropy, *_ = whole_grid_integrals(m, lo, hi, n, fisher=False)
     assert same_bits((p.mass(), en.differential_entropy(p)), (mass, entropy))
 
 
@@ -109,7 +109,7 @@ def test_nan_and_tiny_points_are_zeroed_across_blocks():
     for m, fisher in ((nan_laws[0], False), (nan_laws[1], True), (tiny_law, True)):
         lo, hi = m.window()
         with np.errstate(over="ignore", invalid="ignore"):
-            [got] = en._integrate([m], lo, hi, n, en._Workspace(3 if fisher else 2, n, 1), fisher)
+            [got] = en._integrate([m], lo, hi, n, en._Workspace(en._rows(1, fisher), n), fisher)
             expected = whole_grid_integrals(m, lo, hi, n, fisher)
         assert same_bits(tuple(got), expected)
         assert math.isfinite(got.entropy)
@@ -175,10 +175,13 @@ def test_blocked_errors_match_whole_grid():
 # Peak traced bytes (numpy reports its buffers to tracemalloc) after one
 # warm-up call, at n = 2^18: smoothing_curve's 21 laws, and the three laws
 # of the verify-vertical benchmark ladder's X1 without and with Fisher
-# information.  Measured 1,825,541, 3,578,414 and 4,366,334 B with block
-# rows one float wider than a block's terms, the Fisher rows holding the
-# exact p' first, rounded up to 10 kB; the full-length term arrays before
-# block rows took 5.5, 14.6 and 20.9 MB.  A pass holds O(BLOCK * laws)
+# information.  Bounds measured 1,825,541, 3,578,414 and 4,366,334 B with
+# block rows one float wider than a block's terms, the Fisher rows holding
+# the exact p' first, rounded up to 10 kB; the full-length term arrays
+# before block rows took 5.5, 14.6 and 20.9 MB.  Since each law is
+# tabulated into its own mass row, and the Fisher pass adds the score-cube
+# row, they measure 1,563,429, 2,791,902 and 4,366,454 B (numpy 2.4, one
+# interpreter outside pytest).  A pass holds O(BLOCK * laws)
 # bytes, so a grid 4 times finer may add no more than NO_GROWTH.
 PEAK = {"smoothing_curve": 1_830_000, "mixture_entropies": 3_580_000, "mixture_integrals": 4_370_000}
 NO_GROWTH = 64 << 10
