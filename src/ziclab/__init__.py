@@ -42,13 +42,11 @@ _EXPORTS = {
         "WitnessUnavailableError",
         "constant_power_gap",
         "default_recipe",
-        "deriv_norm_balance",
         "fisher_limit_gain",
         "interference_objective",
         "limit_functional",
         "select_epsilon",
         "skewness_gap",
-        "stability_root",
         "vertical_gap",
     ),
     "hessian": (
@@ -57,10 +55,12 @@ _EXPORTS = {
         "LocalOptimalityCertificate",
         "NotStationaryError",
         "capped_gauss_objective",
+        "deriv_norm_balance",
         "hessian_quadratic_form",
         "local_optimality_radius",
         "phase_diagram",
         "stability_classify",
+        "stability_root",
         "stability_threshold",
     ),
     "hkregion": (

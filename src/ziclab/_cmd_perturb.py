@@ -155,13 +155,11 @@ def cmd_verify_vertical(args) -> tuple[dict, list[dict], list[tuple]]:
 
 
 def cmd_constant_power_gap(args) -> tuple[dict, list[dict], list[tuple]]:
-    from dataclasses import asdict
-
     from . import counterexamples as cx
 
     params = cx.ChannelParams(u=args.u, N1=args.N1, N2=args.N2)
     res = cx.constant_power_gap(params, A=args.A, n=args.n)
-    results = [asdict(res)]
+    results = [res._asdict()]
     checks = [
         (
             "witness_beats_gaussian",

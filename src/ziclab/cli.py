@@ -190,7 +190,7 @@ COMMANDS = {
         ("--t-min", dict(type=_checked(float, "entropy.check_smoothing_t"), default=1e-4)),
         ("--t-max", dict(type=_checked(float, "entropy.check_smoothing_t"), default=1e-2)),
         ("--t-count", dict(type=_checked(int, "entropy.check_expansion_count"), default=10)),
-        ("--n", dict(type=int, default=8192)),
+        ("--n", dict(type=_checked(int, "entropy.check_grid_n"), default=8192)),
         ("--c1-tol", dict(type=_checked(float, "entropy.check_fit_tolerance"), default=0.02)),
         ("--c15-tol", dict(type=_checked(float, "entropy.check_fit_tolerance"), default=0.05)),
     )),
@@ -200,7 +200,7 @@ COMMANDS = {
         ("--t-count", dict(type=_checked(int, "counterexamples.check_gap_count"), default=6)),
         ("--N1", dict(type=float, default=0.0)),
         ("--Sigma1", dict(type=float, default=0.0)),
-        ("--n", dict(type=int, default=8192)),
+        ("--n", dict(type=_checked(int, "entropy.check_grid_n"), default=8192)),
     )),
     "verify-vertical": ("density-perturbation gap and eps^2 slope", "_cmd_perturb", (
         ("--u", dict(type=float, default=1.0)),
@@ -209,7 +209,7 @@ COMMANDS = {
         ("--J", dict(type=int, default=2)),
         ("--delta", dict(type=float, default=None)),
         ("--eps", dict(type=float, default=None)),
-        ("--n", dict(type=int, default=8192)),
+        ("--n", dict(type=_checked(int, "entropy.check_grid_n"), default=8192)),
     )),
     "condition54-root": ("bisection root of the norm balance", "_cmd_scalar", (
         ("--u", dict(type=parse_values, default=[1.0])),
@@ -254,7 +254,7 @@ COMMANDS = {
         ("--N2", dict(type=float, default=0.05)),
         ("--A", dict(type=_checked(float, "counterexamples.check_mixing_variance"),
                      default=None, help="mixing variance (default: auto)")),
-        ("--n", dict(type=int, default=8192)),
+        ("--n", dict(type=_checked(int, "entropy.check_grid_n"), default=8192)),
     )),
     "conjecture2-map": ("power-control footprint over (q1, q2)", "_cmd_hk", (
         ("--u", dict(type=parse_values, default=[1.0])),
@@ -269,7 +269,7 @@ COMMANDS = {
     "limit-functional": ("Fisher limit functional perturbation gains", "_cmd_perturb", (
         ("--L", dict(type=parse_values, default=[1.2, 1.6, 2.0])),
         ("--J", dict(type=int, default=2)),
-        ("--n", dict(type=int, default=16384)),
+        ("--n", dict(type=_checked(int, "entropy.check_grid_n"), default=16384)),
     )),
 }
 

@@ -31,9 +31,10 @@ re-exported here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .gaussmix import (
 from .entropy import (
     NegativeDensityError,
     gaussian_entropy,
-    log_weighted_deriv_integral,
     mixture_entropies,
     mixture_entropy,
     mixture_integrals,
@@ -129,14 +129,13 @@ def interference_objective(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkewRecipe:
+class SkewRecipe(NamedTuple):
     """Base density p and interferer law q for the skewed-interferer gap.
 
     ``validate`` checks p and q of unit mass and q centered with m2 > 0 and
-    m3 < 0 from closed-form moments, and only then int p''' ln p > 0 from
-    one Fisher pass, so the t^{3/2} gain m3 * (-1/6 int p''' ln p) is
-    positive.  The sign bookkeeping follows the reflected-kernel smoothing
+    m3 < 0 from closed-form moments, and only then int p''' ln p > 0, as
+    -1/2 the score cube of one Fisher pass, so the t^{3/2} gain
+    m3 * (-1/6 int p''' ln p) is positive.  The sign bookkeeping follows the reflected-kernel smoothing
     convention of entropy.smoothing_curve; the physical gap witness
     therefore uses the mirror image of q (see skewness_gap).
     """
@@ -157,7 +156,7 @@ class SkewRecipe:
             problems.append(f"q needs m3 < 0, got {m[2]:.6f}")
         if problems:
             raise RecipeRejectedError("; ".join(problems))
-        i3 = log_weighted_deriv_integral(self.p, 3)
+        i3 = -0.5 * mixture_integrals((self.p,), fisher=True)[0].score3
         if not i3 / 6.0 > 0:
             raise RecipeRejectedError(f"need (1/6) int p''' ln p > 0, got {i3/6.0:.6f}")
         return {
@@ -259,8 +258,7 @@ class WitnessUnavailableError(ValueError):
     """No verified positive-gap witness at the requested parameters."""
 
 
-@dataclass(frozen=True)
-class ConstantPowerGapResult:
+class ConstantPowerGapResult(NamedTuple):
     gaussian_value: float
     lower_witness: float
     gap: float
@@ -362,9 +360,7 @@ def constant_power_gap(
 
 def perturbed_source(K: float, delta: float, eps: float) -> GaussDerivMixture:
     """gamma_K - eps D^3 gamma_{K-delta}."""
-    return GaussDerivMixture(
-        (DerivTerm(1.0, 0, K), DerivTerm(-eps, 3, K - delta))
-    )
+    return GaussDerivMixture((DerivTerm(1.0, 0, K), DerivTerm(-eps, 3, K - delta)))
 
 
 def partner_series(
@@ -433,46 +429,39 @@ def _check_J(J: int) -> None:
         )
 
 
-class _DensityMinima:
-    """Least density value of a mixture on 4096 points over its +-12 sigma
-    window: the positivity check grid.
-
-    The checks ask this of mixtures that differ only in eps, that is in
-    their coefficients, so each grid column D^m gamma_v(. - mu) is
-    tabulated once and kept, keyed on the window and the term's order,
-    variance and mean.  The density sums coeff * column in the mixture's
-    term order, as ``pdf_many`` does, so each minimum has the bits of
-    ``m.pdf``'s on the grid.
-    """
-
-    def __init__(self):
-        self._columns: dict[tuple[tuple[float, float], int, float, float], np.ndarray] = {}
-
-    def __call__(self, m: GaussDerivMixture) -> float:
-        window = m.window()
-        density = np.zeros(4096)
-        for t in m.terms:
-            key = (window, *t[1:])
-            if key not in self._columns:
-                x = np.linspace(*window, 4096)
-                self._columns[key] = gauss_deriv_pdf(x - t.mean if t.mean else x, t.variance, t.order)
-            density += t.coeff * self._columns[key]
-        return float(density.min())
+@functools.lru_cache(maxsize=MAX_J + 3)
+def _grid_column(window: tuple[float, float], order: int, variance: float, mean: float) -> np.ndarray:
+    """D^order gamma_variance(. - mean) on the 4096-point positivity grid
+    over ``window``, read-only because the memo shares it.  A ladder's
+    checks ask for mixtures that differ only in eps, so they reread its
+    2 + J + 1 <= maxsize columns."""
+    x = np.linspace(*window, 4096)
+    column = gauss_deriv_pdf(x - mean if mean else x, variance, order)
+    column.setflags(write=False)
+    return column
 
 
-def select_epsilon(
-    K: float, L: float, delta: float, J: int, minima: Optional[_DensityMinima] = None
-) -> float:
+def _least_density(m: GaussDerivMixture) -> float:
+    """Least density of a mixture on the positivity grid over its window:
+    the sum of coeff * column in term order, as ``pdf_many`` forms it, so
+    it has the bits of ``m.pdf``'s minimum on the grid."""
+    window = m.window()
+    density = np.zeros(4096)
+    for t in m.terms:
+        density += t.coeff * _grid_column(window, *t[1:])
+    return float(density.min())
+
+
+def select_epsilon(K: float, L: float, delta: float, J: int) -> float:
     """Largest eps in {2^-k} keeping both perturbed densities pointwise
     nonnegative on the check grid, then halved once for margin.  The grid
-    columns come from ``minima`` when given, so a later check can reuse
-    them."""
-    minima = _DensityMinima() if minima is None else minima
+    columns are memoized (``_grid_column``), so the ladder's own checks
+    reuse them."""
     for k in range(1, 44):
         eps = 2.0**-k
         if (
-            minima(perturbed_source(K, delta, eps)) >= 0.0
-            and minima(partner_series(L, delta, eps, J)) >= 0.0
+            _least_density(perturbed_source(K, delta, eps)) >= 0.0
+            and _least_density(partner_series(L, delta, eps, J)) >= 0.0
         ):
             return eps / 2.0
     raise NegativeDensityError("no positive eps admits nonnegative densities")
@@ -548,16 +537,15 @@ class _PerturbationLadder:
             raise ValueError("need K - delta > 0")
         if not self.L - self.J * self.delta > 0:
             raise ValueError("need L - J*delta > 0")
-        minima = _DensityMinima()
         if self.eps is None:
-            object.__setattr__(self, "eps", select_epsilon(self.K, self.L, self.delta, self.J, minima))
+            object.__setattr__(self, "eps", select_epsilon(self.K, self.L, self.delta, self.J))
         elif not math.isfinite(self.eps):
             raise ValueError(f"{names}, eps must be finite")
         elif not self.eps > 0:
             raise ValueError(f"{names}, eps must be positive")
-        self._check_eps_ladder(", ".join(f"{k}={v}" for k, v in params.items() if k != "L"), minima)
+        self._check_eps_ladder(", ".join(f"{k}={v}" for k, v in params.items() if k != "L"))
 
-    def _check_eps_ladder(self, at: str, minima: _DensityMinima) -> None:
+    def _check_eps_ladder(self, at: str) -> None:
         """Reject an eps whose ladder richardson_quadratic cannot divide by
         (an e**2 overflows or underflows to 0), whose partner series
         overflows (eps**J is not finite), or whose smallest eps^2 step
@@ -581,7 +569,7 @@ class _PerturbationLadder:
                 f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "
                 f"rounding floor {floor:.3e}, got {eps}"
             )
-        if minima(self.x1()) < -1e-12 or minima(self.x2()) < -1e-12:
+        if _least_density(self.x1()) < -1e-12 or _least_density(self.x2()) < -1e-12:
             raise NegativeDensityError("eps too large: perturbed density goes negative on the grid")
         change = abs(self.closed_form()) * squares[-1]
         if not change >= floor:  # NaN where the closed form's terms are both infinite
@@ -595,9 +583,7 @@ class _PerturbationLadder:
         return perturbed_source(self.K, self.delta, self.eps if eps is None else eps)
 
     def x2(self, eps: Optional[float] = None) -> GaussDerivMixture:
-        return partner_series(
-            self.L, self.delta, self.eps if eps is None else eps, self.J
-        )
+        return partner_series(self.L, self.delta, self.eps if eps is None else eps, self.J)
 
     def plus_x2(self, eps: float) -> Callable[[GaussDerivMixture], GaussDerivMixture]:
         """Adds x2(eps) to a law of x1(eps) plus Gaussian noise, telescoped
@@ -648,8 +634,7 @@ def richardson_quadratic(
     return values, (16.0 * r2 - r1) / 15.0
 
 
-@dataclass(frozen=True)
-class VerticalGapResult:
+class VerticalGapResult(NamedTuple):
     gaussian_value: float
     perturbed_value: float
     quadratic_coeff: float
@@ -776,8 +761,7 @@ class FisherPerturbation(_PerturbationLadder):
         return fisher_limit_coefficient(self.K, self.delta)
 
 
-@dataclass(frozen=True)
-class FisherLimitGain:
+class FisherLimitGain(NamedTuple):
     L: float
     K: float
     eps0: float

@@ -65,6 +65,15 @@ class NegativeDensityError(ValueError):
     """Density NaN, or negative beyond -1e-12, somewhere on the grid."""
 
 
+GRID_MIN_N = 1024  # the fewest grid points an entropy or Fisher evaluation takes
+
+
+def check_grid_n(n: int) -> None:
+    """Reject a grid of fewer than GRID_MIN_N points (ValueError)."""
+    if n < GRID_MIN_N:
+        raise ValueError(f"the grid needs n >= {GRID_MIN_N} points, got {n}")
+
+
 def _check_grid(lo: float, hi: float, n: int) -> None:
     if n < 2:
         raise ValueError("values length must equal n >= 2")
@@ -81,10 +90,10 @@ def _check_nonnegative(low: float) -> None:
 
 
 def _check_normalized(n: int, mass: float, what: str) -> None:
-    """Entropy and Fisher precondition: n >= 1024, unit mass within 1e-7
-    (a NaN mass is rejected)."""
-    if n < 1024:
-        raise ValueError(f"{what} evaluation requires n >= 1024")
+    """Entropy and Fisher precondition: n >= GRID_MIN_N, unit mass within
+    1e-7 (a NaN mass is rejected)."""
+    if n < GRID_MIN_N:
+        raise ValueError(f"{what} evaluation requires n >= {GRID_MIN_N}")
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
 
@@ -398,7 +407,9 @@ def log_weighted_deriv_integral(p: GaussDerivMixture, k: int) -> float:
 
     Integration by parts (de Bruijn's identity; Stam 1959) makes both
     moments of the score p'/p: int p'' ln p = -int (p')^2/p = -J(p), and
-    int p''' ln p = -int p'' p'/p = -1/2 int (p')^3/p^2.
+    int p''' ln p = -int p'' p'/p = -1/2 int (p')^3/p^2.  No command calls
+    it; it remains because the benchmark's tracer (``perfbench/trace_run.py``)
+    hooks it by name.
     """
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
@@ -514,8 +525,9 @@ def fit_expansion(t: np.ndarray, dh: np.ndarray) -> tuple[float, float, float]:
 
 def expansion_targets(p: GaussDerivMixture, q: GaussDerivMixture) -> tuple[float, float]:
     """Quadrature targets c1 = m2(q) * (-1/2 int p'' ln p) = m2(q) J(p)/2
-    and c15 = m3(q) * (-1/6 int p''' ln p), both from the score's moments."""
+    and c15 = m3(q) * (-1/6 int p''' ln p), both from the score's moments
+    (``log_weighted_deriv_integral``'s identities) of one Fisher pass."""
     m = q.moments(3)
-    i2 = log_weighted_deriv_integral(p, 2)
-    i3 = log_weighted_deriv_integral(p, 3)
+    r = mixture_integrals((p,), fisher=True)[0]
+    i2, i3 = -r.fisher, -0.5 * r.score3
     return float(m[1] * (-0.5 * i2)), float(m[2] * (-i3 / 6.0))

@@ -93,12 +93,6 @@ def gauss_deriv_pdf(
     return out[()] if out.ndim == 0 else out
 
 
-
-
-def _falling(i: int, m: int) -> int:
-    return math.prod(range(i, i - m, -1))
-
-
 def _shifted_moment(j: int, variance: float, mean: float) -> float:
     """E[(mean + Z)^j] for Z ~ N(0, variance)."""
     if not mean:
@@ -263,7 +257,7 @@ class GaussDerivMixture:
                     acc += (
                         coeff
                         * (-1) ** order
-                        * _falling(i, order)
+                        * math.perm(i, order)
                         * _shifted_moment(i - order, variance, mean)
                     )
             out[i - 1] = acc / mass

@@ -40,6 +40,17 @@ def rng_for(seed: int, stream: str, counter: int = 0) -> np.random.Generator:
 
 
 # ----------------------------------------------------------------------
+# The Gaussian objective
+# ----------------------------------------------------------------------
+
+
+def psi_written_out(K, L, u, N1, N):
+    """psi with second-noise variance N, written out independently of the
+    package: u ln(K+N1+N+L) + ln(K+N1) - (u+1) ln(K+N1+N)."""
+    return u * np.log(K + N1 + N + L) + np.log(K + N1) - (u + 1) * np.log(K + N1 + N)
+
+
+# ----------------------------------------------------------------------
 # Hermite-weighted norms and the outer-entropy defect
 # ----------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from ziclab import counterexamples as cx
+from ziclab import entropy as en
 from ziclab import hkregion as hk
 from ziclab.cli import MAX_RANGE_VALUES, build_parser, main, parse_values, write_report
 
@@ -871,19 +872,36 @@ def test_wide_random_cells_never_exit_2(capsys):
         assert row["g1"] > row["f1"] if not row["f1_eq_g1"] else row["g1"] == row["f1"]
 
 
+def count_fisher_passes(module, monkeypatch):
+    """The laws of each mixture_integrals(..., fisher=True) call made
+    through ``module``, in order."""
+    calls = []
+    real = module.mixture_integrals
+
+    def counted(ms, n=8192, fisher=False):
+        if fisher:
+            calls.append(list(ms))
+        return real(ms, n=n, fisher=fisher)
+
+    monkeypatch.setattr(module, "mixture_integrals", counted)
+    return calls
+
+
 def test_verify_lemma2_runs_one_recipe_quadrature(monkeypatch, capsys):
     # validate() ran in the handler and again in each of two skewness_gap calls
-    calls = []
-    real = cx.log_weighted_deriv_integral
-
-    def counted(p, k):
-        calls.append(k)
-        return real(p, k)
-
-    monkeypatch.setattr(cx, "log_weighted_deriv_integral", counted)
+    calls = count_fisher_passes(cx, monkeypatch)
     assert main(["verify-lemma2", "--t-count", "2", "--n", "4096"]) in (0, 3)
     capsys.readouterr()
-    assert calls == [3]
+    assert calls == [[cx.default_recipe().p]]
+
+
+def test_verify_lemma1_runs_one_fisher_pass(monkeypatch, capsys):
+    # expansion_targets used to read c1's Fisher information and c15's
+    # score cube from two identical passes
+    calls = count_fisher_passes(en, monkeypatch)
+    assert main(["verify-lemma1", "--n", "4096"]) in (0, 3)
+    capsys.readouterr()
+    assert calls == [[cx.default_recipe().p]]
 
 
 def test_non_applicable_audit_rows_are_strict_json_null(capsys):
@@ -1084,6 +1102,13 @@ for name, value in resolved.items():
         holders and all(h is value for h in holders)), name
 print(sorted(set(NAMES) - set(dir(ziclab))), ziclab.__version__)
 """
+
+
+def test_hessian_exports_load_no_numpy():
+    # both names used to resolve through counterexamples, which loads numpy
+    out = run_fresh(["-c", "import sys, ziclab; ziclab.stability_root; ziclab.deriv_norm_balance; "
+                           f"{LOADED}"])
+    assert out == "['ziclab', 'ziclab.hessian']\n"
 
 
 def test_lazy_exports_are_the_module_objects():
@@ -1346,12 +1371,20 @@ def test_verify_lemma2_bad_noise_exit_2(option, value, capsys):
         (["verify-lemma1", "--c1-tol=-1"], "--c1-tol: fit tolerance must be finite and nonnegative, got -1.0"),
         (["verify-lemma1", "--c15-tol=-1e-300"],
          "--c15-tol: fit tolerance must be finite and nonnegative, got -1e-300"),
+        *(
+            ([command, f"--n={n}"], f"--n: the grid needs n >= 1024 points, got {n}")
+            for command in ("verify-lemma1", "verify-lemma2", "verify-vertical",
+                            "limit-functional", "constant-power-gap")
+            for n in (-5, 0, 1, 1023)
+        ),
     ],
 )
 def test_lemma_t_grid_out_of_range_exit_2(argv, message, capsys):
     # these used to end in an IndexError traceback, in numpy's geomspace
     # messages after a RuntimeWarning, or in a fit with no residual freedom;
-    # a negative fit tolerance ran the whole fit and exited 3
+    # a negative fit tolerance ran the whole fit and exited 3; an n below 2
+    # exited 2 naming no option ("values length must equal n >= 2"), and one
+    # from 2 to 1023 only after a grid pass or a positivity scan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import moment_sum_sq_norm, outer_entropy_defect
+from _oracles import moment_sum_sq_norm, outer_entropy_defect, psi_written_out
 from ziclab import counterexamples as cx
 from ziclab import gaussmix
 from ziclab.entropy import NegativeDensityError, gaussian_entropy, mixture_entropies, mixture_entropy, mixture_to_grid
@@ -149,10 +149,13 @@ def test_skewness_gap_runs_no_recipe_quadrature(recipe, monkeypatch):
     # m2 comes from the closed-form moments, the same bits validate() reports
     assert recipe.q.second_moment() == recipe.validate()["m2"]
 
-    def no_quadrature(*args):
-        raise AssertionError("skewness_gap ran the recipe quadrature")
+    real = cx.mixture_integrals
 
-    monkeypatch.setattr(cx, "log_weighted_deriv_integral", no_quadrature)
+    def no_quadrature(ms, n=8192, fisher=False):
+        assert not fisher, "skewness_gap ran the recipe quadrature"
+        return real(ms, n=n, fisher=fisher)
+
+    monkeypatch.setattr(cx, "mixture_integrals", no_quadrature)
     rows = cx.skewness_gap([1e-3, 1e-2], recipe, n=4096)
     assert rows.shape == (2, 3)
 
@@ -278,6 +281,39 @@ def test_constant_power_gap_rejects_a_nan_skew_gain():
     # passed the old test c <= 1e-6
     with pytest.raises(cx.WitnessUnavailableError, match="skew gain c = nan"):
         cx.constant_power_gap(cx.ChannelParams(u=1.7e308, N1=1.0, N2=0.05), n=1024)
+
+
+@pytest.mark.parametrize(
+    "u, N1, N2, where",
+    [(2.0, 0.5, 0.3, "interior"), (2.0, 1.0, 0.05, "K = 0"), (1.0, 1.0, 0.05, "K = q1")],
+)
+def test_constant_power_gap_gaussian_term_matches_grid(u, N1, N2, where):
+    # the Gaussian term is half the capped psi with N = N2 and L = q2 over
+    # K in [0, q1]; a dense K grid of the written-out psi is the oracle
+    res = cx.constant_power_gap(cx.ChannelParams(u=u, N1=N1, N2=N2), n=4096)
+    term = res.gaussian_value - 0.5 * math.log((res.q1 + res.q2 + N1 + N2) / N1)
+    ks = np.linspace(0.0, res.q1, 1000001)
+    vals = 0.5 * psi_written_out(ks, res.q2, u, N1, N2)
+    i = int(np.argmax(vals))
+    assert {0: "K = 0", ks.size - 1: "K = q1"}.get(i, "interior") == where
+    assert vals[i] <= term + 1e-12 and term - vals[i] <= 1e-9
+
+
+@pytest.mark.parametrize("N2", [0.01, 0.02, 0.05, 0.1])
+def test_constant_power_gap_witness_meets_the_power_exactly(N2):
+    # X2 is the recipe's q scaled by sqrt(N2/m2(q)), so E[X2^2] = N2 up to
+    # the roundings of t, sqrt(t)^2 and the moment sum: at most 5 ulps over
+    # 20 000 log-uniform N2 in [1e-12, 1e12]; the objective's former power
+    # test allowed 1e-9 over N2
+    res = cx.constant_power_gap(cx.ChannelParams(u=1.0, N1=1.0, N2=N2), n=2048)
+    assert abs(res.q2 - N2) <= 8 * math.ulp(N2)
+
+
+@pytest.mark.parametrize("A", [math.nan, math.inf, -1.0])
+def test_constant_power_gap_rejects_bad_mixing_variance(A):
+    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
+    with pytest.raises(ValueError, match="mixing variance A must be finite and nonnegative"):
+        cx.constant_power_gap(params, A=A)
 
 
 # ----------------------------------------------------------------------
@@ -579,27 +615,29 @@ def old_select_epsilon(K, L, delta, J):
 @pytest.mark.parametrize("K, L, J", [(6.0, 1.4, 2), (2.0, 3.0, 8), (11.0, 1.1, 20), (1.2, 6.0, 5)])
 def test_positivity_scan_tabulates_once_and_keeps_the_bits(K, L, J):
     delta = min(K, L / J) / 10.0
-    minima = cx._DensityMinima()
-    assert cx.select_epsilon(K, L, delta, J, minima) == old_select_epsilon(K, L, delta, J)
+    cx._grid_column.cache_clear()
+    assert cx.select_epsilon(K, L, delta, J) == old_select_epsilon(K, L, delta, J)
     for eps in (2.0**-3, 2.0**-9, 0.0123):
         for m in (cx.perturbed_source(K, delta, eps), cx.partner_series(L, delta, eps, J)):
             expected = m.pdf(np.linspace(*m.window(), 4096)).min()
-            assert np.float64(minima(m)).tobytes() == expected.tobytes()
-    # J + 3 columns on two grids, whatever the number of eps asked
-    assert len(minima._columns) == J + 3
+            assert np.float64(cx._least_density(m)).tobytes() == expected.tobytes()
+    # J + 3 columns on two grids, whatever the number of eps asked, within
+    # the memo's room for the longest ladder
+    assert cx._grid_column.cache_info().misses == J + 3
+    assert cx._grid_column.cache_info().maxsize == cx.MAX_J + 3
 
 
 def test_positivity_scan_keys_columns_on_the_mean():
     # equal windows and equal (order, variance), different means: a column
     # keyed without the mean would give the second law the first one's
-    minima = cx._DensityMinima()
+    cx._grid_column.cache_clear()
     for m in (
         GaussMixture((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0)),
         GaussMixture((0.25, 0.5, 0.25), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0)),
     ):
         expected = m.pdf(np.linspace(*m.window(), 4096)).min()
-        assert np.float64(minima(m)).tobytes() == expected.tobytes()
-    assert len(minima._columns) == 3
+        assert np.float64(cx._least_density(m)).tobytes() == expected.tobytes()
+    assert cx._grid_column.cache_info().misses == 3
 
 
 # ----------------------------------------------------------------------

@@ -318,6 +318,16 @@ def test_log_weighted_deriv_integral_takes_orders_2_and_3(recipe):
             log_weighted_deriv_integral(recipe.p, k)
 
 
+def test_expansion_targets_keep_the_bits_of_two_quadratures(recipe):
+    # one Fisher pass gives the bits that one pass per integral gave
+    m = recipe.q.moments(3)
+    i2 = log_weighted_deriv_integral(recipe.p, 2)
+    i3 = log_weighted_deriv_integral(recipe.p, 3)
+    c1, c15 = expansion_targets(recipe.p, recipe.q)
+    assert (c1, c15) == (float(m[1] * (-0.5 * i2)), float(m[2] * (-i3 / 6.0)))
+    assert recipe.validate()["log_deriv3_integral"] == i3
+
+
 def test_mixture_entropies_equal_each_law_alone():
     # interleaved windows and families: every entropy is the one its
     # mixture gets alone, in input order

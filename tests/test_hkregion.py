@@ -18,10 +18,10 @@ from _oracles import (
     increasing_alignment,
     maxplus_self_convolution,
     power_control_value_2d,
+    psi_written_out,
     rng_for,
 )
 from ziclab import _lattice as lat
-from ziclab import counterexamples as cx
 from ziclab import hessian as hs
 from ziclab import hkregion as hk
 from ziclab.hessian import gauss_psi
@@ -190,12 +190,6 @@ def test_argmax_is_inf_outside_its_domain():
     k = [hs.gauss_argmax(L, 2.0, 0.5, 2.0) for L in (0.0, 0.5, 1.0, 1.5, 3.0)]
     assert k == [math.inf, math.inf, math.inf, (2.0 + 1.5) / 0.5 - 0.5, 5.0 / 2.0 - 0.5]
     assert hs.gauss_argmax(1.0, 2.0, 0.0, 4.0) == math.inf
-
-
-def psi_written_out(K, L, u, N1, N):
-    """psi with second-noise variance N, written out independently of the
-    package: u ln(K+N1+N+L) + ln(K+N1) - (u+1) ln(K+N1+N)."""
-    return u * np.log(K + N1 + N + L) + np.log(K + N1) - (u + 1) * np.log(K + N1 + N)
 
 
 def test_argmax_with_noise_variance_matches_grid(rng):
@@ -907,44 +901,6 @@ def test_power_control_cell_g1_majorizes_f1_exactly():
         assert c.bracket.within_rounding, (u, N1, q1, q2)
         gapped += not c.f1_eq_g1
     assert gapped >= 100
-
-
-# ----------------------------------------------------------------------
-# constant-power comparison
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "u, N1, N2, where",
-    [(2.0, 0.5, 0.3, "interior"), (2.0, 1.0, 0.05, "K = 0"), (1.0, 1.0, 0.05, "K = q1")],
-)
-def test_constant_power_gap_gaussian_term_matches_grid(u, N1, N2, where):
-    # the Gaussian term is half the capped psi with N = N2 and L = q2 over
-    # K in [0, q1]; a dense K grid of the written-out psi is the oracle
-    res = cx.constant_power_gap(cx.ChannelParams(u=u, N1=N1, N2=N2), n=4096)
-    term = res.gaussian_value - 0.5 * math.log((res.q1 + res.q2 + N1 + N2) / N1)
-    ks = np.linspace(0.0, res.q1, 1000001)
-    vals = 0.5 * psi_written_out(ks, res.q2, u, N1, N2)
-    i = int(np.argmax(vals))
-    assert {0: "K = 0", ks.size - 1: "K = q1"}.get(i, "interior") == where
-    assert vals[i] <= term + 1e-12 and term - vals[i] <= 1e-9
-
-
-@pytest.mark.parametrize("N2", [0.01, 0.02, 0.05, 0.1])
-def test_constant_power_gap_witness_meets_the_power_exactly(N2):
-    # X2 is the recipe's q scaled by sqrt(N2/m2(q)), so E[X2^2] = N2 up to
-    # the roundings of t, sqrt(t)^2 and the moment sum: at most 5 ulps over
-    # 20 000 log-uniform N2 in [1e-12, 1e12]; the objective's former power
-    # test allowed 1e-9 over N2
-    res = cx.constant_power_gap(cx.ChannelParams(u=1.0, N1=1.0, N2=N2), n=2048)
-    assert abs(res.q2 - N2) <= 8 * math.ulp(N2)
-
-
-@pytest.mark.parametrize("A", [math.nan, math.inf, -1.0])
-def test_constant_power_gap_rejects_bad_mixing_variance(A):
-    params = cx.ChannelParams(u=1.0, N1=1.0, N2=0.05)
-    with pytest.raises(ValueError, match="mixing variance A must be finite and nonnegative"):
-        cx.constant_power_gap(params, A=A)
 
 
 # ----------------------------------------------------------------------
