@@ -20,15 +20,17 @@ least value for the -1e-12 check, clips, and writes into rows of at most
 asked, of the score's moments (p')^2/p and (p')^3/p^2.  By parts these
 give the expansion targets: int p'' ln p = -J(p) and int p''' ln p =
 -1/2 int (p')^3/p^2.  Each element goes through the ufuncs of the
-whole-array expressions.  The blocks are the nodes of numpy's pairwise-sum
-tree over the n - 1 terms (Higham, SISC 1993): each row's ``np.sum`` over
-a block is that node's sum, and adding the block sums in the tree's order
-gives the bits of one ``np.sum`` over the whole term array.  So the
-results have the bits of tabulating the whole grid at once
-(``tests/_oracles.py`` keeps that path), a block's buffers stay in the CPU
-caches, and a call's memory is O(BLOCK * laws), whatever n is.
-``tests/test_grid_kernel.py::test_block_sums_follow_numpys_pairwise_tree``
-pins numpy's tree, so a numpy that sums otherwise fails it.  A density
+whole-array expressions.  One recursive function, ``_tree_sums``, walks
+numpy's pairwise-sum tree over the n - 1 terms (Higham, SISC 1993): a
+node of at most ``BLOCK`` terms is a block, whose rows' ``np.sum`` is that
+node's sum, and a larger node adds its two children's sums as numpy does.
+So each integral has the bits of one ``np.sum`` over the whole term array
+and the results those of tabulating the whole grid at once
+(``tests/_oracles.py`` keeps that path).  A pass allocates one block's
+buffers, reuses them block after block in the CPU caches and frees them
+when it ends, so its memory is O(BLOCK * laws), whatever n is.
+``tests/test_grid_kernel.py`` pins numpy's tree, so a numpy that sums
+otherwise fails it, and the traced peak of each kernel path.  A density
 given as values (``GridDensity``) is already in memory whole, so its
 integrals are numpy's ``np.trapezoid`` itself.
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,9 +76,14 @@ def check_grid_n(n: int) -> None:
         raise ValueError(f"the grid needs n >= {GRID_MIN_N} points, got {n}")
 
 
-def _check_grid(lo: float, hi: float, n: int) -> None:
-    if n < 2:
-        raise ValueError("values length must equal n >= 2")
+def _check_n(n: int, what: str) -> None:
+    """Reject a grid of fewer than GRID_MIN_N points for an evaluation of
+    ``what`` (the quantity named in the error)."""
+    if n < GRID_MIN_N:
+        raise ValueError(f"{what} evaluation requires n >= {GRID_MIN_N}")
+
+
+def _check_grid(lo: float, hi: float) -> None:
     if not hi > lo:
         raise ValueError("need hi > lo")
 
@@ -89,11 +96,9 @@ def _check_nonnegative(low: float) -> None:
         raise NegativeDensityError(f"density reaches {low:.3e} < -1e-12 on the grid")
 
 
-def _check_normalized(n: int, mass: float, what: str) -> None:
-    """Entropy and Fisher precondition: n >= GRID_MIN_N, unit mass within
-    1e-7 (a NaN mass is rejected)."""
-    if n < GRID_MIN_N:
-        raise ValueError(f"{what} evaluation requires n >= {GRID_MIN_N}")
+def _check_normalized(mass: float) -> None:
+    """Entropy and Fisher precondition: unit mass within 1e-7 (a NaN mass
+    is rejected)."""
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise NonNormalizedError(f"density mass {mass} deviates from 1 beyond 1e-7")
 
@@ -109,9 +114,9 @@ class GridDensity:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if len(vals) != self.n:
+        if len(vals) != self.n or self.n < 2:
             raise ValueError("values length must equal n >= 2")
-        _check_grid(self.lo, self.hi, self.n)
+        _check_grid(self.lo, self.hi)
         _check_nonnegative(vals.min())
         vals = np.clip(vals, 0.0, None)
         object.__setattr__(self, "values", vals)
@@ -159,68 +164,17 @@ def _half(m: int) -> int:
     return m // 2 - (m // 2) % 8
 
 
-def _spans(n: int) -> Iterator[tuple[int, int]]:
-    """The blocks of a pass over n points, in order: (a, b) for the
-    trapezoid terms a..b-1, which read the integrands at points a..b.
-
-    The blocks are the nodes of numpy's pairwise-sum tree over the n - 1
-    terms: a node of more than BLOCK terms splits into its first _half and
-    the rest, and a node of at most BLOCK terms is a block."""
-    nodes = [(0, n - 1)]
-    while nodes:
-        a, b = nodes.pop()
-        if b - a > BLOCK:
-            h = a + _half(b - a)
-            nodes += [(h, b), (a, h)]
-        else:
-            yield a, b
-
-
-def _total(m: int, sums: Iterator[np.ndarray]) -> np.ndarray:
-    """np.sum over m terms, from the sums of _spans's blocks over them in
-    order, added as numpy's pairwise sum adds the nodes of its tree."""
-    if m <= BLOCK:
-        return next(sums)
-    h = _half(m)
-    return _total(h, sums) + _total(m - h, sums)
-
-
-class _Workspace:
-    """The buffers of one call, allocated once and reused by each of its
-    passes, all sized for one block's points: ``rows`` trapezoid term rows
-    (one float wider than a block's terms, so that a row can first hold an
-    integrand at the block's points), the point indices and points, two
-    work buffers (``pdf_many``'s, then an integrand's) and a mask.  None
-    grows with n beyond BLOCK, and reuse keeps a pass from allocating, and
-    so from faulting in fresh pages, block after block."""
-
-    def __init__(self, rows: int, n: int):
-        if n < 2:
-            raise ValueError("values length must equal n >= 2")
-        size = min(BLOCK + 1, n)
-        self.terms = np.empty((rows, size))
-        self.index = np.arange(size, dtype=np.int32)  # half a float index's bytes
-        self.x = np.empty(size)
-        self.work = np.empty((2, size))
-        self.mask = np.empty(size, dtype=bool)
-
-    def points(self, lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarray:
-        """np.linspace(lo, hi, n)[start:stop], bit for bit, in the points
-        buffer."""
-        x = np.add(self.index[: stop - start], float(start), out=self.x[: stop - start])
-        return _grid(x, lo, hi, n, stop == n)
-
-    def sums(self, n: int, rows: int, fill: Callable[[int, int, np.ndarray], None]) -> list[float]:
-        """The whole-grid sums of the first ``rows`` term rows over a pass
-        on n points, where fill(a, b, terms) writes the terms of _spans's
-        block (a, b) into terms[:, : b - a].  Each sum has the bits of
-        np.sum over that row's n - 1 terms written at once."""
-        sums = []
-        for a, b in _spans(n):
-            terms = self.terms[:rows, : b - a]
-            fill(a, b, terms)
-            sums.append(terms.sum(axis=1))
-        return _total(n - 1, iter(sums)).tolist()
+def _tree_sums(a: int, b: int, block_sums: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """np.sum over trapezoid terms a..b-1 of each term row, as numpy's
+    pairwise sum adds them: a node of at most BLOCK terms is a block, whose
+    row sums block_sums(a, b) gives, and a larger node is the sum of its
+    first _half and the rest.  The callback comes in as an argument, not
+    as a closure that calls itself, whose reference cycle would keep every
+    pass's buffers alive until the cyclic collector ran."""
+    if b - a <= BLOCK:
+        return block_sums(a, b)
+    h = a + _half(b - a)
+    return _tree_sums(a, h, block_sums) + _tree_sums(h, b, block_sums)
 
 
 def _entropy_integrand(p: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -252,23 +206,17 @@ class GridIntegrals(NamedTuple):
     fisher: Optional[float] = None
     score3: Optional[float] = None
 
-    def checked(self, n: int, what: str) -> "GridIntegrals":
+    def checked(self) -> "GridIntegrals":
         """These integrals, once GridDensity's check (a NaN least value,
         here the law's own tabulation overflowing, included) and then the
-        n-point grid and unit-mass checks of ``what`` (the quantity named
-        in the error) pass."""
+        unit-mass check pass."""
         _check_nonnegative(self.low)
-        _check_normalized(n, self.mass, what)
+        _check_normalized(self.mass)
         return self
 
 
-def _rows(laws: int, fisher: bool) -> int:
-    """Term rows of a pass: mass, entropy and, with ``fisher``, Fisher and cube."""
-    return (4 if fisher else 2) * laws
-
-
 def _integrate(
-    ms: Sequence[GaussDerivMixture], lo: float, hi: float, n: int, ws: _Workspace, fisher: bool = False
+    ms: Sequence[GaussDerivMixture], lo: float, hi: float, n: int, fisher: bool = False
 ) -> list[GridIntegrals]:
     """Unchecked GridIntegrals of mixtures on n points over [lo, hi], from
     one blocked pass.
@@ -279,23 +227,32 @@ def _integrate(
     per block.  With k mixtures, mixture j's rows are j (mass), k + j
     (entropy), 2k + j (Fisher) and 3k + j (score cube).  The mass row first
     holds p at the block's points and gets its terms last, and the Fisher
-    row first holds p'.  The blocks are nodes of numpy's pairwise-sum tree
-    (``_spans``), so each integral has the bits of one np.sum over its
-    n - 1 terms, from rows of at most BLOCK + 1 floats whatever n is
-    (``_Workspace.sums``; ``test_block_sums_follow_numpys_pairwise_tree``).
+    row first holds p'.  The blocks are the leaves of numpy's pairwise-sum
+    tree (``_tree_sums``), so each integral has the bits of one np.sum over
+    its n - 1 terms (``test_block_sums_follow_numpys_pairwise_tree``).  The
+    pass allocates one block's buffers and reuses them block after block:
+    term rows one float wider than a block's terms (so that a row can first
+    hold an integrand at the block's points), the point indices and
+    points, two work rows (``pdf_many``'s, then an integrand's) and a mask.
+    None grows with n beyond BLOCK, and reuse keeps the pass from faulting
+    in fresh pages block after block.
     """
-    _check_grid(lo, hi, n)
+    _check_grid(lo, hi)
     step = (hi - lo) / (n - 1)
     k = len(ms)
-    rows = _rows(k, fisher)
     tabulated = [*ms, *(m.derivative(1) for m in ms)] if fisher else ms
+    size = min(BLOCK + 1, n)
+    rows = np.empty(((4 if fisher else 2) * k, size))
+    index = np.arange(size, dtype=np.int32)  # half a float index's bytes
+    points, works, mask = np.empty(size), np.empty((2, size)), np.empty(size, dtype=bool)
     lows = [np.inf] * k
 
-    def fill(a: int, b: int, terms: np.ndarray) -> None:
-        block = ws.terms[:rows, : b + 1 - a]
-        work, below = ws.work[:, : b + 1 - a], ws.mask[: b + 1 - a]
-        x = ws.points(lo, hi, n, a, b + 1)
+    def block_sums(a: int, b: int) -> np.ndarray:
+        width = b + 1 - a  # the block reads points a..b
+        block, work, below = rows[:, :width], works[:, :width], mask[:width]
+        x = _grid(np.add(index[:width], float(a), out=points[:width]), lo, hi, n, b == n - 1)
         GaussDerivMixture.pdf_many(tabulated, x, out=[*block[:k], *block[2 * k : 3 * k]], work=work)
+        terms = rows[:, : b - a]
         for j, p in enumerate(block[:k]):
             lows[j] = np.minimum(lows[j], p.min())  # a NaN stays, as in p.min()
             np.clip(p, 0.0, None, out=p)
@@ -309,19 +266,10 @@ def _integrate(
                 np.copyto(y, 0.0, where=below)
                 _trapezoid_terms(y, step, out)
             _trapezoid_terms(p, step, terms[j])
+        return terms.sum(axis=1)
 
-    sums = ws.sums(n, rows, fill)
+    sums = _tree_sums(0, n - 1, block_sums).tolist()
     return [GridIntegrals(low, *sums[j::k]) for j, low in enumerate(lows)]
-
-
-def _window_groups(ms: Sequence[GaussDerivMixture]) -> dict[int, list[int]]:
-    """The indices of mixtures with equal windows, keyed by the first of
-    them."""
-    first: dict[tuple[float, float], int] = {}
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(ms):
-        groups.setdefault(first.setdefault(m.window(), i), []).append(i)
-    return groups
 
 
 def mixture_integrals(
@@ -333,15 +281,17 @@ def mixture_integrals(
     Mixtures with equal windows share one blocked pass, run when the first
     of them is reached, so a term several of them hold is evaluated once,
     and each value has the bits the mixture gets alone under ``pdf_many``'s
-    condition.  Raises law by law as GridDensity and differential_entropy
-    would: NegativeDensityError when a density dips below -1e-12 anywhere
-    on its grid, which signals a perturbation amplitude too large for
-    pointwise positivity, and NonNormalizedError when its mass is off; and
+    condition.  Rejects n < GRID_MIN_N (ValueError) before any pass, then
+    raises law by law as GridDensity and differential_entropy would:
+    NegativeDensityError when a density dips below -1e-12 anywhere on its
+    grid, which signals a perturbation amplitude too large for pointwise
+    positivity, and NonNormalizedError when its mass is off; and
     NegativeDensityError where its tabulation is NaN (``GridIntegrals.checked``).
     Fisher information tabulates each law's derivative, whose orders are
     one higher, so it first rejects any law with a term of order MAX_ORDER
     (ValueError).
     """
+    _check_n(n, "Fisher information" if fisher else "entropy")
     if fisher:
         top = max((t.order for m in ms for t in m.terms), default=0)
         if top >= MAX_ORDER:
@@ -349,17 +299,16 @@ def mixture_integrals(
                 f"Fisher information needs each law's derivative, so term orders below "
                 f"MAX_ORDER = {MAX_ORDER}, got order {top}"
             )
-    groups = _window_groups(ms)
-    if not groups:
-        return []
-    ws = _Workspace(_rows(max(map(len, groups.values())), fisher), n)
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, m in enumerate(ms):
+        groups.setdefault(m.window(), []).append(i)
     done: dict[int, GridIntegrals] = {}
     checked = []
     for i, m in enumerate(ms):
-        if i in groups:
-            group = [ms[j] for j in groups[i]]
-            done.update(zip(groups[i], _integrate(group, *m.window(), n, ws, fisher)))
-        checked.append(done.pop(i).checked(n, "Fisher information" if fisher else "entropy"))
+        if i not in done:
+            group = groups[m.window()]
+            done.update(zip(group, _integrate([ms[j] for j in group], *m.window(), n, fisher)))
+        checked.append(done[i].checked())
     return checked
 
 
@@ -374,7 +323,8 @@ def differential_entropy(p: GridDensity) -> float:
     Points with p < 1e-300 are excluded from the log (their contribution is
     analytically below any tolerance used here).
     """
-    _check_normalized(p.n, p.mass(), "entropy")
+    _check_n(p.n, "entropy")
+    _check_normalized(p.mass())
     v = p.values
     with np.errstate(divide="ignore", invalid="ignore"):
         return p.integral(np.where(v > _TINY, -(np.log(v) * v), 0.0))
@@ -432,8 +382,10 @@ def smoothing_curve(
 
     Each p_t is an exact mixture from the convolution algebra.  All
     entropies share one grid so quadrature wiggle cancels in the
-    difference; their passes run one after another in one workspace.
+    difference; their passes run one after another.  Rejects n <
+    GRID_MIN_N (ValueError) before any of them.
     """
+    _check_n(n, "entropy")
     t = np.asarray(t_grid, dtype=float)
     for end in (t.min(), t.max()):
         check_smoothing_t(end)
@@ -447,11 +399,10 @@ def smoothing_curve(
     lo0, hi0 = p.window()
     lo1, hi1 = smoothed[-1].window()
     lo, hi = min(lo0, lo1), max(hi0, hi1)
-    ws = _Workspace(_rows(1, False), n)
 
     def entropy(m: GaussDerivMixture) -> float:
-        [r] = _integrate([m], lo, hi, n, ws)
-        return r.checked(n, "entropy").entropy
+        [r] = _integrate([m], lo, hi, n)
+        return r.checked().entropy
 
     h0 = entropy(p)
     dh = np.array([entropy(s) - h0 for s in smoothed])

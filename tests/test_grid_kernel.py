@@ -60,6 +60,22 @@ def test_grid_density_integrals_match_whole_grid(n):
     assert same_bits((p.mass(), en.differential_entropy(p)), (mass, entropy))
 
 
+def tree_blocks(rows):
+    """The blocks (a, b) that _tree_sums visits over the terms of ``rows``,
+    in order, and the row sums it returns when each block's terms are
+    copied into a buffer one float wider than a block, as the kernel's."""
+    blocks = []
+    buf = np.empty((len(rows), min(B + 1, rows.shape[1] + 1)))
+
+    def block_sums(a, b):
+        blocks.append((a, b))
+        terms = buf[:, : b - a]
+        np.copyto(terms, rows[:, a:b])
+        return terms.sum(axis=1)
+
+    return blocks, en._tree_sums(0, rows.shape[1], block_sums).tolist()
+
+
 def test_block_sums_follow_numpys_pairwise_tree():
     # the kernel's block sums, added in the tree's order, are np.sum over
     # the whole row: every unroll remainder of a short sum, one block and
@@ -68,19 +84,18 @@ def test_block_sums_follow_numpys_pairwise_tree():
     for m in lengths:
         rng = np.random.default_rng(m)
         x = rng.choice((-1.0, 1.0), (2, m)) * np.exp(rng.uniform(-20.0, 20.0, (2, m)))
-        ws = en._Workspace(2, m + 1)
-        got = ws.sums(m + 1, 2, lambda a, b, terms: np.copyto(terms, x[:, a:b]))
+        _, got = tree_blocks(x)
         assert same_bits(got, [np.sum(row) for row in x]), m
-    assert all(B // 2 <= b - a <= B for a, b in en._spans(1 << 20))
+    assert all(B // 2 <= b - a <= B for a, b in tree_blocks(np.empty((0, (1 << 20) - 1)))[0])
 
 
 def test_grid_points_are_linspace_bit_for_bit():
     # the last case's step underflows to 0, linspace's subnormal path
     for lo, hi, n in ((-3.0, 7.5, 1024), (-15.6, 15.6, 3 * B - 7), (0.1, 0.2, 2 * B + 1), (0.0, 5e-324, 1500)):
-        ws = en._Workspace(0, n)
         x = np.linspace(lo, hi, n)
-        for a, b in en._spans(n):
-            assert same_bits(ws.points(lo, hi, n, a, b + 1), x[a : b + 1]), (lo, hi, n, a)
+        for a, b in tree_blocks(np.empty((0, n - 1)))[0]:
+            got = en._grid(np.arange(a, b + 1, dtype=float), lo, hi, n, b == n - 1)
+            assert same_bits(got, x[a : b + 1]), (lo, hi, n, a)
 
 
 def test_smoothing_curve_matches_whole_grid(recipe):
@@ -109,7 +124,7 @@ def test_nan_and_tiny_points_are_zeroed_across_blocks():
     for m, fisher in ((nan_laws[0], False), (nan_laws[1], True), (tiny_law, True)):
         lo, hi = m.window()
         with np.errstate(over="ignore", invalid="ignore"):
-            [got] = en._integrate([m], lo, hi, n, en._Workspace(en._rows(1, fisher), n), fisher)
+            [got] = en._integrate([m], lo, hi, n, fisher)
             expected = whole_grid_integrals(m, lo, hi, n, fisher)
         assert same_bits(tuple(got), expected)
         assert math.isfinite(got.entropy)
@@ -128,11 +143,22 @@ def test_nan_and_tiny_points_are_zeroed_across_blocks():
     assert (tiny_vals == 0.0).any() and ((tiny_vals > 0) & (tiny_vals <= 1e-300)).any()
 
 
-def test_short_grid_error_names_the_quantity():
-    with pytest.raises(ValueError, match=r"^Fisher information evaluation requires n >= 1024$"):
-        en.fisher_information(gaussian(1.0), n=1000)
-    with pytest.raises(ValueError, match=r"^entropy evaluation requires n >= 1024$"):
-        en.mixture_entropy(gaussian(1.0), n=1000)
+def test_short_grid_error_names_the_quantity(monkeypatch, recipe):
+    # and comes before any law is tabulated, whatever n below 1024
+    calls = []
+    pdf_many = GaussDerivMixture.pdf_many
+    monkeypatch.setattr(GaussDerivMixture, "pdf_many", staticmethod(lambda *args, **kw: calls.append(1) or pdf_many(*args, **kw)))
+    t = np.geomspace(1e-3, 1e-2, 6)
+    for n in (1, 1000, 1023):
+        with pytest.raises(ValueError, match=r"^Fisher information evaluation requires n >= 1024$"):
+            en.fisher_information(gaussian(1.0), n=n)
+        with pytest.raises(ValueError, match=r"^entropy evaluation requires n >= 1024$"):
+            en.mixture_entropy(gaussian(1.0), n=n)
+        with pytest.raises(ValueError, match=r"^entropy evaluation requires n >= 1024$"):
+            en.smoothing_curve(recipe.p, recipe.q, t, n=n)
+    assert calls == []
+    en.mixture_entropy(gaussian(1.0), n=1024)
+    assert calls
 
 
 def test_fisher_rejects_a_law_without_a_derivative_before_tabulating():
@@ -168,22 +194,24 @@ def test_blocked_errors_match_whole_grid():
     assert str(blocked.value) == str(whole.value)
     with pytest.raises(ValueError, match=r"entropy evaluation requires n >= 1024"):
         en.mixture_entropies([gaussian(1.0)], n=1023)
-    with pytest.raises(ValueError, match=r"values length must equal n >= 2"):
+    with pytest.raises(ValueError, match=r"entropy evaluation requires n >= 1024"):
         en.mixture_entropies([gaussian(1.0)], n=1)
 
 
 # Peak traced bytes (numpy reports its buffers to tracemalloc) after one
 # warm-up call, at n = 2^18: smoothing_curve's 21 laws, and the three laws
 # of the verify-vertical benchmark ladder's X1 without and with Fisher
-# information.  Bounds measured 1,825,541, 3,578,414 and 4,366,334 B with
-# block rows one float wider than a block's terms, the Fisher rows holding
-# the exact p' first, rounded up to 10 kB; the full-length term arrays
-# before block rows took 5.5, 14.6 and 20.9 MB.  Since each law is
-# tabulated into its own mass row, and the Fisher pass adds the score-cube
-# row, they measure 1,563,429, 2,791,902 and 4,366,454 B (numpy 2.4, one
-# interpreter outside pytest).  A pass holds O(BLOCK * laws)
-# bytes, so a grid 4 times finer may add no more than NO_GROWTH.
-PEAK = {"smoothing_curve": 1_830_000, "mixture_entropies": 3_580_000, "mixture_integrals": 4_370_000}
+# information.  Each pass allocates one block's buffers, term rows one
+# float wider than a block's terms with each law tabulated into its own
+# mass row and the Fisher rows holding the exact p' first, and frees them
+# when it ends; the peaks measure 1,562,157, 2,790,742 and 4,365,182 B
+# under pytest (numpy 2.4), rounded up to 10 kB here.  The full-length term
+# arrays before block rows took 5.5, 14.6 and 20.9 MB, and a recursion
+# written as a closure that calls itself, whose reference cycle keeps each
+# pass's buffers until the cyclic collector runs, took 31.1 MB in
+# smoothing_curve.  A pass holds O(BLOCK * laws) bytes, so a grid 4 times
+# finer may add no more than NO_GROWTH.
+PEAK = {"smoothing_curve": 1_570_000, "mixture_entropies": 2_800_000, "mixture_integrals": 4_370_000}
 NO_GROWTH = 64 << 10
 
 
