@@ -65,7 +65,7 @@ def cmd_hessian(args) -> tuple[dict, list[dict], list[tuple]]:
     checks = [
         (
             "total_equals_ledger_sum",
-            report.total == sum(report.per_alpha_terms.values()),
+            report.total == math.fsum(report.per_alpha_terms.values()),
             "ledger additivity",
         )
     ]

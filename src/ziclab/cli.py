@@ -49,6 +49,19 @@ def _number(text: str, kind=float):
 MAX_RANGE_VALUES = 10**6
 
 
+def _decimal(text: str, value: float) -> tuple[int, int]:
+    """(m, e) with m 10^e the exact value of a number text that float() read
+    as the finite ``value``: its digits, underscores dropped, past the sign
+    and the point, and its exponent less the digits after the point.  A
+    text that rounds to 0 reads (0, 0), so no exponent of a long run of
+    zeros, such as 1e-999999999's, becomes a power of ten."""
+    if not value:
+        return 0, 0
+    mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), int(exponent or "0") - len(fraction)
+
+
 def parse_values(text: str) -> list[float]:
     """Parse 'lo:hi:step' sweeps, comma lists, or a single number; every
     value must be finite, and a comma list must hold at least one.
@@ -56,27 +69,24 @@ def parse_values(text: str) -> list[float]:
     A range holds the values lo + i step, i = 0, 1, ..., for every i with
     i step <= hi - lo in the exact decimal values of the three texts (a
     text that rounds to the float 0 counts as 0), so 1.1:4:0.1 gives 30
-    values and ends at 4 within rounding.  A range whose count passes the
-    float range, or MAX_RANGE_VALUES, is rejected before any value is
-    built."""
+    values and ends at 4 within rounding.  The count is integer arithmetic
+    on the texts' digits, scaled to their least exponent.  A range whose
+    count passes the float range, or MAX_RANGE_VALUES, is rejected before
+    any value is built."""
     text = text.strip()
     if ":" in text:
-        from fractions import Fraction
-
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad range '{text}', want lo:hi:step")
         lo, hi, step = (_number(p) for p in parts)
         if not all(map(math.isfinite, (lo, hi, step))):
             raise argparse.ArgumentTypeError(f"non-finite value in '{text}'")
-        # Fraction of a text like 1e-999999999, which rounds to 0, would
-        # build a huge power of ten
-        f_lo, f_hi, f_step = (
-            Fraction(p) if v else Fraction(0) for p, v in zip(parts, (lo, hi, step))
-        )
-        if f_step <= 0 or f_hi < f_lo:
+        exact = [_decimal(p, v) for p, v in zip(parts, (lo, hi, step))]
+        least = min(e for _, e in exact)
+        i_lo, i_hi, i_step = (m * 10 ** (e - least) for m, e in exact)
+        if i_step <= 0 or i_hi < i_lo:
             raise argparse.ArgumentTypeError(f"bad range '{text}'")
-        n = (f_hi - f_lo) // f_step + 1
+        n = (i_hi - i_lo) // i_step + 1
         if n > sys.float_info.max:
             raise argparse.ArgumentTypeError(
                 f"bad range '{text}': non-finite value count (hi-lo)/step + 1"
@@ -261,8 +271,7 @@ COMMANDS = {
         ("--q", dict(type=parse_values, required=True)),
         ("--N1", dict(type=float, default=0.0)),
     )),
-    # a string default goes through parse_values only when geometry runs, so
-    # the other commands do not import fractions
+    # a string default goes through parse_values only when geometry runs
     "geometry": ("volume-ratio sweep with exact mixed areas", "_cmd_scalar", (
         ("--t", dict(type=parse_values, default="10:200:10")),
     )),

@@ -49,6 +49,7 @@ from .gaussmix import (
 )
 from .entropy import (
     NegativeDensityError,
+    check_t_count_bound,
     gaussian_entropy,
     mixture_entropies,
     mixture_entropy,
@@ -234,9 +235,11 @@ def check_gap_t(t: float) -> None:
 
 
 def check_gap_count(count: int) -> None:
-    """Reject fewer t values than the two columns of the gap fit (ValueError)."""
+    """Reject fewer t values than the two columns of the gap fit, and more
+    than MAX_T_COUNT (ValueError)."""
     if count < 2:
         raise ValueError(f"the t^(3/2) fit needs at least 2 t values, got {count}")
+    check_t_count_bound(count)
 
 
 # the gap fit's columns: the t^{3/2} gain and the competing t^2 term

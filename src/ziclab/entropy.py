@@ -15,12 +15,16 @@ One blocked kernel computes every mixture integral.  A pass walks the grid
 in blocks of at most ``BLOCK`` trapezoid terms: it tabulates the mixtures
 of one window and, when asked, their exact derivatives ``m.derivative(1)``
 on the block's own points (each distinct term column once), tracks their
-least value for the -1e-12 check, clips, and writes into rows of at most
-``BLOCK`` + 1 floats the trapezoid terms of the mass, of -p ln p and, when
+least value for the -1e-12 check, and writes into rows of at most
+``BLOCK`` + 1 floats the trapezoid terms of the mass, of p ln p and, when
 asked, of the score's moments (p')^2/p and (p')^3/p^2.  By parts these
 give the expansion targets: int p'' ln p = -J(p) and int p''' ln p =
 -1/2 int (p')^3/p^2.  Each element goes through the ufuncs of the
-whole-array expressions.  One recursive function, ``_tree_sums``, walks
+whole-array expressions, less the passes that would leave its bits alone:
+a block whose least value is positive is not clipped, a block whose least
+value is above 1e-300 has no point to zero, and the entropy is the sum of
+p ln p negated, which is the sum of -p ln p to the bit, as rounding is
+sign-symmetric.  One recursive function, ``_tree_sums``, walks
 numpy's pairwise-sum tree over the n - 1 terms (Higham, SISC 1993): a
 node of at most ``BLOCK`` terms is a block, whose rows' ``np.sum`` is that
 node's sum, and a larger node adds its two children's sums as numpy does.
@@ -155,7 +159,7 @@ def _trapezoid_terms(y: np.ndarray, step: float, out: np.ndarray) -> None:
     """``np.trapezoid``'s terms step * (y[1:] + y[:-1]) / 2.0, into out."""
     np.add(y[1:], y[:-1], out=out)
     out *= step
-    out /= 2.0
+    out *= 0.5  # the bits of / 2.0
 
 
 def _half(m: int) -> int:
@@ -177,12 +181,13 @@ def _tree_sums(a: int, b: int, block_sums: Callable[[int, int], np.ndarray]) -> 
     return _tree_sums(a, h, block_sums) + _tree_sums(h, b, block_sums)
 
 
-def _entropy_integrand(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """-p ln p at the density values p, into out."""
+def _p_log_p(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p ln p at the density values p, into out: the entropy integrand
+    negated, which its sum undoes exactly, as rounding is sign-symmetric."""
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(p, out=out)
         out *= p
-    return np.negative(out, out=out)
+    return out
 
 
 def _score_integrands(dp: np.ndarray, p: np.ndarray, cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +230,7 @@ def _integrate(
     mixtures and, for Fisher information, their exact derivatives
     ``m.derivative(1)``, so a term several of them hold is evaluated once
     per block.  With k mixtures, mixture j's rows are j (mass), k + j
-    (entropy), 2k + j (Fisher) and 3k + j (score cube).  The mass row first
+    (p ln p), 2k + j (Fisher) and 3k + j (score cube).  The mass row first
     holds p at the block's points and gets its terms last, and the Fisher
     row first holds p'.  The blocks are the leaves of numpy's pairwise-sum
     tree (``_tree_sums``), so each integral has the bits of one np.sum over
@@ -254,21 +259,29 @@ def _integrate(
         GaussDerivMixture.pdf_many(tabulated, x, out=[*block[:k], *block[2 * k : 3 * k]], work=work)
         terms = rows[:, : b - a]
         for j, p in enumerate(block[:k]):
-            lows[j] = np.minimum(lows[j], p.min())  # a NaN stays, as in p.min()
-            np.clip(p, 0.0, None, out=p)
-            # zero each integrand but the mass where not p > 1e-300, NaN
-            # included, as np.where does: a contribution below any tolerance
-            np.logical_not(np.greater(p, _TINY, out=below), out=below)
-            integrands = [_entropy_integrand(p, work[0])]
+            low = p.min()
+            lows[j] = np.minimum(lows[j], low)  # a NaN stays, as in p.min()
+            if not low > 0.0:  # clipping leaves positive values as they are
+                np.clip(p, 0.0, None, out=p)
+            integrands = [_p_log_p(p, work[0])]
             if fisher:
                 integrands += _score_integrands(block[2 * k + j], p, block[3 * k + j])
+            if not low > _TINY:  # NaN included
+                # zero each integrand but the mass where not p > 1e-300, NaN
+                # included, as np.where does: a contribution below any tolerance
+                np.logical_not(np.greater(p, _TINY, out=below), out=below)
+                for y in integrands:
+                    np.copyto(y, 0.0, where=below)
             for y, out in zip(integrands, terms[k + j :: k]):
-                np.copyto(y, 0.0, where=below)
                 _trapezoid_terms(y, step, out)
             _trapezoid_terms(p, step, terms[j])
         return terms.sum(axis=1)
 
-    sums = _tree_sums(0, n - 1, block_sums).tolist()
+    sums = _tree_sums(0, n - 1, block_sums)
+    # the entropy rows hold p ln p: 0.0 - s is -s, and 0.0 where s is 0, as
+    # the sum of -p ln p's terms is but where p = 1 at every point
+    np.subtract(0.0, sums[k : 2 * k], out=sums[k : 2 * k])
+    sums = sums.tolist()
     return [GridIntegrals(low, *sums[j::k]) for j, low in enumerate(lows)]
 
 
@@ -415,10 +428,24 @@ def check_smoothing_t(t: float) -> None:
         raise ValueError(f"t values must lie in (0, 0.1], got {t}")
 
 
+# the most t values of a small-t fit: each t builds its own law, about 780
+# B, before any pass, and then costs a grid pass of at least GRID_MIN_N
+# points, so 10^4 of them hold some 8 MB; the README's longest run takes 20
+MAX_T_COUNT = 10_000
+
+
+def check_t_count_bound(count: int) -> None:
+    """Reject more than MAX_T_COUNT t values (ValueError)."""
+    if count > MAX_T_COUNT:
+        raise ValueError(f"need at most {MAX_T_COUNT} t values, got {count}")
+
+
 def check_expansion_count(count: int) -> None:
-    """Reject fewer than 6 t values: 4 fit columns, 2 for the residual slope."""
+    """Reject fewer than 6 t values: 4 fit columns, 2 for the residual
+    slope; and more than MAX_T_COUNT (ValueError)."""
     if count < 6:
         raise ValueError(f"need at least 6 t values, got {count}")
+    check_t_count_bound(count)
 
 
 def check_fit_tolerance(tol: float) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -28,6 +29,8 @@ from .hessian import gauss_deriv_coeffs, gauss_raw_moment
 MAX_ORDER = 64
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# the least variance v at which gauss_deriv_pdf's exponent factor -0.5/v is finite
+_LEAST_VARIANCE = math.nextafter(0.5 / sys.float_info.max, math.inf)
 
 
 class DerivTerm(NamedTuple):
@@ -67,14 +70,40 @@ def gauss_deriv_pdf(
 ) -> np.ndarray:
     """Evaluate D^order gamma_variance pointwise, into ``out`` when given.
 
-    gamma_v is built in one buffer: x*x, then / -2v, exp and / sqrt(2 pi v),
-    the bits of exp(-x*x / (2v)) / sqrt(2 pi v), since negation is exact
-    and rounding is sign-symmetric.  The polynomial factor is Horner's rule
-    in one more buffer, h <- h * x + c: the operations of ``polyval``
-    without its two temporaries per step.  It runs before gamma_v is
-    built, so ``out`` may be ``x`` itself.  A 0-d input returns a scalar.
+    gamma_v is built in one buffer with no division: x*x, times -0.5/v,
+    exp, and times 1/(sqrt(2 pi) sqrt(v)), the two scalars formed once per
+    call.  The polynomial factor P is Horner's rule in one more buffer,
+    h <- h * x + c: the operations of ``polyval`` without its two
+    temporaries per step.  It runs before gamma_v is built, so ``out`` may
+    be ``x`` itself.  A 0-d input returns a scalar.  Rejects a NaN variance
+    and one below ``_LEAST_VARIANCE`` (about 2.8e-309), where -0.5/v
+    overflows and 0 * -inf would read NaN at x = 0 (ValueError).
+
+    Rounding, to first order in u = 2^-53, with a = x^2/(2v), while gamma_v
+    stays a normal float (Higham, SISC 1993):
+    - x*x, -0.5/v and their product round once each, so the exponent is
+      -a(1 + t) with |t| <= 3u, which moves exp by 3au relative at most;
+    - exp adds E u (numpy's accuracy tests hold float64 exp to one ulp,
+      so E = 2);
+    - the scale adds 4.5u (sqrt(2 pi) of the rounded pi 1.5u, then
+      sqrt(v), the product and the reciprocal u each) and its multiply u,
+      so gamma_v is within (3a + 5.5 + E) u of exact, relative;
+    - each step of ``gauss_deriv_coeffs`` adds two terms of one sign (the
+      Hermite coefficients alternate by twos), so P's coefficients c_i
+      are within 2 order u of exact, and Horner adds 2 order u of
+      M(x) = sum |c_i| |x|^i; the last multiply rounds once more.
+    So D^order gamma_v is within (4 order + 3a + 6.5 + E) u M(x) gamma_v(x)
+    of exact for order >= 1, and gamma_v within (3a + 5.5 + E) u gamma_v(x).
+    The division sequence this replaced had 2a for 3a and 4.5 for 5.5, so a
+    grid integral moves between the two by at most both bounds carried
+    through its integrand and the trapezoid sum.  ``tests/test_gaussmix.py``
+    checks the bound against mpmath over +-14 sd.
     """
     x = np.asarray(x, dtype=float)
+    if not variance >= _LEAST_VARIANCE:
+        raise ValueError(
+            f"variance must be at least {_LEAST_VARIANCE!r}, where -0.5/v is finite, got {variance}"
+        )
     h = None
     if order:
         poly = gauss_deriv_poly(order, variance)
@@ -85,9 +114,9 @@ def gauss_deriv_pdf(
     if out is None:
         out = np.empty_like(x)
     np.multiply(x, x, out=out)
-    out /= -2.0 * variance
+    out *= -0.5 / variance
     np.exp(out, out=out)
-    out /= _SQRT2PI * math.sqrt(variance)
+    out *= 1.0 / (_SQRT2PI * math.sqrt(variance))
     if h is not None:
         out *= h
     return out[()] if out.ndim == 0 else out
@@ -97,7 +126,9 @@ def _shifted_moment(j: int, variance: float, mean: float) -> float:
     """E[(mean + Z)^j] for Z ~ N(0, variance)."""
     if not mean:
         return gauss_raw_moment(j, variance)
-    return sum(math.comb(j, k) * mean ** (j - k) * gauss_raw_moment(k, variance) for k in range(j + 1))
+    return math.fsum(
+        math.comb(j, k) * mean ** (j - k) * gauss_raw_moment(k, variance) for k in range(j + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -147,7 +178,7 @@ class GaussDerivMixture:
 
     @property
     def mass(self) -> float:
-        return sum(t.coeff for t in self.terms if t.order == 0)
+        return math.fsum(t.coeff for t in self.terms if t.order == 0)
 
     @property
     def max_variance(self) -> float:
@@ -179,29 +210,39 @@ class GaussDerivMixture:
         variance) it holds with several means, those keys first appear in
         the batch in the mixture's own order.  The first mixture of a batch
         always qualifies, and so does every mixture that holds each (order,
-        variance) with one mean, as zero-mean mixtures do.  One column
-        buffer and one coeff * column buffer serve every key, beside one
-        accumulator per mixture.  The accumulators are ``out`` and the two
-        buffers ``work`` when given, each shaped like x.
+        variance) with one mean, as zero-mean mixtures do.  Each sum has the
+        bits of 0.0 + the first coeff * column + the next ...: the first
+        product goes straight into the accumulator, and gets + 0.0, which
+        turns -0.0 into 0.0, only where it may hold -0.0 (an order-0 column
+        is >= 0, so times a positive coeff it cannot).  A mixture with no
+        terms reads 0.0.  One column buffer and one coeff * column buffer
+        serve every key, beside one accumulator per mixture.  The
+        accumulators are ``out`` and the two buffers ``work`` when given,
+        each shaped like x.
         """
         x = np.asarray(x, dtype=float)
-        if out is None:
-            outs = [np.zeros_like(x) for _ in mixtures]
-        else:
-            outs = list(out)
-            for acc in outs:
-                acc.fill(0.0)
-        holders: dict[tuple[int, float, float], list[tuple[float, np.ndarray]]] = {}
-        for acc, m in zip(outs, mixtures):
+        outs = [np.empty_like(x) for _ in mixtures] if out is None else list(out)
+        holders: dict[tuple[int, float, float], list[tuple[float, int]]] = {}
+        for i, m in enumerate(mixtures):
             for t in m.terms:
-                holders.setdefault(t[1:], []).append((t.coeff, acc))
+                holders.setdefault(t[1:], []).append((t.coeff, i))
+        unset = [True] * len(outs)
         column, scaled = (np.empty_like(x), np.empty_like(x)) if work is None else work
         for order, variance, mean in sorted(holders, key=lambda key: key[:2]):
             # x - 0.0 is x, so zero-mean columns skip the shift pass
             shifted = np.subtract(x, mean, out=column) if mean else x
             gauss_deriv_pdf(shifted, variance, order, out=column)
-            for coeff, acc in holders[order, variance, mean]:
-                acc += np.multiply(coeff, column, out=scaled)
+            for coeff, i in holders[order, variance, mean]:
+                if unset[i]:
+                    np.multiply(coeff, column, out=outs[i])
+                    if order or coeff < 0.0:
+                        outs[i] += 0.0
+                    unset[i] = False
+                else:
+                    outs[i] += np.multiply(coeff, column, out=scaled)
+        for acc, empty in zip(outs, unset):
+            if empty:
+                acc.fill(0.0)
         return outs
 
     def convolve(self, other: "GaussDerivMixture") -> "GaussDerivMixture":

@@ -78,7 +78,7 @@ def ratio_leading_coefficient() -> float:
     y = [volume_ratio(t) - 1.0 for t in ts]
 
     def dot(p, q):
-        return sum(x * z for x, z in zip(p, q))
+        return math.fsum(x * z for x, z in zip(p, q))
 
     return (dot(b, b) * dot(a, y) - dot(a, b) * dot(b, y)) / (dot(a, a) * dot(b, b) - dot(a, b) ** 2)
 

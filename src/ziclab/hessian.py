@@ -99,10 +99,10 @@ def _weighted_sq_norm(R: Sequence[float], v: float, b: float) -> float:
     s = 1.0 / (2.0 - r)
     n = len(R)
     square = [
-        sum(R[i] * R[j - i] for i in range(max(0, j - n + 1), min(j, n - 1) + 1))
+        math.fsum(R[i] * R[j - i] for i in range(max(0, j - n + 1), min(j, n - 1) + 1))
         for j in range(2 * n - 1)
     ]
-    return math.sqrt(s / r) * sum(c * gauss_raw_moment(j, s) for j, c in enumerate(square))
+    return math.sqrt(s / r) * math.fsum(c * gauss_raw_moment(j, s) for j, c in enumerate(square))
 
 
 def deriv_norm_balance(K: float, u: float, delta: float = 0.0) -> float:
@@ -292,7 +292,9 @@ def hessian_quadratic_form(
     M = K + u + L
     terms: dict[int, float] = {}
     a1 = A.get(1)
-    # a float power or (alpha+1)! beyond the float range raises OverflowError
+    # a float power or (alpha+1)! beyond the float range raises OverflowError,
+    # math.fsum of terms whose sum passes it too, and of an inf and a -inf
+    # term ValueError
     try:
         if a1 != 0.0:
             terms[1] = a1 * a1 * (
@@ -310,9 +312,9 @@ def hessian_quadratic_form(
                 - 2.0 * u * aa * bb / M ** (alpha + 1)
             )
             terms[alpha] = math.factorial(alpha + 1) * core
-    except OverflowError:
+        total = math.fsum(terms.values())
+    except (OverflowError, ValueError):
         raise ValueError(f"Hessian ledger overflows the float range at K={K}, L={L}, u={u}") from None
-    total = float(sum(terms.values()))
     return HessianReport(
         K=K,
         per_alpha_terms=terms,

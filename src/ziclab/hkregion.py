@@ -414,9 +414,11 @@ class _Dual:
         # average to q and their values bound g1(q) from below; at a
         # contact point f1 has gradient (a, b) (an edge point: at most b or
         # a across the edge), so a move changes the value by at most
-        # (a, b) times the residual to first order, as it moves q's side
+        # (a, b) times the residual to first order, as it moves q's side;
+        # each math.fsum is of a convex combination (weights in [0, 1]), so
+        # no partial sum passes the float range where its terms do not
         for c, qc in ((0, q1), (1, q2)):
-            r = qc - sum(wk * p[c] for wk, p in zip(w, P))
+            r = qc - math.fsum(wk * p[c] for wk, p in zip(w, P))
             k = max(
                 (k for k in range(len(P)) if w[k] > 0.0 and P[k][c] + r / w[k] >= 0.0),
                 key=lambda k: w[k],
@@ -427,7 +429,7 @@ class _Dual:
             P[k] = (P[k][0] + r / w[k], P[k][1]) if c == 0 else (P[k][0], P[k][1] + r / w[k])
         ends = [*P, pts[top]]
         values = [_corner_value(p[0], p[1], u, N1) for p in ends]
-        value = sum(wk * v for wk, v in zip(w, values))
+        value = math.fsum(wk * v for wk, v in zip(w, values))
         upper = a * q1 + b * q2 + hs_[top]
         terms = [
             abs(v) + abs(a * p[0]) + abs(b * p[1]) + _log_scale(p[0], p[1], u, N1)

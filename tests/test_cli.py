@@ -13,10 +13,15 @@ import shlex
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ziclab import cli
 from ziclab import counterexamples as cx
 from ziclab import entropy as en
 from ziclab import hkregion as hk
@@ -62,6 +67,59 @@ def test_parse_values():
     for text in (",", " , ", ",,"):
         with pytest.raises(argparse.ArgumentTypeError, match="no value in"):
             parse_values(text)
+
+
+def spell_number(sign, whole, fraction, exponent):
+    """A number text as float() reads it: an underscore after the first of
+    several whole digits, a point when there is a fraction, and an
+    exponent."""
+    if len(whole) > 1:
+        whole = f"{whole[0]}_{whole[1:]}"
+    text = sign + whole + ("" if fraction is None else "." + fraction)
+    return text if exponent is None else f"{text}{exponent}"
+
+
+NUMBER_TEXT = st.builds(
+    spell_number,
+    st.sampled_from(("", "+", "-")),
+    st.text("0123456789", max_size=8),
+    st.none() | st.text("0123456789", max_size=8),
+    st.none() | st.builds("{}{}".format, st.sampled_from("eE"), st.integers(-12, 12) | st.sampled_from((-400, 400))),
+).filter(lambda t: any(c.isdigit() for c in t.split("e")[0].split("E")[0]))
+
+
+def fraction_count(parts):
+    """The value count of a lo:hi:step range by the Fraction arithmetic it
+    was counted in before: None for a non-finite text, 0 for a bad range."""
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        return None
+    lo, hi, step = (Fraction(p.replace("_", "")) if v else Fraction(0) for p, v in zip(parts, values))
+    return (hi - lo) // step + 1 if step > 0 and hi >= lo else 0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.tuples(NUMBER_TEXT, NUMBER_TEXT, NUMBER_TEXT))
+@example(("1.1", "4", "0.1"))
+@example(("1_0", "2_0", "1"))
+@example(("0", "0.99999999995", "0.1"))
+@example(("1e-400", "1", "0.5"))
+@example(("-1", "1e-400", "1e-401"))
+def test_range_count_matches_fraction_arithmetic(parts):
+    # the integer count on the texts' digits gives the Fraction count, or
+    # the same error, with the value bound lowered to keep lists short
+    text = ":".join(parts)
+    n = fraction_count(parts)
+    with mock.patch.object(cli, "MAX_RANGE_VALUES", 1000):
+        if n is None or n == 0 or n > 1000:
+            reason = "non-finite value in" if n is None else "more than 1000" if n else "bad range"
+            if n is not None and n > sys.float_info.max:
+                reason = "non-finite value count"
+            with pytest.raises(argparse.ArgumentTypeError, match=reason):
+                parse_values(text)
+        else:
+            lo, step = float(parts[0]), float(parts[2])
+            assert parse_values(text) == [lo + i * step for i in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -312,8 +370,6 @@ PINNED_REPORTS = {
         "c2ddd0efc820a960e3e7bf8adb24301e32ac358deb268383849cb0c8ede0fdeb",
     "condition54-root --u 1":
         "8c70f1cb30bb94f2550caf0fc381af6f3b06dfb989fbd9550cceb5eb4ae341fe",
-    "verify-vertical --u 1 --L 1.4":
-        "441d88aa7544cf9d62faab05d705f54ed48b000459cfc01abc97ec962fa431aa",
     "hessian --u 1 --L 3 --A 1:1.0 --B ''":
         "3d246f7973cebdb36ab1d83aff822b6412643c18f69f8ee673881081af0e2876",
     "theorem5-epsilon --u 1 --L 3,4":
@@ -324,27 +380,35 @@ PINNED_REPORTS = {
         "b8b389509fc36d136f022fa278a7ea36d67087113e715e5d771101f7b607fa60",
     "constant-power-gap --u 1 --N1 1 --N2 0.05":
         "66ccfa402fb629cc54c7baf3bd3d5404a01cef24125a819ed54fc6df19698244",
+    # re-recorded with math.fsum dot products, the same on every Python
     "geometry --t 10:200:10":
-        "fde0ead8f9033ea58264f0f0f2b07b4893710b0e01ebb7e4bfa890bffced5f1a",
+        "f99dfec4b8cf4411a0aa12ff5f3aafbadea32ccac3f8afd1c92c8856d9dceae2",
+    # re-recorded with division-free Gaussian columns, as are the reports
+    # below so marked (CHANGES.md lists each moved value beside its bound)
+    "verify-vertical --u 1 --L 1.4":
+        "a68876cfe7c9606a7f03aa72063cec0a1ad94c8b3d9e21ced368f43b933de6b3",
     # re-recorded with Fisher information from the exact derivative p'
-    # (CHANGES.md lists each value that moved)
+    # (CHANGES.md lists each value that moved), the first also with
+    # division-free columns
     "limit-functional --L 1.2,1.6,2.0":
-        "d7174fcbcb0672eaa4bfe88e2040a7e2f24c2807ccaa34904641e268655e564d",
+        "abb096986ea017bed9c4c28eb7cec6a83290d93c45c2c084ab0de8e52fc26a47",
     "verify-vertical --u 2 --L 3 --J 8 --n 524288":
         "37ab38674608c0e8d40d3927472f1184e0fb4bf4c6952005b44d276a20f466ff",
-    # re-recorded with Fisher information from the exact derivative p'
+    # re-recorded with Fisher information from the exact derivative p' (and
+    # with division-free columns)
     "limit-functional --L 1.1:1.9:0.4 --J 20 --n 262144":
-        "6b5e4e5ad8da25b493c2b7c16c8a9b074b591d029e1bb26db244716e8ad34fea",
+        "af1cf4224480d876190a19fa29586d7e7a52a3a3d7f62aeb21e6e79f3be41187",
     # re-recorded with int p''' ln p as -1/2 int (p')^3/p^2 from the
     # kernel's Fisher pass: c15 and the gap coefficient moved by 3 ulps and
     # log_deriv3_integral by 4, each to the double nearest mpmath's value
-    # (CHANGES.md lists each value)
+    # (CHANGES.md lists each value); the last two also with division-free
+    # columns
     "verify-lemma1":
         "1f2f01573be8774149b69c392967f0ed698fa14615b0a5c7f61f3527eafbe800",
     "verify-lemma1 --t-count 20 --n 1048576":
-        "8ac6f6ab1fdfa88f03b305c430b49e2699c941620c964f2c5ee252a853626935",
+        "a960cf9571c552cca22f0eabadb0b5b7d4c9ec95bc159afdeb0d1df6408db226",
     "verify-lemma2 --t-min 1e-3 --t-max 1e-2":
-        "eda923c75ff62bc4b5d8915ac38e4f00c51a5789f186b582e79c61921d09e8c4",
+        "872c3073cce897d09a7bba8056c33d664eaef261a6b11c1ebcb19c5b1aabc088",
     # the HK reports, recorded with g1 from the dual and the audits' powers
     # from math.exp; hk-region and conjecture2-map re-recorded with the
     # nested dual search, which moved g1 by at most 2 ulps (CHANGES.md lists
@@ -1016,19 +1080,23 @@ try:
     runpy.run_module("ziclab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     print(exc.code)
-print(sorted(m for m in sys.modules if m in ("numpy", "dataclasses", "inspect", "csv")
+print(sorted(m for m in sys.modules if m in ("numpy", "dataclasses", "inspect", "csv", "fractions", "decimal")
              or m.startswith("ziclab.")))
 """
 NUMPY_FREE = ("phase-diagram", "hessian", "theorem5-epsilon", "geometry", "condition54-root",
               "hk-region", "lemma5-audit", "theorem4-audit", "conjecture2-map")
+# the README's lo:hi:step ranges of two of them, which parse_values counts
+RANGE_ARGVS = {"hk-region": ["hk-region", "--q1", "1:10:3", "--q2", "1:10:3"], "geometry": ["geometry", "--t", "10:200:10"]}
 
 
 @pytest.mark.parametrize("command", NUMPY_FREE)
 def test_numpy_free_command_as_main_loads_only_its_modules(command, tmp_path):
     # no numpy, no dataclasses (whose import brings inspect), no csv in a
-    # JSON run, and no second copy of the CLI: a handler module that
-    # imported ziclab.cli would execute it again beside __main__
-    argv = [*next(a for a in CONFIG_ARGVS if a[0] == command), "--output", str(tmp_path / "r")]
+    # JSON run, no fractions or decimal for a range, and no second copy of
+    # the CLI: a handler module that imported ziclab.cli would execute it
+    # again beside __main__
+    argv = RANGE_ARGVS.get(command) or next(a for a in CONFIG_ARGVS if a[0] == command)
+    argv = [*argv, "--output", str(tmp_path / "r")]
     out = run_fresh(["-c", f"ARGV = {argv!r}" + RUN_AS_MAIN])
     want = sorted(m for m in COMMAND_MODULES[command] if m.startswith("ziclab."))
     assert out == f"0\n{want}\n"
@@ -1334,10 +1402,15 @@ def test_hessian_bad_coefficients_exit_2(option, text, capsys):
     assert f"'{text}'" in err
 
 
-@pytest.mark.parametrize("argv", [["--L", "1e300"], ["--L", "1e160"], ["--u", "1e300"], ["--A", "171:1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--L", "1e300"], ["--L", "1e160"], ["--u", "1e300"], ["--A", "171:1"],
+     ["--u", "0.01", "--L", "1.1", "--A", "30:1.232e154,31:7.095e153"]],
+)
 def test_hessian_float_overflow_exit_2(argv, capsys):
     # a power of K+u+L (or (alpha+1)!) beyond the float range used to end
-    # in an OverflowError traceback
+    # in an OverflowError traceback; two finite terms of about -9e307, whose
+    # sum passes the float range, gave a null total with exit 0
     assert main(["hessian", *argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -1389,6 +1462,24 @@ def test_lemma_t_grid_out_of_range_exit_2(argv, message, capsys):
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert capsys.readouterr().err == f"ziclab {argv[0]}: error: argument {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify-lemma1", "verify-lemma2"])
+def test_t_count_above_its_bound_exit_2_before_any_law(command, monkeypatch, capsys):
+    # verify-lemma1 --t-count 100000000 built a law per t and was killed
+    # out of memory; only the bound plus one is run here
+    from ziclab.gaussmix import GaussDerivMixture
+
+    def refuse(self):
+        raise AssertionError("a law was built")
+
+    monkeypatch.setattr(GaussDerivMixture, "__post_init__", refuse)
+    count = en.MAX_T_COUNT + 1
+    assert main([command, "--t-count", str(count)]) == 2
+    message = f"argument --t-count: need at most {en.MAX_T_COUNT} t values, got {count}"
+    assert capsys.readouterr().err == f"ziclab {command}: error: {message}\n"
+    en.check_expansion_count(en.MAX_T_COUNT)
+    cx.check_gap_count(en.MAX_T_COUNT)
 
 
 def test_verify_lemma1_zero_tolerance_is_valid(capsys):

@@ -4,6 +4,7 @@ oracles."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -511,12 +512,13 @@ def test_deriv_poly_matches_polyder_recursion_bitwise():
 
 
 def test_deriv_pdf_matches_polyval_bitwise():
-    # in-place Horner does polyval's operations: out * x + c, then times g
+    # in-place Horner does polyval's operations: out * x + c, then times g,
+    # the Gaussian by its division-free sequence
     rng = np.random.default_rng(7)
     for v in (0.3, 1.7, 9.0):
         s = math.sqrt(v)
         x = np.concatenate([np.linspace(-12 * s, 12 * s, 1001), rng.normal(0.0, 3 * s, 200), [0.0, -0.0]])
-        g = np.exp(-x * x / (2.0 * v)) / (math.sqrt(2.0 * math.pi) * s)
+        g = np.exp(x * x * (-0.5 / v)) * (1.0 / (math.sqrt(2.0 * math.pi) * s))
         for k in range(1, MAX_ORDER + 1):
             expected = np.polynomial.polynomial.polyval(x, gauss_deriv_poly(k, v)) * g
             assert gauss_deriv_pdf(x, v, k).tobytes() == expected.tobytes(), (k, v)
@@ -530,3 +532,47 @@ def test_deriv_poly_rejects_coefficients_beyond_float_range():
         with pytest.raises(ValueError, match="D\\^3 gamma_v has coefficients beyond the float range"):
             gauss_deriv_poly(3, 2.168379929338835e-141)
         assert np.isfinite(gauss_deriv_poly(MAX_ORDER, 1e-4)).all()
+
+
+def exact_deriv_coeffs(order, variance):
+    """gauss_deriv_coeffs's recursion in mpmath: P's exact coefficients at
+    the float variance."""
+    v, p = mpmath.mpf(variance), [mpmath.mpf(1)]
+    for k in range(1, order + 1):
+        q = [mpmath.mpf(0)] * (k + 1)
+        for j in range(1, k):
+            q[j - 1] += p[j] * j
+        for j in range(k):
+            q[j + 1] -= p[j] / v
+        p = q
+    return p
+
+
+def test_deriv_pdf_within_its_rounding_bound():
+    # the bound of gauss_deriv_pdf's docstring against 40-digit mpmath, at
+    # E = 2 (exp within one ulp), over +-14 sd, where a reaches 98
+    u = 2.0**-53
+    orders = (0, 1, 2, 3, 5, 8)
+    with mpmath.workdps(40):
+        coeffs = {(k, v): exact_deriv_coeffs(k, v) for k in orders for v in (0.05, 0.3, 1.0, 2.5, 6.0, 11.0)}
+        for (k, v), c in coeffs.items():
+            x = np.linspace(-14.0, 14.0, 201) * math.sqrt(v)
+            for xi, got in zip(x.tolist(), gauss_deriv_pdf(x, v, k).tolist()):
+                xm = mpmath.mpf(xi)
+                g = mpmath.exp(-xm * xm / (2 * mpmath.mpf(v))) / mpmath.sqrt(2 * mpmath.pi * v)
+                exact = sum(ci * xm**i for i, ci in enumerate(c)) * g
+                size = sum(abs(ci) * abs(xm) ** i for i, ci in enumerate(c)) * g
+                a = xi * xi / (2.0 * v)
+                bound = (4 * k + 3 * a + 6.5 + 2 if k else 3 * a + 5.5 + 2) * u * size
+                assert abs(got - exact) <= bound, (k, v, xi)
+
+
+def test_deriv_pdf_rejects_a_variance_whose_exponent_factor_overflows():
+    # -0.5/v is -inf below about 2.8e-309, where x = 0 read 0 * -inf = NaN
+    least = gaussmix._LEAST_VARIANCE
+    assert math.isfinite(-0.5 / least) and -0.5 / math.nextafter(least, 0.0) == -math.inf
+    assert math.isfinite(gauss_deriv_pdf(0.0, least)) and gauss_deriv_pdf(0.0, least) > 0
+    for v in (5e-324, math.nextafter(least, 0.0), 0.0, -1.0, math.nan):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="^variance must be at least 2.78"):
+                gauss_deriv_pdf(np.array([0.0, 1.0]), v, k)

@@ -6,6 +6,7 @@ import warnings
 
 import contextlib
 import io
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -129,11 +130,29 @@ def test_ratio_leading_coefficient_matches_lstsq():
     # Algorithms, 2nd ed., section 20.4), u = 2^-53; the bound doubles that
     # for the 2 x 2 solve and for lstsq's own error, which is about
     # kappa(A) u |x| plus kappa(A)^2 u |x| times the relative residual (7e-4
-    # here).  The two fits differ by 5.7e-16, 41 ulps of the coefficient.
+    # here).  The two fits differ by 8.3e-17, 6 ulps of the coefficient (41
+    # ulps when the dot products were the builtin sum's left-to-right sums).
     basis, coef = ratio_fit_lstsq()
     m, n = basis.shape
     bound = 2 * m * n * np.linalg.cond(basis) ** 2 * 2.0**-53 * np.linalg.norm(coef)
     assert abs(ratio_leading_coefficient() - coef[0]) <= bound
+
+
+def test_ratio_leading_coefficient_rounds_each_dot_product_once():
+    # math.fsum's dot products are the exact sums of the rounded products,
+    # rounded once, on every interpreter; the builtin sum's bits changed
+    # with Python 3.12's compensated summation (0.10996491401379377 on 3.11,
+    # ...328 on 3.12)
+    ts = (50.0, 100.0, 200.0)
+    a = [1.0 / t for t in ts]
+    b = [1.0 / t**2 for t in ts]
+    y = [volume_ratio(t) - 1.0 for t in ts]
+
+    def dot(p, q):
+        return float(sum(Fraction(x * z) for x, z in zip(p, q)))
+
+    expected = (dot(b, b) * dot(a, y) - dot(a, b) * dot(b, y)) / (dot(a, a) * dot(b, b) - dot(a, b) ** 2)
+    assert ratio_leading_coefficient() == expected == 0.10996491401379328
 
 
 def test_exact_ratio_value_at_t():

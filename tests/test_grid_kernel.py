@@ -143,6 +143,44 @@ def test_nan_and_tiny_points_are_zeroed_across_blocks():
     assert (tiny_vals == 0.0).any() and ((tiny_vals > 0) & (tiny_vals <= 1e-300)).any()
 
 
+def test_every_block_path_matches_whole_grid(monkeypatch):
+    # tabulation by point index on the grid x = 0, 1, ..., 4B, whose four
+    # blocks take each path of the kernel: the first law's least value is
+    # above 1e-300 (no clip, no zeroing), at and below 1e-300 (zeroing
+    # alone), an exact 0 beside a dip below it (clip and zeroing), and
+    # above 1e-300 again; the second law has a NaN in its third block, and
+    # the third law is at most 1e-300 everywhere, so its entropy sums zeros
+    n = 4 * B + 1
+    index = np.arange(n)
+    first = 1e-3 * (1.5 + np.sin(index))
+    first[B + 100 : B + 103] = (1e-300, 5e-301, 4e-320)
+    first[2 * B + 100 : 2 * B + 102] = (0.0, -1e-13)
+    second = 1e-3 * (1.5 + np.cos(index))
+    second[2 * B + 100] = np.nan
+    values = {1.0: first, 2.0: second, 3.0: np.full(n, 1e-301)}
+    slopes = 1e-4 * np.cos(0.5 * index)
+
+    def tabulate(mixtures, x, out=None, work=None):
+        at = np.asarray(x).astype(np.intp)
+        outs = [np.empty(at.shape) for _ in mixtures] if out is None else out
+        for m, acc in zip(mixtures, outs):
+            order, variance = m.terms[0][1:3]
+            acc[...] = (slopes if order else values[variance])[at]
+        return outs
+
+    monkeypatch.setattr(GaussDerivMixture, "pdf_many", staticmethod(tabulate))
+    laws = [gaussian(v) for v in values]
+    lows = [first[a : a + B + 1].min() for a in range(0, n - 1, B)]
+    assert lows[0] > 1e-300 and 0.0 < lows[1] <= 1e-300 and lows[2] < 0.0 and lows[3] > 1e-300
+    assert np.isnan(second[2 * B : 3 * B + 1]).any() and not np.isnan(second[: 2 * B + 1]).any()
+    for fisher in (False, True):
+        with np.errstate(invalid="ignore"):
+            got = en._integrate(laws, 0.0, n - 1.0, n, fisher)
+        for m, r in zip(laws, got):
+            assert same_bits(tuple(r), whole_grid_integrals(m, 0.0, n - 1.0, n, fisher)), (m, fisher)
+        assert math.isfinite(got[0].mass) and math.isnan(got[1].mass) and same_bits(got[2].entropy, 0.0)
+
+
 def test_short_grid_error_names_the_quantity(monkeypatch, recipe):
     # and comes before any law is tabulated, whatever n below 1024
     calls = []

@@ -1,8 +1,10 @@
 """The in-place tabulation and grid-integral kernels give the bits of the
 array expressions they replaced, and leave their inputs alone.
 
-Each ``ref_*`` below is the replaced expression, verbatim; every comparison
-is of bytes, so signed zeros and NaN payloads count too.
+Each ``ref_*`` below is the replaced expression, verbatim, but for
+``ref_gauss_deriv_pdf``'s Gaussian, which is the kernel's division-free
+sequence written as one expression; every comparison is of bytes, so signed
+zeros and NaN payloads count too.
 """
 
 import math
@@ -25,8 +27,9 @@ _TINY = 1e-300
 
 
 def ref_gauss_deriv_pdf(x, variance, order=0):
+    # the division-free sequence: two scalar factors, each formed once
     x = np.asarray(x, dtype=float)
-    g = np.exp(-x * x / (2.0 * variance)) / (_SQRT2PI * math.sqrt(variance))
+    g = np.exp(x * x * (-0.5 / variance)) * (1.0 / (_SQRT2PI * math.sqrt(variance)))
     if order == 0:
         return g
     poly = gauss_deriv_poly(order, variance)
