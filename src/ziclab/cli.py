@@ -215,7 +215,8 @@ COMMANDS = {
     "verify-vertical": ("density-perturbation gap and eps^2 slope", "_cmd_perturb", (
         ("--u", dict(type=float, default=1.0)),
         ("--L", dict(type=float, default=1.4)),
-        ("--K", dict(type=float, default=None, help="default: stationary (L+u)/(L-1)")),
+        ("--K", dict(type=_checked(float, "counterexamples.check_source_variance"), default=None,
+                     help="default: stationary (L+u)/(L-1)")),
         ("--J", dict(type=int, default=2)),
         ("--delta", dict(type=float, default=None)),
         ("--eps", dict(type=float, default=None)),

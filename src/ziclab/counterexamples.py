@@ -43,7 +43,8 @@ from .gaussmix import (
     GaussDerivMixture,
     GaussMixture,
     DerivTerm,
-    gauss_deriv_pdf,
+    _scale,
+    _tabulate,
     gauss_deriv_poly,
     gaussian,
 )
@@ -226,6 +227,25 @@ def skewness_gap(
             gaps = [g - cost for g in gaps]
         rows.append((t, *gaps))
     return np.array(rows)
+
+
+# the least source variance K of the third-derivative perturbation: D^3
+# gamma_v's leading coefficient -1/v^3 is finite for v >= (max float)^(-1/3)
+# = 1.77e-103, and v = K - delta with the default delta at most K/10, so
+# K >= (10/9) 1.77e-103 = 1.97e-103 keeps it in the float range
+LEAST_SOURCE_VARIANCE = 2e-103
+
+
+def check_source_variance(K: float) -> None:
+    """Reject a positive K below LEAST_SOURCE_VARIANCE, where the
+    perturbation D^3 gamma_{K - delta} leaves the float range (ValueError);
+    a K that is not positive and finite is left to the perturbation's own
+    checks."""
+    if 0 < K < LEAST_SOURCE_VARIANCE:
+        raise ValueError(
+            f"K must be at least {LEAST_SOURCE_VARIANCE:g}, where D^3 gamma_(K - delta) keeps its "
+            f"coefficients in the float range, got {K}"
+        )
 
 
 def check_gap_t(t: float) -> None:
@@ -434,24 +454,26 @@ def _check_J(J: int) -> None:
 
 @functools.lru_cache(maxsize=MAX_J + 3)
 def _grid_column(window: tuple[float, float], order: int, variance: float, mean: float) -> np.ndarray:
-    """D^order gamma_variance(. - mean) on the 4096-point positivity grid
-    over ``window``, read-only because the memo shares it.  A ladder's
-    checks ask for mixtures that differ only in eps, so they reread its
-    2 + J + 1 <= maxsize columns."""
-    x = np.linspace(*window, 4096)
-    column = gauss_deriv_pdf(x - mean if mean else x, variance, order)
+    """``pdf_many``'s column of the key (order, variance, mean), D^order
+    gamma_variance(. - mean) over gamma_variance(0), on the 4096-point
+    positivity grid over ``window``, read-only because the memo shares it.
+    A ladder's checks ask for mixtures that differ only in eps, so they
+    reread its 2 + J + 1 <= maxsize columns."""
+    column = np.empty(4096)
+    _tabulate(np.linspace(*window, 4096), {(order, variance, mean): [(1.0, 0)]}, [column])
     column.setflags(write=False)
     return column
 
 
 def _least_density(m: GaussDerivMixture) -> float:
     """Least density of a mixture on the positivity grid over its window:
-    the sum of coeff * column in term order, as ``pdf_many`` forms it, so
-    it has the bits of ``m.pdf``'s minimum on the grid."""
+    the sum of column * (coeff * gamma_v(0)) in term order, as
+    ``pdf_many`` forms it, so it has the bits of ``m.pdf``'s minimum on
+    the grid."""
     window = m.window()
     density = np.zeros(4096)
     for t in m.terms:
-        density += t.coeff * _grid_column(window, *t[1:])
+        density += _grid_column(window, *t[1:]) * (t.coeff * _scale(t.variance))
     return float(density.min())
 
 

@@ -12,31 +12,33 @@ omitted entropy and Fisher terms lie far below one ulp of any value
 reported here.
 
 One blocked kernel computes every mixture integral.  A pass walks the grid
-in blocks of at most ``BLOCK`` trapezoid terms: it tabulates the mixtures
-of one window and, when asked, their exact derivatives ``m.derivative(1)``
-on the block's own points (each distinct term column once), tracks their
-least value for the -1e-12 check, and writes into rows of at most
-``BLOCK`` + 1 floats the trapezoid terms of the mass, of p ln p and, when
-asked, of the score's moments (p')^2/p and (p')^3/p^2.  By parts these
-give the expansion targets: int p'' ln p = -J(p) and int p''' ln p =
--1/2 int (p')^3/p^2.  Each element goes through the ufuncs of the
-whole-array expressions, less the passes that would leave its bits alone:
-a block whose least value is positive is not clipped, a block whose least
-value is above 1e-300 has no point to zero, and the entropy is the sum of
-p ln p negated, which is the sum of -p ln p to the bit, as rounding is
-sign-symmetric.  One recursive function, ``_tree_sums``, walks
-numpy's pairwise-sum tree over the n - 1 terms (Higham, SISC 1993): a
-node of at most ``BLOCK`` terms is a block, whose rows' ``np.sum`` is that
-node's sum, and a larger node adds its two children's sums as numpy does.
-So each integral has the bits of one ``np.sum`` over the whole term array
-and the results those of tabulating the whole grid at once
+in blocks of at most ``BLOCK`` points, which do not overlap: it tabulates
+the mixtures of one window and, when asked, their exact derivatives
+``m.derivative(1)`` on the block's own points (each distinct term column
+once), tracks their least value for the -1e-12 check, and sums, row by
+row, the mass integrand p itself, p ln p and, when asked, the score's
+moments (p')^2/p and (p')^3/p^2.  By parts these give the expansion
+targets: int p'' ln p = -J(p) and int p''' ln p = -1/2 int (p')^3/p^2.
+Each element goes through the ufuncs of the whole-array expressions, less
+the passes that would leave its bits alone: a block whose least value is
+positive is not clipped, a block whose least value is above 1e-300 has no
+point to zero, and the entropy is the sum of p ln p negated, which is the
+sum of -p ln p to the bit, as rounding is sign-symmetric.  Every integral
+is the trapezoid rule from its row's plain sum S of the n values and the
+end correction, step (S - (y_0 + y_{n-1})/2) (``_trapezoid``), so no pass
+forms the n - 1 trapezoid terms.  One recursive function, ``_tree_sums``,
+walks numpy's pairwise-sum tree over the n values (Higham, SISC 1993): a
+node of at most ``BLOCK`` values is a block, whose rows' ``np.sum`` is
+that node's sum, and a larger node adds its two children's sums as numpy
+does.  So each sum has the bits of one ``np.sum`` over the whole row and
+the results those of tabulating the whole grid at once
 (``tests/_oracles.py`` keeps that path).  A pass allocates one block's
 buffers, reuses them block after block in the CPU caches and frees them
 when it ends, so its memory is O(BLOCK * laws), whatever n is.
 ``tests/test_grid_kernel.py`` pins numpy's tree, so a numpy that sums
 otherwise fails it, and the traced peak of each kernel path.  A density
 given as values (``GridDensity``) is already in memory whole, so its
-integrals are numpy's ``np.trapezoid`` itself.
+integrals are the same rule from one ``np.sum``.
 
 This module is the independent oracle for every closed form downstream:
 nothing here reuses the exact mixture algebra except to evaluate pointwise
@@ -57,7 +59,7 @@ _TINY = 1e-300
 _NEG_TOL = -1e-12
 _MASS_TOL = 1e-7
 
-# most trapezoid terms per block of a pass: a block's buffers of 256 KiB
+# most grid points per block of a pass: a block's buffers of 256 KiB
 # each stay in the CPU caches, where whole-grid temporaries stream through
 # memory
 BLOCK = 1 << 15
@@ -130,8 +132,10 @@ class GridDensity:
         return (self.hi - self.lo) / (self.n - 1)
 
     def integral(self, integrand: np.ndarray) -> float:
-        """Trapezoid integral of ``integrand`` tabulated on this grid."""
-        return float(np.trapezoid(np.asarray(integrand, dtype=float), dx=self.step))
+        """Trapezoid integral of ``integrand`` tabulated on this grid, from
+        its plain sum (``_trapezoid``)."""
+        y = np.asarray(integrand, dtype=float)
+        return float(_trapezoid(np.sum(y), y[0], y[-1], self.step))
 
     def mass(self) -> float:
         return self.integral(self.values)
@@ -155,26 +159,25 @@ def _grid(x: np.ndarray, lo: float, hi: float, n: int, last: bool) -> np.ndarray
     return x
 
 
-def _trapezoid_terms(y: np.ndarray, step: float, out: np.ndarray) -> None:
-    """``np.trapezoid``'s terms step * (y[1:] + y[:-1]) / 2.0, into out."""
-    np.add(y[1:], y[:-1], out=out)
-    out *= step
-    out *= 0.5  # the bits of / 2.0
+def _trapezoid(total, first, last, step: float):
+    """The trapezoid rule from a row's plain sum: step (S - (y_0 + y_{n-1})/2),
+    S the sum of the n values y_i; elementwise over arrays of rows."""
+    return step * (total - 0.5 * (first + last))
 
 
 def _half(m: int) -> int:
-    """The terms of the first child of a node of m terms in numpy's
+    """The values of the first child of a node of m values in numpy's
     pairwise sum: half of m, down to a multiple of its 8-way unroll."""
     return m // 2 - (m // 2) % 8
 
 
 def _tree_sums(a: int, b: int, block_sums: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """np.sum over trapezoid terms a..b-1 of each term row, as numpy's
-    pairwise sum adds them: a node of at most BLOCK terms is a block, whose
-    row sums block_sums(a, b) gives, and a larger node is the sum of its
-    first _half and the rest.  The callback comes in as an argument, not
-    as a closure that calls itself, whose reference cycle would keep every
-    pass's buffers alive until the cyclic collector ran."""
+    """np.sum over values a..b-1 of each row, as numpy's pairwise sum adds
+    them: a node of at most BLOCK values is a block, whose row sums
+    block_sums(a, b) gives, and a larger node is the sum of its first _half
+    and the rest.  The callback comes in as an argument, not as a closure
+    that calls itself, whose reference cycle would keep every pass's
+    buffers alive until the cyclic collector ran."""
     if b - a <= BLOCK:
         return block_sums(a, b)
     h = a + _half(b - a)
@@ -226,19 +229,21 @@ def _integrate(
     """Unchecked GridIntegrals of mixtures on n points over [lo, hi], from
     one blocked pass.
 
-    Each block is one ``pdf_many`` call on the block's points, over the
-    mixtures and, for Fisher information, their exact derivatives
-    ``m.derivative(1)``, so a term several of them hold is evaluated once
-    per block.  With k mixtures, mixture j's rows are j (mass), k + j
-    (p ln p), 2k + j (Fisher) and 3k + j (score cube).  The mass row first
-    holds p at the block's points and gets its terms last, and the Fisher
-    row first holds p'.  The blocks are the leaves of numpy's pairwise-sum
-    tree (``_tree_sums``), so each integral has the bits of one np.sum over
-    its n - 1 terms (``test_block_sums_follow_numpys_pairwise_tree``).  The
-    pass allocates one block's buffers and reuses them block after block:
-    term rows one float wider than a block's terms (so that a row can first
-    hold an integrand at the block's points), the point indices and
-    points, two work rows (``pdf_many``'s, then an integrand's) and a mask.
+    The blocks cover the points a..b-1 and do not overlap.  Each is one
+    ``pdf_many`` call on the block's points, over the mixtures and, for
+    Fisher information, their exact derivatives ``m.derivative(1)``, so a
+    term several of them hold is evaluated once per block.  With k
+    mixtures, row j holds mixture j's density p, which is its own mass
+    integrand, and row k + j its p', which becomes the Fisher integrand in
+    place; p ln p and the score cube go to ``pdf_many``'s spare rows once
+    it returns.  Each integrand row is summed as it is made, and its values
+    at points 0 and n - 1 are kept for the end correction (``_trapezoid``).
+    The blocks are the leaves of numpy's pairwise-sum tree
+    (``_tree_sums``), so each sum has the bits of one np.sum over its n
+    values (``test_block_sums_follow_numpys_pairwise_tree``).  The pass
+    allocates one block's buffers and reuses them block after block: the
+    density rows, the point indices and points, three spare rows (four
+    where a term is held by several laws, as in an eps ladder) and a mask.
     None grows with n beyond BLOCK, and reuse keeps the pass from faulting
     in fresh pages block after block.
     """
@@ -246,43 +251,49 @@ def _integrate(
     step = (hi - lo) / (n - 1)
     k = len(ms)
     tabulated = [*ms, *(m.derivative(1) for m in ms)] if fisher else ms
-    size = min(BLOCK + 1, n)
-    rows = np.empty(((4 if fisher else 2) * k, size))
+    size = min(BLOCK, n)
+    rows = np.empty((len(tabulated), size))
+    keys = [t[1:] for m in tabulated for t in m.terms]
+    works = np.empty((3 + (len(set(keys)) < len(keys)), size))
     index = np.arange(size, dtype=np.int32)  # half a float index's bytes
-    points, works, mask = np.empty(size), np.empty((2, size)), np.empty(size, dtype=bool)
+    points, mask = np.empty(size), np.empty(size, dtype=bool)
     lows = [np.inf] * k
+    # per law: mass, p ln p and, for Fisher information, (p')^2/p and (p')^3/p^2
+    first, last = np.empty((2, 4 if fisher else 2, k))
 
     def block_sums(a: int, b: int) -> np.ndarray:
-        width = b + 1 - a  # the block reads points a..b
+        width = b - a
         block, work, below = rows[:, :width], works[:, :width], mask[:width]
-        x = _grid(np.add(index[:width], float(a), out=points[:width]), lo, hi, n, b == n - 1)
-        GaussDerivMixture.pdf_many(tabulated, x, out=[*block[:k], *block[2 * k : 3 * k]], work=work)
-        terms = rows[:, : b - a]
+        x = _grid(np.add(index[:width], float(a), out=points[:width]), lo, hi, n, b == n)
+        GaussDerivMixture.pdf_many(tabulated, x, out=block, work=work)
+        sums = np.empty_like(first)
         for j, p in enumerate(block[:k]):
             low = p.min()
             lows[j] = np.minimum(lows[j], low)  # a NaN stays, as in p.min()
             if not low > 0.0:  # clipping leaves positive values as they are
                 np.clip(p, 0.0, None, out=p)
-            integrands = [_p_log_p(p, work[0])]
+            integrands = [p, _p_log_p(p, work[0])]
             if fisher:
-                integrands += _score_integrands(block[2 * k + j], p, block[3 * k + j])
+                integrands += _score_integrands(block[k + j], p, work[1])
             if not low > _TINY:  # NaN included
                 # zero each integrand but the mass where not p > 1e-300, NaN
                 # included, as np.where does: a contribution below any tolerance
                 np.logical_not(np.greater(p, _TINY, out=below), out=below)
-                for y in integrands:
+                for y in integrands[1:]:
                     np.copyto(y, 0.0, where=below)
-            for y, out in zip(integrands, terms[k + j :: k]):
-                _trapezoid_terms(y, step, out)
-            _trapezoid_terms(p, step, terms[j])
-        return terms.sum(axis=1)
+            for r, y in enumerate(integrands):
+                sums[r, j] = y.sum()
+                if a == 0:
+                    first[r, j] = y[0]
+                if b == n:
+                    last[r, j] = y[-1]
+        return sums
 
-    sums = _tree_sums(0, n - 1, block_sums)
+    integrals = _trapezoid(_tree_sums(0, n, block_sums), first, last, step)
     # the entropy rows hold p ln p: 0.0 - s is -s, and 0.0 where s is 0, as
-    # the sum of -p ln p's terms is but where p = 1 at every point
-    np.subtract(0.0, sums[k : 2 * k], out=sums[k : 2 * k])
-    sums = sums.tolist()
-    return [GridIntegrals(low, *sums[j::k]) for j, low in enumerate(lows)]
+    # the integral of -p ln p is but where p = 1 at every point
+    np.subtract(0.0, integrals[1], out=integrals[1])
+    return [GridIntegrals(low, *integrals[:, j].tolist()) for j, low in enumerate(lows)]
 
 
 def mixture_integrals(

@@ -65,61 +65,157 @@ def gauss_deriv_poly(order: int, variance: float) -> np.ndarray:
     return p
 
 
+def _check_variance(variance: float) -> None:
+    """Reject a NaN variance and one below ``_LEAST_VARIANCE`` (about
+    2.8e-309), where -0.5/v overflows and 0 * -inf would read NaN at x = 0
+    (ValueError)."""
+    if not variance >= _LEAST_VARIANCE:
+        raise ValueError(
+            f"variance must be at least {_LEAST_VARIANCE!r}, where -0.5/v is finite, got {variance}"
+        )
+
+
+def _scale(variance: float) -> float:
+    """gamma_v(0) = 1/(sqrt(2 pi) sqrt(v)), formed once per term: a column
+    is D^m gamma_v over it, and each term folds it into its coefficient."""
+    return 1.0 / (_SQRT2PI * math.sqrt(variance))
+
+
 def gauss_deriv_pdf(
     x: np.ndarray | float, variance: float, order: int = 0, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate D^order gamma_variance pointwise, into ``out`` when given.
 
-    gamma_v is built in one buffer with no division: x*x, times -0.5/v,
-    exp, and times 1/(sqrt(2 pi) sqrt(v)), the two scalars formed once per
-    call.  The polynomial factor P is Horner's rule in one more buffer,
-    h <- h * x + c: the operations of ``polyval`` without its two
-    temporaries per step.  It runs before gamma_v is built, so ``out`` may
-    be ``x`` itself.  A 0-d input returns a scalar.  Rejects a NaN variance
-    and one below ``_LEAST_VARIANCE`` (about 2.8e-309), where -0.5/v
-    overflows and 0 * -inf would read NaN at x = 0 (ValueError).
+    The one-term case of ``pdf_many``'s tabulation (``_tabulate``), so it
+    has the bits of ``DerivTerm(1.0, order, variance)``'s density: the
+    column P(x) e^{-a}, a = x^2/(2v), times the scale 1/(sqrt(2 pi)
+    sqrt(v)).  y = x*x, e = exp(y * (-0.5/v)), and P has one parity (DLMF
+    §18.9), so P(x) = x^(order mod 2) Q(y): Horner's rule runs over Q's
+    order // 2 + 1 coefficients in y, with no pass that adds 0.0.  The
+    column is built before ``out`` is written, so ``out`` may be ``x``
+    itself.  A 0-d input returns a scalar.  Rejects what
+    ``_check_variance`` rejects (ValueError).
 
-    Rounding, to first order in u = 2^-53, with a = x^2/(2v), while gamma_v
-    stays a normal float (Higham, SISC 1993):
-    - x*x, -0.5/v and their product round once each, so the exponent is
+    Rounding, to first order in u = 2^-53, while gamma_v stays a normal
+    float (Higham, SISC 1993):
+    - y, -0.5/v and their product round once each, so the exponent is
       -a(1 + t) with |t| <= 3u, which moves exp by 3au relative at most;
     - exp adds E u (numpy's accuracy tests hold float64 exp to one ulp,
       so E = 2);
-    - the scale adds 4.5u (sqrt(2 pi) of the rounded pi 1.5u, then
-      sqrt(v), the product and the reciprocal u each) and its multiply u,
-      so gamma_v is within (3a + 5.5 + E) u of exact, relative;
     - each step of ``gauss_deriv_coeffs`` adds two terms of one sign (the
       Hermite coefficients alternate by twos), so P's coefficients c_i
-      are within 2 order u of exact, and Horner adds 2 order u of
-      M(x) = sum |c_i| |x|^i; the last multiply rounds once more.
-    So D^order gamma_v is within (4 order + 3a + 6.5 + E) u M(x) gamma_v(x)
-    of exact for order >= 1, and gamma_v within (3a + 5.5 + E) u gamma_v(x).
-    The division sequence this replaced had 2a for 3a and 4.5 for 5.5, so a
-    grid integral moves between the two by at most both bounds carried
-    through its integrand and the trapezoid sum.  ``tests/test_gaussmix.py``
-    checks the bound against mpmath over +-14 sd.
+      are within 2 order u of exact;
+    - Horner's d = order // 2 steps in y add 2d u of
+      M(x) = sum |c_i| |x|^i, and y^i's rounding d u more; the multiply by
+      x at odd order and the one by e round once each, so the column is
+      within (2 order + 3d + 2) u <= (3.5 order + 1) u of M(x), beside e's
+      error;
+    - the scale adds 4.5u (sqrt(2 pi) of the rounded pi 1.5u, then
+      sqrt(v), the product and the reciprocal u each) and its multiply u.
+    So D^order gamma_v is within (3.5 order + 3a + 6.5 + E) u M(x)
+    gamma_v(x) of exact for order >= 1, and gamma_v, whose bits the column
+    form keeps, within (3a + 5.5 + E) u gamma_v(x).  A term coeff D^m
+    gamma_v of ``pdf_many`` adds u for coeff * scale: (3.5m + 3a + 7.5 + E)
+    u |coeff| M(x) gamma_v(x).  ``tests/test_gaussmix.py`` checks the bound
+    against mpmath over +-14 sd.
     """
     x = np.asarray(x, dtype=float)
-    if not variance >= _LEAST_VARIANCE:
-        raise ValueError(
-            f"variance must be at least {_LEAST_VARIANCE!r}, where -0.5/v is finite, got {variance}"
-        )
-    h = None
-    if order:
-        poly = gauss_deriv_poly(order, variance)
-        h = np.full_like(x, poly[-1])
-        for c in poly[-2::-1]:
-            h *= x
-            h += c
+    _check_variance(variance)
     if out is None:
         out = np.empty_like(x)
-    np.multiply(x, x, out=out)
-    out *= -0.5 / variance
-    np.exp(out, out=out)
-    out *= 1.0 / (_SQRT2PI * math.sqrt(variance))
-    if h is not None:
-        out *= h
+    _tabulate(x, {(order, variance, 0.0): [(_scale(variance), 0)]}, [out])
     return out[()] if out.ndim == 0 else out
+
+
+def _tabulate(
+    x: np.ndarray,
+    walk: dict[tuple[int, float, float], list[tuple[float, int]]],
+    outs: Sequence[np.ndarray],
+    work: Sequence[np.ndarray] = (),
+) -> None:
+    """Set each outs[i] to 0.0 + the sum of column * scale over the keys
+    (order, variance, mean) of ``walk``, in its order, and their holders
+    (scale, i); to 0.0 where no key has i.
+
+    A key's column is D^order gamma_v(x - mean) / ``_scale(v)``: e itself
+    at order 0, else Q(y) z^(order mod 2) e (``gauss_deriv_pdf``), where
+    z = x - mean, x itself at mean 0, y = z*z and e = exp(y * (-0.5/v)).
+    Keys of one (variance, mean) next to each other in the walk are a run,
+    which shares y and e: one exponential per run, and one y = x*x for
+    every run at mean 0.  A first product goes straight into its
+    accumulator and gets + 0.0 only where it may hold -0.0 (e >= 0 times a
+    scale > 0 cannot); the last holder of a column that no later key reads
+    scales it in place.  The rows past the accumulators are ``work``'s,
+    then fresh ones shaped like x: e; y, at mean 0 or for Horner past
+    order 1; the Horner column; and a product row, for a holder between a
+    column's first and last, or z at an odd order past 1 off mean 0.
+    Rejects a variance that ``_check_variance`` rejects before its
+    exponential, and an order or coefficients that ``gauss_deriv_poly``
+    rejects (ValueError).
+    """
+    rows = [*work, None, None, None, None][:4]
+
+    def row(i: int) -> np.ndarray:
+        if rows[i] is None:
+            rows[i] = np.empty_like(x)
+        return rows[i]
+
+    runs: list[tuple[tuple[float, float], list]] = []
+    for (order, variance, mean), holders in walk.items():
+        if not runs or runs[-1][0] != (variance, mean):
+            runs.append(((variance, mean), []))
+        runs[-1][1].append((order, holders))
+    unset = [True] * len(outs)
+    y_mean = None  # the mean whose (x - mean)^2 the y row holds
+    for (variance, mean), run in runs:
+        _check_variance(variance)
+        e = row(0)
+        if not mean or max(order for order, _ in run) >= 2:
+            y = row(1)
+            if y_mean != mean:
+                # x - 0.0 is x, so a zero mean skips the shift pass
+                np.square(np.subtract(x, mean, out=y) if mean else x, out=y)
+                y_mean = mean
+            np.multiply(y, -0.5 / variance, out=e)
+        else:
+            np.square(np.subtract(x, mean, out=e), out=e)
+            e *= -0.5 / variance
+        np.exp(e, out=e)
+        for j, (order, holders) in enumerate(run):
+            if not order:
+                column = e
+            else:
+                q = gauss_deriv_poly(order, variance)[order % 2 :: 2]
+                column = row(2)
+                if len(q) == 1:  # order 1: P = q_0 z
+                    np.multiply(np.subtract(x, mean, out=column) if mean else x, q[0], out=column)
+                else:
+                    np.multiply(y, q[-1], out=column)
+                    column += q[-2]
+                    for c in q[-3::-1]:
+                        column *= y
+                        column += c
+                    if order % 2:
+                        column *= np.subtract(x, mean, out=row(3)) if mean else x
+                column *= e
+            # the last holder scales the column in place unless it is e and
+            # a later key of the run reads it
+            disposable = order or j == len(run) - 1
+            for h, (scale, i) in enumerate(holders):
+                acc = outs[i]
+                if unset[i]:
+                    np.multiply(column, scale, out=acc)
+                    if order or not scale > 0.0:
+                        acc += 0.0
+                    unset[i] = False
+                elif disposable and h == len(holders) - 1:
+                    column *= scale
+                    acc += column
+                else:
+                    acc += np.multiply(column, scale, out=row(3))
+    for acc, empty in zip(outs, unset):
+        if empty:
+            acc.fill(0.0)
 
 
 def _shifted_moment(j: int, variance: float, mean: float) -> float:
@@ -203,46 +299,31 @@ class GaussDerivMixture:
         Keys the terms on (order, variance, mean) and walks the keys in a
         stable sort on (order, variance), each (order, variance) in the
         order of its keys' first appearance in the batch.  It evaluates each
-        key's column once, D^m gamma_v at x - mean (x itself at mean 0),
-        and adds coeff * column to every mixture that holds the key.  A
-        mixture's sum has the bits it has alone whenever the batch walks
-        its keys in its own term order: whenever, for each (order,
-        variance) it holds with several means, those keys first appear in
-        the batch in the mixture's own order.  The first mixture of a batch
-        always qualifies, and so does every mixture that holds each (order,
-        variance) with one mean, as zero-mean mixtures do.  Each sum has the
-        bits of 0.0 + the first coeff * column + the next ...: the first
-        product goes straight into the accumulator, and gets + 0.0, which
-        turns -0.0 into 0.0, only where it may hold -0.0 (an order-0 column
-        is >= 0, so times a positive coeff it cannot).  A mixture with no
-        terms reads 0.0.  One column buffer and one coeff * column buffer
-        serve every key, beside one accumulator per mixture.  The
-        accumulators are ``out`` and the two buffers ``work`` when given,
-        each shaped like x.
+        key's column once, D^m gamma_v(x - mean) over gamma_v(0), and adds
+        column * (coeff * gamma_v(0)) to every mixture that holds the key:
+        the scale is each holder's, so the column is shared (``_tabulate``,
+        which also bounds the rounding, and ``gauss_deriv_pdf``).  Keys of
+        one (variance, mean) next to each other in the walk share one
+        exponential, as the orders m and m + 1 of a derivative law and its
+        derivative do in a Fisher pass.  A mixture's sum has the bits it has
+        alone whenever the batch walks its keys in its own term order:
+        whenever, for each (order, variance) it holds with several means,
+        those keys first appear in the batch in the mixture's own order.
+        The first mixture of a batch always qualifies, and so does every
+        mixture that holds each (order, variance) with one mean, as
+        zero-mean mixtures do.  Each sum has the bits of 0.0 + the first
+        product + the next ...; a mixture with no terms reads 0.0.  The
+        accumulators are ``out`` when given, shaped like x; ``work`` lends
+        ``_tabulate`` its spare rows, at most four, of x's shape.
         """
         x = np.asarray(x, dtype=float)
         outs = [np.empty_like(x) for _ in mixtures] if out is None else list(out)
         holders: dict[tuple[int, float, float], list[tuple[float, int]]] = {}
         for i, m in enumerate(mixtures):
             for t in m.terms:
-                holders.setdefault(t[1:], []).append((t.coeff, i))
-        unset = [True] * len(outs)
-        column, scaled = (np.empty_like(x), np.empty_like(x)) if work is None else work
-        for order, variance, mean in sorted(holders, key=lambda key: key[:2]):
-            # x - 0.0 is x, so zero-mean columns skip the shift pass
-            shifted = np.subtract(x, mean, out=column) if mean else x
-            gauss_deriv_pdf(shifted, variance, order, out=column)
-            for coeff, i in holders[order, variance, mean]:
-                if unset[i]:
-                    np.multiply(coeff, column, out=outs[i])
-                    if order or coeff < 0.0:
-                        outs[i] += 0.0
-                    unset[i] = False
-                else:
-                    outs[i] += np.multiply(coeff, column, out=scaled)
-        for acc, empty in zip(outs, unset):
-            if empty:
-                acc.fill(0.0)
+                holders.setdefault(t[1:], []).append((t.coeff * _scale(t.variance), i))
+        walk = {key: holders[key] for key in sorted(holders, key=lambda key: key[:2])}
+        _tabulate(x, walk, outs, () if work is None else work)
         return outs
 
     def convolve(self, other: "GaussDerivMixture") -> "GaussDerivMixture":

@@ -61,16 +61,19 @@ def gauss_deriv_coeffs(order: int, variance: float) -> list[float]:
     (-1/v)^order.  Each coefficient of P_{k+1} starts at 0.0, gains its
     derivative term and loses its shift term: the float operations, signed
     zeros included, of the array updates q[:k-1] += p[1:] * arange(1, k)
-    and q[1:] -= p / v on a zeroed q.  ``gaussmix.gauss_deriv_poly`` wraps
-    this in its checked array.  A coefficient beyond the float range reads
-    inf or nan.
+    and q[1:] -= p / v on a zeroed q.  P_k has the parity of k (DLMF
+    §18.9), so only the slots k-1, k-3, ... of P_{k-1} enter P_k: the
+    others are +0.0, and 0.0 + 0.0 * j and 0.0 - 0.0 / v leave +0.0 where
+    they land.
+    ``gaussmix.gauss_deriv_poly`` wraps this in its checked array.  A
+    coefficient beyond the float range reads inf or nan.
     """
     p = [1.0]
     for k in range(1, order + 1):
         q = [0.0] * (k + 1)
-        for j in range(1, k):
+        for j in range(k - 1, 0, -2):
             q[j - 1] += p[j] * j
-        for j in range(k):
+        for j in range(k - 1, -1, -2):
             q[j + 1] -= p[j] / variance
         p = q
     return p
@@ -292,6 +295,7 @@ def hessian_quadratic_form(
     M = K + u + L
     terms: dict[int, float] = {}
     a1 = A.get(1)
+    overflow = f"Hessian ledger overflows the float range at K={K}, L={L}, u={u}"
     # a float power or (alpha+1)! beyond the float range raises OverflowError,
     # math.fsum of terms whose sum passes it too, and of an inf and a -inf
     # term ValueError
@@ -314,7 +318,11 @@ def hessian_quadratic_form(
             terms[alpha] = math.factorial(alpha + 1) * core
         total = math.fsum(terms.values())
     except (OverflowError, ValueError):
-        raise ValueError(f"Hessian ledger overflows the float range at K={K}, L={L}, u={u}") from None
+        raise ValueError(overflow) from None
+    # a square such as aa*aa overflows to inf without raising, and inf - inf
+    # is NaN, which math.fsum passes through
+    if not all(map(math.isfinite, (*terms.values(), total))):
+        raise ValueError(overflow)
     return HessianReport(
         K=K,
         per_alpha_terms=terms,

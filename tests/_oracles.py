@@ -51,6 +51,47 @@ def psi_written_out(K, L, u, N1, N):
 
 
 # ----------------------------------------------------------------------
+# Gaussian-derivative coefficients
+# ----------------------------------------------------------------------
+
+
+def deriv_column(x, variance: float, order: int = 0) -> np.ndarray:
+    """D^order gamma_v(x) over gamma_v(0) = 1/(sqrt(2 pi) sqrt(v)) as array
+    expressions: P(x) = x^(order mod 2) Q(x^2) (DLMF §18.9), so Horner's
+    rule in y = x*x over P's coefficients of order's parity, times x at odd
+    order, times exp(y * (-0.5/v)).  The column ``pdf_many`` shares between
+    the terms of a key, whose bits it must give."""
+    x = np.asarray(x, dtype=float)
+    y = x * x
+    e = np.exp(y * (-0.5 / variance))
+    if order == 0:
+        return e
+    q = gauss_deriv_poly(order, variance)[order % 2 :: 2]
+    h = np.full_like(x, q[-1])
+    for c in q[-2::-1]:
+        h *= y
+        h += c
+    if order % 2:
+        h *= x
+    return h * e
+
+
+def gauss_deriv_coeffs_every_slot(order: int, variance: float) -> list[float]:
+    """``hessian.gauss_deriv_coeffs``'s recursion P_{k+1} = P_k' - (x/v) P_k
+    over every slot of P_k, the zeros of the other parity included: the
+    bitwise oracle for the recursion that skips them."""
+    p = [1.0]
+    for k in range(1, order + 1):
+        q = [0.0] * (k + 1)
+        for j in range(1, k):
+            q[j - 1] += p[j] * j
+        for j in range(k):
+            q[j + 1] -= p[j] / variance
+        p = q
+    return p
+
+
+# ----------------------------------------------------------------------
 # Hermite-weighted norms and the outer-entropy defect
 # ----------------------------------------------------------------------
 
@@ -101,10 +142,12 @@ def whole_grid_integrals(
     grid over [lo, hi] at once: one ``pdf`` call on np.linspace, np.clip,
     the np.where integrands with p' from ``m.derivative(1).pdf`` on the
     same points (the cube as the score p'/p times the Fisher integrand),
-    and np.trapezoid.  That is the blocked kernel's path written for the
-    whole grid, and the kernel must give these bits.  On that path a least
-    value below -1e-12 raised NegativeDensityError, and entropy and Fisher
-    information raised on n < 1024 or a mass off 1 by more than 1e-7."""
+    and the trapezoid rule from each integrand's one np.sum,
+    step (sum - (y_0 + y_{n-1})/2).  That is the blocked kernel's path
+    written for the whole grid, and the kernel must give these bits.  On
+    that path a least value below -1e-12 raised NegativeDensityError, and
+    entropy and Fisher information raised on n < 1024 or a mass off 1 by
+    more than 1e-7."""
     x = np.linspace(lo, hi, n)
     raw = m.pdf(x)
     vals = np.clip(raw, 0.0, None)
@@ -117,7 +160,7 @@ def whole_grid_integrals(
             safe = np.where(ok, vals, 1.0)
             integrands.append(np.where(ok, dp * dp / safe, 0.0))
             integrands.append(np.where(ok, dp / safe * (dp * dp / safe), 0.0))
-    sums = [float(np.trapezoid(y, dx=step)) for y in integrands]
+    sums = [float(step * (np.sum(y) - 0.5 * (y[0] + y[-1]))) for y in integrands]
     return (raw.min(), *sums) if fisher else (raw.min(), *sums, None, None)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ziclab import counterexamples as cx
+from ziclab import gaussmix
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +13,20 @@ def recipe():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def exp_sizes(monkeypatch):
+    """The sizes of the arrays that gaussmix exponentiates from here on."""
+    sizes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, out=None):
+            sizes.append(np.size(x))
+            return np.exp(x, out=out)
+
+    monkeypatch.setattr(gaussmix, "np", CountingNumpy())
+    return sizes

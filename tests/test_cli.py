@@ -378,37 +378,30 @@ PINNED_REPORTS = {
         "11e63f2581b43979da110e7c4afdaff5bf165dd2bc9396ef3c105fa1718813f5",
     "hessian --u 2 --L 5 --A 1:0.7,2:1.1,4:-0.3 --B 2:0.4,4:0.9":
         "b8b389509fc36d136f022fa278a7ea36d67087113e715e5d771101f7b607fa60",
-    "constant-power-gap --u 1 --N1 1 --N2 0.05":
-        "66ccfa402fb629cc54c7baf3bd3d5404a01cef24125a819ed54fc6df19698244",
-    # re-recorded with math.fsum dot products, the same on every Python
+    # re-recorded with geometry's math.fsum dot products, the same on every Python
     "geometry --t 10:200:10":
         "f99dfec4b8cf4411a0aa12ff5f3aafbadea32ccac3f8afd1c92c8856d9dceae2",
-    # re-recorded with division-free Gaussian columns, as are the reports
-    # below so marked (CHANGES.md lists each moved value beside its bound)
+    # re-recorded with columns by Horner's rule in x*x, each term's scale
+    # in its coefficient and every grid integral from its row's plain sum
+    # (CHANGES.md lists each moved value beside its carried rounding bound);
+    # the earlier pins of these followed division-free columns, Fisher
+    # information from the exact p' and int p''' ln p from the score cube
+    "constant-power-gap --u 1 --N1 1 --N2 0.05":
+        "d37fc99a4d771ed49ef16548e3051c8640a514cb6784ae7f76a2f844885aa969",
     "verify-vertical --u 1 --L 1.4":
-        "a68876cfe7c9606a7f03aa72063cec0a1ad94c8b3d9e21ced368f43b933de6b3",
-    # re-recorded with Fisher information from the exact derivative p'
-    # (CHANGES.md lists each value that moved), the first also with
-    # division-free columns
+        "30f9fb3d3ee0a27d51d257b0e05fd5f2766a6c29ad3ce2c5f919d07d0751c436",
     "limit-functional --L 1.2,1.6,2.0":
-        "abb096986ea017bed9c4c28eb7cec6a83290d93c45c2c084ab0de8e52fc26a47",
+        "25361d6ef4253149a132f2b17b0d87d5a013e5c9c5c4e64cd0a917decf61e31b",
     "verify-vertical --u 2 --L 3 --J 8 --n 524288":
-        "37ab38674608c0e8d40d3927472f1184e0fb4bf4c6952005b44d276a20f466ff",
-    # re-recorded with Fisher information from the exact derivative p' (and
-    # with division-free columns)
+        "d8b939530080ba309801c849898a883584a9bc9b0ec4038fce9b9018eefae1aa",
     "limit-functional --L 1.1:1.9:0.4 --J 20 --n 262144":
-        "af1cf4224480d876190a19fa29586d7e7a52a3a3d7f62aeb21e6e79f3be41187",
-    # re-recorded with int p''' ln p as -1/2 int (p')^3/p^2 from the
-    # kernel's Fisher pass: c15 and the gap coefficient moved by 3 ulps and
-    # log_deriv3_integral by 4, each to the double nearest mpmath's value
-    # (CHANGES.md lists each value); the last two also with division-free
-    # columns
+        "61981271b16c429923cd944f21b165cac76f67e12c802d4ae7615074a6535717",
     "verify-lemma1":
-        "1f2f01573be8774149b69c392967f0ed698fa14615b0a5c7f61f3527eafbe800",
+        "7ed9690344f6925616287513d6aa312d127aba9e07726d2de78d9c3827e4082a",
     "verify-lemma1 --t-count 20 --n 1048576":
-        "a960cf9571c552cca22f0eabadb0b5b7d4c9ec95bc159afdeb0d1df6408db226",
+        "664cced639fc06a2b541ffec56467924100c41c3f64fddea282e61cd2a0d3f74",
     "verify-lemma2 --t-min 1e-3 --t-max 1e-2":
-        "872c3073cce897d09a7bba8056c33d664eaef261a6b11c1ebcb19c5b1aabc088",
+        "7f8b8399ba6798a689a33bcabd3fa5a42d63b0b1daf0316ee4eaa7b215176820",
     # the HK reports, recorded with g1 from the dual and the audits' powers
     # from math.exp; hk-region and conjecture2-map re-recorded with the
     # nested dual search, which moved g1 by at most 2 ulps (CHANGES.md lists
@@ -1405,12 +1398,15 @@ def test_hessian_bad_coefficients_exit_2(option, text, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["--L", "1e300"], ["--L", "1e160"], ["--u", "1e300"], ["--A", "171:1"],
-     ["--u", "0.01", "--L", "1.1", "--A", "30:1.232e154,31:7.095e153"]],
+     ["--u", "0.01", "--L", "1.1", "--A", "30:1.232e154,31:7.095e153"],
+     ["--u", "1", "--L", "3", "--A", "2:1e200", "--B", ""], ["--A", "1:1e200"], ["--A", "3:1e200", "--B", "3:1"]],
 )
 def test_hessian_float_overflow_exit_2(argv, capsys):
     # a power of K+u+L (or (alpha+1)!) beyond the float range used to end
     # in an OverflowError traceback; two finite terms of about -9e307, whose
-    # sum passes the float range, gave a null total with exit 0
+    # sum passes the float range, gave a null total with exit 0; a square
+    # aa*aa (or a1*a1) that overflows to inf made an inf - inf = NaN term,
+    # a null total and exit 3
     assert main(["hessian", *argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -1462,6 +1458,30 @@ def test_lemma_t_grid_out_of_range_exit_2(argv, message, capsys):
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert capsys.readouterr().err == f"ziclab {argv[0]}: error: argument {message}\n"
+
+
+@pytest.mark.parametrize("K", ["1e-310", "1e-300", "1.9e-103"])
+def test_verify_vertical_tiny_K_exit_2_names_it(K, capsys):
+    # below 2.78e-309 the message was "variance must be at least ...", and
+    # up to 1.97e-103 "D^3 gamma_v has coefficients beyond the float range",
+    # both naming no option, after the parse
+    assert main(["verify-vertical", "--K", K]) == 2
+    assert capsys.readouterr().err == (
+        f"ziclab verify-vertical: error: argument --K: K must be at least 2e-103, where "
+        f"D^3 gamma_(K - delta) keeps its coefficients in the float range, got {float(K)}\n"
+    )
+
+
+def test_least_source_variance_keeps_the_default_perturbation_in_range():
+    # at the least K, the default delta's perturbation has finite
+    # coefficients; at the next float below it is rejected
+    from ziclab.hessian import gauss_deriv_coeffs
+
+    K = cx.LEAST_SOURCE_VARIANCE
+    assert all(map(math.isfinite, gauss_deriv_coeffs(3, K - K / 10.0)))
+    cx.check_source_variance(K)
+    with pytest.raises(ValueError, match=r"^K must be at least 2e-103"):
+        cx.check_source_variance(math.nextafter(K, 0.0))
 
 
 @pytest.mark.parametrize("command", ["verify-lemma1", "verify-lemma2"])

@@ -448,18 +448,19 @@ def test_vertical_gap_value_is_the_channel_objective():
 
 
 def count_grid_columns(monkeypatch, n):
-    """Patch gaussmix's kernel to count its calls on n-point grids, keyed by
-    (grid ends, order, variance)."""
-    kernel = gaussmix.gauss_deriv_pdf
+    """Patch gaussmix's tabulation to count the columns it makes on n-point
+    grids, keyed by (grid ends, order, variance)."""
+    kernel = gaussmix._tabulate
     calls = {}
 
-    def counted(x, variance, order=0, out=None):
+    def counted(x, walk, outs, work=()):
         if np.size(x) == n:
-            key = (float(x[0]), float(x[-1]), order, variance)
-            calls[key] = calls.get(key, 0) + 1
-        return kernel(x, variance, order, out=out)
+            for order, variance, _ in walk:
+                key = (float(x[0]), float(x[-1]), order, variance)
+                calls[key] = calls.get(key, 0) + 1
+        return kernel(x, walk, outs, work)
 
-    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", counted)
+    monkeypatch.setattr(gaussmix, "_tabulate", counted)
     return calls
 
 
@@ -513,7 +514,8 @@ def test_vertical_perturbation_rejects_eps_ladder_before_tabulation(kwargs, mess
     def no_tabulation(*args):
         raise AssertionError("a density was tabulated for a rejected eps")
 
-    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", no_tabulation)
+    monkeypatch.setattr(gaussmix, "_tabulate", no_tabulation)
+    monkeypatch.setattr(cx, "_tabulate", no_tabulation)
     with pytest.raises(ValueError, match=message):
         cx.VerticalPerturbation(**{"K": 6.0, "L": 1.4, "u": 1.0, **kwargs})
 
@@ -859,7 +861,8 @@ def test_fisher_limit_gain_runs_the_ladder_checks(kwargs, message, monkeypatch):
     def no_tabulation(*args, **kwargs):
         raise AssertionError("a density was tabulated for a rejected parameter")
 
-    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", no_tabulation)
+    monkeypatch.setattr(gaussmix, "_tabulate", no_tabulation)
+    monkeypatch.setattr(cx, "_tabulate", no_tabulation)
     with pytest.raises(ValueError, match=message):
         cx.fisher_limit_gain(**{"L": 1.2, **kwargs})
 

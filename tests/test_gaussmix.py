@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _oracles import hermite_weighted_norm
+from _oracles import deriv_column, gauss_deriv_coeffs_every_slot, hermite_weighted_norm
 from ziclab import gaussmix
 from ziclab.gaussmix import (
     MAX_ORDER,
@@ -22,6 +22,7 @@ from ziclab.gaussmix import (
     gauss_deriv_poly,
     gaussian,
 )
+from ziclab.hessian import gauss_deriv_coeffs
 
 
 # ----------------------------------------------------------------------
@@ -407,11 +408,12 @@ def test_scaled_and_reflected_laws(m, s):
 
 
 def loop_pdf(m, x):
-    """The per-term loop every mixture density summed before batching, in
-    the mixture's own term order; x - 0.0 is x, bit for bit."""
+    """The per-term loop of a mixture density, in the mixture's own term
+    order: each term's column at x - mean times coeff * gamma_v(0); x - 0.0
+    is x, bit for bit."""
     out = np.zeros_like(x)
     for coeff, order, variance, mean in m.terms:
-        out += coeff * gauss_deriv_pdf(x - mean, variance, order)
+        out += deriv_column(x - mean, variance, order) * (coeff * (1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(variance))))
     return out
 
 
@@ -468,17 +470,31 @@ def test_pdf_many_equals_each_mixture_alone(mixtures):
 
 
 def test_pdf_many_evaluates_each_shared_term_once(monkeypatch):
-    calls = []
+    keys = []
+    tabulate = gaussmix._tabulate
 
-    def counted(x, variance, order=0, out=None):
-        calls.append((order, variance))
-        return gauss_deriv_pdf(x, variance, order, out=out)
+    def counted(x, walk, outs, work=()):
+        keys.extend(walk)
+        return tabulate(x, walk, outs, work)
 
-    monkeypatch.setattr(gaussmix, "gauss_deriv_pdf", counted)
+    monkeypatch.setattr(gaussmix, "_tabulate", counted)
     a = GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-0.1, 3, 1.5)))
     b = GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-0.05, 3, 1.5), DerivTerm(0.2, 6, 1.0)))
     GaussDerivMixture.pdf_many((a, b), np.linspace(-5.0, 5.0, 11))
-    assert sorted(calls) == [(0, 2.0), (3, 1.5), (6, 1.0)]
+    assert keys == [(0, 2.0, 0.0), (3, 1.5, 0.0), (6, 1.0, 0.0)]
+
+
+def test_a_run_of_keys_shares_one_exponential(exp_sizes):
+    # a law and its derivative walk (0, v), (1, v), (3, w), (4, w): two runs,
+    # two exponentials; a location law's two means are two runs each
+    x = np.linspace(-5.0, 5.0, 11)
+    m = GaussDerivMixture((DerivTerm(1.0, 0, 2.0), DerivTerm(-0.1, 3, 1.5)))
+    GaussDerivMixture.pdf_many((m, m.derivative(1)), x)
+    assert exp_sizes == [11, 11]
+    exp_sizes.clear()
+    loc = GaussMixture((0.5, 0.5), (-1.0, 1.0), (0.3, 0.3))
+    GaussDerivMixture.pdf_many((loc, loc.derivative(1)), x)
+    assert exp_sizes == [11] * 4
 
 
 def test_location_pdf_many_is_each_pdf():
@@ -512,16 +528,27 @@ def test_deriv_poly_matches_polyder_recursion_bitwise():
 
 
 def test_deriv_pdf_matches_polyval_bitwise():
-    # in-place Horner does polyval's operations: out * x + c, then times g,
-    # the Gaussian by its division-free sequence
+    # in-place Horner does polyval's operations on Q in y = x*x, out * y + c,
+    # then times x at odd order, times e and the scale, plus 0.0
     rng = np.random.default_rng(7)
     for v in (0.3, 1.7, 9.0):
         s = math.sqrt(v)
         x = np.concatenate([np.linspace(-12 * s, 12 * s, 1001), rng.normal(0.0, 3 * s, 200), [0.0, -0.0]])
-        g = np.exp(x * x * (-0.5 / v)) * (1.0 / (math.sqrt(2.0 * math.pi) * s))
+        e = np.exp(x * x * (-0.5 / v))
         for k in range(1, MAX_ORDER + 1):
-            expected = np.polynomial.polynomial.polyval(x, gauss_deriv_poly(k, v)) * g
+            q = np.polynomial.polynomial.polyval(x * x, gauss_deriv_poly(k, v)[k % 2 :: 2])
+            column = (q * x if k % 2 else q) * e
+            expected = column * (1.0 / (math.sqrt(2.0 * math.pi) * s)) + 0.0
             assert gauss_deriv_pdf(x, v, k).tobytes() == expected.tobytes(), (k, v)
+
+
+def test_deriv_coeffs_skip_the_parity_zeros_bitwise():
+    # the recursion over one parity gives the bits of the one over every
+    # slot, signed zeros included, at orders 0..64 over e^-40..e^40
+    for v in [*np.exp(np.linspace(-40.0, 40.0, 41)).tolist(), 0.3, 1.0, 1.7, 1e-4]:
+        for k in range(MAX_ORDER + 1):
+            got, expected = gauss_deriv_coeffs(k, v), gauss_deriv_coeffs_every_slot(k, v)
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), (k, v)
 
 
 def test_deriv_poly_rejects_coefficients_beyond_float_range():
@@ -552,7 +579,7 @@ def test_deriv_pdf_within_its_rounding_bound():
     # the bound of gauss_deriv_pdf's docstring against 40-digit mpmath, at
     # E = 2 (exp within one ulp), over +-14 sd, where a reaches 98
     u = 2.0**-53
-    orders = (0, 1, 2, 3, 5, 8)
+    orders = (0, 1, 2, 3, 7, 33, 60, 63)
     with mpmath.workdps(40):
         coeffs = {(k, v): exact_deriv_coeffs(k, v) for k in orders for v in (0.05, 0.3, 1.0, 2.5, 6.0, 11.0)}
         for (k, v), c in coeffs.items():
@@ -560,11 +587,28 @@ def test_deriv_pdf_within_its_rounding_bound():
             for xi, got in zip(x.tolist(), gauss_deriv_pdf(x, v, k).tolist()):
                 xm = mpmath.mpf(xi)
                 g = mpmath.exp(-xm * xm / (2 * mpmath.mpf(v))) / mpmath.sqrt(2 * mpmath.pi * v)
-                exact = sum(ci * xm**i for i, ci in enumerate(c)) * g
-                size = sum(abs(ci) * abs(xm) ** i for i, ci in enumerate(c)) * g
+                exact = mpmath.polyval(c[::-1], xm) * g
+                size = mpmath.polyval([abs(ci) for ci in c[::-1]], abs(xm)) * g
                 a = xi * xi / (2.0 * v)
-                bound = (4 * k + 3 * a + 6.5 + 2 if k else 3 * a + 5.5 + 2) * u * size
+                bound = (3.5 * k + 3 * a + 6.5 + 2 if k else 3 * a + 5.5 + 2) * u * size
                 assert abs(got - exact) <= bound, (k, v, xi)
+
+
+def test_deriv_pdf_top_orders_against_the_column_maximum():
+    # 97 points over +-12 sd at v = 1.3: the error relative to the column's
+    # largest value, 3.1e-8 and 7.1e-8 at orders 60 and 63 with Horner in x,
+    # 1.3e-8 and 4.3e-8 with Horner in x*x
+    v = 1.3
+    x = np.linspace(-12.0, 12.0, 97) * math.sqrt(v)
+    with mpmath.workdps(40):
+        for k, most in ((60, 3.1e-8), (63, 7.1e-8)):
+            c = exact_deriv_coeffs(k, v)[::-1]
+            exact = [
+                mpmath.polyval(c, xm) * mpmath.exp(-xm * xm / (2 * mpmath.mpf(v))) / mpmath.sqrt(2 * mpmath.pi * v)
+                for xm in map(mpmath.mpf, x.tolist())
+            ]
+            err = max(abs(got - e) for got, e in zip(gauss_deriv_pdf(x, v, k).tolist(), exact))
+            assert err <= most * max(map(abs, exact)), k
 
 
 def test_deriv_pdf_rejects_a_variance_whose_exponent_factor_overflows():

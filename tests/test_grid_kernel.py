@@ -4,10 +4,11 @@ on the same inputs with the same messages, and on a NaN tabulation, which
 that path let through, and holds memory of one block's size, whatever the
 grid's.
 
-Block edges are where the kernel can go wrong: a block reads its own
-points a..b, the last of which the next block reads again, and blocks are
-the nodes of numpy's pairwise-sum tree, whose halves are uneven.  The grid
-sizes below put the edges everywhere they can fall.
+Block edges are where the kernel can go wrong: a block tabulates its own
+points a..b-1, the blocks are the nodes of numpy's pairwise-sum tree over
+the n points, whose halves are uneven, and the end correction reads the
+first block's first point and the last block's last.  The grid sizes below
+put the edges everywhere they can fall.
 """
 
 import math
@@ -61,17 +62,17 @@ def test_grid_density_integrals_match_whole_grid(n):
 
 
 def tree_blocks(rows):
-    """The blocks (a, b) that _tree_sums visits over the terms of ``rows``,
-    in order, and the row sums it returns when each block's terms are
-    copied into a buffer one float wider than a block, as the kernel's."""
+    """The blocks (a, b) that _tree_sums visits over the values of ``rows``,
+    in order, and the row sums it returns when each block's values are
+    copied into a buffer of one block, as the kernel's."""
     blocks = []
-    buf = np.empty((len(rows), min(B + 1, rows.shape[1] + 1)))
+    buf = np.empty((len(rows), min(B, rows.shape[1])))
 
     def block_sums(a, b):
         blocks.append((a, b))
-        terms = buf[:, : b - a]
-        np.copyto(terms, rows[:, a:b])
-        return terms.sum(axis=1)
+        values = buf[:, : b - a]
+        np.copyto(values, rows[:, a:b])
+        return values.sum(axis=1)
 
     return blocks, en._tree_sums(0, rows.shape[1], block_sums).tolist()
 
@@ -80,22 +81,22 @@ def test_block_sums_follow_numpys_pairwise_tree():
     # the kernel's block sums, added in the tree's order, are np.sum over
     # the whole row: every unroll remainder of a short sum, one block and
     # its neighbours, and uneven trees up to the 2^20-point grids
-    lengths = [*range(1, 130), B - 1, B, B + 1, 2 * B + 9, (1 << 20) - 1]
+    lengths = [*range(1, 130), B - 1, B, B + 1, 2 * B + 9, (1 << 20) - 1, 1 << 20]
     for m in lengths:
         rng = np.random.default_rng(m)
         x = rng.choice((-1.0, 1.0), (2, m)) * np.exp(rng.uniform(-20.0, 20.0, (2, m)))
         _, got = tree_blocks(x)
         assert same_bits(got, [np.sum(row) for row in x]), m
-    assert all(B // 2 <= b - a <= B for a, b in tree_blocks(np.empty((0, (1 << 20) - 1)))[0])
+    assert all(B // 2 <= b - a <= B for a, b in tree_blocks(np.empty((0, 1 << 20)))[0])
 
 
 def test_grid_points_are_linspace_bit_for_bit():
     # the last case's step underflows to 0, linspace's subnormal path
     for lo, hi, n in ((-3.0, 7.5, 1024), (-15.6, 15.6, 3 * B - 7), (0.1, 0.2, 2 * B + 1), (0.0, 5e-324, 1500)):
         x = np.linspace(lo, hi, n)
-        for a, b in tree_blocks(np.empty((0, n - 1)))[0]:
-            got = en._grid(np.arange(a, b + 1, dtype=float), lo, hi, n, b == n - 1)
-            assert same_bits(got, x[a : b + 1]), (lo, hi, n, a)
+        for a, b in tree_blocks(np.empty((0, n)))[0]:
+            got = en._grid(np.arange(a, b, dtype=float), lo, hi, n, b == n)
+            assert same_bits(got, x[a:b]), (lo, hi, n, a)
 
 
 def test_smoothing_curve_matches_whole_grid(recipe):
@@ -144,20 +145,26 @@ def test_nan_and_tiny_points_are_zeroed_across_blocks():
 
 
 def test_every_block_path_matches_whole_grid(monkeypatch):
-    # tabulation by point index on the grid x = 0, 1, ..., 4B, whose four
-    # blocks take each path of the kernel: the first law's least value is
-    # above 1e-300 (no clip, no zeroing), at and below 1e-300 (zeroing
-    # alone), an exact 0 beside a dip below it (clip and zeroing), and
-    # above 1e-300 again; the second law has a NaN in its third block, and
-    # the third law is at most 1e-300 everywhere, so its entropy sums zeros
-    n = 4 * B + 1
+    # tabulation by point index on the grid x = 0, 1, ..., 4B - 1, whose
+    # four blocks take each path of the kernel: the first law's least value
+    # is above 1e-300 (no clip, no zeroing), at and below 1e-300 (zeroing
+    # alone), an exact 0 beside a dip below it (clip and zeroing), and above
+    # 1e-300 again; the second law has a NaN in its third block; the third
+    # law is at most 1e-300 everywhere, so its entropy sums zeros; and the
+    # fourth mixes positive, below-1e-300, NaN and exact-0 points in one
+    # block, and holds a value below 1e-300 and an exact 0 at the two ends,
+    # which the end correction reads
+    n = 4 * B
     index = np.arange(n)
     first = 1e-3 * (1.5 + np.sin(index))
     first[B + 100 : B + 103] = (1e-300, 5e-301, 4e-320)
     first[2 * B + 100 : 2 * B + 102] = (0.0, -1e-13)
     second = 1e-3 * (1.5 + np.cos(index))
     second[2 * B + 100] = np.nan
-    values = {1.0: first, 2.0: second, 3.0: np.full(n, 1e-301)}
+    mixed = 1e-3 * (1.5 + np.sin(0.3 * index))
+    mixed[B + 7 : B + 12] = (2e-301, np.nan, 0.0, 1e-300, 7e-3)
+    mixed[[0, -1]] = (3e-301, 0.0)
+    values = {1.0: first, 2.0: second, 3.0: np.full(n, 1e-301), 4.0: mixed}
     slopes = 1e-4 * np.cos(0.5 * index)
 
     def tabulate(mixtures, x, out=None, work=None):
@@ -170,15 +177,38 @@ def test_every_block_path_matches_whole_grid(monkeypatch):
 
     monkeypatch.setattr(GaussDerivMixture, "pdf_many", staticmethod(tabulate))
     laws = [gaussian(v) for v in values]
-    lows = [first[a : a + B + 1].min() for a in range(0, n - 1, B)]
+    assert [b - a for a, b in tree_blocks(np.empty((0, n)))[0]] == [B] * 4
+    lows = [first[a : a + B].min() for a in range(0, n, B)]
     assert lows[0] > 1e-300 and 0.0 < lows[1] <= 1e-300 and lows[2] < 0.0 and lows[3] > 1e-300
-    assert np.isnan(second[2 * B : 3 * B + 1]).any() and not np.isnan(second[: 2 * B + 1]).any()
+    assert np.isnan(second[2 * B : 3 * B]).any() and not np.isnan(second[: 2 * B]).any()
     for fisher in (False, True):
         with np.errstate(invalid="ignore"):
             got = en._integrate(laws, 0.0, n - 1.0, n, fisher)
         for m, r in zip(laws, got):
             assert same_bits(tuple(r), whole_grid_integrals(m, 0.0, n - 1.0, n, fisher)), (m, fisher)
         assert math.isfinite(got[0].mass) and math.isnan(got[1].mass) and same_bits(got[2].entropy, 0.0)
+        assert math.isnan(got[3].mass) and math.isfinite(got[3].entropy)
+
+
+def test_a_fisher_pass_exponentiates_each_gaussian_once_per_block(exp_sizes):
+    # the eps ladder of the limit functional's X laws, and of a partner
+    # series: each law and its derivative walk the orders m and m + 1 of
+    # one (variance, mean) next to each other, so a block takes one
+    # exponential per Gaussian where the term columns number one per key
+    fp = cx.FisherPerturbation(K=cx.fisher_stationary_variance(1.5), L=1.5, J=3)
+    ladders = [
+        [fp.x1(e) for e in cx.eps_ladder(fp.eps)],
+        [cx.partner_series(fp.L, fp.delta, e, fp.J) for e in cx.eps_ladder(fp.eps)],
+    ]
+    n = 3 * B - 7
+    blocks = [b - a for a, b in tree_blocks(np.empty((0, n)))[0]]
+    for laws in ladders:
+        exp_sizes.clear()
+        en._integrate(laws, *laws[0].window(), n, fisher=True)
+        gaussians = {(t.variance, t.mean) for m in laws for t in m.terms}
+        keys = {t[1:] for m in laws for t in m.terms}
+        assert len(exp_sizes) == len(blocks) * len(gaussians) < len(blocks) * 2 * len(keys)
+        assert sorted(set(exp_sizes)) == sorted(set(blocks))
 
 
 def test_short_grid_error_names_the_quantity(monkeypatch, recipe):
@@ -239,17 +269,19 @@ def test_blocked_errors_match_whole_grid():
 # Peak traced bytes (numpy reports its buffers to tracemalloc) after one
 # warm-up call, at n = 2^18: smoothing_curve's 21 laws, and the three laws
 # of the verify-vertical benchmark ladder's X1 without and with Fisher
-# information.  Each pass allocates one block's buffers, term rows one
-# float wider than a block's terms with each law tabulated into its own
-# mass row and the Fisher rows holding the exact p' first, and frees them
-# when it ends; the peaks measure 1,562,157, 2,790,742 and 4,365,182 B
-# under pytest (numpy 2.4), rounded up to 10 kB here.  The full-length term
-# arrays before block rows took 5.5, 14.6 and 20.9 MB, and a recursion
-# written as a closure that calls itself, whose reference cycle keeps each
-# pass's buffers until the cyclic collector runs, took 31.1 MB in
-# smoothing_curve.  A pass holds O(BLOCK * laws) bytes, so a grid 4 times
-# finer may add no more than NO_GROWTH.
-PEAK = {"smoothing_curve": 1_570_000, "mixture_entropies": 2_800_000, "mixture_integrals": 4_370_000}
+# information.  Each pass allocates one block's buffers, a density row per
+# law (and a p' row per law with Fisher information), three spare rows
+# (four where laws share a term, as the ladder's do) and the points, and
+# frees them when it ends; the peaks measure 1,562,704, 2,332,144 and
+# 3,119,752 B under numpy 2.4, rounded up to 10 kB here.  Term rows one
+# float wider than a block, beside the density rows, took 1,561,997,
+# 2,790,438 and 4,364,902 B; the full-length term arrays before block rows
+# took 5.5, 14.6 and 20.9 MB, and a recursion written as a closure that
+# calls itself, whose reference cycle keeps each pass's buffers until the
+# cyclic collector runs, took 31.1 MB in smoothing_curve.  A pass holds
+# O(BLOCK * laws) bytes, so a grid 4 times finer may add no more than
+# NO_GROWTH.
+PEAK = {"smoothing_curve": 1_570_000, "mixture_entropies": 2_340_000, "mixture_integrals": 3_130_000}
 NO_GROWTH = 64 << 10
 
 

@@ -1,10 +1,11 @@
 """The in-place tabulation and grid-integral kernels give the bits of the
 array expressions they replaced, and leave their inputs alone.
 
-Each ``ref_*`` below is the replaced expression, verbatim, but for
-``ref_gauss_deriv_pdf``'s Gaussian, which is the kernel's division-free
-sequence written as one expression; every comparison is of bytes, so signed
-zeros and NaN payloads count too.
+Each ``ref_*`` below is the replaced expression, verbatim, but for the
+tabulation's, which follow the column sequence of ``_oracles.deriv_column``
+(Horner's rule in x*x, the scale folded into each coefficient), and the
+integral's, which is the trapezoid rule from one plain sum; every
+comparison is of bytes, so signed zeros and NaN payloads count too.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import deriv_column
 from ziclab import entropy as en
 from ziclab.gaussmix import (
     MAX_ORDER,
@@ -19,33 +21,27 @@ from ziclab.gaussmix import (
     GaussDerivMixture,
     GaussMixture,
     gauss_deriv_pdf,
-    gauss_deriv_poly,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TINY = 1e-300
 
 
+def scale(variance):
+    return 1.0 / (_SQRT2PI * math.sqrt(variance))
+
+
 def ref_gauss_deriv_pdf(x, variance, order=0):
-    # the division-free sequence: two scalar factors, each formed once
-    x = np.asarray(x, dtype=float)
-    g = np.exp(x * x * (-0.5 / variance)) * (1.0 / (_SQRT2PI * math.sqrt(variance)))
-    if order == 0:
-        return g
-    poly = gauss_deriv_poly(order, variance)
-    out = np.full_like(x, poly[-1])
-    for c in poly[-2::-1]:
-        out *= x
-        out += c
-    out *= g
-    return out
+    # the column times the scale, and + 0.0 past order 0, as a one-term mixture
+    value = deriv_column(x, variance, order) * scale(variance)
+    return value + 0.0 if order else value
 
 
 def ref_pdf_deriv(m, x, order):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for w, mu, v in zip(m.weights, m.means, m.variances):
-        out += w * ref_gauss_deriv_pdf(x - mu, v, order)
+        out += deriv_column(x - mu, v, order) * (w * scale(v))
     return out
 
 
@@ -57,14 +53,15 @@ def ref_pdf_many(mixtures, x):
         for coeff, order, variance, _ in m.terms:
             holders.setdefault((order, variance), []).append((coeff, out))
     for order, variance in sorted(holders):
-        column = ref_gauss_deriv_pdf(x, variance, order)
+        column = deriv_column(x, variance, order)
         for coeff, out in holders[order, variance]:
-            out += coeff * column
+            out += column * (coeff * scale(variance))
     return outs
 
 
 def ref_integral(p, integrand):
-    return float(np.trapezoid(integrand, dx=p.step))
+    y = np.asarray(integrand, dtype=float)
+    return float(p.step * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 
 def ref_entropy(p):
