@@ -31,7 +31,6 @@ re-exported here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -43,12 +42,10 @@ from .gaussmix import (
     GaussDerivMixture,
     GaussMixture,
     DerivTerm,
-    _scale,
-    _tabulate,
-    gauss_deriv_poly,
     gaussian,
 )
 from .entropy import (
+    _NEG_TOL,
     NegativeDensityError,
     check_t_count_bound,
     gaussian_entropy,
@@ -58,17 +55,19 @@ from .entropy import (
     power_fit,
 )
 from .hessian import (
+    NotStationaryError,
     _weighted_sq_norm,
     capped_gauss_objective,
     deriv_norm_balance,
+    gauss_deriv_coeffs,
     gauss_psi,
     stability_root,
     stationary_source_variance,
 )
 
 
-class NoGaussianMaxError(ValueError):
-    """The Gaussian objective has no interior maximizer (L <= 1)."""
+# an alias: L <= 1 has one exception type, whichever stationary variance it denies
+NoGaussianMaxError = NotStationaryError
 
 
 class RecipeRejectedError(ValueError):
@@ -322,8 +321,7 @@ def constant_power_gap(
     if A is not None:
         check_mixing_variance(A)
     recipe = default_recipe()
-    info = recipe.validate()
-    t = N2 / info["m2"]
+    t = N2 / recipe.q.second_moment()
     x1p = recipe.p.scaled(1.0 / math.sqrt(t))
     # mirror-image interferer, the orientation with the positive skew gain
     x2 = recipe.q.scaled(math.sqrt(t)).reflected()
@@ -452,36 +450,15 @@ def _check_J(J: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=MAX_J + 3)
-def _grid_column(window: tuple[float, float], order: int, variance: float, mean: float) -> np.ndarray:
-    """``pdf_many``'s column of the key (order, variance, mean), D^order
-    gamma_variance(. - mean) over gamma_variance(0), on the 4096-point
-    positivity grid over ``window``, read-only because the memo shares it.
-    A ladder's checks ask for mixtures that differ only in eps, so they
-    reread its 2 + J + 1 <= maxsize columns."""
-    column = np.empty(4096)
-    _tabulate(np.linspace(*window, 4096), {(order, variance, mean): [(1.0, 0)]}, [column])
-    column.setflags(write=False)
-    return column
-
-
 def _least_density(m: GaussDerivMixture) -> float:
-    """Least density of a mixture on the positivity grid over its window:
-    the sum of column * (coeff * gamma_v(0)) in term order, as
-    ``pdf_many`` forms it, so it has the bits of ``m.pdf``'s minimum on
-    the grid."""
-    window = m.window()
-    density = np.zeros(4096)
-    for t in m.terms:
-        density += _grid_column(window, *t[1:]) * (t.coeff * _scale(t.variance))
-    return float(density.min())
+    """Least density of a mixture on the 4096-point positivity grid over its
+    window."""
+    return float(m.pdf(np.linspace(*m.window(), 4096)).min())
 
 
 def select_epsilon(K: float, L: float, delta: float, J: int) -> float:
     """Largest eps in {2^-k} keeping both perturbed densities pointwise
-    nonnegative on the check grid, then halved once for margin.  The grid
-    columns are memoized (``_grid_column``), so the ladder's own checks
-    reuse them."""
+    nonnegative on the check grid, then halved once for margin."""
     for k in range(1, 44):
         eps = 2.0**-k
         if (
@@ -489,7 +466,9 @@ def select_epsilon(K: float, L: float, delta: float, J: int) -> float:
             and _least_density(partner_series(L, delta, eps, J)) >= 0.0
         ):
             return eps / 2.0
-    raise NegativeDensityError("no positive eps admits nonnegative densities")
+    raise NegativeDensityError(
+        f"no positive eps admits nonnegative densities at K={K}, L={L}, delta={delta}, J={J}"
+    )
 
 
 def eps_ladder(eps0: float) -> tuple[float, float, float]:
@@ -568,9 +547,9 @@ class _PerturbationLadder:
             raise ValueError(f"{names}, eps must be finite")
         elif not self.eps > 0:
             raise ValueError(f"{names}, eps must be positive")
-        self._check_eps_ladder(", ".join(f"{k}={v}" for k, v in params.items() if k != "L"))
+        self._check_eps_ladder(params)
 
-    def _check_eps_ladder(self, at: str) -> None:
+    def _check_eps_ladder(self, params: dict) -> None:
         """Reject an eps whose ladder richardson_quadratic cannot divide by
         (an e**2 overflows or underflows to 0), whose partner series
         overflows (eps**J is not finite), or whose smallest eps^2 step
@@ -578,9 +557,11 @@ class _PerturbationLadder:
         ratio (value - reference) / e**2 is rounding noise (ValueError); then
         one whose densities go negative (NegativeDensityError), or whose
         closed-form step |closed_form()| (eps/4)**2 misses the floor, so
-        that the sign of the eps^2 coefficient is undecidable (ValueError,
-        naming the closed form's parameters ``at``)."""
+        that the sign of the eps^2 coefficient is undecidable (ValueError).
+        The floor and density errors name ``params`` and J; the closed-form
+        error names the closed form's parameters, all of ``params`` but L."""
         eps, J = self.eps, self.J
+        at = ", ".join(f"{k}={v}" for k, v in {**params, "J": J}.items())
         try:
             squares = [e**2 for e in eps_ladder(eps)]
             eps**J
@@ -592,16 +573,19 @@ class _PerturbationLadder:
         if squares[-1] < floor:
             raise ValueError(
                 f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "
-                f"rounding floor {floor:.3e}, got {eps}"
+                f"rounding floor {floor:.3e} at {at}, got {eps}"
             )
-        if _least_density(self.x1()) < -1e-12 or _least_density(self.x2()) < -1e-12:
-            raise NegativeDensityError("eps too large: perturbed density goes negative on the grid")
+        if _least_density(self.x1()) < _NEG_TOL or _least_density(self.x2()) < _NEG_TOL:
+            raise NegativeDensityError(
+                f"eps too large: perturbed density goes negative on the grid at {at}, got {eps}"
+            )
         change = abs(self.closed_form()) * squares[-1]
         if not change >= floor:  # NaN where the closed form's terms are both infinite
+            closed_at = ", ".join(f"{k}={v}" for k, v in params.items() if k != "L")
             raise ValueError(
                 f"eps too small: the closed-form change |{self.CLOSED_FORM}| (eps/4)**2 = "
                 f"{change:.3e} does not reach the objective's rounding floor {floor:.3e} at "
-                f"{at}, got {eps}"
+                f"{closed_at}, got {eps}"
             )
 
     def x1(self, eps: Optional[float] = None) -> GaussDerivMixture:
@@ -723,8 +707,10 @@ def fisher_limit_gaussian(K: float, L: float) -> float:
 
 
 def fisher_stationary_variance(L: float) -> float:
+    """The stationary variance K = L/(L-1) of the limit functional, for
+    L > 1; L <= 1 is a NotStationaryError."""
     if L <= 1:
-        raise NoGaussianMaxError("stationary variance L/(L-1) needs L > 1")
+        raise NotStationaryError(f"the stationary variance K = L/(L-1) needs L > 1, got {L}")
     return L / (L - 1.0)
 
 
@@ -753,8 +739,8 @@ def fisher_limit_coefficient(K: float, delta: float) -> float:
     """
     v = K - delta
     r = v / K
-    d3 = gauss_deriv_poly(3, 1.0).tolist()  # -He_3
-    d4 = gauss_deriv_poly(4, 1.0).tolist()  # He_4
+    d3 = gauss_deriv_coeffs(3, 1.0)  # -He_3
+    d4 = gauss_deriv_coeffs(4, 1.0)  # He_4
     shifted = [a + r * b for a, b in zip(d4, [0.0, *d3])]
     return 0.5 * (
         _weighted_sq_norm(d3, v, K) / v / v / v - _weighted_sq_norm(shifted, v, K) / v / v / v / v

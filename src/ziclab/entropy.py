@@ -82,13 +82,6 @@ def check_grid_n(n: int) -> None:
         raise ValueError(f"the grid needs n >= {GRID_MIN_N} points, got {n}")
 
 
-def _check_n(n: int, what: str) -> None:
-    """Reject a grid of fewer than GRID_MIN_N points for an evaluation of
-    ``what`` (the quantity named in the error)."""
-    if n < GRID_MIN_N:
-        raise ValueError(f"{what} evaluation requires n >= {GRID_MIN_N}")
-
-
 def _check_grid(lo: float, hi: float) -> None:
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -315,7 +308,7 @@ def mixture_integrals(
     one higher, so it first rejects any law with a term of order MAX_ORDER
     (ValueError).
     """
-    _check_n(n, "Fisher information" if fisher else "entropy")
+    check_grid_n(n)
     if fisher:
         top = max((t.order for m in ms for t in m.terms), default=0)
         if top >= MAX_ORDER:
@@ -347,7 +340,7 @@ def differential_entropy(p: GridDensity) -> float:
     Points with p < 1e-300 are excluded from the log (their contribution is
     analytically below any tolerance used here).
     """
-    _check_n(p.n, "entropy")
+    check_grid_n(p.n)
     _check_normalized(p.mass())
     v = p.values
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -409,7 +402,7 @@ def smoothing_curve(
     difference; their passes run one after another.  Rejects n <
     GRID_MIN_N (ValueError) before any of them.
     """
-    _check_n(n, "entropy")
+    check_grid_n(n)
     t = np.asarray(t_grid, dtype=float)
     for end in (t.min(), t.max()):
         check_smoothing_t(end)

@@ -358,6 +358,32 @@ def test_L_at_most_one_exit_2(argv, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("L", ["0.9", "1"])
+def test_limit_functional_L_at_most_one_exit_2(L, capsys):
+    # the limit functional's K = L/(L-1) has no value at L <= 1; the message
+    # named no L, from a second exception type for the one rule
+    assert main(["limit-functional", "--L", L]) == 2
+    assert capsys.readouterr().err == (
+        f"ziclab: the stationary variance K = L/(L-1) needs L > 1, got {float(L)}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "K, message",
+    [
+        ("1e-10", "no positive eps admits nonnegative densities at K=1e-10, L=1.4, "
+                  "delta=1.0000000000000001e-11, J=2"),
+        ("1e-5", "eps too small: (eps/4)**2 = 3.388e-21 is below the objective's rounding floor "
+                 "1.003e-15 at K=1e-05, L=1.4, u=1.0, delta=1.0000000000000002e-06, J=2, "
+                 "got 2.3283064365386963e-10"),
+    ],
+)
+def test_eps_ladder_errors_name_the_parameters(K, message, capsys):
+    # both named no parameter, so a failing run did not say where it failed
+    assert main(["verify-vertical", "--u", "1", "--L", "1.4", "--K", K, "--n", "1024"]) == 2
+    assert capsys.readouterr().err == f"ziclab: {message}\n"
+
+
 # sha256 of every README and benchmark report (perfbench/workloads.py), and
 # of two more at the Gaussian stationary point, so that no change to how a
 # report is computed moves a byte unnoticed.  The digests hold for the
@@ -765,6 +791,10 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
     assert cell["g1"] == cell["f1"] == -690.7755278982137
 
 
+# the parameters the eps-ladder errors name at verify-vertical's defaults
+AT_README_VERTICAL = "K=6.000000000000001, L=1.4, u=1.0, delta=0.06999999999999999, J=2"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -796,10 +826,10 @@ def test_non_finite_tail_box_exit_2(argv, capsys):
         # noise read as the eps^2 coefficient: -1.87e286, then null
         (["verify-vertical", "--eps", "1e-150", "--n", "1024"],
          "eps too small: (eps/4)**2 = 6.250e-302 is below the objective's rounding floor "
-         "1.064e-15, got 1e-150"),
+         f"1.064e-15 at {AT_README_VERTICAL}, got 1e-150"),
         (["verify-vertical", "--eps", "1e-161", "--n", "1024"],
          "eps too small: (eps/4)**2 = 4.941e-324 is below the objective's rounding floor "
-         "1.064e-15, got 1e-161"),
+         f"1.064e-15 at {AT_README_VERTICAL}, got 1e-161"),
         # exit 3 after overflow and invalid RuntimeWarnings in gauss_deriv_pdf
         (["verify-vertical", "--K", "1.7e308", "--L", "2", "--eps", "1e-3", "--n", "1024"],
          "term variance K+u+L = 1.7e+308 too large: 144 (K+u+L) overflows on the +-12 sd "

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import moment_sum_sq_norm, outer_entropy_defect, psi_written_out
 from ziclab import counterexamples as cx
+from ziclab import entropy as en
 from ziclab import gaussmix
 from ziclab.entropy import NegativeDensityError, gaussian_entropy, mixture_entropies, mixture_entropy, mixture_to_grid
 from ziclab.gaussmix import MAX_ORDER, GaussMixture, gaussian
@@ -276,6 +277,23 @@ def test_constant_power_gap_computes_each_entropy_once(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
+def test_constant_power_gap_runs_no_fisher_pass(monkeypatch):
+    # t = N2 / m2 reads m2 from the recipe's closed-form moments, with the
+    # bits of validate()'s; validate's Fisher pass ran too, and nothing read it
+    recipe = cx.default_recipe()
+    assert recipe.q.second_moment() == recipe.validate()["m2"]
+    passes = []
+    real = en._integrate
+
+    def counted(ms, lo, hi, n, fisher=False):
+        passes.append(fisher)
+        return real(ms, lo, hi, n, fisher)
+
+    monkeypatch.setattr(en, "_integrate", counted)
+    cx.constant_power_gap(cx.ChannelParams(u=1.0, N1=1.0, N2=0.05), n=1024)
+    assert passes and not any(passes)
+
+
 def test_constant_power_gap_rejects_a_nan_skew_gain():
     # u h(.) and (1+u) h(.) overflow to inf, so c = inf - inf is NaN, which
     # passed the old test c <= 1e-6
@@ -360,6 +378,10 @@ def test_vertical_gap_requires_L_above_1():
     vp = cx.VerticalPerturbation(K=4.0, L=0.9, u=1.0, delta=0.05, eps=1e-3, J=2)
     with pytest.raises(NotStationaryError, match="needs L > 1, got 0.9"):
         cx.vertical_gap(vp)
+    # the limit functional's stationary variance rejects L <= 1 as one type
+    assert cx.NoGaussianMaxError is NotStationaryError
+    with pytest.raises(NotStationaryError, match=r"K = L/\(L-1\) needs L > 1, got 1$"):
+        cx.fisher_stationary_variance(1)
 
 
 def test_vertical_perturbation_validation():
@@ -515,7 +537,6 @@ def test_vertical_perturbation_rejects_eps_ladder_before_tabulation(kwargs, mess
         raise AssertionError("a density was tabulated for a rejected eps")
 
     monkeypatch.setattr(gaussmix, "_tabulate", no_tabulation)
-    monkeypatch.setattr(cx, "_tabulate", no_tabulation)
     with pytest.raises(ValueError, match=message):
         cx.VerticalPerturbation(**{"K": 6.0, "L": 1.4, "u": 1.0, **kwargs})
 
@@ -603,7 +624,7 @@ def test_partner_sum_entropy_matches_the_convolved_law(K, L, u, J, scale):
 
 
 def old_select_epsilon(K, L, delta, J):
-    """select_epsilon with every eps's densities tabulated afresh."""
+    """select_epsilon's scan, written out with ``pdf``."""
     for k in range(1, 44):
         eps = 2.0**-k
         if all(
@@ -617,29 +638,11 @@ def old_select_epsilon(K, L, delta, J):
 @pytest.mark.parametrize("K, L, J", [(6.0, 1.4, 2), (2.0, 3.0, 8), (11.0, 1.1, 20), (1.2, 6.0, 5)])
 def test_positivity_scan_tabulates_once_and_keeps_the_bits(K, L, J):
     delta = min(K, L / J) / 10.0
-    cx._grid_column.cache_clear()
     assert cx.select_epsilon(K, L, delta, J) == old_select_epsilon(K, L, delta, J)
     for eps in (2.0**-3, 2.0**-9, 0.0123):
         for m in (cx.perturbed_source(K, delta, eps), cx.partner_series(L, delta, eps, J)):
             expected = m.pdf(np.linspace(*m.window(), 4096)).min()
             assert np.float64(cx._least_density(m)).tobytes() == expected.tobytes()
-    # J + 3 columns on two grids, whatever the number of eps asked, within
-    # the memo's room for the longest ladder
-    assert cx._grid_column.cache_info().misses == J + 3
-    assert cx._grid_column.cache_info().maxsize == cx.MAX_J + 3
-
-
-def test_positivity_scan_keys_columns_on_the_mean():
-    # equal windows and equal (order, variance), different means: a column
-    # keyed without the mean would give the second law the first one's
-    cx._grid_column.cache_clear()
-    for m in (
-        GaussMixture((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0)),
-        GaussMixture((0.25, 0.5, 0.25), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0)),
-    ):
-        expected = m.pdf(np.linspace(*m.window(), 4096)).min()
-        assert np.float64(cx._least_density(m)).tobytes() == expected.tobytes()
-    assert cx._grid_column.cache_info().misses == 3
 
 
 # ----------------------------------------------------------------------
@@ -853,7 +856,7 @@ def test_fisher_coefficient_at_delta_0(K):
         ({"eps0": 0.0}, "K, L, delta, eps must be positive"),
         ({"eps0": 1e200, "J": 1}, r"eps too large: .* overflows at J=1, got 1e\+200"),
         ({"eps0": 1e-8}, r"eps too small: \(eps/4\)\*\*2 = 6.250e-18 is below the objective's rounding floor "
-                         r"5.334e-16, got 1e-08"),
+                         r"5.334e-16 at K=6.000000000000001, L=1.2, delta=0.03, J=2, got 1e-08"),
     ],
 )
 def test_fisher_limit_gain_runs_the_ladder_checks(kwargs, message, monkeypatch):
@@ -862,7 +865,6 @@ def test_fisher_limit_gain_runs_the_ladder_checks(kwargs, message, monkeypatch):
         raise AssertionError("a density was tabulated for a rejected parameter")
 
     monkeypatch.setattr(gaussmix, "_tabulate", no_tabulation)
-    monkeypatch.setattr(cx, "_tabulate", no_tabulation)
     with pytest.raises(ValueError, match=message):
         cx.fisher_limit_gain(**{"L": 1.2, **kwargs})
 

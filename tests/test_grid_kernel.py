@@ -212,17 +212,19 @@ def test_a_fisher_pass_exponentiates_each_gaussian_once_per_block(exp_sizes):
 
 
 def test_short_grid_error_names_the_quantity(monkeypatch, recipe):
-    # and comes before any law is tabulated, whatever n below 1024
+    # the quantity is the grid's size, in check_grid_n's one message for
+    # entropy and Fisher information alike, before any law is tabulated,
+    # whatever n below 1024
     calls = []
     pdf_many = GaussDerivMixture.pdf_many
     monkeypatch.setattr(GaussDerivMixture, "pdf_many", staticmethod(lambda *args, **kw: calls.append(1) or pdf_many(*args, **kw)))
     t = np.geomspace(1e-3, 1e-2, 6)
     for n in (1, 1000, 1023):
-        with pytest.raises(ValueError, match=r"^Fisher information evaluation requires n >= 1024$"):
+        with pytest.raises(ValueError, match=rf"^the grid needs n >= 1024 points, got {n}$"):
             en.fisher_information(gaussian(1.0), n=n)
-        with pytest.raises(ValueError, match=r"^entropy evaluation requires n >= 1024$"):
+        with pytest.raises(ValueError, match=rf"^the grid needs n >= 1024 points, got {n}$"):
             en.mixture_entropy(gaussian(1.0), n=n)
-        with pytest.raises(ValueError, match=r"^entropy evaluation requires n >= 1024$"):
+        with pytest.raises(ValueError, match=rf"^the grid needs n >= 1024 points, got {n}$"):
             en.smoothing_curve(recipe.p, recipe.q, t, n=n)
     assert calls == []
     en.mixture_entropy(gaussian(1.0), n=1024)
@@ -260,9 +262,9 @@ def test_blocked_errors_match_whole_grid():
     with pytest.raises(en.NonNormalizedError) as blocked:
         en.mixture_entropies([heavy], n=n)
     assert str(blocked.value) == str(whole.value)
-    with pytest.raises(ValueError, match=r"entropy evaluation requires n >= 1024"):
+    with pytest.raises(ValueError, match=r"^the grid needs n >= 1024 points, got 1023$"):
         en.mixture_entropies([gaussian(1.0)], n=1023)
-    with pytest.raises(ValueError, match=r"entropy evaluation requires n >= 1024"):
+    with pytest.raises(ValueError, match=r"^the grid needs n >= 1024 points, got 1$"):
         en.mixture_entropies([gaussian(1.0)], n=1)
 
 
