@@ -1,7 +1,7 @@
 """The lattice linear program for the concave envelope of f1, kept as
 the tests' lower-bound oracle.
 
-No command imports this module: ``hkregion.power_control_value`` takes g1
+No command imports this module: ``hkregion.power_control_cell`` takes g1
 from the Fenchel dual on Python floats.  Here g1 is the value of one
 three-row linear program per query over f1 tabulated on a lattice, solved
 by a primal simplex (``Envelope2D``), a lower bound on g1 because it sees

@@ -505,16 +505,17 @@ class _PerturbationLadder:
 
     A subclass is a frozen dataclass with the fields K, L, its objective's
     own parameters, delta, eps and J.  It sets DELTA_DIVISOR (delta
-    defaults to min(K, L/J) over it), WIDEST (the parameters whose sum is
-    the variance of the widest law it tabulates) and CLOSED_FORM (the name
-    of its closed-form eps^2 coefficient), and supplies rounding_floor()
-    and closed_form(), the objective's rounding floor and that coefficient.
+    defaults to min(K, L/J) over it) and CLOSED_FORM (the name of its
+    closed-form eps^2 coefficient), and supplies rounding_floor() and
+    closed_form(), the objective's rounding floor and that coefficient.
     The coefficient depends on every parameter but L.  Every check runs
-    before eps is scanned, except the last two of _check_eps_ladder.
+    before eps is scanned, except the last two of _check_eps_ladder.  A
+    law too wide for the float range meets ``GaussDerivMixture.window()``
+    at its first tabulation, the eps scan or the objective's window
+    grouping, before any entropy pass.
     """
 
     DELTA_DIVISOR: float
-    WIDEST: tuple[str, ...]
     CLOSED_FORM: str
 
     def __post_init__(self):
@@ -528,15 +529,6 @@ class _PerturbationLadder:
         for name, value in params.items():
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        # 144 v is the square of the widest law's +-12 sd window in gamma_v's x*x
-        widest = sum(params[name] for name in self.WIDEST)
-        if not math.isfinite(144.0 * widest):
-            terms = "+".join(self.WIDEST)
-            values = ", ".join(f"{name}={params[name]}" for name in self.WIDEST)
-            raise ValueError(
-                f"term variance {terms} = {widest} too large: 144 ({terms}) overflows on the "
-                f"+-12 sd window ({values})"
-            )
         if not self.K - self.delta > 0:
             raise ValueError("need K - delta > 0")
         if not self.L - self.J * self.delta > 0:
@@ -615,8 +607,6 @@ class VerticalPerturbation(_PerturbationLadder):
     J: int = 2
 
     DELTA_DIVISOR = 10.0
-    # the widest law the objective tabulates, X1+Z2+X2, has variance K+u+L
-    WIDEST = ("K", "u", "L")
     CLOSED_FORM = "deriv_norm_balance/2"
 
     def rounding_floor(self) -> float:
@@ -709,7 +699,7 @@ def fisher_limit_gaussian(K: float, L: float) -> float:
 def fisher_stationary_variance(L: float) -> float:
     """The stationary variance K = L/(L-1) of the limit functional, for
     L > 1; L <= 1 is a NotStationaryError."""
-    if L <= 1:
+    if not L > 1:
         raise NotStationaryError(f"the stationary variance K = L/(L-1) needs L > 1, got {L}")
     return L / (L - 1.0)
 
@@ -761,8 +751,6 @@ class FisherPerturbation(_PerturbationLadder):
     J: int = 2
 
     DELTA_DIVISOR = 20.0
-    # the widest law the functional tabulates, X+Y, has variance K+L
-    WIDEST = ("K", "L")
     CLOSED_FORM = "fisher_limit_coefficient"
 
     def rounding_floor(self) -> float:

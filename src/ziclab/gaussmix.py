@@ -133,18 +133,19 @@ def _tabulate(
     outs: Sequence[np.ndarray],
     work: Sequence[np.ndarray] = (),
 ) -> None:
-    """Set each outs[i] to 0.0 + the sum of column * scale over the keys
-    (order, variance, mean) of ``walk``, in its order, and their holders
-    (scale, i); to 0.0 where no key has i.
+    """Set each outs[i] to the sum of column * scale over the keys (order,
+    variance, mean) of ``walk``, in its order, and their holders (scale, i),
+    starting at the first product; to 0.0 where no key has i.
 
     A key's column is D^order gamma_v(x - mean) / ``_scale(v)``: e itself
     at order 0, else Q(y) z^(order mod 2) e (``gauss_deriv_pdf``), where
     z = x - mean, x itself at mean 0, y = z*z and e = exp(y * (-0.5/v)).
     Keys of one (variance, mean) next to each other in the walk are a run,
     which shares y and e: one exponential per run, and one y = x*x for
-    every run at mean 0.  A first product goes straight into its
-    accumulator and gets + 0.0 only where it may hold -0.0 (e >= 0 times a
-    scale > 0 cannot); the last holder of a column that no later key reads
+    every run at mean 0.  y is finite over a law's ``window()``, which
+    rejects a law where it would not be.  A first product goes straight
+    into its accumulator, so a sum may read -0.0, as the first product +
+    the next ... does; the last holder of a column that no later key reads
     scales it in place.  The rows past the accumulators are ``work``'s,
     then fresh ones shaped like x: e; y, at mean 0 or for Horner past
     order 1; the Horner column; and a product row, for a holder between a
@@ -205,8 +206,6 @@ def _tabulate(
                 acc = outs[i]
                 if unset[i]:
                     np.multiply(column, scale, out=acc)
-                    if order or not scale > 0.0:
-                        acc += 0.0
                     unset[i] = False
                 elif disposable and h == len(holders) - 1:
                     column *= scale
@@ -281,8 +280,21 @@ class GaussDerivMixture:
         return max(t.variance for t in self.terms)
 
     def window(self) -> tuple[float, float]:
+        """(lo, hi), 12 sd of the widest term past every mean.  Tabulation
+        squares x - mean over it, so a law is rejected (ValueError) where
+        the square from a term's mean to the window's far edge is not
+        finite: for a centred law of variance v, where (12 sqrt(v))^2 is
+        not, about where 144 v is not."""
         r = 12.0 * math.sqrt(self.max_variance)
-        return (min(self.means) - r, max(self.means) + r)
+        low, high = min(self.means), max(self.means)
+        lo, hi = low - r, high + r
+        far = max(hi - low, high - lo)
+        if not math.isfinite(far * far):
+            raise ValueError(
+                f"law of variance {self.max_variance} too wide: (x - mean)^2 overflows "
+                f"on its +-12 sd window [{lo}, {hi}]"
+            )
+        return lo, hi
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray:
         return self.pdf_many((self,), x)[0]
@@ -311,8 +323,8 @@ class GaussDerivMixture:
         those keys first appear in the batch in the mixture's own order.
         The first mixture of a batch always qualifies, and so does every
         mixture that holds each (order, variance) with one mean, as
-        zero-mean mixtures do.  Each sum has the bits of 0.0 + the first
-        product + the next ...; a mixture with no terms reads 0.0.  The
+        zero-mean mixtures do.  Each sum has the bits of the first product
+        + the next ...; a mixture with no terms reads 0.0.  The
         accumulators are ``out`` when given, shaped like x; ``work`` lends
         ``_tabulate`` its spare rows, at most four, of x's shape.
         """

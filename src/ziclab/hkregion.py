@@ -442,36 +442,30 @@ class _Dual:
         return PowerControlBracket(value=value, upper=upper, rounding=rounding, support=support)
 
 
-def power_control_bracket(q1: float, q2: float, params: HKParams) -> PowerControlBracket:
-    """g1(q1, q2) by the Fenchel dual (Rockafellar, Convex Analysis, §12):
+def _bracket(q1: float, q2: float, u: float, N1: float, witness) -> PowerControlBracket:
+    """g1(q1, q2) by the Fenchel dual (Rockafellar, Convex Analysis, §12),
+    given the cell's ``tangent_witness``:
 
         g1(q) = min over a, b > 0 of  a q1 + b q2 + M(a, b),
 
     M(a, b) the exact maximum of f1(p) - a p1 - b p2 over the closed-form
     ``_contact_slots``, so every (a, b) gives an upper bound; the tied
     contact points whose hull holds q give a lower bound, the reported
-    value.  The minimum comes from a nested one-variable convex search,
-    over b inside a (``_bracket``).  Where ``tangent_witness`` finds no
-    point above the tangent plane, g1 = f1 exactly (a bracket of width and
-    rounding 0).
-    """
-    return _bracket(q1, q2, params.u, params.N1, tangent_witness(q1, q2, params))
+    value.  Where the witness is None, no point lies above the tangent
+    plane and g1 = f1 exactly (a bracket of width and rounding 0).
 
-
-def _bracket(q1: float, q2: float, u: float, N1: float, witness) -> PowerControlBracket:
-    """``power_control_bracket`` given the cell's ``tangent_witness``.
-
-    g(a) = min over b of D(a, b) (``_Dual.inner``) is convex, as D is
-    jointly convex, so ``_log_root`` finds the sign change of its slope
-    from the tangent plane's (a, b).  Each a certifies (``_Dual.certify``)
-    every two and three of its top slots and those of the last a on the
-    other side of the sign change; the search stops at the first bracket
-    of width 0, or where its own bracket collapses, and the narrowest
-    bracket is kept.  A search that divides by zero, overflows or finds no
-    bracket in the float range (ArithmeticError) ends there.  The value is
-    never below f1(q): a cell where no bracket holds q, or whose value does
-    not exceed f1 although a witness lies above the tangent plane, is a
-    ValueError.
+    Otherwise the minimum comes from a nested one-variable convex search,
+    over b inside a: g(a) = min over b of D(a, b) (``_Dual.inner``) is
+    convex, as D is jointly convex, so ``_log_root`` finds the sign change
+    of its slope from the tangent plane's (a, b).  Each a certifies
+    (``_Dual.certify``) every two and three of its top slots and those of
+    the last a on the other side of the sign change; the search stops at
+    the first bracket of width 0, or where its own bracket collapses, and
+    the narrowest bracket is kept.  A search that divides by zero,
+    overflows or finds no bracket in the float range (ArithmeticError)
+    ends there.  The value is never below f1(q): a cell where no bracket
+    holds q, or whose value does not exceed f1 although a witness lies
+    above the tangent plane, is a ValueError.
     """
     fq = _corner_value(q1, q2, u, N1)
     if witness is None:
@@ -518,8 +512,8 @@ def _bracket(q1: float, q2: float, u: float, N1: float, witness) -> PowerControl
 
 def power_control_value(q1: float, q2: float, params: HKParams) -> float:
     """g1(q1, q2): least concave majorant of f1 evaluated at (q1, q2), the
-    lower end of ``power_control_bracket``."""
-    return power_control_bracket(q1, q2, params).value
+    lower end of the dual bracket of ``power_control_cell``."""
+    return power_control_cell(q1, q2, params).g1
 
 
 # ----------------------------------------------------------------------
@@ -651,7 +645,8 @@ def power_control_cell(q1: float, q2: float, params: HKParams) -> PowerControlCe
     """f1, g1 and the f1 = g1 verdict of one cell q1 > 0, q2 >= 0, with the
     capped argmax K at the f1-optimal matrices and g1's dual bracket.
 
-    g1 is ``power_control_bracket``'s value; f1 = g1 is decided by
+    The one entry from a cell to g1: g1 is the lower end of the Fenchel
+    dual's bracket (``_bracket``), never below f1; f1 = g1 is decided by
     ``tangent_witness``, and where it finds no witness (on the q2 = 0
     axis among others) g1 = f1.  A cell whose f1 log argument
     q1 + q2 + N1 + u is not finite is rejected (ValueError).

@@ -76,6 +76,13 @@ def deriv_column(x, variance: float, order: int = 0) -> np.ndarray:
     return h * e
 
 
+def first_plus_the_rest(products: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The sum ``pdf_many`` forms: the first product + the next ..., with
+    no 0.0 in front to turn a -0.0 into +0.0; 0.0 shaped like x for no
+    products."""
+    return sum(products[1:], products[0]) if products else np.zeros_like(x)
+
+
 def gauss_deriv_coeffs_every_slot(order: int, variance: float) -> list[float]:
     """``hessian.gauss_deriv_coeffs``'s recursion P_{k+1} = P_k' - (x/v) P_k
     over every slot of P_k, the zeros of the other parity included: the

@@ -830,10 +830,11 @@ AT_README_VERTICAL = "K=6.000000000000001, L=1.4, u=1.0, delta=0.069999999999999
         (["verify-vertical", "--eps", "1e-161", "--n", "1024"],
          "eps too small: (eps/4)**2 = 4.941e-324 is below the objective's rounding floor "
          f"1.064e-15 at {AT_README_VERTICAL}, got 1e-161"),
-        # exit 3 after overflow and invalid RuntimeWarnings in gauss_deriv_pdf
+        # exit 3 after overflow and invalid RuntimeWarnings in gauss_deriv_pdf;
+        # the perturbed source X1 meets the window rule at the first density check
         (["verify-vertical", "--K", "1.7e308", "--L", "2", "--eps", "1e-3", "--n", "1024"],
-         "term variance K+u+L = 1.7e+308 too large: 144 (K+u+L) overflows on the +-12 sd "
-         "window (K=1.7e+308, u=1.0, L=2.0)"),
+         "law of variance 1.7e+308 too wide: (x - mean)^2 overflows on its +-12 sd window "
+         "[-1.5646085772486357e+155, 1.5646085772486357e+155]"),
         # exit 2 with an unrelated lattice message after a RuntimeWarning in
         # np.linspace; at q2 = 1e-300 the dual's gain is below f1's rounding
         (["hk-region", "--u", "1", "--q1", "1e308", "--q2", "1e-300"],
@@ -844,10 +845,11 @@ AT_README_VERTICAL = "K=6.000000000000001, L=1.4, u=1.0, delta=0.069999999999999
          "power-control cell (q1=1e+308, q2=1e+308) too large: its f1 log argument "
          "q1+q2+N1+u is not finite"),
         # exit 2 with "no positive eps admits nonnegative densities" after
-        # overflow and invalid RuntimeWarnings in gauss_deriv_pdf
+        # overflow and invalid RuntimeWarnings in gauss_deriv_pdf; the
+        # partner series X2 meets the window rule in the eps scan
         (["limit-functional", "--L", "1e308", "--n", "1024"],
-         "term variance K+L = 1e+308 too large: 144 (K+L) overflows on the +-12 sd window "
-         "(K=1.0, L=1e+308)"),
+         "law of variance 1e+308 too wide: (x - mean)^2 overflows on its +-12 sd window "
+         "[-1.2e+155, 1.2e+155]"),
         # exit 1 with "envelope simplex ... did not converge in 1000 pivots"
         # after an invalid-value RuntimeWarning in the lattice LP, then exit 2
         # on a lattice slope; at q2 = 1e-300 the dual's gain is below f1's rounding
@@ -855,6 +857,18 @@ AT_README_VERTICAL = "K=6.000000000000001, L=1.4, u=1.0, delta=0.069999999999999
          "power-control cell (q1=5.6e+306, q2=1e-300): a point lies above the tangent plane, "
          "but g1 - f1 is below f1's rounding (the dual's value 706.313805053919, "
          "f1 = 706.313805053919)"),
+        # an overflow RuntimeWarning in gaussmix._tabulate, then exit 0
+        (["constant-power-gap", "--A", "1.3e306"],
+         "law of variance 1.3e+306 too wide: (x - mean)^2 overflows on its +-12 sd window "
+         "[-1.3682105101189654e+154, 1.3682105101189654e+154]"),
+        # the same warning, then exit 3
+        (["verify-lemma2", "--N1", "1.3e306", "--t-min", "0.9", "--t-max", "1"],
+         "law of variance 1.27289287106927e+306 too wide: (x - mean)^2 overflows on its "
+         "+-12 sd window [-1.353870649042865e+154, 1.353870649042865e+154]"),
+        # the same warning, then exit 2 on a skew gain of 0
+        (["constant-power-gap", "--N1", "1.3e306"],
+         "law of variance 1.3e+306 too wide: (x - mean)^2 overflows on its +-12 sd window "
+         "[-1.3682105101189654e+154, 1.3682105101189654e+154]"),
     ],
 )
 def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):

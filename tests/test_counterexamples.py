@@ -382,6 +382,10 @@ def test_vertical_gap_requires_L_above_1():
     assert cx.NoGaussianMaxError is NotStationaryError
     with pytest.raises(NotStationaryError, match=r"K = L/\(L-1\) needs L > 1, got 1$"):
         cx.fisher_stationary_variance(1)
+    # NaN too, before the ladder's own finiteness check
+    for call in (cx.fisher_stationary_variance, cx.fisher_limit_gain):
+        with pytest.raises(NotStationaryError, match=r"K = L/\(L-1\) needs L > 1, got nan$"):
+            call(math.nan)
 
 
 def test_vertical_perturbation_validation():
@@ -848,7 +852,8 @@ def test_fisher_coefficient_at_delta_0(K):
     "kwargs, message",
     [
         ({"J": 0}, "J must be >= 1, got 0"),
-        ({"L": math.nan}, "K, L, delta must be finite"),
+        # a NaN L is the stationary variance's (test_vertical_gap_requires_L_above_1)
+        ({"delta": math.nan}, "K, L, delta must be finite"),
         ({"delta": -0.1}, "delta must be positive, got -0.1"),
         ({"delta": 7.0}, r"need K - delta > 0"),
         ({"delta": 1.0}, r"need L - J\*delta > 0"),

@@ -2,6 +2,9 @@
 oracles."""
 
 import math
+import re
+import struct
+import sys
 import warnings
 
 import mpmath
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _oracles import deriv_column, gauss_deriv_coeffs_every_slot, hermite_weighted_norm
+from _oracles import deriv_column, first_plus_the_rest, gauss_deriv_coeffs_every_slot, hermite_weighted_norm
 from ziclab import gaussmix
 from ziclab.gaussmix import (
     MAX_ORDER,
@@ -178,6 +181,46 @@ def test_validation_rejects_bad_terms():
         GaussDerivMixture(((1.0, -1, 1.0),))
     with pytest.raises(ValueError):
         GaussDerivMixture(((1.0, 65, 1.0),))
+
+
+def window_accepts(m):
+    try:
+        m.window()
+    except ValueError:
+        return False
+    return True
+
+
+def test_window_rejects_a_law_whose_square_overflows():
+    # the largest centred variance whose window squares to a finite float,
+    # by bisection over the positive floats' bit patterns (ordered as ints)
+    bits = lambda v: struct.unpack("<q", struct.pack("<d", v))[0]
+    value = lambda b: struct.unpack("<d", struct.pack("<q", b))[0]
+    lo, hi = bits(1.0), bits(sys.float_info.max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if window_accepts(gaussian(value(mid))) else (lo, mid)
+    widest, rejected = value(lo), value(hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = gaussian(widest)
+        ends = law.pdf(np.array(law.window()))
+    # e^-72 / sqrt(2 pi v) at both edges, about 1.9e-185
+    assert ends[0] == ends[1] == pytest.approx(math.exp(-72.0) / math.sqrt(2.0 * math.pi * widest))
+    with pytest.raises(ValueError, match=re.escape(f"law of variance {rejected!r} too wide: ")):
+        gaussian(rejected).window()
+    # the ladder's former bound: the least v where 144 v is not finite
+    old = sys.float_info.max / 144.0
+    while math.isfinite(144.0 * old):
+        old = math.nextafter(old, math.inf)
+    assert abs(rejected - old) <= math.ulp(old)
+    # a location mixture whose mean spread alone overflows, of two laws
+    # that pass on their own
+    wide = GaussMixture((0.5, 0.5), (-1e154, 1e154), (1.0, 1.0))
+    assert window_accepts(GaussMixture((1.0,), (-1e154,), (1.0,)))
+    assert window_accepts(GaussMixture((1.0,), (1e154,), (1.0,)))
+    with pytest.raises(ValueError, match=r"law of variance 1.0 too wide: .* \[-1e\+154, 1e\+154\]$"):
+        wide.window()
 
 
 # ----------------------------------------------------------------------
@@ -409,12 +452,13 @@ def test_scaled_and_reflected_laws(m, s):
 
 def loop_pdf(m, x):
     """The per-term loop of a mixture density, in the mixture's own term
-    order: each term's column at x - mean times coeff * gamma_v(0); x - 0.0
-    is x, bit for bit."""
-    out = np.zeros_like(x)
-    for coeff, order, variance, mean in m.terms:
-        out += deriv_column(x - mean, variance, order) * (coeff * (1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(variance))))
-    return out
+    order: each term's column at x - mean times coeff * gamma_v(0), summed
+    from the first product; x - 0.0 is x, bit for bit."""
+    products = [
+        deriv_column(x - mean, variance, order) * (coeff * (1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(variance))))
+        for coeff, order, variance, mean in m.terms
+    ]
+    return first_plus_the_rest(products, x)
 
 
 # terms drawn from a small key pool, so mixtures share keys, with means
@@ -529,7 +573,7 @@ def test_deriv_poly_matches_polyder_recursion_bitwise():
 
 def test_deriv_pdf_matches_polyval_bitwise():
     # in-place Horner does polyval's operations on Q in y = x*x, out * y + c,
-    # then times x at odd order, times e and the scale, plus 0.0
+    # then times x at odd order, times e and the scale
     rng = np.random.default_rng(7)
     for v in (0.3, 1.7, 9.0):
         s = math.sqrt(v)
@@ -538,7 +582,7 @@ def test_deriv_pdf_matches_polyval_bitwise():
         for k in range(1, MAX_ORDER + 1):
             q = np.polynomial.polynomial.polyval(x * x, gauss_deriv_poly(k, v)[k % 2 :: 2])
             column = (q * x if k % 2 else q) * e
-            expected = column * (1.0 / (math.sqrt(2.0 * math.pi) * s)) + 0.0
+            expected = column * (1.0 / (math.sqrt(2.0 * math.pi) * s))
             assert gauss_deriv_pdf(x, v, k).tobytes() == expected.tobytes(), (k, v)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import types
 import warnings
 from pathlib import Path
 
@@ -284,15 +285,23 @@ def test_f1_matches_brute_force_random_cells(rng):
             assert f1 - brute <= h * h
 
 
-def test_f1_scalar_equals_table_node_bitwise(rng):
+def test_f1_scalar_equals_table_node_bitwise(rng, monkeypatch):
     # the envelope reads f1 at q from its table, the reports from
-    # fixed_power_value; equal bits make g1 >= f1 hold with no tolerance
+    # _corner_value; equal bits make g1 >= f1 hold with no tolerance.  The
+    # table takes numpy's log and the scalar the C library's, which may
+    # differ by an ulp (numpy's SIMD log does on some inputs), so the
+    # scalar runs on numpy's log here: the test pins the formula's
+    # operations, not two libms
+    numpy_math = types.SimpleNamespace(**vars(math))
+    numpy_math.log = lambda x: float(np.log(x))
+    monkeypatch.setattr(hk, "math", numpy_math)
+    monkeypatch.setattr(hs, "math", numpy_math)
     for u, N1 in ((1.0, 1.0), (2.0, 0.5), (0.3, 0.0)):
         params = hk.HKParams(u=u, N1=N1)
         for _ in range(20):
             q1 = float(np.exp(rng.uniform(-3.0, 3.5)))
             q2 = float(np.exp(rng.uniform(-3.0, 3.5)))
-            value = hk.fixed_power_value(q1, q2, params).value
+            value = hk._corner_value(q1, q2, u, N1)
             assert value == hk.f1_table([q1], [q2], params)[0, 0]
             xs = np.sort(np.append(rng.uniform(0.0, 4.0 * q1, 40), q1))
             ys = np.sort(np.append(rng.uniform(0.0, 4.0 * q2, 40), q2))
@@ -986,7 +995,7 @@ def assert_lp_below_dual(q, params, grid_n=129):
     """The lattice LP, a lower bound on g1, lies below the dual's value, and
     the value below the dual's upper bound, each within the bracket's
     rounding bound (and the LP's own 1e-12 pricing tolerance)."""
-    br = hk.power_control_bracket(*q, params)
+    br = hk.power_control_cell(*q, params).bracket
     lp = lat.lattice_value(*q, params, grid_n=grid_n)
     slack = br.rounding + 1e-12 * abs(lp)
     assert lp <= br.value + slack, (q, lp, br)
@@ -1017,7 +1026,7 @@ def test_dual_brackets_above_lp_on_readme_cells(u, N1, qs):
         assert_lp_below_dual(q, params)
     # at (1, 4) the LP's window [0, 4] x [0, 16] misses the support point
     # (5.97, 0): the LP read g1 = f1, and the dual finds a gap of 1.9e-4
-    br = hk.power_control_bracket(1.0, 4.0, params)
+    br = hk.power_control_cell(1.0, 4.0, params).bracket
     assert br.value - hk.fixed_power_value(1.0, 4.0, params).value == pytest.approx(1.902e-4, rel=1e-3)
     assert max(p[0] for p in br.support) > 4.0
 
@@ -1027,7 +1036,7 @@ def test_dual_support_is_a_randomization():
     # values average to the reported g1
     params = hk.HKParams(u=2.0, N1=0.5)
     for q in [(2.066687349572014, 0.5967584113683521), (39.0, 1.2), (7.0, 2.0)]:
-        br = hk.power_control_bracket(*q, params)
+        br = hk.power_control_cell(*q, params).bracket
         w = [s[2] for s in br.support]
         assert 2 <= len(w) <= 3 and math.fsum(w) == pytest.approx(1.0, abs=1e-15)
         assert all(s[0] >= 0 and s[1] >= 0 for s in br.support)
@@ -1052,7 +1061,7 @@ def test_dual_search_certifies_cells_newton_missed(u, N1, q, g1, rounding, monke
     calls = []
     real = hk._contact_slots
     monkeypatch.setattr(hk, "_contact_slots", lambda *args: calls.append(args) or real(*args))
-    br = hk.power_control_bracket(*q, hk.HKParams(u=u, N1=N1))
+    br = hk.power_control_cell(*q, hk.HKParams(u=u, N1=N1)).bracket
     assert br.within_rounding and len(calls) < 250
     assert br.value == pytest.approx(g1, abs=max(rounding, br.rounding))
 

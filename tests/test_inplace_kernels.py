@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import deriv_column
+from _oracles import deriv_column, first_plus_the_rest
 from ziclab import entropy as en
 from ziclab.gaussmix import (
     MAX_ORDER,
@@ -32,31 +32,30 @@ def scale(variance):
 
 
 def ref_gauss_deriv_pdf(x, variance, order=0):
-    # the column times the scale, and + 0.0 past order 0, as a one-term mixture
-    value = deriv_column(x, variance, order) * scale(variance)
-    return value + 0.0 if order else value
+    # the column times the scale, as a one-term mixture
+    return deriv_column(x, variance, order) * scale(variance)
 
 
 def ref_pdf_deriv(m, x, order):
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for w, mu, v in zip(m.weights, m.means, m.variances):
-        out += deriv_column(x - mu, v, order) * (w * scale(v))
-    return out
+    return first_plus_the_rest(
+        [deriv_column(x - mu, v, order) * (w * scale(v)) for w, mu, v in zip(m.weights, m.means, m.variances)],
+        x,
+    )
 
 
 def ref_pdf_many(mixtures, x):
     x = np.asarray(x, dtype=float)
-    outs = [np.zeros_like(x) for _ in mixtures]
+    products = [[] for _ in mixtures]
     holders = {}
-    for out, m in zip(outs, mixtures):
+    for i, m in enumerate(mixtures):
         for coeff, order, variance, _ in m.terms:
-            holders.setdefault((order, variance), []).append((coeff, out))
+            holders.setdefault((order, variance), []).append((coeff, i))
     for order, variance in sorted(holders):
         column = deriv_column(x, variance, order)
-        for coeff, out in holders[order, variance]:
-            out += column * (coeff * scale(variance))
-    return outs
+        for coeff, i in holders[order, variance]:
+            products[i].append(column * (coeff * scale(variance)))
+    return [first_plus_the_rest(p, x) for p in products]
 
 
 def ref_integral(p, integrand):
