@@ -544,7 +544,8 @@ class _PerturbationLadder:
     def _check_eps_ladder(self, params: dict) -> None:
         """Reject an eps whose ladder richardson_quadratic cannot divide by
         (an e**2 overflows or underflows to 0), whose partner series
-        overflows (eps**J is not finite), or whose smallest eps^2 step
+        overflows (eps**J is not finite), any eps where the objective's
+        rounding floor overflows, or one whose smallest eps^2 step
         (eps/4)**2 falls below the objective's rounding floor, so that every
         ratio (value - reference) / e**2 is rounding noise (ValueError); then
         one whose densities go negative (NegativeDensityError), or whose
@@ -562,6 +563,8 @@ class _PerturbationLadder:
         if 0.0 in squares:
             raise ValueError(f"eps too small: (eps/4)**2 underflows to 0, got {eps}")
         floor = self.rounding_floor()
+        if not math.isfinite(floor):  # no eps could pass
+            raise ValueError(f"the objective's rounding floor overflows the float range at {at}")
         if squares[-1] < floor:
             raise ValueError(
                 f"eps too small: (eps/4)**2 = {squares[-1]:.3e} is below the objective's "

@@ -2,14 +2,19 @@
 expansion coefficients for one-dimensional densities.
 
 Densities are tabulated on uniform grids, and every integral is the
-composite trapezoid sum on the grid alone.  The trapezoid rule converges
-super-algebraically for smooth rapidly-decaying integrands, so on a
+plain sum on the grid alone: the step times the sum of the n values,
+step * sum y_i.  For smooth rapidly-decaying integrands it converges
+super-algebraically (Trefethen & Weideman, SIAM Review 2014), so on a
 mixture's +-12 sigma window (``window()``, which reaches 12 sd past every
 component) the quadrature error sits at machine precision.  Nothing is
 added for the tails beyond the window: past 12 sd a unit-weight Gaussian
 keeps mass Q(12) = 1.8e-33 and second-moment tail 2.6e-31, so the
 omitted entropy and Fisher terms lie far below one ulp of any value
-reported here.
+reported here.  The trapezoid rule's end terms step (y_0 + y_{n-1})/2
+are smaller than that dropped tail (a fraction 144/(n - 1) of it for a
+centred Gaussian), and on every law that a README or benchmark command
+integrates they leave the plain sum's bits alone
+(``tests/test_grid_kernel.py`` checks the latter).
 
 One blocked kernel computes every mixture integral.  A pass walks the grid
 in blocks of at most ``BLOCK`` points, which do not overlap: it tabulates
@@ -23,14 +28,11 @@ Each element goes through the ufuncs of the whole-array expressions, less
 the passes that would leave its bits alone: a block whose least value is
 positive is not clipped, a block whose least value is above 1e-300 has no
 point to zero, and the entropy is the sum of p ln p negated, which is the
-sum of -p ln p to the bit, as rounding is sign-symmetric.  Every integral
-is the trapezoid rule from its row's plain sum S of the n values and the
-end correction, step (S - (y_0 + y_{n-1})/2) (``_trapezoid``), so no pass
-forms the n - 1 trapezoid terms.  One recursive function, ``_tree_sums``,
-walks numpy's pairwise-sum tree over the n values (Higham, SISC 1993): a
-node of at most ``BLOCK`` values is a block, whose rows' ``np.sum`` is
-that node's sum, and a larger node adds its two children's sums as numpy
-does.  So each sum has the bits of one ``np.sum`` over the whole row and
+sum of -p ln p to the bit, as rounding is sign-symmetric.  One recursive
+function, ``_tree_sums``, walks numpy's pairwise-sum tree over the n
+values (Higham, SISC 1993): a node of at most ``BLOCK`` values is a
+block, whose rows' ``np.sum`` is that node's sum, and a larger node adds
+its two children's sums as numpy does.  So each sum has the bits of one ``np.sum`` over the whole row and
 the results those of tabulating the whole grid at once
 (``tests/_oracles.py`` keeps that path).  A pass allocates one block's
 buffers, reuses them block after block in the CPU caches and frees them
@@ -38,7 +40,7 @@ when it ends, so its memory is O(BLOCK * laws), whatever n is.
 ``tests/test_grid_kernel.py`` pins numpy's tree, so a numpy that sums
 otherwise fails it, and the traced peak of each kernel path.  A density
 given as values (``GridDensity``) is already in memory whole, so its
-integrals are the same rule from one ``np.sum``.
+integrals are the step times one ``np.sum``.
 
 This module is the independent oracle for every closed form downstream:
 nothing here reuses the exact mixture algebra except to evaluate pointwise
@@ -125,10 +127,9 @@ class GridDensity:
         return (self.hi - self.lo) / (self.n - 1)
 
     def integral(self, integrand: np.ndarray) -> float:
-        """Trapezoid integral of ``integrand`` tabulated on this grid, from
-        its plain sum (``_trapezoid``)."""
-        y = np.asarray(integrand, dtype=float)
-        return float(_trapezoid(np.sum(y), y[0], y[-1], self.step))
+        """Integral of ``integrand`` tabulated on this grid: the step times
+        its plain sum."""
+        return float(self.step * np.sum(np.asarray(integrand, dtype=float)))
 
     def mass(self) -> float:
         return self.integral(self.values)
@@ -137,25 +138,15 @@ class GridDensity:
 def _grid(x: np.ndarray, lo: float, hi: float, n: int, last: bool) -> np.ndarray:
     """The points of np.linspace(lo, hi, n) whose indices x holds (as
     floats), in place and bit for bit: index times (hi - lo)/(n - 1), plus
-    lo, and hi at index n - 1 (``last``), with linspace's own operations
-    and its path for a step that underflows to 0."""
-    delta = np.subtract(hi, lo)
-    step = delta / (n - 1)
-    if step == 0:
-        x /= n - 1
-        x *= delta
-    else:
-        x *= step
+    lo, and hi at index n - 1 (``last``), with linspace's own operations.
+    Linspace's other path, for a step that underflows to 0, is not
+    reached: a window is at least about 5e-161 wide (``_check_grid``
+    rejects width 0), so that needs some 1e163 points."""
+    x *= (hi - lo) / (n - 1)
     x += lo
     if last:
         x[-1] = hi
     return x
-
-
-def _trapezoid(total, first, last, step: float):
-    """The trapezoid rule from a row's plain sum: step (S - (y_0 + y_{n-1})/2),
-    S the sum of the n values y_i; elementwise over arrays of rows."""
-    return step * (total - 0.5 * (first + last))
 
 
 def _half(m: int) -> int:
@@ -198,7 +189,7 @@ def _score_integrands(dp: np.ndarray, p: np.ndarray, cube: np.ndarray) -> tuple[
 
 
 class GridIntegrals(NamedTuple):
-    """A tabulated density's least value, trapezoid mass and entropy and, when
+    """A tabulated density's least value, grid mass and entropy and, when
     asked for, Fisher information and the score cube int (p')^3/p^2."""
 
     low: float
@@ -229,11 +220,11 @@ def _integrate(
     mixtures, row j holds mixture j's density p, which is its own mass
     integrand, and row k + j its p', which becomes the Fisher integrand in
     place; p ln p and the score cube go to ``pdf_many``'s spare rows once
-    it returns.  Each integrand row is summed as it is made, and its values
-    at points 0 and n - 1 are kept for the end correction (``_trapezoid``).
-    The blocks are the leaves of numpy's pairwise-sum tree
-    (``_tree_sums``), so each sum has the bits of one np.sum over its n
-    values (``test_block_sums_follow_numpys_pairwise_tree``).  The pass
+    it returns.  Each integrand row is summed as it is made, and each
+    integral is the step times its row's sum.  The blocks are the leaves
+    of numpy's pairwise-sum tree (``_tree_sums``), so each sum has the bits
+    of one np.sum over its n values
+    (``test_block_sums_follow_numpys_pairwise_tree``).  The pass
     allocates one block's buffers and reuses them block after block: the
     density rows, the point indices and points, three spare rows (four
     where a term is held by several laws, as in an eps ladder) and a mask.
@@ -251,15 +242,14 @@ def _integrate(
     index = np.arange(size, dtype=np.int32)  # half a float index's bytes
     points, mask = np.empty(size), np.empty(size, dtype=bool)
     lows = [np.inf] * k
-    # per law: mass, p ln p and, for Fisher information, (p')^2/p and (p')^3/p^2
-    first, last = np.empty((2, 4 if fisher else 2, k))
 
     def block_sums(a: int, b: int) -> np.ndarray:
         width = b - a
         block, work, below = rows[:, :width], works[:, :width], mask[:width]
         x = _grid(np.add(index[:width], float(a), out=points[:width]), lo, hi, n, b == n)
         GaussDerivMixture.pdf_many(tabulated, x, out=block, work=work)
-        sums = np.empty_like(first)
+        # per law: mass, p ln p and, for Fisher information, (p')^2/p and (p')^3/p^2
+        sums = np.empty((4 if fisher else 2, k))
         for j, p in enumerate(block[:k]):
             low = p.min()
             lows[j] = np.minimum(lows[j], low)  # a NaN stays, as in p.min()
@@ -276,13 +266,9 @@ def _integrate(
                     np.copyto(y, 0.0, where=below)
             for r, y in enumerate(integrands):
                 sums[r, j] = y.sum()
-                if a == 0:
-                    first[r, j] = y[0]
-                if b == n:
-                    last[r, j] = y[-1]
         return sums
 
-    integrals = _trapezoid(_tree_sums(0, n, block_sums), first, last, step)
+    integrals = step * _tree_sums(0, n, block_sums)
     # the entropy rows hold p ln p: 0.0 - s is -s, and 0.0 where s is 0, as
     # the integral of -p ln p is but where p = 1 at every point
     np.subtract(0.0, integrals[1], out=integrals[1])
@@ -335,7 +321,7 @@ def mixture_to_grid(m: GaussDerivMixture, lo: float, hi: float, n: int) -> GridD
 
 
 def differential_entropy(p: GridDensity) -> float:
-    """-int p ln p by the composite trapezoid rule on the grid.
+    """-int p ln p on the grid (``GridDensity.integral``).
 
     Points with p < 1e-300 are excluded from the log (their contribution is
     analytically below any tolerance used here).

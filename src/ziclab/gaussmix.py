@@ -81,19 +81,16 @@ def _scale(variance: float) -> float:
     return 1.0 / (_SQRT2PI * math.sqrt(variance))
 
 
-def gauss_deriv_pdf(
-    x: np.ndarray | float, variance: float, order: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluate D^order gamma_variance pointwise, into ``out`` when given.
+def gauss_deriv_pdf(x: np.ndarray | float, variance: float, order: int = 0) -> np.ndarray:
+    """Evaluate D^order gamma_variance pointwise.
 
     The one-term case of ``pdf_many``'s tabulation (``_tabulate``), so it
     has the bits of ``DerivTerm(1.0, order, variance)``'s density: the
     column P(x) e^{-a}, a = x^2/(2v), times the scale 1/(sqrt(2 pi)
     sqrt(v)).  y = x*x, e = exp(y * (-0.5/v)), and P has one parity (DLMF
     §18.9), so P(x) = x^(order mod 2) Q(y): Horner's rule runs over Q's
-    order // 2 + 1 coefficients in y, with no pass that adds 0.0.  The
-    column is built before ``out`` is written, so ``out`` may be ``x``
-    itself.  A 0-d input returns a scalar.  Rejects what
+    order // 2 + 1 coefficients in y, with no pass that adds 0.0.  A 0-d
+    input returns a scalar.  Rejects what
     ``_check_variance`` rejects (ValueError).
 
     Rounding, to first order in u = 2^-53, while gamma_v stays a normal
@@ -121,8 +118,7 @@ def gauss_deriv_pdf(
     """
     x = np.asarray(x, dtype=float)
     _check_variance(variance)
-    if out is None:
-        out = np.empty_like(x)
+    out = np.empty_like(x)
     _tabulate(x, {(order, variance, 0.0): [(_scale(variance), 0)]}, [out])
     return out[()] if out.ndim == 0 else out
 
@@ -143,13 +139,15 @@ def _tabulate(
     Keys of one (variance, mean) next to each other in the walk are a run,
     which shares y and e: one exponential per run, and one y = x*x for
     every run at mean 0.  y is finite over a law's ``window()``, which
-    rejects a law where it would not be.  A first product goes straight
-    into its accumulator, so a sum may read -0.0, as the first product +
-    the next ... does; the last holder of a column that no later key reads
-    scales it in place.  The rows past the accumulators are ``work``'s,
-    then fresh ones shaped like x: e; y, at mean 0 or for Horner past
-    order 1; the Horner column; and a product row, for a holder between a
-    column's first and last, or z at an odd order past 1 off mean 0.
+    rejects a law where it would not be; the exponent may still overflow
+    far from a narrow term's mean, to -inf, whose e is the exact 0.  A
+    first product goes straight into its accumulator, so a sum may read
+    -0.0, as the first product + the next ... does; the last holder of a
+    column that no later key reads scales it in place.  The rows past the
+    accumulators are ``work``'s, then fresh ones shaped like x: e; y, at
+    mean 0 or for Horner past order 1; the Horner column; and a product
+    row, for a holder between a column's first and last, or z at an odd
+    order past 1 off mean 0.
     Rejects a variance that ``_check_variance`` rejects before its
     exponential, and an order or coefficients that ``gauss_deriv_poly``
     rejects (ValueError).
@@ -177,10 +175,11 @@ def _tabulate(
                 # x - 0.0 is x, so a zero mean skips the shift pass
                 np.square(np.subtract(x, mean, out=y) if mean else x, out=y)
                 y_mean = mean
-            np.multiply(y, -0.5 / variance, out=e)
+            square = y
         else:
-            np.square(np.subtract(x, mean, out=e), out=e)
-            e *= -0.5 / variance
+            square = np.square(np.subtract(x, mean, out=e), out=e)
+        with np.errstate(over="ignore"):  # -inf, whose exp is the exact 0
+            np.multiply(square, -0.5 / variance, out=e)
         np.exp(e, out=e)
         for j, (order, holders) in enumerate(run):
             if not order:

@@ -141,24 +141,18 @@ def outer_entropy_defect(vp: VerticalPerturbation, eps: float, n: int = 8192) ->
 # ----------------------------------------------------------------------
 
 
-def whole_grid_integrals(
+def whole_grid_integrands(
     m: GaussDerivMixture, lo: float, hi: float, n: int, fisher: bool = True
-) -> tuple[float, float, float, float | None, float | None]:
-    """(least value, mass, entropy, Fisher information or None, score cube
-    int (p')^3/p^2 or None) of a mixture tabulated on the whole n-point
-    grid over [lo, hi] at once: one ``pdf`` call on np.linspace, np.clip,
-    the np.where integrands with p' from ``m.derivative(1).pdf`` on the
-    same points (the cube as the score p'/p times the Fisher integrand),
-    and the trapezoid rule from each integrand's one np.sum,
-    step (sum - (y_0 + y_{n-1})/2).  That is the blocked kernel's path
-    written for the whole grid, and the kernel must give these bits.  On
-    that path a least value below -1e-12 raised NegativeDensityError, and
-    entropy and Fisher information raised on n < 1024 or a mass off 1 by
-    more than 1e-7."""
+) -> tuple[float, list[np.ndarray]]:
+    """(least value, integrand rows) of a mixture tabulated on the whole
+    n-point grid over [lo, hi] at once: one ``pdf`` call on np.linspace,
+    np.clip, and the np.where integrands of mass, entropy and, with
+    ``fisher``, Fisher information and the score cube, with p' from
+    ``m.derivative(1).pdf`` on the same points (the cube as the score p'/p
+    times the Fisher integrand)."""
     x = np.linspace(lo, hi, n)
     raw = m.pdf(x)
     vals = np.clip(raw, 0.0, None)
-    step = (hi - lo) / (n - 1)
     ok = vals > 1e-300
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         integrands = [vals, np.where(ok, -vals * np.log(np.where(ok, vals, 1.0)), 0.0)]
@@ -167,8 +161,23 @@ def whole_grid_integrals(
             safe = np.where(ok, vals, 1.0)
             integrands.append(np.where(ok, dp * dp / safe, 0.0))
             integrands.append(np.where(ok, dp / safe * (dp * dp / safe), 0.0))
-    sums = [float(step * (np.sum(y) - 0.5 * (y[0] + y[-1]))) for y in integrands]
-    return (raw.min(), *sums) if fisher else (raw.min(), *sums, None, None)
+    return raw.min(), integrands
+
+
+def whole_grid_integrals(
+    m: GaussDerivMixture, lo: float, hi: float, n: int, fisher: bool = True
+) -> tuple[float, float, float, float | None, float | None]:
+    """(least value, mass, entropy, Fisher information or None, score cube
+    int (p')^3/p^2 or None) of ``whole_grid_integrands``, each integral the
+    step times its integrand's one np.sum.  That is the blocked kernel's
+    path written for the whole grid, and the kernel must give these bits.
+    On that path a least value below -1e-12 raised NegativeDensityError,
+    and entropy and Fisher information raised on n < 1024 or a mass off 1
+    by more than 1e-7."""
+    low, integrands = whole_grid_integrands(m, lo, hi, n, fisher)
+    step = (hi - lo) / (n - 1)
+    sums = [float(step * np.sum(y)) for y in integrands]
+    return (low, *sums) if fisher else (low, *sums, None, None)
 
 
 def log_deriv_integral(m: GaussDerivMixture, k: int) -> float:

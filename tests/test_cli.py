@@ -869,6 +869,13 @@ AT_README_VERTICAL = "K=6.000000000000001, L=1.4, u=1.0, delta=0.069999999999999
         (["constant-power-gap", "--N1", "1.3e306"],
          "law of variance 1.3e+306 too wide: (x - mean)^2 overflows on its +-12 sd window "
          "[-1.3682105101189654e+154, 1.3682105101189654e+154]"),
+        # "eps too small" against a rounding floor of inf, which no eps passes
+        (["verify-vertical", "--K", "1.7e308", "--L", "1.7e308", "--eps", "1e-3"],
+         "the objective's rounding floor overflows the float range at "
+         "K=1.7e+308, L=1.7e+308, u=1.0, delta=8.5e+306, J=2"),
+        (["verify-vertical", "--u", "4e305"],
+         "the objective's rounding floor overflows the float range at "
+         "K=1.0000000000000002e+306, L=1.4, u=4e+305, delta=0.06999999999999999, J=2"),
     ],
 )
 def test_out_of_range_options_exit_2_without_warning(argv, message, capsys):

@@ -95,7 +95,7 @@ def test_mixture_to_grid_mass_and_positivity():
 
 
 def test_window_reaches_12_sd_past_every_component():
-    # grid integrals are the trapezoid sum alone: past 12 sd a unit-weight
+    # grid integrals are the plain sum alone: past 12 sd a unit-weight
     # Gaussian keeps mass 1.8e-33, far below one ulp of any entropy
     loc = GaussMixture((0.8, 0.2), (0.3, -1.2), (0.25, 4.0))
     lo, hi = loc.window()
@@ -145,7 +145,7 @@ def test_fisher_information_gaussian():
 
 
 def test_fisher_two_resolution_consistency():
-    # the trapezoid sum of a smooth decaying integrand has converged to
+    # the grid sum of a smooth decaying integrand has converged to
     # rounding by n = 2048 (measured equal bits at n = 8192)
     m = GaussDerivMixture(((1.0, 0, 1.0), (-0.001, 3, 0.9)))
     fine = fisher_information(m, n=8192)
@@ -160,7 +160,7 @@ def de_bruijn_laws(recipe):
 
 # The kernel's score moments and the oracle's log-weighted quadrature
 # (``_oracles.log_deriv_integral``, 32768 points over +-14 sd) are separate
-# trapezoid sums of up to 2^16 terms, each rounding within about log2(n)
+# plain and trapezoid sums of up to 2^16 terms, each rounding within about log2(n)
 # ulps (numpy's pairwise sum), so they agree to 1e-14 relative; measured
 # at most 4.4e-16 for J(p) and c1 and 9.5e-16 for int p''' ln p.
 DE_BRUIJN_REL = 1e-14

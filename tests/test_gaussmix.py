@@ -223,6 +223,20 @@ def test_window_rejects_a_law_whose_square_overflows():
         wide.window()
 
 
+def test_an_exponent_past_the_float_range_reads_an_exact_zero():
+    # (x - mean)^2 is finite over the window, but times -0.5/v = -5e199
+    # it overflows far from each narrow term's mean: exp(-inf) is the exact
+    # 0 that the density rounds to there, with no overflow warning
+    m = GaussMixture((0.5, 0.5), (0.0, 1e150), (1e-200, 1e-200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = m.pdf(np.linspace(*m.window(), 5))
+    peak = 0.5 / math.sqrt(2.0 * math.pi * 1e-200)
+    assert values[0] > 0.0 and values[0] == pytest.approx(peak * math.exp(-72.0))
+    assert values[1:4].tolist() == [0.0, 0.0, 0.0]
+    assert values[4] == pytest.approx(peak)
+
+
 # ----------------------------------------------------------------------
 # density evaluation
 # ----------------------------------------------------------------------

@@ -6,9 +6,10 @@ grid's.
 
 Block edges are where the kernel can go wrong: a block tabulates its own
 points a..b-1, the blocks are the nodes of numpy's pairwise-sum tree over
-the n points, whose halves are uneven, and the end correction reads the
-first block's first point and the last block's last.  The grid sizes below
-put the edges everywhere they can fall.
+the n points, whose halves are uneven, and the last block ends at hi
+itself, as linspace does.  The grid sizes below put the edges everywhere
+they can fall.  Every integral is the step times its row's plain sum,
+which on the README and benchmark laws has the trapezoid rule's bits.
 """
 
 import math
@@ -17,9 +18,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import whole_grid_integrals
+from _oracles import whole_grid_integrands, whole_grid_integrals
 from ziclab import counterexamples as cx
 from ziclab import entropy as en
+from ziclab import hessian as hs
 from ziclab.gaussmix import MAX_ORDER, DerivTerm, GaussDerivMixture, gaussian
 
 B = en.BLOCK
@@ -91,8 +93,7 @@ def test_block_sums_follow_numpys_pairwise_tree():
 
 
 def test_grid_points_are_linspace_bit_for_bit():
-    # the last case's step underflows to 0, linspace's subnormal path
-    for lo, hi, n in ((-3.0, 7.5, 1024), (-15.6, 15.6, 3 * B - 7), (0.1, 0.2, 2 * B + 1), (0.0, 5e-324, 1500)):
+    for lo, hi, n in ((-3.0, 7.5, 1024), (-15.6, 15.6, 3 * B - 7), (0.1, 0.2, 2 * B + 1)):
         x = np.linspace(lo, hi, n)
         for a, b in tree_blocks(np.empty((0, n)))[0]:
             got = en._grid(np.arange(a, b, dtype=float), lo, hi, n, b == n)
@@ -153,7 +154,7 @@ def test_every_block_path_matches_whole_grid(monkeypatch):
     # law is at most 1e-300 everywhere, so its entropy sums zeros; and the
     # fourth mixes positive, below-1e-300, NaN and exact-0 points in one
     # block, and holds a value below 1e-300 and an exact 0 at the two ends,
-    # which the end correction reads
+    # which the plain sum weighs as it does every other point
     n = 4 * B
     index = np.arange(n)
     first = 1e-3 * (1.5 + np.sin(index))
@@ -188,6 +189,42 @@ def test_every_block_path_matches_whole_grid(monkeypatch):
             assert same_bits(tuple(r), whole_grid_integrals(m, 0.0, n - 1.0, n, fisher)), (m, fisher)
         assert math.isfinite(got[0].mass) and math.isnan(got[1].mass) and same_bits(got[2].entropy, 0.0)
         assert math.isnan(got[3].mass) and math.isfinite(got[3].entropy)
+
+
+def report_laws(recipe):
+    """The 60 laws that README and benchmark commands integrate: the eps
+    ladders of verify-vertical at (u, L, J) = (1, 1.4, 2) and (2, 3, 8),
+    each eps's X1+Z1+Z2+X2, X1+Z1 and X1+Z1+Z2 (N1 = 0, N2 = u); those of
+    limit-functional at L = 1.2, 1.6, 2.0 with J = 2 and L = 1.1, 1.5, 1.9
+    with J = 20, each eps's X and X+Y; and the skew recipe's p with five of
+    its smoothed laws over verify-lemma1's default t range."""
+    laws = []
+    for u, L, J in ((1.0, 1.4, 2), (2.0, 3.0, 8)):
+        vp = cx.VerticalPerturbation(K=hs.stationary_source_variance(L, u), L=L, u=u, J=J)
+        for e in cx.eps_ladder(vp.eps):
+            x1z1z2 = vp.x1(e).convolve_gaussian(u)
+            laws += [vp.plus_x2(e)(x1z1z2), vp.x1(e), x1z1z2]
+    for Ls, J in (((1.2, 1.6, 2.0), 2), ((1.1, 1.5, 1.9), 20)):
+        for L in Ls:
+            fp = cx.FisherPerturbation(K=cx.fisher_stationary_variance(L), L=L, J=J)
+            laws += [law for e in cx.eps_ladder(fp.eps) for law in (fp.x1(e), fp.plus_x2(e)(fp.x1(e)))]
+    smoothed = [recipe.p.convolve(recipe.q.scaled(math.sqrt(t)).reflected()) for t in np.geomspace(1e-4, 1e-2, 5)]
+    return [*laws, recipe.p, *smoothed]
+
+
+def test_plain_sum_keeps_the_trapezoid_bits_on_report_laws(recipe):
+    # the trapezoid rule's end terms (y_0 + y_{n-1})/2 are below half an ulp
+    # of the plain sum S of every mass, entropy and Fisher row of these
+    # laws at n = 8192, so the plain sum is the trapezoid rule there to the
+    # bit.  On windows half as wide all 180 rows fail this, so a window
+    # change that makes the end terms count breaks it
+    laws = report_laws(recipe)
+    assert len(laws) == 60
+    for m in laws:
+        _, rows = whole_grid_integrands(m, *m.window(), 8192)
+        for y in rows[:3]:
+            total = np.sum(y)
+            assert total - 0.5 * (y[0] + y[-1]) == total, m
 
 
 def test_a_fisher_pass_exponentiates_each_gaussian_once_per_block(exp_sizes):

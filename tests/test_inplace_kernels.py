@@ -4,8 +4,8 @@ array expressions they replaced, and leave their inputs alone.
 Each ``ref_*`` below is the replaced expression, verbatim, but for the
 tabulation's, which follow the column sequence of ``_oracles.deriv_column``
 (Horner's rule in x*x, the scale folded into each coefficient), and the
-integral's, which is the trapezoid rule from one plain sum; every
-comparison is of bytes, so signed zeros and NaN payloads count too.
+integral's, which is the step times one plain sum; every comparison is
+of bytes, so signed zeros and NaN payloads count too.
 """
 
 import math
@@ -59,8 +59,7 @@ def ref_pdf_many(mixtures, x):
 
 
 def ref_integral(p, integrand):
-    y = np.asarray(integrand, dtype=float)
-    return float(p.step * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+    return float(p.step * np.sum(np.asarray(integrand, dtype=float)))
 
 
 def ref_entropy(p):
@@ -89,17 +88,6 @@ VARIANCES = (0.3, 1.0, 1.7, 9.0)
 def test_gauss_deriv_pdf_matches_reference_at_every_order(variance):
     for k in range(MAX_ORDER + 1):
         assert same_bits(gauss_deriv_pdf(X, variance, k), ref_gauss_deriv_pdf(X, variance, k)), k
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 7, 33, 64])
-def test_gauss_deriv_pdf_writes_into_out_even_when_out_is_x(k):
-    expected = ref_gauss_deriv_pdf(X, 1.7, k)
-    buf = np.empty_like(X)
-    assert gauss_deriv_pdf(X, 1.7, k, out=buf) is buf
-    assert same_bits(buf, expected)
-    x = X.copy()
-    assert gauss_deriv_pdf(x, 1.7, k, out=x) is x
-    assert same_bits(x, expected)
 
 
 @pytest.mark.parametrize("x", [0.7, -2.5, 0.0, np.float64(1e-300), np.array(3.0)])
@@ -166,7 +154,7 @@ def edge_grid():
     assert (vals == 0.0).any() and ((vals > 0.0) & (vals <= _TINY)).any()
     vals[100:104] = (_TINY, 5e-301, 4e-320, -1e-13)
     i = int(np.argmin(np.abs(vals - 1.0)))
-    vals[i + 1] -= 1.0 - vals[i]  # keeps the trapezoid mass
+    vals[i + 1] -= 1.0 - vals[i]  # keeps the grid mass
     vals[i] = 1.0
     return en.GridDensity(lo, hi, n, read_only(vals))
 
